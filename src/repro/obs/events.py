@@ -670,12 +670,18 @@ def observe_blocks(bus: EventBus) -> "Any":
 
     @contextmanager
     def _ctx():
+        # ``block.nbytes`` measures the payload on first read, so an
+        # event nobody subscribed to must not be built at all.
         def hook(kind: str, block: Any, n: int) -> None:
             if kind == "retain":
-                bus.emit(BlockRetained(bus.now(), block.nbytes, n, block.rc))
+                if bus.wants(BlockRetained):
+                    bus.emit(
+                        BlockRetained(bus.now(), block.nbytes, n, block.rc)
+                    )
             elif kind == "alloc":
-                bus.emit(BlockAllocated(bus.now(), block.nbytes))
-            else:
+                if bus.wants(BlockAllocated):
+                    bus.emit(BlockAllocated(bus.now(), block.nbytes))
+            elif bus.wants(BlockReleased):
                 bus.emit(BlockReleased(bus.now(), block.nbytes, n, block.rc))
 
         previous = _blocks.get_block_hook()

@@ -22,9 +22,10 @@ where the 1990 system might have mutated in place) but never wrong, and
 matches the paper's advice that programmers arrange the data flow so large
 structures are not captured and mutated simultaneously.
 
-Blocks also carry a *home* processor and a byte-size estimate: the machine
-simulator charges NUMA remote-access penalties and accounts bus traffic
-from them (sections 7 and 9.3).
+Blocks also carry a *home* processor and answer for a byte-size estimate:
+the machine simulator charges NUMA remote-access penalties and accounts
+bus traffic from them (sections 7 and 9.3).  The paper's block has no
+size field; ours measures the payload only when somebody asks.
 """
 
 from __future__ import annotations
@@ -61,29 +62,69 @@ def get_block_hook():
     return _BLOCK_HOOK
 
 
+#: Exact-class dispatch cache for :func:`payload_nbytes`: how the walk
+#: treats a payload of this class.  Same scheme as ``_WRAP_KIND`` below —
+#: every isinstance outcome is a function of the exact class.
+_SIZE_KIND: dict[type, int] = {}
+
+_SIZE_LEAF, _SIZE_ARRAY, _SIZE_ITEMS, _SIZE_VALUES = range(4)
+
+
+def _size_kind(payload: Any) -> int:
+    if isinstance(payload, np.ndarray):
+        return _SIZE_ARRAY
+    if isinstance(payload, (list, tuple, set)):
+        return _SIZE_ITEMS
+    if isinstance(payload, dict):
+        return _SIZE_VALUES
+    return _SIZE_LEAF
+
+
 def payload_nbytes(payload: Any) -> int:
     """Estimated size in bytes of an operator payload.
 
-    NumPy arrays report exactly; containers sum their items shallowly;
+    NumPy arrays report exactly; lists, tuples, sets and dicts (values
+    only) add ``sys.getsizeof`` of the container to the size of every
+    element, recursing through nested containers all the way down;
     everything else falls back to ``sys.getsizeof``.  The estimate feeds
     the simulated machines' traffic accounting, where only relative
     magnitudes matter.
+
+    A payload nested deeper than the interpreter's recursion limit — a
+    container that contains itself — raises ``RecursionError`` instead of
+    walking forever.
     """
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (list, tuple, set)):
-        return int(
-            sys.getsizeof(payload) + sum(payload_nbytes(i) for i in payload)
-        )
-    if isinstance(payload, dict):
-        return int(
-            sys.getsizeof(payload)
-            + sum(payload_nbytes(v) for v in payload.values())
-        )
-    try:
-        return int(sys.getsizeof(payload))
-    except TypeError:  # pragma: no cover - exotic objects
-        return 64
+    sizeof = sys.getsizeof
+    kinds = _SIZE_KIND
+    total = 0
+    stack = [iter((payload,))]
+    while stack:
+        for item in stack[-1]:
+            cls = item.__class__
+            kind = kinds.get(cls)
+            if kind is None:
+                kind = kinds[cls] = _size_kind(item)
+            if kind == _SIZE_LEAF:
+                try:
+                    total += sizeof(item)
+                except TypeError:  # pragma: no cover - exotic objects
+                    total += 64
+            elif kind == _SIZE_ARRAY:
+                total += int(item.nbytes)
+            else:
+                total += sizeof(item)
+                if len(stack) > sys.getrecursionlimit():
+                    raise RecursionError(
+                        "payload nests deeper than the recursion limit "
+                        "(a container that contains itself?)"
+                    )
+                stack.append(
+                    iter(item.values() if kind == _SIZE_VALUES else item)
+                )
+                break
+        else:
+            stack.pop()
+    return total
 
 
 def copy_payload(payload: Any) -> Any:
@@ -111,7 +152,10 @@ class DataBlock:
         Processor id that produced the payload (simulated machines), or
         ``-1`` when unplaced.
     nbytes:
-        Cached size estimate.
+        Size estimate of the *current* payload (:func:`payload_nbytes`),
+        computed on first read and memoised.  Constructing and firing
+        never compute it; whoever hands the payload to an operator for
+        writing calls :meth:`drop_size`, so the next read re-measures.
     bid:
         Master-assigned block id for worker-cache residency tracking
         (process executor with an affinity policy), or ``None`` while the
@@ -123,7 +167,7 @@ class DataBlock:
     block death without extending any lifetime.
     """
 
-    __slots__ = ("payload", "rc", "home", "nbytes", "bid", "__weakref__")
+    __slots__ = ("payload", "rc", "home", "_nbytes", "bid", "__weakref__")
 
     _COUNTER = 0
 
@@ -131,10 +175,21 @@ class DataBlock:
         self.payload = payload
         self.rc = 0
         self.home = home
-        self.nbytes = payload_nbytes(payload)
+        self._nbytes: int | None = None
         self.bid: int | None = None
         if _BLOCK_HOOK is not None:
             _BLOCK_HOOK("alloc", self, 1)
+
+    @property
+    def nbytes(self) -> int:
+        n = self._nbytes
+        if n is None:
+            n = self._nbytes = payload_nbytes(self.payload)
+        return n
+
+    def drop_size(self) -> None:
+        """Forget the memoised size: the payload is about to be written."""
+        self._nbytes = None
 
     def unique(self) -> bool:
         """True when this block holds the sole reference (writable)."""

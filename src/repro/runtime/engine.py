@@ -638,6 +638,9 @@ class ExecutionState:
                                             bus.now(), spec.name, v.nbytes
                                         )
                                     )
+                            # Only now, after the reads above saw the
+                            # pre-write size (see _begin_operator).
+                            v.drop_size()
                             args.append(v.payload)
                             arg_blocks.append(v)
                         else:
@@ -654,6 +657,8 @@ class ExecutionState:
                             if self._wants_cow:
                                 bus.emit(CowCopy(bus.now(), spec.name, v.nbytes))
                             fresh = self._cow_copy(v, home, spec.name)
+                            # An alloc observer may have sized the copy.
+                            fresh.drop_size()
                             args.append(fresh.payload)
                             arg_blocks.append(fresh)
                     else:
@@ -1272,6 +1277,12 @@ class ExecutionState:
                                         bus.now(), spec.name, v.nbytes
                                     )
                                 )
+                        # The size is a function of the current payload:
+                        # forget it once the reads above have seen the
+                        # pre-write value, so a body that resizes the
+                        # payload cannot leave it stale.  (Harmless on a
+                        # remote fire, which writes the worker's copy.)
+                        v.drop_size()
                         args.append(v.payload)
                         arg_blocks.append(v)
                     else:
@@ -1300,6 +1311,8 @@ class ExecutionState:
                             arg_blocks.append(v)
                         else:
                             fresh = self._cow_copy(v, home, spec.name)
+                            # An alloc observer may have sized the copy.
+                            fresh.drop_size()
                             args.append(fresh.payload)
                             arg_blocks.append(fresh)
                 else:

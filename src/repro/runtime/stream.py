@@ -742,9 +742,17 @@ class StreamRunner:
         return None
 
 
+#: The numeric :class:`EngineStats` counters (the dict-valued fields are
+#: per-run snapshots and attributions, not summable), worked out once —
+#: ``_accumulate`` runs per stream item.
+_NUMERIC_STATS = tuple(
+    f.name
+    for f in dataclasses.fields(EngineStats)
+    if isinstance(f.default, (int, float))
+)
+
+
 def _accumulate(into: dict[str, float], stats: EngineStats) -> None:
     """Sum one run's numeric counters into the stream-wide totals."""
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if isinstance(value, (int, float)):
-            into[f.name] = into.get(f.name, 0) + value
+    for name in _NUMERIC_STATS:
+        into[name] = into.get(name, 0) + getattr(stats, name)

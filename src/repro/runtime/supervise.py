@@ -274,7 +274,6 @@ class ResidencyTracker:
         #: bid → weakref to the live master block (death callback queues
         #: invalidations to every holder).
         self._blocks: dict[int, weakref.ref] = {}
-        self._nbytes: dict[int, int] = {}
         #: bid → workers believed to hold a resident decoded copy.
         self._residency: dict[int, set[int]] = {}
         self._by_worker: dict[int, set[int]] = {
@@ -316,7 +315,6 @@ class ResidencyTracker:
         self._blocks[bid] = weakref.ref(
             block, lambda _ref, _bid=bid: self._dead(_bid)
         )
-        self._nbytes[bid] = block.nbytes
         self._residency[bid] = set()
 
     def _dead(self, bid: int) -> None:
@@ -324,7 +322,6 @@ class ResidencyTracker:
         # holders release their resident copies.  Runs from a weakref
         # callback — only tracker-owned dicts are touched.
         self._blocks.pop(bid, None)
-        self._nbytes.pop(bid, None)
         holders = self._residency.pop(bid, None)
         if holders:
             for w in holders:
@@ -341,7 +338,6 @@ class ResidencyTracker:
         # Drop the weakref registration so eventual death of the block
         # does not queue a second round for an id nobody holds anymore.
         self._blocks.pop(bid, None)
-        self._nbytes.pop(bid, None)
         holders = self._residency.pop(bid, None)
         if holders:
             for w in holders:
@@ -394,11 +390,15 @@ class ResidencyTracker:
 
     def stats(self) -> dict[str, Any]:
         resident_blocks = sum(len(s) for s in self._by_worker.values())
-        resident_bytes = sum(
-            self._nbytes.get(bid, 0)
-            for bids in self._by_worker.values()
-            for bid in bids
-        )
+        # Sized here, on demand, from the live master blocks (a dead or
+        # forgotten block counts 0): dispatch never measures a payload.
+        resident_bytes = 0
+        for bids in self._by_worker.values():
+            for bid in bids:
+                ref = self._blocks.get(bid)
+                block = ref() if ref is not None else None
+                if block is not None:
+                    resident_bytes += block.nbytes
         shipped = self.refs_shipped
         return {
             "blocks_tracked": len(self._blocks),

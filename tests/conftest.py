@@ -2,10 +2,35 @@
 
 from __future__ import annotations
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro import compile_source, default_registry
 from repro.runtime import OperatorRegistry
+
+
+def recursive_payload_nbytes(payload):
+    """``payload_nbytes`` as it was when every block was sized at
+    construction, verbatim: the oracle the explicit-stack walk must match
+    integer for integer."""
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, (list, tuple, set)):
+        return int(
+            sys.getsizeof(payload)
+            + sum(recursive_payload_nbytes(i) for i in payload)
+        )
+    if isinstance(payload, dict):
+        return int(
+            sys.getsizeof(payload)
+            + sum(recursive_payload_nbytes(v) for v in payload.values())
+        )
+    try:
+        return int(sys.getsizeof(payload))
+    except TypeError:  # pragma: no cover - exotic objects
+        return 64
 
 
 #: The paper's fork-join example (section 2.1), verbatim modulo operators.

@@ -401,6 +401,15 @@ class TestLocalityDispatch:
         # The headline claim: at least 2x fewer encoded wire bytes.
         assert data.stats.encode_bytes * 2 <= none.stats.encode_bytes
 
+    def test_one_worker_fanout_avoids_exactly_the_block_six_times(self):
+        # Golden from the last commit that sized blocks at construction:
+        # the adopted 32 KB result is ref-shipped to all six readers.
+        stats = _run_fanout("data").stats
+        assert stats.blocks_ref_shipped == 6
+        assert stats.encode_bytes_avoided == 196608
+        assert stats.bytes_copy_avoided == 0
+        assert stats.copy_bytes_by_operator == {}
+
     def test_operator_affinity_is_bit_identical_too(self):
         none = _run_fanout("none")
         op = _run_fanout("operator", workers=2)

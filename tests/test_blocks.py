@@ -1,7 +1,12 @@
 """Data blocks: reference counting, copy-on-write, wrapping."""
 
+import sys
+from collections import OrderedDict, namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.blocks import (
     BufferPool,
@@ -15,6 +20,8 @@ from repro.runtime.blocks import (
     wrap_payload,
 )
 from repro.runtime.values import NULL, MultiValue, OperatorValue
+
+from tests.conftest import recursive_payload_nbytes
 
 
 class TestDataBlock:
@@ -198,9 +205,69 @@ class TestBufferPool:
         assert pool.stats()["held_bytes"] == 0
 
 
+_Point = namedtuple("_Point", "x y")
+
+_hashable_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+_leaves = st.one_of(
+    _hashable_leaves,
+    st.builds(np.zeros, st.integers(0, 40)),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False)),
+    st.builds(bytearray, st.binary(max_size=12)),
+    st.frozensets(st.integers(), max_size=4),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=4).map(tuple),
+        st.tuples(inner, inner).map(lambda t: _Point(*t)),
+        st.sets(_hashable_leaves, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=40,
+)
+
+
 class TestSizes:
     def test_payload_nbytes_containers(self):
         assert payload_nbytes([np.zeros(10)]) > 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads)
+    def test_payload_nbytes_matches_the_recursive_definition(self, payload):
+        assert payload_nbytes(payload) == recursive_payload_nbytes(payload)
+
+    def test_payload_nbytes_counts_shared_children_once_per_path(self):
+        shared = [1, 2, 3]
+        payload = [shared, shared, {"k": shared}]
+        assert payload_nbytes(payload) == recursive_payload_nbytes(payload)
+
+    def test_payload_nbytes_walks_nesting_the_recursion_could_not(self):
+        deep = []
+        for _ in range(sys.getrecursionlimit() // 2):
+            deep = [deep]
+        assert payload_nbytes(deep) > 0
+
+    def test_payload_nbytes_refuses_a_cyclic_container(self):
+        loop = [1]
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            payload_nbytes(loop)
+
+    def test_block_of_cyclic_payload_is_only_refused_when_sized(self):
+        loop = {}
+        loop["self"] = loop
+        block = DataBlock(loop)  # constructing measures nothing
+        with pytest.raises(RecursionError):
+            block.nbytes
 
     def test_value_nbytes_multivalue_sums(self):
         mv = MultiValue((DataBlock(np.zeros(10)), DataBlock(np.zeros(5))))

@@ -10,13 +10,29 @@ per-operator wall costs before paying an IPC round trip, and
 
 from __future__ import annotations
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import compile_source
+from repro.apps.queens import compile_queens
 from repro.apps.retina import RetinaConfig, compile_retina
-from repro.machine import calibrate_dispatch
+from repro.compiler.passes.pipeline import PASS_ORDER
+from repro.machine import (
+    SimulatedExecutor,
+    butterfly,
+    calibrate_dispatch,
+    cray_ymp,
+)
+from repro.runtime import (
+    ProcessExecutor,
+    SequentialExecutor,
+    blocks,
+    default_registry,
+)
+from repro.runtime.blocks import payload_nbytes
 from repro.runtime.engine import _may_alias
 from repro.runtime.workers import (
     DispatchPolicy,
@@ -207,3 +223,139 @@ class TestMayAlias:
         a = np.ones(8)
         assert _may_alias([a], a)  # list: conservatively aliasing
         assert _may_alias(object(), a)
+
+
+class TestBlockSizeFollowsThePayload:
+    """``DataBlock.nbytes`` measures the *current* payload: an in-place
+    write drops the memo, so a later COW copy is booked at its real size
+    (it used to be frozen at construction: 172 bytes here)."""
+
+    SRC = """
+    main()
+      let a = mk()
+          b = grow(a)
+          c = touch(b)
+      in <b, c>
+    """
+
+    @staticmethod
+    def _registry():
+        reg = default_registry()
+
+        @reg.register(name="mk")
+        def mk():
+            return [0, 0, 0]
+
+        @reg.register(name="grow", modifies=(0,))
+        def grow(lst):
+            lst.extend([0] * 100_000)
+            return lst
+
+        @reg.register(name="touch", modifies=(0,))
+        def touch(lst):
+            lst[0] = 1
+            return lst
+
+        return reg
+
+    # check_purity routes through _begin_operator instead of the inline
+    # fire; donation adds the begin-step read of the pre-write size.
+    @pytest.mark.parametrize("check_purity", [False, True])
+    @pytest.mark.parametrize("donate", [False, True])
+    def test_cow_copy_after_in_place_growth_books_the_grown_size(
+        self, check_purity, donate
+    ):
+        reg = self._registry()
+        passes = PASS_ORDER + ("fuse", "donate") if donate else PASS_ORDER
+        compiled = compile_source(
+            self.SRC, registry=reg, optimize_passes=passes
+        )
+        result = SequentialExecutor(check_purity=check_purity).run(
+            compiled.graph, registry=reg
+        )
+        b, c = result.value
+        assert (len(b), b[0], c[0]) == (100_003, 0, 1)
+        stats = result.stats
+        assert (stats.in_place_writes, stats.cow_copies) == (1, 1)
+        assert stats.copy_bytes_by_operator == {"touch": payload_nbytes(b)}
+        assert stats.copy_bytes_by_operator["touch"] > 800_000
+        if donate:
+            # grow's donated write saw the block as mk() made it.
+            assert stats.bytes_copy_avoided == payload_nbytes([0, 0, 0])
+
+    def test_size_is_lazy_memoised_and_droppable(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            blocks, "payload_nbytes",
+            lambda p, _real=payload_nbytes: calls.append(1) or _real(p),
+        )
+        block = blocks.DataBlock([1, 2, 3])
+        assert calls == []
+        first = block.nbytes
+        assert block.nbytes == first and len(calls) == 1
+        block.payload.extend(range(100))
+        assert block.nbytes == first  # memoised until told otherwise
+        block.drop_size()
+        assert block.nbytes == payload_nbytes(block.payload) > first
+
+
+class _Plain:
+    pass
+
+
+#: The retina's blocks hold opaque application objects, sized by
+#: ``sys.getsizeof`` alone; the goldens below were taken where a plain
+#: instance is 56 bytes (CPython 3.11) and mean nothing elsewhere.
+_retina_goldens = pytest.mark.skipif(
+    sys.getsizeof(_Plain()) != 56,
+    reason="byte goldens taken with 56-byte plain instances",
+)
+
+
+class TestSizeParityWithEagerSizing:
+    """Figures that read block sizes, as literal goldens taken from the
+    last commit that sized every block at construction.  None of these
+    programs resizes a payload in place, so lazy sizing must not move
+    them."""
+
+    @_retina_goldens
+    @pytest.mark.parametrize(
+        "version, avoided, avoided_bytes", [(1, 80, 4480), (2, 144, 8064)]
+    )
+    def test_retina_copy_stats(self, version, avoided, avoided_bytes):
+        compiled = compile_retina(
+            version, RetinaConfig(), fuse=True, donate=True
+        )
+        stats = SequentialExecutor().run(
+            compiled.graph, registry=compiled.registry
+        ).stats
+        assert stats.copies_avoided == avoided
+        assert stats.bytes_copy_avoided == avoided_bytes
+        assert stats.copy_bytes_by_operator == {}
+
+    @_retina_goldens
+    def test_retina_one_worker_residency_stats(self):
+        compiled = compile_retina(2, RetinaConfig(), fuse=True, donate=True)
+        stats = ProcessExecutor(1, cost_threshold=0.0).run(
+            compiled.graph, registry=compiled.registry
+        ).stats
+        assert stats.blocks_ref_shipped == 164
+        assert stats.encode_bytes_avoided == 9184
+        assert stats.bytes_copy_avoided == 8064
+
+    @_retina_goldens
+    def test_retina_numa_ticks(self):
+        # butterfly charges every transfer by the block's size.
+        compiled = compile_retina(2, RetinaConfig(), fuse=True, donate=True)
+        ticks = SimulatedExecutor(butterfly(8)).run(
+            compiled.graph, registry=compiled.registry
+        ).ticks
+        assert ticks == pytest.approx(29949440.984, rel=1e-12)
+
+    @pytest.mark.parametrize("n, ticks", [(5, 214644.0), (6, 834286.0)])
+    def test_queens_cray_ticks(self, n, ticks):
+        compiled = compile_queens(n)
+        result = SimulatedExecutor(cray_ymp(4)).run(
+            compiled.graph, registry=compiled.registry
+        )
+        assert result.ticks == ticks

@@ -12,11 +12,17 @@ simulated 4-processor Cray Y-MP).
 
 import gc
 import time
+from contextlib import nullcontext
 
+import pytest
+
+from repro.apps.loganalytics import sequential_stats, stream_logs
 from repro.apps.retina import RetinaConfig, compile_retina
 from repro.machine import SimulatedExecutor, cray_ymp
-from repro.obs import EventBus
-from repro.runtime import ExecutionState
+from repro.obs import BlockAllocated, CowCopy, EventBus, observe_blocks
+from repro.runtime import ExecutionState, blocks
+
+from tests.conftest import recursive_payload_nbytes
 
 # Interleaved min-of-batches comparison: robust to machine noise without
 # needing many seconds of samples.  The workload runs in ~15 ms, so
@@ -95,3 +101,53 @@ def test_zero_subscriber_overhead_under_five_percent():
         f"per {RUNS_PER_BATCH}-run batch); budget is "
         f"{MAX_OVERHEAD - 1:.0%}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Block sizes are measured on demand, never on the unobserved firing path.
+# ---------------------------------------------------------------------------
+LOG_SEED = 2026
+N_LOG_BATCHES = 5
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_unobserved_stream_never_sizes_a_block(monkeypatch, hooked):
+    calls = []
+    real = blocks.payload_nbytes
+    monkeypatch.setattr(
+        blocks, "payload_nbytes", lambda p: calls.append(1) or real(p)
+    )
+    # hooked: the block hook is installed, but nobody wants a block event.
+    bus = EventBus()
+    bus.subscribe(lambda e: None, events=(CowCopy,))
+    with observe_blocks(bus) if hooked else nullcontext():
+        result = stream_logs(N_LOG_BATCHES, seed=LOG_SEED)
+    assert result.items == N_LOG_BATCHES
+    assert result.value == sequential_stats(LOG_SEED, N_LOG_BATCHES)
+    assert calls == []
+    # The probe is live: one read of one block's size is one call.
+    assert blocks.DataBlock([1]).nbytes > 0 and len(calls) == 1
+
+
+def test_block_allocated_reports_the_construction_time_size():
+    expected = []
+    reported = []
+    bus = EventBus()
+    bus.subscribe(
+        lambda e: reported.append(e.nbytes), events=(BlockAllocated,)
+    )
+    with observe_blocks(bus):
+        emit = blocks.get_block_hook()
+
+        def spy(kind, block, n):
+            if kind == "alloc":
+                expected.append(recursive_payload_nbytes(block.payload))
+            emit(kind, block, n)
+
+        blocks.set_block_hook(spy)
+        stream_logs(N_LOG_BATCHES, seed=LOG_SEED)
+    # 12 blocks per batch at the parent commit: the batch, four shards,
+    # four shard results, the combined partial, the new aggregate, and
+    # the carried aggregate re-wrapped as the next item's argument.
+    assert len(reported) == 12 * N_LOG_BATCHES
+    assert reported == expected
