@@ -231,6 +231,25 @@ def free_variables(expr: ast.Expr, bound: set[str]) -> list[str]:
     return out
 
 
+def all_names(program: ast.Program) -> set[str]:
+    """Every identifier bound or read anywhere in ``program``, in one walk
+    (what a :class:`FreshNames` over the program must avoid)."""
+    names: set[str] = set()
+    for node in program.walk():
+        if isinstance(node, ast.Var):
+            names.add(node.name)
+        elif isinstance(node, ast.FunDef):
+            names.add(node.name)
+            names.update(node.params)
+        elif isinstance(node, ast.SimpleBinding):
+            names.add(node.name)
+        elif isinstance(node, ast.TupleBinding):
+            names.update(node.names)
+        elif isinstance(node, ast.LoopVar):
+            names.add(node.name)
+    return names
+
+
 class FreshNames:
     """Generator of names guaranteed not to collide with program names.
 

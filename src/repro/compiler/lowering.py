@@ -28,25 +28,7 @@ Lowering rewrites innermost iterates first so nested loops (retina's
 from __future__ import annotations
 
 from ..lang import ast
-from .analysis import FreshNames
-
-
-def _all_names(program: ast.Program) -> set[str]:
-    """Every identifier appearing anywhere (for fresh-name generation)."""
-    names: set[str] = set()
-    for node in program.walk():
-        if isinstance(node, ast.Var):
-            names.add(node.name)
-        elif isinstance(node, ast.FunDef):
-            names.add(node.name)
-            names.update(node.params)
-        elif isinstance(node, ast.SimpleBinding):
-            names.add(node.name)
-        elif isinstance(node, ast.TupleBinding):
-            names.update(node.names)
-        elif isinstance(node, ast.LoopVar):
-            names.add(node.name)
-    return names
+from .analysis import FreshNames, all_names
 
 
 def lower_iterate_expr(it: ast.Iterate, fresh: FreshNames) -> ast.Expr:
@@ -125,7 +107,7 @@ def lower_program(program: ast.Program) -> ast.Program:
 
     Idempotent: a program with no iterates is returned unchanged.
     """
-    fresh = FreshNames(_all_names(program))
+    fresh = FreshNames(all_names(program))
     for f in program.functions:
         f.body = _lower(f.body, fresh)
     return program

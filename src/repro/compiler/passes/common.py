@@ -97,6 +97,15 @@ def count_uses(e: ast.Node, name: str) -> int:
     )
 
 
+def count_reads(e: ast.Node) -> dict[str, int]:
+    """Reads of every name inside subtree ``e``, in one walk."""
+    out: dict[str, int] = {}
+    for n in e.walk():
+        if isinstance(n, ast.Var):
+            out[n.name] = out.get(n.name, 0) + 1
+    return out
+
+
 def bound_names_in(e: ast.Node) -> set[str]:
     """Every name bound anywhere inside subtree ``e``."""
     out: set[str] = set()
@@ -133,20 +142,3 @@ def rename_bound(e: ast.Expr, mapping: dict[str, str]) -> ast.Expr:
         elif isinstance(n, ast.LoopVar) and n.name in mapping:
             n.name = mapping[n.name]
     return e
-
-
-def replace_child(parent: ast.Node, old: ast.Expr, new: ast.Expr) -> None:
-    """Replace ``old`` (by identity) with ``new`` among ``parent``'s fields."""
-    from dataclasses import fields as dc_fields
-
-    for f in dc_fields(parent):
-        v = getattr(parent, f.name)
-        if v is old:
-            setattr(parent, f.name, new)
-            return
-        if isinstance(v, list):
-            for i, item in enumerate(v):
-                if item is old:
-                    v[i] = new
-                    return
-    raise ValueError("old is not a direct child of parent")

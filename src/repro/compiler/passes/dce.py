@@ -7,17 +7,24 @@ annotation burden is on ``modifies`` only, so we stay conservative).
 
 A binding's liveness is judged by use counts over the whole enclosing
 top-level function — exact, because single assignment makes names unique
-within a function.  Function bindings never execute anything by
+within a function.  The counts live in one name -> reads table per
+function, built in a single walk and kept equal to the live tree: when a
+let drops bindings, their reads are subtracted, so judging a binding is a
+lookup minus the reads in its own right-hand side and a sweep is linear
+in the function's size.  Function bindings never execute anything by
 themselves, so an unused function binding is always removable.  Lets that
-lose all their bindings collapse into their bodies.  The pass iterates to
-a fixpoint internally (removing one binding can kill the uses that kept
-another alive).
+lose all their bindings collapse into their bodies.
+
+Removing one binding can kill the uses that kept another alive, so a
+function is swept again after a sweep that removed something — but at
+most once: ``run`` makes one or two sweeps, not a fixpoint, and what a
+third sweep would remove is left to the pipeline's next round.
 """
 
 from __future__ import annotations
 
 from ...lang import ast
-from .common import PassContext, count_uses, expr_is_pure
+from .common import PassContext, count_reads, count_uses, expr_is_pure
 
 NAME = "dce"
 
@@ -27,8 +34,11 @@ class _DCE:
         self.ctx = ctx
         self.function = function
         self.changed = False
+        #: name -> number of reads in the live ``function.body``.
+        self.reads: dict[str, int] = {}
 
     def run(self) -> None:
+        self.reads = count_reads(self.function.body)
         while True:
             before = self.changed
             self.function.body = self._expr(
@@ -36,6 +46,16 @@ class _DCE:
             )
             if self.changed == before:
                 return
+
+    def _unread_outside(self, name: str, rhs: ast.Node) -> bool:
+        """No read of ``name`` in the function outside ``rhs``.
+
+        ``rhs`` is the judged binding's own right-hand side: a binding may
+        not reference itself (single assignment), but reads inside the
+        very binding being judged disappear together with it.
+        """
+        reads = self.reads.get(name, 0)
+        return reads == 0 or reads == count_uses(rhs, name)
 
     # ------------------------------------------------------------------
     def _expr(self, e: ast.Expr, bound: set[str]) -> ast.Expr:
@@ -56,28 +76,22 @@ class _DCE:
         if isinstance(e, ast.Let):
             inner = set(bound)
             kept: list[ast.Binding] = []
+            dropped: list[ast.Binding] = []
             for b in e.bindings:
                 removable = False
-                if isinstance(b, ast.SimpleBinding):
-                    if count_uses_excluding_binding(
-                        self.function, b.name, b
-                    ) == 0 and expr_is_pure(b.expr, self.ctx, inner):
-                        removable = True
-                elif isinstance(b, ast.TupleBinding):
+                if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
                     if all(
-                        count_uses_excluding_binding(self.function, n, b) == 0
-                        for n in b.names
+                        self._unread_outside(n, b.expr)
+                        for n in b.bound_names()
                     ) and expr_is_pure(b.expr, self.ctx, inner):
                         removable = True
                 elif isinstance(b, ast.FunBinding):
-                    external = count_uses(
-                        self.function.body, b.func.name
-                    ) - count_uses(b.func.body, b.func.name)
-                    if external == 0:
+                    if self._unread_outside(b.func.name, b.func.body):
                         removable = True
                 if removable:
                     self.changed = True
                     self.ctx.bump(f"{NAME}.removed")
+                    dropped.append(b)
                     continue
                 if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
                     b.expr = self._expr(b.expr, inner)
@@ -86,7 +100,12 @@ class _DCE:
                     b.func.body = self._expr(b.func.body, fn_bound)
                 inner.update(b.bound_names())
                 kept.append(b)
+            # Dropped bindings stay in the tree (and in the counts) until
+            # here, so later bindings of this let were judged against them.
             e.bindings = kept
+            for b in dropped:
+                for name, n in count_reads(b).items():
+                    self.reads[name] -= n
             e.body = self._expr(e.body, inner)
             if not e.bindings:
                 self.changed = True
@@ -103,24 +122,6 @@ class _DCE:
             e.result = self._expr(e.result, inner)
             return e
         raise TypeError(f"unexpected AST node {type(e).__name__}")
-
-
-def count_uses_excluding_binding(
-    function: ast.FunDef, name: str, binding: ast.Binding
-) -> int:
-    """Reads of ``name`` in the function, excluding the binding's own RHS.
-
-    A binding may not reference itself (single assignment), but its RHS
-    legitimately references *other* names; when counting uses of ``name``
-    we must not count reads inside the very binding being judged — those
-    disappear together with it.
-    """
-    total = count_uses(function.body, name)
-    if isinstance(binding, (ast.SimpleBinding, ast.TupleBinding)):
-        total -= count_uses(binding.expr, name)
-    elif isinstance(binding, ast.FunBinding):
-        total -= count_uses(binding.func.body, name)
-    return total
 
 
 def run(program: ast.Program, ctx: PassContext) -> bool:

@@ -69,6 +69,9 @@ class _Inliner:
         info = self.ctx.env.functions.get(qualname)
         if info is None:
             return False
+        # Measured here, not read from ``info.body_size``: that was taken
+        # when the context was built, and this pass has since expanded the
+        # calls inside every callee defined before the current function.
         if fundef.body.size() > self.threshold:
             return False
         # Global names the body relies on must not be shadowed at the site.

@@ -6,11 +6,17 @@ Runs the paper's four optimizations in a fixpoint loop::
 
 Inline first (it exposes operator applications to the scalar passes);
 propagation before CSE (canonicalizes copies so syntactic keys match); DCE
-last (sweeps the bindings the others orphaned).  Analyses are recomputed
-between rounds because inlining changes the call graph.  The loop stops
-when a full round changes nothing, or after ``max_rounds`` (a safety net —
-each pass only shrinks or canonicalizes, so in practice two or three
-rounds suffice).
+last (sweeps the bindings the others orphaned).  The analysis context is
+rebuilt only when the tree changed since it was built: right after an
+inline pass that expanded something (inlining changes the call graph the
+scalar passes of the same round are handed), and at the start of a round
+whose predecessor's scalar passes changed anything.  The loop stops when a
+full round changes nothing, or after ``max_rounds`` (a safety net — each
+pass only shrinks or canonicalizes).  DCE makes at most two sweeps per
+function per round (see :mod:`.dce`), so a longer chain of dead bindings
+costs further whole rounds: the bench's ten-function generated program
+takes five, and all its third round does is remove four bindings a third
+sweep in the second would have found.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from dataclasses import dataclass, field
 
 from ...lang import ast
 from ...runtime.operators import OperatorRegistry
-from ..analysis import FreshNames, analyze_program
+from ..analysis import FreshNames, all_names, analyze_program
 from ..symtab import analyze
 from . import constprop, cse, dce, inline
-from .common import PassContext, bound_names_in
+from .common import PassContext
 
 
 @dataclass
@@ -33,6 +39,11 @@ class OptimizationReport:
     rounds: int = 0
     stats: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
+    #: Wall seconds :func:`optimize` spent, accumulated over all rounds:
+    #: ``"context"`` (building the analysis contexts) plus one key per
+    #: :data:`PASS_ORDER` pass; they sum to ``seconds`` up to the loop's own
+    #: bookkeeping.  Empty when only graph passes ran.
+    pass_seconds: dict[str, float] = field(default_factory=dict)
     enabled: tuple[str, ...] = ()
 
     def describe(self) -> str:
@@ -94,22 +105,13 @@ def _make_context(
     env = analyze(program, known_operators=known, strict=False)
     pure = registry.pure_names() if registry is not None else set()
     analysis = analyze_program(env, pure_operators=pure)
-    used: set[str] = set()
-    for f in program.functions:
-        used.add(f.name)
-        used.update(f.params)
-        used.update(bound_names_in(f.body))
-        for node in f.body.walk():
-            if isinstance(node, ast.Var):
-                used.add(node.name)
-    ctx = PassContext(
+    return PassContext(
         registry=registry,
         env=env,
         analysis=analysis,
-        fresh=FreshNames(used),
+        fresh=FreshNames(all_names(program)),
         stats=stats,
     )
-    return ctx
 
 
 def optimize(
@@ -128,20 +130,35 @@ def optimize(
         if name not in _RUNNERS:
             raise KeyError(f"unknown optimization pass {name!r}")
     report = OptimizationReport(enabled=tuple(enabled))
+    spent = report.pass_seconds = dict.fromkeys(("context", *PASS_ORDER), 0.0)
+
+    def timed(key: str, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        spent[key] += time.perf_counter() - t0
+        return result
+
+    def context() -> PassContext:
+        return timed("context", _make_context, program, registry, report.stats)
+
     began = time.perf_counter()
+    stale = True  # the tree changed since ``ctx`` was built
     for _ in range(max_rounds):
-        ctx = _make_context(program, registry, report.stats)
+        if stale:
+            ctx = context()
+            stale = False
         changed = False
         for name in PASS_ORDER:
             if name not in enabled:
                 continue
             if name == "inline":
-                changed = inline.run(program, ctx, threshold=inline_threshold) or changed
-                # Inlining invalidates the call graph; refresh for the
-                # scalar passes in the same round.
-                ctx = _make_context(program, registry, report.stats)
-            else:
-                changed = _RUNNERS[name](program, ctx) or changed
+                if timed(name, inline.run, program, ctx, threshold=inline_threshold):
+                    changed = True
+                    # Inlining invalidates the call graph; refresh for the
+                    # scalar passes in the same round.
+                    ctx = context()
+            elif timed(name, _RUNNERS[name], program, ctx):
+                changed = stale = True
         report.rounds += 1
         if not changed:
             break

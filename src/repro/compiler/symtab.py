@@ -90,7 +90,7 @@ class EnvAnalysis:
     """Result of environment analysis over a whole program."""
 
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Map from unqualified top-level names to themselves (convenience).
+    #: Names of the top-level functions, in source order.
     top_level: list[str] = field(default_factory=list)
 
     def info(self, qualname: str) -> FunctionInfo:
@@ -112,17 +112,15 @@ class _Analyzer:
 
     # ------------------------------------------------------------------
     def run(self) -> EnvAnalysis:
-        seen: set[str] = set()
         for f in self.program.functions:
-            if f.name in seen:
+            if f.name in self.top_level_arity:
                 raise SingleAssignmentError(
                     f"function {f.name!r} defined more than once",
                     f.line,
                     f.column,
                 )
-            seen.add(f.name)
             self.top_level_arity[f.name] = len(f.params)
-        self.result.top_level = list(seen)
+        self.result.top_level = self.program.function_names()
         globals_scope = _Scope(None, "")
         for f in self.program.functions:
             globals_scope.bindings[f.name] = ("topfun", f.name)
@@ -133,7 +131,6 @@ class _Analyzer:
     # ------------------------------------------------------------------
     def _function(self, f: ast.FunDef, qualname: str, outer: _Scope) -> FunctionInfo:
         info = FunctionInfo(qualname=qualname, params=list(f.params))
-        info.body_size = f.body.size()
         self.result.functions[qualname] = info
         scope = _Scope(outer, qualname)
         for p in f.params:
@@ -171,6 +168,11 @@ class _Analyzer:
 
     # ------------------------------------------------------------------
     def _expr(self, e: ast.Expr, scope: _Scope, info: FunctionInfo) -> None:
+        # ``body_size`` is ``f.body.size()`` counted on the way: one per
+        # expression here, one per node that does not come through here
+        # (a ``Var`` callee, bindings, nested ``FunDef``s, loop variables)
+        # where the traversal steps over it.
+        info.body_size += 1
         if isinstance(e, (ast.Literal, ast.Null)):
             return
         if isinstance(e, ast.Var):
@@ -198,6 +200,7 @@ class _Analyzer:
 
     def _apply(self, e: ast.Apply, scope: _Scope, info: FunctionInfo) -> None:
         if isinstance(e.callee, ast.Var):
+            info.body_size += 1
             kind, detail = self._resolve_use(e.callee, scope, info)
             if kind == "topfun":
                 info.calls.add(detail)
@@ -231,6 +234,7 @@ class _Analyzer:
 
     def _let(self, e: ast.Let, scope: _Scope, info: FunctionInfo) -> None:
         inner = _Scope(scope, info.qualname)
+        info.body_size += len(e.bindings)
         for b in e.bindings:
             if isinstance(b, ast.SimpleBinding):
                 self._expr(b.expr, inner, info)
@@ -244,6 +248,7 @@ class _Analyzer:
                 # Bind the name first so the local function can recurse.
                 inner.bind(b.func.name, "localfun", qual, b)
                 sub = self._function(b.func, qual, inner)
+                info.body_size += 1 + sub.body_size
                 # Free variables of the local function that are not bound in
                 # *this* function propagate outward as our own free vars.
                 for name in sub.free:
@@ -256,6 +261,7 @@ class _Analyzer:
         self._expr(e.body, inner, info)
 
     def _iterate(self, e: ast.Iterate, scope: _Scope, info: FunctionInfo) -> None:
+        info.body_size += len(e.loopvars)
         # Init expressions see only the enclosing scope.
         for lv in e.loopvars:
             self._expr(lv.init, scope, info)

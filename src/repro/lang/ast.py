@@ -23,8 +23,24 @@ optimizer rewrites trees in place where convenient and rebuilds where not.
 
 from __future__ import annotations
 
+import functools
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Iterator
+
+
+@functools.cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields of node class ``cls`` that hold child nodes (a
+    node or a list of nodes), in dataclass field order.  Worked out once
+    per class, so traversal never reflects per node."""
+    hints = typing.get_type_hints(cls)
+    names = []
+    for f in fields(cls):
+        held = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if isinstance(held[0], type) and issubclass(held[0], Node):
+            names.append(f.name)
+    return tuple(names)
 
 
 @dataclass
@@ -34,22 +50,28 @@ class Node:
     line: int = field(default=0, kw_only=True, compare=False)
     column: int = field(default=0, kw_only=True, compare=False)
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes, in source order."""
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def children(self) -> list["Node"]:
+        """Direct child nodes, in source order (dataclass field order)."""
+        out: list[Node] = []
+        for name in _child_fields(type(self)):
+            v = getattr(self, name)
             if isinstance(v, Node):
-                yield v
-            elif isinstance(v, (list, tuple)):
-                for item in v:
-                    if isinstance(item, Node):
-                        yield item
+                out.append(v)
+            elif v:
+                out.extend(v)
+        return out
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order.
+
+        One loop over an explicit stack: depth is bounded by memory, not
+        by the interpreter's recursion limit.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def size(self) -> int:
         """Number of nodes in this subtree (the paper's subtree 'weight')."""

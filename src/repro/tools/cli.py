@@ -668,10 +668,14 @@ def main(argv: list[str] | None = None) -> int:
               f"{compiled.graph.total_nodes()} node(s)")
         if getattr(compiled, "cached", False):
             print("  (compile cache hit; --no-cache to recompile)")
+        optimization = getattr(compiled, "optimization", None)
         for name, seconds in compiled.pass_seconds.items():
             print(f"  {name:<18} {seconds * 1000:8.2f} ms")
-        if getattr(compiled, "optimization", None) is not None:
-            print(compiled.optimization.describe())
+            if name == "Optimization" and optimization is not None:
+                for part, spent in optimization.pass_seconds.items():
+                    print(f"    {part:<16} {spent * 1000:8.2f} ms")
+        if optimization is not None:
+            print(optimization.describe())
         if ns.emit:
             from ..graph.serialize import save
 

@@ -1,0 +1,418 @@
+"""The linear-time optimizer does exactly what the quadratic one did.
+
+Three kinds of evidence, none of them in seconds:
+
+* **oracles** — the recursive ``children``/``walk``, the whole-function
+  re-walking DCE and the rebuild-every-time pass loop live on verbatim in
+  ``conftest.py``; over generated and fuzzed programs the new traversal
+  yields the same nodes in the same order and the new ``optimize`` leaves
+  the same text, stats and round count;
+* **goldens** — ``.dlc`` digests of the case-study programs, recorded from
+  the commit before the rewrite;
+* **structural guards** — counts of reflective calls, whole-body
+  ``count_uses`` calls and node visits, so the quadratic shapes cannot
+  come back unnoticed.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import random
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import compile_source, default_registry
+from repro.apps import circuit, loganalytics, montecarlo, queens, raytracer, retina
+from repro.apps.compiler_app import generate_workload
+from repro.compiler import PASS_NAMES
+from repro.compiler.analysis import all_names
+from repro.compiler.lowering import lower_program
+from repro.compiler.passes import dce
+from repro.compiler.passes.common import count_reads
+from repro.compiler.passes.pipeline import (
+    FULL_PASS_ORDER,
+    PASS_ORDER,
+    _make_context,
+    optimize,
+)
+from repro.compiler.symtab import analyze
+from repro.graph.serialize import dumps
+from repro.lang import ast, parse_program
+from repro.lang.ast import unparse
+
+from .conftest import (
+    oracle_bound_names_in,
+    oracle_optimize,
+    recursive_children,
+    recursive_walk,
+)
+from .test_fuzz_compiler import _loop_programs
+
+REGISTRY = default_registry()
+
+
+def pythia_source(n_functions: int, structure_seed: int, order_seed: int) -> str:
+    """``generate_workload`` plus a ``main`` calling every function, built
+    the way the benchmark's pythia workload builds it (same text)."""
+    functions = generate_workload(n_functions, structure_seed).strip().split("\n\n")
+    structure = random.Random(structure_seed)
+    calls = []
+    for text in functions:
+        name, params = re.match(r"(\w+)\(([^)]*)\)", text).groups()
+        picks = [structure.choice("abc") for _ in params.split(",")]
+        calls.append(f"{name}({', '.join(picks)})")
+    random.Random(order_seed).shuffle(functions)
+    acc = calls[0]
+    for call in calls[1:]:
+        acc = f"add({acc}, {call})"
+    return "main(a, b, c)\n  " + acc + "\n\n" + "\n\n".join(functions) + "\n"
+
+
+generated_sources = st.builds(
+    pythia_source, st.integers(3, 12), st.integers(0, 10_000), st.integers(0, 10_000)
+)
+sources = st.one_of(generated_sources, _loop_programs())
+
+
+def lowered(source: str) -> ast.Program:
+    return lower_program(parse_program(source))
+
+
+def local_functions(node: ast.Node):
+    """Function bindings under ``node``, not looking inside them."""
+    for child in node.children():
+        if isinstance(child, ast.FunBinding):
+            yield child
+        else:
+            yield from local_functions(child)
+
+
+def identities(nodes) -> list[int]:
+    return [id(n) for n in nodes]
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+
+class TestTraversalOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(sources)
+    def test_walk_yields_the_recursive_order(self, source):
+        for program in (parse_program(source), lowered(source)):
+            assert identities(program.walk()) == identities(recursive_walk(program))
+            for node in program.walk():
+                assert identities(node.children()) == identities(
+                    recursive_children(node)
+                )
+            assert program.size() == sum(1 for _ in recursive_walk(program))
+
+    @settings(max_examples=15, deadline=None)
+    @given(sources)
+    def test_walk_order_survives_optimization(self, source):
+        program = lowered(source)
+        optimize(program, REGISTRY)
+        assert identities(program.walk()) == identities(recursive_walk(program))
+
+    def test_deep_nesting_does_not_recurse(self):
+        e: ast.Expr = ast.Var(name="x")
+        for _ in range(5000):
+            e = ast.Apply(callee=ast.Var(name="f"), args=[e])
+        assert e.size() == 1 + 2 * 5000
+        last = None
+        for last in e.walk():
+            pass
+        assert isinstance(last, ast.Var) and last.name == "x"
+
+    @settings(max_examples=25, deadline=None)
+    @given(sources)
+    def test_all_names_is_binders_plus_reads(self, source):
+        program = lowered(source)
+        used: set[str] = set()
+        for f in program.functions:
+            used.add(f.name)
+            used.update(f.params)
+            used.update(oracle_bound_names_in(f.body))
+            used.update(
+                n.name for n in recursive_walk(f.body) if isinstance(n, ast.Var)
+            )
+        assert all_names(program) == used
+
+    @settings(max_examples=25, deadline=None)
+    @given(sources)
+    def test_body_size_counted_in_the_analyzer_is_the_walked_size(self, source):
+        for program in (parse_program(source), lowered(source)):
+            env = analyze(program, known_operators=REGISTRY.names(), strict=False)
+            pending = [(f.name, f) for f in program.functions]
+            checked = 0
+            while pending:
+                qualname, f = pending.pop()
+                assert env.functions[qualname].body_size == f.body.size()
+                checked += 1
+                pending.extend(
+                    (f"{qualname}.{b.func.name}", b.func)
+                    for b in local_functions(f.body)
+                )
+            assert checked == len(env.functions)
+
+
+# ---------------------------------------------------------------------------
+# optimize ≡ oracle optimize
+# ---------------------------------------------------------------------------
+
+
+def assert_same_optimization(source: str, enabled=PASS_ORDER) -> None:
+    new, old = lowered(source), lowered(source)
+    report = optimize(new, REGISTRY, enabled=enabled)
+    expected = oracle_optimize(old, REGISTRY, enabled=enabled)
+    assert [unparse(f) for f in new.functions] == [unparse(f) for f in old.functions]
+    assert report.stats == expected.stats
+    assert report.rounds == expected.rounds
+
+
+class TestOptimizeOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(generated_sources)
+    def test_generated_workloads(self, source):
+        assert_same_optimization(source)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_loop_programs())
+    def test_fuzzed_programs(self, source):
+        assert_same_optimization(source)
+
+    @pytest.mark.parametrize(
+        "enabled",
+        [("dce",), ("constprop", "dce"), ("inline", "dce"), ("cse", "dce")],
+        ids="+".join,
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(sources)
+    def test_pass_subsets(self, enabled, source):
+        assert_same_optimization(source, enabled)
+
+    def test_dead_chain_inside_a_local_function_and_a_tuple(self):
+        # Tuple bindings, an unused local function, a let nested in a
+        # kept binding, and a dead chain longer than DCE's two sweeps.
+        assert_same_optimization(
+            """
+main(n)
+  let
+    <p, q> = <incr(n), incr(n)>
+    <r, s> = <incr(p), decr(p)>
+    unused(x) add(x, q)
+    d0 = incr(n)
+    d1 = incr(d0)
+    d2 = incr(d1)
+    d3 = incr(d2)
+    kept = let t = incr(s) u = incr(t) in add(s, 1)
+  in add(kept, r)
+"""
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(sources)
+    def test_reads_table_equals_the_live_tree_after_a_run(self, source):
+        program = lowered(source)
+        ctx = _make_context(program, REGISTRY, {})
+        for f in program.functions:
+            sweep = dce._DCE(ctx, f)
+            sweep.run()
+            live = {k: v for k, v in sweep.reads.items() if v}
+            assert live == count_reads(f.body)
+
+
+# ---------------------------------------------------------------------------
+# Goldens recorded from the commit before the rewrite
+# ---------------------------------------------------------------------------
+
+
+def golden_compiles() -> dict[str, dict]:
+    """``compile_source`` arguments of every golden program."""
+    cfg = retina.RetinaConfig()
+    retina_defines = {
+        "NUM_ITER": cfg.num_iter,
+        "START_SLAB": cfg.start_slab,
+        "FINAL_SLAB": cfg.final_slab,
+    }
+    net = circuit.random_circuit()
+    mc = montecarlo.make_registry(seed=2026, batch_size=4096)
+    out = {
+        "retina_v1": dict(
+            source=retina.RETINA_V1,
+            registry=retina.make_registry(cfg),
+            defines=retina_defines,
+        ),
+        "retina_v2": dict(
+            source=retina.RETINA_V2,
+            registry=retina.make_registry(cfg),
+            defines=retina_defines,
+        ),
+        "pi": dict(source=montecarlo.PI_PROGRAM, registry=mc, prelude=True),
+        "option": dict(source=montecarlo.OPTION_PROGRAM, registry=mc, prelude=True),
+        "log": dict(
+            source=loganalytics.LOG_PROGRAM, registry=loganalytics.make_registry()
+        ),
+        "circuit": dict(
+            source=circuit.CIRCUIT_SIM,
+            registry=circuit.make_registry(net),
+            defines={"N_LEVELS": net.n_levels},
+        ),
+        "raytracer": dict(
+            source=raytracer.RAYTRACER,
+            registry=raytracer.make_registry(),
+            defines={"NUM_FRAMES": 2},
+        ),
+        "pythia": dict(source=pythia_source(10, 1990, 1990), registry=REGISTRY),
+    }
+    for n in (4, 5, 6):
+        out[f"queens_{n}"] = dict(
+            source=queens.queens_source(n), registry=queens.make_registry(n)
+        )
+    return out
+
+
+def dlc_digest(source: str, **kwargs) -> str:
+    compiled = compile_source(source, optimize_passes=FULL_PASS_ORDER, **kwargs)
+    return hashlib.sha256(dumps(compiled.graph).encode("utf-8")).hexdigest()
+
+
+#: sha256 of the full-pass ``.dlc`` text, from the parent commit.
+GOLDEN_DLC_SHA256: dict[str, str] = {
+    "circuit": "2d18faca373b1e3d329e15e95d44c97e6db7a98f91d50ce6faa2f27b83c8ce66",
+    "log": "b3c8d9b3ab6ce6f9ae8aaacc51be96da8b92304805c45431d1d895211c15f132",
+    "option": "3ae4c02f15018bb6f554b5d789f88e4fa0be49f3eb36d991060b882e071229ee",
+    "pi": "8fb228a6bb83b5a330d91b0cd3ab8cfbd6a396dd300269b65d906b95251a4c61",
+    "pythia": "87055e070b52710ea132a3521b08a8d4bf5a0ca2748c9dad8a006f7139362253",
+    "queens_4": "ab2a623695c3a2f858f61035113845a35fb1f0fc442b3e67ec3d466bc3b94f34",
+    "queens_5": "311b74ceeaa6af74c7390bbdf939734749bf9d8583445c813f54f745bc20b586",
+    "queens_6": "259a0ac26b1319350aebf86e72e64c18dd8cbdcdcd9977556eacd0d2604eeaee",
+    "raytracer": "32e1321fb88e5d636c42302f11af0f63881ae4628039900ba4ac4bd1d0815aca",
+    "retina_v1": "6bf71a94c661ef7ab538418ef4230f1761f6cdd073c59ee8ecb2e7f021c9fc6d",
+    "retina_v2": "1a3c18cc034aeec9d210eec8cc51de3347743e27fc1924b0bc13ca9b4084ef46",
+}
+
+
+class TestGoldenDigests:
+    def test_every_case_study_serializes_to_the_parents_bytes(self):
+        compiles = golden_compiles()
+        assert set(compiles) == set(GOLDEN_DLC_SHA256)
+        digests = {name: dlc_digest(**kwargs) for name, kwargs in compiles.items()}
+        assert digests == GOLDEN_DLC_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Structural guards: counts, not seconds
+# ---------------------------------------------------------------------------
+
+
+def chained_lets(n: int) -> str:
+    """One function of ``n`` let bindings: a live chain ``x0 .. x(n/2-1)``
+    interleaved with ``n/2`` dead readers of it."""
+    lines = ["x0 = incr(n)", "d0 = incr(x0)"]
+    for i in range(1, n // 2):
+        lines.append(f"x{i} = incr(x{i - 1})")
+        lines.append(f"d{i} = incr(x{i})")
+    return "main(n)\n  let\n    " + "\n    ".join(lines) + f"\n  in x{n // 2 - 1}\n"
+
+
+class TestStructuralGuards:
+    def test_warm_compile_never_reflects_on_dataclass_fields(self, monkeypatch):
+        source = pythia_source(6, 1990, 1990)
+        compile_source(source, optimize_passes=FULL_PASS_ORDER)  # fills the table
+        calls = []
+
+        def counting_fields(obj):
+            calls.append(obj)
+            return real_fields(obj)
+
+        real_fields = dataclasses.fields
+        monkeypatch.setattr(dataclasses, "fields", counting_fields)
+        monkeypatch.setattr(ast, "fields", counting_fields)
+        compile_source(source, optimize_passes=FULL_PASS_ORDER)
+        assert calls == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(sources)
+    def test_dce_never_counts_uses_over_a_whole_function(self, source):
+        program = lowered(source)
+        whole_body_calls = []
+
+        def spying_count_uses(e, name):
+            if any(e is f.body for f in program.functions):
+                whole_body_calls.append(name)
+            return real_count_uses(e, name)
+
+        real_count_uses = dce.count_uses
+        dce.count_uses = spying_count_uses
+        try:
+            optimize(program, REGISTRY)
+        finally:
+            dce.count_uses = real_count_uses
+        assert whole_body_calls == []
+
+    def test_dce_node_visits_grow_linearly(self, monkeypatch):
+        visits = [0]
+        real_children = ast.Node.children
+
+        def counting_children(self):
+            visits[0] += 1
+            return real_children(self)
+
+        monkeypatch.setattr(ast.Node, "children", counting_children)
+
+        def visits_of_one_run(n: int) -> int:
+            program = parse_program(chained_lets(n))
+            ctx = _make_context(program, REGISTRY, {})
+            visits[0] = 0
+            assert dce.run(program, ctx)
+            assert ctx.stats["dce.removed"] == n // 2
+            return visits[0]
+
+        # Four times the bindings: a linear sweep visits ~4x the nodes,
+        # the whole-function re-walk per binding visited ~16x.
+        assert visits_of_one_run(400) <= 5 * visits_of_one_run(100)
+
+
+# ---------------------------------------------------------------------------
+# Per-pass seconds
+# ---------------------------------------------------------------------------
+
+
+class TestPassSeconds:
+    def test_report_times_the_context_and_every_pass(self):
+        program = lowered(pythia_source(10, 1990, 1990))
+        report = optimize(program, REGISTRY)
+        assert set(report.pass_seconds) == {"context", *PASS_ORDER}
+        assert all(v > 0 for v in report.pass_seconds.values())
+        assert sum(report.pass_seconds.values()) == pytest.approx(
+            report.seconds, rel=0.05
+        )
+
+    def test_disabled_passes_read_zero(self):
+        report = optimize(lowered("main(n) incr(n)"), REGISTRY, enabled=("dce",))
+        assert set(report.pass_seconds) == {"context", *PASS_ORDER}
+        assert report.pass_seconds["inline"] == 0.0
+        assert report.pass_seconds["dce"] > 0.0
+
+    def test_compiled_program_keeps_its_six_table1_keys(self):
+        compiled = compile_source("main(n) incr(n)", optimize_passes=FULL_PASS_ORDER)
+        assert tuple(sorted(compiled.pass_seconds)) == tuple(sorted(PASS_NAMES))
+        assert set(compiled.optimization.pass_seconds) == {"context", *PASS_ORDER}
+
+    def test_cli_prints_them_under_the_optimization_row(self, tmp_path, capsys):
+        from repro.tools import cli
+
+        path = tmp_path / "p.dlm"
+        path.write_text("main(n) add(incr(n), 1)\n", encoding="utf-8")
+        assert cli.main(["compile", str(path), "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(i for i, s in enumerate(lines) if s.startswith("  Optimization"))
+        under = [s.split()[0] for s in lines[row + 1 : row + 6]]
+        assert under == ["context", *PASS_ORDER]
+        assert all(s.startswith("    ") for s in lines[row + 1 : row + 6])
+        assert lines[row + 6].startswith("  Graph Conversion")

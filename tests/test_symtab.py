@@ -114,6 +114,10 @@ class TestFreeVariablesAndCalls:
         # Apply + Var(add) + two literals
         assert info.functions["main"].body_size == 4
 
+    def test_top_level_is_in_source_order(self):
+        info = run("zeta() 1\nmain() add(zeta(), alpha())\nalpha() 2")
+        assert info.top_level == ["zeta", "main", "alpha"]
+
 
 class TestIterateScoping:
     def test_loop_vars_visible_in_cond_update_result(self):
