@@ -127,15 +127,32 @@ def payload_nbytes(payload: Any) -> int:
     return total
 
 
+#: Exact classes ``copy.deepcopy`` returns as they are.
+_ATOMIC = frozenset({int, float, complex, bool, str, bytes, type(None)})
+
+
 def copy_payload(payload: Any) -> Any:
     """Copy a payload for copy-on-write.
 
     NumPy arrays use ``np.copy`` (cheap, contiguous); everything else gets
     ``copy.deepcopy`` — application objects are opaque to the runtime, so
-    only a deep copy is guaranteed to isolate the writer.
+    only a deep copy is guaranteed to isolate the writer.  A plain
+    ``list`` or ``dict`` holding nothing but atomic immutables (a queens
+    board) has no deeper part to isolate: its shallow copy *is* its deep
+    copy, at a tenth of the price.  Subclasses and nested containers
+    take the general path.
     """
     if isinstance(payload, np.ndarray):
         return payload.copy()
+    cls = payload.__class__
+    if cls is list:
+        if _ATOMIC.issuperset(map(type, payload)):
+            return payload.copy()
+    elif cls is dict:
+        if _ATOMIC.issuperset(map(type, payload)) and _ATOMIC.issuperset(
+            map(type, payload.values())
+        ):
+            return payload.copy()
     return copy.deepcopy(payload)
 
 

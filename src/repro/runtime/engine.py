@@ -87,6 +87,17 @@ RunOp = Callable[[OperatorSpec, tuple[Any, ...]], Any]
 #: the raw argument payloads *before* any copy-on-write copies are made.
 Classify = Callable[[OperatorSpec, tuple[Any, ...]], bool]
 
+#: Hook type: take over a single-pass firing whose body raised on its
+#: first attempt.  Receives the spec, the argument payloads, the node id
+#: and the exception; returns the raw result of a successful retry or
+#: raises the final :class:`~repro.errors.OperatorError`.
+RecoverOp = Callable[[OperatorSpec, Any, int, Exception], Any]
+
+
+def _remote(spec: OperatorSpec, payloads: tuple[Any, ...]) -> bool:
+    """The :data:`Classify` of a firing already classified remote."""
+    return True
+
 
 @dataclass(slots=True)
 class PendingOp:
@@ -329,6 +340,10 @@ class ExecutionState:
         #: before any in-place write so worker-resident copies of the
         #: mutated block are invalidated before the payload changes.
         self.locality: Any = None
+        #: Retry hook for the single-pass ``OP`` path (see
+        #: :data:`RecoverOp`); ``None`` wraps a body exception at once.
+        #: An executor that installs one clears it when its run ends.
+        self.recover_op: RecoverOp | None = None
         self.stats = EngineStats()
         self._final: Any = _NO_RESULT
         self._task_seq = 0
@@ -526,7 +541,7 @@ class ExecutionState:
         """
         if self.check_purity:
             return None
-        spec = node_spec(self.registry, node, self._fused_specs)
+        spec = self.op_spec(node)
         if spec.arity is not None and spec.arity != len(node.inputs):
             return None
         fused = node.fused
@@ -686,14 +701,14 @@ class ExecutionState:
             t_body = _perf_counter()
             try:
                 raw_result = fn(*args)
-            except Exception as exc:  # noqa: BLE001 - wrapped and re-raised
-                raise OperatorError(spec.name, exc, node_id=node_id) from exc
+            except Exception as exc:  # noqa: BLE001 - retried or wrapped
+                raw_result = self._body_failed(spec, args, node_id, exc)
             stats.op_body_seconds += _perf_counter() - t_body
         else:
             try:
                 raw_result = fn(*args)
-            except Exception as exc:  # noqa: BLE001 - wrapped and re-raised
-                raise OperatorError(spec.name, exc, node_id=node_id) from exc
+            except Exception as exc:  # noqa: BLE001 - retried or wrapped
+                raw_result = self._body_failed(spec, args, node_id, exc)
         if wants_finished:
             op_ended = now()
             bus.emit(OpFinished(op_ended, spec.name, op_ended - op_began))
@@ -806,6 +821,42 @@ class ExecutionState:
             self.pool.release(act)
         return newly
 
+    def _body_failed(
+        self, spec: OperatorSpec, args: list[Any], node_id: int, exc: Exception
+    ) -> Any:
+        if self.recover_op is None:
+            raise OperatorError(spec.name, exc, node_id=node_id) from exc
+        return self.recover_op(spec, args, node_id, exc)
+
+    def op_spec(self, node: Node) -> OperatorSpec:
+        """The spec an ``OP`` node fires (fused bodies composed once)."""
+        return node_spec(self.registry, node, self._fused_specs)
+
+    def fire_unless_remote(
+        self, task: Task, classify: Classify | None, home: int = -1
+    ) -> list[Task] | PendingOp:
+        """Fire one ``OP`` task, suspending it only when it goes remote.
+
+        ``classify`` sees the slot payloads *before* any copy-on-write
+        decision.  When it keeps the body here (or is ``None``) the fire
+        takes the same single-pass path as :meth:`fire` and the newly
+        ready tasks come back; otherwise — and for the nodes that path
+        does not admit (see :meth:`_build_op_plan`) — the result is the
+        :class:`PendingOp` of :meth:`begin_fire`.
+        """
+        act = task.activation
+        node = act.template.nodes[task.node_id]
+        plan = self._op_plans.get(id(node), _NO_PLAN)
+        if plan is _NO_PLAN:
+            plan = self._op_plans[id(node)] = self._build_op_plan(node)
+        if plan is not None:
+            if classify is None or not classify(
+                plan[0], tuple(map(_payload_of, act.slots[task.node_id]))
+            ):
+                return self._fire_op_inline(task, act, node, plan, home)
+            classify = _remote
+        return self.begin_fire(task, home, classify).pending
+
     def begin_fire(
         self, task: Task, home: int = -1, classify: Classify | None = None
     ) -> FireOutcome:
@@ -866,7 +917,7 @@ class ExecutionState:
             self._deliver_output(act, node_id, 0, closure, 0, newly)
         elif kind is NodeKind.OP:
             inputs = act.take_inputs(node_id)
-            spec = node_spec(self.registry, node, self._fused_specs)
+            spec = self.op_spec(node)
             pending = self._begin_operator(
                 act, node_id, spec, list(inputs), list(inputs), home, classify,
                 donated=node.donated,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..errors import (
@@ -115,34 +116,56 @@ def make_inline_run_op(
         return None
     policy = fault_policy if fault_policy is not None else FaultPolicy()
     injector = fault_spec.build() if fault_spec is not None else None
+    return partial(
+        run_counting_retries,
+        policy=policy, injector=injector, stats=stats, bus=bus,
+    )
 
-    def run_op(spec: Any, args: tuple[Any, ...]) -> Any:
-        retries: list[int] = []
-        raw = run_with_retries(
-            spec,
-            args,
-            policy,
-            injector,
-            on_retry=lambda n, exc: retries.append(n),
-        )
-        if retries:
-            stats.fires_retried += len(retries)
-            if bus is not None and bus.wants(FireRetried):
-                now = bus.now()
-                for n in retries:
-                    backoff = (
-                        policy.backoff * (2 ** (n - 1))
-                        if policy.backoff
-                        else 0.0
-                    )
-                    bus.emit(
-                        FireRetried(
-                            now, spec.name, -1, -1, n + 1, "error", backoff
-                        )
-                    )
-        return raw
 
-    return run_op
+def run_counting_retries(
+    spec: Any,
+    args: Any,
+    node_id: int = -1,
+    failed: Exception | None = None,
+    *,
+    policy: FaultPolicy,
+    injector: Any,
+    stats: EngineStats,
+    bus: EventBus | None,
+) -> Any:
+    """:func:`run_with_retries`, then account for the retries it made.
+
+    A firing that ends in success bumps ``stats.fires_retried`` and
+    announces one :class:`FireRetried` per retry; one that exhausts its
+    budget raises before either.  (The threaded executor runs bodies off
+    the engine lock and calls :func:`count_retries` back under it.)
+    """
+    retries: list[int] = []
+    raw = run_with_retries(
+        spec, args, policy, injector, node_id=node_id,
+        on_retry=lambda n, exc: retries.append(n), failed=failed,
+    )
+    if retries:
+        count_retries(retries, spec.name, node_id, policy, stats, bus)
+    return raw
+
+
+def count_retries(
+    retries: list[int],
+    op_name: str,
+    node_id: int,
+    policy: FaultPolicy,
+    stats: EngineStats,
+    bus: EventBus | None,
+) -> None:
+    stats.fires_retried += len(retries)
+    if bus is not None and bus.wants(FireRetried):
+        now = bus.now()
+        for n in retries:
+            backoff = policy.backoff * (2 ** (n - 1)) if policy.backoff else 0.0
+            bus.emit(
+                FireRetried(now, op_name, -1, node_id, n + 1, "error", backoff)
+            )
 
 
 def batch_key(task: Task) -> tuple[int, int] | None:
@@ -161,6 +184,52 @@ def batch_key(task: Task) -> tuple[int, int] | None:
     if kind is NodeKind.OP or kind is NodeKind.CALL:
         return (id(task.activation.template), task.node_id)
     return None
+
+
+def commit_batch(
+    state: ExecutionState,
+    queue: ReadyQueue,
+    bus: EventBus | None,
+    pendings: list[PendingOp],
+    raws: Any,
+    base: float,
+    seconds: float,
+    processor: int = 0,
+) -> None:
+    """Commit one vectorized in-process group in master-assigned order.
+
+    The tail every executor's local batch shares: the batch counters and
+    :class:`FireBatchFormed`, ``complete_fires`` with each member's share
+    of the kernel call's ``seconds``, then one :class:`TaskFired` span per
+    member laid end to end from ``base`` (the call's run-relative start).
+    """
+    spec = pendings[0].spec
+    per = seconds / len(pendings)
+    state.stats.fire_batches += 1
+    state.stats.batched_fires += len(pendings)
+    if bus is not None and bus.wants(FireBatchFormed):
+        bus.emit(
+            FireBatchFormed(
+                bus.now(), spec.name, pendings[0].node_id, len(pendings), False
+            )
+        )
+    queue.push_all(
+        state.complete_fires(list(zip(pendings, raws)), op_seconds=per)
+    )
+    if bus is not None and bus.wants(TaskFired):
+        for i, p in enumerate(pendings):
+            act = p.activation
+            bus.emit(
+                TaskFired(
+                    base + i * per, spec.name, "op", p.priority,
+                    act.template.name, act.aid, p.node_id, p.seq, per,
+                    processor,
+                )
+            )
+
+
+#: Dispatch classes of :meth:`ProcessExecutor._run_supervised`.
+_FIRE, _OP, _VECTOR, _CALL = range(4)
 
 
 @dataclass
@@ -356,7 +425,6 @@ class SequentialExecutor:
         threshold = self.batch_threshold or DEFAULT_BATCH_THRESHOLD
         profile = self.profile_ops
         stats = state.stats
-        wants_batch = bus is not None and bus.wants(FireBatchFormed)
         while queue:
             tasks = queue.pop_batch(threshold, batch_key)
             if len(tasks) == 1:
@@ -415,42 +483,7 @@ class SequentialExecutor:
             t1 = time.perf_counter()
             if profile:
                 stats.op_body_seconds += t1 - t0
-            per = (t1 - t0) / len(pendings)
-            stats.fire_batches += 1
-            stats.batched_fires += len(pendings)
-            if wants_batch:
-                bus.emit(
-                    FireBatchFormed(
-                        bus.now(),
-                        spec.name,
-                        pendings[0].node_id,
-                        len(pendings),
-                        False,
-                    )
-                )
-            queue.push_all(
-                state.complete_fires(
-                    list(zip(pendings, raws)), op_seconds=per
-                )
-            )
-            if wants_fired:
-                base = t0 - began
-                for i, p in enumerate(pendings):
-                    act = p.activation
-                    bus.emit(
-                        TaskFired(
-                            base + i * per,
-                            spec.name,
-                            "op",
-                            p.priority,
-                            act.template.name,
-                            act.aid,
-                            p.node_id,
-                            p.seq,
-                            per,
-                            0,
-                        )
-                    )
+            commit_batch(state, queue, bus, pendings, raws, t0 - began, t1 - t0)
 
     def _finish_one(
         self,
@@ -575,7 +608,6 @@ class ThreadedExecutor:
         )
         batching = self.batch and retry_policy is None
         threshold = self.batch_threshold or DEFAULT_BATCH_THRESHOLD
-        wants_batch = bus is not None and bus.wants(FireBatchFormed)
 
         def run_pending(pending: PendingOp) -> None:
             # Drop the engine lock for the duration of the sequential
@@ -608,26 +640,10 @@ class ThreadedExecutor:
             if retries:
                 # Counted (and announced) back under the lock: the stats
                 # object and bus subscribers are not thread-safe.
-                state.stats.fires_retried += len(retries)
-                if bus is not None and bus.wants(FireRetried):
-                    now = bus.now()
-                    for n in retries:
-                        backoff = (
-                            retry_policy.backoff * (2 ** (n - 1))
-                            if retry_policy.backoff
-                            else 0.0
-                        )
-                        bus.emit(
-                            FireRetried(
-                                now,
-                                spec.name,
-                                -1,
-                                pending.node_id,
-                                n + 1,
-                                "error",
-                                backoff,
-                            )
-                        )
+                count_retries(
+                    retries, spec.name, pending.node_id, retry_policy,
+                    state.stats, bus,
+                )
             if error is not None:
                 raise error
             act = pending.activation
@@ -677,42 +693,11 @@ class ThreadedExecutor:
                 condition.acquire()
             if error is not None:
                 raise error
-            per = elapsed / len(pendings)
-            state.stats.fire_batches += 1
-            state.stats.batched_fires += len(pendings)
-            if wants_batch:
-                bus.emit(
-                    FireBatchFormed(
-                        bus.now(),
-                        spec.name,
-                        pendings[0].node_id,
-                        len(pendings),
-                        False,
-                    )
-                )
-            queue.push_all(
-                state.complete_fires(list(zip(pendings, raws)), op_seconds=per)
+            name = threading.current_thread().name if wants_fired else ""
+            commit_batch(
+                state, queue, bus, pendings, raws, t0 - run_began, elapsed,
+                int(name.rsplit("-", 1)[-1]) if "-" in name else 0,
             )
-            if wants_fired:
-                name = threading.current_thread().name
-                processor = int(name.rsplit("-", 1)[-1]) if "-" in name else 0
-                base = t0 - run_began
-                for i, p in enumerate(pendings):
-                    act = p.activation
-                    bus.emit(
-                        TaskFired(
-                            base + i * per,
-                            spec.name,
-                            "op",
-                            p.priority,
-                            act.template.name,
-                            act.aid,
-                            p.node_id,
-                            p.seq,
-                            per,
-                            processor,
-                        )
-                    )
 
         def fire_batch(tasks: list[Task]) -> None:
             pendings: list[PendingOp] = []
@@ -930,12 +915,17 @@ class ProcessExecutor:
         self.persistent = persistent
         self._pool: WorkerPool | None = None
         self._pool_key: tuple[int, int] | None = None
+        #: Dispatch class by ``id(node)``, filled as nodes first reach the
+        #: head of the queue.  A function of (program, registry, dispatch
+        #: policy) only, so it lives exactly as long as a persistent pool.
+        self._node_classes: dict[int, int] = {}
 
     def close(self) -> None:
         """Tear down the persistent worker pool, if one is warm."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             self._pool_key = None
+            self._node_classes = {}
             pool.close()
 
     def _build_pool(
@@ -1068,6 +1058,19 @@ class ProcessExecutor:
         registry: OperatorRegistry,
         policy: FaultPolicy,
     ) -> RunResult:
+        """Drive one run: fire local work in place, ship the rest.
+
+        Each node has one dispatch class (``docs/RUNTIME.md``, "The local
+        leg"), cached: ``_FIRE`` heads take :meth:`ExecutionState.fire`
+        as in the sequential executor, ``_OP`` heads
+        :meth:`~ExecutionState.fire_unless_remote` and collect peers only
+        once suspended, ``_VECTOR`` and ``_CALL`` heads collect peers
+        first.  A local body that raises joins, from its first failure,
+        the retry loop suspended fires run under ``policy``.  Runs with a
+        fault injector, ``check_purity`` or a :class:`TaskFired`
+        subscriber begin and complete every fire instead, keeping their
+        per-firing injection, fingerprint and span streams.
+        """
         ctx = self.run_ctx
         bus, tracer = resolve_bus(self.bus, self.trace, ctx)
         state = ExecutionState(
@@ -1126,6 +1129,26 @@ class ProcessExecutor:
             ctx.run_started("process")
         wants_fired = bus is not None and bus.wants(TaskFired)
         classify: Any = self.policy.should_dispatch
+        fast = injector is None and not self.check_purity and not wants_fired
+        classes = self._node_classes if self.persistent else {}
+        # Holds the stats, not the state: the engine hook below must not
+        # close a cycle that would leave the run's blocks to the collector.
+        retrying = partial(
+            run_counting_retries,
+            policy=policy, injector=injector, stats=state.stats, bus=bus,
+        )
+
+        def node_class(node: Any) -> int:
+            if node.kind is NodeKind.CALL:
+                return _CALL
+            if node.kind is not NodeKind.OP:
+                return _FIRE
+            spec = state.op_spec(node)
+            if spec.batch_fn is not None:
+                return _VECTOR
+            if self.policy.static_dispatch(spec) is False:
+                return _FIRE
+            return _OP
 
         def commit(c: Completion) -> None:
             pending = c.pending
@@ -1203,38 +1226,9 @@ class ProcessExecutor:
                     decode_value(encode_value(a, self.shm_threshold))
                     for a in pending.args
                 )
-            retries: list[int] = []
             t0 = time.perf_counter()
-            raw = run_with_retries(
-                spec,
-                call_args,
-                policy,
-                injector,
-                node_id=pending.node_id,
-                on_retry=lambda n, exc: retries.append(n),
-            )
+            raw = retrying(spec, call_args, pending.node_id)
             t1 = time.perf_counter()
-            if retries:
-                state.stats.fires_retried += len(retries)
-                if bus is not None and bus.wants(FireRetried):
-                    now = bus.now()
-                    for n in retries:
-                        backoff = (
-                            policy.backoff * (2 ** (n - 1))
-                            if policy.backoff
-                            else 0.0
-                        )
-                        bus.emit(
-                            FireRetried(
-                                now,
-                                spec.name,
-                                -1,
-                                pending.node_id,
-                                n + 1,
-                                "error",
-                                backoff,
-                            )
-                        )
             act = pending.activation
             template_name, aid = act.template.name, act.aid
             queue.push_all(
@@ -1269,41 +1263,10 @@ class ProcessExecutor:
                 for p in pendings:
                     run_inline(p)
                 return
-            t1 = time.perf_counter()
-            per = (t1 - t0) / len(pendings)
-            state.stats.fire_batches += 1
-            state.stats.batched_fires += len(pendings)
-            if bus is not None and bus.wants(FireBatchFormed):
-                bus.emit(
-                    FireBatchFormed(
-                        bus.now(),
-                        spec.name,
-                        pendings[0].node_id,
-                        len(pendings),
-                        False,
-                    )
-                )
-            queue.push_all(
-                state.complete_fires(list(zip(pendings, raws)), op_seconds=per)
+            commit_batch(
+                state, queue, bus, pendings, raws,
+                t0 - began, time.perf_counter() - t0,
             )
-            if wants_fired:
-                base = t0 - began
-                for i, p in enumerate(pendings):
-                    act = p.activation
-                    bus.emit(
-                        TaskFired(
-                            base + i * per,
-                            spec.name,
-                            "op",
-                            p.priority,
-                            act.template.name,
-                            act.aid,
-                            p.node_id,
-                            p.seq,
-                            per,
-                            0,
-                        )
-                    )
 
         def degrade(reason: str) -> None:
             """The pool is irrecoverable mid-run: finish in-process.
@@ -1360,20 +1323,48 @@ class ProcessExecutor:
             queue.push_all(outcome.newly)
             return outcome.pending
 
+        def fire_op(task: Task) -> PendingOp | None:
+            fired = state.fire_unless_remote(task, classify)
+            if type(fired) is list:
+                queue.push_all(fired)
+                return None
+            return fired
+
+        fire = state.fire
         try:
+            state.recover_op = retrying if fast else None
             queue.push_all(state.start(args))
             while queue or supervisor.in_flight:
                 while queue:
+                    task = queue.pop()
+                    pending = None
+                    if fast:
+                        node = task.activation.template.nodes[task.node_id]
+                        cls = classes.get(id(node))
+                        if cls is None:
+                            cls = classes[id(node)] = node_class(node)
+                        if cls == _FIRE:
+                            queue.push_all(fire(task))
+                            continue
+                        if cls == _OP:
+                            pending = fire_op(task)
+                            if pending is None:
+                                continue
+                    else:
+                        cls = _CALL
                     if batching:
-                        tasks = queue.pop_batch(threshold, batch_key)
-                        if len(tasks) > 1:
-                            pendings = [
-                                p
-                                for t in tasks
-                                if (p := begin_one(t)) is not None
-                            ]
+                        key = batch_key(task)
+                        peers = key is not None and queue.take_peers(
+                            task, key, threshold - 1, batch_key
+                        )
+                        if peers:
+                            # A head begun above stays first in the group.
+                            begun = [] if pending is None else [pending]
+                            tasks = peers if begun else (task, *peers)
                             local: list[PendingOp] = []
-                            for p in pendings:
+                            for p in begun + [begin_one(t) for t in tasks]:
+                                if p is None:
+                                    continue
                                 if p.remote:
                                     # Vector-eligible: the supervisor
                                     # groups staged same-operator records
@@ -1393,12 +1384,11 @@ class ProcessExecutor:
                                 for p in local:
                                     run_inline(p)
                             continue
-                        task = tasks[0]
-                    else:
-                        task = queue.pop()
-                    pending = begin_one(task)
                     if pending is None:
-                        continue
+                        lone = fire_op if cls == _VECTOR else begin_one
+                        pending = lone(task)
+                        if pending is None:
+                            continue
                     if pending.remote:
                         supervisor.dispatch(pending, vector=batching)
                     else:
@@ -1428,6 +1418,8 @@ class ProcessExecutor:
             if ctx is not None:
                 ctx.run_failed(exc, time.perf_counter() - began)
             raise
+        finally:
+            state.recover_op = None
         if ctx is not None:
             ctx.run_finished(wall)
         return RunResult(state.result(), state.snapshot_stats(), tracer, wall)

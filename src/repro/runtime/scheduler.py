@@ -196,15 +196,8 @@ class ReadyQueue:
         pass ``(template, node)`` for batchable operator nodes and
         ``None`` for everything else.  The head task is popped exactly as
         :meth:`pop` would (so a seeded queue still randomizes the head),
-        then up to ``limit - 1`` tasks with the head's key are collected
-        from the *same* priority class; non-matching tasks keep their
-        relative order.  A ``None``-keyed head returns as a singleton.
-
-        Safe under single-assignment: batching reorders only *when*
-        bodies run relative to other groups, and results never depend on
-        pop order (the module docstring's determinism note) — resource
-        usage is the only observable difference, exactly as with seeded
-        pops.
+        then :meth:`take_peers` collects up to ``limit - 1`` tasks with
+        the head's key.  A ``None``-keyed head returns as a singleton.
         """
         head = self.pop()
         if limit <= 1 or self._size == 0:
@@ -212,26 +205,43 @@ class ReadyQueue:
         k = key(head)
         if k is None:
             return [head]
-        level = head.priority if self.use_priorities else 0
-        q = self._queues[level]
-        batch = [head]
+        return [head, *self.take_peers(head, k, limit - 1, key)]
+
+    def take_peers(
+        self, head: Task, k: Any, limit: int, key: Any
+    ) -> list[Task]:
+        """Remove up to ``limit`` tasks keyed ``k`` from ``head``'s class.
+
+        The second half of :meth:`pop_batch`, for callers that classify
+        the already-popped ``head`` before paying for the scan of its
+        priority class; non-matching tasks keep their relative order.
+
+        Safe under single-assignment: batching reorders only *when*
+        bodies run relative to other groups, and results never depend on
+        pop order (the module docstring's determinism note) — resource
+        usage is the only observable difference, exactly as with seeded
+        pops.
+        """
+        if limit < 1 or self._size == 0:
+            return []
+        q = self._queues[head.priority if self.use_priorities else 0]
+        peers: list[Task] = []
         kept: list[Task] = []
-        take = limit - 1
-        while q and take:
+        while q and limit:
             t = q.popleft()
             if key(t) == k:
-                batch.append(t)
-                take -= 1
+                peers.append(t)
+                limit -= 1
             else:
                 kept.append(t)
         if kept:
             q.extendleft(reversed(kept))
-        self._size -= len(batch) - 1
+        self._size -= len(peers)
         if self.saturated and self._size < self.max_ready:
             self.saturated = False
         if self._sampling:
             self._sample_depth()
-        return batch
+        return peers
 
     def drain(self, fire: Any) -> None:
         """Pop → ``fire`` → push-newly until the queue runs dry.

@@ -1222,6 +1222,7 @@ def run_with_retries(
     *,
     node_id: int = -1,
     on_retry: Callable[[int, BaseException], None] | None = None,
+    failed: Exception | None = None,
 ) -> Any:
     """Execute one operator body in-process under the fault policy.
 
@@ -1232,6 +1233,10 @@ def run_with_retries(
     operator declares no in-place writes (``spec.modifies`` empty — a
     failed mutating body may have left its argument half-written, and
     in-process there is no serialization boundary to hide that).
+
+    ``failed`` is what attempt 1 raised when the caller already ran the
+    body once, unwrapped, on its happy path: the loop continues from
+    there with the same attempt numbering, backoff and error report.
     """
     max_retries = policy.max_retries if policy is not None else 0
     backoff = policy.backoff if policy is not None else 0.0
@@ -1239,8 +1244,11 @@ def run_with_retries(
     attempt = 0
     while True:
         attempt += 1
-        pre_body = True
+        pre_body = failed is None
         try:
+            if failed is not None:
+                first, failed = failed, None
+                raise first
             if injector is not None:
                 injector.on_call(spec.name)
             pre_body = False

@@ -1149,18 +1149,40 @@ class DispatchPolicy:
     #: boundary (~ one IPC round trip).
     min_dispatch_seconds: float = 0.002
 
-    def should_dispatch(self, spec: Any, payloads: tuple[Any, ...]) -> bool:
-        if spec.name in self.pinned_local:
+    def _by_name(self, name: str) -> bool | None:
+        if name in self.pinned_local:
             return False
         if self.measured_seconds is not None:
-            seconds = self.measured_seconds.get(spec.name)
+            seconds = self.measured_seconds.get(name)
             if seconds is not None:
                 return seconds >= self.min_dispatch_seconds
+        return None
+
+    def static_dispatch(self, spec: Any) -> bool | None:
+        """The decision when no payload can change it, else ``None``.
+
+        Pinned, measured and numeric-hint operators are decided by their
+        spec alone; a callable or absent hint needs the payloads.  Agrees
+        with :meth:`should_dispatch` wherever it answers, so an executor
+        may classify such a node once instead of once per firing.
+        """
+        decided = self._by_name(spec.name)
+        if decided is None and not (spec.cost is None or callable(spec.cost)):
+            cost = spec.try_cost_ticks(())
+            if cost is not None:
+                decided = cost >= self.cost_threshold
+        return decided
+
+    def should_dispatch(self, spec: Any, payloads: tuple[Any, ...]) -> bool:
+        decided = self._by_name(spec.name)
+        if decided is not None:
+            return decided
         cost = spec.try_cost_ticks(payloads)
         if cost is not None:
             return cost >= self.cost_threshold
-        from .blocks import payload_nbytes
-
-        return (
-            sum(payload_nbytes(p) for p in payloads) >= self.nbytes_threshold
-        )
+        total = 0
+        for p in payloads:
+            total += payload_nbytes(p)
+            if total >= self.nbytes_threshold:
+                return True
+        return total >= self.nbytes_threshold

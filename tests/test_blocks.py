@@ -1,5 +1,6 @@
 """Data blocks: reference counting, copy-on-write, wrapping."""
 
+import copy
 import sys
 from collections import OrderedDict, namedtuple
 
@@ -285,3 +286,61 @@ class TestSizes:
         clone = copy_payload(thing)
         clone.data.append(2)
         assert thing.data == [1]
+
+
+class _Board(list):
+    """A list subclass: may carry state a shallow copy would drop."""
+
+
+_copyable = st.recursive(
+    st.one_of(_hashable_leaves, st.builds(bytearray, st.binary(max_size=4))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=3).map(_Board),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_hashable_leaves, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=20,
+)
+
+
+def _shares_mutable_part(original, clone):
+    """Walk two equal structures: is any mutable node the same object?"""
+    if isinstance(original, (list, dict, bytearray)) and original is clone:
+        return True
+    if isinstance(original, dict):
+        return any(
+            _shares_mutable_part(original[k], clone[k]) for k in original
+        )
+    if isinstance(original, (list, tuple)):
+        return any(map(_shares_mutable_part, original, clone))
+    return False
+
+
+class TestCopyPayload:
+    @settings(max_examples=300, deadline=None)
+    @given(_copyable)
+    def test_equals_deepcopy_and_shares_nothing_mutable(self, payload):
+        clone = copy_payload(payload)
+        assert clone == copy.deepcopy(payload)
+        assert type(clone) is type(payload)
+        assert not _shares_mutable_part(payload, clone)
+
+    def test_flat_list_and_dict_skip_deepcopy(self, monkeypatch):
+        monkeypatch.setattr(copy, "deepcopy", None)  # would raise if called
+        board = [1, 2.5, "q", b"x", None, True]
+        assert copy_payload(board) == board
+        assert copy_payload(board) is not board
+        row = {"a": 1, 2: "b"}
+        assert copy_payload(row) == row and copy_payload(row) is not row
+
+    def test_subclasses_and_nested_containers_take_deepcopy(self, monkeypatch):
+        calls = []
+        real = copy.deepcopy
+        monkeypatch.setattr(
+            copy, "deepcopy", lambda p: calls.append(p) or real(p)
+        )
+        for payload in (_Board([1]), [[1]], {"k": [1]}, {(1, 2): 3}, [1, (2,)]):
+            assert copy_payload(payload) == payload
+        assert len(calls) == 5

@@ -1,0 +1,541 @@
+"""The process master's local leg is the sequential engine's fire.
+
+``ProcessExecutor`` decides a dispatch class once per node and fires
+local work with ``ExecutionState.fire``; a firing suspends (a
+``PendingOp`` exists) only when it goes remote or rides in a group.  This
+file pins what must not move while that happens:
+
+* results bit-identical to ``SequentialExecutor`` and every
+  ``EngineStats`` counter equal to the goldens recorded at the commit
+  before the class table existed (``golden_process_stats.json``);
+* structural guards on the fast path (no ``PendingOp``, no retry
+  wrapper, no coalescing key for heads that cannot coalesce);
+* the retry contract: a local body that raises gets the same attempts,
+  events and error text as when every fire was begun and completed;
+* no reference cycle through the run's ``ExecutionState``;
+* mid-run degradation still finishes bit-identical.
+"""
+
+import dataclasses
+import gc
+import json
+import os
+import random
+import re
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import compile_source
+from repro.apps import loganalytics, montecarlo, queens, retina
+from repro.apps.compiler_app import generate_workload
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER
+from repro.errors import OperatorError
+from repro.faults import FaultSpec
+from repro.obs import EventBus, FireRetried, OpFinished, OpStarted
+from repro.runtime import (
+    DispatchPolicy,
+    FaultPolicy,
+    ProcessExecutor,
+    SequentialExecutor,
+    default_registry,
+    engine,
+    executors,
+)
+from repro.runtime.blocks import payload_nbytes
+from repro.runtime.operators import OperatorSpec
+
+GOLDENS_PATH = os.path.join(
+    os.path.dirname(__file__), "golden_process_stats.json"
+)
+
+
+def _compile(source, registry, **kwargs):
+    return compile_source(
+        source, registry=registry, optimize_passes=FULL_PASS_ORDER, **kwargs
+    ).graph
+
+
+def _queens(n):
+    registry = queens.make_registry(n)
+    return _compile(queens.queens_source(n), registry), registry, [()], {}
+
+
+def _pi(ticks_per_sample):
+    """``PI_PROGRAM``; the batch cost hint (samples x ticks) puts the
+    vectorized leaves under or over the default dispatch threshold."""
+    registry = montecarlo.make_registry(
+        seed=3, batch_size=2_000, ticks_per_sample=ticks_per_sample
+    )
+    graph = _compile(montecarlo.PI_PROGRAM, registry, prelude=True)
+    return graph, registry, [(8,)], {}
+
+
+def _log():
+    registry = loganalytics.make_registry()
+    graph = _compile(loganalytics.LOG_PROGRAM, registry)
+    batches = [loganalytics.make_batch(5, i, 32) for i in range(3)]
+    args = [(loganalytics.empty_stats(), b) for b in batches]
+    return graph, registry, args, {}
+
+
+def _retina():
+    cfg = retina.RetinaConfig(
+        height=48, width=48, kernel_size=5, num_iter=2, seed=2
+    )
+    compiled = retina.compile_retina(
+        2, cfg, optimize_passes=FULL_PASS_ORDER
+    )
+    # At this frame size every hint is under the default threshold; a
+    # lower one sends the convolutions and frame updates to the workers.
+    return compiled.graph, compiled.registry, [()], {"cost_threshold": 3e4}
+
+
+def _chain_add(terms):
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = f"add({acc}, {term})"
+    return acc
+
+
+def _fanout():
+    """The benchmark's fan-out shape: local producers, remote readers."""
+    registry = default_registry()
+    elems = 6_000
+
+    @registry.register(name="fo_produce", pure=True, cost=50_000.0)
+    def fo_produce(seed, index):
+        return np.random.default_rng([seed, index]).standard_normal(elems)
+
+    @registry.register(name="fo_read", pure=True, cost=10_000_000.0)
+    def fo_read(block, k):
+        return float(np.sqrt(np.abs(block) + k).sum())
+
+    lines, terms = ["main(seed)", "  let"], []
+    for b in range(2):
+        lines.append(f"    b{b} = fo_produce(seed, {b})")
+        for k in range(1, 4):
+            lines.append(f"    r{b}_{k} = fo_read(b{b}, {k})")
+            terms.append(f"r{b}_{k}")
+    lines.append("  in " + _chain_add(terms))
+    return _compile("\n".join(lines) + "\n", registry), registry, [(9,)], {}
+
+
+def _pythia():
+    """The benchmark's generated multi-function program."""
+    registry = default_registry()
+    functions = generate_workload(6, 1990).strip().split("\n\n")
+    rng = random.Random(1990)
+    calls = []
+    for text in functions:
+        name, params = re.match(r"(\w+)\(([^)]*)\)", text).groups()
+        picks = [rng.choice("abc") for _ in params.split(",")]
+        calls.append(f"{name}({', '.join(picks)})")
+    source = (
+        "main(a, b, c)\n  " + _chain_add(calls) + "\n\n"
+        + "\n\n".join(functions) + "\n"
+    )
+    args = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)]
+    return _compile(source, registry), registry, args, {}
+
+
+CASES = {
+    "queens4": lambda: _queens(4),
+    "queens5": lambda: _queens(5),
+    "queens6": lambda: _queens(6),
+    "pi_local": lambda: _pi(30.0),
+    "pi_remote": lambda: _pi(2_000.0),
+    "log": _log,
+    "retina": _retina,
+    "fanout": _fanout,
+    "pythia": _pythia,
+}
+
+#: ``(workers, batch, affinity)``: the defaults at one and two workers,
+#: then each option moved alone.
+CONFIGS = [
+    (1, True, "data"),
+    (2, True, "data"),
+    (1, False, "data"),
+    (1, True, "operator"),
+    (1, True, "none"),
+]
+
+
+def stats_dict(stats):
+    """The exact counters of a run: every non-default ``EngineStats``
+    field but the timing probe."""
+    out = {k: v for k, v in dataclasses.asdict(stats).items() if v}
+    out.pop("op_body_seconds", None)
+    return out
+
+
+def run_case(name, workers, batch, affinity):
+    """All argument tuples of one case on a warm process executor;
+    returns ``(values, per-run stats dicts)``."""
+    graph, registry, arg_tuples, options = CASES[name]()
+    executor = ProcessExecutor(
+        workers, persistent=True, batch=batch, affinity=affinity, **options
+    )
+    try:
+        results = [executor.run(graph, args, registry) for args in arg_tuples]
+    finally:
+        executor.close()
+    return (
+        [r.value for r in results],
+        [stats_dict(r.stats) for r in results],
+    )
+
+
+def config_key(name, workers, batch, affinity):
+    return f"{name}|{workers}|{'batch' if batch else 'nobatch'}|{affinity}"
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(
+            dataclasses.astuple(a), dataclasses.astuple(b)
+        )
+    return a == b
+
+
+with open(GOLDENS_PATH) as fh:
+    GOLDENS = json.load(fh)
+
+#: With two workers the order results arrive in — and with it how fires
+#: group, where they are placed and how many activations are live at
+#: once — belongs to the host's scheduler, not to the program.
+ARRIVAL_DEPENDENT = {
+    "fire_batches", "batched_fires", "ipc_messages_sent",
+    "ipc_messages_received", "blocks_cached", "blocks_ref_shipped",
+    "affinity_misses", "encode_bytes", "encode_bytes_avoided",
+    "activation_stats", "pool_stats",
+}
+
+#: ``sys.getsizeof`` of a list follows its allocation: a board copied by
+#: ``list.copy`` is exactly sized where ``deepcopy``'s append loop
+#: over-allocated, so the byte totals over copied boards moved with
+#: ``copy_payload``.  Every count is exact.
+ALLOCATION_DEPENDENT = {"bytes_copy_avoided", "copy_bytes_by_operator"}
+
+
+@pytest.mark.parametrize("workers,batch,affinity", CONFIGS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_results_and_counters_match_parent(name, workers, batch, affinity):
+    graph, registry, arg_tuples, _ = CASES[name]()
+    expected = [
+        SequentialExecutor().run(graph, args, registry).value
+        for args in arg_tuples
+    ]
+    values, stats = run_case(name, workers, batch, affinity)
+    assert _same(values, expected)
+    golden = GOLDENS[config_key(name, workers, batch, affinity)]
+    skipped = set()
+    if workers > 1:
+        skipped |= ARRIVAL_DEPENDENT
+    if name.startswith("queens"):
+        skipped |= ALLOCATION_DEPENDENT
+    for got, want in zip(stats, golden, strict=True):
+        for field in (set(got) | set(want)) - skipped:
+            assert got.get(field, 0) == want.get(field, 0), field
+
+
+# ---------------------------------------------------------------------------
+# The per-node decision
+# ---------------------------------------------------------------------------
+
+
+def _raising_hint(*args):
+    raise RuntimeError("hint not written for these payloads")
+
+
+_hints = st.one_of(
+    st.none(),
+    st.floats(0.0, 1e7),
+    st.integers(0, 10**7),
+    st.floats(1.0, 1e6).map(lambda k: lambda *args: k * len(args)),
+    st.just(_raising_hint),
+)
+_arguments = st.lists(
+    st.one_of(
+        st.integers(),
+        st.binary(max_size=200),
+        st.lists(st.integers(), max_size=30),
+        st.integers(0, 400).map(np.zeros),
+    ),
+    max_size=4,
+).map(tuple)
+_policies = st.builds(
+    DispatchPolicy,
+    cost_threshold=st.floats(0.0, 1e7),
+    nbytes_threshold=st.integers(0, 4_000),
+    pinned_local=st.frozensets(st.sampled_from("abc")),
+    measured_seconds=st.none()
+    | st.dictionaries(st.sampled_from("abc"), st.floats(0.0, 0.01)),
+)
+
+
+def _should_dispatch_at_parent(policy, spec, payloads):
+    """``DispatchPolicy.should_dispatch`` as it was before the static
+    half was split off, verbatim: the oracle for both halves."""
+    if spec.name in policy.pinned_local:
+        return False
+    if policy.measured_seconds is not None:
+        seconds = policy.measured_seconds.get(spec.name)
+        if seconds is not None:
+            return seconds >= policy.min_dispatch_seconds
+    cost = spec.try_cost_ticks(payloads)
+    if cost is not None:
+        return cost >= policy.cost_threshold
+    return (
+        sum(payload_nbytes(p) for p in payloads) >= policy.nbytes_threshold
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_policies, st.sampled_from("abc"), _hints, _arguments)
+def test_static_decision_agrees_with_the_payload_decision(
+    policy, name, hint, payloads
+):
+    spec = OperatorSpec(name=name, fn=len, cost=hint)
+    decision = policy.should_dispatch(spec, payloads)
+    assert decision == _should_dispatch_at_parent(policy, spec, payloads)
+    static = policy.static_dispatch(spec)
+    named = name in policy.pinned_local or name in (
+        policy.measured_seconds or {}
+    )
+    assert (static is None) == (
+        not named and (hint is None or callable(hint))
+    )
+    assert static is None or static == decision
+
+
+# ---------------------------------------------------------------------------
+# Structural guards
+# ---------------------------------------------------------------------------
+
+
+def test_warm_queens_takes_no_generic_step(monkeypatch):
+    graph, registry, _, _ = _queens(5)
+    executor = ProcessExecutor(1, persistent=True)
+    try:
+        executor.run(graph, (), registry)  # warm: pool, plans, classes
+        classes = dict(executor._node_classes)
+        counts = {"pending": 0, "retries": 0, "plain_keys": 0}
+
+        class CountingPendingOp(engine.PendingOp):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                counts["pending"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counting_retries(*args, **kwargs):
+            counts["retries"] += 1
+            return run_with_retries(*args, **kwargs)
+
+        def counting_key(task):
+            key = batch_key(task)
+            counts["plain_keys"] += key is None
+            return key
+
+        run_with_retries = executors.run_with_retries
+        batch_key = executors.batch_key
+        monkeypatch.setattr(engine, "PendingOp", CountingPendingOp)
+        monkeypatch.setattr(executors, "run_with_retries", counting_retries)
+        monkeypatch.setattr(executors, "batch_key", counting_key)
+        result = executor.run(graph, (), registry)
+    finally:
+        executor.close()
+    assert result.stats.ops_executed > 100
+    assert result.stats.dispatched_fires == 0
+    assert counts == {"pending": 0, "retries": 0, "plain_keys": 0}
+    # The table is the persistent executor's, not the run's.
+    assert executor._node_classes == {} and classes
+    assert set(classes.values()) == {
+        executors._FIRE, executors._OP, executors._CALL
+    }
+
+
+def test_class_table_survives_runs_and_follows_the_program():
+    graph, registry, _, _ = _queens(4)
+    other, other_registry, _, _ = _queens(5)
+    executor = ProcessExecutor(1, persistent=True)
+    try:
+        executor.run(graph, (), registry)
+        table = executor._node_classes
+        filled = dict(table)
+        executor.run(graph, (), registry)
+        assert executor._node_classes is table and table == filled
+        executor.run(other, (), other_registry)
+        assert executor._node_classes is not table
+    finally:
+        executor.close()
+
+
+def test_finished_run_leaves_no_cycle_through_the_state(monkeypatch):
+    graph, registry, _, _ = _queens(4)
+    states = []
+
+    class TrackedState(engine.ExecutionState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(executors, "ExecutionState", TrackedState)
+    gc.collect()
+    gc.disable()
+    try:
+        ProcessExecutor(1).run(graph, (), registry)
+        ref = weakref.ref(states.pop())
+        assert ref() is None  # freed by reference count alone
+    finally:
+        gc.enable()
+    # A failed run's state is pinned by the exception's traceback; what
+    # the executor owes it is the hook cleared.
+    flaky = _flaky_registry(fail_times=99)
+    bad = compile_source("main(x) add(flaky(x), 1)", registry=flaky).graph
+    with pytest.raises(OperatorError):
+        ProcessExecutor(1).run(bad, (1,), flaky)
+    assert states.pop().recover_op is None
+
+
+# ---------------------------------------------------------------------------
+# The retry contract
+# ---------------------------------------------------------------------------
+
+
+def _flaky_registry(fail_times):
+    registry = default_registry()
+    calls = {"flaky": 0, "grow": 0}
+    registry.calls = calls
+
+    @registry.register(name="flaky", pure=True, cost=5.0)
+    def flaky(x):
+        calls["flaky"] += 1
+        if calls["flaky"] <= fail_times:
+            raise ValueError(f"flaky boom {calls['flaky']}")
+        return x + 1
+
+    @registry.register(name="mklist", cost=5.0)
+    def mklist(x):
+        return [x]
+
+    @registry.register(name="grow", modifies=(0,), cost=5.0)
+    def grow(xs):
+        calls["grow"] += 1
+        xs.append(0)
+        raise ValueError("grow boom")
+
+    return registry
+
+
+def _retry_run(source, fail_times, **options):
+    registry = _flaky_registry(fail_times)
+    graph = compile_source(source, registry=registry).graph
+    bus = EventBus()
+    events = []
+    # Not TaskFired: a subscriber to it selects the begin/complete path.
+    bus.subscribe(events.append, (FireRetried, OpStarted, OpFinished))
+    executor = ProcessExecutor(
+        1, bus=bus, fault_policy=FaultPolicy(backoff=0.001), **options
+    )
+    outcome = error = None
+    try:
+        outcome = executor.run(graph, (1,), registry)
+    except OperatorError as exc:
+        error = exc
+    # The stream without its clock: event kinds in order, retries whole.
+    stream = [
+        dataclasses.astuple(e)[1:]
+        if isinstance(e, FireRetried)
+        else (type(e).__name__, e.name)
+        for e in events
+    ]
+    return outcome, error, stream, registry.calls
+
+
+#: A fault spec that never fires: its injector alone sends the run down
+#: the begin/complete path, the behaviour the fast path must reproduce.
+NEVER = "raise:op=no_such_operator,nth=1"
+
+
+@pytest.mark.parametrize("fail_times", [1, 2])
+def test_flaky_pure_operator_is_retried_like_the_generic_path(fail_times):
+    source = "main(x) add(flaky(x), 1)"
+    fast = _retry_run(source, fail_times)
+    generic = _retry_run(source, fail_times, fault_spec=FaultSpec.parse(NEVER))
+    for outcome, error, stream, calls in (fast, generic):
+        assert error is None
+        assert outcome.value == 3
+        assert outcome.stats.fires_retried == fail_times
+        assert calls["flaky"] == fail_times + 1
+    node_id = generic[2][1][2]
+    assert fast[2] == generic[2] == [
+        ("OpStarted", "flaky"),
+        *[
+            ("flaky", -1, node_id, n + 1, "error", 0.001 * 2 ** (n - 1))
+            for n in range(1, fail_times + 1)
+        ],
+        ("OpFinished", "flaky"),
+        ("OpStarted", "add"),
+        ("OpFinished", "add"),
+    ]
+
+
+def test_exhausted_retries_report_every_attempt():
+    source = "main(x) add(flaky(x), 1)"
+    fast = _retry_run(source, 99)
+    generic = _retry_run(source, 99, fault_spec=FaultSpec.parse(NEVER))
+    for outcome, error, stream, calls in (fast, generic):
+        assert outcome is None
+        assert calls["flaky"] == 3  # attempt 1 + max_retries
+        assert [a[0] for a in error.attempts] == [1, 2, 3]
+        # Only a firing that ends in success announces its retries.
+        assert stream == [("OpStarted", "flaky")]
+    assert str(fast[1]) == str(generic[1])
+    assert fast[1].attempts == generic[1].attempts
+    assert fast[1].node_id == generic[1].node_id
+
+
+def test_failing_modifies_operator_is_never_retried():
+    source = "main(x) grow(mklist(x))"
+    fast = _retry_run(source, 0)
+    generic = _retry_run(source, 0, fault_spec=FaultSpec.parse(NEVER))
+    for outcome, error, stream, calls in (fast, generic):
+        assert outcome is None
+        assert calls["grow"] == 1
+        assert error.attempts == ()
+        assert stream[-1] == ("OpStarted", "grow")
+        assert not any(len(entry) > 2 for entry in stream)  # no FireRetried
+        assert "grow boom" in str(error)
+    assert str(fast[1]) == str(generic[1])
+
+
+# ---------------------------------------------------------------------------
+# Degradation
+# ---------------------------------------------------------------------------
+
+
+def test_mid_run_degrade_finishes_bit_identical():
+    graph, registry, arg_tuples, _ = _fanout()
+    expected = SequentialExecutor().run(graph, arg_tuples[0], registry).value
+    executor = ProcessExecutor(
+        2,
+        fault_spec=FaultSpec.parse("kill:nth=2"),
+        fault_policy=FaultPolicy(max_respawns=0, backoff=0.001),
+    )
+    result = executor.run(graph, arg_tuples[0], registry)
+    assert result.value == expected
+    assert result.stats.executor_degraded == 1
