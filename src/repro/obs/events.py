@@ -262,7 +262,9 @@ class ResultReceived(Event):
 
 @dataclass(frozen=True, slots=True)
 class ShmBlockCreated(Event):
-    """A shared-memory block was created to carry a large NumPy payload."""
+    """A shared-memory segment carried a large dispatched argument (one
+    event per shm-borne argument encoding; arena segments are reused, and
+    a result returned in its request's segment adds none)."""
 
     name: str
     nbytes: int

@@ -21,6 +21,7 @@ property tests hammer across all executors.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -1221,9 +1222,10 @@ class ProcessExecutor:
                 # Degraded remote pendings skipped their physical COW
                 # copies (serialization was going to isolate the worker's
                 # writes); running them here needs private copies, made
-                # through the same codec a worker would have used.
+                # through the same codec a worker would have used — with
+                # every buffer in-band, as nothing leaves this process.
                 call_args = tuple(
-                    decode_value(encode_value(a, self.shm_threshold))
+                    decode_value(encode_value(a, sys.maxsize))
                     for a in pending.args
                 )
             t0 = time.perf_counter()

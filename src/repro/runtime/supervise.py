@@ -550,7 +550,13 @@ class Supervisor:
         supervisor's bookkeeping.  The caller (the degradation path)
         re-executes the returned pendings in-process — on fresh private
         argument copies, since remote pendings skipped physical COW.
+        Workers still holding calls are killed first: their results are
+        no longer wanted, and a live worker could write one into a
+        segment this reclaims.
         """
+        for worker, calls in self._worker_calls.items():
+            if calls:
+                self._kill_worker(worker)
         records = list(self._staged)
         records.extend(r for _, r in self._delayed)
         records.extend(self._assigned.values())
@@ -677,11 +683,13 @@ class Supervisor:
         """Retire a record's encodings.
 
         ``crashed=False`` is the normal path: the worker decoded (and
-        for fresh segments unlinked) every argument before computing, so
-        only the pooled arena segments need returning.  ``crashed=True``
-        means consumption is unknown: pooled segments are *reclaimed*
-        (the dead process's mappings died with it) and fresh segments
-        unlinked best-effort.
+        for fresh segments unlinked) every argument before computing, and
+        a result it wrote back into one of the pooled segments is already
+        decoded, so only those segments need returning.  ``crashed=True``
+        means consumption is unknown — and that the worker is dead or
+        never saw the message, so nothing can still write a reply there:
+        pooled segments are *reclaimed* and fresh segments unlinked
+        best-effort.
         """
         if not record.encoded:
             return
@@ -994,7 +1002,11 @@ class Supervisor:
         for call_id, ok, payload, t0, duration, cached in results:
             record = self._assigned.pop(call_id, None)
             if record is None:
-                continue  # already resolved via the crash path
+                # Already resolved via the crash path; a late success may
+                # still own a fresh segment nobody will decode.
+                if ok is True:
+                    discard_encoded(payload)
+                continue
             self._worker_calls[record.worker].discard(call_id)
             pending = record.pending
             if ok == "miss":
@@ -1026,13 +1038,22 @@ class Supervisor:
                     )
                 self._staged.append(record)
                 continue
-            self._release_encodings(record, crashed=False, pid=None)
             if ok:
                 raw_payload: EncodedValue = payload
+                # Decode before releasing: the result may sit in one of
+                # this call's own argument segments, which stay lent (and
+                # mapped here) exactly until the release below.
+                arena = self.pool.arena
+                try:
+                    raw = decode_value(
+                        raw_payload, segment=arena.reply_segment(raw_payload)
+                    )
+                finally:
+                    self._release_encodings(record, crashed=False, pid=None)
                 self._completions.append(
                     Completion(
                         pending,
-                        decode_value(raw_payload),
+                        raw,
                         call_id,
                         worker_id,
                         t0,
@@ -1044,6 +1065,7 @@ class Supervisor:
                     )
                 )
                 continue
+            self._release_encodings(record, crashed=False, pid=None)
             exc = _decode_exception(payload)
             pid = self._worker_pid(record.worker)
             self._record_failure(record, pid, f"raised: {exc!r}", exc, "error")
@@ -1101,6 +1123,14 @@ class Supervisor:
             return p.pid if p is not None else None
         return None
 
+    def _kill_worker(self, worker: int) -> None:
+        """Put a worker down and wait for it: nothing may be reclaimed
+        from a process that can still write a reply."""
+        process = self.pool.processes[worker]
+        if process is not None and process.is_alive():
+            process.kill()
+            process.join(timeout=5.0)
+
     def _handle_crash(
         self,
         worker: int,
@@ -1113,7 +1143,9 @@ class Supervisor:
             return  # stale handle (already respawned this pump round)
         pid = process.pid
         exitcode = process.exitcode
-        # Salvage results the worker completed before dying.
+        # Salvage results the worker completed before dying — before
+        # anything below reclaims: a salvaged result is decoded out of
+        # segments that are still lent to its own call.
         conn = self.pool.conns[worker]
         try:
             while conn is not None and conn.poll(0):
@@ -1194,10 +1226,7 @@ class Supervisor:
                             self.policy.timeout,
                         )
                     )
-            process = self.pool.processes[worker]
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
+            self._kill_worker(worker)
             timeout = self.policy.timeout
             self._handle_crash(
                 worker,

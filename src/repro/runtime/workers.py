@@ -7,13 +7,15 @@ analogue.  Three pieces:
 * **Payload transport** (:func:`encode_value` / :func:`decode_value`) —
   pickle protocol 5 with out-of-band buffers: any contiguous NumPy buffer
   at or above ``shm_threshold`` bytes is lifted out of the pickle stream
-  into one POSIX shared-memory segment (``multiprocessing.shared_memory``),
-  so convolution-sized blocks never cross the process pipe.  Everything
+  into one POSIX shared-memory segment (:class:`ShmSegment`), so
+  convolution-sized blocks never cross the process pipe.  Everything
   else — small arrays, scalars, application objects — rides the pickle
   bytes unchanged.  The *consumer* of a segment copies it into private
-  memory and unlinks it, so a worker-side destructive write can never be
-  observed by the master (copy-on-write isolation holds across the
-  process boundary by construction, and the tests prove it).
+  memory, so a worker-side destructive write can never be observed by
+  the master (copy-on-write isolation holds across the process boundary
+  by construction, and the tests prove it).  Arguments travel in the
+  master's :class:`ShmArena` segments, which both sides map once, and a
+  result travels back in the segment its own arguments came in.
 
 * **Registry rehydration** (:class:`RegistryRef`) — operator functions are
   never pickled.  Under the default ``fork`` start method workers inherit
@@ -41,18 +43,21 @@ analogue.  Three pieces:
 from __future__ import annotations
 
 import atexit
+import glob
 import importlib
+import mmap
+import os
 import pickle
+import secrets
 import signal
 import time
 import traceback
 import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from multiprocessing import get_all_start_methods, get_context
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
-try:  # POSIX only; the arena needs tracker-free unlink (see ShmArena)
+try:  # POSIX only; without it every payload rides the pickle stream
     import _posixshmem
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _posixshmem = None
@@ -136,6 +141,90 @@ class RegistryRef:
 # ---------------------------------------------------------------------------
 
 
+def _segment_prefix(parent_pid: int, pid: int) -> str:
+    """What the names of all segments created by process ``pid`` start with."""
+    return f"dlm_{parent_pid}_{pid}_"
+
+
+def _unlink(name: str) -> None:
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:  # the other side got there first
+        pass
+
+
+def unlink_segments_of(pid: int) -> int:
+    """Unlink what child process ``pid`` created and nobody consumed.
+
+    A worker's fresh result segment has no owner between its creation and
+    the master's decode; when the worker is dead (or the pool closed)
+    whatever still carries its prefix can have no consumer left.  Returns
+    the number of segments removed.
+    """
+    leftovers = glob.glob(
+        f"/dev/shm/{_segment_prefix(os.getpid(), pid)}*"
+    )
+    for path in leftovers:
+        _unlink(os.path.basename(path))
+    return len(leftovers)
+
+
+class ShmSegment:
+    """One mapped POSIX shared-memory segment, unknown to any resource tracker.
+
+    Lifetime is explicit: whoever the transport names as a segment's owner
+    calls :meth:`unlink` (a tracker process would cost two pipe writes per
+    create and per attach, and may unlink a segment its owner still uses).
+    The name carries the creator's pid and its parent's, so a master can
+    find what a dead worker left behind (:func:`unlink_segments_of`).
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, mapping: mmap.mmap) -> None:
+        self.name = name
+        self.size = len(mapping)
+        self.buf = memoryview(mapping)
+        self._mmap = mapping
+
+    @classmethod
+    def create(cls, size: int) -> "ShmSegment":
+        prefix = "/" + _segment_prefix(os.getppid(), os.getpid())
+        while True:
+            path = prefix + secrets.token_hex(4)
+            try:
+                fd = _posixshmem.shm_open(
+                    path, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+                )
+            except FileExistsError:
+                continue
+            break
+        try:
+            os.ftruncate(fd, size)
+            return cls(path[1:], mmap.mmap(fd, size))
+        except OSError:
+            _posixshmem.shm_unlink(path)
+            raise
+        finally:
+            os.close(fd)
+
+    @classmethod
+    def attach(cls, name: str) -> "ShmSegment":
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            return cls(name, mmap.mmap(fd, os.fstat(fd).st_size))
+        finally:
+            os.close(fd)
+
+    def close(self) -> None:
+        """Unmap; the segment itself stays until someone unlinks it."""
+        self.buf.release()
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        _unlink(self.name)
+
+
 @dataclass
 class EncodedValue:
     """One payload serialized for the process boundary.
@@ -145,10 +234,11 @@ class EncodedValue:
     nbytes) positions, in pickle buffer order.  ``shm_nbytes`` is the
     payload's total buffer size (0 for pure-pickle payloads).
 
-    ``pooled`` marks a segment borrowed from a master-side
-    :class:`ShmArena`: the consumer copies out and *closes* it but never
-    unlinks — the arena reuses the segment for later calls and owns its
-    teardown.
+    ``pooled`` marks a segment of the master's :class:`ShmArena` — an
+    argument the master placed there, or a result the worker wrote into
+    one of its own call's argument segments.  The consumer copies out and
+    leaves the segment alone; a non-pooled (fresh) segment is unlinked by
+    its consumer.
     """
 
     data: bytes
@@ -169,40 +259,29 @@ class EncodedValue:
 class ShmArena:
     """A master-side pool of reusable shared-memory segments.
 
-    Every dispatched argument above the shm threshold used to create (and
-    the worker unlink) one fresh POSIX segment — a ``shm_open`` /
-    ``ftruncate`` / ``mmap`` / ``unlink`` round trip per large payload,
-    every fire.  The arena instead keeps segments alive across calls:
-    segments come in power-of-two size classes, ``acquire`` reuses a free
-    one when it fits, and the executor returns a call's segments with
-    :meth:`release` once the worker's result proves the arguments were
-    consumed.  Workers copy out and merely *close* pooled segments (see
-    :func:`decode_value`); only :meth:`close` — called at worker-pool
-    shutdown — unlinks them.
+    Segments come in power-of-two size classes and stay alive across
+    calls: ``acquire`` reuses a free one when it fits, both processes map
+    a segment once (the master here, a worker on first sight — see
+    :func:`worker_main`), and the executor returns a call's segments with
+    :meth:`release` once the worker's result arrived.  Until then they
+    are *lent*: the worker copies the arguments out and may write the
+    call's result back into one of them (:meth:`reply_segment`), so a
+    lent segment is recycled only after its result was decoded or its
+    worker is dead (:meth:`reclaim`).  Only :meth:`close` — called at
+    worker-pool shutdown — unlinks them.
 
-    The arena lives in the master (the workers share one task queue, so a
-    segment's next consumer is unknown at encode time) and is empty when
-    workers fork, so children never inherit arena mappings.
+    The arena lives in the master (a segment's next consumer is unknown
+    at encode time) and is empty when workers fork, so children never
+    inherit arena mappings.
 
-    Pooled segments are kept out of ``multiprocessing.resource_tracker``
-    entirely.  Which processes share a tracker depends on whether the
-    tracker happened to start before the workers forked, so any
-    registration an arena segment leaves behind in *some* process's
-    tracker ends with that tracker unlinking a segment the master still
-    reuses (or warning about "leaked" segments it never owned).  Instead
-    every registration is withdrawn where it happens — here after
-    create, in :func:`decode_value` after attach — and :meth:`close`
-    unlinks through ``shm_unlink`` directly, bypassing the tracker's
-    bookkeeping.
-
-    Explicit lifetime needs an explicit last line of defense: every
-    arena registers in a module-level ``WeakSet`` and a single
-    ``atexit`` pass (:func:`cleanup_arenas`) unlinks whatever is still
-    live when the master exits — so a master that dies between pool
-    start and the first commit (unhandled exception, ``SystemExit``,
-    SIGTERM routed through :func:`install_arena_signal_cleanup`) leaks
-    nothing into ``/dev/shm``.  Only ``SIGKILL`` still leaks, which no
-    in-process mechanism can prevent.
+    No resource tracker knows these segments, so every arena registers
+    in a module-level ``WeakSet`` and a single ``atexit`` pass
+    (:func:`cleanup_arenas`) unlinks whatever is still live when the
+    master exits — so a master that dies between pool start and the
+    first commit (unhandled exception, ``SystemExit``, SIGTERM routed
+    through :func:`install_arena_signal_cleanup`) leaks nothing into
+    ``/dev/shm``.  Only ``SIGKILL`` still leaks, which no in-process
+    mechanism can prevent.
     """
 
     def __init__(self, min_bytes: int = 4096) -> None:
@@ -212,20 +291,22 @@ class ShmArena:
         self.reused = 0
         self.created_bytes = 0
         self.reclaimed = 0
+        #: Results that came back in one of their call's own segments.
+        self.replies = 0
         #: Fault-injection hook: when set and it returns True, the next
         #: :meth:`acquire` raises ``OSError`` exactly as a real
         #: ``shm_open`` failure would (callers fall back to an unpooled
         #: segment — see :func:`encode_value`).
         self.fail_hook: Any = None
-        #: name -> (segment, size class) currently lent to an in-flight call.
-        self._lent: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
+        #: name -> segment currently lent to an in-flight call.
+        self._lent: dict[str, ShmSegment] = {}
         #: size class -> free segments of that class.
-        self._free: dict[int, list[shared_memory.SharedMemory]] = {}
+        self._free: dict[int, list[ShmSegment]] = {}
 
     def _size_class(self, nbytes: int) -> int:
         return 1 << (max(self.min_bytes, nbytes) - 1).bit_length()
 
-    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
+    def acquire(self, nbytes: int) -> ShmSegment:
         """A segment of at least ``nbytes``, recycled when one fits."""
         if self.fail_hook is not None and self.fail_hook():
             raise OSError("injected arena allocation failure")
@@ -235,63 +316,56 @@ class ShmArena:
             shm = free.pop()
             self.reused += 1
         else:
-            shm = shared_memory.SharedMemory(create=True, size=cls)
-            # Withdraw the create-side tracker registration immediately;
-            # the arena owns this segment's whole lifetime (class docs).
-            resource_tracker.unregister(shm._name, "shared_memory")
+            shm = ShmSegment.create(cls)
             self.created += 1
             self.created_bytes += cls
-        self._lent[shm.name] = (shm, cls)
+        self._lent[shm.name] = shm
         return shm
 
     def release(self, name: str) -> None:
         """Return a lent segment to its free list (unknown names ignored)."""
-        entry = self._lent.pop(name, None)
-        if entry is not None:
-            shm, cls = entry
-            self._free.setdefault(cls, []).append(shm)
+        shm = self._lent.pop(name, None)
+        if shm is not None:
+            self._free.setdefault(shm.size, []).append(shm)
+
+    def reply_segment(self, enc: EncodedValue) -> ShmSegment | None:
+        """The lent segment a worker wrote ``enc`` into, already mapped
+        here; ``None`` for in-band and fresh-segment results."""
+        if not enc.pooled:
+            return None
+        self.replies += 1
+        return self._lent[enc.shm_name]
 
     def reclaim(self, names: Any) -> list[tuple[str, int]]:
         """Recover segments checked out to a call that will never complete.
 
         Called by the supervisor when a worker dies mid-fire: the dead
-        process's mappings are gone with it, so its lent segments are
-        safe to recycle immediately.  Returns ``(name, nbytes)`` pairs
-        for the segments actually reclaimed (unknown names — e.g. a call
-        whose segments were already released by a late result — are
-        skipped).
+        process can no longer read or write its lent segments, so they
+        are safe to recycle immediately.  Returns ``(name, nbytes)``
+        pairs for the segments actually reclaimed (unknown names — e.g.
+        a call whose segments were already released by a late result —
+        are skipped).
         """
         out: list[tuple[str, int]] = []
         for name in names:
-            entry = self._lent.get(name)
-            if entry is not None:
-                _, cls = entry
+            shm = self._lent.get(name)
+            if shm is not None:
                 self.release(name)
                 self.reclaimed += 1
-                out.append((name, cls))
+                out.append((name, shm.size))
         return out
 
     def close(self) -> None:
         """Unlink every segment (lent and free).  Arena is reusable after."""
-        segments = [shm for shm, _ in self._lent.values()]
+        segments = list(self._lent.values())
         segments.extend(
             shm for free in self._free.values() for shm in free
         )
         self._lent.clear()
         self._free.clear()
         for shm in segments:
-            name = shm._name
             shm.close()
-            try:
-                if _posixshmem is not None:
-                    # Not shm.unlink(): that would also send an
-                    # UNREGISTER for a name no tracker has registered.
-                    _posixshmem.shm_unlink(name)
-                else:  # pragma: no cover - non-POSIX platforms
-                    resource_tracker.register(name, "shared_memory")
-                    shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            shm.unlink()
 
     def live_segments(self) -> int:
         """Segments currently backed by ``/dev/shm`` (lent plus free)."""
@@ -302,6 +376,7 @@ class ShmArena:
             "created": self.created,
             "reused": self.reused,
             "reclaimed": self.reclaimed,
+            "replies": self.replies,
             "created_bytes": self.created_bytes,
             "lent": len(self._lent),
             "free": sum(len(v) for v in self._free.values()),
@@ -370,7 +445,7 @@ def install_arena_signal_cleanup(
 def encode_value(
     obj: Any,
     shm_threshold: int = SHM_THRESHOLD_DEFAULT,
-    arena: ShmArena | None = None,
+    arena: Any = None,
 ) -> EncodedValue:
     """Serialize ``obj`` for the other side of a process boundary.
 
@@ -378,12 +453,15 @@ def encode_value(
     object graph — inside a dataclass, a list, a dict) of at least
     ``shm_threshold`` bytes are placed in one shared-memory segment.
     Without an ``arena`` the segment is fresh and the consumer unlinks it
-    in :func:`decode_value`; with an ``arena`` the segment is borrowed
-    (``pooled=True``) and the caller returns it via
-    :meth:`ShmArena.release` once consumed.  An arena acquisition
-    failure (real or injected via :attr:`ShmArena.fail_hook`) degrades
-    to the fresh-segment path rather than failing the call.
+    in :func:`decode_value`; with one — a :class:`ShmArena` on the
+    master, a call's :class:`_RequestSegments` in a worker — the segment
+    is borrowed (``pooled=True``) and stays with the arena.  An ``OSError``
+    from ``arena.acquire`` (a real or injected allocation failure, a
+    result that fits no request segment) degrades to the fresh-segment
+    path rather than failing the call.
     """
+    if _posixshmem is None:  # pragma: no cover - non-POSIX platforms
+        return EncodedValue(pickle.dumps(obj, protocol=5))
     buffers: list[pickle.PickleBuffer] = []
 
     def callback(pb: pickle.PickleBuffer) -> bool:
@@ -405,48 +483,38 @@ def encode_value(
         n = pb.raw().nbytes
         segments.append((total, n))
         total += -(-n // _ALIGN) * _ALIGN
+    shm = None
     if arena is not None:
         try:
             shm = arena.acquire(total)
         except OSError:
-            shm = None  # allocation failure: fall back to a fresh segment
-        if shm is not None:
-            for (offset, n), pb in zip(segments, buffers):
-                shm.buf[offset : offset + n] = pb.raw().cast("B")
-                pb.release()
-            # The arena keeps the segment open and will reuse it; nothing
-            # to close or unregister here.
-            return EncodedValue(
-                data, shm.name, tuple(segments), total, pooled=True
-            )
-    shm = shared_memory.SharedMemory(create=True, size=total)
+            pass  # fall back to a fresh segment
+    pooled = shm is not None
+    if not pooled:
+        shm = ShmSegment.create(total)
     try:
         for (offset, n), pb in zip(segments, buffers):
             shm.buf[offset : offset + n] = pb.raw().cast("B")
             pb.release()
-        return EncodedValue(data, shm.name, tuple(segments), total)
     finally:
-        shm.close()
-        # Segment lifetime is managed explicitly: the consumer unlinks in
-        # decode_value (its attach/unlink pair self-balances in its own
-        # resource tracker).  Withdraw the creator-side registration so
-        # the tracker does not later "clean up" a segment the consumer
-        # already removed (Python < 3.13 has no track=False).
-        resource_tracker.unregister(shm._name, "shared_memory")
+        if not pooled:
+            shm.close()  # the consumer attaches by name and unlinks
+    return EncodedValue(data, shm.name, tuple(segments), total, pooled)
 
 
-def decode_value(enc: EncodedValue, unlink: bool = True) -> Any:
+def decode_value(
+    enc: EncodedValue, unlink: bool = True, segment: ShmSegment | None = None
+) -> Any:
     """Rebuild a payload from :func:`encode_value`'s wire form.
 
-    The shared-memory segment (if any) is copied into a **private**
-    writable buffer before unpickling, then closed; non-pooled segments
-    are (by default) also unlinked — the consumer owns their teardown.
-    Pooled segments belong to the producer's :class:`ShmArena`: the copy
-    is sliced to the payload's bytes (the segment is size-class rounded),
-    the attach-side resource-tracker registration is withdrawn (Python
-    registers on attach unconditionally; arena segments stay out of
-    every tracker — see :class:`ShmArena`), and the segment itself is
-    left alone for the arena to reuse.
+    The shared-memory bytes (if any) are copied into a **private**
+    writable buffer before unpickling.  ``segment`` is this process's
+    standing mapping of ``enc``'s segment when it has one (pooled
+    segments: the arena's on the master, the attach-once table in a
+    worker) and is read in place; otherwise the segment is attached by
+    name, copied and unmapped, and a non-pooled one is (by default) also
+    unlinked — the consumer owns a fresh segment's teardown, the arena a
+    pooled one's.
 
     Arrays in the result are writable and fully isolated from the
     producer either way: an in-place write on this side is invisible on
@@ -455,18 +523,16 @@ def decode_value(enc: EncodedValue, unlink: bool = True) -> Any:
     """
     if enc.shm_name is None:
         return pickle.loads(enc.data)
-    shm = shared_memory.SharedMemory(name=enc.shm_name)
-    try:
-        if enc.pooled:
-            private = bytearray(shm.buf[: enc.shm_nbytes])
-        else:
-            private = bytearray(shm.buf)
-    finally:
-        shm.close()
-        if enc.pooled:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        elif unlink:
-            shm.unlink()
+    if segment is not None:
+        private = bytearray(segment.buf[: enc.shm_nbytes])
+    else:
+        segment = ShmSegment.attach(enc.shm_name)
+        try:
+            private = bytearray(segment.buf[: enc.shm_nbytes])
+        finally:
+            segment.close()
+            if unlink and not enc.pooled:
+                segment.unlink()
     view = memoryview(private)
     buffers = [view[offset : offset + n] for offset, n in enc.segments]
     return pickle.loads(enc.data, buffers=buffers)
@@ -474,14 +540,8 @@ def decode_value(enc: EncodedValue, unlink: bool = True) -> Any:
 
 def discard_encoded(enc: EncodedValue) -> None:
     """Free an encoded payload that will never be decoded (error paths)."""
-    if enc.shm_name is None or enc.pooled:
-        return  # pooled segments are torn down by their arena
-    try:
-        shm = shared_memory.SharedMemory(name=enc.shm_name)
-    except FileNotFoundError:  # consumer got there first
-        return
-    shm.close()
-    shm.unlink()
+    if enc.shm_name is not None and not enc.pooled:
+        _unlink(enc.shm_name)  # pooled segments stay with their arena
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +702,27 @@ class BlockCache:
         }
 
 
+class _RequestSegments:
+    """The pooled segments one call's arguments arrived in, offered to
+    :func:`encode_value` as the place for that call's result.
+
+    The master keeps them lent until the result arrives, so once the
+    arguments are copied out nobody else reads or writes them.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: list[ShmSegment]) -> None:
+        self.segments = segments
+
+    def acquire(self, nbytes: int) -> ShmSegment:
+        """The smallest request segment holding ``nbytes``."""
+        fitting = [s for s in self.segments if s.size >= nbytes]
+        if not fitting:
+            raise OSError("result fits no request segment")
+        return min(fitting, key=lambda s: s.size)
+
+
 def worker_main(
     worker_id: int,
     conn: Any,
@@ -695,6 +776,15 @@ def worker_main(
     segment half-consumed — the master releases a missed fire's
     encodings exactly as it releases a completed one's.
 
+    A pooled segment belongs to the master's arena and lives as long as
+    the pool, so this process attaches it on first sight and keeps the
+    mapping (a respawned worker starts with none).  Once a call's
+    arguments are copied out, its result's large buffers are written
+    into the smallest of *that call's own* pooled argument segments that
+    holds them (``pooled=True`` in the reply) — warm pages both sides
+    already map; a result that fits none (or a call with no pooled
+    argument) travels in a fresh segment instead.
+
     ``fused_chains`` maps fused super-node names to their recipes (plain
     picklable data); the worker composes each chain against its own
     registry on first use, so a dispatched fused body runs exactly like a
@@ -725,11 +815,26 @@ def worker_main(
     fused_specs: dict[str, Any] = {}
     injector = fault_spec.build(fault_salt) if fault_spec is not None else None
     cache = BlockCache(cache_bytes)
+    #: name → standing mapping of each arena segment seen so far.
+    attached: dict[str, ShmSegment] = {}
+
+    def decode_arg(enc: EncodedValue, request: list[ShmSegment]) -> Any:
+        """Decode one argument; a pooled segment is read through its
+        standing mapping and joins the call's ``request`` segments."""
+        if not enc.pooled:
+            return decode_value(enc)
+        segment = attached.get(enc.shm_name)
+        if segment is None:
+            segment = ShmSegment.attach(enc.shm_name)
+            attached[enc.shm_name] = segment
+        request.append(segment)
+        return decode_value(enc, segment=segment)
 
     def resolve_args(
         op_name: str, enc_args: list[Any]
-    ) -> tuple[list[Any], list[int]]:
-        """Decoded argument payloads plus the block ids that missed.
+    ) -> tuple[list[Any], list[int], _RequestSegments | None]:
+        """Decoded argument payloads, the block ids that missed, and the
+        call's pooled segments (``None`` when it has none).
 
         Two passes: every full encoding is decoded first (consuming its
         shm segments and making ``("blk", ...)`` entries resident), then
@@ -738,16 +843,17 @@ def worker_main(
         """
         out: list[Any] = [None] * len(enc_args)
         refs: list[tuple[int, int]] = []
+        request: list[ShmSegment] = []
         for i, a in enumerate(enc_args):
             if type(a) is tuple:
                 if a[0] == "blk":
-                    value = decode_value(a[2])
+                    value = decode_arg(a[2], request)
                     cache.put(a[1], value)
                     out[i] = value
                 else:  # ("ref", bid)
                     refs.append((i, a[1]))
             else:
-                out[i] = decode_value(a)
+                out[i] = decode_arg(a, request)
         missing: list[int] = []
         for i, bid in refs:
             forced = injector is not None and injector.on_cache_lookup(
@@ -758,7 +864,7 @@ def worker_main(
                 missing.append(bid)
             else:
                 out[i] = value
-        return out, missing
+        return out, missing, _RequestSegments(request) if request else None
 
     def resolve(op_name: str) -> Any:
         spec = fused_specs.get(op_name)
@@ -815,22 +921,21 @@ def worker_main(
                         # whole group's batching win.
                         results = [
                             (cid, "miss", missing, t_start, 0.0, False)
-                            for (cid, _, _), (_, missing) in zip(
+                            for (cid, _, _), (_, missing, _) in zip(
                                 calls, resolved
                             )
                             if missing
                         ]
                         ready = [
-                            (cid, rbid, args)
-                            for (cid, _, rbid), (args, missing) in zip(
-                                calls, resolved
-                            )
+                            (cid, rbid, args, request)
+                            for (cid, _, rbid), (args, missing, request)
+                            in zip(calls, resolved)
                             if not missing
                         ]
                         if ready:
                             raws = list(
                                 spec.batch_fn(
-                                    [tuple(args) for _, _, args in ready]
+                                    [tuple(args) for _, _, args, _ in ready]
                                 )
                             )
                             if len(raws) != len(ready):
@@ -844,7 +949,7 @@ def worker_main(
                             # one call; attribute each an equal share so
                             # master timelines stay additive.
                             per = total / len(ready)
-                            for i, ((cid, rbid, _), raw) in enumerate(
+                            for i, ((cid, rbid, _, request), raw) in enumerate(
                                 zip(ready, raws)
                             ):
                                 cached = (
@@ -856,7 +961,9 @@ def worker_main(
                                     (
                                         cid,
                                         True,
-                                        encode_value(raw, shm_threshold),
+                                        encode_value(
+                                            raw, shm_threshold, request
+                                        ),
                                         t_start + i * per,
                                         per,
                                         cached,
@@ -889,7 +996,7 @@ def worker_main(
                 cached = False
                 try:
                     spec = resolve(op_name)
-                    args, missing = resolve_args(op_name, enc_args)
+                    args, missing, request = resolve_args(op_name, enc_args)
                     if missing:
                         # Structured cache-miss reply: every full
                         # encoding above was already decoded, so the
@@ -902,7 +1009,7 @@ def worker_main(
                         if injector is not None:
                             injector.on_call(op_name)
                         raw = spec.fn(*args)
-                        payload = encode_value(raw, shm_threshold)
+                        payload = encode_value(raw, shm_threshold, request)
                         if rbid is not None and wraps_as_block(raw):
                             cached = cache.put(rbid, raw)
                         ok = True
@@ -910,12 +1017,9 @@ def worker_main(
                     payload = _encode_exception(exc)
                     ok = False
                 # Each result is shipped as soon as it exists, not at the
-                # end of the batch: a result's fresh shm segments have no
-                # owner until the master sees them, so holding finished
-                # results while later batchmates run would leak those
-                # segments if this process dies mid-batch (the supervisor
-                # salvages the pipe's contents on a crash, but cannot
-                # know the names of segments that were never sent).
+                # end of the batch: the supervisor salvages the pipe's
+                # contents on a crash, so a finished result that was
+                # already sent survives its worker and is not recomputed.
                 try:
                     conn.send(
                         (
@@ -1031,8 +1135,9 @@ class WorkerPool:
         """Replace worker ``i`` with a fresh process (same configuration).
 
         The old process is terminated if somehow still alive (a hung
-        worker being put down), its pipe closed, and a new worker takes
-        its slot.  Returns the new process.
+        worker being put down), its pipe closed — callers salvage it
+        first — the segments it created and nobody consumed unlinked, and
+        a new worker takes its slot.  Returns the new process.
         """
         old = self.processes[i]
         conn = self.conns[i]
@@ -1042,6 +1147,7 @@ class WorkerPool:
             if old.is_alive():
                 old.kill()
             old.join(timeout=5.0)
+            unlink_segments_of(old.pid)
         self.respawns += 1
         return self._spawn(i, fault_salt=self.respawns)
 
@@ -1104,6 +1210,10 @@ class WorkerPool:
         for conn in self.conns:
             if conn is not None:
                 conn.close()
+        for p in self.processes:
+            if p is not None:
+                # Results still unread in a pipe, or made and never sent.
+                unlink_segments_of(p.pid)
         self.arena.close()
 
     def __enter__(self) -> "WorkerPool":

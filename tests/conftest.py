@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -16,6 +17,20 @@ from repro.compiler.passes.pipeline import PASS_ORDER, OptimizationReport
 from repro.compiler.symtab import analyze
 from repro.lang import ast
 from repro.runtime import OperatorRegistry
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shm_leak_gate():
+    """The whole suite is a leak gate: whatever a test puts in
+    ``/dev/shm`` must be gone by the end of the session."""
+    try:
+        before = set(os.listdir("/dev/shm"))
+    except OSError:  # no tmpfs to watch on this platform
+        yield
+        return
+    yield
+    leaked = sorted(set(os.listdir("/dev/shm")) - before)
+    assert not leaked, f"shared-memory segments leaked: {leaked}"
 
 
 def recursive_payload_nbytes(payload):

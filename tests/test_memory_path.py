@@ -37,6 +37,7 @@ from repro.runtime.engine import _may_alias
 from repro.runtime.workers import (
     DispatchPolicy,
     ShmArena,
+    ShmSegment,
     decode_value,
     encode_value,
 )
@@ -76,8 +77,6 @@ class TestShmArena:
             arena.close()
 
     def test_close_unlinks_everything(self):
-        from multiprocessing import shared_memory
-
         arena = ShmArena()
         lent = arena.acquire(5000)
         freed = arena.acquire(5000)
@@ -88,7 +87,7 @@ class TestShmArena:
         assert arena.stats()["free"] == 0
         for name in names:
             with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+                ShmSegment.attach(name)
 
     def test_pooled_encode_decode_round_trip(self):
         arena = ShmArena()

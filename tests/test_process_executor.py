@@ -32,6 +32,7 @@ from repro.runtime import (
 )
 from repro.runtime.operators import OperatorSpec
 from repro.runtime.workers import (
+    ShmSegment,
     decode_value,
     discard_encoded,
     encode_value,
@@ -109,19 +110,15 @@ class TestCodec:
         a = np.zeros(8192, dtype=np.float64)
         enc = encode_value(a, shm_threshold=1024)
         decode_value(enc)
-        from multiprocessing import shared_memory
-
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=enc.shm_name)
+            ShmSegment.attach(enc.shm_name)
 
     def test_discard_encoded_cleans_up(self):
         a = np.zeros(8192, dtype=np.float64)
         enc = encode_value(a, shm_threshold=1024)
         discard_encoded(enc)
-        from multiprocessing import shared_memory
-
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=enc.shm_name)
+            ShmSegment.attach(enc.shm_name)
         discard_encoded(enc)  # idempotent
 
     def test_nested_arrays_share_one_segment(self):
