@@ -36,12 +36,22 @@ from .passes import codegen as codegen_pass
 from .passes import donate as donate_pass
 from .passes import fuse as fuse_pass
 from .passes.pipeline import (
+    GRAPH_PASS_ORDER,
     PASS_ORDER,
     OptimizationReport,
     optimize,
     split_passes,
 )
 from .symtab import analyze
+
+#: The graph passes' entry points; :data:`GRAPH_PASS_ORDER` (which says
+#: why the order is what it is) decides the order they run in.
+_GRAPH_RUNNERS = {
+    "fuse": fuse_pass.run,
+    "donate": donate_pass.run,
+    "codegen": codegen_pass.run,
+    "batch": batch_pass.run,
+}
 
 #: Table 1 pass names, in the paper's order.
 PASS_NAMES = (
@@ -163,44 +173,14 @@ def compile_source(
     graph.entry = entry
     graph.entry_template()  # fail fast if the entry is missing
     graph.prune_unreachable()
-    if "fuse" in graph_passes:
-        fuse_stats = fuse_pass.run(graph, registry)
+    for name in GRAPH_PASS_ORDER:
+        if name not in graph_passes:
+            continue
+        pass_stats = _GRAPH_RUNNERS[name](graph, registry)
         if report is None:
-            report = OptimizationReport(enabled=("fuse",))
-        else:
-            report.enabled = report.enabled + ("fuse",)
-        for key, count in fuse_stats.items():
-            report.stats[key] = report.stats.get(key, 0) + count
-    if "donate" in graph_passes:
-        # Always after fuse: last-use facts are computed on the final
-        # graph shape, so fused super-node inputs participate too.
-        donate_stats = donate_pass.run(graph, registry)
-        if report is None:
-            report = OptimizationReport(enabled=("donate",))
-        else:
-            report.enabled = report.enabled + ("donate",)
-        for key, count in donate_stats.items():
-            report.stats[key] = report.stats.get(key, 0) + count
-    if "codegen" in graph_passes:
-        # Lowers whatever set of fused recipes the earlier graph passes
-        # left behind to specialized generated source.
-        codegen_stats = codegen_pass.run(graph, registry)
-        if report is None:
-            report = OptimizationReport(enabled=("codegen",))
-        else:
-            report.enabled = report.enabled + ("codegen",)
-        for key, count in codegen_stats.items():
-            report.stats[key] = report.stats.get(key, 0) + count
-    if "batch" in graph_passes:
-        # After codegen: appends the batch binder to its generated
-        # sources so batched executors get a vectorized form for fused
-        # chains too.  No-op when codegen never ran.
-        batch_stats = batch_pass.run(graph, registry)
-        if report is None:
-            report = OptimizationReport(enabled=("batch",))
-        else:
-            report.enabled = report.enabled + ("batch",)
-        for key, count in batch_stats.items():
+            report = OptimizationReport()
+        report.enabled += (name,)
+        for key, count in pass_stats.items():
             report.stats[key] = report.stats.get(key, 0) + count
     seconds["Graph Conversion"] = time.perf_counter() - t0 + lowering_seconds
 

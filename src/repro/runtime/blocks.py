@@ -177,7 +177,7 @@ class DataBlock:
         Master-assigned block id for worker-cache residency tracking
         (process executor with an affinity policy), or ``None`` while the
         block has never crossed the wire.  An in-place write must clear
-        it (see ``ExecutionState._begin_operator``): resident worker
+        it (see ``ExecutionState._bind``): resident worker
         copies keyed by the old id would otherwise serve stale payloads.
 
     Blocks are weak-referenceable so the residency tracker can observe

@@ -11,15 +11,17 @@ of time, and processor placement, and drive the state through two calls:
   tasks;
 * :meth:`fire` — fire one ready task, returning the tasks it made ready.
 
-For executors that overlap operator bodies (threads, worker processes),
-``fire`` splits into a :meth:`begin_fire` / :meth:`complete_fire` pair:
-``begin_fire`` resolves the operator spec, takes the node's inputs, and
-makes the copy-on-write decisions, returning a :class:`PendingOp`;
-the executor runs (or ships) the actual computation however it likes and
-then calls ``complete_fire`` with the raw result to commit it, release
-the input references, and collect the newly ready tasks.  All engine
-bookkeeping stays in the calling thread; only the opaque sequential
-computation happens elsewhere.
+An operator firing is written once, as two halves: *bind* (resolve the
+spec, take the node's inputs, make every in-place / copy-on-write /
+donation decision — :meth:`ExecutionState._bind`) and *commit* (wrap and
+deliver the result, release the input references, recycle dead donated
+buffers — :meth:`ExecutionState._commit`).  ``fire`` runs them back to
+back around the body.  For executors that overlap operator bodies
+(threads, worker processes) the same halves are split at the body into
+:meth:`begin_fire`, which returns a :class:`PendingOp`, and
+:meth:`complete_fire`, which takes the raw result however and wherever
+the executor computed it.  All engine bookkeeping stays in the calling
+thread; only the opaque sequential computation happens elsewhere.
 
 Any interleaving of ``fire`` calls that respects readiness produces the
 same final result; that is the determinism guarantee of the coordination
@@ -64,9 +66,8 @@ from .scheduler import Task
 from .values import Closure, MultiValue, OperatorValue, is_truthy
 
 _NO_RESULT = object()
-_NO_PLAN = object()
 
-#: Cross-run cache of inline fast-path plans and composed fused specs,
+#: Cross-run cache of per-node operator plans and composed fused specs,
 #: keyed by program identity (``GraphProgram`` is an eq-comparing
 #: dataclass, hence unhashable — the id plus a weak self-reference gives
 #: identity semantics without touching the class).  Plans depend only on
@@ -74,13 +75,14 @@ _NO_PLAN = object()
 #: runs of the same graph (benchmark repeats, server loops) skip the
 #: rebuild.  Entries whose program or registry died are pruned on insert;
 #: a different registry for the same program replaces the entry.
-#: Purity-checking states bypass the cache (their plans are all ``None``
-#: by design).
+#: Purity-checking states bypass the cache (their plans never admit the
+#: single pass).
 _PLAN_CACHES: dict[int, tuple] = {}
 
-#: Hook type: executors may intercept the raw operator call (e.g. to drop a
-#: lock around it, or to time it).  Receives the spec and ready payloads.
-RunOp = Callable[[OperatorSpec, tuple[Any, ...]], Any]
+#: Hook type: executors may intercept the raw operator call (to inject
+#: faults and retry, or to time it).  Receives the spec, the ready
+#: payloads and the node id.
+RunOp = Callable[[OperatorSpec, tuple[Any, ...], int], Any]
 
 #: Hook type: decide whether an operator body should run *remotely* (in a
 #: worker process) rather than in this interpreter.  Receives the spec and
@@ -141,9 +143,9 @@ class PendingOp:
     seq: int = -1
     priority: int = 0
     #: Input indices the donation pass proved are last uses
-    #: (``node.donated``); ``None`` when the pass did not run or the node
+    #: (``node.donated``); empty when the pass did not run or the node
     #: has no donated edges.
-    donated: tuple[int, ...] | None = None
+    donated: tuple[int, ...] = ()
     #: Set by :meth:`ExecutionState.complete_fire` on commit.  A retried
     #: fire must never be committed twice — the second commit would
     #: double-release every input share and underflow the pools.
@@ -282,6 +284,25 @@ def _may_alias(result: Any, payload: np.ndarray) -> bool:
     return True
 
 
+def _arg_codes(
+    spec: OperatorSpec, n_args: int, donated: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Per-argument action codes for :meth:`ExecutionState._bind`.
+
+    ``0`` read-only, ``1`` modified through a donated edge, ``2``
+    modified; ``None`` when the operator writes none of its arguments —
+    the two set probes (``i in modifies`` / ``i in donated``) folded into
+    one tuple index.
+    """
+    modifies = spec.modifies
+    if not modifies:
+        return None
+    return tuple(
+        (1 if i in donated else 2) if i in modifies else 0
+        for i in range(n_args)
+    )
+
+
 def _fingerprint(payload: Any) -> object:
     """Cheap content fingerprint for purity checking (debug mode only)."""
     if isinstance(payload, np.ndarray):
@@ -353,18 +374,18 @@ class ExecutionState:
         # firing, so they must be attribute loads, not dict probes.
         #: Composed specs for fused super-nodes, by fused node name (the
         #: name encodes the full recipe, so one entry serves every
-        #: structurally identical fused node across templates), and inline
-        #: fast-path plans for pure ``OP`` nodes, keyed by node object
-        #: identity (nodes are owned by the static program, so ids are
-        #: stable for as long as the program — which also owns the cache
-        #: entry — is alive).  ``None`` marks a node that must take the
-        #: generic begin/complete path.  Both are shared across states of
-        #: the same (program, registry) pair via :data:`_PLAN_CACHES`;
-        #: entries are deterministic functions of that pair, so the worst
-        #: concurrent case is two states computing the same value.
+        #: structurally identical fused node across templates), and the
+        #: per-node constants of ``OP`` nodes (:meth:`_build_op_plan`),
+        #: keyed by node object identity (nodes are owned by the static
+        #: program, so ids are stable for as long as the program — which
+        #: also owns the cache entry — is alive).  Both are shared across
+        #: states of the same (program, registry) pair via
+        #: :data:`_PLAN_CACHES`; entries are deterministic functions of
+        #: that pair, so the worst concurrent case is two states
+        #: computing the same value.
         if check_purity:
             self._fused_specs: dict[str, OperatorSpec] = {}
-            self._op_plans: dict[int, tuple | None] = {}
+            self._op_plans: dict[int, tuple] = {}
         else:
             cached = _PLAN_CACHES.get(id(program))
             if (
@@ -443,79 +464,26 @@ class ExecutionState:
     def fire(self, task: Task, run_op: RunOp | None = None, home: int = -1) -> list[Task]:
         """Fire one ready task to completion; return the newly ready tasks.
 
-        Convenience wrapper over :meth:`begin_fire` / :meth:`complete_fire`
-        that runs any operator body inline (optionally through ``run_op``).
-        Pure ``OP`` nodes with no copy-on-write or donation concerns take
-        a single-pass inline path that skips the :class:`PendingOp`
-        suspension machinery entirely; ``run_op`` (fault injection,
-        timing hooks) forces the generic path so interception still sees
-        every operator call.
+        A pure ``OP`` node takes the single pass of
+        :meth:`_fire_op_inline`.  Every other kind — and every operator
+        under ``run_op`` (fault injection, timing hooks: interception
+        must see each call) or ``check_purity`` — goes through the ladder
+        of :meth:`_fire_node`, with a suspended body run right here.
         """
-        if run_op is None:
-            act = task.activation
-            node = act.template.nodes[task.node_id]
-            kind = node.kind
-            if kind is NodeKind.OP:
-                key = id(node)
-                plan = self._op_plans.get(key, _NO_PLAN)
-                if plan is _NO_PLAN:
-                    plan = self._build_op_plan(node)
-                    self._op_plans[key] = plan
-                if plan is not None:
-                    return self._fire_op_inline(task, act, node, plan, home)
-            elif kind is NodeKind.IF:
-                # Direct dispatch for the other hot kinds, skipping the
-                # generic begin_fire framing (FireOutcome allocation and
-                # the full kind ladder).  Bookkeeping mirrors begin_fire.
-                act.fired += 1
-                self.stats.tasks_fired += 1
-                newly: list[Task] = []
-                self._fire_if(act, task.node_id, node, newly)
-                self._maybe_free(act)
-                return newly
-            elif kind is NodeKind.CONST:
-                act.fired += 1
-                self.stats.tasks_fired += 1
-                newly = []
-                self._deliver_output(act, task.node_id, 0, node.value, 0, newly)
-                self._maybe_free(act)
-                return newly
-            elif kind is NodeKind.CALL:
-                act.fired += 1
-                self.stats.tasks_fired += 1
-                newly = []
-                pending = self._fire_call(
-                    act, task.node_id, node, newly, home, None
-                )
-                if pending is None:
-                    self._maybe_free(act)
-                    return newly
-                pending.seq = task.seq
-                pending.priority = task.priority
-                spec = pending.spec
-                try:
-                    if self.profile_ops:
-                        t_body = _perf_counter()
-                        raw_result = spec.fn(*pending.args)
-                        self.stats.op_body_seconds += (
-                            _perf_counter() - t_body
-                        )
-                    else:
-                        raw_result = spec.fn(*pending.args)
-                except Exception as exc:  # noqa: BLE001 - wrapped, re-raised
-                    raise OperatorError(
-                        spec.name, exc, node_id=pending.node_id
-                    ) from exc
-                newly.extend(self.complete_fire(pending, raw_result))
-                return newly
-        outcome = self.begin_fire(task, home=home)
-        pending = outcome.pending
+        act = task.activation
+        node = act.template.nodes[task.node_id]
+        if node.kind is NodeKind.OP and run_op is None:
+            plan = self._op_plans.get(id(node)) or self._build_op_plan(node)
+            if plan[-1]:
+                return self._fire_op_inline(task, act, node, plan, home)
+        newly: list[Task] = []
+        pending = self._fire_node(task, act, node, newly, home, None)
         if pending is None:
-            return outcome.newly
+            return newly
         spec = pending.spec
         try:
             if run_op is not None:
-                raw_result = run_op(spec, pending.args)
+                raw_result = run_op(spec, pending.args, pending.node_id)
             elif self.profile_ops:
                 t_body = _perf_counter()
                 raw_result = spec.fn(*pending.args)
@@ -524,26 +492,24 @@ class ExecutionState:
                 raw_result = spec.fn(*pending.args)
         except OperatorError:
             raise  # already wrapped (e.g. by a retrying run_op)
-        except Exception as exc:  # noqa: BLE001 - wrapped and re-raised
-            raise OperatorError(spec.name, exc, node_id=pending.node_id) from exc
-        newly = outcome.newly
+        except Exception as exc:  # noqa: BLE001 - retried or wrapped
+            raw_result = self._body_failed(
+                spec, pending.args, pending.node_id, exc
+            )
         newly.extend(self.complete_fire(pending, raw_result))
         return newly
 
-    def _build_op_plan(self, node: Node) -> tuple | None:
-        """Precompute the inline fast-path plan for one ``OP`` node.
+    def _build_op_plan(self, node: Node) -> tuple:
+        """Compute and cache the per-node constants of one ``OP`` node.
 
-        Returns ``None`` when the node needs the generic begin/complete
-        path: purity checking (fingerprint bookkeeping) or a static arity
-        mismatch (the generic path raises the canonical error).
-        Everything here is a per-node constant, so the decision is made
-        once and cached.
+        ``(spec, fn, untuple_n, n_source_ops, is_fused, donated,
+        arg_codes, single_pass)``.  ``arg_codes`` is what :meth:`_bind`
+        reads; ``single_pass`` is False when the firing must suspend
+        whoever drives it: purity checking (the fingerprints live on the
+        :class:`PendingOp`) or a static arity mismatch (the begin path
+        raises the canonical error).
         """
-        if self.check_purity:
-            return None
         spec = self.op_spec(node)
-        if spec.arity is not None and spec.arity != len(node.inputs):
-            return None
         fused = node.fused
         if fused is not None:
             untuple_n = fused[1]
@@ -552,27 +518,18 @@ class ExecutionState:
             untuple_n = 0
             n_source_ops = 1
         donated = node.donated if node.donated is not None else ()
-        modifies = spec.modifies
-        if modifies:
-            # Per-argument action codes, folding the two set-membership
-            # probes (``i in modifies`` / ``i in donated``) into one tuple
-            # index: 0 = read-only, 1 = modified + donated, 2 = modified.
-            arg_codes: tuple[int, ...] | None = tuple(
-                (1 if i in donated else 2) if i in modifies else 0
-                for i in range(len(node.inputs))
-            )
-        else:
-            arg_codes = None
-        return (
+        n = len(node.inputs)
+        plan = self._op_plans[id(node)] = (
             spec,
             spec.fn,
             untuple_n,
             n_source_ops,
             fused is not None,
-            modifies,
             donated,
-            arg_codes,
+            _arg_codes(spec, n, donated),
+            not self.check_purity and spec.arity in (None, n),
         )
+        return plan
 
     def _fire_op_inline(
         self,
@@ -582,43 +539,28 @@ class ExecutionState:
         plan: tuple,
         home: int,
     ) -> list[Task]:
-        """One pure ``OP`` firing, begun and committed in a single pass.
+        """One pure ``OP`` firing in a single pass: bind, body, commit.
 
-        Semantically identical to ``begin_fire`` + ``complete_fire`` for
-        the shapes :meth:`_build_op_plan` admits — same stats, same event
-        order, same error texts, same wrap/deliver/release discipline —
-        minus the :class:`PendingOp` suspension a synchronous firing never
-        needs.  ``OpStarted``/``OpFinished`` bracket only the operator
-        body, so generated codegen frames attribute to ``operator_body``
-        in the critical-path profile, keeping the reconciliation bound.
+        The same two halves :meth:`begin_fire` and :meth:`complete_fire`
+        run either side of a suspension, minus the :class:`PendingOp` a
+        synchronous firing never needs.  ``OpStarted``/``OpFinished``
+        bracket only the operator body, so generated codegen frames
+        attribute to ``operator_body`` in the critical-path profile,
+        keeping the reconciliation bound.
         """
         node_id = task.node_id
         act.fired += 1
         stats = self.stats
         stats.tasks_fired += 1
-        stats.ops_executed += 1
-        (
-            spec,
-            fn,
-            untuple_n,
-            n_source_ops,
-            is_fused,
-            modifies,
-            donated,
-            arg_codes,
-        ) = plan
-        if is_fused:
-            stats.fused_fires += 1
-            stats.fused_ops_saved += n_source_ops - 1
-        bus = self.bus
-        # The live slots row, not a copy: the activation is pinned for the
-        # duration of this call, and a node fires exactly once, so nothing
-        # can write the row while we hold it (take_inputs adds a readiness
-        # assert and is kept for the generic path).
+        spec, fn, untuple_n, n_source_ops, is_fused, donated, codes, _ = plan
+        # The live slots row, not a copy: the activation is pinned until
+        # the commit below ends, and a node fires exactly once, so
+        # nothing can write the row while we hold it.
         inputs = act.slots[node_id]
-        args: list[Any] = []
-        arg_blocks: list[DataBlock | None] = []
-        if arg_codes is None:
+        if codes is None:
+            # The body writes none of its arguments: nothing to decide.
+            args: list[Any] = []
+            arg_blocks: list[DataBlock | None] = []
             for v in inputs:
                 if type(v) is DataBlock:
                     args.append(v.payload)
@@ -627,68 +569,14 @@ class ExecutionState:
                     args.append(_payload_of(v))
                     arg_blocks.append(None)
         else:
-            # Mirror of the _begin_operator argument loop for the local,
-            # non-purity-checked case; any semantic change there must be
-            # made here too.
-            for i, v in enumerate(inputs):
-                code = arg_codes[i]
-                if type(v) is DataBlock:
-                    if code:
-                        if v.rc == 1:
-                            stats.in_place_writes += 1
-                            if v.bid is not None:
-                                # Same invalidate-before-write discipline
-                                # as _begin_operator's modifies branch:
-                                # this local single-pass fire mutates the
-                                # payload workers may hold resident.
-                                if self.locality is not None:
-                                    self.locality.forget(v)
-                                v.bid = None
-                            if code == 1:
-                                stats.copies_avoided += 1
-                                stats.bytes_copy_avoided += v.nbytes
-                                if self._wants_donation:
-                                    bus.emit(
-                                        DonationApplied(
-                                            bus.now(), spec.name, v.nbytes
-                                        )
-                                    )
-                            # Only now, after the reads above saw the
-                            # pre-write size (see _begin_operator).
-                            v.drop_size()
-                            args.append(v.payload)
-                            arg_blocks.append(v)
-                        else:
-                            if code == 1:
-                                stats.donation_misses += 1
-                            stats.cow_copies += 1
-                            stats.copies_by_operator[spec.name] = (
-                                stats.copies_by_operator.get(spec.name, 0) + 1
-                            )
-                            stats.copy_bytes_by_operator[spec.name] = (
-                                stats.copy_bytes_by_operator.get(spec.name, 0)
-                                + v.nbytes
-                            )
-                            if self._wants_cow:
-                                bus.emit(CowCopy(bus.now(), spec.name, v.nbytes))
-                            fresh = self._cow_copy(v, home, spec.name)
-                            # An alloc observer may have sized the copy.
-                            fresh.drop_size()
-                            args.append(fresh.payload)
-                            arg_blocks.append(fresh)
-                    else:
-                        args.append(v.payload)
-                        arg_blocks.append(v)
-                else:
-                    if code and isinstance(v, MultiValue):
-                        raise RuntimeFailure(
-                            f"operator {spec.name!r} declares it modifies "
-                            f"argument {i}, which is a multiple-value "
-                            "package; split the package and pass the parts "
-                            "instead"
-                        )
-                    args.append(_payload_of(v))
-                    arg_blocks.append(None)
+            args, arg_blocks = self._bind(
+                spec, inputs, codes, home, False, None
+            )
+        stats.ops_executed += 1
+        if is_fused:
+            stats.fused_fires += 1
+            stats.fused_ops_saved += n_source_ops - 1
+        bus = self.bus
         op_began: float | None = None
         wants_finished = self._wants_op_finished
         if bus is not None:
@@ -712,117 +600,17 @@ class ExecutionState:
         if wants_finished:
             op_ended = now()
             bus.emit(OpFinished(op_ended, spec.name, op_ended - op_began))
-        # Pin the activation across delivery exactly as a pending op
+        # Pin the activation across the commit exactly as a pending op
         # would: a delivered result may mark it done mid-loop, and the
         # pin keeps the recycling check from freeing it under our feet.
         act.pend_ops += 1
-        newly: list[Task] = []
-        # Inlined _deliver_output, specialized for carried_share == 0 and
-        # the hook-free retain fast case; the result port falls back to
-        # _handle_result exactly as the generic delivery does.
-        template = act.template
-        consumers_by_out = template.consumers[node_id]
-        result_node = template.result_node
-        result_out = template.result_out
-        slots = act.slots
-        missing = act.missing
-        priorities = template.priorities
-        hook = _blocks._BLOCK_HOOK
-        wants_enqueued = self._wants_enqueued
-        if untuple_n:
-            if not isinstance(raw_result, tuple):
-                raise RuntimeFailure(
-                    f"cannot decompose non-package value {raw_result!r} "
-                    f"(fused node {node.label!r} in {act.template.name!r})"
-                )
-            if len(raw_result) != untuple_n:
-                raise RuntimeFailure(
-                    f"package of {len(raw_result)} value(s) decomposed into "
-                    f"{untuple_n} name(s) in {act.template.name!r}"
-                )
-            outputs = enumerate(raw_result)
-        else:
-            outputs = ((0, raw_result),)
-        for out, element in outputs:
-            # Inline _wrap_result's two dominant shapes — the merging
-            # idiom (the operator returned one of its input payloads,
-            # keeping that block's identity) and a fresh opaque result.
-            # Tuples (→ MultiValue) and ndarray results (input-view
-            # aliasing check) still take the full path.
-            if isinstance(element, (tuple, np.ndarray)):
-                value = self._wrap_result(element, arg_blocks, home, donated)
-            else:
-                for b in arg_blocks:
-                    if b is not None and b.payload is element:
-                        if home >= 0:
-                            b.home = home
-                        value = b
-                        break
-                else:
-                    value = wrap_payload(element, home)
-            consumers = consumers_by_out[out]
-            is_result = result_node == node_id and result_out == out
-            shares = len(consumers) + 1 if is_result else len(consumers)
-            if shares:
-                if type(value) is DataBlock and hook is None:
-                    value.rc += shares
-                else:
-                    retain(value, shares)
-            if wants_enqueued:
-                for dest, idx in consumers:
-                    slots[dest][idx] = value
-                    left = missing[dest] - 1
-                    missing[dest] = left
-                    if left == 0:
-                        newly.append(self._task(act, dest))
-            else:
-                seq = self._task_seq
-                for dest, idx in consumers:
-                    slots[dest][idx] = value
-                    left = missing[dest] - 1
-                    missing[dest] = left
-                    if left == 0:
-                        seq += 1
-                        newly.append(Task(act, dest, priorities[dest], seq))
-                self._task_seq = seq
-            if is_result:
-                self._handle_result(act, value, newly)
-        for v in inputs:
-            # Inline ``release`` for bare blocks with no hook attached;
-            # the slow call keeps the canonical negative-rc error.
-            if type(v) is DataBlock and hook is None and v.rc > 0:
-                v.rc -= 1
-            else:
-                release(v, 1)
-        if donated:
-            # After the releases, exactly like complete_fire: a donated
-            # input that just died (rc 0) can hand its buffer to the pool
-            # unless the result may alias it.
-            for i in donated:
-                if i >= len(inputs):
-                    continue
-                v = inputs[i]
-                if (
-                    isinstance(v, DataBlock)
-                    and v.rc == 0
-                    and isinstance(v.payload, np.ndarray)
-                    and not _may_alias(raw_result, v.payload)
-                ):
-                    self.buffers.put(v.payload)
-        act.pend_ops -= 1
-        # Inlined _maybe_free.
-        if (
-            act.result_done
-            and act.fired >= act.fireable
-            and act.pend_children == 0
-            and act.pend_ops == 0
-        ):
-            act.result_done = False
-            self.pool.release(act)
-        return newly
+        return self._commit(
+            act, node_id, untuple_n, raw_result, arg_blocks, inputs,
+            donated, home, False, None,
+        )
 
     def _body_failed(
-        self, spec: OperatorSpec, args: list[Any], node_id: int, exc: Exception
+        self, spec: OperatorSpec, args: Any, node_id: int, exc: Exception
     ) -> Any:
         if self.recover_op is None:
             raise OperatorError(spec.name, exc, node_id=node_id) from exc
@@ -846,10 +634,8 @@ class ExecutionState:
         """
         act = task.activation
         node = act.template.nodes[task.node_id]
-        plan = self._op_plans.get(id(node), _NO_PLAN)
-        if plan is _NO_PLAN:
-            plan = self._op_plans[id(node)] = self._build_op_plan(node)
-        if plan is not None:
+        plan = self._op_plans.get(id(node)) or self._build_op_plan(node)
+        if plan[-1]:
             if classify is None or not classify(
                 plan[0], tuple(map(_payload_of, act.slots[task.node_id]))
             ):
@@ -871,15 +657,49 @@ class ExecutionState:
         does the isolating).
         """
         act = task.activation
+        newly: list[Task] = []
+        pending = self._fire_node(
+            task, act, act.template.nodes[task.node_id], newly, home, classify
+        )
+        return FireOutcome(newly, pending)
+
+    def _fire_node(
+        self,
+        task: Task,
+        act: Activation,
+        node: Node,
+        newly: list[Task],
+        home: int,
+        classify: Classify | None,
+    ) -> PendingOp | None:
+        """The kind ladder: fire ``node``, or suspend it at its body.
+
+        Appends the tasks made ready to ``newly``; returns the
+        :class:`PendingOp` of a firing that stopped at the compute
+        boundary, ``None`` when the node completed here.
+        """
         node_id = task.node_id
-        node: Node = act.template.nodes[node_id]
         act.fired += 1
         self.stats.tasks_fired += 1
-        newly: list[Task] = []
         kind = node.kind
-
-        if kind is NodeKind.CONST:
+        pending: PendingOp | None = None
+        if kind is NodeKind.IF:
+            self._fire_if(act, node_id, node, newly)
+        elif kind is NodeKind.CALL:
+            pending = self._fire_call(act, node_id, node, newly, home, classify)
+        elif kind is NodeKind.CONST:
             self._deliver_output(act, node_id, 0, node.value, 0, newly)
+        elif kind is NodeKind.OP:
+            inputs = act.take_inputs(node_id)
+            pending = self._begin_operator(
+                act,
+                node_id,
+                self._op_plans.get(id(node)) or self._build_op_plan(node),
+                inputs,
+                inputs,
+                home,
+                classify,
+            )
         elif kind is NodeKind.OPREF:
             self._deliver_output(act, node_id, 0, OperatorValue(node.name), 0, newly)
         elif kind is NodeKind.TUPLE:
@@ -915,29 +735,16 @@ class ExecutionState:
             # captured block is always treated as shared (conservative,
             # documented in blocks.py).
             self._deliver_output(act, node_id, 0, closure, 0, newly)
-        elif kind is NodeKind.OP:
-            inputs = act.take_inputs(node_id)
-            spec = self.op_spec(node)
-            pending = self._begin_operator(
-                act, node_id, spec, list(inputs), list(inputs), home, classify,
-                donated=node.donated,
-            )
-            pending.seq = task.seq
-            pending.priority = task.priority
-            return FireOutcome(newly, pending)
-        elif kind is NodeKind.CALL:
-            pending = self._fire_call(act, node_id, node, newly, home, classify)
-            if pending is not None:
-                pending.seq = task.seq
-                pending.priority = task.priority
-                return FireOutcome(newly, pending)
-        elif kind is NodeKind.IF:
-            self._fire_if(act, node_id, node, newly)
         else:  # pragma: no cover - placeholders never reach the queue
             raise GraphError(f"cannot fire node of kind {kind}")
-
-        self._maybe_free(act)
-        return FireOutcome(newly)
+        if pending is None:
+            self._maybe_free(act)
+        else:
+            # The task's identity rides on the firing so executor-emitted
+            # spans for its body join their TaskEnqueued on (seq, priority).
+            pending.seq = task.seq
+            pending.priority = task.priority
+        return pending
 
     def begin_fires(
         self,
@@ -991,7 +798,6 @@ class ExecutionState:
         (commit time minus ``op_began``) would report the dispatch→commit
         round trip, not the operator, for every remote firing.
         """
-        act = pending.activation
         spec = pending.spec
         if pending.committed:
             raise RuntimeFailure(
@@ -1000,8 +806,8 @@ class ExecutionState:
                 "to complete_fire() more than once"
             )
         pending.committed = True
-        bus = self.bus
         if self._wants_op_finished:
+            bus = self.bus
             op_ended = bus.now()
             if op_seconds is None:
                 began = (
@@ -1009,52 +815,162 @@ class ExecutionState:
                 )
                 op_seconds = op_ended - began
             bus.emit(OpFinished(op_ended, spec.name, op_seconds))
-        if self.check_purity and not pending.remote:
-            for i, fp in pending.fingerprints:
-                block = pending.op_inputs[i]
-                assert isinstance(block, DataBlock)
-                if _fingerprint(block.payload) != fp:
-                    raise PurityViolationError(
-                        f"operator {spec.name!r} modified argument {i} "
-                        "without declaring it in modifies=(...)"
-                    )
+        for i, fp in pending.fingerprints:
+            if _fingerprint(pending.op_inputs[i].payload) != fp:
+                raise PurityViolationError(
+                    f"operator {spec.name!r} modified argument {i} "
+                    "without declaring it in modifies=(...)"
+                )
+        act = pending.activation
+        fused = act.template.nodes[pending.node_id].fused
+        return self._commit(
+            act,
+            pending.node_id,
+            fused[1] if fused is not None else 0,
+            raw_result,
+            pending.arg_blocks,
+            pending.all_inputs,
+            pending.donated,
+            pending.home,
+            pending.remote,
+            pending,
+        )
+
+    def _commit(
+        self,
+        act: Activation,
+        node_id: int,
+        untuple_n: int,
+        raw_result: Any,
+        arg_blocks: list[DataBlock | None],
+        inputs: list[Any],
+        donated: tuple[int, ...],
+        home: int,
+        remote: bool,
+        pending: PendingOp | None,
+    ) -> list[Task]:
+        """The commit half of every operator firing.
+
+        Checks a fused untuple, wraps and delivers the result, releases
+        the firing's share of every edge value in ``inputs``, offers dead
+        donated buffers to the pool, and unpins the activation (the
+        caller pinned it with ``pend_ops``).  ``donated`` indexes
+        ``inputs``: only ``OP`` nodes carry donation facts, and all of an
+        ``OP`` node's inputs are operator arguments.
+        """
         newly: list[Task] = []
-        node = act.template.nodes[pending.node_id]
-        donated = pending.donated if pending.donated is not None else ()
-        fused = node.fused
-        if fused is not None and fused[1]:
+        # Inlined _deliver_output, specialized for carried_share == 0 and
+        # the hook-free retain fast case; the result port falls back to
+        # _handle_result exactly as the generic delivery does.
+        template = act.template
+        consumers_by_out = template.consumers[node_id]
+        result_node = template.result_node
+        result_out = template.result_out
+        slots = act.slots
+        missing = act.missing
+        priorities = template.priorities
+        hook = _blocks._BLOCK_HOOK
+        wants_enqueued = self._wants_enqueued
+        if untuple_n:
             # Fused chain ending in an absorbed untuple: the final step's
             # raw tuple is delivered element-by-element to this node's
             # output ports, exactly as the standalone UNTUPLE would have
             # delivered the elements of the MultiValue it unpacked.
-            untuple_n = fused[1]
             if not isinstance(raw_result, tuple):
                 raise RuntimeFailure(
                     f"cannot decompose non-package value {raw_result!r} "
-                    f"(fused node {node.label!r} in {act.template.name!r})"
+                    f"(fused node {template.nodes[node_id].label!r} in "
+                    f"{template.name!r})"
                 )
             if len(raw_result) != untuple_n:
                 raise RuntimeFailure(
                     f"package of {len(raw_result)} value(s) decomposed into "
-                    f"{untuple_n} name(s) in {act.template.name!r}"
+                    f"{untuple_n} name(s) in {template.name!r}"
                 )
-            for i, element in enumerate(raw_result):
-                value = self._wrap_result(
-                    element, pending.arg_blocks, pending.home, donated
-                )
-                self._deliver_output(act, pending.node_id, i, value, 0, newly)
+            outputs = enumerate(raw_result)
         else:
-            result = self._wrap_result(
-                raw_result, pending.arg_blocks, pending.home, donated
-            )
-            pending.result_value = result
-            self._deliver_output(act, pending.node_id, 0, result, 0, newly)
-        for v in pending.all_inputs:
-            release(v, 1)
-        if donated:
-            self._recycle_dead_inputs(pending, raw_result)
+            outputs = ((0, raw_result),)
+        for out, element in outputs:
+            # Inline _wrap_result's two dominant shapes — the merging
+            # idiom (the operator returned one of its input payloads,
+            # keeping that block's identity) and a fresh opaque result.
+            # Tuples (→ MultiValue) and ndarray results (input-view
+            # aliasing check) still take the full path.
+            if isinstance(element, (tuple, np.ndarray)):
+                value = self._wrap_result(element, arg_blocks, home, donated)
+            else:
+                for b in arg_blocks:
+                    if b is not None and b.payload is element:
+                        if home >= 0:
+                            b.home = home
+                        value = b
+                        break
+                else:
+                    value = wrap_payload(element, home)
+            consumers = consumers_by_out[out]
+            is_result = result_node == node_id and result_out == out
+            shares = len(consumers) + 1 if is_result else len(consumers)
+            if shares:
+                if type(value) is DataBlock and hook is None:
+                    value.rc += shares
+                else:
+                    retain(value, shares)
+            if wants_enqueued:
+                for dest, idx in consumers:
+                    slots[dest][idx] = value
+                    left = missing[dest] - 1
+                    missing[dest] = left
+                    if left == 0:
+                        newly.append(self._task(act, dest))
+            else:
+                seq = self._task_seq
+                for dest, idx in consumers:
+                    slots[dest][idx] = value
+                    left = missing[dest] - 1
+                    missing[dest] = left
+                    if left == 0:
+                        seq += 1
+                        newly.append(Task(act, dest, priorities[dest], seq))
+                self._task_seq = seq
+            if is_result:
+                self._handle_result(act, value, newly)
+        if pending is not None and not untuple_n:
+            pending.result_value = value
+        for v in inputs:
+            # Inline ``release`` for bare blocks with no hook attached;
+            # the slow call keeps the canonical negative-rc error.
+            if type(v) is DataBlock and hook is None and v.rc > 0:
+                v.rc -= 1
+            else:
+                release(v, 1)
+        # After the releases: a donated input that just died (rc 0) can
+        # hand its buffer to the pool.  Only provably safe buffers are
+        # pooled: a bare owning array (the pool enforces the shape of
+        # reusable buffers) that the raw result does not alias — a remote
+        # result never can (it was deserialized from the worker), a local
+        # one is walked structurally, and opaque application objects are
+        # conservatively assumed to hold views.
+        for i in donated:
+            if i >= len(inputs):
+                continue
+            v = inputs[i]
+            if (
+                isinstance(v, DataBlock)
+                and v.rc == 0
+                and isinstance(v.payload, np.ndarray)
+                and (remote or not _may_alias(raw_result, v.payload))
+            ):
+                self.buffers.put(v.payload)
         act.pend_ops -= 1
-        self._maybe_free(act)
+        # Inlined _maybe_free.
+        if (
+            act.result_done
+            and act.fired >= act.fireable
+            and act.pend_children == 0
+            and act.pend_ops == 0
+        ):
+            act.result_done = False
+            self.pool.release(act)
         return newly
 
     @property
@@ -1276,121 +1192,39 @@ class ExecutionState:
         self,
         act: Activation,
         node_id: int,
-        spec: OperatorSpec,
+        plan: tuple,
         op_inputs: list[Any],
         all_inputs: list[Any],
         home: int,
         classify: Classify | None,
-        donated: tuple[int, ...] | None = None,
     ) -> PendingOp:
+        """The begin half of a suspended operator firing: bind, pin, announce."""
+        spec, _, _, n_source_ops, is_fused, donated, codes, _ = plan
         if spec.arity is not None and spec.arity != len(op_inputs):
             raise RuntimeFailure(
                 f"operator {spec.name!r} takes {spec.arity} argument(s), "
                 f"got {len(op_inputs)}"
             )
-        remote = False
-        if classify is not None:
-            remote = classify(
-                spec, tuple(_payload_of(v) for v in op_inputs)
-            )
-        bus = self.bus
-        donated_set: tuple[int, ...] = donated if donated is not None else ()
-        args: list[Any] = []
-        arg_blocks: list[DataBlock | None] = []
+        remote = classify is not None and classify(
+            spec, tuple(map(_payload_of, op_inputs))
+        )
         fingerprints: list[tuple[int, object]] = []
-        for i, v in enumerate(op_inputs):
-            if isinstance(v, DataBlock):
-                if i in spec.modifies:
-                    if v.unique():
-                        self.stats.in_place_writes += 1
-                        if v.bid is not None and not remote:
-                            # The operator body is about to mutate this
-                            # payload in place while workers may hold
-                            # resident copies keyed by its block id:
-                            # invalidate before the bytes change.  (A
-                            # remote fire leaves the master copy intact —
-                            # serialization isolates the worker's write.)
-                            if self.locality is not None:
-                                self.locality.forget(v)
-                            v.bid = None
-                        if i in donated_set:
-                            # The compiler proved this is the edge's last
-                            # use, so the in-place handoff is statically
-                            # discharged — a copy-always engine would have
-                            # copied here.  (The ``unique()`` guard above
-                            # stays: dynamic aliasing through closures or
-                            # re-converging calls is invisible statically.)
-                            self.stats.copies_avoided += 1
-                            self.stats.bytes_copy_avoided += v.nbytes
-                            if bus is not None and bus.wants(DonationApplied):
-                                bus.emit(
-                                    DonationApplied(
-                                        bus.now(), spec.name, v.nbytes
-                                    )
-                                )
-                        # The size is a function of the current payload:
-                        # forget it once the reads above have seen the
-                        # pre-write value, so a body that resizes the
-                        # payload cannot leave it stale.  (Harmless on a
-                        # remote fire, which writes the worker's copy.)
-                        v.drop_size()
-                        args.append(v.payload)
-                        arg_blocks.append(v)
-                    else:
-                        if i in donated_set:
-                            # Annotated donated but dynamically shared:
-                            # fall back to copy-on-write, which is always
-                            # correct; record the miss for observability.
-                            self.stats.donation_misses += 1
-                        self.stats.cow_copies += 1
-                        self.stats.copies_by_operator[spec.name] = (
-                            self.stats.copies_by_operator.get(spec.name, 0) + 1
-                        )
-                        self.stats.copy_bytes_by_operator[spec.name] = (
-                            self.stats.copy_bytes_by_operator.get(spec.name, 0)
-                            + v.nbytes
-                        )
-                        if bus is not None and bus.wants(CowCopy):
-                            bus.emit(
-                                CowCopy(bus.now(), spec.name, v.nbytes)
-                            )
-                        if remote:
-                            # Serialization to the worker is the copy; the
-                            # decision is still counted above so COW stats
-                            # stay comparable across executors.
-                            args.append(v.payload)
-                            arg_blocks.append(v)
-                        else:
-                            fresh = self._cow_copy(v, home, spec.name)
-                            # An alloc observer may have sized the copy.
-                            fresh.drop_size()
-                            args.append(fresh.payload)
-                            arg_blocks.append(fresh)
-                else:
-                    args.append(v.payload)
-                    arg_blocks.append(v)
-                    if self.check_purity and not remote:
-                        fingerprints.append((i, _fingerprint(v.payload)))
-            else:
-                if i in spec.modifies and isinstance(v, MultiValue):
-                    raise RuntimeFailure(
-                        f"operator {spec.name!r} declares it modifies "
-                        f"argument {i}, which is a multiple-value package; "
-                        "split the package and pass the parts instead"
-                    )
-                args.append(_payload_of(v))
-                arg_blocks.append(None)
-
-        self.stats.ops_executed += 1
-        fused = act.template.nodes[node_id].fused
-        if fused is not None:
-            n_source_ops = len(fused[0]) + (1 if fused[1] else 0)
-            self.stats.fused_fires += 1
-            self.stats.fused_ops_saved += n_source_ops - 1
-        else:
-            n_source_ops = 1
+        args, arg_blocks = self._bind(
+            spec,
+            op_inputs,
+            codes,
+            home,
+            remote,
+            fingerprints if self.check_purity and not remote else None,
+        )
+        stats = self.stats
+        stats.ops_executed += 1
+        if is_fused:
+            stats.fused_fires += 1
+            stats.fused_ops_saved += n_source_ops - 1
         act.pend_ops += 1
         op_began: float | None = None
+        bus = self.bus
         if bus is not None:
             # The subscriber-set snapshot lets an unsubscribed event skip
             # both the object construction and the clock read — the
@@ -1414,6 +1248,96 @@ class ExecutionState:
             op_began=op_began,
             donated=donated,
         )
+
+    def _bind(
+        self,
+        spec: OperatorSpec,
+        inputs: list[Any],
+        codes: tuple[int, ...] | None,
+        home: int,
+        remote: bool,
+        fingerprints: list[tuple[int, object]] | None,
+    ) -> tuple[list[Any], list[DataBlock | None]]:
+        """Turn a firing's operator inputs into call arguments.
+
+        The one place the in-place / copy-on-write / donation decision is
+        made, for the single-pass fire and for :meth:`begin_fire` alike.
+        ``codes`` (see :func:`_arg_codes`) says which arguments the body
+        writes.  ``remote`` — the body will run in another process —
+        counts every decision but skips the physical copy and the
+        residency invalidation: serialization isolates the worker's
+        write and leaves the master's bytes intact.  ``fingerprints``,
+        when a list, collects the purity fingerprints of the read-only
+        block arguments.  Returns the payloads and, aligned with them,
+        the blocks a result may reuse the identity of.
+        """
+        args: list[Any] = []
+        arg_blocks: list[DataBlock | None] = []
+        stats = self.stats
+        bus = self.bus
+        for i, v in enumerate(inputs):
+            code = codes[i] if codes is not None else 0
+            if type(v) is not DataBlock:
+                if code and isinstance(v, MultiValue):
+                    raise RuntimeFailure(
+                        f"operator {spec.name!r} declares it modifies "
+                        f"argument {i}, which is a multiple-value package; "
+                        "split the package and pass the parts instead"
+                    )
+                args.append(_payload_of(v))
+                arg_blocks.append(None)
+                continue
+            if not code:
+                if fingerprints is not None:
+                    fingerprints.append((i, _fingerprint(v.payload)))
+            elif v.rc == 1:
+                stats.in_place_writes += 1
+                if v.bid is not None and not remote:
+                    # The body is about to mutate this payload in place
+                    # while workers may hold resident copies keyed by its
+                    # block id: invalidate before the bytes change.
+                    if self.locality is not None:
+                        self.locality.forget(v)
+                    v.bid = None
+                if code == 1:
+                    # The compiler proved this is the edge's last use, so
+                    # the in-place handoff is statically discharged — a
+                    # copy-always engine would have copied here.  (The
+                    # ``rc == 1`` guard above stays: dynamic aliasing
+                    # through closures or re-converging calls is
+                    # invisible statically.)
+                    stats.copies_avoided += 1
+                    stats.bytes_copy_avoided += v.nbytes
+                    if self._wants_donation:
+                        bus.emit(
+                            DonationApplied(bus.now(), spec.name, v.nbytes)
+                        )
+                # The size is a function of the current payload: forget
+                # it once the reads above have seen the pre-write value,
+                # so a body that resizes the payload cannot leave it
+                # stale.
+                v.drop_size()
+            else:
+                if code == 1:
+                    # Annotated donated but dynamically shared: fall back
+                    # to copy-on-write, which is always correct; record
+                    # the miss for observability.
+                    stats.donation_misses += 1
+                stats.cow_copies += 1
+                name = spec.name
+                by_op = stats.copies_by_operator
+                by_op[name] = by_op.get(name, 0) + 1
+                by_op = stats.copy_bytes_by_operator
+                by_op[name] = by_op.get(name, 0) + v.nbytes
+                if self._wants_cow:
+                    bus.emit(CowCopy(bus.now(), name, v.nbytes))
+                if not remote:
+                    v = self._cow_copy(v, home, name)
+                    # An alloc observer may have sized the copy.
+                    v.drop_size()
+            args.append(v.payload)
+            arg_blocks.append(v)
+        return args, arg_blocks
 
     def _cow_copy(self, v: DataBlock, home: int, op_name: str) -> DataBlock:
         """Copy-on-write copy, reusing a pooled buffer when one fits.
@@ -1480,29 +1404,6 @@ class ExecutionState:
                     break
         return wrap_payload(raw, home)
 
-    def _recycle_dead_inputs(self, pending: PendingOp, raw_result: Any) -> None:
-        """Offer donated inputs that died at rc→0 to the buffer pool.
-
-        Only provably safe buffers are pooled: the payload must be a bare
-        owning array (the pool enforces the shape of reusable buffers),
-        and the raw result must not alias it — a remote result never can
-        (it was deserialized from the worker), a local result is walked
-        structurally, and opaque application objects are conservatively
-        assumed to hold views.
-        """
-        assert pending.donated is not None
-        for i in pending.donated:
-            if i >= len(pending.op_inputs):
-                continue
-            v = pending.op_inputs[i]
-            if (
-                isinstance(v, DataBlock)
-                and v.rc == 0
-                and isinstance(v.payload, np.ndarray)
-                and (pending.remote or not _may_alias(raw_result, v.payload))
-            ):
-                self.buffers.put(v.payload)
-
     # ------------------------------------------------------------------
     def _fire_call(
         self,
@@ -1516,9 +1417,18 @@ class ExecutionState:
         inputs = act.take_inputs(node_id)
         callee, call_args = inputs[0], list(inputs[1:])
         if isinstance(callee, OperatorValue):
+            # The callee is known only now, so its constants are too: a
+            # plan like an ``OP`` node's, with no fusion or donation facts.
             spec = self.registry.get(callee.name)
+            codes = _arg_codes(spec, len(call_args), ())
             return self._begin_operator(
-                act, node_id, spec, call_args, list(inputs), home, classify
+                act,
+                node_id,
+                (spec, spec.fn, 0, 1, False, (), codes, False),
+                call_args,
+                inputs,
+                home,
+                classify,
             )
         if isinstance(callee, Closure):
             self._expand(

@@ -1,22 +1,32 @@
-"""Executors: policies for driving an :class:`ExecutionState`.
+"""Executors: one firing loop, and three places a suspended body can run.
 
-* :class:`SequentialExecutor` — one logical processor; the reference
-  executor and the debugging story of the paper ("we generally debug
-  programs on a single-processor workstation").
-* :class:`ThreadedExecutor` — real OS threads sharing the ready queue.
-  Engine bookkeeping is serialized under one lock; operator bodies run
-  outside it, so threads overlap wherever a kernel releases the GIL.
-  Pure-Python operators still serialize on the GIL itself — use
-  :class:`ProcessExecutor` for those.
-* :class:`ProcessExecutor` — deterministic firing semantics in the
-  master, operator *computation* on a persistent pool of worker
-  processes: true multi-core execution of the coordination graph, with
-  large NumPy payloads traveling through shared memory and cheap glue
-  operators kept in-process (see :mod:`repro.runtime.workers`).
+A run is a :class:`Run` — bus, engine state, ready queue, clock, run
+bracket, stall check — driving one loop (:meth:`Run.loop`): pop a ready
+task, look up its node's dispatch class, and either fire it whole or
+begin it and run its body *somewhere*.  The executors are that somewhere:
 
-All run every ready task to queue exhaustion and produce identical
-results — the coordination model's determinism guarantee, which the
-property tests hammer across all executors.
+* :class:`SequentialExecutor` — one logical processor; a suspended body
+  runs at once, where it was begun.  The reference executor and the
+  debugging story of the paper ("we generally debug programs on a
+  single-processor workstation").
+* :class:`ThreadedExecutor` — several threads drive the loop under one
+  engine lock and release it around each body, so threads overlap
+  wherever a kernel releases the GIL.  Pure-Python operators still
+  serialize on the GIL itself — use :class:`ProcessExecutor` for those.
+* :class:`ProcessExecutor` — bodies the dispatch policy picks go to a
+  supervised pool of worker processes (the
+  :class:`~repro.runtime.supervise.Supervisor` is the backend): true
+  multi-core execution, with large NumPy payloads traveling through
+  shared memory and cheap glue operators kept in-process (see
+  :mod:`repro.runtime.workers`).  A pool that cannot be built, or dies,
+  is swapped for one of the other two backends on the same run.
+
+Which path a firing takes is selected by what the run observes — a
+``TaskFired`` subscriber, a fault injector, ``check_purity``, a batch
+form, a cost hint — never by a switch.  All three run every ready task to
+queue exhaustion and produce identical results: the coordination model's
+determinism guarantee, which ``tests/test_executor_conformance.py``
+checks cell by cell.
 """
 
 from __future__ import annotations
@@ -25,15 +35,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
-from ..errors import (
-    DeliriumError,
-    OperatorError,
-    PoolIrrecoverableError,
-    RuntimeFailure,
-)
+from ..errors import PoolIrrecoverableError, RuntimeFailure
 from ..graph.ir import GraphProgram, NodeKind
 from ..obs.events import (
     BlockCached,
@@ -98,77 +102,6 @@ def resolve_bus(
     return bus, tracer
 
 
-def make_inline_run_op(
-    fault_policy: FaultPolicy | None,
-    fault_spec: Any,
-    stats: EngineStats,
-    bus: EventBus | None,
-) -> Any:
-    """Build the engine's ``run_op`` hook for in-process fault handling.
-
-    Returns ``None`` — the zero-overhead default — when neither a fault
-    policy nor a fault spec is configured, so ordinary runs pay nothing.
-    Otherwise operator bodies run through
-    :func:`~repro.runtime.supervise.run_with_retries` with the per-run
-    injector, and every retry is counted on ``stats`` and announced on
-    the bus.
-    """
-    if fault_policy is None and fault_spec is None:
-        return None
-    policy = fault_policy if fault_policy is not None else FaultPolicy()
-    injector = fault_spec.build() if fault_spec is not None else None
-    return partial(
-        run_counting_retries,
-        policy=policy, injector=injector, stats=stats, bus=bus,
-    )
-
-
-def run_counting_retries(
-    spec: Any,
-    args: Any,
-    node_id: int = -1,
-    failed: Exception | None = None,
-    *,
-    policy: FaultPolicy,
-    injector: Any,
-    stats: EngineStats,
-    bus: EventBus | None,
-) -> Any:
-    """:func:`run_with_retries`, then account for the retries it made.
-
-    A firing that ends in success bumps ``stats.fires_retried`` and
-    announces one :class:`FireRetried` per retry; one that exhausts its
-    budget raises before either.  (The threaded executor runs bodies off
-    the engine lock and calls :func:`count_retries` back under it.)
-    """
-    retries: list[int] = []
-    raw = run_with_retries(
-        spec, args, policy, injector, node_id=node_id,
-        on_retry=lambda n, exc: retries.append(n), failed=failed,
-    )
-    if retries:
-        count_retries(retries, spec.name, node_id, policy, stats, bus)
-    return raw
-
-
-def count_retries(
-    retries: list[int],
-    op_name: str,
-    node_id: int,
-    policy: FaultPolicy,
-    stats: EngineStats,
-    bus: EventBus | None,
-) -> None:
-    stats.fires_retried += len(retries)
-    if bus is not None and bus.wants(FireRetried):
-        now = bus.now()
-        for n in retries:
-            backoff = policy.backoff * (2 ** (n - 1)) if policy.backoff else 0.0
-            bus.emit(
-                FireRetried(now, op_name, -1, node_id, n + 1, "error", backoff)
-            )
-
-
 def batch_key(task: Task) -> tuple[int, int] | None:
     """Coalescing key for :meth:`ReadyQueue.pop_batch`.
 
@@ -187,49 +120,7 @@ def batch_key(task: Task) -> tuple[int, int] | None:
     return None
 
 
-def commit_batch(
-    state: ExecutionState,
-    queue: ReadyQueue,
-    bus: EventBus | None,
-    pendings: list[PendingOp],
-    raws: Any,
-    base: float,
-    seconds: float,
-    processor: int = 0,
-) -> None:
-    """Commit one vectorized in-process group in master-assigned order.
-
-    The tail every executor's local batch shares: the batch counters and
-    :class:`FireBatchFormed`, ``complete_fires`` with each member's share
-    of the kernel call's ``seconds``, then one :class:`TaskFired` span per
-    member laid end to end from ``base`` (the call's run-relative start).
-    """
-    spec = pendings[0].spec
-    per = seconds / len(pendings)
-    state.stats.fire_batches += 1
-    state.stats.batched_fires += len(pendings)
-    if bus is not None and bus.wants(FireBatchFormed):
-        bus.emit(
-            FireBatchFormed(
-                bus.now(), spec.name, pendings[0].node_id, len(pendings), False
-            )
-        )
-    queue.push_all(
-        state.complete_fires(list(zip(pendings, raws)), op_seconds=per)
-    )
-    if bus is not None and bus.wants(TaskFired):
-        for i, p in enumerate(pendings):
-            act = p.activation
-            bus.emit(
-                TaskFired(
-                    base + i * per, spec.name, "op", p.priority,
-                    act.template.name, act.aid, p.node_id, p.seq, per,
-                    processor,
-                )
-            )
-
-
-#: Dispatch classes of :meth:`ProcessExecutor._run_supervised`.
+#: Dispatch classes of :meth:`Run.loop`, decided once per node.
 _FIRE, _OP, _VECTOR, _CALL = range(4)
 
 
@@ -243,7 +134,626 @@ class RunResult:
     wall_seconds: float
 
 
-class SequentialExecutor:
+class _Inline:
+    """The backend that takes nothing: every body runs where it was begun.
+
+    A backend is where suspended bodies go, and its surface is the one
+    :class:`~repro.runtime.supervise.Supervisor` already has —
+    ``dispatch(pending, vector)``, ``pump(block) -> completions``,
+    ``in_flight``, ``take_completions()``, ``drain_in_flight()``.  With
+    no dispatch policy the loop never dispatches, so all it reads of this
+    one is an ``in_flight`` of zero.
+    """
+
+    in_flight = 0
+
+
+_INLINE = _Inline()
+
+
+class _Threads:
+    """Backend of a run driven by several threads under one engine lock.
+
+    Every thread runs :meth:`Run.loop` holding ``lock``; a suspended body
+    still runs where it was begun, but between :meth:`leave` and
+    :meth:`enter` — with the lock released, so kernels that drop the GIL
+    overlap across threads.  ``in_flight`` counts the bodies out there,
+    and :meth:`pump` is a thread with nothing to pop waiting for one of
+    them to come back with new work.
+    """
+
+    def __init__(self, n_threads: int) -> None:
+        self.n_threads = n_threads
+        self.lock = threading.Condition()
+        self.in_flight = 0
+        self.errors: list[BaseException] = []
+        self._slot = threading.local()
+
+    def leave(self) -> None:
+        self.in_flight += 1
+        # The queue may hold work for a thread waiting in pump().
+        self.lock.notify_all()
+        self.lock.release()
+
+    def enter(self) -> None:
+        self.lock.acquire()
+        self.in_flight -= 1
+
+    def index(self) -> int:
+        """The calling thread's number: the track its spans go on."""
+        return self._slot.index
+
+    def pump(self, block: bool = True) -> tuple[()]:
+        self.lock.wait()
+        return ()
+
+    def drive(self, run: "Run") -> None:
+        """Run the loop on ``n_threads`` threads, the caller's included.
+
+        The calling thread is thread 0, so a host that cannot start a
+        helper thread still finishes the run — on fewer threads.
+        """
+
+        def worker(index: int) -> None:
+            self._slot.index = index
+            with self.lock:
+                try:
+                    run.loop()
+                except Exception as exc:  # noqa: BLE001 - collected
+                    self.errors.append(exc)
+                except BaseException as exc:
+                    # Control-flow exceptions (KeyboardInterrupt,
+                    # SystemExit) must win over any operator error when
+                    # errors[0] is re-raised below.
+                    self.errors.insert(0, exc)
+                finally:
+                    run.halted = bool(self.errors)
+                    self.lock.notify_all()
+
+        helpers: list[threading.Thread] = []
+        for i in range(1, self.n_threads):
+            t = threading.Thread(
+                target=worker, args=(i,), name=f"delirium-worker-{i}"
+            )
+            try:
+                t.start()
+            except RuntimeError:  # the host is out of threads
+                break
+            helpers.append(t)
+        worker(0)
+        for t in helpers:
+            t.join()
+        if self.errors:
+            raise self.errors[0]
+
+
+class Run:
+    """One execution of a program: the skeleton every executor shares.
+
+    Owns what a run is made of — bus and tracer, engine state, ready
+    queue, clock, snapshot sources, the ``RunStarted``/``RunFinished``
+    bracket, the stall check, the :class:`RunResult` — and the one firing
+    loop (:meth:`loop`).  The executor that builds it supplies only the
+    configuration and, to :meth:`execute`, a backend.
+    """
+
+    def __init__(
+        self,
+        executor: Any,
+        name: str,
+        program: GraphProgram,
+        registry: OperatorRegistry,
+        policy: FaultPolicy | None,
+    ) -> None:
+        self.name = name
+        self.ctx = ctx = executor.run_ctx
+        bus, self.tracer = resolve_bus(executor.bus, executor.trace, ctx)
+        self.bus = bus
+        self.state = state = ExecutionState(
+            program,
+            registry,
+            check_purity=executor.check_purity,
+            bus=bus,
+            profile_ops=executor.profile_ops,
+        )
+        self.queue = queue = ReadyQueue(
+            executor.use_priorities,
+            executor.seed,
+            bus=bus,
+            max_ready=executor.max_ready,
+        )
+        self.began = began = time.perf_counter()
+        if bus is not None:
+            bus.set_clock(lambda: time.perf_counter() - began)
+        spec = executor.fault_spec
+        self.injector = injector = spec.build() if spec is not None else None
+        if policy is None and injector is not None:
+            policy = FaultPolicy()
+        #: The retry rule of every local body; ``None`` wraps a failure
+        #: at once.
+        self.policy = policy
+        # Snapshot of the subscriber set: a span costs a clock read and
+        # an event object per firing, which a bus carrying only coarse
+        # subscribers (flight recorder, say) must not pay.
+        self.wants_fired = bus is not None and bus.wants(TaskFired)
+        #: Nothing asks for per-fire detail: operator firings that need
+        #: not suspend take the engine's single pass.
+        self.plain = (
+            injector is None
+            and not executor.check_purity
+            and not self.wants_fired
+        )
+        # Injection decisions are per firing, so an injector switches
+        # coalescing off.
+        self.batching = executor.batch and injector is None
+        self.threshold = executor.batch_threshold or DEFAULT_BATCH_THRESHOLD
+        self.profile_ops = executor.profile_ops
+        #: Dispatch class by ``id(node)``, filled as nodes first reach the
+        #: head of the queue.
+        self.classes: dict[int, int] = {}
+        self.backend: Any = _INLINE
+        self.threads: _Threads | None = None
+        #: Decides which suspended bodies go to the backend; ``None``
+        #: keeps them all here.
+        self.dispatch_policy: DispatchPolicy | None = None
+        self.classify: Any = None
+        #: Called after every pump and once when the loop ends (the
+        #: process executor's live gauges).
+        self.on_pump: Any = None
+        #: Set when a driving thread failed: the others stop popping.
+        self.halted = False
+        if ctx is not None:
+            ctx.add_snapshot_source("engine", state.snapshot_state)
+            ctx.add_snapshot_source(
+                "ready_queue", lambda: {"depths": queue.depths()}
+            )
+
+    def execute(
+        self,
+        args: tuple[Any, ...],
+        backend: Any,
+        dispatch_policy: DispatchPolicy | None = None,
+    ) -> RunResult:
+        """Run the program to its result on ``backend``.
+
+        ``dispatch_policy`` decides which suspended bodies go to the
+        backend; without one they all run here.
+        """
+        self.backend = backend
+        self.threads = backend if isinstance(backend, _Threads) else None
+        self.dispatch_policy = dispatch_policy
+        if dispatch_policy is not None:
+            self.classify = dispatch_policy.should_dispatch
+        state, queue, ctx, began = self.state, self.queue, self.ctx, self.began
+        if ctx is not None:
+            ctx.run_started(self.name)
+        try:
+            # A body the single pass called unwrapped joins the retry
+            # rule from its first failure.
+            if self.policy is not None:
+                state.recover_op = self.retrying
+            queue.push_all(state.start(args))
+            if self.threads is not None:
+                self.threads.drive(self)
+            elif self.plain and not self.batching and dispatch_policy is None:
+                # Every head would take the loop's first branch: the
+                # queue's own drain loop folds pop/fire/push into one
+                # frame.
+                queue.drain(state.fire)
+            else:
+                self.loop()
+            if self.on_pump is not None:
+                self.on_pump()
+            wall = time.perf_counter() - began
+            if not state.finished:
+                raise RuntimeFailure(
+                    "execution stalled: ready queue drained without "
+                    "producing a result (ill-formed graph?)\n"
+                    + state.stall_report()
+                )
+        except BaseException as exc:
+            if ctx is not None:
+                ctx.run_failed(exc, time.perf_counter() - began)
+            raise
+        finally:
+            state.recover_op = None
+        if ctx is not None:
+            ctx.run_finished(wall)
+        return RunResult(state.result(), state.snapshot_stats(), self.tracer, wall)
+
+    # -- the loop ---------------------------------------------------------
+    def loop(self) -> None:
+        """The firing loop: ``pop → class → fire | begin → local body or
+        local group | submit``, then ``poll → commit``.
+
+        Each node has one dispatch class, cached (:meth:`_node_class`).
+        A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
+        engine's single pass unless its payloads send it away; it looks
+        for peers only once suspended.  ``_VECTOR`` and ``_CALL`` heads
+        collect their ready peers first, since a group may run as one
+        unit; alone, a ``_VECTOR`` head fires as ``_OP`` does and a
+        ``_CALL`` head is begun.  Whatever was begun and stays here runs
+        in :meth:`_local`; the rest goes to the backend and comes back
+        through :meth:`_commit`.
+        """
+        state, queue = self.state, self.queue
+        classes, node_class = self.classes, self._node_class
+        plain, batching, threshold = self.plain, self.batching, self.threshold
+        fire, begin, local = state.fire, self._begin, self._local
+        # A run that wants per-fire detail begins what the single pass
+        # would have fired without it.
+        fire_op = self._fire_op if plain else begin
+        backend = self.backend
+        while True:
+            while queue and not self.halted:
+                task = queue.pop()
+                node = task.activation.template.nodes[task.node_id]
+                cls = classes.get(id(node))
+                if cls is None:
+                    cls = classes[id(node)] = node_class(node)
+                if cls == _FIRE:
+                    if plain:
+                        queue.push_all(fire(task))
+                    else:
+                        self._fire(task, node)
+                    continue
+                pending = None
+                if cls == _OP:
+                    pending = fire_op(task)
+                    if pending is None:
+                        continue
+                if batching:
+                    peers = queue.take_peers(
+                        task, batch_key(task), threshold - 1, batch_key
+                    )
+                    if peers:
+                        # A head begun above stays first in the group.
+                        begun = [] if pending is None else [pending]
+                        tasks = peers if begun else (task, *peers)
+                        group: list[PendingOp] = []
+                        for p in begun + [begin(t) for t in tasks]:
+                            if p is None:
+                                continue
+                            if p.remote:
+                                # Vector-eligible: the supervisor groups
+                                # staged same-operator records into one
+                                # wire entry at flush time.
+                                backend.dispatch(p, vector=True)
+                            else:
+                                group.append(p)
+                        spec = group[0].spec if group else None
+                        if (
+                            len(group) > 1
+                            # Retries are per firing: under a retry
+                            # policy only a vectorized form is worth
+                            # running a group as one unit for.
+                            and (spec.batch_fn is not None or self.policy is None)
+                            and all(p.spec is spec for p in group)
+                        ):
+                            local(group)
+                        else:
+                            # Lone, or a CALL node that resolved to
+                            # different operators across activations.
+                            for p in group:
+                                local([p])
+                        continue
+                if pending is None:
+                    pending = (fire_op if cls == _VECTOR else begin)(task)
+                    if pending is None:
+                        continue
+                if pending.remote:
+                    backend.dispatch(pending, vector=batching)
+                else:
+                    local([pending])
+            if self.halted or not backend.in_flight:
+                return
+            try:
+                completions = backend.pump(block=True)
+            except PoolIrrecoverableError as exc:
+                if self.policy.degrade == "off":
+                    raise
+                self._degrade(str(exc))
+                backend = self.backend
+                continue
+            for c in completions:
+                self._commit(c)
+            if self.on_pump is not None:
+                self.on_pump()
+
+    def _node_class(self, node: Any) -> int:
+        """How the loop treats ``node`` at the head of the queue.
+
+        A head is fired whole (``_FIRE``) when its body is sure to run
+        here, alone and at once: nothing can send it away, it cannot ride
+        in a group, and no lock has to be released around it.
+        """
+        kind = node.kind
+        away = self.dispatch_policy is not None or self.threads is not None
+        if kind is NodeKind.CALL:
+            # The callee is known only at fire time.
+            return _CALL if away or self.batching else _FIRE
+        if kind is not NodeKind.OP:
+            return _FIRE
+        if self.threads is not None:
+            return _CALL
+        spec = self.state.op_spec(node)
+        if self.batching and spec.batch_fn is not None:
+            return _VECTOR
+        if (
+            self.dispatch_policy is not None
+            and self.dispatch_policy.static_dispatch(spec) is not False
+        ):
+            return _OP
+        return _FIRE
+
+    def _who(self, fired: Any, label: str, kind: str) -> tuple:
+        """The identity fields of a span, read while the firing's
+        activation is certainly still its own (a commit may recycle it).
+        ``fired`` is a :class:`Task` or a :class:`PendingOp`."""
+        act = fired.activation
+        return (
+            label, kind, fired.priority, act.template.name, act.aid,
+            fired.node_id, fired.seq,
+        )
+
+    def span(
+        self,
+        who: tuple,
+        start: float,
+        duration: float,
+        processor: int | None = None,
+    ) -> None:
+        """Emit one :class:`TaskFired` (built nowhere else): ``who`` from
+        :meth:`_who`, ``start`` in run-relative seconds, on the track of
+        the thread that drives the loop unless ``processor`` names a
+        worker's."""
+        if processor is None:
+            processor = self.threads.index() if self.threads is not None else 0
+        self.bus.emit(TaskFired(start, *who, duration, processor))
+
+    def _fire(self, task: Task, node: Any) -> None:
+        """Fire a ``_FIRE`` head of a run that wants per-fire detail."""
+        # Only an injector has to see a body before it runs; a failure
+        # reaches the retry rule through the engine's recover_op.
+        run_op = self.retrying if self.injector is not None else None
+        if not self.wants_fired:
+            self.queue.push_all(self.state.fire(task, run_op))
+            return
+        who = self._who(task, node.label, node.kind.value)
+        t0 = time.perf_counter()
+        self.queue.push_all(self.state.fire(task, run_op))
+        self.span(who, t0 - self.began, time.perf_counter() - t0)
+
+    def _fire_op(self, task: Task) -> PendingOp | None:
+        fired = self.state.fire_unless_remote(task, self.classify)
+        if type(fired) is list:
+            self.queue.push_all(fired)
+            return None
+        return fired
+
+    def _begin(self, task: Task) -> PendingOp | None:
+        """Begin one fire; span it if it completed without suspending.
+
+        Master engine spans: fires that resolve without an operator body
+        (consts, expansions, result plumbing) otherwise vanish from the
+        stream, and with them the causal chain and the master's share of
+        the timeline.
+        """
+        if self.wants_fired:
+            node = task.activation.template.nodes[task.node_id]
+            who = self._who(task, node.label, node.kind.value)
+            t0 = time.perf_counter()
+            outcome = self.state.begin_fire(task, classify=self.classify)
+            if outcome.pending is None:
+                self.span(who, t0 - self.began, time.perf_counter() - t0)
+        else:
+            outcome = self.state.begin_fire(task, classify=self.classify)
+        self.queue.push_all(outcome.newly)
+        return outcome.pending
+
+    def retrying(
+        self,
+        spec: Any,
+        args: Any,
+        node_id: int,
+        failed: Exception | None = None,
+    ) -> Any:
+        """Run one local body under the run's retry rule.
+
+        The only caller of :func:`run_with_retries`, so the only place a
+        local body's exception is wrapped — for :meth:`_local`, and for
+        the engine's ``run_op`` and ``recover_op`` hooks (``failed`` is
+        what the unwrapped first attempt raised).  A firing that ends in
+        success counts its retries and announces one
+        :class:`FireRetried` each; one that exhausts its budget raises
+        before either.
+        """
+        policy = self.policy
+        if failed is None and self.injector is None:
+            # Nothing to consult before the body: the first attempt runs
+            # bare, as in the engine's single pass.
+            try:
+                return spec.fn(*args)
+            except Exception as exc:  # noqa: BLE001 - the rule decides
+                failed = exc
+        retries: list[int] = []
+        raw = run_with_retries(
+            spec, args, policy, self.injector, node_id=node_id,
+            on_retry=lambda n, exc: retries.append(n), failed=failed,
+        )
+        if retries:
+            threads = self.threads
+            if threads is not None:
+                # Between leave() and enter(): the stats object and bus
+                # subscribers are not thread-safe.
+                threads.lock.acquire()
+            try:
+                self.state.stats.fires_retried += len(retries)
+                bus = self.bus
+                if bus is not None and bus.wants(FireRetried):
+                    now = bus.now()
+                    for n in retries:
+                        backoff = policy.backoff * 2 ** (n - 1)
+                        bus.emit(
+                            FireRetried(
+                                now, spec.name, -1, node_id, n + 1, "error",
+                                backoff,
+                            )
+                        )
+            finally:
+                if threads is not None:
+                    threads.lock.release()
+        return raw
+
+    def _local(self, pendings: list[PendingOp], isolate: bool = False) -> None:
+        """Run suspended bodies here and commit them: one firing, or a
+        group of one operator as a single :func:`batch_call`.
+
+        A lone firing runs under :meth:`retrying`; a group that raises —
+        nothing is committed yet — is re-run firing by firing, so the
+        failing one surfaces its own error exactly as an unbatched run
+        would have.  Under threads the body runs with the engine lock
+        released.
+        """
+        state, bus, threads = self.state, self.bus, self.threads
+        spec = pendings[0].spec
+        n = len(pendings)
+        # Spans are emitted after the commit, so the firing's children
+        # are enqueued (stream order) before the span that caused them —
+        # the causal-profiler contract.  Only the body is spanned here:
+        # engine bookkeeping under a lock is not attributable to a thread.
+        whos = (
+            [self._who(p, spec.name, "op") for p in pendings]
+            if self.wants_fired
+            else ()
+        )
+        if threads is not None:
+            threads.leave()
+        t0 = time.perf_counter()
+        try:
+            if n > 1:
+                try:
+                    raws = batch_call(spec, [p.args for p in pendings])
+                except Exception:  # noqa: BLE001 - refired per fire below
+                    raws = None
+            else:
+                args = pendings[0].args
+                if isolate:
+                    # A remote pending skipped its physical COW copies
+                    # (serialization was going to isolate the worker's
+                    # writes); running it here needs private copies, made
+                    # through the same codec a worker would have used —
+                    # with every buffer in-band, as nothing leaves this
+                    # process.
+                    args = tuple(
+                        decode_value(encode_value(a, sys.maxsize)) for a in args
+                    )
+                raws = [self.retrying(spec, args, pendings[0].node_id)]
+        finally:
+            t1 = time.perf_counter()
+            if threads is not None:
+                threads.enter()
+        if raws is None:
+            for p in pendings:
+                self._local([p])
+            return
+        stats = state.stats
+        if self.profile_ops:
+            stats.op_body_seconds += t1 - t0
+        per = (t1 - t0) / n
+        if n > 1:
+            stats.fire_batches += 1
+            stats.batched_fires += n
+            if bus is not None and bus.wants(FireBatchFormed):
+                bus.emit(
+                    FireBatchFormed(
+                        bus.now(), spec.name, pendings[0].node_id, n, False
+                    )
+                )
+        if n == 1:
+            newly = state.complete_fire(pendings[0], raws[0], per)
+        else:
+            # Master-assigned order; each member gets its share of the call.
+            newly = state.complete_fires(list(zip(pendings, raws)), per)
+        self.queue.push_all(newly)
+        for i, who in enumerate(whos):
+            self.span(who, t0 - self.began + i * per, per)
+
+    def _commit(self, c: Completion) -> None:
+        """Commit one firing the backend finished elsewhere."""
+        state, bus = self.state, self.bus
+        pending = c.pending
+        spec = pending.spec
+        who = self._who(pending, spec.name, "op") if self.wants_fired else None
+        # Commit first: the firing's children are enqueued (and
+        # announced) before the span that caused them, which is the
+        # order the causal profiler reconstructs parents from.  The
+        # worker-measured body time rides along so OpFinished carries
+        # real compute seconds, not compute + queue + IPC.
+        newly = state.complete_fire(pending, c.raw, op_seconds=c.duration)
+        tracker = self.backend.residency
+        if tracker is not None and c.cached and c.rbid is not None:
+            # The worker kept its raw result resident under rbid.
+            # Adopt only when the committed block holds exactly the
+            # decoded payload (identity check — fan-out/untuple
+            # commits leave result_value unset and are skipped).
+            result = pending.result_value
+            if type(result) is DataBlock and result.payload is c.raw:
+                tracker.adopt(result, c.rbid, c.worker)
+                state.stats.blocks_cached += 1
+                if bus is not None and bus.wants(BlockCached):
+                    bus.emit(
+                        BlockCached(
+                            bus.now(), c.rbid, result.nbytes, c.worker, "result"
+                        )
+                    )
+        if bus is not None and bus.wants(ResultReceived):
+            bus.emit(
+                ResultReceived(
+                    bus.now(), spec.name, c.call_id, c.worker, c.duration,
+                    c.nbytes, c.via_shm,
+                )
+            )
+        if who is not None:
+            self.span(who, max(0.0, c.t0 - self.began), c.duration, c.worker + 1)
+        self.queue.push_all(newly)
+
+    def degraded(self, from_executor: str, to_executor: str, reason: str) -> None:
+        """Record one step down the degradation ladder."""
+        self.state.stats.executor_degraded += 1
+        bus = self.bus
+        if bus is not None:
+            bus.emit(
+                ExecutorDegraded(bus.now(), from_executor, to_executor, reason)
+            )
+
+    def _degrade(self, reason: str) -> None:
+        """The pool is irrecoverable mid-run: finish in-process.
+
+        Commits everything the pool already produced, swaps the inline
+        backend in — the rest of the run fires here (restarting on
+        threads is impossible mid-run, the engine state is already live
+        in this one) — and re-executes the abandoned in-flight firings
+        on isolated argument copies.
+        """
+        supervisor = self.backend
+        self.degraded("process", "sequential", reason)
+        for c in supervisor.take_completions():
+            self._commit(c)
+        self.backend, self.dispatch_policy, self.classify = _INLINE, None, None
+        for pending in supervisor.drain_in_flight():
+            self._local([pending], isolate=True)
+
+
+class _Executor:
+    """A :class:`Run` reads its configuration off the executor that builds
+    it; a parameter one of the three lacks reads as its default here."""
+
+    seed: int | None = None
+    profile_ops = False
+
+
+class SequentialExecutor(_Executor):
     """Run a coordination graph on one processor.
 
     Parameters
@@ -310,10 +820,10 @@ class SequentialExecutor:
         #: to ``OpStarted``/``OpFinished`` events).
         self.profile_ops = profile_ops
         #: Opt-in same-node fire coalescing (default off: one processor
-        #: gains only the vectorized-kernel win, and the reference
-        #: executor stays the simplest possible drain loop).  Groups up
-        #: to ``batch_threshold`` ready fires per :func:`batch_key` and
-        #: runs them through the operator's ``batch_call``.
+        #: gains only the vectorized-kernel win, and the plain unbatched
+        #: run is the queue's own drain loop).  Groups up to
+        #: ``batch_threshold`` ready fires per :func:`batch_key` and runs
+        #: them through the operator's ``batch_call``.
         self.batch = batch
         self.batch_threshold = batch_threshold
 
@@ -324,215 +834,21 @@ class SequentialExecutor:
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else default_registry()
-        ctx = self.run_ctx
-        bus, tracer = resolve_bus(self.bus, self.trace, ctx)
-        state = ExecutionState(
-            program,
-            registry,
-            check_purity=self.check_purity,
-            bus=bus,
-            profile_ops=self.profile_ops,
-        )
-        queue = ReadyQueue(
-            self.use_priorities, self.seed, bus=bus, max_ready=self.max_ready
-        )
-        began = time.perf_counter()
-        if bus is not None:
-            bus.set_clock(lambda: time.perf_counter() - began)
-        if ctx is not None:
-            ctx.add_snapshot_source("engine", state.snapshot_state)
-            ctx.add_snapshot_source(
-                "ready_queue", lambda: {"depths": queue.depths()}
-            )
-            ctx.run_started("sequential")
-        try:
-            run_op = make_inline_run_op(
-                self.fault_policy, self.fault_spec, state.stats, bus
-            )
-            # Snapshot of the subscriber set: the span branch below costs
-            # a clock read and an event object per firing, which a bus
-            # carrying only coarse subscribers (flight recorder, say)
-            # must not pay.
-            wants_fired = bus is not None and bus.wants(TaskFired)
-            queue.push_all(state.start(args))
-            if self.batch and run_op is None:
-                self._drain_batched(state, queue, began, bus, wants_fired)
-            elif not wants_fired and run_op is None:
-                # The queue's own drain loop: per-task pop/push method
-                # dispatch folded into one frame.
-                queue.drain(state.fire)
-            elif not wants_fired:
-                pop = queue.pop
-                push_all = queue.push_all
-                fire = state.fire
-                while queue._size:
-                    push_all(fire(pop(), run_op=run_op))
-            else:
-                while queue:
-                    task = queue.pop()
-                    act = task.activation
-                    node = act.template.nodes[task.node_id]
-                    template_name, aid = act.template.name, act.aid
-                    t0 = time.perf_counter() - began
-                    queue.push_all(state.fire(task, run_op=run_op))
-                    t1 = time.perf_counter() - began
-                    bus.emit(
-                        TaskFired(
-                            t0,
-                            node.label,
-                            node.kind.value,
-                            task.priority,
-                            template_name,
-                            aid,
-                            task.node_id,
-                            task.seq,
-                            t1 - t0,
-                            0,
-                        )
-                    )
-            wall = time.perf_counter() - began
-            if not state.finished:
-                raise RuntimeFailure(
-                    "execution stalled: ready queue drained without "
-                    "producing a result (ill-formed graph?)\n"
-                    + state.stall_report()
-                )
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.run_failed(exc, time.perf_counter() - began)
-            raise
-        if ctx is not None:
-            ctx.run_finished(wall)
-        return RunResult(state.result(), state.snapshot_stats(), tracer, wall)
-
-    def _drain_batched(
-        self,
-        state: ExecutionState,
-        queue: ReadyQueue,
-        began: float,
-        bus: EventBus | None,
-        wants_fired: bool,
-    ) -> None:
-        """The batched drain loop: coalesce, vectorize, commit in order.
-
-        Singleton pops go through the ordinary ``state.fire`` fast path;
-        groups are begun with :meth:`ExecutionState.begin_fires`, their
-        operator bodies run through :func:`batch_call` (one vectorized
-        kernel call when the operator has a batch form, a plain loop
-        otherwise), and committed with
-        :meth:`ExecutionState.complete_fires` in master-assigned order —
-        so results are bit-identical to the unbatched drain.
-        """
-        threshold = self.batch_threshold or DEFAULT_BATCH_THRESHOLD
-        profile = self.profile_ops
-        stats = state.stats
-        while queue:
-            tasks = queue.pop_batch(threshold, batch_key)
-            if len(tasks) == 1:
-                task = tasks[0]
-                if not wants_fired:
-                    queue.push_all(state.fire(task))
-                    continue
-                act = task.activation
-                node = act.template.nodes[task.node_id]
-                template_name, aid = act.template.name, act.aid
-                t0 = time.perf_counter() - began
-                queue.push_all(state.fire(task))
-                bus.emit(
-                    TaskFired(
-                        t0,
-                        node.label,
-                        node.kind.value,
-                        task.priority,
-                        template_name,
-                        aid,
-                        task.node_id,
-                        task.seq,
-                        time.perf_counter() - began - t0,
-                        0,
-                    )
-                )
-                continue
-            pendings: list[PendingOp] = []
-            for outcome in state.begin_fires(tasks):
-                if outcome.newly:
-                    queue.push_all(outcome.newly)
-                if outcome.pending is not None:
-                    pendings.append(outcome.pending)
-            if not pendings:
-                continue
-            spec = pendings[0].spec
-            if len(pendings) == 1 or any(
-                p.spec is not spec for p in pendings
-            ):
-                # A lone pending, or a CALL node that resolved to
-                # different operators across activations: per-fire path.
-                for p in pendings:
-                    self._finish_one(state, queue, began, bus, wants_fired, p)
-                continue
-            args_lists = [p.args for p in pendings]
-            t0 = time.perf_counter()
-            try:
-                raws = batch_call(spec, args_lists)
-            except Exception:
-                # Nothing is committed yet: re-run per fire so the
-                # failing firing surfaces its own error, exactly as the
-                # unbatched drain would have.
-                for p in pendings:
-                    self._finish_one(state, queue, began, bus, wants_fired, p)
-                continue
-            t1 = time.perf_counter()
-            if profile:
-                stats.op_body_seconds += t1 - t0
-            commit_batch(state, queue, bus, pendings, raws, t0 - began, t1 - t0)
-
-    def _finish_one(
-        self,
-        state: ExecutionState,
-        queue: ReadyQueue,
-        began: float,
-        bus: EventBus | None,
-        wants_fired: bool,
-        pending: PendingOp,
-    ) -> None:
-        """Run and commit one begun pending (batched drain's scalar leg)."""
-        spec = pending.spec
-        t0 = time.perf_counter()
-        raw = spec.fn(*pending.args)
-        t1 = time.perf_counter()
-        if self.profile_ops:
-            state.stats.op_body_seconds += t1 - t0
-        queue.push_all(state.complete_fire(pending, raw, op_seconds=t1 - t0))
-        if wants_fired:
-            act = pending.activation
-            bus.emit(
-                TaskFired(
-                    t0 - began,
-                    spec.name,
-                    "op",
-                    pending.priority,
-                    act.template.name,
-                    act.aid,
-                    pending.node_id,
-                    pending.seq,
-                    t1 - t0,
-                    0,
-                )
-            )
+        run = Run(self, "sequential", program, registry, self.fault_policy)
+        return run.execute(args, _INLINE)
 
 
-class ThreadedExecutor:
+class ThreadedExecutor(_Executor):
     """Run a coordination graph on real OS threads.
 
-    Built on the engine's ``begin_fire`` / ``complete_fire`` split: a
-    worker pops a task and runs the engine bookkeeping under the shared
-    condition lock, but any operator body surfaces as a
-    :class:`~repro.runtime.engine.PendingOp` and executes with the lock
-    *released* — NumPy/SciPy kernels that drop the GIL then genuinely
+    ``n_workers`` threads (the calling one included) drive the run's loop
+    under one engine lock.  Every operator body is begun — it surfaces as
+    a :class:`~repro.runtime.engine.PendingOp` — and executes with the
+    lock *released*: NumPy/SciPy kernels that drop the GIL then genuinely
     overlap across threads, while the commit (result delivery, reference
-    releases) reacquires the lock.  Results are identical to the
-    sequential executor — the coordination model guarantees it, and the
-    tests verify it.
+    releases) retakes the lock.  Results are identical to the sequential
+    executor — the coordination model guarantees it, and the tests
+    verify it.
     """
 
     def __init__(
@@ -561,11 +877,12 @@ class ThreadedExecutor:
         self.run_ctx = run_ctx
         self.max_ready = max_ready
         #: Opt-in same-node fire coalescing (see :func:`batch_key`): a
-        #: worker thread claims a whole group under the lock and runs one
+        #: thread claims a whole group under the lock and runs one
         #: ``batch_call`` outside it — fewer lock round-trips per firing
         #: and a vectorized kernel when the operator has a batch form.
-        #: Disabled automatically when a fault policy or fault spec is
-        #: active (retry/injection decisions are per firing).
+        #: Switched off by a fault spec (injection decisions are per
+        #: firing); under a fault policy only vectorized groups form
+        #: (retries are per firing too).
         self.batch = batch
         self.batch_threshold = batch_threshold
 
@@ -576,213 +893,11 @@ class ThreadedExecutor:
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else default_registry()
-        ctx = self.run_ctx
-        bus, tracer = resolve_bus(self.bus, self.trace, ctx)
-        state = ExecutionState(
-            program, registry, check_purity=self.check_purity, bus=bus
-        )
-        queue = ReadyQueue(
-            self.use_priorities, bus=bus, max_ready=self.max_ready
-        )
-        condition = threading.Condition()
-        active = 0
-        errors: list[BaseException] = []
-        run_began = time.perf_counter()
-        if bus is not None:
-            bus.set_clock(lambda: time.perf_counter() - run_began)
-        if ctx is not None:
-            ctx.add_snapshot_source("engine", state.snapshot_state)
-            ctx.add_snapshot_source(
-                "ready_queue", lambda: {"depths": queue.depths()}
-            )
-            ctx.run_started("threaded")
-        wants_fired = bus is not None and bus.wants(TaskFired)
-
-        fault_policy = self.fault_policy
-        injector = (
-            self.fault_spec.build() if self.fault_spec is not None else None
-        )
-        retry_policy = (
-            fault_policy
-            if fault_policy is not None
-            else (FaultPolicy() if injector is not None else None)
-        )
-        batching = self.batch and retry_policy is None
-        threshold = self.batch_threshold or DEFAULT_BATCH_THRESHOLD
-
-        def run_pending(pending: PendingOp) -> None:
-            # Drop the engine lock for the duration of the sequential
-            # sub-computation; this is the concurrency the model permits.
-            spec = pending.spec
-            error: BaseException | None = None
-            raw: Any = None
-            retries: list[int] = []
-            condition.release()
-            t0 = time.perf_counter()
-            try:
-                if retry_policy is not None:
-                    raw = run_with_retries(
-                        spec,
-                        pending.args,
-                        retry_policy,
-                        injector,
-                        node_id=pending.node_id,
-                        on_retry=lambda n, exc: retries.append(n),
-                    )
-                else:
-                    raw = spec.fn(*pending.args)
-            except OperatorError as exc:
-                error = exc
-            except Exception as exc:  # noqa: BLE001 - wrapped, re-raised
-                error = OperatorError(spec.name, exc)
-            finally:
-                elapsed = time.perf_counter() - t0
-                condition.acquire()
-            if retries:
-                # Counted (and announced) back under the lock: the stats
-                # object and bus subscribers are not thread-safe.
-                count_retries(
-                    retries, spec.name, pending.node_id, retry_policy,
-                    state.stats, bus,
-                )
-            if error is not None:
-                raise error
-            act = pending.activation
-            template_name, aid = act.template.name, act.aid
-            queue.push_all(state.complete_fire(pending, raw))
-            if wants_fired:
-                # Emitted under the lock, after the commit so the
-                # firing's children are enqueued (stream-order) before
-                # the span that caused them — the causal-profiler
-                # contract.  The worker's thread index stands in for a
-                # processor id.  Only operator calls get spans here —
-                # engine bookkeeping is serialized under the lock and is
-                # not attributable to a worker.
-                name = threading.current_thread().name
-                processor = int(name.rsplit("-", 1)[-1]) if "-" in name else 0
-                bus.emit(
-                    TaskFired(
-                        t0 - run_began,
-                        spec.name,
-                        "op",
-                        pending.priority,
-                        template_name,
-                        aid,
-                        pending.node_id,
-                        pending.seq,
-                        elapsed,
-                        processor,
-                    )
-                )
-
-        def run_pendings(pendings: list[PendingOp]) -> None:
-            # The batched analogue of run_pending: one lock release, one
-            # batch_call over all N bodies, one in-order commit.
-            spec = pendings[0].spec
-            error: BaseException | None = None
-            raws: Any = None
-            condition.release()
-            t0 = time.perf_counter()
-            try:
-                raws = batch_call(spec, [p.args for p in pendings])
-            except OperatorError as exc:
-                error = exc
-            except Exception as exc:  # noqa: BLE001 - wrapped, re-raised
-                error = OperatorError(spec.name, exc)
-            finally:
-                elapsed = time.perf_counter() - t0
-                condition.acquire()
-            if error is not None:
-                raise error
-            name = threading.current_thread().name if wants_fired else ""
-            commit_batch(
-                state, queue, bus, pendings, raws, t0 - run_began, elapsed,
-                int(name.rsplit("-", 1)[-1]) if "-" in name else 0,
-            )
-
-        def fire_batch(tasks: list[Task]) -> None:
-            pendings: list[PendingOp] = []
-            for outcome in state.begin_fires(tasks):
-                queue.push_all(outcome.newly)
-                if outcome.pending is not None:
-                    pendings.append(outcome.pending)
-            if not pendings:
-                return
-            spec = pendings[0].spec
-            if len(pendings) > 1 and all(p.spec is spec for p in pendings):
-                run_pendings(pendings)
-            else:
-                for p in pendings:
-                    run_pending(p)
-
-        def worker() -> None:
-            nonlocal active
-            with condition:
-                while True:
-                    while not queue and active > 0 and not errors:
-                        condition.wait()
-                    if errors or (not queue and active == 0):
-                        condition.notify_all()
-                        return
-                    active += 1
-                    try:
-                        if batching:
-                            tasks = queue.pop_batch(threshold, batch_key)
-                            if len(tasks) > 1:
-                                fire_batch(tasks)
-                            else:
-                                outcome = state.begin_fire(tasks[0])
-                                queue.push_all(outcome.newly)
-                                if outcome.pending is not None:
-                                    run_pending(outcome.pending)
-                        else:
-                            task = queue.pop()
-                            outcome = state.begin_fire(task)
-                            queue.push_all(outcome.newly)
-                            if outcome.pending is not None:
-                                run_pending(outcome.pending)
-                    except Exception as exc:  # noqa: BLE001 - collected
-                        errors.append(exc)
-                    except BaseException as exc:
-                        # Control-flow exceptions (KeyboardInterrupt,
-                        # SystemExit) must win over any operator error
-                        # when the main thread re-raises errors[0].
-                        errors.insert(0, exc)
-                    finally:
-                        active -= 1
-                        condition.notify_all()
-
-        began = run_began
-        with condition:
-            queue.push_all(state.start(args))
-        threads = [
-            threading.Thread(target=worker, name=f"delirium-worker-{i}")
-            for i in range(self.n_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - began
-        try:
-            if errors:
-                raise errors[0]
-            if not state.finished:
-                raise RuntimeFailure(
-                    "execution stalled: ready queue drained without "
-                    "producing a result (ill-formed graph?)\n"
-                    + state.stall_report()
-                )
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.run_failed(exc, wall)
-            raise
-        if ctx is not None:
-            ctx.run_finished(wall)
-        return RunResult(state.result(), state.snapshot_stats(), tracer, wall)
+        run = Run(self, "threaded", program, registry, self.fault_policy)
+        return run.execute(args, _Threads(self.n_workers))
 
 
-class ProcessExecutor:
+class ProcessExecutor(_Executor):
     """Run a coordination graph with operator bodies on worker processes.
 
     The master keeps the entire coordination semantics — ready queue,
@@ -916,9 +1031,10 @@ class ProcessExecutor:
         self.persistent = persistent
         self._pool: WorkerPool | None = None
         self._pool_key: tuple[int, int] | None = None
-        #: Dispatch class by ``id(node)``, filled as nodes first reach the
-        #: head of the queue.  A function of (program, registry, dispatch
-        #: policy) only, so it lives exactly as long as a persistent pool.
+        #: The class table (:attr:`Run.classes`) of a persistent
+        #: executor's runs.  A function of (program, registry, dispatch
+        #: policy, ``batch``) only, so it lives exactly as long as the
+        #: warm pool.
         self._node_classes: dict[int, int] = {}
 
     def close(self) -> None:
@@ -954,102 +1070,34 @@ class ProcessExecutor:
             if self.fault_policy is not None
             else FaultPolicy()
         )
-        if self.persistent:
-            key = (id(program), id(registry))
-            if self._pool is not None and self._pool_key != key:
-                self.close()
-            if self._pool is None:
-                try:
-                    self._pool = self._build_pool(program, registry)
-                    self._pool_key = key
-                except Exception as exc:
-                    if policy.degrade != "ladder":
-                        raise
-                    return self._run_degraded(
-                        program, args, registry, repr(exc)
-                    )
+        key = (id(program), id(registry))
+        if self._pool is not None and self._pool_key != key:
+            self.close()
+        pool = self._pool
+        if pool is None:
             try:
-                return self._run_supervised(
-                    self._pool, program, args, registry, policy
-                )
-            except BaseException:
-                # A run that errored may leave the pool in an unknown
-                # state (mid-respawn, poisoned pipes); don't reuse it.
-                self.close()
-                raise
-        try:
-            pool = self._build_pool(program, registry)
-        except Exception as exc:
-            if policy.degrade != "ladder":
-                raise
-            return self._run_degraded(program, args, registry, repr(exc))
+                pool = self._build_pool(program, registry)
+            except Exception as exc:
+                if policy.degrade != "ladder":
+                    raise
+                # The ladder handles *machinery* failures: the same run,
+                # configuration and fault contract, on the thread backend
+                # (bodies still overlap where kernels release the GIL).
+                run = Run(self, "threaded", program, registry, policy)
+                run.degraded("process", "threaded", repr(exc))
+                return run.execute(args, _Threads(self.n_workers))
+            if self.persistent:
+                self._pool, self._pool_key = pool, key
         try:
             return self._run_supervised(pool, program, args, registry, policy)
-        finally:
-            pool.close()
-
-    def _run_degraded(
-        self,
-        program: GraphProgram,
-        args: tuple[Any, ...],
-        registry: OperatorRegistry,
-        reason: str,
-    ) -> RunResult:
-        """The pool could not be built: fall down the executor ladder.
-
-        Process → threaded first (operator bodies still overlap where
-        kernels release the GIL); threaded → sequential only if even
-        thread creation fails.  Delirium-level errors (operator
-        failures, stalls) propagate — the ladder handles *machinery*
-        failures, not program failures.
-        """
-        bus = self.bus
-        if bus is None and self.run_ctx is not None:
-            bus = self.run_ctx.bus
-        if bus is not None and not bus.active:
-            bus = None
-        if bus is not None:
-            bus.emit(
-                ExecutorDegraded(bus.now(), "process", "threaded", reason)
-            )
-        threaded = ThreadedExecutor(
-            n_workers=self.n_workers,
-            use_priorities=self.use_priorities,
-            check_purity=self.check_purity,
-            trace=self.trace,
-            bus=self.bus,
-            fault_policy=self.fault_policy,
-            fault_spec=self.fault_spec,
-            run_ctx=self.run_ctx,
-            batch=self.batch,
-            batch_threshold=self.batch_threshold,
-        )
-        try:
-            result = threaded.run(program, args, registry)
-            result.stats.executor_degraded += 1
-            return result
-        except DeliriumError:
+        except BaseException:
+            # A run that errored may leave the pool in an unknown state
+            # (mid-respawn, poisoned pipes); don't reuse it.
+            self.close()
             raise
-        except Exception as exc:
-            if bus is not None:
-                bus.emit(
-                    ExecutorDegraded(
-                        bus.now(), "threaded", "sequential", repr(exc)
-                    )
-                )
-            sequential = SequentialExecutor(
-                use_priorities=self.use_priorities,
-                seed=self.seed,
-                check_purity=self.check_purity,
-                trace=self.trace,
-                bus=self.bus,
-                fault_policy=self.fault_policy,
-                fault_spec=self.fault_spec,
-                run_ctx=self.run_ctx,
-            )
-            result = sequential.run(program, args, registry)
-            result.stats.executor_degraded += 2
-            return result
+        finally:
+            if not self.persistent:
+                pool.close()
 
     def _run_supervised(
         self,
@@ -1059,50 +1107,25 @@ class ProcessExecutor:
         registry: OperatorRegistry,
         policy: FaultPolicy,
     ) -> RunResult:
-        """Drive one run: fire local work in place, ship the rest.
-
-        Each node has one dispatch class (``docs/RUNTIME.md``, "The local
-        leg"), cached: ``_FIRE`` heads take :meth:`ExecutionState.fire`
-        as in the sequential executor, ``_OP`` heads
-        :meth:`~ExecutionState.fire_unless_remote` and collect peers only
-        once suspended, ``_VECTOR`` and ``_CALL`` heads collect peers
-        first.  A local body that raises joins, from its first failure,
-        the retry loop suspended fires run under ``policy``.  Runs with a
-        fault injector, ``check_purity`` or a :class:`TaskFired`
-        subscriber begin and complete every fire instead, keeping their
-        per-firing injection, fingerprint and span streams.
-        """
-        ctx = self.run_ctx
-        bus, tracer = resolve_bus(self.bus, self.trace, ctx)
-        state = ExecutionState(
-            program, registry, check_purity=self.check_purity, bus=bus
-        )
-        queue = ReadyQueue(
-            self.use_priorities, self.seed, bus=bus, max_ready=self.max_ready
-        )
-        began = time.perf_counter()
-        if bus is not None:
-            bus.set_clock(lambda: time.perf_counter() - began)
-        injector = (
-            self.fault_spec.build() if self.fault_spec is not None else None
-        )
-        if injector is not None:
-            pool.arena.fail_hook = injector.on_arena_acquire
-        batching = self.batch and injector is None
-        threshold = self.batch_threshold or DEFAULT_BATCH_THRESHOLD
+        """One run on the supervised pool: the :class:`Supervisor` is the
+        backend, the dispatch policy decides what it gets."""
+        run = Run(self, "process", program, registry, policy)
+        if run.injector is not None:
+            pool.arena.fail_hook = run.injector.on_arena_acquire
         supervisor = Supervisor(
             pool,
             policy,
             batch_size=self.batch_size,
-            batch_threshold=threshold,
+            batch_threshold=run.threshold,
             shm_threshold=self.shm_threshold,
-            bus=bus,
-            stats=state.stats,
+            bus=run.bus,
+            stats=run.state.stats,
             affinity=self.affinity,
         )
         # The engine's in-place-write paths must invalidate worker
         # residency before mutating a block (see ExecutionState.locality).
-        state.locality = supervisor.residency
+        run.state.locality = supervisor.residency
+        ctx = self.run_ctx
 
         def export_memory_gauges() -> None:
             metrics = ctx.metrics if ctx is not None else None
@@ -1114,10 +1137,6 @@ class ProcessExecutor:
                 metrics.gauge(f"worker_cache/{key}").set(float(value))
 
         if ctx is not None:
-            ctx.add_snapshot_source("engine", state.snapshot_state)
-            ctx.add_snapshot_source(
-                "ready_queue", lambda: {"depths": queue.depths()}
-            )
             ctx.add_snapshot_source("supervisor", supervisor.snapshot)
             ctx.add_snapshot_source(
                 "workers",
@@ -1127,301 +1146,9 @@ class ProcessExecutor:
                     "locality": supervisor.locality_stats(),
                 },
             )
-            ctx.run_started("process")
-        wants_fired = bus is not None and bus.wants(TaskFired)
-        classify: Any = self.policy.should_dispatch
-        fast = injector is None and not self.check_purity and not wants_fired
-        classes = self._node_classes if self.persistent else {}
-        # Holds the stats, not the state: the engine hook below must not
-        # close a cycle that would leave the run's blocks to the collector.
-        retrying = partial(
-            run_counting_retries,
-            policy=policy, injector=injector, stats=state.stats, bus=bus,
-        )
-
-        def node_class(node: Any) -> int:
-            if node.kind is NodeKind.CALL:
-                return _CALL
-            if node.kind is not NodeKind.OP:
-                return _FIRE
-            spec = state.op_spec(node)
-            if spec.batch_fn is not None:
-                return _VECTOR
-            if self.policy.static_dispatch(spec) is False:
-                return _FIRE
-            return _OP
-
-        def commit(c: Completion) -> None:
-            pending = c.pending
-            spec = pending.spec
-            act = pending.activation
-            template_name, aid = act.template.name, act.aid
-            # Commit first: the firing's children are enqueued (and
-            # announced) before the span that caused them, which is the
-            # order the causal profiler reconstructs parents from.  The
-            # worker-measured body time rides along so OpFinished carries
-            # real compute seconds, not compute + queue + IPC.
-            newly = state.complete_fire(pending, c.raw, op_seconds=c.duration)
-            tracker = supervisor.residency
-            if tracker is not None and c.cached and c.rbid is not None:
-                # The worker kept its raw result resident under rbid.
-                # Adopt only when the committed block holds exactly the
-                # decoded payload (identity check — fan-out/untuple
-                # commits leave result_value unset and are skipped).
-                result = pending.result_value
-                if (
-                    type(result) is DataBlock
-                    and result.payload is c.raw
-                ):
-                    tracker.adopt(result, c.rbid, c.worker)
-                    state.stats.blocks_cached += 1
-                    if bus is not None and bus.wants(BlockCached):
-                        bus.emit(
-                            BlockCached(
-                                bus.now(),
-                                c.rbid,
-                                result.nbytes,
-                                c.worker,
-                                "result",
-                            )
-                        )
-            if bus is not None:
-                if bus.wants(ResultReceived):
-                    bus.emit(
-                        ResultReceived(
-                            bus.now(),
-                            spec.name,
-                            c.call_id,
-                            c.worker,
-                            c.duration,
-                            c.nbytes,
-                            c.via_shm,
-                        )
-                    )
-                if wants_fired:
-                    bus.emit(
-                        TaskFired(
-                            max(0.0, c.t0 - began),
-                            spec.name,
-                            "op",
-                            pending.priority,
-                            template_name,
-                            aid,
-                            pending.node_id,
-                            pending.seq,
-                            c.duration,
-                            c.worker + 1,
-                        )
-                    )
-            queue.push_all(newly)
-
-        def run_inline(pending: PendingOp, isolate: bool = False) -> None:
-            spec = pending.spec
-            call_args = pending.args
-            if isolate:
-                # Degraded remote pendings skipped their physical COW
-                # copies (serialization was going to isolate the worker's
-                # writes); running them here needs private copies, made
-                # through the same codec a worker would have used — with
-                # every buffer in-band, as nothing leaves this process.
-                call_args = tuple(
-                    decode_value(encode_value(a, sys.maxsize))
-                    for a in pending.args
-                )
-            t0 = time.perf_counter()
-            raw = retrying(spec, call_args, pending.node_id)
-            t1 = time.perf_counter()
-            act = pending.activation
-            template_name, aid = act.template.name, act.aid
-            queue.push_all(
-                state.complete_fire(pending, raw, op_seconds=t1 - t0)
-            )
-            if wants_fired:
-                bus.emit(
-                    TaskFired(
-                        t0 - began,
-                        spec.name,
-                        "op",
-                        pending.priority,
-                        template_name,
-                        aid,
-                        pending.node_id,
-                        pending.seq,
-                        t1 - t0,
-                        0,
-                    )
-                )
-
-        def run_inline_batch(pendings: list[PendingOp]) -> None:
-            # Kept-local group with a vectorized batch form: one kernel
-            # call, one in-order commit.  Retries are per firing, so a
-            # failed batch falls back to the per-fire inline path (with
-            # its retry/poison handling) — nothing was committed.
-            spec = pendings[0].spec
-            t0 = time.perf_counter()
-            try:
-                raws = batch_call(spec, [p.args for p in pendings])
-            except Exception:  # noqa: BLE001 - refired per-fire below
-                for p in pendings:
-                    run_inline(p)
-                return
-            commit_batch(
-                state, queue, bus, pendings, raws,
-                t0 - began, time.perf_counter() - t0,
-            )
-
-        def degrade(reason: str) -> None:
-            """The pool is irrecoverable mid-run: finish in-process.
-
-            Commits everything the pool already produced, re-executes
-            the abandoned in-flight firings on isolated argument copies,
-            and switches dispatch off — the rest of the run is inline
-            (the in-master rung of the ladder; restarting on threads is
-            impossible mid-run, the engine state is already live here).
-            """
-            nonlocal classify
-            classify = None
-            state.stats.executor_degraded += 1
-            if bus is not None:
-                bus.emit(
-                    ExecutorDegraded(
-                        bus.now(), "process", "sequential", reason
-                    )
-                )
-            for c in supervisor.take_completions():
-                commit(c)
-            for pending in supervisor.drain_in_flight():
-                run_inline(pending, isolate=True)
-
-        def begin_one(task: Task) -> PendingOp | None:
-            if wants_fired:
-                # Master engine spans: fires that resolve without
-                # an operator body (consts, expansions, result
-                # plumbing) otherwise vanish from the stream, and
-                # with them the causal chain and the master's
-                # share of the timeline.
-                act = task.activation
-                node = act.template.nodes[task.node_id]
-                template_name, aid = act.template.name, act.aid
-                t0 = bus.now()
-                outcome = state.begin_fire(task, classify=classify)
-                if outcome.pending is None:
-                    bus.emit(
-                        TaskFired(
-                            t0,
-                            node.label,
-                            node.kind.value,
-                            task.priority,
-                            template_name,
-                            aid,
-                            task.node_id,
-                            task.seq,
-                            bus.now() - t0,
-                            0,
-                        )
-                    )
-            else:
-                outcome = state.begin_fire(task, classify=classify)
-            queue.push_all(outcome.newly)
-            return outcome.pending
-
-        def fire_op(task: Task) -> PendingOp | None:
-            fired = state.fire_unless_remote(task, classify)
-            if type(fired) is list:
-                queue.push_all(fired)
-                return None
-            return fired
-
-        fire = state.fire
-        try:
-            state.recover_op = retrying if fast else None
-            queue.push_all(state.start(args))
-            while queue or supervisor.in_flight:
-                while queue:
-                    task = queue.pop()
-                    pending = None
-                    if fast:
-                        node = task.activation.template.nodes[task.node_id]
-                        cls = classes.get(id(node))
-                        if cls is None:
-                            cls = classes[id(node)] = node_class(node)
-                        if cls == _FIRE:
-                            queue.push_all(fire(task))
-                            continue
-                        if cls == _OP:
-                            pending = fire_op(task)
-                            if pending is None:
-                                continue
-                    else:
-                        cls = _CALL
-                    if batching:
-                        key = batch_key(task)
-                        peers = key is not None and queue.take_peers(
-                            task, key, threshold - 1, batch_key
-                        )
-                        if peers:
-                            # A head begun above stays first in the group.
-                            begun = [] if pending is None else [pending]
-                            tasks = peers if begun else (task, *peers)
-                            local: list[PendingOp] = []
-                            for p in begun + [begin_one(t) for t in tasks]:
-                                if p is None:
-                                    continue
-                                if p.remote:
-                                    # Vector-eligible: the supervisor
-                                    # groups staged same-operator records
-                                    # into one wire entry at flush time.
-                                    supervisor.dispatch(p, vector=True)
-                                else:
-                                    local.append(p)
-                            if (
-                                len(local) > 1
-                                and local[0].spec.batch_fn is not None
-                                and all(
-                                    p.spec is local[0].spec for p in local
-                                )
-                            ):
-                                run_inline_batch(local)
-                            else:
-                                for p in local:
-                                    run_inline(p)
-                            continue
-                    if pending is None:
-                        lone = fire_op if cls == _VECTOR else begin_one
-                        pending = lone(task)
-                        if pending is None:
-                            continue
-                    if pending.remote:
-                        supervisor.dispatch(pending, vector=batching)
-                    else:
-                        run_inline(pending)
-                if not supervisor.in_flight:
-                    continue
-                try:
-                    completions = supervisor.pump(block=True)
-                except PoolIrrecoverableError as exc:
-                    if policy.degrade == "off":
-                        raise
-                    degrade(str(exc))
-                    continue
-                for c in completions:
-                    commit(c)
-                export_memory_gauges()
-
-            export_memory_gauges()
-            wall = time.perf_counter() - began
-            if not state.finished:
-                raise RuntimeFailure(
-                    "execution stalled: ready queue drained without "
-                    "producing a result (ill-formed graph?)\n"
-                    + state.stall_report()
-                )
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.run_failed(exc, time.perf_counter() - began)
-            raise
-        finally:
-            state.recover_op = None
-        if ctx is not None:
-            ctx.run_finished(wall)
-        return RunResult(state.result(), state.snapshot_stats(), tracer, wall)
+        run.on_pump = export_memory_gauges
+        if self.persistent and run.injector is None:
+            # An injector switches coalescing off, and with it the
+            # classes: such a run keeps its private table.
+            run.classes = self._node_classes
+        return run.execute(args, supervisor, self.policy)

@@ -1,0 +1,283 @@
+"""Executor conformance: one firing loop, three backends, one answer.
+
+Every executor drives the same ``Run`` loop and differs only in where a
+suspended body runs, so a program must produce the same result, the same
+schedule-independent engine counters and — when it fails — the same
+error from every one of them, whatever the run observes (a span
+subscriber, a fault injector, the purity checker) and whether ready
+fires are coalesced or not.  The reference for every cell is the plain,
+unbatched sequential run.
+
+The programs are built so the counters cannot depend on the schedule: a
+block's second consumer always needs the first one's result, so its
+reference count at fire time is a fact of the program.
+"""
+
+import numpy as np
+import pytest
+
+import repro.runtime.executors as executors
+from repro import compile_source
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER
+from repro.errors import OperatorError
+from repro.faults import FaultSpec
+from repro.obs import EventBus, ExecutorDegraded, QueueSaturated, TaskFired
+from repro.runtime import (
+    FaultPolicy,
+    ProcessExecutor,
+    SequentialExecutor,
+    ThreadedExecutor,
+    default_registry,
+)
+
+#: Dispatched in process mode (the default threshold is 2e6 ticks).
+HEAVY = 1e7
+
+REGISTRY = default_registry()
+
+
+@REGISTRY.register(name="cf_mk", cost=10.0)
+def cf_mk(n, v):
+    return np.full(n, float(v))
+
+
+@REGISTRY.register(name="cf_bump", modifies=(0,), cost=10.0)
+def cf_bump(a):
+    a += 1.0
+    return a
+
+
+@REGISTRY.register(name="cf_same", cost=10.0)
+def cf_same(a):
+    return a
+
+
+@REGISTRY.register(name="cf_total", pure=True, cost=HEAVY)
+def cf_total(a):
+    return float(a.sum())
+
+
+@REGISTRY.register(name="cf_total2", pure=True, cost=HEAVY)
+def cf_total2(a, b):
+    return float(a.sum() + b.sum())
+
+
+@REGISTRY.register(name="cf_split", pure=True, cost=HEAVY)
+def cf_split(x):
+    return x + 1, x * 2
+
+
+def _cf_leaf_batch(args_lists):
+    return [i * i + 1 for (i,) in args_lists]
+
+
+@REGISTRY.register(name="cf_leaf", pure=True, cost=HEAVY, batch=_cf_leaf_batch)
+def cf_leaf(i):
+    return i * i + 1
+
+
+@REGISTRY.register(name="cf_glue", pure=True, cost=5.0)
+def cf_glue(i):
+    return i + 3
+
+
+@REGISTRY.register(name="cf_boom", pure=True, cost=5.0)
+def cf_boom(i):
+    if i == 5:
+        raise ValueError("boom at 5")
+    return i
+
+
+PROGRAMS = {
+    # ``a`` is still owed to cf_total2 when cf_bump writes it (a copy);
+    # the second cf_mk's block has one consumer (in place, donated); ``y``
+    # is ``x``'s own block (an operator returning its input keeps the
+    # block), so the donated write to ``y`` finds it shared and misses.
+    "cow_donation": (
+        """
+main(n)
+  let
+    a = cf_mk(n, 1)
+    b = cf_bump(a)
+    s = cf_total2(a, b)
+    c = cf_bump(cf_mk(n, 2))
+    x = cf_mk(n, 3)
+    y = cf_same(x)
+    r = cf_bump(y)
+    t = cf_total2(r, x)
+  in add(add(s, cf_total(c)), t)
+""",
+        (64,),
+        ("cow_copies", "in_place_writes", "copies_avoided", "donation_misses"),
+    ),
+    "fused_untuple": (
+        """
+main(n) par_reduce(add, halves, 0, n)
+
+halves(i)
+  let <a, b> = cf_split(i)
+  in add(a, b)
+""",
+        (6,),
+        ("fused_fires", "expansions"),
+    ),
+    # Operator values reach CALL nodes: one with a batch form that is
+    # dispatched, one kept local.
+    "call_of_operator": (
+        """
+main(n) add(par_reduce(add, cf_leaf, 0, n), par_reduce(add, cf_glue, 0, n))
+""",
+        (8,),
+        ("expansions",),
+    ),
+}
+
+FAILING = "main(n) par_index_map(cf_boom, 0, n)"
+
+COUNTERS = (
+    "tasks_fired", "ops_executed", "expansions", "cow_copies",
+    "in_place_writes", "copies_avoided", "donation_misses", "fused_fires",
+)
+
+EXECUTORS = (
+    "sequential", "threaded", "process", "degraded_at_build",
+    "degraded_mid_run",
+)
+MODES = ("plain", "subscriber", "injector", "purity")
+
+_GRAPHS = {}
+
+
+def _graph(source):
+    if source not in _GRAPHS:
+        _GRAPHS[source] = compile_source(
+            source, registry=REGISTRY, prelude=True,
+            optimize_passes=FULL_PASS_ORDER,
+        ).graph
+    return _GRAPHS[source]
+
+
+def _no_pool(*args, **kwargs):
+    raise OSError("no processes today")
+
+
+def _run(kind, mode, batch, source, args, monkeypatch):
+    """One cell of the matrix; returns ``(result, spans)``."""
+    options = {"batch": batch}
+    clauses = []
+    spans = []
+    if mode == "subscriber":
+        options["bus"] = bus = EventBus()
+        bus.subscribe(spans.append, (TaskFired,))
+    elif mode == "injector":
+        # The first call of every operator raises, in whichever process
+        # makes it; the retry succeeds.
+        clauses.append("raise:nth=1")
+        options["fault_policy"] = FaultPolicy(max_retries=2, backoff=0.0)
+    elif mode == "purity":
+        options["check_purity"] = True
+    if kind == "degraded_mid_run":
+        clauses.append("kill:nth=2")
+        retries = options.get("fault_policy", FaultPolicy()).max_retries
+        options["fault_policy"] = FaultPolicy(
+            max_retries=retries, max_respawns=0, backoff=0.0
+        )
+    if clauses:
+        options["fault_spec"] = FaultSpec.parse(";".join(clauses))
+    if kind == "sequential":
+        executor = SequentialExecutor(**options)
+    elif kind == "threaded":
+        executor = ThreadedExecutor(2, **options)
+    else:
+        if kind == "degraded_at_build":
+            monkeypatch.setattr(executors, "WorkerPool", _no_pool)
+        executor = ProcessExecutor(1, **options)
+    return executor.run(_graph(source), args, REGISTRY), spans
+
+
+def _counters(stats):
+    return {name: getattr(stats, name) for name in COUNTERS}
+
+
+@pytest.fixture(scope="module")
+def references():
+    out = {}
+    for name, (source, args, exercised) in PROGRAMS.items():
+        result = SequentialExecutor().run(_graph(source), args, REGISTRY)
+        counters = _counters(result.stats)
+        # The program does exercise what its name says.
+        for counter in exercised:
+            assert counters[counter] > 0, (name, counter)
+        out[name] = (result.value, counters)
+    return out
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["nobatch", "batch"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", EXECUTORS)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_same_result_and_counters(
+    name, kind, mode, batch, references, monkeypatch
+):
+    source, args, _ = PROGRAMS[name]
+    value, counters = references[name]
+    result, spans = _run(kind, mode, batch, source, args, monkeypatch)
+    assert result.value == value
+    assert _counters(result.stats) == counters
+    if mode == "subscriber":
+        # One span per firing, each joined to its task.
+        assert len(spans) == counters["tasks_fired"]
+        assert len({s.seq for s in spans}) == len(spans)
+    if mode == "injector":
+        assert result.stats.fires_retried > 0
+    if kind in ("process", "degraded_mid_run"):
+        assert result.stats.dispatched_fires > 0
+    assert result.stats.executor_degraded == (
+        1 if kind.startswith("degraded") else 0
+    )
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["nobatch", "batch"])
+@pytest.mark.parametrize("mode", ["plain", "subscriber", "purity"])
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_failing_program_reports_the_same_error(
+    kind, mode, batch, monkeypatch
+):
+    """Error type, operator and node id are the engine's, not the
+    backend's: a failing firing names its node under every executor
+    (``ThreadedExecutor`` used to report ``-1``) and is wrapped even when
+    it failed inside a coalesced group (``SequentialExecutor(batch=True)``
+    used to let the raw ``ValueError`` out)."""
+    with pytest.raises(OperatorError) as reference:
+        SequentialExecutor().run(_graph(FAILING), (8,), REGISTRY)
+    with pytest.raises(OperatorError) as excinfo:
+        _run(kind, mode, batch, FAILING, (8,), monkeypatch)
+    error = excinfo.value
+    assert type(error) is OperatorError
+    assert error.operator == reference.value.operator == "cf_boom"
+    assert error.node_id == reference.value.node_id >= 0
+    assert isinstance(error.__cause__, ValueError)
+
+
+def test_degraded_run_keeps_its_configuration(monkeypatch):
+    """The ladder swaps the backend of the same run: the ready-queue
+    watermark (and with it ``QueueSaturated``) survives a pool that could
+    not be built."""
+    monkeypatch.setattr(executors, "WorkerPool", _no_pool)
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append, (QueueSaturated, ExecutorDegraded))
+    source, args, _ = PROGRAMS["call_of_operator"]
+    result = ProcessExecutor(2, max_ready=1, bus=bus).run(
+        _graph(source), args, REGISTRY
+    )
+    assert result.value == SequentialExecutor().run(
+        _graph(source), args, REGISTRY
+    ).value
+    assert result.stats.executor_degraded == 1
+    kinds = [type(e) for e in seen]
+    assert kinds[0] is ExecutorDegraded and seen[0].to_executor == "threaded"
+    assert QueueSaturated in kinds
+    assert all(
+        e.max_ready == 1 for e in seen if isinstance(e, QueueSaturated)
+    )
