@@ -16,6 +16,10 @@ master loop by construction), and each firing's
 :class:`~repro.obs.events.TaskEnqueued` children are emitted *before*
 that firing's own :class:`~repro.obs.events.TaskFired` span — so in
 stream order, a ``TaskFired`` claims every unclaimed enqueue before it.
+The tasks ``state.start`` enqueued — whatever was born ready in the root
+activation, operators with all-static inputs included — are stamped
+before any span starts, so no firing claims them: they are the roots of
+the DAG, on the master's track or a worker's.
 ``TaskEnqueued.seq`` / ``TaskFired.seq`` join the two halves of each
 task, and :class:`~repro.obs.events.TaskDispatched` /
 :class:`~repro.obs.events.ResultReceived` (joined on ``call_id``) add
@@ -341,14 +345,14 @@ def critical_path(
     )
     master_busy = sum(r.duration for r in master)
     local_body = max(0.0, op_body - worker_body)
+    # A run whose every firing went to a worker has no master span at
+    # all: the master waited for the whole of it.
     master_wait = 0.0
-    if master:
-        master_wait += max(0.0, master[0].start)
-        cursor = master[0].end
-        for r in master[1:]:
-            master_wait += max(0.0, r.start - cursor)
-            cursor = max(cursor, r.end)
-        master_wait += max(0.0, wall - cursor)
+    cursor = 0.0
+    for r in master:
+        master_wait += max(0.0, r.start - cursor)
+        cursor = max(cursor, r.end)
+    master_wait += max(0.0, wall - cursor)
     attribution = {
         "operator_body": local_body,
         "engine_overhead": max(0.0, master_busy - local_body),

@@ -1,6 +1,6 @@
 """The Delirium runtime: values, blocks, operators, engine, executors."""
 
-from .activation import Activation, ActivationPool
+from .activation import Activation, ActivationPool, TemplatePlan
 from .checkpoint import (
     Checkpoint,
     CheckpointCadence,
@@ -106,6 +106,7 @@ __all__ = [
     "StreamRunner",
     "Supervisor",
     "Task",
+    "TemplatePlan",
     "ThreadedExecutor",
     "Tracer",
     "WorkerPool",

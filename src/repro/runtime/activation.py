@@ -12,17 +12,130 @@ an activation whose nodes have all fired (and whose result has been
 delivered or delegated to a tail call) can be recycled through a per-
 template free list — the reuse the paper's priority scheme is designed to
 maximize.
+
+The paper's split is static template / per-invocation buffer space; the
+:class:`TemplatePlan` is everything on the static side that the IR does
+not spell out: the pristine buffer rows an activation starts from (with
+the values of constant nodes already in them), which nodes are ready at
+birth, and one :class:`NodePlan` per node.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..graph.ir import Template
+from ..graph.ir import GraphProgram, Node, NodeKind, Template
 from ..obs.events import ActivationAllocated, ActivationRecycled, EventBus
+from .blocks import DataBlock
+from .values import Closure, MultiValue, OperatorValue
 
 #: Sentinel marking an input slot that has not received its value yet.
 _EMPTY = object()
+
+
+class NodePlan:
+    """One row of a template's per-node table: what is decided about a
+    node before it fires, so no firing decides it again.
+
+    ``op`` is the operator plan of an ``OP`` node
+    (``ExecutionState._op_plan``), built when the node first fires so an
+    unknown operator is reported then, as ever.  ``callee`` is the
+    template a ``CALL`` node is sure to expand: its callee port is fed by
+    a static closure node of its own template.  ``expands`` holds the plans
+    of the templates the node may expand — ``[then, else]`` of an ``IF``,
+    ``[callee]`` of a known ``CALL`` — each resolved when first taken.
+    ``memo`` is ``(run token, dispatch class)``: the class the executor
+    loop gave the node, valid for the run holding that token.
+    """
+
+    __slots__ = ("node", "kind", "op", "callee", "expands", "memo")
+
+    def __init__(self, node: Node) -> None:
+        self.node = node
+        self.kind = node.kind
+        self.op: tuple | None = None
+        self.callee: Template | None = None
+        self.expands: list["TemplatePlan | None"] = [None, None]
+        self.memo: tuple[Any, int] = (None, 0)
+
+
+def _static_value(node: Node, program: GraphProgram) -> Any:
+    """The value ``node`` would deliver in every activation, or ``_EMPTY``.
+
+    A literal, an operator reference and a closure over a capture-free
+    template depend on nothing an activation supplies.  Reference-counted
+    values are left to fire: a share is taken by a delivery.
+    """
+    kind = node.kind
+    if kind is NodeKind.CONST:
+        if not isinstance(node.value, (DataBlock, MultiValue)):
+            return node.value
+    elif kind is NodeKind.OPREF:
+        return OperatorValue(node.name)
+    elif kind is NodeKind.CLOSURE and not node.inputs:
+        template = program.templates.get(node.template)
+        if template is not None and not template.captures:
+            return Closure(template, ())
+    return _EMPTY
+
+
+class TemplatePlan:
+    """What a template knows before it runs: the prototype every
+    activation of it is instantiated from, and its per-node table.
+
+    Built once per (program, registry) when the template is first
+    activated, then shared read-only by every run and executor.  A
+    *static* node — one with a :func:`_static_value` that is not the
+    template's result — never becomes a task: its value sits in the
+    pristine slot rows (``blank``) of its consumers, whose ``missing``
+    seeds no longer count it.  The result node always fires, because the
+    result is delivered by a firing.
+
+    ``shortcut`` marks a template in which nothing but the result would
+    fire: ``(placeholder, value)`` says its result is the value handed
+    to that placeholder, or (placeholder ``-1``) the static ``value``.
+    The expanding node delivers such a result as its own output instead
+    of instantiating the template.
+    """
+
+    __slots__ = (
+        "template", "blank", "missing", "ready", "fireable", "nodes",
+        "shortcut",
+    )
+
+    def __init__(self, template: Template, program: GraphProgram) -> None:
+        self.template = template
+        nodes = template.nodes
+        n_ph = template.n_placeholders()
+        static = {}
+        for node_id in range(n_ph, len(nodes)):
+            value = _static_value(nodes[node_id], program)
+            if value is not _EMPTY:
+                static[node_id] = value
+        result = template.result_node
+        self.shortcut: tuple[int, Any] | None = None
+        if len(static) == len(nodes) - n_ph:
+            self.shortcut = (
+                (result, None) if result < n_ph else (-1, static[result])
+            )
+        static.pop(result, None)
+        self.blank: list[list[Any]] = [
+            [static.get(port.node, _EMPTY) for port in node.inputs]
+            for node in nodes
+        ]
+        self.missing = [sum(v is _EMPTY for v in row) for row in self.blank]
+        self.ready = [
+            node_id
+            for node_id in range(n_ph, len(nodes))
+            if not self.missing[node_id] and node_id not in static
+        ]
+        self.fireable = len(nodes) - n_ph - len(static)
+        self.nodes = [NodePlan(node) for node in nodes]
+        for entry in self.nodes:
+            if entry.kind is NodeKind.CALL and entry.node.inputs:
+                callee = static.get(entry.node.inputs[0].node)
+                if isinstance(callee, Closure):
+                    entry.callee = callee.template
 
 
 class Activation:
@@ -30,8 +143,9 @@ class Activation:
 
     Attributes
     ----------
-    template:
-        The static subgraph being evaluated.
+    plan / template:
+        The prototype this activation was instantiated from, and the
+        static subgraph being evaluated.
     slots:
         ``slots[node][input_index]`` — received input values.
     missing:
@@ -55,6 +169,7 @@ class Activation:
     """
 
     __slots__ = (
+        "plan",
         "template",
         "slots",
         "missing",
@@ -65,40 +180,28 @@ class Activation:
         "pend_ops",
         "pend_children",
         "fireable",
-        "_blank",
     )
 
-    def __init__(
-        self,
-        template: Template,
-        aid: int,
-        blank: list[list[Any]] | None = None,
-    ) -> None:
-        self.template = template
-        #: Pristine slot rows; ``reset`` restores each row with one
-        #: C-level slice assignment instead of a Python loop.  Read-only,
-        #: so the pool shares one copy across all activations of a
-        #: template rather than allocating a shadow row set per
-        #: activation.
-        if blank is None:
-            blank = [[_EMPTY] * n for n in template.in_counts]
-        self._blank = blank
-        self.slots: list[list[Any]] = [row[:] for row in blank]
-        self.missing: list[int] = list(template.in_counts)
+    def __init__(self, plan: TemplatePlan, aid: int) -> None:
+        self.plan = plan
+        self.template = plan.template
+        self.slots: list[list[Any]] = [row[:] for row in plan.blank]
+        self.missing: list[int] = plan.missing[:]
         self.continuation: tuple["Activation", int] | None = None
         self.fired = 0
         self.result_done = False
         self.aid = aid
         self.pend_ops = 0
         self.pend_children = 0
-        self.fireable = len(template.nodes) - template.n_placeholders()
+        self.fireable = plan.fireable
 
     # ------------------------------------------------------------------
     def reset(self, aid: int) -> None:
-        """Recycle this activation for a fresh evaluation of its template."""
-        for slot_row, blank in zip(self.slots, self._blank):
+        """Recycle this activation for a fresh evaluation of its template:
+        one C-level slice assignment per row restores the static values."""
+        for slot_row, blank in zip(self.slots, self.plan.blank):
             slot_row[:] = blank
-        self.missing[:] = self.template.in_counts
+        self.missing[:] = self.plan.missing
         self.continuation = None
         self.fired = 0
         self.result_done = False
@@ -107,11 +210,8 @@ class Activation:
         self.pend_children = 0
 
     def fireable_nodes(self) -> int:
-        """Nodes that will fire (everything but the placeholders)."""
+        """Nodes that will fire (placeholders and static nodes do not)."""
         return self.fireable
-
-    def finished(self) -> bool:
-        return self.result_done and self.fired >= self.fireable_nodes()
 
     def take_inputs(self, node_id: int) -> list[Any]:
         """Return the received inputs of a ready node (slots keep them;
@@ -150,9 +250,6 @@ class ActivationPool:
         self.max_free_per_template = max_free_per_template
         self.free_dropped = 0
         self._free: dict[str, list[Activation]] = {}
-        #: Shared pristine slot rows, one set per template (see
-        #: ``Activation._blank``).
-        self._blanks: dict[str, list[list[Any]]] = {}
         self.created = 0
         self.reused = 0
         self.live = 0
@@ -170,25 +267,21 @@ class ActivationPool:
             ActivationRecycled
         )
 
-    def acquire(self, template: Template) -> Activation:
+    def acquire(self, plan: TemplatePlan) -> Activation:
         self._serial += 1
-        free_list = self._free.get(template.name)
+        name = plan.template.name
+        free_list = self._free.get(name)
         if free_list:
             act = free_list.pop()
             act.reset(self._serial)
             self.reused += 1
             reused = True
         else:
-            blank = self._blanks.get(template.name)
-            if blank is None:
-                blank = [[_EMPTY] * n for n in template.in_counts]
-                self._blanks[template.name] = blank
-            act = Activation(template, self._serial, blank)
+            act = Activation(plan, self._serial)
             self.created += 1
             reused = False
         self.live += 1
         self.peak_live = max(self.peak_live, self.live)
-        name = template.name
         live = self.live_by_template.get(name, 0) + 1
         self.live_by_template[name] = live
         if live > self.peak_by_template.get(name, 0):

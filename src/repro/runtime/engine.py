@@ -38,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import GraphError, OperatorError, RuntimeFailure
-from ..graph.ir import GraphProgram, Node, NodeKind
+from ..graph.ir import GraphProgram, Node, NodeKind, Template
 from ..obs.events import (
     BufferRecycled,
     CowCopy,
@@ -51,7 +51,7 @@ from ..obs.events import (
     TailExpansion,
     TaskEnqueued,
 )
-from .activation import Activation, ActivationPool
+from .activation import Activation, ActivationPool, NodePlan, TemplatePlan
 from . import blocks as _blocks
 from .blocks import (
     BufferPool,
@@ -67,17 +67,73 @@ from .values import Closure, MultiValue, OperatorValue, is_truthy
 
 _NO_RESULT = object()
 
-#: Cross-run cache of per-node operator plans and composed fused specs,
-#: keyed by program identity (``GraphProgram`` is an eq-comparing
-#: dataclass, hence unhashable — the id plus a weak self-reference gives
-#: identity semantics without touching the class).  Plans depend only on
-#: (registry, node) — both static for a compiled program — so repeated
-#: runs of the same graph (benchmark repeats, server loops) skip the
-#: rebuild.  Entries whose program or registry died are pruned on insert;
-#: a different registry for the same program replaces the entry.
-#: Purity-checking states bypass the cache (their plans never admit the
-#: single pass).
-_PLAN_CACHES: dict[int, tuple] = {}
+
+class ProgramPlans:
+    """Everything a (program, registry) pair answers before a run starts.
+
+    ``templates`` holds the load plan of every template activated so far
+    (their per-node tables carry the operator plans) and ``fused_specs``
+    the composed specs of fused super-nodes, by fused node name (the name
+    encodes the full recipe, so one entry serves every structurally
+    identical fused node).  All of it is a deterministic function of the
+    pair, built on first use and read-only afterwards, so every state
+    over the pair shares one instance (:func:`_plans_for`); the worst
+    concurrent case is two states computing the same value.  The pair is
+    held weakly: the plans must not keep a program alive.
+    """
+
+    def __init__(self, program: GraphProgram, registry: OperatorRegistry) -> None:
+        self.program = weakref.ref(program)
+        self.registry = weakref.ref(registry)
+        self.templates: dict[str, TemplatePlan] = {}
+        self.fused_specs: dict[str, OperatorSpec] = {}
+        self._fused: tuple[int, int] | None = None
+
+    def load(self, template: Template) -> TemplatePlan:
+        """The load plan of ``template``, built the first time it is asked
+        for.  Keyed by name; a closure from another program that brings a
+        namesake is planned afresh rather than served the wrong rows."""
+        plan = self.templates.get(template.name)
+        if plan is None or plan.template is not template:
+            plan = TemplatePlan(template, self.program())
+            self.templates[template.name] = plan
+        return plan
+
+    def fused_counts(self) -> tuple[int, int]:
+        """``(fused nodes, source operators they absorbed)`` program-wide."""
+        if self._fused is None:
+            fused_nodes = ops_absorbed = 0
+            for tpl in self.program().templates.values():
+                for n in tpl.nodes:
+                    if n.fused is not None:
+                        steps, untuple_n = n.fused
+                        fused_nodes += 1
+                        ops_absorbed += len(steps) + (1 if untuple_n else 0)
+            self._fused = (fused_nodes, ops_absorbed)
+        return self._fused
+
+
+#: Cross-run cache of :class:`ProgramPlans`, keyed by program identity
+#: (``GraphProgram`` is an eq-comparing dataclass, hence unhashable — the
+#: id plus the plans' weak reference gives identity semantics without
+#: touching the class), so repeated runs of the same graph (benchmark
+#: repeats, server loops) build nothing.  Entries whose program died are
+#: pruned on insert; a different registry for the same program replaces
+#: the entry.
+_PLAN_CACHES: dict[int, ProgramPlans] = {}
+
+
+def _plans_for(program: GraphProgram, registry: OperatorRegistry) -> ProgramPlans:
+    plans = _PLAN_CACHES.get(id(program))
+    if (
+        plans is None
+        or plans.program() is not program
+        or plans.registry() is not registry
+    ):
+        for key in [k for k, v in _PLAN_CACHES.items() if v.program() is None]:
+            del _PLAN_CACHES[key]
+        plans = _PLAN_CACHES[id(program)] = ProgramPlans(program, registry)
+    return plans
 
 #: Hook type: executors may intercept the raw operator call (to inject
 #: faults and retry, or to time it).  Receives the spec, the ready
@@ -372,42 +428,9 @@ class ExecutionState:
         # live directly on each activation (``pend_children`` /
         # ``pend_ops``) — the recycling guard reads them after every
         # firing, so they must be attribute loads, not dict probes.
-        #: Composed specs for fused super-nodes, by fused node name (the
-        #: name encodes the full recipe, so one entry serves every
-        #: structurally identical fused node across templates), and the
-        #: per-node constants of ``OP`` nodes (:meth:`_build_op_plan`),
-        #: keyed by node object identity (nodes are owned by the static
-        #: program, so ids are stable for as long as the program — which
-        #: also owns the cache entry — is alive).  Both are shared across
-        #: states of the same (program, registry) pair via
-        #: :data:`_PLAN_CACHES`; entries are deterministic functions of
-        #: that pair, so the worst concurrent case is two states
-        #: computing the same value.
-        if check_purity:
-            self._fused_specs: dict[str, OperatorSpec] = {}
-            self._op_plans: dict[int, tuple] = {}
-        else:
-            cached = _PLAN_CACHES.get(id(program))
-            if (
-                cached is not None
-                and cached[0]() is program
-                and cached[1]() is registry
-            ):
-                self._op_plans = cached[2]
-                self._fused_specs = cached[3]
-            else:
-                self._op_plans = {}
-                self._fused_specs = {}
-                for key in [
-                    k for k, v in _PLAN_CACHES.items() if v[0]() is None
-                ]:
-                    del _PLAN_CACHES[key]
-                _PLAN_CACHES[id(program)] = (
-                    weakref.ref(program),
-                    weakref.ref(registry),
-                    self._op_plans,
-                    self._fused_specs,
-                )
+        #: The load plans every activation is instantiated from, shared
+        #: with every other state over the same (program, registry).
+        self.plans = _plans_for(program, registry)
         # Subscriber-set snapshot for the per-firing emit sites (the same
         # discipline executors use for TaskFired): ``wants`` resolution
         # is cheap but not free, and these are consulted for every task.
@@ -442,21 +465,15 @@ class ExecutionState:
             )
         bus = self.bus
         if bus is not None:
-            fused_nodes = 0
-            ops_absorbed = 0
-            for tpl in self.program.templates.values():
-                for n in tpl.nodes:
-                    if n.fused is not None:
-                        steps, untuple_n = n.fused
-                        fused_nodes += 1
-                        ops_absorbed += len(steps) + (1 if untuple_n else 0)
+            fused_nodes, ops_absorbed = self.plans.fused_counts()
             if fused_nodes:
                 bus.emit(OperatorsFused(bus.now(), fused_nodes, ops_absorbed))
-        root = self.pool.acquire(template)
+        # The entry template is instantiated even when it is a shortcut:
+        # there is no expanding node to deliver its result for it.
+        plan = self.plans.load(template)
+        root = self.pool.acquire(plan)
         root.continuation = None
-        newly: list[Task] = [
-            self._task(root, nid) for nid in template.initial_ready
-        ]
+        newly: list[Task] = [self._task(root, nid) for nid in plan.ready]
         for i, a in enumerate(args):
             self._deliver_output(root, i, 0, wrap_payload(a), 0, newly)
         return newly
@@ -471,13 +488,13 @@ class ExecutionState:
         of :meth:`_fire_node`, with a suspended body run right here.
         """
         act = task.activation
-        node = act.template.nodes[task.node_id]
-        if node.kind is NodeKind.OP and run_op is None:
-            plan = self._op_plans.get(id(node)) or self._build_op_plan(node)
-            if plan[-1]:
-                return self._fire_op_inline(task, act, node, plan, home)
+        entry = act.plan.nodes[task.node_id]
+        if entry.kind is NodeKind.OP and run_op is None:
+            plan = entry.op or self._op_plan(entry)
+            if plan[-1] and not self.check_purity:
+                return self._fire_op_inline(task, act, plan, home)
         newly: list[Task] = []
-        pending = self._fire_node(task, act, node, newly, home, None)
+        pending = self._fire_node(task, act, entry, newly, home, None)
         if pending is None:
             return newly
         spec = pending.spec
@@ -499,17 +516,19 @@ class ExecutionState:
         newly.extend(self.complete_fire(pending, raw_result))
         return newly
 
-    def _build_op_plan(self, node: Node) -> tuple:
-        """Compute and cache the per-node constants of one ``OP`` node.
+    def _op_plan(self, entry: NodePlan) -> tuple:
+        """Compute the per-node constants of one ``OP`` node into its row
+        of the template's table.
 
         ``(spec, fn, untuple_n, n_source_ops, is_fused, donated,
         arg_codes, single_pass)``.  ``arg_codes`` is what :meth:`_bind`
-        reads; ``single_pass`` is False when the firing must suspend
-        whoever drives it: purity checking (the fingerprints live on the
-        :class:`PendingOp`) or a static arity mismatch (the begin path
-        raises the canonical error).
+        reads; ``single_pass`` is False on a static arity mismatch (the
+        begin path raises the canonical error).  A purity-checking state
+        shares the plan and never takes the single pass: its
+        fingerprints live on the :class:`PendingOp`.
         """
-        spec = self.op_spec(node)
+        node = entry.node
+        spec = node_spec(self.registry, node, self.plans.fused_specs)
         fused = node.fused
         if fused is not None:
             untuple_n = fused[1]
@@ -519,7 +538,7 @@ class ExecutionState:
             n_source_ops = 1
         donated = node.donated if node.donated is not None else ()
         n = len(node.inputs)
-        plan = self._op_plans[id(node)] = (
+        plan = entry.op = (
             spec,
             spec.fn,
             untuple_n,
@@ -527,7 +546,7 @@ class ExecutionState:
             fused is not None,
             donated,
             _arg_codes(spec, n, donated),
-            not self.check_purity and spec.arity in (None, n),
+            spec.arity in (None, n),
         )
         return plan
 
@@ -535,7 +554,6 @@ class ExecutionState:
         self,
         task: Task,
         act: Activation,
-        node: Node,
         plan: tuple,
         home: int,
     ) -> list[Task]:
@@ -616,9 +634,9 @@ class ExecutionState:
             raise OperatorError(spec.name, exc, node_id=node_id) from exc
         return self.recover_op(spec, args, node_id, exc)
 
-    def op_spec(self, node: Node) -> OperatorSpec:
+    def op_spec(self, entry: NodePlan) -> OperatorSpec:
         """The spec an ``OP`` node fires (fused bodies composed once)."""
-        return node_spec(self.registry, node, self._fused_specs)
+        return (entry.op or self._op_plan(entry))[0]
 
     def fire_unless_remote(
         self, task: Task, classify: Classify | None, home: int = -1
@@ -629,17 +647,17 @@ class ExecutionState:
         decision.  When it keeps the body here (or is ``None``) the fire
         takes the same single-pass path as :meth:`fire` and the newly
         ready tasks come back; otherwise — and for the nodes that path
-        does not admit (see :meth:`_build_op_plan`) — the result is the
+        does not admit (see :meth:`_op_plan`) — the result is the
         :class:`PendingOp` of :meth:`begin_fire`.
         """
         act = task.activation
-        node = act.template.nodes[task.node_id]
-        plan = self._op_plans.get(id(node)) or self._build_op_plan(node)
-        if plan[-1]:
+        entry = act.plan.nodes[task.node_id]
+        plan = entry.op or self._op_plan(entry)
+        if plan[-1] and not self.check_purity:
             if classify is None or not classify(
                 plan[0], tuple(map(_payload_of, act.slots[task.node_id]))
             ):
-                return self._fire_op_inline(task, act, node, plan, home)
+                return self._fire_op_inline(task, act, plan, home)
             classify = _remote
         return self.begin_fire(task, home, classify).pending
 
@@ -659,7 +677,7 @@ class ExecutionState:
         act = task.activation
         newly: list[Task] = []
         pending = self._fire_node(
-            task, act, act.template.nodes[task.node_id], newly, home, classify
+            task, act, act.plan.nodes[task.node_id], newly, home, classify
         )
         return FireOutcome(newly, pending)
 
@@ -667,26 +685,30 @@ class ExecutionState:
         self,
         task: Task,
         act: Activation,
-        node: Node,
+        entry: NodePlan,
         newly: list[Task],
         home: int,
         classify: Classify | None,
     ) -> PendingOp | None:
-        """The kind ladder: fire ``node``, or suspend it at its body.
+        """The kind ladder: fire the node of ``entry``, or suspend it at
+        its body.
 
         Appends the tasks made ready to ``newly``; returns the
         :class:`PendingOp` of a firing that stopped at the compute
-        boundary, ``None`` when the node completed here.
+        boundary, ``None`` when the node completed here.  ``CONST``,
+        ``OPREF`` and ``CLOSURE`` nodes get here only when they are not
+        static (see :class:`~repro.runtime.activation.TemplatePlan`).
         """
         node_id = task.node_id
         act.fired += 1
         self.stats.tasks_fired += 1
-        kind = node.kind
+        node = entry.node
+        kind = entry.kind
         pending: PendingOp | None = None
         if kind is NodeKind.IF:
-            self._fire_if(act, node_id, node, newly)
+            self._fire_if(act, node_id, entry, newly)
         elif kind is NodeKind.CALL:
-            pending = self._fire_call(act, node_id, node, newly, home, classify)
+            pending = self._fire_call(act, node_id, entry, newly, home, classify)
         elif kind is NodeKind.CONST:
             self._deliver_output(act, node_id, 0, node.value, 0, newly)
         elif kind is NodeKind.OP:
@@ -694,7 +716,7 @@ class ExecutionState:
             pending = self._begin_operator(
                 act,
                 node_id,
-                self._op_plans.get(id(node)) or self._build_op_plan(node),
+                entry.op or self._op_plan(entry),
                 inputs,
                 inputs,
                 home,
@@ -950,17 +972,23 @@ class ExecutionState:
         # result never can (it was deserialized from the worker), a local
         # one is walked structurally, and opaque application objects are
         # conservatively assumed to hold views.
-        for i in donated:
-            if i >= len(inputs):
-                continue
-            v = inputs[i]
-            if (
-                isinstance(v, DataBlock)
-                and v.rc == 0
-                and isinstance(v.payload, np.ndarray)
-                and (remote or not _may_alias(raw_result, v.payload))
-            ):
-                self.buffers.put(v.payload)
+        if donated:
+            # One buffer may sit on two donated edges (an operator that
+            # returned the same array twice): offer it once.
+            offered: list[np.ndarray] = []
+            for i in donated:
+                if i >= len(inputs):
+                    continue
+                v = inputs[i]
+                if (
+                    isinstance(v, DataBlock)
+                    and v.rc == 0
+                    and isinstance(v.payload, np.ndarray)
+                    and (remote or not _may_alias(raw_result, v.payload))
+                    and not any(v.payload is o for o in offered)
+                ):
+                    offered.append(v.payload)
+                    self.buffers.put(v.payload)
         act.pend_ops -= 1
         # Inlined _maybe_free.
         if (
@@ -1409,16 +1437,22 @@ class ExecutionState:
         self,
         act: Activation,
         node_id: int,
-        node: Node,
+        entry: NodePlan,
         newly: list[Task],
         home: int,
         classify: Classify | None,
     ) -> PendingOp | None:
         inputs = act.take_inputs(node_id)
-        callee, call_args = inputs[0], list(inputs[1:])
-        if isinstance(callee, OperatorValue):
+        callee = inputs[0]
+        if entry.callee is not None:
+            # The template created this closure itself: nothing to learn
+            # from the value, and it has no cells.
+            plan = entry.expands[0] or self._target(entry, 0)
+            cells: tuple[Any, ...] = ()
+        elif isinstance(callee, OperatorValue):
             # The callee is known only now, so its constants are too: a
             # plan like an ``OP`` node's, with no fusion or donation facts.
+            call_args = inputs[1:]
             spec = self.registry.get(callee.name)
             codes = _arg_codes(spec, len(call_args), ())
             return self._begin_operator(
@@ -1430,65 +1464,69 @@ class ExecutionState:
                 home,
                 classify,
             )
-        if isinstance(callee, Closure):
-            self._expand(
-                act,
-                node_id,
-                node,
-                callee.template,
-                params=call_args,
-                param_share=1,
-                captures=list(callee.cells),
-                capture_share=0,
-                newly=newly,
+        elif isinstance(callee, Closure):
+            plan = self.plans.load(callee.template)
+            cells = callee.cells
+        else:
+            raise RuntimeFailure(
+                f"call of non-function value {callee!r} "
+                f"(node {entry.node.label!r} in {act.template.name!r})"
             )
-            return None
-        raise RuntimeFailure(
-            f"call of non-function value {callee!r} "
-            f"(node {node.label!r} in {act.template.name!r})"
-        )
+        self._expand(act, node_id, entry.node, plan, inputs[1:], 1, cells, 0, newly)
+        return None
+
+    def _target(self, entry: NodePlan, which: int) -> TemplatePlan:
+        """The plan of a template ``entry`` expands, loaded when first
+        taken: the callee of a known ``CALL``, else arm ``which`` of an
+        ``IF`` (0 then, 1 else)."""
+        template = entry.callee
+        if template is None:
+            node = entry.node
+            template = self.program.template(
+                node.else_template if which else node.then_template
+            )
+        plan = entry.expands[which] = self.plans.load(template)
+        return plan
 
     def _fire_if(
-        self, act: Activation, node_id: int, node: Node, newly: list[Task]
+        self, act: Activation, node_id: int, entry: NodePlan, newly: list[Task]
     ) -> None:
         inputs = act.take_inputs(node_id)
         cond = inputs[0]
-        n_then = node.n_then_captures
-        then_values = list(inputs[1 : 1 + n_then])
-        else_values = list(inputs[1 + n_then :])
+        n_then = entry.node.n_then_captures
         if is_truthy(cond):
-            taken_name, taken = node.then_template, then_values
-            dropped = else_values
+            which, taken = 0, inputs[1 : 1 + n_then]
+            dropped = inputs[1 + n_then :]
         else:
-            taken_name, taken = node.else_template, else_values
-            dropped = then_values
+            which, taken = 1, inputs[1 + n_then :]
+            dropped = inputs[1 : 1 + n_then]
         for v in dropped:
             release(v, 1)
         release(cond, 1)
-        self._expand(
-            act,
-            node_id,
-            node,
-            self.program.template(taken_name),
-            params=[],
-            param_share=0,
-            captures=taken,
-            capture_share=1,
-            newly=newly,
-        )
+        plan = entry.expands[which] or self._target(entry, which)
+        self._expand(act, node_id, entry.node, plan, (), 0, taken, 1, newly)
 
     def _expand(
         self,
         parent: Activation,
         node_id: int,
         node: Node,
-        template: Any,
-        params: list[Any],
+        plan: TemplatePlan,
+        params: Any,
         param_share: int,
-        captures: list[Any],
+        captures: Any,
         capture_share: int,
         newly: list[Task],
     ) -> None:
+        """Expand ``plan``'s template as a child of ``node``'s firing.
+
+        ``params`` / ``captures`` each carry ``param_share`` /
+        ``capture_share`` references of the firing node's, handed on to
+        the child.  A shortcut template is not instantiated: the firing
+        drops the shares it does not pass on and delivers the result as
+        its own output, which for a tail node is the activation's result.
+        """
+        template = plan.template
         if len(params) != len(template.params):
             raise RuntimeFailure(
                 f"{template.name!r} takes {len(template.params)} argument(s), "
@@ -1499,8 +1537,23 @@ class ExecutionState:
                 f"{template.name!r} expects {len(template.captures)} "
                 f"capture(s), got {len(captures)}"
             )
+        if plan.shortcut is not None:
+            index, value = plan.shortcut
+            share, n = 0, len(params)
+            if index >= n:
+                value, share = captures[index - n], capture_share
+            elif index >= 0:
+                value, share = params[index], param_share
+            for i, v in enumerate(params):
+                if i != index:
+                    release(v, param_share)
+            for i, v in enumerate(captures, n):
+                if i != index:
+                    release(v, capture_share)
+            self._deliver_output(parent, node_id, 0, value, share, newly)
+            return
         self.stats.expansions += 1
-        child = self.pool.acquire(template)
+        child = self.pool.acquire(plan)
         bus = self.bus
         if node.tail:
             self.stats.tail_expansions += 1
@@ -1515,12 +1568,12 @@ class ExecutionState:
             child.continuation = (parent, node_id)
             parent.pend_children += 1
         if self._wants_enqueued:
-            for nid in template.initial_ready:
+            for nid in plan.ready:
                 newly.append(self._task(child, nid))
         else:
             priorities = template.priorities
             seq = self._task_seq
-            for nid in template.initial_ready:
+            for nid in plan.ready:
                 seq += 1
                 newly.append(Task(child, nid, priorities[nid], seq))
             self._task_seq = seq

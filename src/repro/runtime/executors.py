@@ -110,8 +110,8 @@ def batch_key(task: Task) -> tuple[int, int] | None:
     activations, which is what a vectorized ``batch_call`` (or one
     grouped IPC message) can exploit.  ``OP`` nodes and ``CALL`` nodes
     both qualify (a ``CALL`` may resolve to an operator value, e.g. the
-    prelude's ``par_reduce`` leaf calls); everything else — consts,
-    expansions, plumbing — returns ``None`` and pops as a singleton.
+    prelude's ``par_reduce`` leaf calls); everything else — expansions,
+    plumbing — returns ``None`` and pops as a singleton.
     """
     node = task.activation.template.nodes[task.node_id]
     kind = node.kind
@@ -288,9 +288,10 @@ class Run:
         self.batching = executor.batch and injector is None
         self.threshold = executor.batch_threshold or DEFAULT_BATCH_THRESHOLD
         self.profile_ops = executor.profile_ops
-        #: Dispatch class by ``id(node)``, filled as nodes first reach the
-        #: head of the queue.
-        self.classes: dict[int, int] = {}
+        #: Marks the dispatch classes this run memoized in the shared
+        #: per-node tables (``NodePlan.memo``): a class depends on the
+        #: run's backend, batching and dispatch policy.
+        self.token = object()
         self.backend: Any = _INLINE
         self.threads: _Threads | None = None
         #: Decides which suspended bodies go to the backend; ``None``
@@ -366,7 +367,8 @@ class Run:
         """The firing loop: ``pop → class → fire | begin → local body or
         local group | submit``, then ``poll → commit``.
 
-        Each node has one dispatch class, cached (:meth:`_node_class`).
+        Each node has one dispatch class, memoized in its row of the
+        template's per-node table (:meth:`_node_class`).
         A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
         engine's single pass unless its payloads send it away; it looks
         for peers only once suspended.  ``_VECTOR`` and ``_CALL`` heads
@@ -377,7 +379,7 @@ class Run:
         through :meth:`_commit`.
         """
         state, queue = self.state, self.queue
-        classes, node_class = self.classes, self._node_class
+        token, node_class = self.token, self._node_class
         plain, batching, threshold = self.plain, self.batching, self.threshold
         fire, begin, local = state.fire, self._begin, self._local
         # A run that wants per-fire detail begins what the single pass
@@ -387,15 +389,18 @@ class Run:
         while True:
             while queue and not self.halted:
                 task = queue.pop()
-                node = task.activation.template.nodes[task.node_id]
-                cls = classes.get(id(node))
-                if cls is None:
-                    cls = classes[id(node)] = node_class(node)
+                entry = task.activation.plan.nodes[task.node_id]
+                memo = entry.memo
+                if memo[0] is token:
+                    cls = memo[1]
+                else:
+                    cls = node_class(entry)
+                    entry.memo = (token, cls)
                 if cls == _FIRE:
                     if plain:
                         queue.push_all(fire(task))
                     else:
-                        self._fire(task, node)
+                        self._fire(task, entry.node)
                     continue
                 pending = None
                 if cls == _OP:
@@ -460,23 +465,29 @@ class Run:
             if self.on_pump is not None:
                 self.on_pump()
 
-    def _node_class(self, node: Any) -> int:
-        """How the loop treats ``node`` at the head of the queue.
+    def _node_class(self, entry: Any) -> int:
+        """How the loop treats the node of ``entry`` at the head of the
+        queue.
 
         A head is fired whole (``_FIRE``) when its body is sure to run
         here, alone and at once: nothing can send it away, it cannot ride
         in a group, and no lock has to be released around it.
         """
-        kind = node.kind
+        kind = entry.kind
         away = self.dispatch_policy is not None or self.threads is not None
         if kind is NodeKind.CALL:
-            # The callee is known only at fire time.
-            return _CALL if away or self.batching else _FIRE
+            # A callee known only at fire time may be an operator.  A
+            # batching run also collects the ready peers of a call it
+            # knows to expand a closure: expanded together, their leaves
+            # meet in the queue, which is the only way they can coalesce.
+            if self.batching or (away and entry.callee is None):
+                return _CALL
+            return _FIRE
         if kind is not NodeKind.OP:
             return _FIRE
         if self.threads is not None:
             return _CALL
-        spec = self.state.op_spec(node)
+        spec = self.state.op_spec(entry)
         if self.batching and spec.batch_fn is not None:
             return _VECTOR
         if (
@@ -1031,18 +1042,12 @@ class ProcessExecutor(_Executor):
         self.persistent = persistent
         self._pool: WorkerPool | None = None
         self._pool_key: tuple[int, int] | None = None
-        #: The class table (:attr:`Run.classes`) of a persistent
-        #: executor's runs.  A function of (program, registry, dispatch
-        #: policy, ``batch``) only, so it lives exactly as long as the
-        #: warm pool.
-        self._node_classes: dict[int, int] = {}
 
     def close(self) -> None:
         """Tear down the persistent worker pool, if one is warm."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             self._pool_key = None
-            self._node_classes = {}
             pool.close()
 
     def _build_pool(
@@ -1147,8 +1152,4 @@ class ProcessExecutor(_Executor):
                 },
             )
         run.on_pump = export_memory_gauges
-        if self.persistent and run.injector is None:
-            # An injector switches coalescing off, and with it the
-            # classes: such a run keeps its private table.
-            run.classes = self._node_classes
         return run.execute(args, supervisor, self.policy)

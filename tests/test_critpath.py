@@ -3,7 +3,7 @@
 import pytest
 
 from repro import compile_source
-from repro.obs import RunContext
+from repro.obs import RunContext, TaskEnqueued, TaskFired
 from repro.obs.critpath import (
     RECONCILIATION_TOLERANCE,
     compare_critical_paths,
@@ -125,6 +125,45 @@ class TestProcessProfile:
         assert report.path[0].parent_seq is None
         for rec in report.path[1:]:
             assert rec.parent_seq is not None
+
+
+class TestWorkerOnlyRun:
+    """With constants bound at load a run's first firings may be
+    operators born ready, and every firing may be dispatched: the stream
+    then has no master span at all."""
+
+    @staticmethod
+    def _report():
+        def enq(ts, seq):
+            return TaskEnqueued(ts, "f", "op", 0, "main", 1, seq, seq)
+
+        def fired(ts, seq, duration, processor):
+            return TaskFired(
+                ts, "f", "op", 0, "main", 1, seq, seq, duration, processor
+            )
+
+        # Two operators born ready run on workers 1 and 2; the commit of
+        # the first enqueues a third.
+        return critical_path(
+            [
+                enq(0.0, 1), enq(0.0, 2),
+                enq(1.1, 3), fired(0.1, 1, 1.0, 1),
+                fired(0.1, 2, 1.5, 2),
+                fired(1.6, 3, 0.4, 1),
+            ],
+            wall_seconds=2.0,
+        )
+
+    def test_born_ready_firings_are_roots(self):
+        report = self._report()
+        assert [r.seq for r in report.path] == [1, 3]
+        assert report.path[0].parent_seq is None
+        assert report.slack[2] == pytest.approx(0.4)
+
+    def test_master_waited_for_all_of_it(self):
+        report = self._report()
+        assert report.attribution["master_wait"] == pytest.approx(2.0)
+        assert report.reconciliation_error <= RECONCILIATION_TOLERANCE
 
 
 class TestEmptyAndDegenerate:

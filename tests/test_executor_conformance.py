@@ -10,7 +10,10 @@ unbatched sequential run.
 
 The programs are built so the counters cannot depend on the schedule: a
 block's second consumer always needs the first one's result, so its
-reference count at fire time is a fact of the program.
+reference count at fire time is a fact of the program.  Those compiled
+with no passes keep their constants, closures and trivial arms all the
+way to the graph, where the load plans bind them (static nodes,
+shortcut templates, known callees).
 """
 
 import numpy as np
@@ -30,7 +33,9 @@ from repro.runtime import (
     default_registry,
 )
 
-#: Dispatched in process mode (the default threshold is 2e6 ticks).
+#: Dispatched in process mode (the default threshold is 2e6 ticks).  Every
+#: program fires one such operator twice: the mid-run degradation kills
+#: the worker at an operator's second call.
 HEAVY = 1e7
 
 REGISTRY = default_registry()
@@ -81,6 +86,16 @@ def cf_glue(i):
     return i + 3
 
 
+@REGISTRY.register(name="cf_twice", cost=10.0)
+def cf_twice(a):
+    return a, a
+
+
+@REGISTRY.register(name="cf_addv", cost=10.0)
+def cf_addv(x, y):
+    return x + y
+
+
 @REGISTRY.register(name="cf_boom", pure=True, cost=5.0)
 def cf_boom(i):
     if i == 5:
@@ -109,6 +124,7 @@ main(n)
 """,
         (64,),
         ("cow_copies", "in_place_writes", "copies_avoided", "donation_misses"),
+        FULL_PASS_ORDER,
     ),
     "fused_untuple": (
         """
@@ -120,6 +136,7 @@ halves(i)
 """,
         (6,),
         ("fused_fires", "expansions"),
+        FULL_PASS_ORDER,
     ),
     # Operator values reach CALL nodes: one with a batch form that is
     # dispatched, one kept local.
@@ -129,8 +146,71 @@ main(n) add(par_reduce(add, cf_leaf, 0, n), par_reduce(add, cf_glue, 0, n))
 """,
         (8,),
         ("expansions",),
+        FULL_PASS_ORDER,
+    ),
+    # An operator born ready (all operands static); a constant, a
+    # parameter and a capture as a function's whole result, reached
+    # through a CALL, a tail CALL and both arms of a tail and of a
+    # non-tail IF.
+    "static_values": (
+        """
+main(n)
+  let
+    five = add(2, 3)
+    k = konst(n)
+    i = ident(n)
+    w = wrap(n)
+    t = pick(1, n)
+    e = pick(0, n)
+    m = add(if n then n else 0, if 0 then 1 else n)
+  in cf_leaf(cf_leaf(add(add(add(five, k), add(i, w)), add(add(t, e), m))))
+
+konst(x) 7
+ident(x) x
+wrap(x) ident(x)
+pick(c, x) if c then x else 9
+""",
+        (6,),
+        ("expansions",),
+        (),
+    ),
+    # The block reaches cf_bump through a shortcut arm and a shortcut
+    # callee holding exactly the share it left cf_mk with: written in
+    # place, never copied.
+    "shortcut_in_place": (
+        """
+main(n)
+  let
+    a = cf_mk(n, 1)
+    b = if n then a else NULL
+  in add(cf_total(cf_bump(ident(b))), cf_total(cf_mk(n, 2)))
+
+ident(x) x
+""",
+        (6,),
+        ("in_place_writes",),
+        (),
+    ),
+    # Operator references are static values handed to a prelude function.
+    "opref_to_prelude": (
+        "main(n) par_reduce(add, cf_leaf, 0, n)",
+        (6,),
+        ("expansions",),
+        (),
     ),
 }
+
+# One array returned twice ends up on two donated edges of cf_addv once
+# the untuple is fused away; its buffer must be recycled once.
+_TWICE = """
+main(n)
+  let
+    a = cf_mk(n, 1)
+    <x, y> = cf_twice(a)
+  in add(cf_total(cf_addv(x, y)), cf_total(cf_mk(n, 3)))
+"""
+PROGRAMS["same_array_twice"] = (_TWICE, (6,), ("fused_fires",), FULL_PASS_ORDER)
+PROGRAMS["same_array_twice_no_passes"] = (_TWICE, (6,), ("ops_executed",), ())
 
 FAILING = "main(n) par_index_map(cf_boom, 0, n)"
 
@@ -148,20 +228,19 @@ MODES = ("plain", "subscriber", "injector", "purity")
 _GRAPHS = {}
 
 
-def _graph(source):
-    if source not in _GRAPHS:
-        _GRAPHS[source] = compile_source(
-            source, registry=REGISTRY, prelude=True,
-            optimize_passes=FULL_PASS_ORDER,
+def _graph(source, passes=FULL_PASS_ORDER):
+    if (source, passes) not in _GRAPHS:
+        _GRAPHS[source, passes] = compile_source(
+            source, registry=REGISTRY, prelude=True, optimize_passes=passes
         ).graph
-    return _GRAPHS[source]
+    return _GRAPHS[source, passes]
 
 
 def _no_pool(*args, **kwargs):
     raise OSError("no processes today")
 
 
-def _run(kind, mode, batch, source, args, monkeypatch):
+def _run(kind, mode, batch, graph, args, monkeypatch):
     """One cell of the matrix; returns ``(result, spans)``."""
     options = {"batch": batch}
     clauses = []
@@ -192,7 +271,7 @@ def _run(kind, mode, batch, source, args, monkeypatch):
         if kind == "degraded_at_build":
             monkeypatch.setattr(executors, "WorkerPool", _no_pool)
         executor = ProcessExecutor(1, **options)
-    return executor.run(_graph(source), args, REGISTRY), spans
+    return executor.run(graph, args, REGISTRY), spans
 
 
 def _counters(stats):
@@ -202,8 +281,10 @@ def _counters(stats):
 @pytest.fixture(scope="module")
 def references():
     out = {}
-    for name, (source, args, exercised) in PROGRAMS.items():
-        result = SequentialExecutor().run(_graph(source), args, REGISTRY)
+    for name, (source, args, exercised, passes) in PROGRAMS.items():
+        result = SequentialExecutor().run(
+            _graph(source, passes), args, REGISTRY
+        )
         counters = _counters(result.stats)
         # The program does exercise what its name says.
         for counter in exercised:
@@ -219,9 +300,11 @@ def references():
 def test_same_result_and_counters(
     name, kind, mode, batch, references, monkeypatch
 ):
-    source, args, _ = PROGRAMS[name]
+    source, args, _, passes = PROGRAMS[name]
     value, counters = references[name]
-    result, spans = _run(kind, mode, batch, source, args, monkeypatch)
+    result, spans = _run(
+        kind, mode, batch, _graph(source, passes), args, monkeypatch
+    )
     assert result.value == value
     assert _counters(result.stats) == counters
     if mode == "subscriber":
@@ -251,7 +334,7 @@ def test_failing_program_reports_the_same_error(
     with pytest.raises(OperatorError) as reference:
         SequentialExecutor().run(_graph(FAILING), (8,), REGISTRY)
     with pytest.raises(OperatorError) as excinfo:
-        _run(kind, mode, batch, FAILING, (8,), monkeypatch)
+        _run(kind, mode, batch, _graph(FAILING), (8,), monkeypatch)
     error = excinfo.value
     assert type(error) is OperatorError
     assert error.operator == reference.value.operator == "cf_boom"
@@ -267,7 +350,7 @@ def test_degraded_run_keeps_its_configuration(monkeypatch):
     bus = EventBus()
     seen = []
     bus.subscribe(seen.append, (QueueSaturated, ExecutorDegraded))
-    source, args, _ = PROGRAMS["call_of_operator"]
+    source, args, _, _ = PROGRAMS["call_of_operator"]
     result = ProcessExecutor(2, max_ready=1, bus=bus).run(
         _graph(source), args, REGISTRY
     )

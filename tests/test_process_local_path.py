@@ -1,7 +1,7 @@
 """The process master's local leg is the sequential engine's fire.
 
-``ProcessExecutor`` decides a dispatch class once per node and fires
-local work with ``ExecutionState.fire``; a firing suspends (a
+``ProcessExecutor`` decides a dispatch class once per node and run and
+fires local work with ``ExecutionState.fire``; a firing suspends (a
 ``PendingOp`` exists) only when it goes remote or rides in a group.  This
 file pins what must not move while that happens:
 
@@ -330,8 +330,7 @@ def test_warm_queens_takes_no_generic_step(monkeypatch):
     graph, registry, _, _ = _queens(5)
     executor = ProcessExecutor(1, persistent=True)
     try:
-        executor.run(graph, (), registry)  # warm: pool, plans, classes
-        classes = dict(executor._node_classes)
+        executor.run(graph, (), registry)  # warm: pool and plans
         counts = {"pending": 0, "retries": 0, "plain_keys": 0}
 
         class CountingPendingOp(engine.PendingOp):
@@ -361,27 +360,15 @@ def test_warm_queens_takes_no_generic_step(monkeypatch):
     assert result.stats.ops_executed > 100
     assert result.stats.dispatched_fires == 0
     assert counts == {"pending": 0, "retries": 0, "plain_keys": 0}
-    # The table is the persistent executor's, not the run's.
-    assert executor._node_classes == {} and classes
-    assert set(classes.values()) == {
-        executors._FIRE, executors._OP, executors._CALL
+    # The classes are memoized in the program's per-node tables.
+    plans = engine._PLAN_CACHES[id(graph)]
+    classes = {
+        entry.memo[1]
+        for plan in plans.templates.values()
+        for entry in plan.nodes
+        if entry.memo[0] is not None
     }
-
-
-def test_class_table_survives_runs_and_follows_the_program():
-    graph, registry, _, _ = _queens(4)
-    other, other_registry, _, _ = _queens(5)
-    executor = ProcessExecutor(1, persistent=True)
-    try:
-        executor.run(graph, (), registry)
-        table = executor._node_classes
-        filled = dict(table)
-        executor.run(graph, (), registry)
-        assert executor._node_classes is table and table == filled
-        executor.run(other, (), other_registry)
-        assert executor._node_classes is not table
-    finally:
-        executor.close()
+    assert classes == {executors._FIRE, executors._OP, executors._CALL}
 
 
 def test_finished_run_leaves_no_cycle_through_the_state(monkeypatch):

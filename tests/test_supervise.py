@@ -540,12 +540,12 @@ class TestDoubleReleaseGuards:
             pool.put(arr)
 
     def test_activation_pool_rejects_double_release(self):
-        from repro.runtime import ActivationPool
+        from repro.runtime import ActivationPool, TemplatePlan
         from repro.runtime.scheduler import Task  # noqa: F401 - engine dep
 
-        compiled = compile_source("main(n) incr(n)")
+        graph = compile_source("main(n) incr(n)").graph
         pool = ActivationPool()
-        act = pool.acquire(compiled.graph.template("main"))
+        act = pool.acquire(TemplatePlan(graph.template("main"), graph))
         pool.release(act)
         with pytest.raises(RuntimeError, match="released"):
             pool.release(act)
