@@ -15,9 +15,12 @@ the compiled graphs.  Three renderers:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .ir import GraphProgram, NodeKind, Template
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _node_title(template: Template, node_id: int) -> str:
@@ -45,6 +48,9 @@ def to_networkx(program: GraphProgram) -> "nx.DiGraph":
     ``kind="expands"`` edges from the referencing node to the target
     template's result node, capturing the dynamic-expansion topology.
     """
+    # Imported on use: a tenth of a second no compile or run needs.
+    import networkx as nx
+
     g = nx.DiGraph()
     for template in program.templates.values():
         for node_id, node in enumerate(template.nodes):

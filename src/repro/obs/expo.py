@@ -30,10 +30,12 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Prefix for every exported family.
 NAMESPACE = "delirium"
@@ -231,6 +233,10 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         if self._httpd is not None:
             return self
+        # Imported where the server starts: ``http.server`` brings
+        # ``email`` and ``ssl`` along, and most runs never serve.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class Handler(BaseHTTPRequestHandler):

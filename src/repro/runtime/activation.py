@@ -44,8 +44,12 @@ class NodePlan:
     a static closure node of its own template.  ``expands`` holds the plans
     of the templates the node may expand — ``[then, else]`` of an ``IF``,
     ``[callee]`` of a known ``CALL`` — each resolved when first taken.
-    ``memo`` is ``(run token, dispatch class)``: the class the executor
-    loop gave the node, valid for the run holding that token.
+    ``memo`` is ``(configuration token, dispatch class)``: the class the
+    executor loop gave the node, valid for every run that carries the
+    token — an executor keeps one per configuration a class depends on
+    (backend kind, batching, dispatch policy), so its later runs read
+    the class instead of deciding it again.  One slot: executors of
+    different configuration taking turns on a program overwrite it.
     """
 
     __slots__ = ("node", "kind", "op", "callee", "expands", "memo")

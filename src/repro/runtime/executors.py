@@ -120,8 +120,9 @@ def batch_key(task: Task) -> tuple[int, int] | None:
     return None
 
 
-#: Dispatch classes of :meth:`Run.loop`, decided once per node.
-_FIRE, _OP, _VECTOR, _CALL = range(4)
+#: Dispatch classes of :meth:`Run.loop`, decided once per node and
+#: executor configuration (:meth:`Run._node_class`).
+_FIRE, _OP, _VECTOR, _CALL, _LOCAL = range(5)
 
 
 @dataclass
@@ -288,10 +289,11 @@ class Run:
         self.batching = executor.batch and injector is None
         self.threshold = executor.batch_threshold or DEFAULT_BATCH_THRESHOLD
         self.profile_ops = executor.profile_ops
-        #: Marks the dispatch classes this run memoized in the shared
-        #: per-node tables (``NodePlan.memo``): a class depends on the
-        #: run's backend, batching and dispatch policy.
-        self.token = object()
+        self.class_tokens = executor.class_tokens
+        #: Marks the dispatch classes in the shared per-node tables
+        #: (``NodePlan.memo``) that were decided under this run's
+        #: configuration; :meth:`execute` picks it from the executor's.
+        self.token: Any = None
         self.backend: Any = _INLINE
         self.threads: _Threads | None = None
         #: Decides which suspended bodies go to the backend; ``None``
@@ -325,6 +327,11 @@ class Run:
         self.dispatch_policy = dispatch_policy
         if dispatch_policy is not None:
             self.classify = dispatch_policy.should_dispatch
+        # Everything :meth:`_node_class` reads besides the node: runs of
+        # one configuration share a token, so only the first of them
+        # classifies.
+        key = (type(backend), self.batching, dispatch_policy)
+        self.token = self.class_tokens.setdefault(key, key)
         state, queue, ctx, began = self.state, self.queue, self.ctx, self.began
         if ctx is not None:
             ctx.run_started(self.name)
@@ -368,15 +375,19 @@ class Run:
         local group | submit``, then ``poll → commit``.
 
         Each node has one dispatch class, memoized in its row of the
-        template's per-node table (:meth:`_node_class`).
+        template's per-node table (:meth:`_node_class`) under the token
+        of the run's configuration: the first run of a configuration
+        classifies, the rest read.
         A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
         engine's single pass unless its payloads send it away; it looks
-        for peers only once suspended.  ``_VECTOR`` and ``_CALL`` heads
-        collect their ready peers first, since a group may run as one
-        unit; alone, a ``_VECTOR`` head fires as ``_OP`` does and a
-        ``_CALL`` head is begun.  Whatever was begun and stays here runs
-        in :meth:`_local`; the rest goes to the backend and comes back
-        through :meth:`_commit`.
+        for peers only once suspended.  ``_VECTOR``, ``_LOCAL`` and
+        ``_CALL`` heads may run as one unit with the ready peers of their
+        node, and collect them when the queue holds one
+        (:meth:`ReadyQueue.has_peer`); alone, a ``_VECTOR`` head fires as
+        ``_OP`` does, a ``_LOCAL`` head — whose body is sure to stay
+        here — is fired whole, and a ``_CALL`` head is begun.  Whatever
+        was begun and stays here runs in :meth:`_local`; the rest goes to
+        the backend and comes back through :meth:`_commit`.
         """
         state, queue = self.state, self.queue
         token, node_class = self.token, self._node_class
@@ -407,7 +418,7 @@ class Run:
                     pending = fire_op(task)
                     if pending is None:
                         continue
-                if batching:
+                if batching and queue.has_peer(task):
                     peers = queue.take_peers(
                         task, batch_key(task), threshold - 1, batch_key
                     )
@@ -443,7 +454,10 @@ class Run:
                                 local([p])
                         continue
                 if pending is None:
-                    pending = (fire_op if cls == _VECTOR else begin)(task)
+                    if cls == _LOCAL and plain:
+                        queue.push_all(fire(task))
+                        continue
+                    pending = (begin if cls == _CALL else fire_op)(task)
                     if pending is None:
                         continue
                 if pending.remote:
@@ -458,7 +472,7 @@ class Run:
                 if self.policy.degrade == "off":
                     raise
                 self._degrade(str(exc))
-                backend = self.backend
+                backend, token = self.backend, self.token
                 continue
             for c in completions:
                 self._commit(c)
@@ -488,14 +502,12 @@ class Run:
         if self.threads is not None:
             return _CALL
         spec = self.state.op_spec(entry)
+        policy = self.dispatch_policy
+        stays = policy is None or policy.static_dispatch(spec) is False
         if self.batching and spec.batch_fn is not None:
-            return _VECTOR
-        if (
-            self.dispatch_policy is not None
-            and self.dispatch_policy.static_dispatch(spec) is not False
-        ):
-            return _OP
-        return _FIRE
+            # Only a group can keep a body that stays from firing whole.
+            return _LOCAL if stays else _VECTOR
+        return _FIRE if stays else _OP
 
     def _who(self, fired: Any, label: str, kind: str) -> tuple:
         """The identity fields of a span, read while the firing's
@@ -752,6 +764,9 @@ class Run:
         for c in supervisor.take_completions():
             self._commit(c)
         self.backend, self.dispatch_policy, self.classify = _INLINE, None, None
+        # What is classified from here on is not the executor's
+        # configuration: keep it out of the classes later runs read.
+        self.token = object()
         for pending in supervisor.drain_in_flight():
             self._local([pending], isolate=True)
 
@@ -762,6 +777,13 @@ class _Executor:
 
     seed: int | None = None
     profile_ops = False
+
+    def __init__(self) -> None:
+        #: One token per configuration a dispatch class depends on
+        #: (backend kind, batching, dispatch policy), kept as long as the
+        #: executor: the classes its first run memoized in a program's
+        #: plans are read, not decided again, by every later run.
+        self.class_tokens: dict[tuple, tuple] = {}
 
 
 class SequentialExecutor(_Executor):
@@ -816,6 +838,7 @@ class SequentialExecutor(_Executor):
         batch_threshold: int | None = None,
         max_ready: int | None = None,
     ) -> None:
+        super().__init__()
         self.use_priorities = use_priorities
         self.seed = seed
         self.check_purity = check_purity
@@ -878,6 +901,7 @@ class ThreadedExecutor(_Executor):
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        super().__init__()
         self.n_workers = n_workers
         self.use_priorities = use_priorities
         self.check_purity = check_purity
@@ -1005,6 +1029,7 @@ class ProcessExecutor(_Executor):
             raise ValueError("n_workers must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        super().__init__()
         self.n_workers = n_workers
         self.batch_size = batch_size
         #: Batched execution (default on): ready same-node fires are

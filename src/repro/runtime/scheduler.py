@@ -207,6 +207,21 @@ class ReadyQueue:
             return [head]
         return [head, *self.take_peers(head, k, limit - 1, key)]
 
+    def has_peer(self, head: Task) -> bool:
+        """Is another firing of ``head``'s ``(template, node)`` queued?
+
+        Answers whether :meth:`take_peers` would come back non-empty for
+        a head keyed by its template and node, without paying for it: one
+        pass over ``head``'s priority class that stops at the first
+        match, calls no key function and moves nothing.
+        """
+        node_id = head.node_id
+        template = head.activation.template
+        for t in self._queues[head.priority if self.use_priorities else 0]:
+            if t.node_id == node_id and t.activation.template is template:
+                return True
+        return False
+
     def take_peers(
         self, head: Task, k: Any, limit: int, key: Any
     ) -> list[Task]:
@@ -214,7 +229,8 @@ class ReadyQueue:
 
         The second half of :meth:`pop_batch`, for callers that classify
         the already-popped ``head`` before paying for the scan of its
-        priority class; non-matching tasks keep their relative order.
+        priority class (ask :meth:`has_peer` first when a lone head is
+        the common case); non-matching tasks keep their relative order.
 
         Safe under single-assignment: batching reorders only *when*
         bodies run relative to other groups, and results never depend on

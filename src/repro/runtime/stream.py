@@ -701,8 +701,10 @@ class StreamRunner:
                         )
                     )
 
-        sink.flush()
-        if self.checkpoint_path is not None:
+        if self.checkpoint_path is None:
+            sink.flush()
+        else:
+            # The final snapshot flushes the sink itself.
             t0 = time.perf_counter()
             seq += 1
             nbytes = self._snapshot(

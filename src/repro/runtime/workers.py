@@ -1223,9 +1223,15 @@ class WorkerPool:
         self.close()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DispatchPolicy:
     """When does an operator body cross the process boundary?
+
+    Immutable, and equal only to itself: an executor memoizes what
+    :meth:`static_dispatch` answered under the policy's *identity*
+    (:meth:`~repro.runtime.executors.Run.execute`), so nothing the
+    answers depend on may change under it — ``measured_seconds`` is
+    copied at construction.
 
     The best evidence is *measured* wall time: when ``measured_seconds``
     (from :func:`repro.machine.calibrate.calibrate_dispatch`) knows an
@@ -1258,6 +1264,12 @@ class DispatchPolicy:
     #: Minimum measured per-firing cost that justifies the process
     #: boundary (~ one IPC round trip).
     min_dispatch_seconds: float = 0.002
+
+    def __post_init__(self) -> None:
+        if self.measured_seconds is not None:
+            object.__setattr__(
+                self, "measured_seconds", dict(self.measured_seconds)
+            )
 
     def _by_name(self, name: str) -> bool | None:
         if name in self.pinned_local:

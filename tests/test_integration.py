@@ -263,3 +263,22 @@ class TestAppDrivers:
         proc = self._module("retina", "2")
         assert proc.returncode == 0, proc.stderr
         assert "speedup" in proc.stdout
+
+
+class TestColdStart:
+    def test_import_loads_only_what_a_run_needs(self):
+        """``networkx`` serves only ``to_networkx``, ``http.server`` only
+        a started metrics server, ``scipy`` only the retina kernels."""
+        script = (
+            "import sys, repro\n"
+            "heavy = ('networkx', 'http.server', 'scipy')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,21 +1,24 @@
 """The process master's local leg is the sequential engine's fire.
 
-``ProcessExecutor`` decides a dispatch class once per node and run and
-fires local work with ``ExecutionState.fire``; a firing suspends (a
-``PendingOp`` exists) only when it goes remote or rides in a group.  This
-file pins what must not move while that happens:
+``ProcessExecutor`` decides a dispatch class once per node and executor
+configuration and fires local work with ``ExecutionState.fire``; a firing
+suspends (a ``PendingOp`` exists) only when it goes remote or rides in a
+group.  This file pins what must not move while that happens:
 
 * results bit-identical to ``SequentialExecutor`` and every
   ``EngineStats`` counter equal to the goldens recorded at the commit
   before the class table existed (``golden_process_stats.json``);
 * structural guards on the fast path (no ``PendingOp``, no retry
-  wrapper, no coalescing key for heads that cannot coalesce);
+  wrapper, no coalescing key for heads that cannot coalesce; on a warm
+  executor no classification, no policy call and no scan for peers that
+  finds none);
 * the retry contract: a local body that raises gets the same attempts,
   events and error text as when every fire was begun and completed;
 * no reference cycle through the run's ``ExecutionState``;
 * mid-run degradation still finishes bit-identical.
 """
 
+import collections
 import dataclasses
 import gc
 import json
@@ -23,6 +26,7 @@ import os
 import random
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,11 +39,12 @@ from repro.apps.compiler_app import generate_workload
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import OperatorError
 from repro.faults import FaultSpec
-from repro.obs import EventBus, FireRetried, OpFinished, OpStarted
+from repro.obs import EventBus, FireRetried, OpFinished, OpStarted, TaskFired
 from repro.runtime import (
     DispatchPolicy,
     FaultPolicy,
     ProcessExecutor,
+    ReadyQueue,
     SequentialExecutor,
     default_registry,
     engine,
@@ -369,6 +374,177 @@ def test_warm_queens_takes_no_generic_step(monkeypatch):
         if entry.memo[0] is not None
     }
     assert classes == {executors._FIRE, executors._OP, executors._CALL}
+
+
+def _count_decisions(monkeypatch):
+    """From here on, count the calls a dispatch decision is made of."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            out = inner(*args, **kwargs)
+            if name == "take_peers" and not out:
+                counts["empty take_peers"] += 1
+            return out
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(executors.Run, "_node_class")
+    count(DispatchPolicy, "should_dispatch")
+    count(ReadyQueue, "take_peers")
+    count(executors, "batch_key")
+    return counts
+
+
+def _classes(graph):
+    """Dispatch class of every node the last run over ``graph`` met."""
+    return {
+        (plan.template.name, node_id): entry.memo[1]
+        for plan in engine._PLAN_CACHES[id(graph)].templates.values()
+        for node_id, entry in enumerate(plan.nodes)
+        if entry.memo[0] is not None
+    }
+
+
+def test_warm_pythia_decides_nothing_again(monkeypatch):
+    """Every node fires once per run, nothing is dispatched and no two
+    activations of a node are ever ready together: the second run of a
+    persistent executor classifies nothing, asks no policy and scans for
+    no peers."""
+    graph, registry, arg_tuples, _ = _pythia()
+    executor = ProcessExecutor(1, persistent=True)
+    try:
+        first = [executor.run(graph, args, registry) for args in arg_tuples]
+        counts = _count_decisions(monkeypatch)
+        second = [executor.run(graph, args, registry) for args in arg_tuples]
+    finally:
+        executor.close()
+    assert counts == {}
+    for a, b in zip(first, second, strict=True):
+        assert a.value == b.value
+        assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+    # The fused codegen chains are what cannot leave: batch form,
+    # numeric hint under the threshold.
+    assert executors._LOCAL in set(_classes(graph).values())
+    assert second[0].stats.fused_fires > 0
+    assert second[0].stats.dispatched_fires == 0
+
+
+@pytest.fixture(scope="module")
+def pi_local():
+    return _pi(30.0)
+
+
+def test_only_a_head_with_a_peer_collects_peers(pi_local, monkeypatch):
+    graph, registry, arg_tuples, _ = pi_local
+    executor = ProcessExecutor(1, persistent=True)
+    try:
+        first = executor.run(graph, arg_tuples[0], registry)
+        counts = _count_decisions(monkeypatch)
+        second = executor.run(graph, arg_tuples[0], registry)
+    finally:
+        executor.close()
+    assert counts["_node_class"] == 0
+    assert counts["take_peers"] > 0
+    assert counts["empty take_peers"] == 0
+    assert second.value == first.value
+    assert second.stats.fire_batches == first.stats.fire_batches > 0
+
+
+def test_alternating_configurations_read_only_their_own_classes(
+    monkeypatch,
+):
+    """One memo slot per node: executors of different configuration
+    taking turns on one program each classify again, never read the
+    other's answer, and a configuration running twice in a row reads."""
+    graph, registry, arg_tuples, _ = _fanout()
+    args = arg_tuples[0]
+    expected = SequentialExecutor().run(graph, args, registry).value
+    remote = ProcessExecutor(1, persistent=True)
+    local = ProcessExecutor(1, persistent=True, cost_threshold=1e12)
+    counts = _count_decisions(monkeypatch)
+    try:
+        for executor, dispatched in [
+            (remote, 6), (local, 0), (remote, 6), (local, 0)
+        ]:
+            counts.clear()
+            result = executor.run(graph, args, registry)
+            assert result.value == expected
+            assert result.stats.dispatched_fires == dispatched
+            assert counts["_node_class"] > 0
+        counts.clear()
+        assert local.run(graph, args, registry).value == expected
+        assert counts["_node_class"] == 0
+    finally:
+        remote.close()
+        local.close()
+
+
+def test_runs_that_want_per_fire_detail_keep_the_generic_path(monkeypatch):
+    graph, registry, arg_tuples, _ = _pythia()
+    args = arg_tuples[0]
+    expected = SequentialExecutor().run(graph, args, registry)
+    pendings = []
+
+    class RecordingPendingOp(engine.PendingOp):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pendings.append(self)
+
+    monkeypatch.setattr(engine, "PendingOp", RecordingPendingOp)
+    counts = _count_decisions(monkeypatch)
+    # An injector sees every body before it runs, and switches
+    # coalescing off: every operator is begun, no head looks for peers.
+    injected = ProcessExecutor(1, fault_spec=FaultSpec.parse(NEVER)).run(
+        graph, args, registry
+    )
+    assert injected.value == expected.value
+    assert len(pendings) == injected.stats.ops_executed > 0
+    assert executors._LOCAL not in set(_classes(graph).values())
+    assert counts["take_peers"] == counts["batch_key"] == 0
+    # A span subscriber: one span per firing, and a ``_LOCAL`` head is
+    # begun, so its span brackets the body alone.
+    del pendings[:]
+    bus = EventBus()
+    spans = []
+    bus.subscribe(spans.append, (TaskFired,))
+    traced = ProcessExecutor(1, bus=bus).run(graph, args, registry)
+    assert traced.value == expected.value
+    assert len(spans) == traced.stats.tasks_fired
+    classes = _classes(graph)
+    begun = sorted((p.activation.template.name, p.node_id) for p in pendings)
+    assert begun == sorted(
+        (s.template, s.node_id)
+        for s in spans
+        if classes[s.template, s.node_id] == executors._LOCAL
+    )
+    assert begun
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([5, 8, 13]))
+def test_peer_check_skips_only_scans_that_find_nothing(
+    pi_local, threshold, leaves
+):
+    """With ``has_peer`` answering yes to everything every head scans
+    for peers, as before the check existed: same groups, same counters."""
+    graph, registry, _, _ = pi_local
+
+    def run():
+        result = ProcessExecutor(1, batch_threshold=threshold).run(
+            graph, (leaves,), registry
+        )
+        return result.value, stats_dict(result.stats)
+
+    checked = run()
+    with mock.patch.object(ReadyQueue, "has_peer", lambda self, head: True):
+        assert run() == checked
+    assert (checked[1].get("fire_batches", 0) > 0) == (threshold > 1)
 
 
 def test_finished_run_leaves_no_cycle_through_the_state(monkeypatch):

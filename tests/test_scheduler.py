@@ -164,3 +164,73 @@ class TestMaxReadyWatermark:
         q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(100)])
         assert not q.saturated
         assert q.saturations == 0
+
+
+class _Act:
+    """Stand-in activation: a peer is told by its template's identity."""
+
+    def __init__(self, template):
+        self.template = template
+
+
+def _firing(template, node_id, priority=PRIORITY_NORMAL, seq=0):
+    return Task(_Act(template), node_id, priority, seq)
+
+
+def _key(task):
+    return (id(task.activation.template), task.node_id)
+
+
+class TestHasPeer:
+    """``has_peer(head)`` answers, without moving anything, whether
+    ``take_peers`` keyed on ``(template, node)`` would find someone."""
+
+    def test_same_node_of_same_template_is_a_peer(self):
+        q = ReadyQueue()
+        f, g = object(), object()
+        q.push_all([_firing(g, 3), _firing(f, 4), _firing(f, 3, seq=7)])
+        head = _firing(f, 3)
+        assert q.has_peer(head)
+        assert len(q) == 3
+        assert [t.seq for t in q.take_peers(head, _key(head), 8, _key)] == [7]
+
+    def test_other_node_or_other_template_is_not(self):
+        q = ReadyQueue()
+        f, g = object(), object()
+        q.push_all([_firing(f, 4), _firing(g, 3)])
+        assert not q.has_peer(_firing(f, 3))
+
+    def test_empty_class(self):
+        assert not ReadyQueue().has_peer(_firing(object(), 0))
+
+    def test_peer_in_another_priority_class_is_not_a_peer(self):
+        q = ReadyQueue()
+        f = object()
+        q.push(_firing(f, 3, PRIORITY_RECURSIVE_CALL))
+        head = _firing(f, 3, PRIORITY_CALL)
+        assert not q.has_peer(head)
+        assert q.take_peers(head, _key(head), 8, _key) == []
+
+    def test_fifo_mode_has_one_class(self):
+        q = ReadyQueue(use_priorities=False)
+        f = object()
+        q.push(_firing(f, 3, PRIORITY_RECURSIVE_CALL))
+        head = _firing(f, 3, PRIORITY_CALL)
+        assert q.has_peer(head)
+        assert len(q.take_peers(head, _key(head), 8, _key)) == 1
+
+    @pytest.mark.parametrize("use_priorities", [True, False])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_agrees_with_take_peers_on_every_head(self, use_priorities, seed):
+        templates = [object(), object()]
+        tasks = [
+            _firing(templates[i % 2], i % 3, priority=i % 3, seq=i)
+            for i in range(12)
+        ]
+        for head in tasks:
+            q = ReadyQueue(use_priorities, seed)
+            q.push_all([t for t in tasks if t is not head])
+            expected = bool(q.take_peers(head, _key(head), 8, _key))
+            q = ReadyQueue(use_priorities, seed)
+            q.push_all([t for t in tasks if t is not head])
+            assert q.has_peer(head) == expected

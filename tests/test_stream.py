@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import resource
 
 import pytest
@@ -221,6 +222,31 @@ class TestStreamRunner:
             runner.close()
         assert result.value == reference.value
         assert result.sink_digest == reference.sink_digest
+
+    def test_durable_stream_ends_with_one_sink_flush(
+        self, sum_program, tmp_path, monkeypatch
+    ):
+        synced = []
+        fsync = os.fsync
+
+        def counting(fd):
+            synced.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        runner = StreamRunner(
+            sum_program,
+            carry=True,
+            initial=0,
+            checkpoint_path=str(tmp_path / "stream.ckpt"),
+        )
+        sink = JsonlSink(str(tmp_path / "out.jsonl"))
+        result = runner.run(count_source(3), sink)
+        sink.close()
+        assert result.checkpoints_written == 1
+        assert sink.flushed == 3
+        # The sink file, the checkpoint file, the checkpoint's directory.
+        assert len(synced) == 3
 
     def test_queue_saturation_observable(self):
         fan = compile_source(FAN_SRC)
