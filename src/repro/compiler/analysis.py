@@ -97,6 +97,8 @@ class ProgramAnalysis:
     """Recursion and purity facts derived from an :class:`EnvAnalysis`."""
 
     env: EnvAnalysis
+    #: The call graph's SCCs, callees first; an SCC id indexes this list.
+    components: list[list[str]] = field(default_factory=list)
     #: Map function qualname -> SCC id.
     scc_of: dict[str, int] = field(default_factory=dict)
     #: SCC ids that contain a cycle (size > 1, or a self loop).
@@ -134,8 +136,8 @@ def analyze_program(
     """
     result = ProgramAnalysis(env=env)
     graph = {q: set(info.calls) for q, info in env.functions.items()}
-    components = strongly_connected_components(graph)
-    for scc_id, component in enumerate(components):
+    result.components = strongly_connected_components(graph)
+    for scc_id, component in enumerate(result.components):
         cyclic = len(component) > 1 or (
             component[0] in graph.get(component[0], set())
         )

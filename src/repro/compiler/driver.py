@@ -35,6 +35,7 @@ from .passes import batch as batch_pass
 from .passes import codegen as codegen_pass
 from .passes import donate as donate_pass
 from .passes import fuse as fuse_pass
+from .passes import splice as splice_pass
 from .passes.pipeline import (
     GRAPH_PASS_ORDER,
     PASS_ORDER,
@@ -173,6 +174,11 @@ def compile_source(
     graph.entry = entry
     graph.entry_template()  # fail fast if the entry is missing
     graph.prune_unreachable()
+    if "inline" in ast_passes:
+        # Inline expansion's graph half: calls around a recursive cycle.
+        spliced = splice_pass.run(graph, prog_analysis)
+        if spliced:
+            report.stats["inline.spliced"] = spliced
     for name in GRAPH_PASS_ORDER:
         if name not in graph_passes:
             continue

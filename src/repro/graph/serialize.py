@@ -25,6 +25,11 @@ from .ir import GraphProgram, Node, NodeKind, Port, Template
 #: Format version; bump on breaking changes.
 FORMAT_VERSION = 1
 
+#: Revision of what the compiler emits; bump whenever identical source,
+#: defines and passes can compile to a different graph (the compile cache
+#: hashes it).  2: calls around a recursive cycle are spliced.
+COMPILER_REVISION = 2
+
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}
 

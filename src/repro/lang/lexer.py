@@ -1,45 +1,59 @@
-"""Hand-written scanner for Delirium source text.
+"""Scanner for Delirium source text.
 
-The scanner is a single forward pass with one character of lookahead.  It
-produces a list of :class:`~repro.lang.tokens.Token` ending in an ``EOF``
-token.  Comments run from ``--`` or ``#`` to end of line (the paper shows no
-comment syntax; both forms are accepted so examples can be annotated).
+One compiled master pattern recognises, at each position, the trivia in
+front of a token (whitespace and comments) and then the token itself;
+line and column are derived from match offsets, never counted character
+by character.  Only string literals are scanned by hand (their escape
+loop).  The result is a list of :class:`~repro.lang.tokens.Token` ending
+in an ``EOF`` token.  Comments run from ``--`` or ``#`` to end of line
+(the paper shows no comment syntax; both forms are accepted so examples
+can be annotated).
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .tokens import KEYWORDS, Token, TokenKind
 
-_PUNCT: dict[str, TokenKind] = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "<": TokenKind.LANGLE,
-    ">": TokenKind.RANGLE,
-    ",": TokenKind.COMMA,
-    "=": TokenKind.EQUALS,
-}
+#: The punctuation kinds are named by their character.
+_PUNCT = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
 
+# Alternatives are tried in order, and the group numbers below name them.
+# ``--`` opens a comment before ``-3`` can open a number.  Negative
+# literals exist so constant-folded ASTs can be unparsed and re-parsed;
+# Delirium has no infix operators, so a '-' directly before a digit is
+# unambiguous.  An exponent is taken only when digits follow it (``1ex``
+# is ``1`` then ``ex``); a signed one with something other than a digit
+# behind the sign is the malformed-exponent error.  ``$`` is accepted
+# inside identifiers so compiler-generated names (``loop$1``,
+# ``if$2.then``) survive an unparse/re-parse round trip; user programs
+# conventionally never contain it.
+_MASTER = re.compile(
+    r"""(?:[ \t\r\n]+|\#[^\n]*|--[^\n]*)*      # trivia
+    (?: ([^\W\d][\w$]*)                         # 1 identifier / keyword
+      | ([(){}<>,=])                            # 2 punctuation
+      | (-?\d+(?:\.\d+)?[eE][+-](?=[^\d]))      # 3 malformed exponent
+      | (-?\d+(?:\.\d+)?[eE][+-]?\d+|-?\d+\.\d+) # 4 float
+      | (-?\d+)                                 # 5 integer
+      | (["'])                                  # 6 string opening quote
+      | (\Z)                                    # 7 end of input
+      | (.)                                     # 8 anything else
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_IDENT, _PUNCTUATION, _BAD_EXPONENT, _FLOAT, _INT, _QUOTE, _END = range(1, 8)
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    # ``$`` is accepted inside identifiers so compiler-generated names
-    # (``loop$1``, ``if$2.then``) survive an unparse/re-parse round trip;
-    # user programs conventionally never contain it.
-    return ch.isalnum() or ch in "_$"
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 class Lexer:
     """Tokenizes one source string.
 
-    Use :func:`tokenize` for the common case; the class exists so tests can
-    poke at intermediate state and so the parallel-compilation case study
-    can lex independent chunks with correct line offsets.
+    Use :func:`tokenize` for the common case; the class exists so the
+    parallel-compilation case study can lex independent chunks with
+    correct line offsets.
 
     Parameters
     ----------
@@ -52,128 +66,73 @@ class Lexer:
 
     def __init__(self, source: str, first_line: int = 1) -> None:
         self.source = source
-        self.pos = 0
-        self.line = first_line
-        self.column = 1
+        self.first_line = first_line
 
-    # ------------------------------------------------------------------
-    def _peek(self) -> str:
-        if self.pos < len(self.source):
-            return self.source[self.pos]
-        return "\0"
-
-    def _peek2(self) -> str:
-        if self.pos + 1 < len(self.source):
-            return self.source[self.pos + 1]
-        return "\0"
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#" or (ch == "-" and self._peek2() == "-"):
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    def _number(self) -> Token:
-        line, col = self.line, self.column
-        start = self.pos
-        if self._peek() == "-":
-            # Negative literals exist so constant-folded ASTs can be
-            # unparsed and re-parsed; Delirium has no infix operators, so
-            # a '-' directly before a digit is unambiguous.
-            self._advance()
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek2().isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek2().isdigit()
-            or (self._peek2() in "+-" and self.pos + 2 < len(self.source))
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            if not self._peek().isdigit():
-                raise LexError("malformed exponent in numeric literal", line, col)
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        if is_float:
-            return Token(TokenKind.FLOAT, text, float(text), line, col)
-        return Token(TokenKind.INT, text, int(text), line, col)
-
-    def _string(self) -> Token:
-        line, col = self.line, self.column
-        quote = self._advance()
+    def _string(self, start: int, line: int, col: int) -> tuple[str, int]:
+        """Scan the literal whose opening quote is at ``start``; returns
+        its value and the offset just past the closing quote."""
+        source = self.source
+        quote = source[start]
         chars: list[str] = []
+        pos, end = start + 1, len(source)
         while True:
-            if self.pos >= len(self.source):
+            if pos >= end:
                 raise LexError("unterminated string literal", line, col)
-            ch = self._advance()
+            ch = source[pos]
+            pos += 1
             if ch == quote:
-                break
+                return "".join(chars), pos
             if ch == "\\":
-                if self.pos >= len(self.source):
+                if pos >= end:
                     raise LexError("unterminated string escape", line, col)
-                esc = self._advance()
-                chars.append({"n": "\n", "t": "\t", "\\": "\\", quote: quote}.get(esc, esc))
-            else:
-                chars.append(ch)
-        text = self.source[col - 1 :]  # informational only
-        return Token(TokenKind.STRING, "".join(chars), "".join(chars), line, col)
+                ch = source[pos]
+                pos += 1
+                ch = _ESCAPES.get(ch, ch)
+            chars.append(ch)
 
-    def _ident(self) -> Token:
-        line, col = self.line, self.column
-        start = self.pos
-        while _is_ident_char(self._peek()):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, None, line, col)
-
-    # ------------------------------------------------------------------
     def tokens(self) -> list[Token]:
         """Scan the whole source and return the token list (with EOF)."""
+        source = self.source
+        match = _MASTER.match
         out: list[Token] = []
+        append = out.append
+        line = self.first_line
+        line_start = 0  # offset of the first character of ``line``
+        pos = counted = 0  # newlines before ``counted`` are in ``line``
         while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                out.append(Token(TokenKind.EOF, "", None, self.line, self.column))
+            m = match(source, pos)
+            which = m.lastindex
+            start = m.start(which)
+            if start != counted:  # passed trivia or a string: maybe newlines
+                newlines = source.count("\n", counted, start)
+                if newlines:
+                    line += newlines
+                    line_start = source.rfind("\n", counted, start) + 1
+            col = start - line_start + 1
+            pos = counted = m.end()
+            if which == _IDENT:
+                text = m[_IDENT]
+                kind = KEYWORDS.get(text, TokenKind.IDENT)
+                append(Token(kind, text, None, line, col))
+            elif which == _PUNCTUATION:
+                text = m[_PUNCTUATION]
+                append(Token(_PUNCT[text], text, None, line, col))
+            elif which == _INT:
+                text = m[_INT]
+                append(Token(TokenKind.INT, text, int(text), line, col))
+            elif which == _FLOAT:
+                text = m[_FLOAT]
+                append(Token(TokenKind.FLOAT, text, float(text), line, col))
+            elif which == _QUOTE:
+                value, pos = self._string(start, line, col)
+                append(Token(TokenKind.STRING, value, value, line, col))
+            elif which == _END:
+                append(Token(TokenKind.EOF, "", None, line, col))
                 return out
-            ch = self._peek()
-            if ch.isdigit() or (ch == "-" and self._peek2().isdigit()):
-                out.append(self._number())
-            elif ch in "\"'":
-                out.append(self._string())
-            elif _is_ident_start(ch):
-                out.append(self._ident())
-            elif ch in _PUNCT:
-                line, col = self.line, self.column
-                self._advance()
-                out.append(Token(_PUNCT[ch], ch, None, line, col))
+            elif which == _BAD_EXPONENT:
+                raise LexError("malformed exponent in numeric literal", line, col)
             else:
-                raise LexError(f"unexpected character {ch!r}", self.line, self.column)
+                raise LexError(f"unexpected character {m[which]!r}", line, col)
 
 
 def tokenize(source: str, first_line: int = 1) -> list[Token]:

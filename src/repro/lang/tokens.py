@@ -11,7 +11,7 @@ no ambiguity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -58,9 +58,8 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token.
+class Token(NamedTuple):
+    """One lexical token (a tuple: the scanner builds one per lexeme).
 
     Attributes
     ----------

@@ -259,9 +259,13 @@ class _CallRecord:
 class ResidencyTracker:
     """Master-side record of which workers hold which live blocks.
 
-    Block ids are master-assigned, monotonically increasing, and *never
-    reused* — so a stale id in a worker cache can at worst waste budget,
-    never alias a different block.  Residency is tracker-owned (not on
+    One tracker serves every supervisor of a pool
+    (``WorkerPool.residency``): a supervisor lives for one run, the
+    caches as long as the pool, and so must the record of what they
+    hold.  That makes the master-assigned, increasing block ids *never
+    reused* while a cache can still name them — a stale id can at worst
+    waste budget, never alias a different block — and lets blocks that
+    die between runs be invalidated.  Residency is tracker-owned (not on
     the block) because block death is observed through weakref callbacks,
     which must not touch the dying object.  Invalidations queue per
     worker and piggyback on the next outgoing task message — block
@@ -474,7 +478,9 @@ class Supervisor:
             self.residency: ResidencyTracker | None = None
         else:
             self._affinity = _policy
-            self.residency = ResidencyTracker(pool.n_workers)
+            if pool.residency is None:
+                pool.residency = ResidencyTracker(pool.n_workers)
+            self.residency = pool.residency
         self.batch_threshold = max(1, batch_threshold)
         #: Staging bar for the eager flush in :meth:`dispatch` — high
         #: enough that a vectorizable group is not broken up just because

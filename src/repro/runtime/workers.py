@@ -666,13 +666,15 @@ class BlockCache:
         return entry[0]
 
     def put(self, bid: int, value: Any) -> bool:
-        """Make ``value`` resident under ``bid``; False if it cannot fit."""
-        nbytes = payload_nbytes(value)
-        if nbytes > self.max_bytes:
-            return False
+        """Make ``value`` resident under ``bid``; False if it cannot fit
+        (whatever sat under ``bid`` is gone either way: a refused id
+        misses, it does not answer with the older payload)."""
         old = self._entries.pop(bid, None)
         if old is not None:
             self.held_bytes -= old[1]
+        nbytes = payload_nbytes(value)
+        if nbytes > self.max_bytes:
+            return False
         entries = self._entries
         while self.held_bytes + nbytes > self.max_bytes and entries:
             oldest = next(iter(entries))
@@ -1073,6 +1075,10 @@ class WorkerPool:
         self.registry_ref = registry_ref
         self.shm_threshold = shm_threshold
         self.cache_bytes = cache_bytes
+        #: The master's record of what the workers' caches hold (a
+        #: ``supervise.ResidencyTracker``, made by the first supervisor
+        #: that ships by reference); it lives as long as they do: here.
+        self.residency: Any = None
         #: Reusable dispatch-argument segments.  Created (empty) before the
         #: workers fork so children never inherit arena mappings; the pool
         #: owns its teardown in :meth:`close`.

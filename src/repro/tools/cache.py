@@ -3,11 +3,12 @@
 Templates are static, so a compiled coordination graph is a pure function
 of (source text, preprocessor defines, optimization passes).  The CLI
 hashes that triple — plus the serialization format version, so stale
-artifacts from older builds can never be misread — and keeps the
-serialized graph JSON under the cache directory.  A later ``delirium
-run``/``compile`` of unchanged source skips the compiler entirely, the
-same shortcut the paper's environment got from shipping compiled
-frameworks to the runtime.
+artifacts from older builds can never be misread, and the compiler
+revision, so a build whose compiler emits different graphs never serves
+its predecessor's — and keeps the serialized graph JSON under the cache
+directory.  A later ``delirium run``/``compile`` of unchanged source
+skips the compiler entirely, the same shortcut the paper's environment
+got from shipping compiled frameworks to the runtime.
 
 The cache directory is ``$DELIRIUM_CACHE_DIR`` when set, otherwise
 ``~/.cache/delirium``.  Entries are content-addressed, so no invalidation
@@ -41,7 +42,7 @@ import os
 import tempfile
 
 from ..graph.ir import GraphProgram
-from ..graph.serialize import FORMAT_VERSION, dumps, loads
+from ..graph.serialize import COMPILER_REVISION, FORMAT_VERSION, dumps, loads
 
 
 def cache_dir() -> str:
@@ -61,6 +62,7 @@ def cache_key(
     payload = json.dumps(
         {
             "format": FORMAT_VERSION,
+            "compiler": COMPILER_REVISION,
             "source": source,
             "defines": sorted(
                 (k, repr(v)) for k, v in (defines or {}).items()

@@ -9,6 +9,10 @@ least-loaded dispatch under every executor knob, cache miss, in-place
 write, and worker crash.
 """
 
+import functools
+import gc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from repro.runtime import (
     ProcessExecutor,
     SequentialExecutor,
     default_registry,
+    executors,
 )
 from repro.runtime.affinity import (
     AffinityPolicy,
@@ -34,7 +39,7 @@ from repro.runtime.affinity import (
 from repro.runtime.blocks import wrap_payload
 from repro.runtime.supervise import ResidencyTracker
 from repro.runtime.values import MultiValue
-from repro.runtime.workers import _CACHE_MISS, BlockCache
+from repro.runtime.workers import _CACHE_MISS, BlockCache, WorkerPool
 
 from tests.test_properties import REGISTRY, _programs
 
@@ -214,6 +219,22 @@ class TestBlockCache:
         cache.put(1, np.zeros(100))
         cache.put(1, np.zeros(200))
         assert cache.stats()["resident_bytes"] == 1600
+
+    def test_refused_put_drops_the_older_entry_under_the_id(self):
+        cache = BlockCache(max_bytes=1_000)
+        assert cache.put(1, np.zeros(100))
+        assert not cache.put(1, np.zeros(200))    # over budget: refused
+        assert cache.get(1) is _CACHE_MISS        # ...and 1 is not the old array
+        assert cache.stats()["resident_bytes"] == 0
+        assert cache.stats()["resident_blocks"] == 0
+
+    def test_refused_put_leaves_other_entries_alone(self):
+        cache = BlockCache(max_bytes=1_000)
+        keep = np.zeros(100)
+        cache.put(2, keep)
+        assert not cache.put(1, np.zeros(200))
+        assert cache.get(2) is keep
+        assert cache.stats()["evictions"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +430,70 @@ class TestLocalityDispatch:
         assert stats.encode_bytes_avoided == 196608
         assert stats.bytes_copy_avoided == 0
         assert stats.copy_bytes_by_operator == {}
+
+    def test_block_ids_do_not_restart_under_a_warm_pool(self):
+        # Each run builds a supervisor, the persistent pool's caches
+        # survive it: run 2's block once took run 1's id, the worker
+        # refused the (over-budget) new value and kept answering reads
+        # with run 1's array — 29.0 instead of 33.0.
+        registry = default_registry()
+
+        @registry.register(name="mk", pure=True, cost=1.0)
+        def mk(n, fill):
+            return np.full(n, fill)
+
+        @registry.register(name="rd", pure=True, cost=10_000_000.0)
+        def rd(block, i):
+            return float(block[i]) + i
+
+        program = compile_source(
+            "main(n, fill)\n"
+            "  let b = mk(n, fill)\n"
+            "  in add(add(rd(b,1), rd(b,2)), rd(b,3))\n",
+            registry=registry,
+        )
+        small_cache = functools.partial(WorkerPool, cache_bytes=1_000_000)
+        with mock.patch.object(executors, "WorkerPool", small_cache):
+            executor = ProcessExecutor(1, batch=False, persistent=True)
+            try:
+                values = [
+                    executor.run(program.graph, args, registry).value
+                    for args in ((50_000, 7.0), (300_000, 9.0))
+                ]
+            finally:
+                executor.close()
+        assert values == [27.0, 33.0]
+
+    def test_one_tracker_serves_every_run_of_a_warm_pool(self):
+        # The record of what the workers' caches hold lives as long as
+        # they do: ids go on where the last run stopped, and blocks that
+        # died with a run are invalidated by the next run's first message
+        # instead of filling the caches (retina: 220 -> 361 MB peak RSS
+        # when each run's tracker took its queue with it).
+        executor = ProcessExecutor(1, cost_threshold=0.0, persistent=True)
+
+        def run_once():
+            executor.run(FANOUT.graph, args=(7,), registry=AFFINITY_REGISTRY)
+
+        try:
+            run_once()
+            tracker = executor._pool.residency
+            gc.collect()
+            after_first = tracker.stats()
+            assert after_first["resident_blocks"] == 0
+            assert after_first["pending_invalidations"] >= 1
+            last_id = tracker.reserve_bid()
+            run_once()
+            assert executor._pool.residency is tracker
+            assert tracker.reserve_bid() > last_id + 1
+            gc.collect()
+            # Run 1's queue went out; what is pending now is run 2's.
+            assert (
+                tracker.stats()["pending_invalidations"]
+                == after_first["pending_invalidations"]
+            )
+        finally:
+            executor.close()
 
     def test_operator_affinity_is_bit_identical_too(self):
         none = _run_fanout("none")

@@ -11,12 +11,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
 from repro import compile_source
 from repro.graph.serialize import FORMAT_VERSION
+from repro.tools import cache
 from repro.tools.cache import (
     cache_dir,
     cache_key,
@@ -55,7 +55,23 @@ class TestKey:
         assert len(payload_key) == 64  # sha256 hex
 
 
+    def test_key_covers_compiler_revision(self, monkeypatch):
+        parent = cache_key(SRC, {"N": 1}, ("inline",))
+        monkeypatch.setattr(cache, "COMPILER_REVISION", cache.COMPILER_REVISION + 1)
+        assert cache_key(SRC, {"N": 1}, ("inline",)) != parent
+
+
 class TestStoreLoad:
+    def test_entry_of_an_older_compiler_is_a_miss(self, cache_env, monkeypatch):
+        # Same source, defines and passes, but the compiler's output for
+        # them changed: the entry the older build stored is not served.
+        with monkeypatch.context() as older:
+            older.setattr(cache, "COMPILER_REVISION", cache.COMPILER_REVISION - 1)
+            store_cached(cache_key(SRC), compile_source(SRC).graph)
+            assert load_cached(cache_key(SRC)) is not None
+        assert os.listdir(cache_env)  # the older entry is still there
+        assert load_cached(cache_key(SRC)) is None
+
     def test_round_trip(self, cache_env):
         compiled = compile_source(SRC)
         key = cache_key(SRC)

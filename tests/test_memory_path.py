@@ -354,8 +354,10 @@ class TestSizeParityWithEagerSizing:
         assert ticks == pytest.approx(29947236.952, rel=1e-12)
 
     # Were 214644 and 834286 while constants, capture-free closures and
-    # shortcut arms fired: each was charged a dispatch and a node overhead.
-    @pytest.mark.parametrize("n, ticks", [(5, 136915.0), (6, 522496.0)])
+    # shortcut arms fired: each was charged a dispatch and a node overhead;
+    # 136915 and 522496 while every ``try`` was a call (a ``CALL`` firing
+    # and an activation each) instead of spliced into ``do_it``.
+    @pytest.mark.parametrize("n, ticks", [(5, 106243.0), (6, 399041.0)])
     def test_queens_cray_ticks(self, n, ticks):
         compiled = compile_queens(n)
         result = SimulatedExecutor(cray_ymp(4)).run(

@@ -24,14 +24,15 @@ from repro.runtime import ExecutionState, blocks
 
 from tests.conftest import recursive_payload_nbytes
 
-# Interleaved min-of-batches comparison: robust to machine noise without
-# needing many seconds of samples.  The workload runs in ~15 ms, so
-# 2 configs x BATCHES x RUNS ~= 3 s total.
+# Paired-ratio comparison, as ``bench/`` measures: every idle-bus batch is
+# flanked by two bare batches and judged against their mean, and the
+# verdict is the median of those per-pair ratios.  The host's speed
+# drifts by 10-20% on a scale of tenths of a second; a ratio of minima
+# over two unpaired series caught that drift one run in eight.  The
+# workload runs in ~15 ms, so (2 x BATCHES + 1) x RUNS ~= 3 s total.
 RUNS_PER_BATCH = 6
 BATCHES = 7
-# ISSUE bound is 5%; timing jitter on shared CI boxes can exceed the real
-# (near-zero) overhead, so compare best-of-batches, which squeezes most
-# scheduler noise out of both sides before taking the ratio.
+# ISSUE bound is 5%.
 MAX_OVERHEAD = 1.05
 
 
@@ -85,20 +86,26 @@ def test_zero_subscriber_overhead_under_five_percent():
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        bare_batches.append(_batch_seconds(run_bare))
         for _ in range(BATCHES):
-            bare_batches.append(_batch_seconds(run_bare))
             idle_batches.append(_batch_seconds(run_idle_bus))
+            bare_batches.append(_batch_seconds(run_bare))
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    bare = min(bare_batches)
-    idle = min(idle_batches)
-    ratio = idle / bare
+    ratios = sorted(
+        idle / ((before + after) / 2)
+        for idle, before, after in zip(
+            idle_batches, bare_batches, bare_batches[1:]
+        )
+    )
+    ratio = ratios[len(ratios) // 2]
     assert ratio < MAX_OVERHEAD, (
         f"zero-subscriber event bus cost {(ratio - 1):.1%} wall time "
-        f"(bare {bare * 1000:.1f} ms vs idle-bus {idle * 1000:.1f} ms "
-        f"per {RUNS_PER_BATCH}-run batch); budget is "
+        f"(median of {BATCHES} idle-bus batches of {RUNS_PER_BATCH} runs, "
+        f"each against the two bare batches around it; all ratios: "
+        f"{', '.join(f'{r:.3f}' for r in ratios)}); budget is "
         f"{MAX_OVERHEAD - 1:.0%}"
     )
 
