@@ -3,8 +3,9 @@
 The full wall-clock benchmark (``bench_wallclock.py``) runs a
 production-ish frame and takes seconds; CI wants a sub-second check that
 the fusion pass still (a) removes nodes from the retina graphs, (b) fires
-strictly fewer engine tasks, and (c) leaves the result bit-identical to
-the unfused run.  This is that check, at 32x32.
+strictly fewer engine tasks for the same operator calls (fires plus the
+calls folded into other fires are conserved), and (c) leaves the result
+bit-identical to the unfused run.  This is that check, at 32x32.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def test_fused_retina_smoke(version, report):
     assert rf.value.signature() == rp.value.signature()
     assert rf.stats.tasks_fired < rp.stats.tasks_fired
     assert rf.stats.fused_fires > 0
+    assert (
+        rf.stats.tasks_fired + rf.stats.fused_ops_saved
+        == rp.stats.tasks_fired + rp.stats.fused_ops_saved
+    )
 
     report(
         f"Fusion smoke — retina v{version} at 32x32",

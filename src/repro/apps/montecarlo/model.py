@@ -36,41 +36,7 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 # Dartboard pi
 # ---------------------------------------------------------------------------
 
-# Optional numba tier for the hit counter.  The jitted loop computes
-# ``x*x + y*y`` per sample — the same multiply-add contraction einsum
-# performs — so it is bit-identical to the NumPy path.  Resolution is
-# lazy and sticky: one failed import (or jit failure) disables the tier
-# for the process, and the NumPy counter serves every later call.
-_NUMBA_COUNT_HITS = None
-_NUMBA_TRIED = False
-
-
-def _numba_count_hits():
-    global _NUMBA_COUNT_HITS, _NUMBA_TRIED
-    if not _NUMBA_TRIED:
-        _NUMBA_TRIED = True
-        try:
-            import numba
-
-            @numba.njit(cache=False)
-            def count_hits(xy):  # pragma: no cover - needs delirium[jit]
-                hits = 0
-                for i in range(xy.shape[0]):
-                    if xy[i, 0] * xy[i, 0] + xy[i, 1] * xy[i, 1] <= 1.0:
-                        hits += 1
-                return hits
-
-            count_hits(np.zeros((1, 2)))  # force compilation once, here
-            _NUMBA_COUNT_HITS = count_hits
-        except Exception:
-            _NUMBA_COUNT_HITS = None
-    return _NUMBA_COUNT_HITS
-
-
 def _count_hits(xy: np.ndarray) -> int:
-    counter = _numba_count_hits()
-    if counter is not None:  # pragma: no cover - needs delirium[jit]
-        return int(counter(xy))
     # x*x + y*y on the column views is the same multiply-add, in the
     # same order, as the ``ij,ij->i`` einsum contraction (bit-identical
     # float64), and roughly 2x faster on strided 2-column input.

@@ -34,11 +34,6 @@ A trailing absorbed untuple needs no generated code: the final step's
 tuple is the function result, and the engine delivers its elements to the
 node's output ports (the delivery carries template-named error messages
 the generated function must not duplicate).
-
-An optional :mod:`numba` jit tier (``pip install delirium[jit]``) wraps
-chains whose members are already numba dispatchers; when numba is absent
-or compilation fails the plain Python function is used silently — results
-are bit-identical either way.
 """
 
 from __future__ import annotations

@@ -1,31 +1,40 @@
-"""Operator fusion: collapse cheap linear chains into one super-node.
+"""Operator fusion: collapse single-exit regions of cheap operators.
 
 Per-fire overhead — ready-queue traffic, activation bookkeeping, and (on
 the process executor) a master↔worker round-trip — is charged per *node*,
-so a pipeline of tiny scalar operators pays the coordination tax once per
+so a cone of tiny scalar operators pays the coordination tax once per
 member.  The paper's advice is structural ("unnecessary nodes in the graph
 translate into extra overhead", section 6); this pass automates it at the
-graph level, after template generation:
+graph level, after template generation, with one rule applied in one
+descending sweep over each template's nodes:
 
-* a **linear chain** of single-consumer ``OP`` nodes whose operators are
-  cheap (numeric cost hint at most :data:`FUSE_COST_THRESHOLD` ticks) and
-  declare no ``modifies`` is rewritten into one fused ``OP`` node whose
-  :attr:`~repro.graph.ir.Node.fused` recipe replays the members in order
-  inside a single Python frame;
-* a trailing ``UNTUPLE`` whose package comes from a single-consumer ``OP``
-  is absorbed into that node **regardless of the producer's cost**: the
-  fused node grows one output port per package element and the engine
-  delivers the final step's tuple element-by-element.  This is the common
-  ``split -> untuple`` shape every scatter in the retina model has, and it
-  halves those nodes' fire count even though the split itself is costly.
+* a cheap ``OP`` (numeric cost hint at most :data:`FUSE_COST_THRESHOLD`
+  ticks, no ``modifies``) whose value is not the template result **joins
+  a region exactly when every reader of that value already belongs to
+  that one region**; otherwise it becomes the *exit* of a new region.  A
+  region is therefore a maximal fan-in cone with a single exit: convex
+  (a path that left it could only re-enter through a cycle) and acyclic
+  against every other region.  Each region of two or more nodes becomes
+  one fused ``OP`` whose :attr:`~repro.graph.ir.Node.fused` recipe replays
+  the members in topological order inside a single Python frame;
+* an ``UNTUPLE`` whose package comes from an ``OP`` read by nothing else
+  absorbs that node **regardless of its cost** (the ``split -> untuple``
+  shape of every retina scatter: two fires become one); the region grows
+  past the producer only when the producer is itself cheap.
 
-Fusion never crosses template boundaries, never touches expanding nodes
-(``CALL``/``IF``/``CLOSURE``), and never fuses an operator with a
-``modifies`` declaration — copy-on-write decisions are per-node and must
-stay observable.  Results are bit-identical by construction: the composed
-callable applies exactly the member functions to exactly the values the
-dataflow edges would have carried (intermediate values simply never pass
-through the block layer).
+A single-exit region **never delays a consumer**: the exit needed every
+region input before it could fire anyway, and an interior value has no
+reader outside the region, so nothing waits for an input it does not
+use.  That is why the rule stops here.  Staying out, each needing its own
+sizing: multi-exit regions (one exit's reader would wait for inputs only
+another exit needs), ``modifies`` members (copy-on-write decisions are
+per-node and must stay observable), callable and calibrated cost hints
+(unknown until run time), and if-conversion.  Fusion never crosses
+template boundaries and never touches expanding nodes
+(``CALL``/``IF``/``CLOSURE``).  Results are bit-identical by
+construction: the composed callable applies exactly the member functions
+to exactly the values the dataflow edges would have carried
+(intermediate values simply never pass through the block layer).
 
 The pass mutates templates in place and re-finalizes them; run it after
 ``prune_unreachable`` so dead templates are not wasted effort.
@@ -35,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...errors import UnknownOperatorError
 from ...graph.ir import GraphProgram, Node, NodeKind, Port, Template
 from ...runtime.operators import OperatorRegistry, OperatorSpec
 
@@ -45,12 +53,13 @@ from ...runtime.operators import OperatorRegistry, OperatorSpec
 #: program would want dispatched on its own.
 FUSE_COST_THRESHOLD = 100.0
 
-
-def _spec_of(registry: OperatorRegistry, node: Node) -> OperatorSpec | None:
-    try:
-        return registry.get(node.name)
-    except UnknownOperatorError:
-        return None
+#: Regions of at most this many operators spell every member in their
+#: ``label`` (it lands in each ``TaskFired`` / timing-report row); longer
+#: ones read ``first+…+exit (N ops)``.  No chain the old rule fused in a
+#: shipped program or benchmark workload was longer (fanout sums 31
+#: terms), so a region that was a chain keeps its label and its bytes.
+#: The full recipe stays in ``name`` / ``fused`` / ``describe()``.
+LABEL_FULL_OPS = 32
 
 
 def _cheap(spec: OperatorSpec, threshold: float) -> bool:
@@ -65,141 +74,119 @@ def _cheap(spec: OperatorSpec, threshold: float) -> bool:
 
 
 @dataclass
-class _Chain:
-    """One maximal fusible path: OP members plus an optional untuple tail."""
+class _Region:
+    """One single-exit cone: its ``OP`` members (collected exit-first, so
+    in descending node id) and the absorbed untuple, if that is the exit."""
 
     members: list[int]
-    untuple: int | None
+    untuple: int | None = None
 
 
-def _single_consumer(template: Template, node_id: int) -> tuple[int, int] | None:
-    """The sole consumer of ``node_id``'s only output, or ``None``.
+def _reading_region(
+    template: Template, node_id: int, region_of: dict[int, _Region]
+) -> _Region | None:
+    """The one region *every* reader of ``node_id``'s value belongs to.
 
-    ``None`` when the node has multiple outputs, multiple consumers, or
-    its output is the template result (the engine delivers results from
-    live ports; a fused interior has no live port)."""
-    node = template.nodes[node_id]
-    if node.n_outputs != 1:
-        return None
+    ``None`` when the value has no reader, a reader outside any region,
+    readers in two regions, or is the template result (the engine delivers
+    results from live ports; a fused interior has no live port)."""
     consumers = template.consumers[node_id][0]
-    if len(consumers) != 1:
+    if not consumers or template.result_node == node_id:
         return None
-    if template.result_node == node_id and template.result_out == 0:
-        return None
-    return consumers[0]
+    region = region_of.get(consumers[0][0])
+    for dest, _ in consumers:
+        if region_of.get(dest) is not region:
+            return None
+    return region
 
 
-def _find_chains(
+def _find_regions(
     template: Template, registry: OperatorRegistry, threshold: float
-) -> list[_Chain]:
-    nodes = template.nodes
-    eligible: list[OperatorSpec | None] = []
-    for node in nodes:
-        spec = _spec_of(registry, node) if node.kind is NodeKind.OP else None
-        if spec is not None and spec.modifies:
-            spec = None
-        eligible.append(spec)
-
-    # prev[c] = the producer fused into c's chain; at most one per consumer
-    # (lowest producer id claims), at most one successor per producer (the
-    # single-consumer condition), so the links form disjoint linear paths.
-    prev: dict[int, int] = {}
-    has_next: set[int] = set()
-    for p in range(len(nodes)):
-        spec_p = eligible[p]
-        if spec_p is None:
+) -> list[_Region]:
+    """One descending sweep: readers are placed before what they read, so
+    "every reader is in region R" is decidable when a node is reached."""
+    region_of: dict[int, _Region] = {}
+    regions: list[_Region] = []
+    for n in range(len(template.nodes) - 1, -1, -1):
+        node = template.nodes[n]
+        if node.kind is NodeKind.UNTUPLE:
+            region_of[n] = region = _Region([], untuple=n)
+            regions.append(region)
             continue
-        consumer = _single_consumer(template, p)
-        if consumer is None:
+        if node.kind is not NodeKind.OP or node.name not in registry:
             continue
-        c, _ = consumer
-        if c in prev:
+        spec = registry.get(node.name)
+        if spec.modifies:
             continue
-        dest = nodes[c]
-        if dest.kind is NodeKind.UNTUPLE:
-            # Absorb the untuple no matter how costly the producer is:
-            # the pair always collapses to one fire.
-            prev[c] = p
-            has_next.add(p)
-        elif dest.kind is NodeKind.OP:
-            spec_c = eligible[c]
-            if spec_c is None:
-                continue
-            if not (_cheap(spec_p, threshold) and _cheap(spec_c, threshold)):
-                continue
-            prev[c] = p
-            has_next.add(p)
-
-    chains: list[_Chain] = []
-    for tail in prev:
-        if tail in has_next:
-            continue  # not the end of its path
-        path = [tail]
-        while path[-1] in prev:
-            path.append(prev[path[-1]])
-        path.reverse()
-        if nodes[tail].kind is NodeKind.UNTUPLE:
-            members, untuple = path[:-1], tail
-        else:
-            members, untuple = path, None
-        if len(members) + (1 if untuple is not None else 0) >= 2:
-            chains.append(_Chain(members, untuple))
-    return chains
+        cheap = _cheap(spec, threshold)
+        region = _reading_region(template, n, region_of)
+        # An untuple takes the producer it alone reads whatever that costs
+        # (the pair always collapses to one fire); every other member is cheap.
+        if not cheap and (
+            region is None or region.untuple is None or region.members
+        ):
+            continue
+        if region is None:
+            region = _Region([])  # n is the exit of a new region
+            regions.append(region)
+        region.members.append(n)
+        if cheap:  # nothing is fused *through* an operator that is not
+            region_of[n] = region
+    return [r for r in regions if len(r.members) + (r.untuple is not None) > 1]
 
 
-def _fuse_chain(template: Template, chain: _Chain) -> None:
-    """Rewrite the chain's last node in place as the fused super-node.
+def _label(names: list[str], untuple_n: int) -> str:
+    tail = "+untuple" if untuple_n else ""
+    if len(names) <= LABEL_FULL_OPS:
+        return "+".join(names) + tail
+    return f"{names[0]}+…+{names[-1]}{tail} ({len(names)} ops)"
 
-    Rewriting the *last* node (the untuple, when absorbed) keeps every
+
+def _fuse_region(template: Template, region: _Region) -> int:
+    """Rewrite the region's exit in place as the fused super-node and
+    return its id.
+
+    Rewriting the *exit* (the untuple, when absorbed) keeps every
     downstream port reference valid — consumers already point at its
     outputs.  Interior members are deleted afterwards in one renumbering
-    sweep per template."""
+    sweep per template.  Steps are emitted in ascending node id."""
     nodes = template.nodes
-    member_set = set(chain.members)
-    step_index = {m: j for j, m in enumerate(chain.members)}
+    members = region.members[::-1]
+    step_index = {m: j for j, m in enumerate(members)}
 
     ext_slots: dict[Port, int] = {}
-    ext_ports: list[Port] = []
     steps = []
-    for m in chain.members:
+    for j, m in enumerate(members):
         refs = []
         for port in nodes[m].inputs:
-            if port.node in member_set:
-                refs.append(("t", step_index[port.node]))
+            step = step_index.get(port.node)
+            if step is None:
+                refs.append(("i", ext_slots.setdefault(port, len(ext_slots))))
             else:
-                slot = ext_slots.get(port)
-                if slot is None:
-                    slot = ext_slots[port] = len(ext_ports)
-                    ext_ports.append(port)
-                refs.append(("i", slot))
+                # A ("t", j) may only name an earlier step: the sweep puts
+                # a reader before what it reads, so ascending ids order a
+                # region topologically — checked, not assumed.
+                assert step < j, (template.name, m, port.node)
+                refs.append(("t", step))
         steps.append((nodes[m].name, tuple(refs)))
 
-    if chain.untuple is not None:
-        target = chain.untuple
-        untuple_n = nodes[target].n_outputs
-    else:
-        target = chain.members[-1]
-        untuple_n = 0
-
+    target = members[-1] if region.untuple is None else region.untuple
+    untuple_n = 0 if region.untuple is None else nodes[target].n_outputs
     parts = [
         f"{name}({','.join(kind + str(k) for kind, k in refs)})"
         for name, refs in steps
     ]
     if untuple_n:
         parts.append(f"untuple{untuple_n}")
-    fused_name = "fused:" + ";".join(parts)
-    label = "+".join(name for name, _ in steps) + (
-        "+untuple" if untuple_n else ""
-    )
-
     nodes[target] = Node(
         kind=NodeKind.OP,
-        inputs=list(ext_ports),
-        n_outputs=untuple_n if untuple_n else 1,
-        name=fused_name,
+        inputs=list(ext_slots),
+        n_outputs=untuple_n or 1,
+        name="fused:" + ";".join(parts),
         fused=(tuple(steps), untuple_n),
-        label=label,
+        label=_label([name for name, _ in steps], untuple_n),
     )
+    return target
 
 
 def _remove_nodes(template: Template, removed: set[int]) -> None:
@@ -228,28 +215,25 @@ def run(
 
     Statistics use the pipeline's ``pass.stat`` key convention so they
     merge into an :class:`~repro.compiler.passes.pipeline.
-    OptimizationReport` unchanged: ``fuse.chains_fused``,
-    ``fuse.ops_fused``, ``fuse.untuples_absorbed``, ``fuse.nodes_removed``.
+    OptimizationReport` unchanged: ``fuse.chains_fused`` (regions; the key
+    predates them), ``fuse.ops_fused``, ``fuse.untuples_absorbed``,
+    ``fuse.nodes_removed``.
     """
-    chains_fused = 0
+    regions_fused = 0
     ops_fused = 0
     untuples = 0
     nodes_removed = 0
     for template in graph.templates.values():
-        chains = _find_chains(template, registry, cost_threshold)
-        if not chains:
+        regions = _find_regions(template, registry, cost_threshold)
+        if not regions:
             continue
         removed: set[int] = set()
-        for chain in chains:
-            _fuse_chain(template, chain)
-            tail = chain.untuple if chain.untuple is not None else chain.members[-1]
-            for m in chain.members:
-                if m != tail:
-                    removed.add(m)
-            chains_fused += 1
-            ops_fused += len(chain.members)
-            if chain.untuple is not None:
-                untuples += 1
+        for region in regions:
+            exit_id = _fuse_region(template, region)
+            removed.update(m for m in region.members if m != exit_id)
+            ops_fused += len(region.members)
+            untuples += region.untuple is not None
+        regions_fused += len(regions)
         _remove_nodes(template, removed)
         nodes_removed += len(removed)
         # Fusion changes port fan-outs, so any pre-existing last-use
@@ -259,10 +243,10 @@ def run(
         # missing donation is just a skipped optimization.
         for node in template.nodes:
             node.donated = None
-    if not chains_fused:
+    if not regions_fused:
         return {}
     return {
-        "fuse.chains_fused": chains_fused,
+        "fuse.chains_fused": regions_fused,
         "fuse.ops_fused": ops_fused,
         "fuse.untuples_absorbed": untuples,
         "fuse.nodes_removed": nodes_removed,

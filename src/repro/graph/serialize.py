@@ -21,14 +21,16 @@ from typing import Any
 from ..errors import GraphError
 from ..runtime.values import NULL, _SELF
 from .ir import GraphProgram, Node, NodeKind, Port, Template
+from .validate import validate_program
 
 #: Format version; bump on breaking changes.
 FORMAT_VERSION = 1
 
 #: Revision of what the compiler emits; bump whenever identical source,
 #: defines and passes can compile to a different graph (the compile cache
-#: hashes it).  2: calls around a recursive cycle are spliced.
-COMPILER_REVISION = 2
+#: hashes it).  2: calls around a recursive cycle are spliced.  3: ``fuse``
+#: grows single-exit regions where it collapsed linear chains.
+COMPILER_REVISION = 3
 
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}
@@ -185,8 +187,18 @@ def dumps(program: GraphProgram, indent: int | None = None) -> str:
 
 
 def loads(text: str) -> GraphProgram:
-    """Load a compiled program from JSON text."""
-    return program_from_dict(json.loads(text))
+    """Load a compiled program from JSON text (a ``.dlc`` file, a compile
+    cache entry).  Whatever is wrong with it — not JSON, a missing key, a
+    graph :func:`validate_program` refuses — is one :class:`GraphError`,
+    raised before anything can fire."""
+    try:
+        program = program_from_dict(json.loads(text))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise GraphError(
+            f"malformed graph file: {type(exc).__name__}: {exc}"
+        ) from exc
+    validate_program(program)
+    return program
 
 
 def save(program: GraphProgram, path: str) -> None:

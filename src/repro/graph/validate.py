@@ -10,6 +10,8 @@ diagnosis.  :func:`validate_program` checks the whole-program invariants:
 * templates are acyclic (data flows forward only — cycles would deadlock
   the firing rule);
 * placeholders are exactly the leading nodes and never fire on their own;
+* donation annotations and fused recipes satisfy their static rules
+  (:func:`donation_violation`, :func:`fusion_violation`);
 * ``IF`` capture splits are consistent; ``UNTUPLE`` output counts are
   positive; every non-placeholder node is reachable... every node's value
   is *used* somewhere or is the result (an unused node is legal — DCE
@@ -20,6 +22,7 @@ diagnosis.  :func:`validate_program` checks the whole-program invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..errors import GraphError
 from .ir import GraphProgram, NodeKind, Template
@@ -189,6 +192,61 @@ def _check_donations(template: Template) -> None:
                 )
 
 
+def fusion_violation(
+    template: Template, node_id: int, registry: Any = None
+) -> str | None:
+    """Why node ``node_id``'s fused recipe must NOT be run, or ``None``.
+
+    In a recipe ``(steps, untuple_n)`` a step's ``("t", j)`` names an
+    *earlier* step (steps replay in order inside one frame) and its
+    ``("i", k)`` one of the node's inputs; every input is read by some
+    step (an unread one would hold the fire back for nothing);
+    ``untuple_n`` agrees with the output ports.  With the operator
+    ``registry`` the program will run against, every member must resolve
+    in it and declare no ``modifies``.  What is refused here would
+    otherwise be an ``IndexError`` inside the first fire, or a wrong value.
+    """
+    node = template.nodes[node_id]
+    steps, untuple_n = node.fused
+    refs = [(j, kind, k) for j, (_, rs) in enumerate(steps) for kind, k in rs]
+    if node.kind is not NodeKind.OP or not steps:
+        return "it is not an operator node with at least one step"
+    for j, kind, k in refs:
+        if kind not in ("i", "t"):
+            return f"step {j} has an argument of unknown kind {kind!r}"
+        if kind == "t" and not 0 <= k < j:
+            return f"step {j} reads step {k}, which is not an earlier step"
+        if kind == "i" and not 0 <= k < len(node.inputs):
+            return f"step {j} reads input {k}; the node has {len(node.inputs)} input(s)"
+    unread = set(range(len(node.inputs))) - {k for _, kind, k in refs if kind == "i"}
+    if unread:
+        return f"input(s) {sorted(unread)} are read by no step"
+    if node.n_outputs != (untuple_n or 1):
+        return (
+            f"untuple count {untuple_n} disagrees with the node's "
+            f"{node.n_outputs} output(s)"
+        )
+    if registry is not None:
+        for name, _ in steps:
+            if name not in registry:
+                return f"member {name!r} is not a registered operator"
+            if registry.get(name).modifies:
+                return f"member {name!r} declares modifies"
+    return None
+
+
+def _check_fusions(template: Template, registry: Any) -> None:
+    for node_id, node in enumerate(template.nodes):
+        if node.fused is None:
+            continue
+        reason = fusion_violation(template, node_id, registry)
+        if reason is not None:
+            raise GraphError(
+                f"template {template.name!r}: node {node_id} carries a "
+                f"fused recipe, but {reason}"
+            )
+
+
 def _find_dead_nodes(template: Template, report: ValidationReport) -> None:
     assert template.result is not None
     for node_id, node in enumerate(template.nodes):
@@ -200,7 +258,9 @@ def _find_dead_nodes(template: Template, report: ValidationReport) -> None:
             report.dead_nodes.append((template.name, node_id))
 
 
-def validate_template(template: Template, program: GraphProgram) -> None:
+def validate_template(
+    template: Template, program: GraphProgram, registry: Any = None
+) -> None:
     """Check one template; raises :class:`GraphError` on violations."""
     if not template.consumers:
         raise GraphError(
@@ -210,15 +270,22 @@ def validate_template(template: Template, program: GraphProgram) -> None:
     _check_acyclic(template)
     _check_references(template, program)
     _check_donations(template)
+    _check_fusions(template, registry)
 
 
-def validate_program(program: GraphProgram) -> ValidationReport:
-    """Validate every template plus whole-program invariants."""
+def validate_program(
+    program: GraphProgram, registry: Any = None
+) -> ValidationReport:
+    """Validate every template plus whole-program invariants.
+
+    ``registry`` is the :class:`~repro.runtime.operators.OperatorRegistry`
+    the program will run against, when the caller has one: fused recipes
+    are then also checked against it (:func:`fusion_violation`)."""
     if program.entry not in program.templates:
         raise GraphError(f"entry template {program.entry!r} is missing")
     report = ValidationReport()
     for template in program.templates.values():
-        validate_template(template, program)
+        validate_template(template, program, registry)
         _find_dead_nodes(template, report)
         report.templates_checked += 1
     entry = program.entry_template()

@@ -455,37 +455,10 @@ CODEGEN_BINDER_NAME = "_delirium_bind"
 BATCH_BINDER_NAME = "_delirium_bind_batch"
 
 
-#: Sticky flag: a failed ``import numba`` walks ``sys.path`` every time,
-#: which is far too slow to repeat once per binding.
-_NUMBA_ABSENT = False
-
 #: Compiled code objects by source text.  Generated sources are pure
 #: functions of the recipe, so the text is a safe process-wide key; the
 #: (cheap) ``exec`` + bind still runs per registry.
 _CODE_CACHE: dict[str, Any] = {}
-
-
-def _maybe_jit(fn: Callable[..., Any], member_fns: list) -> Callable[..., Any]:
-    """Optional numba tier: jit the generated body when every member is
-    already a numba dispatcher (``pip install delirium[jit]``).  Absent
-    numba, non-dispatcher members, or a failed compile all fall back to
-    the plain Python function silently — results are identical either way.
-    """
-    global _NUMBA_ABSENT
-    if _NUMBA_ABSENT:
-        return fn
-    try:
-        import numba
-    except Exception:
-        _NUMBA_ABSENT = True
-        return fn
-    try:
-        dispatcher = numba.core.dispatcher.Dispatcher
-        if not member_fns or not all(isinstance(m, dispatcher) for m in member_fns):
-            return fn
-        return numba.njit(fn)
-    except Exception:
-        return fn
 
 
 def bind_codegen(
@@ -493,7 +466,6 @@ def bind_codegen(
     steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
     registry: OperatorRegistry,
     name: str = "<fused>",
-    jit: bool = True,
 ) -> Callable[..., Any]:
     """Compile generated codegen ``source`` and bind it against ``registry``.
 
@@ -510,10 +482,7 @@ def bind_codegen(
         )
     exec(code, namespace)
     member_fns = [registry.get(op_name).fn for op_name, _ in steps]
-    fn = namespace[CODEGEN_BINDER_NAME](*member_fns)
-    if jit and len(steps) > 1:
-        fn = _maybe_jit(fn, member_fns)
-    return fn
+    return namespace[CODEGEN_BINDER_NAME](*member_fns)
 
 
 def bind_codegen_batch(

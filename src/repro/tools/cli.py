@@ -38,6 +38,7 @@ from ..obs import (
     observe_blocks,
 )
 from ..runtime import ProcessExecutor, SequentialExecutor, ThreadedExecutor
+from ..runtime.operators import default_registry
 from .timeline import gantt
 from .timing_report import (
     critical_path_section,
@@ -483,6 +484,11 @@ def _compile(args: argparse.Namespace):
     return compiled
 
 
+def _registry_of(compiled):
+    """What its fused members must resolve in: a loaded .dlc's are builtins."""
+    return compiled.registry or default_registry()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="delirium",
@@ -657,10 +663,25 @@ def main(argv: list[str] | None = None) -> int:
 
         return Repl().run()
 
+    if ns.command == "validate":
+        from ..errors import GraphError
+
+        try:  # a .dlc is validated as it is loaded
+            compiled = _compile(ns)
+            report = validate_program(compiled.graph, _registry_of(compiled))
+        except GraphError as exc:
+            print(f"INVALID: {exc}", file=sys.stderr)
+            return 1
+        print(
+            f"OK: {report.templates_checked} template(s), "
+            f"{len(report.dead_nodes)} dead node(s)"
+        )
+        return 0
+
     compiled = _compile(ns)
 
     if ns.command == "compile":
-        report = validate_program(compiled.graph)
+        report = validate_program(compiled.graph, _registry_of(compiled))
         for template in compiled.graph.templates.values():
             print(template.describe())
             print()
@@ -681,20 +702,6 @@ def main(argv: list[str] | None = None) -> int:
 
             save(compiled.graph, ns.emit)
             print(f"wrote {ns.emit}")
-        return 0
-
-    if ns.command == "validate":
-        from ..errors import GraphError
-
-        try:
-            report = validate_program(compiled.graph)
-        except GraphError as exc:
-            print(f"INVALID: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"OK: {report.templates_checked} template(s), "
-            f"{len(report.dead_nodes)} dead node(s)"
-        )
         return 0
 
     if ns.command == "viz":

@@ -466,31 +466,15 @@ class TestMidBatchCrashSalvage:
 
 
 # ---------------------------------------------------------------------------
-# Optional numba tier
+# The hit counter
 # ---------------------------------------------------------------------------
-class TestNumbaTier:
-    def test_numpy_fallback_is_silent_and_exact(self):
+class TestHitCounter:
+    def test_pi_batch_counts_its_samples(self):
         from repro.apps.montecarlo import model
 
         hits, samples = model.pi_batch(3, 0, 10_000)
         assert samples == 10_000
         assert 0 < hits < 10_000
-
-    @pytest.mark.skipif(
-        pytest.importorskip("importlib.util").find_spec("numba") is None,
-        reason="needs delirium[jit]",
-    )
-    def test_jit_counter_matches_numpy(self):  # pragma: no cover
-        import numpy as np
-
-        from repro.apps.montecarlo import model
-
-        counter = model._numba_count_hits()
-        assert counter is not None
-        xy = model.batch_rng(9, 4).random((5000, 2))
-        x, y = xy[:, 0], xy[:, 1]
-        expect = int(np.count_nonzero(x * x + y * y <= 1.0))
-        assert int(counter(xy)) == expect
 
 
 # ---------------------------------------------------------------------------
