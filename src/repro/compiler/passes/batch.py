@@ -13,10 +13,13 @@ so this terminal pass appends a *batch binder* to every generated source::
             return [_fused(*_args) for _args in _calls]
         return _fused_batch
 
-Each side (master or worker) that resolves the fused spec binds both
-binders from the same source text (``node_spec`` / the worker's resolve
-path call :func:`~repro.runtime.operators.bind_codegen_batch`, which
-returns ``None`` for sources this pass never touched).  The loop lives
+The text is :func:`~repro.runtime.operators.generate_batch_source`'s,
+a pure function of the member count that the graph loader regenerates to
+check a stored source.  Each side (master or worker) that resolves the
+fused spec binds both binders from the same source text (``node_spec`` /
+the worker's resolve path call
+:func:`~repro.runtime.operators.bind_codegen_batch`, which returns
+``None`` for sources this pass never touched).  The loop lives
 inside one generated frame next to the specialized body, so a batched
 fused chain pays zero per-fire interpretation — the same property the
 scalar codegen path has — and the results are bit-identical to N scalar
@@ -32,30 +35,9 @@ from __future__ import annotations
 from ...graph.ir import GraphProgram
 from ...runtime.operators import (
     BATCH_BINDER_NAME,
-    CODEGEN_BINDER_NAME,
     OperatorRegistry,
+    generate_batch_source,
 )
-
-
-def generate_batch_source(n_members: int) -> str:
-    """The batch-binder text appended to one generated codegen source.
-
-    A pure function of the member count — the scalar binder's signature —
-    so equal codegen sources always grow equal batch binders and stay
-    safe cache/dedup keys.
-    """
-    fns = ", ".join(f"_f{j}" for j in range(n_members))
-    return "\n".join(
-        [
-            "",
-            f"def {BATCH_BINDER_NAME}({fns}):",
-            f"    _fused = {CODEGEN_BINDER_NAME}({fns})",
-            "    def _fused_batch(_calls):",
-            "        return [_fused(*_args) for _args in _calls]",
-            "    return _fused_batch",
-            "",
-        ]
-    )
 
 
 def run(graph: GraphProgram, registry: OperatorRegistry) -> dict[str, int]:

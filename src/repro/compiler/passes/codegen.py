@@ -1,6 +1,6 @@
 """Codegen lowering: compile fused recipes to specialized Python.
 
-The fusion pass (:mod:`repro.compiler.passes.fuse`) collapses chains into
+The fusion pass (:mod:`repro.compiler.passes.fuse`) collapses regions into
 super-nodes carrying ``(steps, untuple_n)`` recipes, and the runtime
 replays those recipes through a generic loop (``compose_fused``): per step
 a tuple unpack, a list comprehension over arg refs, and an append.  That
@@ -34,6 +34,11 @@ A trailing absorbed untuple needs no generated code: the final step's
 tuple is the function result, and the engine delivers its elements to the
 node's output ports (the delivery carries template-named error messages
 the generated function must not duplicate).
+
+A folded ``IF`` generates an ``if _fj(cond):`` / ``else:`` around its
+arms' guarded steps, its select's member ``_fj`` being ``is_truthy``.  The
+generator, :func:`~repro.runtime.operators.generate_source`, lives beside
+the recipe interpreter, where the graph loader regenerates stored texts.
 """
 
 from __future__ import annotations
@@ -42,52 +47,10 @@ from typing import Any, Callable
 
 from ...graph.ir import GraphProgram
 from ...runtime.operators import (
-    CODEGEN_BINDER_NAME as BINDER_NAME,
-)
-from ...runtime.operators import (
     OperatorRegistry,
     bind_codegen,
+    generate_source,
 )
-
-
-def generate_source(
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
-    untuple_n: int,
-) -> str:
-    """Specialized Python source for one fused recipe.
-
-    Pure function of the recipe (the fused node *name* encodes the recipe,
-    so equal names always carry equal sources).  The text is deliberately
-    deterministic — it participates in serialized graph dumps and
-    cache-entry content.
-    """
-    n_inputs = 0
-    for _, refs in steps:
-        for kind, k in refs:
-            if kind == "i":
-                n_inputs = max(n_inputs, k + 1)
-    params = ", ".join(f"a{i}" for i in range(n_inputs))
-    fns = ", ".join(f"_f{j}" for j in range(len(steps)))
-    lines = [
-        f"# fused chain: {'>'.join(name for name, _ in steps)}"
-        + (f">untuple{untuple_n}" if untuple_n else ""),
-        f"def {BINDER_NAME}({fns}):",
-    ]
-    if len(steps) == 1:
-        # Single step (split + absorbed untuple): the specialized callable
-        # *is* the member function — binding it directly keeps the call
-        # frame count identical to an unfused firing.
-        lines.append("    return _f0")
-        lines.append("")
-        return "\n".join(lines)
-    lines.append(f"    def _fused({params}):")
-    for j, (_, refs) in enumerate(steps):
-        args = ", ".join(f"a{k}" if kind == "i" else f"t{k}" for kind, k in refs)
-        lines.append(f"        t{j} = _f{j}({args})")
-    lines.append(f"        return t{len(steps) - 1}")
-    lines.append("    return _fused")
-    lines.append("")
-    return "\n".join(lines)
 
 
 def run(graph: GraphProgram, registry: OperatorRegistry) -> dict[str, int]:

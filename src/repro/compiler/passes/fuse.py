@@ -14,27 +14,28 @@ descending sweep over each template's nodes:
   that one region**; otherwise it becomes the *exit* of a new region.  A
   region is therefore a maximal fan-in cone with a single exit: convex
   (a path that left it could only re-enter through a cycle) and acyclic
-  against every other region.  Each region of two or more nodes becomes
-  one fused ``OP`` whose :attr:`~repro.graph.ir.Node.fused` recipe replays
+  against every other region.  Each region that saves a fire becomes one
+  fused ``OP`` whose :attr:`~repro.graph.ir.Node.fused` recipe replays
   the members in topological order inside a single Python frame;
+* an ``IF`` whose arms hold only captures, atomic constants and cheap
+  operators is a member too (**if-conversion**): its arms' operators
+  become *guarded* steps before a *select*, so the untaken arm never runs;
 * an ``UNTUPLE`` whose package comes from an ``OP`` read by nothing else
   absorbs that node **regardless of its cost** (the ``split -> untuple``
   shape of every retina scatter: two fires become one); the region grows
   past the producer only when the producer is itself cheap.
 
 A single-exit region **never delays a consumer**: the exit needed every
-region input before it could fire anyway, and an interior value has no
-reader outside the region, so nothing waits for an input it does not
-use.  That is why the rule stops here.  Staying out, each needing its own
-sizing: multi-exit regions (one exit's reader would wait for inputs only
-another exit needs), ``modifies`` members (copy-on-write decisions are
-per-node and must stay observable), callable and calibrated cost hints
-(unknown until run time), and if-conversion.  Fusion never crosses
-template boundaries and never touches expanding nodes
-(``CALL``/``IF``/``CLOSURE``).  Results are bit-identical by
+region input before it could fire anyway (an ``IF`` waits for both arms'
+captures), and an interior value has no reader outside the region, so
+nothing waits for an input it does not use.  That is why the rule stops
+here.  Staying out, each needing its own sizing: multi-exit regions (one
+exit's reader would wait for inputs only another exit needs),
+``modifies`` members (copy-on-write decisions are per-node and must stay
+observable), callable and calibrated cost hints (unknown until run time),
+and arms holding more than cheap operators.  Results are bit-identical by
 construction: the composed callable applies exactly the member functions
-to exactly the values the dataflow edges would have carried
-(intermediate values simply never pass through the block layer).
+to exactly the values the dataflow edges would have carried.
 
 The pass mutates templates in place and re-finalizes them; run it after
 ``prune_unreachable`` so dead templates are not wasted effort.
@@ -45,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...graph.ir import GraphProgram, Node, NodeKind, Port, Template
-from ...runtime.operators import OperatorRegistry, OperatorSpec
+from ...runtime.operators import SELECT, OperatorRegistry, OperatorSpec, fused_name
+from ...runtime.values import NULL
 
 #: Operators whose numeric cost hint is at or below this many simulated
 #: ticks count as "cheap" for OP->OP fusion.  Chosen well above the
@@ -53,7 +55,7 @@ from ...runtime.operators import OperatorRegistry, OperatorSpec
 #: program would want dispatched on its own.
 FUSE_COST_THRESHOLD = 100.0
 
-#: Regions of at most this many operators spell every member in their
+#: Regions of at most this many steps spell every member in their
 #: ``label`` (it lands in each ``TaskFired`` / timing-report row); longer
 #: ones read ``first+…+exit (N ops)``.  No chain the old rule fused in a
 #: shipped program or benchmark workload was longer (fanout sums 31
@@ -73,13 +75,47 @@ def _cheap(spec: OperatorSpec, threshold: float) -> bool:
     return float(spec.cost) <= threshold
 
 
+def _folds(
+    graph: GraphProgram, registry: OperatorRegistry, threshold: float
+) -> dict[tuple[str, str], int]:
+    """The operator count of every ``(then, else)`` arm pair an ``IF`` may
+    fold: arms of nothing but captures, atomic constants and cheap,
+    unfused, non-``modifies`` operators reading earlier nodes.  Such arms
+    hold no ``IF``, so the pass grows no region in them and reads them as
+    graphgen emitted them; those left unreachable are dropped."""
+    ops: dict[str, int] = {}
+    for name, template in graph.templates.items():
+        count = 0
+        for i, node in enumerate(template.nodes):
+            spec = registry.get(node.name) if node.name in registry else None
+            if (
+                node.kind is NodeKind.OP and spec and not spec.modifies
+                and _cheap(spec, threshold) and all(p.node < i for p in node.inputs)
+            ):
+                count += 1
+            elif node.kind is not NodeKind.CAPTURE and not (
+                node.kind is NodeKind.CONST
+                and (node.value is NULL or type(node.value) in (int, float, str, bool))
+            ):
+                break
+        else:
+            ops[name] = count
+    pairs = [
+        (n.then_template, n.else_template)
+        for t in graph.templates.values() for n in t.nodes if n.kind is NodeKind.IF
+    ]
+    return {p: ops[p[0]] + ops[p[1]] for p in pairs if p[0] in ops and p[1] in ops}
+
+
 @dataclass
 class _Region:
-    """One single-exit cone: its ``OP`` members (collected exit-first, so
-    in descending node id) and the absorbed untuple, if that is the exit."""
+    """One single-exit cone: its members (collected exit-first, so in
+    descending node id), the absorbed untuple, if that is the exit, and
+    how many operators the arms of its member ``IF``\\ s hold."""
 
     members: list[int]
     untuple: int | None = None
+    arm_ops: int = 0
 
 
 def _reading_region(
@@ -101,7 +137,7 @@ def _reading_region(
 
 
 def _find_regions(
-    template: Template, registry: OperatorRegistry, threshold: float
+    template: Template, registry: OperatorRegistry, threshold: float, folds: dict
 ) -> list[_Region]:
     """One descending sweep: readers are placed before what they read, so
     "every reader is in region R" is decidable when a node is reached."""
@@ -109,16 +145,23 @@ def _find_regions(
     regions: list[_Region] = []
     for n in range(len(template.nodes) - 1, -1, -1):
         node = template.nodes[n]
+        arm_ops = 0
         if node.kind is NodeKind.UNTUPLE:
             region_of[n] = region = _Region([], untuple=n)
             regions.append(region)
             continue
-        if node.kind is not NodeKind.OP or node.name not in registry:
+        if node.kind is NodeKind.IF:
+            arm_ops = folds.get((node.then_template, node.else_template))
+            if arm_ops is None:
+                continue
+            cheap = True
+        elif node.kind is NodeKind.OP and node.name in registry:
+            spec = registry.get(node.name)
+            if spec.modifies:
+                continue
+            cheap = _cheap(spec, threshold)
+        else:
             continue
-        spec = registry.get(node.name)
-        if spec.modifies:
-            continue
-        cheap = _cheap(spec, threshold)
         region = _reading_region(template, n, region_of)
         # An untuple takes the producer it alone reads whatever that costs
         # (the pair always collapses to one fire); every other member is cheap.
@@ -130,9 +173,14 @@ def _find_regions(
             region = _Region([])  # n is the exit of a new region
             regions.append(region)
         region.members.append(n)
+        region.arm_ops += arm_ops
         if cheap:  # nothing is fused *through* an operator that is not
             region_of[n] = region
-    return [r for r in regions if len(r.members) + (r.untuple is not None) > 1]
+    # Kept when it fires less fused: once, where its members, its untuple
+    # and the operators of its members' arms fired one by one.
+    return [
+        r for r in regions if len(r.members) + (r.untuple is not None) + r.arm_ops > 1
+    ]
 
 
 def _label(names: list[str], untuple_n: int) -> str:
@@ -142,49 +190,71 @@ def _label(names: list[str], untuple_n: int) -> str:
     return f"{names[0]}+…+{names[-1]}{tail} ({len(names)} ops)"
 
 
-def _fuse_region(template: Template, region: _Region) -> int:
+def _fuse_region(template: Template, region: _Region, graph: GraphProgram) -> int:
     """Rewrite the region's exit in place as the fused super-node and
     return its id.
 
     Rewriting the *exit* (the untuple, when absorbed) keeps every
     downstream port reference valid — consumers already point at its
     outputs.  Interior members are deleted afterwards in one renumbering
-    sweep per template.  Steps are emitted in ascending node id."""
+    sweep per template.  Steps are emitted in ascending node id, a folded
+    ``IF`` as its then-arm's guarded steps, its else-arm's, its select;
+    its arms' constants are appended to the template as ``CONST`` nodes,
+    one per type and value."""
     nodes = template.nodes
     members = region.members[::-1]
-    step_index = {m: j for j, m in enumerate(members)}
-
+    value_of: dict[int, tuple[str, int]] = {}
     ext_slots: dict[Port, int] = {}
-    steps = []
-    for j, m in enumerate(members):
-        refs = []
-        for port in nodes[m].inputs:
-            step = step_index.get(port.node)
-            if step is None:
-                refs.append(("i", ext_slots.setdefault(port, len(ext_slots))))
-            else:
-                # A ("t", j) may only name an earlier step: the sweep puts
-                # a reader before what it reads, so ascending ids order a
-                # region topologically — checked, not assumed.
-                assert step < j, (template.name, m, port.node)
-                refs.append(("t", step))
-        steps.append((nodes[m].name, tuple(refs)))
+    hoisted: dict[tuple[type, str], Port] = {}
+    steps: list[tuple] = []
+
+    def ref(port: Port) -> tuple[str, int]:
+        if port.node in region.members:  # an earlier step, or a KeyError
+            return value_of[port.node]
+        return ("i", ext_slots.setdefault(port, len(ext_slots)))
+
+    def hoist(const: Node) -> tuple[str, int]:
+        key = (type(const.value), repr(const.value))
+        if key not in hoisted:
+            hoisted[key] = Port(len(nodes))
+            nodes.append(
+                Node(kind=NodeKind.CONST, value=const.value, label=const.label)
+            )
+        return ref(hoisted[key])
+
+    for m in members:
+        node = nodes[m]
+        if node.kind is NodeKind.IF:
+            cond, results = ref(node.inputs[0]), []
+            for arm_name, first, taken in (
+                (node.then_template, 1, True),
+                (node.else_template, 1 + node.n_then_captures, False),
+            ):
+                arm, local = graph.template(arm_name), []
+                for i, arm_node in enumerate(arm.nodes):
+                    if arm_node.kind is NodeKind.CAPTURE:
+                        local.append(ref(node.inputs[first + i]))
+                    elif arm_node.kind is NodeKind.CONST:
+                        local.append(hoist(arm_node))
+                    else:
+                        args = tuple(local[p.node] for p in arm_node.inputs)
+                        steps.append((arm_node.name, args, (cond, taken)))
+                        local.append(("t", len(steps) - 1))
+                results.append(local[arm.result_node])
+            steps.append((SELECT, (cond, *results)))
+        else:
+            steps.append((node.name, tuple(ref(p) for p in node.inputs)))
+        value_of[m] = ("t", len(steps) - 1)
 
     target = members[-1] if region.untuple is None else region.untuple
     untuple_n = 0 if region.untuple is None else nodes[target].n_outputs
-    parts = [
-        f"{name}({','.join(kind + str(k) for kind, k in refs)})"
-        for name, refs in steps
-    ]
-    if untuple_n:
-        parts.append(f"untuple{untuple_n}")
     nodes[target] = Node(
         kind=NodeKind.OP,
         inputs=list(ext_slots),
         n_outputs=untuple_n or 1,
-        name="fused:" + ";".join(parts),
+        name=fused_name(steps, untuple_n),
         fused=(tuple(steps), untuple_n),
-        label=_label([name for name, _ in steps], untuple_n),
+        label=_label([step[0] for step in steps], untuple_n),
     )
     return target
 
@@ -216,20 +286,24 @@ def run(
     Statistics use the pipeline's ``pass.stat`` key convention so they
     merge into an :class:`~repro.compiler.passes.pipeline.
     OptimizationReport` unchanged: ``fuse.chains_fused`` (regions; the key
-    predates them), ``fuse.ops_fused``, ``fuse.untuples_absorbed``,
-    ``fuse.nodes_removed``.
+    predates them), ``fuse.ops_fused`` (members, folded ``IF``\\ s
+    included), ``fuse.untuples_absorbed``, ``fuse.nodes_removed``.
     """
     regions_fused = 0
     ops_fused = 0
     untuples = 0
     nodes_removed = 0
-    for template in graph.templates.values():
-        regions = _find_regions(template, registry, cost_threshold)
+    folds = _folds(graph, registry, cost_threshold)
+    arms = {arm for pair in folds for arm in pair}
+    for name, template in graph.templates.items():
+        regions = [] if name in arms else _find_regions(
+            template, registry, cost_threshold, folds
+        )
         if not regions:
             continue
         removed: set[int] = set()
         for region in regions:
-            exit_id = _fuse_region(template, region)
+            exit_id = _fuse_region(template, region, graph)
             removed.update(m for m in region.members if m != exit_id)
             ops_fused += len(region.members)
             untuples += region.untuple is not None
@@ -243,6 +317,8 @@ def run(
         # missing donation is just a skipped optimization.
         for node in template.nodes:
             node.donated = None
+    for arm in arms - graph.reachable_templates():
+        del graph.templates[arm]
     if not regions_fused:
         return {}
     return {

@@ -102,6 +102,9 @@ class OperatorError(RuntimeFailure):
     ``worker_pid``
         Pid of the worker that executed the final attempt (``None`` for
         in-process execution).
+    ``label``
+        What the message calls the operator, if not ``operator`` (a fused
+        node's label; its name spells the whole recipe).
     """
 
     def __init__(
@@ -112,12 +115,13 @@ class OperatorError(RuntimeFailure):
         node_id: int = -1,
         attempts: tuple[tuple[int, int | None, str], ...] = (),
         worker_pid: int | None = None,
+        label: str = "",
     ) -> None:
         self.operator = operator
         self.node_id = node_id
         self.attempts = attempts
         self.worker_pid = worker_pid
-        message = f"operator {operator!r} failed: {cause!r}"
+        message = f"operator {label or operator!r} failed: {cause!r}"
         if node_id >= 0:
             message += f" (node {node_id})"
         if attempts:

@@ -14,11 +14,13 @@ deterministic:
 
 Control flow never lives inside a template.  A conditional compiles to an
 :class:`NodeKind.IF` node holding two *arm templates* that are expanded
-lazily (only the taken arm ever runs), and every function call is a
-:class:`NodeKind.CALL` ("call-closure") node that expands the callee's
-template as a child activation.  Recursion and iteration (lowered to tail
-recursion) therefore cost one activation per live call, and tail calls
-re-use the parent's continuation so loops run in constant activation space.
+lazily (only the taken arm ever runs; a fused node keeps that laziness
+for each ``IF`` it folds, see :attr:`Node.fused`), and every function call
+is a :class:`NodeKind.CALL` ("call-closure") node that expands the
+callee's template as a child activation.  Recursion and iteration
+(lowered to tail recursion) therefore cost one activation per live call,
+and tail calls re-use the parent's continuation so loops run in constant
+activation space.
 
 Node input ports are wired by :class:`Port` references ``(node_id,
 out_port)``; almost every node has one output, except ``UNTUPLE`` which has
@@ -104,7 +106,11 @@ class Node:
         ``(steps, untuple_n)`` where ``steps`` is a tuple of
         ``(op_name, arg_refs)`` entries executed in order and each arg ref
         is ``("i", k)`` (the fused node's k-th input) or ``("t", j)`` (the
-        j-th step's result).  ``untuple_n > 0`` means the final step's
+        j-th step's result).  A folded ``IF`` adds *guarded* steps
+        ``(op_name, arg_refs, (cond_ref, taken))`` — run only when
+        ``is_truthy(cond) == taken``, its arms' operators — directly
+        before a *select* ``("?", (cond, then_ref, else_ref))`` whose value
+        is the taken arm's.  ``untuple_n > 0`` means the final step's
         package is decomposed in place: the fused node has ``untuple_n``
         outputs instead of one.  ``None`` for ordinary nodes.
     donated:
@@ -288,7 +294,7 @@ class Template:
                 extra = f" value={node.value!r}"
             elif node.kind is NodeKind.OP and node.fused is not None:
                 steps, untuple_n = node.fused
-                chain = ">".join(step_name for step_name, _ in steps)
+                chain = ">".join(step[0] for step in steps)
                 if untuple_n:
                     chain += f">untuple{untuple_n}"
                 extra = f" fused=[{chain}]"

@@ -26,11 +26,15 @@ from .validate import validate_program
 #: Format version; bump on breaking changes.
 FORMAT_VERSION = 1
 
+#: Written only for a graph with a guarded fused step (a folded ``IF``).
+GUARDED_FORMAT_VERSION = 2
+
 #: Revision of what the compiler emits; bump whenever identical source,
 #: defines and passes can compile to a different graph (the compile cache
 #: hashes it).  2: calls around a recursive cycle are spliced.  3: ``fuse``
-#: grows single-exit regions where it collapsed linear chains.
-COMPILER_REVISION = 3
+#: grows single-exit regions where it collapsed linear chains.  4: ``fuse``
+#: folds an ``IF`` whose arms are cheap operators into its region.
+COMPILER_REVISION = 4
 
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}
@@ -83,8 +87,9 @@ def _encode_node(node: Node) -> dict:
         steps, untuple_n = node.fused
         out["fused"] = {
             "steps": [
-                [op_name, [[kind, k] for kind, k in refs]]
-                for op_name, refs in steps
+                [step[0], [[kind, k] for kind, k in step[1]]]
+                + ([[list(step[2][0]), step[2][1]]] if len(step) > 2 else [])
+                for step in steps
             ],
             "untuple": untuple_n,
         }
@@ -103,6 +108,14 @@ def _encode_node(node: Node) -> dict:
     if node.label:
         out["label"] = node.label
     return out
+
+
+def _decode_step(op_name: str, refs: list, *guard: list) -> tuple:
+    step = (op_name, tuple((kind, int(k)) for kind, k in refs))
+    if guard:
+        ((kind, k), taken), = guard
+        step += (((kind, int(k)), taken),)
+    return step
 
 
 def _decode_node(data: dict) -> Node:
@@ -124,10 +137,7 @@ def _decode_node(data: dict) -> Node:
     fused = data.get("fused")
     if fused is not None:
         node.fused = (
-            tuple(
-                (op_name, tuple((kind, int(k)) for kind, k in refs))
-                for op_name, refs in fused["steps"]
-            ),
+            tuple(_decode_step(*step) for step in fused["steps"]),
             int(fused.get("untuple", 0)),
         )
     donated = data.get("donated")
@@ -142,7 +152,7 @@ def _decode_node(data: dict) -> Node:
 def program_to_dict(program: GraphProgram) -> dict:
     """A JSON-representable dict for a whole compiled program."""
     return {
-        "format": FORMAT_VERSION,
+        "format": GUARDED_FORMAT_VERSION if _guarded(program) else FORMAT_VERSION,
         "entry": program.entry,
         "templates": {
             name: {
@@ -157,13 +167,18 @@ def program_to_dict(program: GraphProgram) -> dict:
     }
 
 
+def _guarded(program: GraphProgram) -> bool:
+    nodes = [n for t in program.templates.values() for n in t.nodes if n.fused]
+    return any(len(step) > 2 for n in nodes for step in n.fused[0])
+
+
 def program_from_dict(data: dict) -> GraphProgram:
     """Rebuild (and re-finalize) a program from :func:`program_to_dict`."""
     version = data.get("format")
-    if version != FORMAT_VERSION:
+    if version not in (FORMAT_VERSION, GUARDED_FORMAT_VERSION):
         raise GraphError(
-            f"unsupported graph format {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"unsupported graph format {version!r} (this build reads "
+            f"versions {FORMAT_VERSION} and {GUARDED_FORMAT_VERSION})"
         )
     program = GraphProgram(entry=data["entry"])
     for name, tdata in data["templates"].items():
@@ -178,6 +193,8 @@ def program_from_dict(data: dict) -> GraphProgram:
         if result is not None:
             template.result = Port(int(result[0]), int(result[1]))
         program.add(template.finalize())
+    if version == FORMAT_VERSION and _guarded(program):
+        raise GraphError("graph format 1 cannot carry a guarded fused step")
     return program
 
 

@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import GraphError
+from ..runtime.operators import (
+    SELECT,
+    fused_name,
+    generate_batch_source,
+    generate_source,
+)
 from .ir import GraphProgram, NodeKind, Template
 
 #: Producer kinds whose outputs may be donated: plain data sources.  A
@@ -201,24 +207,51 @@ def fusion_violation(
     *earlier* step (steps replay in order inside one frame) and its
     ``("i", k)`` one of the node's inputs; every input is read by some
     step (an unread one would hold the fire back for nothing);
-    ``untuple_n`` agrees with the output ports.  With the operator
-    ``registry`` the program will run against, every member must resolve
-    in it and declare no ``modifies``.  What is refused here would
-    otherwise be an ``IndexError`` inside the first fire, or a wrong value.
+    ``untuple_n`` agrees with the output ports; the guarded steps of an
+    ``IF`` precede its select; ``name`` and ``codegen`` are what
+    the recipe generates, so no two recipes share a spec-cache name and no
+    stored text is ``exec``'d.  With the operator ``registry`` the program
+    will run against, every member must resolve in it and declare no
+    ``modifies``, and none may be named the select.  What is refused here
+    would otherwise be an ``IndexError`` inside the first fire, or a wrong
+    value.
     """
     node = template.nodes[node_id]
     steps, untuple_n = node.fused
-    refs = [(j, kind, k) for j, (_, rs) in enumerate(steps) for kind, k in rs]
     if node.kind is not NodeKind.OP or not steps:
         return "it is not an operator node with at least one step"
-    for j, kind, k in refs:
-        if kind not in ("i", "t"):
-            return f"step {j} has an argument of unknown kind {kind!r}"
-        if kind == "t" and not 0 <= k < j:
-            return f"step {j} reads step {k}, which is not an earlier step"
-        if kind == "i" and not 0 <= k < len(node.inputs):
-            return f"step {j} reads input {k}; the node has {len(node.inputs)} input(s)"
-    unread = set(range(len(node.inputs))) - {k for _, kind, k in refs if kind == "i"}
+    pending = None  # the condition of guarded steps awaiting their select
+    for j, step in enumerate(steps):
+        if len(step) not in (2, 3):
+            return f"step {j} is not (name, refs) or (name, refs, guard)"
+        (name, refs), guard = step[:2], step[2] if len(step) == 3 else None
+        if guard is not None and type(guard[1]) is not bool:
+            return f"step {j} has a guard whose arm is not true or false"
+        for kind, k in refs + (guard[:1] if guard else ()):
+            if kind not in ("i", "t"):
+                return f"step {j} has an argument of unknown kind {kind!r}"
+            if kind == "t" and not 0 <= k < j:
+                return f"step {j} reads step {k}, which is not an earlier step"
+            if kind == "i" and not 0 <= k < len(node.inputs):
+                n = len(node.inputs)
+                return f"step {j} reads input {k}; the node has {n} input(s)"
+        if name == SELECT and (guard or len(refs) != 3):
+            return f"select step {j} is guarded or does not have 3 refs"
+        # Guarded steps run under one condition, then their select names it.
+        cond = guard[0] if guard else refs[0] if name == SELECT else None
+        if pending not in (None, cond):
+            return f"step {j} breaks off the guarded steps before it"
+        pending = cond if guard else None
+        # A guarded value exists only under its guard: read it under the
+        # same guard, or as the matching arm of its select.
+        for pos, (kind, k) in enumerate(refs):
+            want = (refs[0], pos == 1) if name == SELECT and pos else guard
+            if kind == "t" and len(steps[k]) == 3 and steps[k][2] != want:
+                return f"step {j} reads guarded step {k} outside its arm"
+    if pending is not None:
+        return "its last guarded steps have no select"
+    read = {k for step in steps for kind, k in step[1] if kind == "i"}
+    unread = set(range(len(node.inputs))) - read
     if unread:
         return f"input(s) {sorted(unread)} are read by no step"
     if node.n_outputs != (untuple_n or 1):
@@ -226,8 +259,16 @@ def fusion_violation(
             f"untuple count {untuple_n} disagrees with the node's "
             f"{node.n_outputs} output(s)"
         )
+    if node.name != fused_name(steps, untuple_n):
+        return "its name does not spell its recipe"
+    source = generate_source(steps, untuple_n) if node.codegen else None
+    batched = f"{source}{generate_batch_source(len(steps))}"
+    if node.codegen not in (None, source, batched):
+        return "its codegen text is not the one its recipe generates"
     if registry is not None:
-        for name, _ in steps:
+        if SELECT in registry:
+            return f"the registry defines an operator named {SELECT!r}"
+        for name in [step[0] for step in steps if step[0] != SELECT]:
             if name not in registry:
                 return f"member {name!r} is not a registered operator"
             if registry.get(name).modifies:

@@ -107,8 +107,8 @@ class OpStarted(Event):
     """The engine is about to invoke an operator function.
 
     ``fused_ops`` is how many source-graph operators this invocation
-    represents: 1 for an ordinary operator, the chain length (absorbed
-    ``untuple`` included) for a fused super-node.
+    represents: 1 for an ordinary operator, the unguarded steps (absorbed
+    ``untuple`` and each folded ``IF`` included) for a fused super-node.
     """
 
     name: str
@@ -408,7 +408,8 @@ class OperatorsFused(Event):
 
     ``fused_nodes`` is how many fused nodes exist across the program's
     templates; ``ops_absorbed`` is how many source-graph nodes (member
-    operators plus absorbed untuples) those fused nodes replace.
+    operators, folded ``IF``\\ s and absorbed untuples, not the arms'
+    guarded operators) those fused nodes replace.
     """
 
     fused_nodes: int

@@ -61,7 +61,7 @@ from .blocks import (
     unwrap,
     wrap_payload,
 )
-from .operators import OperatorRegistry, OperatorSpec, node_spec
+from .operators import OperatorRegistry, OperatorSpec, fused_source_ops, node_spec
 from .scheduler import Task
 from .values import Closure, MultiValue, OperatorValue, is_truthy
 
@@ -106,9 +106,8 @@ class ProgramPlans:
             for tpl in self.program().templates.values():
                 for n in tpl.nodes:
                     if n.fused is not None:
-                        steps, untuple_n = n.fused
                         fused_nodes += 1
-                        ops_absorbed += len(steps) + (1 if untuple_n else 0)
+                        ops_absorbed += fused_source_ops(*n.fused)
             self._fused = (fused_nodes, ops_absorbed)
         return self._fused
 
@@ -314,6 +313,14 @@ def _payload_of(value: Any) -> Any:
     if isinstance(value, MultiValue):
         return tuple(_payload_of(v) for v in value.items)
     return value
+
+
+def _package_blocks(values: Any) -> list[DataBlock]:
+    """The blocks inside the packages among ``values``."""
+    packages = [v.items for v in values if type(v) is MultiValue]
+    return [b for p in packages for b in p if type(b) is DataBlock] + [
+        b for p in packages for b in _package_blocks(p)
+    ]
 
 
 def _may_alias(result: Any, payload: np.ndarray) -> bool:
@@ -532,7 +539,7 @@ class ExecutionState:
         fused = node.fused
         if fused is not None:
             untuple_n = fused[1]
-            n_source_ops = len(fused[0]) + (1 if untuple_n else 0)
+            n_source_ops = fused_source_ops(*fused)
         else:
             untuple_n = 0
             n_source_ops = 1
@@ -631,7 +638,9 @@ class ExecutionState:
         self, spec: OperatorSpec, args: Any, node_id: int, exc: Exception
     ) -> Any:
         if self.recover_op is None:
-            raise OperatorError(spec.name, exc, node_id=node_id) from exc
+            raise OperatorError(
+                spec.name, exc, node_id=node_id, label=spec.label
+            ) from exc
         return self.recover_op(spec, args, node_id, exc)
 
     def op_spec(self, entry: NodePlan) -> OperatorSpec:
@@ -893,6 +902,10 @@ class ExecutionState:
         priorities = template.priorities
         hook = _blocks._BLOCK_HOOK
         wants_enqueued = self._wants_enqueued
+        if untuple_n or type(raw_result) is tuple:
+            # Elements handed back from a package input (a folded ``IF``
+            # selecting one) keep their blocks, as the IF would have.
+            arg_blocks = arg_blocks + _package_blocks(inputs)
         if untuple_n:
             # Fused chain ending in an absorbed untuple: the final step's
             # raw tuple is delivered element-by-element to this node's

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import DeliriumError, RuntimeFailure, UnknownOperatorError
-from .values import NULL, MultiValue
+from .values import NULL, is_truthy
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class OperatorSpec:
     #: ``fn`` — batching then still wins on scheduling and IPC, just not
     #: on kernel vectorization.
     batch_fn: Callable[[list[tuple[Any, ...]]], Any] | None = None
+    #: What error messages call a fused node (its ``name`` is the recipe).
+    label: str = ""
 
     def cost_ticks(self, args: tuple[Any, ...]) -> float | None:
         """Evaluate the cost hint for a concrete argument tuple."""
@@ -320,67 +322,102 @@ def default_registry() -> OperatorRegistry:
 # ---------------------------------------------------------------------------
 
 #: ``Node.fused`` recipe type: ``(steps, untuple_n)`` where each step is
-#: ``(op_name, arg_refs)`` and each arg ref is ``("i", k)`` — the fused
-#: node's k-th input — or ``("t", j)`` — the j-th step's result.
-FusedChain = tuple[tuple[tuple[str, tuple[tuple[str, int], ...]], ...], int]
+#: ``(op_name, arg_refs)`` (or, guarded, ``(op_name, arg_refs, (cond_ref,
+#: taken))`` — see :attr:`repro.graph.ir.Node.fused`) and each arg ref is
+#: ``("i", k)`` — the fused node's k-th input — or ``("t", j)`` — the j-th
+#: step's result.
+FusedChain = tuple[tuple[tuple, ...], int]
+
+#: A folded ``IF``'s select step: no Delirium identifier; its member is
+#: :func:`~repro.runtime.values.is_truthy`, the ``IF`` node's own test.
+SELECT = "?"
+
+
+def fused_name(steps: tuple[tuple, ...], untuple_n: int) -> str:
+    """The fused node's name: the whole recipe spelled out, so equal names
+    mean equal recipes (it keys every spec cache).  A guarded step reads
+    ``op(refs)?t3`` (runs when step 3 is truthy) or ``op(refs)?!t3``."""
+    parts = []
+    for step in steps:
+        part = f"{step[0]}({','.join(kind + str(k) for kind, k in step[1])})"
+        if len(step) > 2:
+            (kind, k), taken = step[2]
+            part += f"?{'' if taken else '!'}{kind}{k}"
+        parts.append(part)
+    if untuple_n:
+        parts.append(f"untuple{untuple_n}")
+    return "fused:" + ";".join(parts)
+
+
+def fused_source_ops(steps: tuple[tuple, ...], untuple_n: int) -> int:
+    """Source-graph nodes one fire of the recipe stands for: the unguarded
+    steps (a select is its ``IF``) and the untuple.  Guarded steps count
+    nowhere — they may not run."""
+    return sum(len(step) == 2 for step in steps) + (1 if untuple_n else 0)
+
+
+def _member_fns(steps: tuple[tuple, ...], registry: OperatorRegistry) -> list[Any]:
+    return [is_truthy if s[0] == SELECT else registry.get(s[0]).fn for s in steps]
+
+
+def _select(cond: Any, then_value: Any, else_value: Any) -> Any:
+    return then_value if is_truthy(cond) else else_value
+
+
+def _n_inputs(steps: tuple[tuple, ...]) -> int:
+    return max((k + 1 for s in steps for kind, k in s[1] if kind == "i"), default=0)
 
 
 def compose_fused(
     name: str,
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
+    steps: tuple[tuple, ...],
     untuple_n: int,
     registry: OperatorRegistry,
+    label: str = "",
 ) -> OperatorSpec:
-    """Build the composed :class:`OperatorSpec` for one fused chain.
+    """Build the composed :class:`OperatorSpec` for one fused recipe.
 
-    The callable runs every member operator in chain order inside one
+    The callable runs every member operator in recipe order inside one
     Python frame — one fire, one dispatch, one set of queue/activation
-    bookkeeping for the whole chain.  Composition happens at run time
-    against whatever registry is present (the master's or a worker's), so
-    fused graphs serialize like any other: the recipe is metadata, never
-    pickled code.
+    bookkeeping for the whole region — skipping a step whose guard fails.
+    Composition happens at run time against whatever registry is present
+    (the master's or a worker's), so fused graphs serialize like any
+    other: the recipe is metadata, never pickled code.
 
     Cost model: a single-step chain (a split whose ``untuple`` was
     absorbed) passes the member's cost hint through unchanged — the
-    arguments are identical.  Multi-step chains sum the members' numeric
-    hints; if any member's hint is a callable (its arguments would no
-    longer line up) the fused spec carries no hint and dispatch falls back
-    to the payload-size test.
+    arguments are identical.  Longer recipes sum the members' numeric
+    hints, guarded ones included (an upper bound); if any member's hint is
+    a callable (its arguments would no longer line up) the fused spec
+    carries no hint and dispatch falls back to the payload-size test.
     """
-    plan: list[tuple[Callable[..., Any], tuple[tuple[str, int], ...]]] = []
+    plan: list[tuple] = []
     pure = True
     costs: list[float | Callable[..., float] | None] = []
-    n_inputs = 0
-    for op_name, arg_refs in steps:
-        spec = registry.get(op_name)
-        if spec.modifies:
-            raise DeliriumError(
-                f"cannot fuse operator {op_name!r}: it declares modifies="
-                f"{sorted(spec.modifies)}"
-            )
-        plan.append((spec.fn, tuple(arg_refs)))
-        pure = pure and spec.pure
-        costs.append(spec.cost)
-        for kind, k in arg_refs:
-            if kind == "i":
-                n_inputs = max(n_inputs, k + 1)
+    for step in steps:
+        op_name, arg_refs = step[0], step[1]
+        if op_name == SELECT:
+            fn = _select
+        else:
+            spec = registry.get(op_name)
+            if spec.modifies:
+                raise DeliriumError(
+                    f"cannot fuse operator {op_name!r}: it declares modifies="
+                    f"{sorted(spec.modifies)}"
+                )
+            fn = spec.fn
+            pure = pure and spec.pure
+            costs.append(spec.cost)
+        plan.append((fn, tuple(arg_refs), step[2] if len(step) > 2 else None))
 
     cost: float | Callable[..., float] | None
-    if len(costs) == 1:
+    numeric = [float(c) for c in costs if isinstance(c, (int, float))]
+    if len(plan) == 1 and costs:
         cost = costs[0]
     else:
-        total = 0.0
-        cost = 0.0
-        for c in costs:
-            if isinstance(c, (int, float)):
-                total += float(c)
-            else:
-                cost = None
-                break
-        if cost is not None:
-            cost = total
+        cost = sum(numeric) if len(numeric) == len(costs) else None
 
-    if len(plan) == 1:
+    if len(plan) == 1 and plan[0][0] is not _select:
         # Single-step chain (split + absorbed untuple): call the member
         # directly — no per-step indirection at all.
         fused_fn = plan[0][0]
@@ -390,13 +427,18 @@ def compose_fused(
         def fused_fn(*args: Any) -> Any:
             tmps: list[Any] = []
             append = tmps.append
-            for fn, refs in run_plan:
+            for fn, refs, guard in run_plan:
+                if guard is not None:
+                    (kind, k), taken = guard
+                    if is_truthy(args[k] if kind == "i" else tmps[k]) != taken:
+                        append(None)
+                        continue
                 append(
                     fn(*[args[k] if kind == "i" else tmps[k] for kind, k in refs])
                 )
             return tmps[-1]
 
-    doc_chain = ">".join(op_name for op_name, _ in steps)
+    doc_chain = ">".join(step[0] for step in steps)
     if untuple_n:
         doc_chain += f">untuple{untuple_n}"
     return OperatorSpec(
@@ -406,8 +448,68 @@ def compose_fused(
         pure=pure,
         foldable=False,
         cost=cost,
-        arity=n_inputs,
+        arity=_n_inputs(steps),
         doc=f"fused chain: {doc_chain}",
+        label=label,
+    )
+
+
+def generate_source(steps: tuple[tuple, ...], untuple_n: int) -> str:
+    """Specialized Python source for one fused recipe (see
+    :mod:`repro.compiler.passes.codegen`): a pure, deterministic function
+    of the recipe, which the graph loader regenerates to check a stored
+    text.  A folded ``IF`` is an ``if``/``else`` around its guarded steps.
+    """
+    params = ", ".join(f"a{i}" for i in range(_n_inputs(steps)))
+    fns = ", ".join(f"_f{j}" for j in range(len(steps)))
+    lines = [
+        f"# fused chain: {'>'.join(step[0] for step in steps)}"
+        + (f">untuple{untuple_n}" if untuple_n else ""),
+        f"def {CODEGEN_BINDER_NAME}({fns}):",
+    ]
+    if len(steps) == 1 and steps[0][0] != SELECT:
+        # Single step (split + absorbed untuple): the specialized callable
+        # *is* the member function — binding it directly keeps the call
+        # frame count identical to an unfused firing.
+        return "\n".join(lines + ["    return _f0", ""])
+
+    def val(ref: tuple[str, int]) -> str:
+        return f"a{ref[1]}" if ref[0] == "i" else f"t{ref[1]}"
+
+    lines.append(f"    def _fused({params}):")
+    guarded: list[int] = []
+    for j, step in enumerate(steps):
+        if len(step) > 2:
+            guarded.append(j)  # emitted inside its select's block
+        elif step[0] != SELECT:
+            lines.append(f"        t{j} = _f{j}({', '.join(map(val, step[1]))})")
+        else:
+            cond, *results = step[1]
+            for head, taken, result in zip(
+                (f"if _f{j}({val(cond)}):", "else:"), (True, False), results
+            ):
+                lines.append(f"        {head}")
+                for g in guarded:
+                    if steps[g][2][1] == taken:
+                        args = ", ".join(map(val, steps[g][1]))
+                        lines.append(f"            t{g} = _f{g}({args})")
+                lines.append(f"            t{j} = {val(result)}")
+            guarded = []
+    lines += [f"        return t{len(steps) - 1}", "    return _fused", ""]
+    return "\n".join(lines)
+
+
+def generate_batch_source(n_members: int) -> str:
+    """The batch-binder text the ``batch`` pass appends to a generated
+    source: a pure function of the member count — the scalar binder's
+    signature — so equal codegen sources grow equal batch binders."""
+    fns = ", ".join(f"_f{j}" for j in range(n_members))
+    return (
+        f"\ndef {BATCH_BINDER_NAME}({fns}):\n"
+        f"    _fused = {CODEGEN_BINDER_NAME}({fns})\n"
+        "    def _fused_batch(_calls):\n"
+        "        return [_fused(*_args) for _args in _calls]\n"
+        "    return _fused_batch\n"
     )
 
 
@@ -461,19 +563,7 @@ BATCH_BINDER_NAME = "_delirium_bind_batch"
 _CODE_CACHE: dict[str, Any] = {}
 
 
-def bind_codegen(
-    source: str,
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
-    registry: OperatorRegistry,
-    name: str = "<fused>",
-) -> Callable[..., Any]:
-    """Compile generated codegen ``source`` and bind it against ``registry``.
-
-    Returns the specialized callable for the chain.  Binding always uses
-    the *calling* process's registry — a serialized graph only ships the
-    source text, and a substituted registry (tests, workers) must win over
-    whatever was present at compile time.
-    """
+def _exec_source(source: str, name: str) -> dict[str, Any]:
     namespace: dict[str, Any] = {}
     code = _CODE_CACHE.get(source)
     if code is None:
@@ -481,13 +571,29 @@ def bind_codegen(
             source, f"<delirium-codegen {name}>", "exec"
         )
     exec(code, namespace)
-    member_fns = [registry.get(op_name).fn for op_name, _ in steps]
-    return namespace[CODEGEN_BINDER_NAME](*member_fns)
+    return namespace
+
+
+def bind_codegen(
+    source: str,
+    steps: tuple[tuple, ...],
+    registry: OperatorRegistry,
+    name: str = "<fused>",
+) -> Callable[..., Any]:
+    """Compile generated codegen ``source`` and bind it against ``registry``.
+
+    Returns the specialized callable for the recipe.  Binding always uses
+    the *calling* process's registry — a serialized graph only ships the
+    source text, and a substituted registry (tests, workers) must win over
+    whatever was present at compile time.
+    """
+    binder = _exec_source(source, name)[CODEGEN_BINDER_NAME]
+    return binder(*_member_fns(steps, registry))
 
 
 def bind_codegen_batch(
     source: str,
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
+    steps: tuple[tuple, ...],
     registry: OperatorRegistry,
     name: str = "<fused>",
 ) -> Callable[[list[tuple[Any, ...]]], Any] | None:
@@ -501,18 +607,29 @@ def bind_codegen_batch(
     """
     if BATCH_BINDER_NAME not in source:
         return None
-    namespace: dict[str, Any] = {}
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = compile(
-            source, f"<delirium-codegen {name}>", "exec"
-        )
-    exec(code, namespace)
-    binder = namespace.get(BATCH_BINDER_NAME)
-    if binder is None:  # pragma: no cover - name mentioned in a comment
-        return None
-    member_fns = [registry.get(op_name).fn for op_name, _ in steps]
-    return binder(*member_fns)
+    binder = _exec_source(source, name)[BATCH_BINDER_NAME]
+    return binder(*_member_fns(steps, registry))
+
+
+def fused_spec(
+    name: str,
+    fused: FusedChain,
+    codegen: str | None,
+    registry: OperatorRegistry,
+    label: str = "",
+) -> OperatorSpec:
+    """The spec a fused node fires: its recipe composed against
+    ``registry``, with the generated source bound in place of the replay
+    when the codegen pass lowered it (same metadata, so the same dispatch
+    decisions — only the call body differs)."""
+    spec = compose_fused(name, fused[0], fused[1], registry, label)
+    if codegen is None:
+        return spec
+    return replace(
+        spec,
+        fn=bind_codegen(codegen, fused[0], registry, name=name),
+        batch_fn=bind_codegen_batch(codegen, fused[0], registry, name=name),
+    )
 
 
 def node_spec(
@@ -520,33 +637,16 @@ def node_spec(
     node: Any,
     cache: dict[str, OperatorSpec] | None = None,
 ) -> OperatorSpec:
-    """Resolve the spec for an ``OP`` node, composing fused bodies.
-
-    ``cache`` (name -> spec) amortizes composition; fused names encode
-    their full recipe, so a name is a safe cache key.  A node lowered by
-    the codegen pass re-binds its generated source here instead of using
-    the interpreted replay — metadata (cost, purity, arity) is identical,
-    so dispatch decisions don't change, only the call body does.
-    """
-    fused = node.fused
-    if fused is None:
+    """Resolve the spec for an ``OP`` node, composing fused bodies
+    (:func:`fused_spec`).  ``cache`` (name -> spec) amortizes composition;
+    fused names encode their full recipe, so a name is a safe cache key."""
+    if node.fused is None:
         return registry.get(node.name)
-    if cache is not None:
-        spec = cache.get(node.name)
-        if spec is not None:
-            return spec
-    spec = compose_fused(node.name, fused[0], fused[1], registry)
-    codegen = getattr(node, "codegen", None)
-    if codegen is not None:
-        spec = replace(
-            spec,
-            fn=bind_codegen(codegen, fused[0], registry, name=node.name),
-            batch_fn=bind_codegen_batch(
-                codegen, fused[0], registry, name=node.name
-            ),
-        )
-    if cache is not None:
-        cache[node.name] = spec
+    spec = cache.get(node.name) if cache is not None else None
+    if spec is None:
+        spec = fused_spec(node.name, node.fused, node.codegen, registry, node.label)
+        if cache is not None:
+            cache[node.name] = spec
     return spec
 
 
@@ -579,10 +679,3 @@ def collect_codegen_sources(program: Any) -> dict[str, str]:
             if node.fused is not None and codegen is not None:
                 sources[node.name] = codegen
     return sources
-
-
-def unwrap_multivalue(value: Any) -> Any:
-    """Convert a MultiValue to a tuple for operator consumption."""
-    if isinstance(value, MultiValue):
-        return tuple(unwrap_multivalue(v) for v in value.items)
-    return value

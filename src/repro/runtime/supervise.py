@@ -1095,6 +1095,7 @@ class Supervisor:
                 node_id=record.pending.node_id,
                 attempts=tuple(record.attempts),
                 worker_pid=pid,
+                label=record.pending.spec.label,
             ) from cause
         backoff = (
             self.policy.backoff * (2 ** (attempt - 1))
@@ -1297,6 +1298,7 @@ def run_with_retries(
                     exc,
                     node_id=node_id,
                     attempts=tuple(attempts) if len(attempts) > 1 else (),
+                    label=spec.label,
                 ) from exc
             if on_retry is not None:
                 on_retry(attempt, exc)

@@ -53,7 +53,7 @@ import signal
 import time
 import traceback
 import weakref
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any
 
@@ -67,10 +67,8 @@ from .blocks import payload_nbytes, wraps_as_block
 from .operators import (
     FusedChain,
     OperatorRegistry,
-    bind_codegen,
-    bind_codegen_batch,
-    compose_fused,
     default_registry,
+    fused_spec,
 )
 
 #: NumPy buffers at or above this many bytes travel via shared memory.
@@ -872,22 +870,11 @@ def worker_main(
         spec = fused_specs.get(op_name)
         if spec is None:
             chain = fused_chains.get(op_name)
-            if chain is not None:
-                spec = compose_fused(op_name, chain[0], chain[1], registry)
-                source = codegen_sources.get(op_name)
-                if source is not None:
-                    spec = dc_replace(
-                        spec,
-                        fn=bind_codegen(
-                            source, chain[0], registry, name=op_name
-                        ),
-                        batch_fn=bind_codegen_batch(
-                            source, chain[0], registry, name=op_name
-                        ),
-                    )
-                fused_specs[op_name] = spec
-            else:
-                spec = registry.get(op_name)
+            if chain is None:
+                return registry.get(op_name)
+            spec = fused_specs[op_name] = fused_spec(
+                op_name, chain, codegen_sources.get(op_name), registry
+            )
         return spec
 
     while True:

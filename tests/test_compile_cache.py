@@ -72,6 +72,18 @@ class TestStoreLoad:
         assert os.listdir(cache_env)  # the older entry is still there
         assert load_cached(cache_key(SRC)) is None
 
+    def test_entry_of_revision_3_is_a_miss(self, cache_env, monkeypatch):
+        # Revision 4 folds IFs with cheap arms into their regions: what the
+        # revision-3 compiler stored for the same inputs is not served.
+        assert cache.COMPILER_REVISION == 4
+        src = "main(x, y) incr(if is_less(x, y) then sub(6, x) else y)"
+        passes = ("inline", "constprop", "cse", "dce", "fuse")
+        with monkeypatch.context() as older:
+            older.setattr(cache, "COMPILER_REVISION", 3)
+            store_cached(cache_key(src, passes=passes), compile_source(src).graph)
+            assert load_cached(cache_key(src, passes=passes)) is not None
+        assert load_cached(cache_key(src, passes=passes)) is None
+
     def test_round_trip(self, cache_env):
         compiled = compile_source(SRC)
         key = cache_key(SRC)

@@ -4,15 +4,20 @@ Fusion collapses single-exit regions of cheap ``OP`` nodes — a node joins
 a region exactly when every reader of its value is already in it — plus
 an ``untuple`` and the producer only it reads, into one super-node
 carrying the full recipe, so the engine pays one dispatch where the
-source graph paid several.  These tests pin the region rule, the
-in-place rewrite, recipe validation, serialization, cache keying,
-observability, and bit-identical execution across every executor.
+source graph paid several.  An ``IF`` whose arms hold only cheap
+operators is such a member too: its arms become guarded steps before a
+select, and the untaken arm still never runs.  These tests pin the region
+rule, if-conversion, the in-place rewrite, recipe validation,
+serialization, cache keying, observability, and bit-identical execution
+across every executor.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from repro.compiler.passes.fuse import (
     FUSE_COST_THRESHOLD,
     LABEL_FULL_OPS,
     _find_regions,
+    _folds,
 )
 from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
@@ -29,17 +35,27 @@ from repro.compiler.passes.pipeline import (
     PASS_ORDER,
     split_passes,
 )
+from repro.errors import OperatorError
 from repro.graph.ir import NodeKind, Port
 from repro.graph.serialize import dumps, loads
 from repro.graph.validate import fusion_violation
 from repro.machine import SimulatedExecutor, uniform
-from repro.obs import EventBus, EventLog, OperatorsFused, OpStarted, attach_metrics
+from repro.obs import (
+    EventBus,
+    EventLog,
+    Expansion,
+    OperatorsFused,
+    OpStarted,
+    attach_metrics,
+)
 from repro.runtime import (
+    NULL,
     ProcessExecutor,
     SequentialExecutor,
     ThreadedExecutor,
     default_registry,
 )
+from repro.runtime.operators import SELECT, fused_name
 
 from .test_optimizer_linear import golden_compiles, pythia_source
 from .test_properties import REGISTRY as PROPERTY_REGISTRY
@@ -90,8 +106,29 @@ def _registry():
     def sum_list(lst):
         return sum(lst)
 
+    @reg.register(name="boom", cost=1.0)
+    def boom(x):
+        raise ValueError(f"boom({x})")
+
+    @reg.register(name="tick", cost=1.0)
+    def tick(x):
+        TICKS.append(x)
+        return x * 3
+
+    @reg.register(name="cond_of", cost=1.0)
+    def cond_of(k):
+        return CONDITIONS[k]
+
     return reg
 
+
+#: Arguments ``tick`` was called with, in this process.
+TICKS: list = []
+
+#: What ``cond_of(k)`` hands an ``IF``: the edge cases of its test.
+CONDITIONS = [
+    NULL, 0, "", np.bool_(True), np.bool_(False), np.array([1, 2]), 1, "x",
+]
 
 REGISTRY = _registry()
 
@@ -157,10 +194,13 @@ def unfused_regions(source, registry, **kwargs):
     graph = compile_source(
         source, registry=registry, optimize_passes=PASS_ORDER, **kwargs
     ).graph
+    folds = _folds(graph, registry, FUSE_COST_THRESHOLD)
+    arms = {arm for pair in folds for arm in pair}
     return [
         (template, region)
-        for template in graph.templates.values()
-        for region in _find_regions(template, registry, FUSE_COST_THRESHOLD)
+        for name, template in graph.templates.items()
+        if name not in arms
+        for region in _find_regions(template, registry, FUSE_COST_THRESHOLD, folds)
     ]
 
 
@@ -286,10 +326,12 @@ class TestRegionRule:
         assert _run(fused.graph, 4).value == 10
 
     def test_two_regions_around_an_if(self):
+        # An arm holding an operator that is not cheap stays an expansion,
+        # so the IF bounds the regions on either side of it.
         src = (
             "main(x)\n"
             "  let c = is_less(incr(x), 2)\n"
-            "      r = if c then incr(x) else decr(x)\n"
+            "      r = if c then expensive(x) else decr(x)\n"
             "  in add(incr(r), decr(r))"
         )
         fused = _compile(src)
@@ -322,6 +364,236 @@ class TestRegionRule:
         shorter = "main(x) " + "incr(" * (n - 1) + "x" + ")" * (n - 1)
         node = _fused_nodes(_compile(shorter).graph)[0][2]
         assert node.label == "+".join(["incr"] * (n - 1))
+
+
+# ---------------------------------------------------------------------------
+# If-conversion: an IF whose arms are cheap operators is a region member
+# ---------------------------------------------------------------------------
+
+#: pythia's shape: a cheap condition, a then-arm holding one operator over
+#: a capture and a constant, a trivial else-arm, a value read twice.
+IF_SOURCE = """
+main(x, y)
+  let c = is_less(x, y)
+      r = if c then sub(6, x) else y
+  in add(r, incr(r))
+"""
+
+#: The steps ``IF_SOURCE`` fuses to; inputs are x, y and the hoisted 6.
+IF_STEPS = (
+    ("is_less", (("i", 0), ("i", 1))),
+    ("sub", (("i", 2), ("i", 0)), (("t", 0), True)),
+    (SELECT, (("t", 0), ("t", 1), ("i", 1))),
+    ("incr", (("t", 2),)),
+    ("add", (("t", 2), ("t", 3))),
+)
+
+#: The then-arm raises, the else-arm counts its calls.
+BOOM_SOURCE = "main(x)\n  incr(if is_less(x, 0) then boom(x) else tick(x))"
+
+EXECUTORS = {
+    "sequential": SequentialExecutor,
+    "threaded": lambda: ThreadedExecutor(2),
+    # cost_threshold=0 ships every fire: the worker composes the recipe.
+    "process": lambda: ProcessExecutor(1, cost_threshold=0.0),
+    "simulated": lambda: SimulatedExecutor(uniform(2)),
+}
+
+
+def _ifs(graph):
+    return [
+        n for t in graph.templates.values() for n in t.nodes
+        if n.kind is NodeKind.IF
+    ]
+
+
+def _outcome(run, *args):
+    """A run's value, or the error its body raised: the ``OperatorError``
+    of a fused body wraps what the ``IF`` node raised unfolded."""
+    try:
+        return ("value", run(*args).value)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        root = exc.__cause__ if isinstance(exc, OperatorError) else exc
+        return ("error", type(root), str(root))
+
+
+class TestIfConversion:
+    def test_cheap_arms_fold_into_the_region_as_guarded_steps(self):
+        fused = _compile(IF_SOURCE)
+        (_, _, node), = _fused_nodes(fused.graph)
+        assert node.fused == (IF_STEPS, 0)
+        assert node.name == fused_name(IF_STEPS, 0) == (
+            "fused:is_less(i0,i1);sub(i2,i0)?t0;?(t0,t1,i1);incr(t2);add(t2,t3)"
+        )
+        main = fused.graph.templates["main"]
+        assert main.nodes[node.inputs[2].node].value == 6  # hoisted
+        assert list(fused.graph.templates) == ["main"]  # both arms dropped
+        assert not _ifs(fused.graph)
+        plain = compile_source(IF_SOURCE, registry=REGISTRY)
+        for x, y in [(1, 2), (2, 1), (0, 0)]:
+            got = _run(fused.graph, x, y)
+            assert got.value == _run(plain.graph, x, y).value
+            assert (got.stats.tasks_fired, got.stats.expansions) == (1, 0)
+
+    def test_generated_source_is_an_if_else_around_the_guarded_steps(self):
+        fused = compile_source(
+            IF_SOURCE, registry=REGISTRY, optimize_passes=FULL_PASS_ORDER
+        )
+        (_, _, node), = _fused_nodes(fused.graph)
+        body = node.codegen.split("    def _fused(a0, a1, a2):\n")[1]
+        assert body.startswith(
+            "        t0 = _f0(a0, a1)\n"
+            "        if _f2(t0):\n"
+            "            t1 = _f1(a2, a0)\n"
+            "            t2 = t1\n"
+            "        else:\n"
+            "            t2 = a1\n"
+            "        t3 = _f3(t2)\n"
+        )
+        assert _run(fused.graph, 1, 2).value == 5 + 6 and _run(fused.graph, 3, 2).value == 2 + 3
+
+    def test_trivial_arms_select_in_an_if_else_of_their_own(self):
+        src = "main(x, y)\n  incr(if is_less(x, y) then x else 7)"
+        fused = compile_source(src, registry=REGISTRY, optimize_passes=FULL_PASS_ORDER)
+        (_, _, node), = _fused_nodes(fused.graph)
+        assert (
+            "        if _f1(t0):\n"
+            "            t1 = a0\n"
+            "        else:\n"
+            "            t1 = a2\n"
+        ) in node.codegen
+        assert [_run(fused.graph, x, 2).value for x in (1, 3)] == [2, 8]
+
+    def test_arm_constants_are_hoisted_once_per_type_and_value(self):
+        src = (
+            "main(x)\n"
+            "  incr(if is_less(x, 0) then add(x, 6) else mul(6, sub(x, 6.0)))"
+        )
+        fused = _compile(src)
+        main = fused.graph.templates["main"]
+        consts = [n.value for n in main.nodes if n.kind is NodeKind.CONST]
+        assert sorted(map(repr, consts)) == ["0", "6", "6.0"]
+        plain = compile_source(src, registry=REGISTRY)
+        for x in (-1, 2):
+            got, want = _run(fused.graph, x).value, _run(plain.graph, x).value
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize(
+        "what,src",
+        [
+            ("a costly operator", "if is_less(x, 0) then expensive(x) else x"),
+            ("a modifies operator", "if is_less(x, 0) then sum_list(poke(mklist(x))) else x"),
+            ("a nested if", "if is_less(x, 0) then if is_less(x, -5) then incr(x) else x else x"),
+            ("a package", "let <a, b> = if is_less(x, 0) then <x, incr(x)> else <x, x> in add(a, b)"),
+            ("a call", "let f(k) if is_less(k, 1) then 1 else mul(k, f(decr(k))) in f(x)"),
+        ],
+    )
+    def test_an_arm_that_is_not_cheap_operators_stays_an_expansion(self, what, src):
+        src = f"main(x)\n  incr({src})"
+        fused = _compile(src)
+        plain = compile_source(src, registry=REGISTRY)
+        assert _ifs(fused.graph), what
+        validate_program(fused.graph, REGISTRY)
+        for x in (-7, -1, 4):
+            assert _run(fused.graph, x).value == _run(plain.graph, x).value
+
+    def test_a_lone_if_whose_arms_hold_no_operator_is_left_alone(self):
+        fused = _compile("main(x, y) if x then x else y")
+        assert _fused_nodes(fused.graph) == [] and len(_ifs(fused.graph)) == 1
+        # With a cheap condition to fold it saves that fire, so it folds.
+        fused = _compile("main(x, y) if is_less(x, y) then x else y")
+        assert _recipes(fused.graph) == [["is_less", SELECT]]
+        assert not _ifs(fused.graph)
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
+    def test_the_untaken_arm_never_runs(self, executor, passes):
+        plain = compile_source(BOOM_SOURCE, registry=REGISTRY)
+        fused = compile_source(BOOM_SOURCE, registry=REGISTRY, optimize_passes=passes)
+        assert not _ifs(fused.graph)
+        ticks = {}
+        for name, graph in (("plain", plain.graph), ("fused", fused.graph)):
+            del TICKS[:]
+            run = EXECUTORS[executor]().run
+            assert run(graph, args=(3,), registry=REGISTRY).value == 10
+            ticks[name] = list(TICKS)
+            with pytest.raises(OperatorError) as exc:
+                run(graph, args=(-3,), registry=REGISTRY)
+            assert type(exc.value.__cause__) is ValueError
+            assert str(exc.value.__cause__) == "boom(-3)"
+        if executor != "process":  # the worker counted, not this process
+            assert ticks["fused"] == ticks["plain"] == [3]
+
+    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
+    @pytest.mark.parametrize("k", range(len(CONDITIONS)), ids=[repr(c) for c in CONDITIONS])
+    def test_condition_edge_cases_match_the_if_node(self, k, passes):
+        src = "main(k, x)\n  incr(if cond_of(k) then incr(x) else decr(x))"
+        plain = compile_source(src, registry=REGISTRY)
+        fused = compile_source(src, registry=REGISTRY, optimize_passes=passes)
+        assert not _ifs(fused.graph)
+        for executor in (SequentialExecutor(), ThreadedExecutor(2)):
+            def run(graph):
+                return executor.run(graph, args=(k, 10), registry=REGISTRY)
+            assert _outcome(run, fused.graph) == _outcome(run, plain.graph)
+
+    def test_a_package_selected_by_a_folded_if_keeps_its_blocks(self):
+        # The fused untuple hands out the package's own blocks, so the
+        # write into x copies b instead of changing it behind its back.
+        src = (
+            "main(n)\n"
+            "  let b = mkblock(n)\n"
+            "      p = <b, n>\n"
+            "      q = <b, incr(n)>\n"
+            "      <x, y> = if is_less(n, 2) then p else q\n"
+            "      z = bump(x, 1)\n"
+            "  in add(add(blk_sum(z), blk_sum(b)), y)"
+        )
+        registry = PROPERTY_REGISTRY
+        plain = compile_source(src, registry=registry)
+        fused = compile_source(src, registry=registry, optimize_passes=FUSED_PASSES)
+        assert ["is_less", SELECT] in _recipes(fused.graph)
+        for n in (0, 5):
+            want = _run(plain.graph, n, registry=registry).value
+            assert _run(fused.graph, n, registry=registry).value == want
+            assert ThreadedExecutor(2).run(
+                fused.graph, args=(n,), registry=registry
+            ).value == want
+
+    def test_a_select_counts_as_the_if_it_absorbed(self):
+        fused = _compile(IF_SOURCE)
+        plain = compile_source(IF_SOURCE, registry=REGISTRY)
+        bus = EventBus()
+        log = EventLog()
+        log.attach(bus)
+        metrics = attach_metrics(bus)
+        # (1, 2) takes the then-arm: its sub fires unfolded, is a guarded
+        # step folded, and counts nowhere.
+        got = SequentialExecutor(bus=bus).run(
+            fused.graph, args=(1, 2), registry=REGISTRY
+        )
+        assert (got.stats.tasks_fired, got.stats.fused_ops_saved) == (1, 3)
+        (event,) = log.of_type(OperatorsFused)
+        assert event.ops_absorbed == 4
+        assert [e.fused_ops for e in log.of_type(OpStarted)] == [4]
+        assert metrics.snapshot()["counters"]["fused_ops_saved"]["value"] == 3
+        for args, arm_fires in (((1, 2), 1), ((2, 1), 0)):
+            want, conserved = unfused_work(plain.graph, fused.graph, args, REGISTRY)
+            assert want.stats.tasks_fired == 4 + arm_fires
+            got = _run(fused.graph, *args)
+            assert work(got.stats) == conserved == 4
+
+    def test_a_failed_fused_body_names_its_label(self):
+        n = LABEL_FULL_OPS + 8
+        src = "main(x) " + "incr(" * n + "boom(x)" + ")" * n
+        graph = _compile(src).graph
+        (_, _, node), = _fused_nodes(graph)
+        with pytest.raises(OperatorError) as exc:
+            _run(graph, 2)
+        assert exc.value.operator == node.name
+        assert str(exc.value).startswith(
+            f"operator 'boom+…+incr ({n + 1} ops)' failed: ValueError('boom(2)')"
+        )
+        assert node.name not in str(exc.value)
 
 
 class TestPipelineOrdering:
@@ -381,6 +653,25 @@ class TestSerialization:
         text = dumps(plain.graph)
         assert '"fused"' not in text
         assert dumps(loads(text)) == text
+
+    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
+    def test_guarded_recipe_round_trips_as_format_2(self, passes):
+        fused = compile_source(IF_SOURCE, registry=REGISTRY, optimize_passes=passes)
+        text = dumps(fused.graph)
+        assert json.loads(text)["format"] == 2
+        restored = loads(text)
+        assert dumps(restored) == text
+        assert _fused_nodes(restored)[0][2].fused == (IF_STEPS, 0)
+        for args in [(1, 2), (2, 1)]:
+            assert _run(restored, *args).value == _run(fused.graph, *args).value
+        # Without a guard the same build still writes format 1.
+        assert json.loads(dumps(_compile(CHAIN_SOURCE).graph))["format"] == 1
+
+    def test_a_format_1_file_carrying_a_guard_is_refused(self):
+        data = json.loads(dumps(_compile(IF_SOURCE).graph))
+        data["format"] = 1
+        with pytest.raises(GraphError, match="format 1 cannot carry a guarded"):
+            loads(json.dumps(data))
 
 
 class TestCacheKeys:
@@ -551,10 +842,67 @@ def _with_step(node, j, refs):
 
 
 def _rename_step(node, j, name):
+    """Another member in step ``j``, the node's name respelled to match."""
+    _set_step(node, j, (name,) + node.fused[0][j][1:])
+    node.name = fused_name(*node.fused)
+
+
+def _set_step(node, j, step):
     steps, untuple_n = node.fused
-    steps = list(steps)
-    steps[j] = (name, steps[j][1])
-    node.fused = (tuple(steps), untuple_n)
+    node.fused = (steps[:j] + (step,) + steps[j + 1:], untuple_n)
+
+
+def _if_graph(passes=FUSED_PASSES):
+    """``IF_SOURCE`` fused: one region of :data:`IF_STEPS` in ``main``."""
+    graph = compile_source(IF_SOURCE, registry=REGISTRY, optimize_passes=passes).graph
+    (_, node_id, node), = _fused_nodes(graph)
+    return graph, node_id, node
+
+
+_SUB = IF_STEPS[1][:2]
+
+#: Guard and select shapes no recipe of ``IF_SOURCE``'s may take.
+GUARD_CORRUPTIONS = {
+    "guard names a later step": (
+        lambda n: _set_step(n, 1, _SUB + ((("t", 3), True),)),
+        "step 1 reads step 3, which is not an earlier step",
+    ),
+    "guard arm is not a bool": (
+        lambda n: _set_step(n, 1, _SUB + ((("t", 0), 1),)),
+        "step 1 has a guard whose arm is not true or false",
+    ),
+    "guard under another condition": (
+        lambda n: _set_step(n, 1, _SUB + ((("i", 0), True),)),
+        "step 2 breaks off the guarded steps before it",
+    ),
+    "guarded step with no select after it": (
+        lambda n: _set_step(n, 3, IF_STEPS[3] + ((("t", 0), True),)),
+        "step 4 breaks off the guarded steps before it",
+    ),
+    "guarded last step": (
+        lambda n: _set_step(n, 4, IF_STEPS[4] + ((("t", 0), False),)),
+        "its last guarded steps have no select",
+    ),
+    "guarded select": (
+        lambda n: (
+            _set_step(n, 1, _SUB),
+            _set_step(n, 2, IF_STEPS[2] + ((("t", 0), True),)),
+        ),
+        "select step 2 is guarded or does not have 3 refs",
+    ),
+    "select of two refs": (
+        lambda n: _set_step(n, 2, (SELECT, (("t", 0), ("t", 1)))),
+        "select step 2 is guarded or does not have 3 refs",
+    ),
+    "select takes the wrong arm's step": (
+        lambda n: _set_step(n, 2, (SELECT, (("t", 0), ("i", 1), ("t", 1)))),
+        "step 2 reads guarded step 1 outside its arm",
+    ),
+    "guarded value read after its select": (
+        lambda n: _set_step(n, 3, ("incr", (("t", 1),))),
+        "step 3 reads guarded step 1 outside its arm",
+    ),
+}
 
 
 CORRUPTIONS = {
@@ -640,6 +988,57 @@ class TestRecipeValidation:
         assert reason in str(exc.value)
         assert f"template 'main': node {node_id}" in str(exc.value)
 
+    def test_guarded_recipe_is_sound(self):
+        for passes in (FUSED_PASSES, FULL_PASS_ORDER):
+            graph, node_id, _ = _if_graph(passes)
+            assert fusion_violation(graph.templates["main"], node_id, REGISTRY) is None
+
+    @pytest.mark.parametrize("what", sorted(GUARD_CORRUPTIONS))
+    def test_malformed_guard_is_refused(self, what):
+        corrupt, reason = GUARD_CORRUPTIONS[what]
+        graph, node_id, node = _if_graph()
+        corrupt(node)
+        with pytest.raises(GraphError) as exc:
+            validate_program(graph)
+        assert f"template 'main': node {node_id} carries a fused recipe, but {reason}" in str(exc.value)
+        with pytest.raises(GraphError):
+            loads(dumps(graph))
+
+    def test_no_operator_may_take_the_select_name(self):
+        graph, node_id, _ = _if_graph()
+        registry = _registry()
+        registry.register(name=SELECT, cost=1.0)(lambda x: x)
+        with pytest.raises(GraphError, match="defines an operator named '\\?'"):
+            validate_program(graph, registry)
+
+    def test_a_renamed_recipe_is_refused(self):
+        # Two recipes under one name would share one spec-cache slot.
+        graph, node_id, node = _fan_in_graph()
+        node.name = node.name.replace("mul", "add")
+        with pytest.raises(GraphError, match="its name does not spell its recipe"):
+            validate_program(graph)
+        with pytest.raises(GraphError, match=f"node {node_id}"):
+            loads(dumps(graph))
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["plain", "batch"])
+    def test_tampered_codegen_text_is_refused_before_it_is_executed(
+        self, batch, tmp_path, monkeypatch
+    ):
+        from repro.tools import cache
+
+        passes = FULL_PASS_ORDER if batch else PASS_ORDER + ("fuse", "codegen")
+        graph, node_id, node = _if_graph(passes)
+        assert ("_delirium_bind_batch" in node.codegen) is batch
+        monkeypatch.setenv("DELIRIUM_CACHE_DIR", str(tmp_path))
+        key = cache.cache_key(IF_SOURCE, passes=passes)
+        cache.store_cached(key, graph)
+        assert cache.load_cached(key) is not None
+        node.codegen = node.codegen.replace("t2 = a1", "t2 = a0")
+        with pytest.raises(GraphError, match="codegen text is not the one"):
+            loads(dumps(graph))
+        cache.store_cached(key, graph)
+        assert cache.load_cached(key) is None
+
     def test_compile_cache_does_not_serve_a_corrupted_entry(
         self, tmp_path, monkeypatch
     ):
@@ -709,9 +1108,64 @@ def work(stats):
     return stats.tasks_fired + stats.fused_ops_saved
 
 
+def unfused_work(plain, fused, args, registry):
+    """Run ``plain`` (compiled without ``fuse``); return its result and what
+    a run of ``fused`` must conserve: the plain run's :func:`work` minus
+    the operator fires of the arm templates ``fused`` folded — folded,
+    those are guarded steps, which count nowhere because they may not run."""
+    arm_ops = {
+        name: sum(node.kind is NodeKind.OP for node in template.nodes)
+        for name, template in plain.templates.items()
+        if name not in fused.templates
+    }
+    taken = []
+    bus = EventBus()
+    bus.subscribe(
+        lambda e: taken.append(arm_ops.get(e.template, 0)), events=(Expansion,)
+    )
+    result = SequentialExecutor(bus=bus).run(plain, args=args, registry=registry)
+    return result, work(result.stats) - sum(taken)
+
+
+@st.composite
+def _if_programs(draw):
+    """``main(n)`` binding values through ``IF``\\ s whose arms are trivial,
+    constant, one or two cheap operators, or not foldable (a ``modifies``
+    operator), read by cheap operators, by later conditions and arms, and
+    by the result."""
+    names = ["n"]
+    lines = []
+    for i in range(draw(st.integers(1, 5))):
+        a, b, c, d = (draw(st.sampled_from(names)) for _ in range(4))
+        k = draw(st.integers(-2, 3))
+        arms = [
+            a,
+            str(k),
+            f"incr({a})",
+            f"sub({b}, {k})",
+            f"add(incr({a}), {b})",
+            f"mul(decr({b}), 2)",
+            f"blk_sum(bump(mkblock({a}), 1))",
+        ]
+        cond = draw(st.sampled_from([f"is_less({c}, {d})", c, f"is_less({c}, 1)"]))
+        then, orelse = draw(st.sampled_from(arms)), draw(st.sampled_from(arms))
+        lines.append(f"v{i} = if {cond} then {then} else {orelse}")
+        names.append(f"v{i}")
+        if draw(st.booleans()):
+            lines.append(f"w{i} = add(v{i}, incr(v{i}))")
+            names.append(f"w{i}")
+    acc = names[0]
+    for other in names[1:]:
+        acc = f"add({acc}, {other})"
+    return "main(n)\n  let " + "\n      ".join(lines) + f"\n  in {acc}"
+
+
+PROGRAMS = st.one_of(_programs(), _if_programs())
+
+
 class TestRegionProperty:
-    @settings(max_examples=25, deadline=None)
-    @given(_programs(), st.integers(-5, 5), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    @given(PROGRAMS, st.integers(-5, 5), st.integers(1, 4))
     def test_regions_are_sound_and_fusing_conserves_fires(
         self, source, n, workers
     ):
@@ -719,22 +1173,29 @@ class TestRegionProperty:
         for template, region in unfused_regions(source, registry):
             assert_single_exit_and_convex(template, region)
             for m in region.members:
-                assert not registry.get(template.nodes[m].name).modifies
+                node = template.nodes[m]
+                assert node.kind is NodeKind.IF or not registry.get(node.name).modifies
         plain = compile_source(source, registry=registry)
         fused = compile_source(
             source, registry=registry, optimize_passes=FUSED_PASSES
         )
+        full = compile_source(
+            source, registry=registry, optimize_passes=FULL_PASS_ORDER
+        )
         validate_program(fused.graph, registry)
-        want = _run(plain.graph, n, registry=registry)
+        validate_program(full.graph, registry)
+        want, conserved = unfused_work(plain.graph, fused.graph, (n,), registry)
         got = _run(fused.graph, n, registry=registry)
         assert got.value == want.value
-        assert work(got.stats) == work(want.stats)
-        assert ThreadedExecutor(workers).run(
-            fused.graph, args=(n,), registry=registry
-        ).value == want.value
+        assert work(got.stats) == conserved
+        assert _run(full.graph, n, registry=registry).value == want.value
+        for executor in (ThreadedExecutor(workers), SimulatedExecutor(uniform(workers))):
+            assert executor.run(
+                fused.graph, args=(n,), registry=registry
+            ).value == want.value
 
     @settings(max_examples=6, deadline=None)
-    @given(_programs(), st.integers(-5, 5))
+    @given(PROGRAMS, st.integers(-5, 5))
     def test_one_worker_process_recomposes_region_recipes(self, source, n):
         # cost_threshold=0 ships every fire, so the worker composes each
         # region's DAG recipe against its own registry.
@@ -743,17 +1204,17 @@ class TestRegionProperty:
         fused = compile_source(
             source, registry=registry, optimize_passes=FUSED_PASSES
         )
-        want = _run(plain.graph, n, registry=registry)
+        want, conserved = unfused_work(plain.graph, fused.graph, (n,), registry)
         got = ProcessExecutor(1, cost_threshold=0.0).run(
             fused.graph, args=(n,), registry=registry
         )
         assert got.value == want.value
-        assert work(got.stats) == work(want.stats)
+        assert work(got.stats) == conserved
 
 
 class TestCaseStudies:
     def test_every_region_of_every_case_study_is_single_exit_and_convex(self):
-        sizes = {}
+        sizes, folded = {}, {}
         for name, kwargs in golden_compiles().items():
             kwargs = dict(kwargs)
             source, registry = kwargs.pop("source"), kwargs.pop("registry")
@@ -761,24 +1222,29 @@ class TestCaseStudies:
             for template, region in found:
                 assert_single_exit_and_convex(template, region)
             sizes[name] = sorted(len(r.members) for _, r in found)
+            folded[name] = sum(r.arm_ops for _, r in found)
             full = compile_source(
                 source, registry=registry, optimize_passes=FULL_PASS_ORDER,
                 **kwargs,
             )
             validate_program(full.graph, registry)
-        # pythia is the one graph regions change: 20 chains became these.
-        assert sizes["pythia"] == [2, 9, 11, 55]
+        # pythia is the one graph regions change: 20 chains became 4 regions
+        # of 2 / 9 / 11 / 55, and folding its 8 IFs (8 arm operators) makes
+        # each of its three function templates one region.
+        assert sizes["pythia"] == [16, 24, 66]
+        assert folded == {**dict.fromkeys(sizes, 0), "pythia": 8}
         assert max(max(v, default=0) for k, v in sizes.items() if k != "pythia") <= 2
 
     def test_pythia_fires_fewer_nodes_for_the_same_operator_calls(self):
         source = pythia_source(10, 1990, 1990)
         plain = compile_source(source, optimize_passes=PASS_ORDER)
         fused = compile_source(source, optimize_passes=FULL_PASS_ORDER)
+        assert len(fused.graph.templates) == 3 and fused.graph.total_nodes() <= 30
         rng = random.Random(1990)
         for _ in range(3):
             args = tuple(rng.randint(-9, 9) for _ in range(3))
-            want = SequentialExecutor().run(plain.graph, args=args)
+            want, conserved = unfused_work(plain.graph, fused.graph, args, None)
             got = SequentialExecutor().run(fused.graph, args=args)
             assert got.value == want.value
-            assert work(got.stats) == work(want.stats)
-            assert got.stats.tasks_fired * 2 < want.stats.tasks_fired
+            assert work(got.stats) == conserved
+            assert got.stats.tasks_fired <= 6 and got.stats.expansions <= 2

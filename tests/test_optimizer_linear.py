@@ -288,8 +288,9 @@ GOLDEN_DLC_SHA256: dict[str, str] = {
     "option": "3ae4c02f15018bb6f554b5d789f88e4fa0be49f3eb36d991060b882e071229ee",
     "pi": "8fb228a6bb83b5a330d91b0cd3ab8cfbd6a396dd300269b65d906b95251a4c61",
     # Moved when `fuse` went from chains to single-exit regions (20 chains ->
-    # 4 regions); the other ten carry no region a chain was not.
-    "pythia": "b833dfd4c3ce5b01d6224a9ca7a8ced6811e475b98123f7a0f08daaec40b2a8d",
+    # 4 regions; b833dfd4…), then when it folded IFs with cheap arms into
+    # them (3 regions, 3 templates); the other ten carry neither.
+    "pythia": "4db1e2034bef19730f82a69b8b7283526ffb53b80e4726048ffe6d1129791685",
     # Moved when ``try`` was spliced into ``do_it``; the parent's bytes
     # are :data:`QUEENS_AS_WRITTEN_SHA256`.
     "queens_4": "220722d5346d09f002c5e9526ef4947b8e6db260e3752a50646db36f519e9197",
