@@ -1,14 +1,12 @@
 """Fast locality smoke: ref-shipped fan-out vs full encodings, CI-sized.
 
-The wall-clock benchmark (``bench_wallclock.py``) records the affinity
-rows on the production-size workloads; CI wants a seconds-scale check
-that the locality layer still (a) produces bit-identical results,
-(b) cuts the encoded wire bytes of a fan-out/fan-in shape by at least
-2x versus ``--affinity none`` (the win that exists even on one worker:
-the shared block crosses the wire at most once instead of once per
-consumer), and (c) leaves the critical-path profiler reconciling — the
-locality layer must not distort the observability story it is measured
-by.  This is that check.
+A seconds-scale check, for CI, that the locality layer still (a)
+produces bit-identical results, (b) cuts the encoded wire bytes of a
+fan-out/fan-in shape by at least 2x versus ``--affinity none`` (the win
+that exists even on one worker: the shared block crosses the wire at
+most once instead of once per consumer), and (c) leaves the
+critical-path profiler reconciling — the locality layer must not distort
+the observability story it is measured by.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Four gates on the robustness tentpole:
   one item at a time, so nothing accumulates with stream length.
 * **Checkpoint overhead < 5%** — periodic snapshots on a firing-count
   cadence must cost under 5% of the uncheckpointed wall clock, and the
-  sink digest must be unchanged by checkpointing.  The measured pair is
-  committed to ``BENCH_wallclock.json`` under ``streaming_checkpoint``.
+  sink digest must be unchanged by checkpointing.  With
+  ``--bench-json FILE`` the measured pair is recorded under
+  ``streaming_checkpoint``.
 * **Zero arena leaks** — after the drill, no shared-memory segment and
   no live arena survives (the atexit/SIGTERM reaper of
   :mod:`repro.runtime.workers` is the last line of defense; the drill
@@ -39,7 +40,6 @@ from repro.runtime.stream import (
     count_source,
 )
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 #: 16 engine firings per item; 6 500 items ≈ 10⁵ firings.
@@ -72,19 +72,6 @@ def _cli(args: list[str], cwd: str) -> subprocess.CompletedProcess:
         env=env,
         capture_output=True,
         text=True,
-    )
-
-
-def _record(entry: dict) -> None:
-    data = {}
-    if RESULT_PATH.exists():
-        try:
-            data = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
-        except ValueError:
-            data = {}
-    data["streaming_checkpoint"] = entry
-    RESULT_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -171,7 +158,7 @@ def test_flat_rss_over_1e5_firings(tmp_path):
     )
 
 
-def test_checkpoint_overhead_under_budget(tmp_path):
+def test_checkpoint_overhead_under_budget(tmp_path, bench_json):
     """Periodic snapshots cost < 5% wall clock and change no output."""
     from repro.apps.loganalytics.stream import batch_source, make_stream_runner
 
@@ -212,7 +199,8 @@ def test_checkpoint_overhead_under_budget(tmp_path):
     assert checkpoints >= 3, "cadence produced too few snapshots to measure"
 
     overhead = max(ckpt_seconds - plain_seconds, 0.0) / plain_seconds
-    _record(
+    bench_json(
+        "streaming_checkpoint",
         {
             "workload": (
                 f"loganalytics stream, {OVERHEAD_ITEMS} batches, "

@@ -1,14 +1,13 @@
 """Fast fusion smoke: tiny fused retina and a pythia-shaped program, CI-sized.
 
-The full wall-clock benchmark (``bench_wallclock.py``) runs a
-production-ish frame and takes seconds; CI wants a sub-second check that
-the fusion pass still (a) removes nodes from the retina graphs, (b) fires
-strictly fewer engine tasks for the same operator calls, and (c) leaves
-the result bit-identical to the unfused run.  This is that check, at
-32x32, plus the same for ``IF``\\ s with cheap arms folded into their
-region.  (b) is exact: fires plus the calls folded into other fires equal
-the unfused run's, minus the arm-operator fires that run took — folded,
-those are guarded steps, counted nowhere because they may not run.
+A sub-second check, for CI, that the fusion pass still (a) removes nodes
+from the retina graphs, (b) fires strictly fewer engine tasks for the
+same operator calls, and (c) leaves the result bit-identical to the
+unfused run, at 32x32, plus the same for ``IF``\\ s with cheap arms
+folded into their region. (b) is exact: fires plus the calls folded into
+other fires equal the unfused run's, minus the arm-operator fires that
+run took — folded, those are guarded steps, counted nowhere because they
+may not run.
 """
 
 from __future__ import annotations

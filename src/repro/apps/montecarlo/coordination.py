@@ -72,8 +72,8 @@ def compile_pi(
     """The dartboard-π estimator.
 
     Extra keyword arguments go to :func:`repro.compile_source` — e.g.
-    ``optimize_passes=PASS_ORDER + ("fuse", "codegen")`` for the lowered
-    configurations the codegen benchmarks compare.
+    ``optimize_passes=PASS_ORDER + ("fuse", "donate")`` for the fused
+    configurations the batching benchmarks compare.
     """
     return compile_source(
         PI_PROGRAM,

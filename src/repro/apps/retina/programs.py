@@ -94,7 +94,6 @@ def compile_retina(
     config: RetinaConfig | None = None,
     fuse: bool = False,
     donate: bool = False,
-    codegen: bool = False,
     **kwargs,
 ) -> CompiledProgram:
     """Compile retina v1 or v2 against its operator registry.
@@ -104,20 +103,17 @@ def compile_retina(
     ``fuse=True`` the graph-level fusion pass collapses cheap
     single-consumer chains (and the split→untuple pairs) into super-nodes;
     ``donate=True`` adds the last-use donation analysis (always after
-    fusion); ``codegen=True`` lowers the fused recipes to generated
-    specialized Python (terminal pass).  The default keeps the
-    paper-shaped graphs that the figure and dump tests pin.
+    fusion).  The default keeps the paper-shaped graphs that the figure
+    and dump tests pin.
     """
     cfg = config or RetinaConfig()
     source = {1: RETINA_V1, 2: RETINA_V2}[version]
-    if (fuse or donate or codegen) and "optimize_passes" not in kwargs:
+    if (fuse or donate) and "optimize_passes" not in kwargs:
         passes = PASS_ORDER
         if fuse:
             passes = passes + ("fuse",)
         if donate:
             passes = passes + ("donate",)
-        if codegen:
-            passes = passes + ("codegen",)
         kwargs["optimize_passes"] = passes
     return compile_source(
         source,

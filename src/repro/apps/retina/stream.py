@@ -69,19 +69,16 @@ def compile_retina_stream(
     config: RetinaConfig | None = None,
     fuse: bool = False,
     donate: bool = False,
-    codegen: bool = False,
     **kwargs,
 ) -> CompiledProgram:
     """Compile the one-timestep stream program against the v2 registry."""
     cfg = config or RetinaConfig()
-    if (fuse or donate or codegen) and "optimize_passes" not in kwargs:
+    if (fuse or donate) and "optimize_passes" not in kwargs:
         passes = PASS_ORDER
         if fuse:
             passes = passes + ("fuse",)
         if donate:
             passes = passes + ("donate",)
-        if codegen:
-            passes = passes + ("codegen",)
         kwargs["optimize_passes"] = passes
     return compile_source(
         RETINA_STREAM_STEP,

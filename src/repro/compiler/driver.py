@@ -31,8 +31,6 @@ from ..runtime.operators import OperatorRegistry, default_registry
 from .analysis import analyze_program
 from .graphgen import generate_graphs
 from .lowering import lower_program
-from .passes import batch as batch_pass
-from .passes import codegen as codegen_pass
 from .passes import donate as donate_pass
 from .passes import fuse as fuse_pass
 from .passes import splice as splice_pass
@@ -50,8 +48,6 @@ from .symtab import analyze
 _GRAPH_RUNNERS = {
     "fuse": fuse_pass.run,
     "donate": donate_pass.run,
-    "codegen": codegen_pass.run,
-    "batch": batch_pass.run,
 }
 
 #: Table 1 pass names, in the paper's order.
@@ -111,15 +107,14 @@ def compile_source(
     optimize_passes:
         Which optimizations to run (``None`` or ``()`` disables all —
         useful for ablations and for differential testing of the passes).
-        ``"fuse"`` enables the graph-level operator-fusion pass,
-        ``"donate"`` the last-use donation analysis, ``"codegen"`` the
-        lowering of fused recipes to generated specialized Python, and
-        ``"batch"`` the batch-binder extension of those generated
-        sources; all run after template generation (donate after fuse,
-        codegen next, batch last) and are *not* in the default set so
-        default compilations keep their historical graph shapes (the CLI
-        enables them by default via ``--fuse`` / ``--donate`` /
-        ``--codegen`` / ``--batch``).
+        ``"fuse"`` enables the graph-level operator-fusion pass and
+        ``"donate"`` the last-use donation analysis; both run after
+        template generation (donate after fuse) and are *not* in the
+        default set so default compilations keep their historical graph
+        shapes (the CLI enables them by default via ``--fuse`` /
+        ``--donate``).  A fused node carries only its recipe; every
+        process that runs it generates and binds the body itself
+        (:func:`~repro.runtime.operators.fused_spec`).
     strict:
         Enforce unbound-name errors during environment analysis.
     entry:

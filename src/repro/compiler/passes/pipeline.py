@@ -69,12 +69,8 @@ PASS_ORDER = ("inline", "constprop", "cse", "dce")
 #: rewrite coordination graphs, not ASTs, so they live outside the fixpoint
 #: loop).  Names share the same flat namespace as :data:`PASS_ORDER`.
 #: ``donate`` always runs after ``fuse`` so last-use facts are computed on
-#: the post-fusion graph (fused super-nodes are ordinary OP nodes by then);
-#: ``codegen`` lowers the final set of fused recipes to generated source
-#: and must see every annotation in place; ``batch`` runs last because it
-#: rewrites codegen's artifact (appending the batch binder the batched
-#: execution path binds vectorized forms from).
-GRAPH_PASS_ORDER = ("fuse", "donate", "codegen", "batch")
+#: the post-fusion graph (fused super-nodes are ordinary OP nodes by then).
+GRAPH_PASS_ORDER = ("fuse", "donate")
 
 #: Every pass name a caller may request, in execution order.
 FULL_PASS_ORDER = PASS_ORDER + GRAPH_PASS_ORDER

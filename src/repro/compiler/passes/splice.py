@@ -69,8 +69,6 @@ def _copy(node: Node, inputs: list[Port], tail: bool) -> Node:
         recursive=node.recursive,
         fused=node.fused,
         donated=None,  # last-use facts are the donation pass's, which runs later
-        codegen=node.codegen,
-        codegen_fn=node.codegen_fn,
         tail=tail,
         label=node.label,
     )

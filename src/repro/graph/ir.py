@@ -112,7 +112,9 @@ class Node:
         before a *select* ``("?", (cond, then_ref, else_ref))`` whose value
         is the taken arm's.  ``untuple_n > 0`` means the final step's
         package is decomposed in place: the fused node has ``untuple_n``
-        outputs instead of one.  ``None`` for ordinary nodes.
+        outputs instead of one.  ``None`` for ordinary nodes.  The
+        recipe is the node's whole artifact: each process generates the
+        body it fires from it (:func:`repro.runtime.operators.fused_spec`).
     donated:
         For ``OP`` nodes: sorted tuple of input indices whose incoming
         edge the donation pass proved to be the *last use* of the value —
@@ -122,20 +124,6 @@ class Node:
         operator for in-place mutation without a copy-on-write copy, and
         recycles their buffers at rc→0.  ``None`` when the pass did not
         run (the default graphs carry no annotations).
-    codegen:
-        For fused ``OP`` nodes lowered by the codegen pass: the generated
-        Python *source text* of a binder function that, called with the
-        member operator functions in step order, returns the specialized
-        fused callable (argument unpacking, step sequence, and
-        intermediate threading inlined — no per-step interpretation).
-        Source, not code objects, is what serializes and ships to worker
-        processes; each side compiles and binds it against its own
-        registry.  ``None`` when the pass did not run.
-    codegen_fn:
-        The callable bound from ``codegen`` against the compile-time
-        registry, carried for in-process consumers.  Never serialized;
-        reloaded graphs re-bind lazily from the source (see
-        :func:`repro.runtime.operators.node_spec`).
     tail:
         The node's output *is* the template result; expansions inherit the
         parent continuation (constant-space loops).
@@ -155,8 +143,6 @@ class Node:
     recursive: bool = False
     fused: tuple | None = None
     donated: tuple | None = None
-    codegen: str | None = None
-    codegen_fn: object = None
     tail: bool = False
     label: str = ""
 
@@ -298,8 +284,6 @@ class Template:
                 if untuple_n:
                     chain += f">untuple{untuple_n}"
                 extra = f" fused=[{chain}]"
-                if node.codegen is not None:
-                    extra += " codegen"
                 if node.donated:
                     extra += f" donated={list(node.donated)}"
             elif node.kind in (NodeKind.OP, NodeKind.OPREF):

@@ -33,8 +33,10 @@ GUARDED_FORMAT_VERSION = 2
 #: defines and passes can compile to a different graph (the compile cache
 #: hashes it).  2: calls around a recursive cycle are spliced.  3: ``fuse``
 #: grows single-exit regions where it collapsed linear chains.  4: ``fuse``
-#: folds an ``IF`` whose arms are cheap operators into its region.
-COMPILER_REVISION = 4
+#: folds an ``IF`` whose arms are cheap operators into its region.  5: a
+#: fused node no longer carries generated source (it is made from the
+#: recipe at load).
+COMPILER_REVISION = 5
 
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}
@@ -97,12 +99,6 @@ def _encode_node(node: Node) -> dict:
         # Emitted only when non-empty so graphs compiled without the
         # donation pass serialize bit-for-bit as before.
         out["donated"] = list(node.donated)
-    if node.codegen is not None:
-        # Same discipline: source text only when the codegen pass ran, so
-        # --no-codegen compilations serve byte-identical dumps to builds
-        # that predate the pass.  The bound callable never serializes;
-        # loaders re-bind from this source against their own registry.
-        out["codegen"] = node.codegen
     if node.tail:
         out["tail"] = True
     if node.label:
@@ -143,9 +139,8 @@ def _decode_node(data: dict) -> Node:
     donated = data.get("donated")
     if donated:
         node.donated = tuple(int(i) for i in donated)
-    codegen = data.get("codegen")
-    if codegen is not None:
-        node.codegen = str(codegen)
+    # Keys this build does not read are ignored, among them the generated
+    # ``codegen`` text older builds stored: a body is made from its recipe.
     return node
 
 

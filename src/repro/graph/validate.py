@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import GraphError
-from ..runtime.operators import (
-    SELECT,
-    fused_name,
-    generate_batch_source,
-    generate_source,
-)
+from ..runtime.operators import SELECT, fused_name
 from .ir import GraphProgram, NodeKind, Template
 
 #: Producer kinds whose outputs may be donated: plain data sources.  A
@@ -208,11 +203,11 @@ def fusion_violation(
     ``("i", k)`` one of the node's inputs; every input is read by some
     step (an unread one would hold the fire back for nothing);
     ``untuple_n`` agrees with the output ports; the guarded steps of an
-    ``IF`` precede its select; ``name`` and ``codegen`` are what
-    the recipe generates, so no two recipes share a spec-cache name and no
-    stored text is ``exec``'d.  With the operator ``registry`` the program
-    will run against, every member must resolve in it and declare no
-    ``modifies``, and none may be named the select.  What is refused here
+    ``IF`` precede its select; ``name`` spells the recipe, so no two
+    recipes share a spec-cache or code-cache slot.  With the operator
+    ``registry`` the program will run against, every member must resolve
+    in it and declare no ``modifies``, and none may be named the select.
+    What is refused here
     would otherwise be an ``IndexError`` inside the first fire, or a wrong
     value.
     """
@@ -261,10 +256,6 @@ def fusion_violation(
         )
     if node.name != fused_name(steps, untuple_n):
         return "its name does not spell its recipe"
-    source = generate_source(steps, untuple_n) if node.codegen else None
-    batched = f"{source}{generate_batch_source(len(steps))}"
-    if node.codegen not in (None, source, batched):
-        return "its codegen text is not the one its recipe generates"
     if registry is not None:
         if SELECT in registry:
             return f"the registry defines an operator named {SELECT!r}"

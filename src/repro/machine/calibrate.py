@@ -88,8 +88,7 @@ class DispatchCalibration:
     ``seconds_by_operator`` plugs directly into
     ``ProcessExecutor(measured_costs=...)`` /
     :class:`~repro.runtime.workers.DispatchPolicy`; ``dispatch`` and
-    ``keep_local`` record the resulting policy decision for reporting
-    (the wallclock benchmark commits them to ``BENCH_wallclock.json``).
+    ``keep_local`` record the resulting policy decision for reporting.
     """
 
     #: operator *name* (including fused super-operator names) -> mean

@@ -162,7 +162,7 @@ class CriticalPathReport:
         return getattr(self, "_label_cache", {})
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (``BENCH_wallclock.json``, compare_runs)."""
+        """JSON-ready summary (benchmark records, compare_runs)."""
         return {
             "wall_seconds": self.wall_seconds,
             "n_firings": self.n_firings,

@@ -569,7 +569,7 @@ class ExecutionState:
         The same two halves :meth:`begin_fire` and :meth:`complete_fire`
         run either side of a suspension, minus the :class:`PendingOp` a
         synchronous firing never needs.  ``OpStarted``/``OpFinished``
-        bracket only the operator body, so generated codegen frames
+        bracket only the operator body, so generated fused frames
         attribute to ``operator_body`` in the critical-path profile,
         keeping the reconciliation bound.
         """

@@ -54,7 +54,6 @@ from .engine import EngineStats, ExecutionState, PendingOp
 from .operators import (
     OperatorRegistry,
     batch_call,
-    collect_codegen_sources,
     collect_fused_chains,
     default_registry,
 )
@@ -991,9 +990,9 @@ class ProcessExecutor(_Executor):
     persistent:
         Keep the worker pool alive across :meth:`run` calls (streaming
         and server-style use: repeated runs of the *same* program and
-        registry skip pool startup and registry/fused-chain/codegen
-        shipping).  The pool is rebuilt automatically when a different
-        program or registry arrives, and torn down by :meth:`close`.
+        registry skip pool startup and registry/fused-chain shipping).
+        The pool is rebuilt automatically when a different program or
+        registry arrives, and torn down by :meth:`close`.
         Worker block caches persist across runs too; that is safe
         because each run's fresh residency tracker never ref-ships a
         block it did not itself record, so a stale entry can only be
@@ -1085,7 +1084,6 @@ class ProcessExecutor(_Executor):
             shm_threshold=self.shm_threshold,
             fused_chains=collect_fused_chains(program),
             fault_spec=self.fault_spec,
-            codegen_sources=collect_codegen_sources(program),
         )
 
     def run(

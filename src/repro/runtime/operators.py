@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator as _pyop
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import DeliriumError, RuntimeFailure, UnknownOperatorError
@@ -356,161 +356,74 @@ def fused_source_ops(steps: tuple[tuple, ...], untuple_n: int) -> int:
     return sum(len(step) == 2 for step in steps) + (1 if untuple_n else 0)
 
 
-def _member_fns(steps: tuple[tuple, ...], registry: OperatorRegistry) -> list[Any]:
-    return [is_truthy if s[0] == SELECT else registry.get(s[0]).fn for s in steps]
-
-
-def _select(cond: Any, then_value: Any, else_value: Any) -> Any:
-    return then_value if is_truthy(cond) else else_value
-
-
 def _n_inputs(steps: tuple[tuple, ...]) -> int:
     return max((k + 1 for s in steps for kind, k in s[1] if kind == "i"), default=0)
 
 
-def compose_fused(
-    name: str,
-    steps: tuple[tuple, ...],
-    untuple_n: int,
-    registry: OperatorRegistry,
-    label: str = "",
-) -> OperatorSpec:
-    """Build the composed :class:`OperatorSpec` for one fused recipe.
-
-    The callable runs every member operator in recipe order inside one
-    Python frame — one fire, one dispatch, one set of queue/activation
-    bookkeeping for the whole region — skipping a step whose guard fails.
-    Composition happens at run time against whatever registry is present
-    (the master's or a worker's), so fused graphs serialize like any
-    other: the recipe is metadata, never pickled code.
-
-    Cost model: a single-step chain (a split whose ``untuple`` was
-    absorbed) passes the member's cost hint through unchanged — the
-    arguments are identical.  Longer recipes sum the members' numeric
-    hints, guarded ones included (an upper bound); if any member's hint is
-    a callable (its arguments would no longer line up) the fused spec
-    carries no hint and dispatch falls back to the payload-size test.
-    """
-    plan: list[tuple] = []
-    pure = True
-    costs: list[float | Callable[..., float] | None] = []
-    for step in steps:
-        op_name, arg_refs = step[0], step[1]
-        if op_name == SELECT:
-            fn = _select
-        else:
-            spec = registry.get(op_name)
-            if spec.modifies:
-                raise DeliriumError(
-                    f"cannot fuse operator {op_name!r}: it declares modifies="
-                    f"{sorted(spec.modifies)}"
-                )
-            fn = spec.fn
-            pure = pure and spec.pure
-            costs.append(spec.cost)
-        plan.append((fn, tuple(arg_refs), step[2] if len(step) > 2 else None))
-
-    cost: float | Callable[..., float] | None
-    numeric = [float(c) for c in costs if isinstance(c, (int, float))]
-    if len(plan) == 1 and costs:
-        cost = costs[0]
-    else:
-        cost = sum(numeric) if len(numeric) == len(costs) else None
-
-    if len(plan) == 1 and plan[0][0] is not _select:
-        # Single-step chain (split + absorbed untuple): call the member
-        # directly — no per-step indirection at all.
-        fused_fn = plan[0][0]
-    else:
-        run_plan = tuple(plan)
-
-        def fused_fn(*args: Any) -> Any:
-            tmps: list[Any] = []
-            append = tmps.append
-            for fn, refs, guard in run_plan:
-                if guard is not None:
-                    (kind, k), taken = guard
-                    if is_truthy(args[k] if kind == "i" else tmps[k]) != taken:
-                        append(None)
-                        continue
-                append(
-                    fn(*[args[k] if kind == "i" else tmps[k] for kind, k in refs])
-                )
-            return tmps[-1]
-
-    doc_chain = ">".join(step[0] for step in steps)
-    if untuple_n:
-        doc_chain += f">untuple{untuple_n}"
-    return OperatorSpec(
-        name=name,
-        fn=fused_fn,
-        modifies=frozenset(),
-        pure=pure,
-        foldable=False,
-        cost=cost,
-        arity=_n_inputs(steps),
-        doc=f"fused chain: {doc_chain}",
-        label=label,
+def _chain(steps: tuple[tuple, ...], untuple_n: int) -> str:
+    return ">".join(step[0] for step in steps) + (
+        f">untuple{untuple_n}" if untuple_n else ""
     )
 
 
+#: The two factories every generated source defines.  Each process
+#: compiles the text and calls them with the member operator functions of
+#: its *own* registry (closure cells, so calls in the generated body are
+#: plain ``LOAD_DEREF`` + ``CALL``): ``_delirium_bind`` returns the scalar
+#: body, ``_delirium_bind_batch`` the :attr:`OperatorSpec.batch_fn` that
+#: loops it inside one generated frame.
+_BIND = "_delirium_bind"
+_BIND_BATCH = "_delirium_bind_batch"
+
+
 def generate_source(steps: tuple[tuple, ...], untuple_n: int) -> str:
-    """Specialized Python source for one fused recipe (see
-    :mod:`repro.compiler.passes.codegen`): a pure, deterministic function
-    of the recipe, which the graph loader regenerates to check a stored
-    text.  A folded ``IF`` is an ``if``/``else`` around its guarded steps.
-    """
+    """Python source for one fused recipe — the body every fused node
+    fires.  A pure, deterministic function of the recipe: argument
+    unpacking, the step sequence and intermediate threading are inlined
+    into one function, a folded ``IF`` is an ``if``/``else`` around its
+    guarded steps, and a single step binds the member itself (no added
+    frame).  A trailing untuple needs no code: the engine delivers the
+    final step's package to the node's output ports."""
     params = ", ".join(f"a{i}" for i in range(_n_inputs(steps)))
     fns = ", ".join(f"_f{j}" for j in range(len(steps)))
-    lines = [
-        f"# fused chain: {'>'.join(step[0] for step in steps)}"
-        + (f">untuple{untuple_n}" if untuple_n else ""),
-        f"def {CODEGEN_BINDER_NAME}({fns}):",
-    ]
-    if len(steps) == 1 and steps[0][0] != SELECT:
-        # Single step (split + absorbed untuple): the specialized callable
-        # *is* the member function — binding it directly keeps the call
-        # frame count identical to an unfused firing.
-        return "\n".join(lines + ["    return _f0", ""])
+    lines = [f"# fused chain: {_chain(steps, untuple_n)}", f"def {_BIND}({fns}):"]
 
     def val(ref: tuple[str, int]) -> str:
         return f"a{ref[1]}" if ref[0] == "i" else f"t{ref[1]}"
 
-    lines.append(f"    def _fused({params}):")
-    guarded: list[int] = []
-    for j, step in enumerate(steps):
-        if len(step) > 2:
-            guarded.append(j)  # emitted inside its select's block
-        elif step[0] != SELECT:
-            lines.append(f"        t{j} = _f{j}({', '.join(map(val, step[1]))})")
-        else:
-            cond, *results = step[1]
-            for head, taken, result in zip(
-                (f"if _f{j}({val(cond)}):", "else:"), (True, False), results
-            ):
-                lines.append(f"        {head}")
-                for g in guarded:
-                    if steps[g][2][1] == taken:
-                        args = ", ".join(map(val, steps[g][1]))
-                        lines.append(f"            t{g} = _f{g}({args})")
-                lines.append(f"            t{j} = {val(result)}")
-            guarded = []
-    lines += [f"        return t{len(steps) - 1}", "    return _fused", ""]
+    if len(steps) == 1 and steps[0][0] != SELECT:
+        lines.append("    return _f0")
+    else:
+        lines.append(f"    def _fused({params}):")
+        guarded: list[int] = []
+        for j, step in enumerate(steps):
+            if len(step) > 2:
+                guarded.append(j)  # emitted inside its select's block
+            elif step[0] != SELECT:
+                lines.append(f"        t{j} = _f{j}({', '.join(map(val, step[1]))})")
+            else:
+                cond, *results = step[1]
+                for head, taken, result in zip(
+                    (f"if _f{j}({val(cond)}):", "else:"), (True, False), results
+                ):
+                    lines.append(f"        {head}")
+                    for g in guarded:
+                        if steps[g][2][1] == taken:
+                            args = ", ".join(map(val, steps[g][1]))
+                            lines.append(f"            t{g} = _f{g}({args})")
+                    lines.append(f"            t{j} = {val(result)}")
+                guarded = []
+        lines += [f"        return t{len(steps) - 1}", "    return _fused"]
+    lines += [
+        "",
+        f"def {_BIND_BATCH}({fns}):",
+        f"    _fused = {_BIND}({fns})",
+        "    def _fused_batch(_calls):",
+        "        return [_fused(*_args) for _args in _calls]",
+        "    return _fused_batch",
+        "",
+    ]
     return "\n".join(lines)
-
-
-def generate_batch_source(n_members: int) -> str:
-    """The batch-binder text the ``batch`` pass appends to a generated
-    source: a pure function of the member count — the scalar binder's
-    signature — so equal codegen sources grow equal batch binders."""
-    fns = ", ".join(f"_f{j}" for j in range(n_members))
-    return (
-        f"\ndef {BATCH_BINDER_NAME}({fns}):\n"
-        f"    _fused = {CODEGEN_BINDER_NAME}({fns})\n"
-        "    def _fused_batch(_calls):\n"
-        "        return [_fused(*_args) for _args in _calls]\n"
-        "    return _fused_batch\n"
-    )
 
 
 def batch_call(
@@ -540,95 +453,77 @@ def batch_call(
     return results
 
 
-#: Name of the factory every generated codegen source must define.  The
-#: codegen pass emits sources shaped ``def _delirium_bind(_f0, ...): ...``;
-#: each process compiles the text and calls the binder with the member
-#: operator functions from its *own* registry (closure cells, so calls in
-#: the generated body are plain ``LOAD_DEREF`` + ``CALL``).
-CODEGEN_BINDER_NAME = "_delirium_bind"
-
-#: Name of the *batch* factory the ``batch`` lowering pass appends to
-#: generated codegen sources: ``def _delirium_bind_batch(_f0, ...)``
-#: returns a callable with the :attr:`OperatorSpec.batch_fn` signature
-#: (list of argument tuples in, list of results out) that loops the
-#: specialized fused body inside one generated frame.  Optional — plain
-#: codegen sources simply have no batch binder and the chain stays
-#: unbatchable at the vectorized level.
-BATCH_BINDER_NAME = "_delirium_bind_batch"
-
-
-#: Compiled code objects by source text.  Generated sources are pure
-#: functions of the recipe, so the text is a safe process-wide key; the
-#: (cheap) ``exec`` + bind still runs per registry.
+#: Compiled code by fused name.  The name spells the whole recipe (the
+#: graph loader refuses one that does not), so each distinct recipe is
+#: generated and compiled once per process; ``exec`` + bind still run per
+#: registry.
 _CODE_CACHE: dict[str, Any] = {}
-
-
-def _exec_source(source: str, name: str) -> dict[str, Any]:
-    namespace: dict[str, Any] = {}
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = compile(
-            source, f"<delirium-codegen {name}>", "exec"
-        )
-    exec(code, namespace)
-    return namespace
-
-
-def bind_codegen(
-    source: str,
-    steps: tuple[tuple, ...],
-    registry: OperatorRegistry,
-    name: str = "<fused>",
-) -> Callable[..., Any]:
-    """Compile generated codegen ``source`` and bind it against ``registry``.
-
-    Returns the specialized callable for the recipe.  Binding always uses
-    the *calling* process's registry — a serialized graph only ships the
-    source text, and a substituted registry (tests, workers) must win over
-    whatever was present at compile time.
-    """
-    binder = _exec_source(source, name)[CODEGEN_BINDER_NAME]
-    return binder(*_member_fns(steps, registry))
-
-
-def bind_codegen_batch(
-    source: str,
-    steps: tuple[tuple, ...],
-    registry: OperatorRegistry,
-    name: str = "<fused>",
-) -> Callable[[list[tuple[Any, ...]]], Any] | None:
-    """Bind the batch binder of a generated source, when it has one.
-
-    Returns a ``batch_fn``-shaped callable for chains the ``batch``
-    lowering pass extended with :data:`BATCH_BINDER_NAME`, or ``None``
-    for plain codegen sources (the chain then falls back to
-    :func:`batch_call`'s loop when batched).  Shares the compiled-code
-    cache with :func:`bind_codegen` — the source text is the key.
-    """
-    if BATCH_BINDER_NAME not in source:
-        return None
-    binder = _exec_source(source, name)[BATCH_BINDER_NAME]
-    return binder(*_member_fns(steps, registry))
 
 
 def fused_spec(
     name: str,
     fused: FusedChain,
-    codegen: str | None,
     registry: OperatorRegistry,
     label: str = "",
 ) -> OperatorSpec:
-    """The spec a fused node fires: its recipe composed against
-    ``registry``, with the generated source bound in place of the replay
-    when the codegen pass lowered it (same metadata, so the same dispatch
-    decisions — only the call body differs)."""
-    spec = compose_fused(name, fused[0], fused[1], registry, label)
-    if codegen is None:
-        return spec
-    return replace(
-        spec,
-        fn=bind_codegen(codegen, fused[0], registry, name=name),
-        batch_fn=bind_codegen_batch(codegen, fused[0], registry, name=name),
+    """The spec a fused node fires: its recipe's generated source
+    (:func:`generate_source`) bound against ``registry``.
+
+    Binding happens at run time against whatever registry is present (the
+    master's or a worker's), so fused graphs serialize like any other: the
+    recipe is metadata, never code.  Member operators may not declare
+    ``modifies``.
+
+    Cost model: a single-step chain (a split whose ``untuple`` was
+    absorbed) passes the member's cost hint through unchanged — the
+    arguments are identical.  Longer recipes sum the members' numeric
+    hints, guarded ones included (an upper bound); if any member's hint is
+    a callable (its arguments would no longer line up) the fused spec
+    carries no hint and dispatch falls back to the payload-size test.
+    """
+    steps, untuple_n = fused
+    fns: list[Any] = []
+    costs: list[float | Callable[..., float] | None] = []
+    pure = True
+    for step in steps:
+        if step[0] == SELECT:
+            fns.append(is_truthy)
+            continue
+        spec = registry.get(step[0])
+        if spec.modifies:
+            raise DeliriumError(
+                f"cannot fuse operator {step[0]!r}: it declares modifies="
+                f"{sorted(spec.modifies)}"
+            )
+        fns.append(spec.fn)
+        pure = pure and spec.pure
+        costs.append(spec.cost)
+
+    cost: float | Callable[..., float] | None
+    numeric = [float(c) for c in costs if isinstance(c, (int, float))]
+    if len(steps) == 1 and costs:
+        cost = costs[0]
+    else:
+        cost = sum(numeric) if len(numeric) == len(costs) else None
+
+    code = _CODE_CACHE.get(name)
+    if code is None:
+        code = _CODE_CACHE[name] = compile(
+            generate_source(steps, untuple_n), f"<delirium-fused {name}>", "exec"
+        )
+    namespace: dict[str, Any] = {}
+    exec(code, namespace)
+    return OperatorSpec(
+        name=name,
+        fn=namespace[_BIND](*fns),
+        modifies=frozenset(),
+        pure=pure,
+        foldable=False,
+        cost=cost,
+        arity=_n_inputs(steps),
+        doc=f"fused chain: {_chain(steps, untuple_n)}",
+        batch_fn=namespace[_BIND_BATCH](*fns),
+        label=label,
     )
 
 
@@ -644,7 +539,7 @@ def node_spec(
         return registry.get(node.name)
     spec = cache.get(node.name) if cache is not None else None
     if spec is None:
-        spec = fused_spec(node.name, node.fused, node.codegen, registry, node.label)
+        spec = fused_spec(node.name, node.fused, registry, node.label)
         if cache is not None:
             cache[node.name] = spec
     return spec
@@ -663,19 +558,3 @@ def collect_fused_chains(program: Any) -> dict[str, FusedChain]:
             if node.fused is not None:
                 chains[node.name] = node.fused
     return chains
-
-
-def collect_codegen_sources(program: Any) -> dict[str, str]:
-    """Generated codegen source per fused node name, for shipping.
-
-    Mirrors :func:`collect_fused_chains`: plain picklable strings that a
-    worker process ``exec``\\ s and binds against its own registry.  Empty
-    when the codegen pass didn't run.
-    """
-    sources: dict[str, str] = {}
-    for template in program.templates.values():
-        for node in template.nodes:
-            codegen = getattr(node, "codegen", None)
-            if node.fused is not None and codegen is not None:
-                sources[node.name] = codegen
-    return sources

@@ -731,7 +731,6 @@ def worker_main(
     fused_chains: dict[str, FusedChain] | None = None,
     fault_spec: Any = None,
     fault_salt: int = 0,
-    codegen_sources: dict[str, str] | None = None,
     cache_bytes: int = CACHE_BYTES_DEFAULT,
 ) -> None:
     """Body of one worker process: batches in, batches out, until None.
@@ -786,14 +785,11 @@ def worker_main(
     argument) travels in a fresh segment instead.
 
     ``fused_chains`` maps fused super-node names to their recipes (plain
-    picklable data); the worker composes each chain against its own
-    registry on first use, so a dispatched fused body runs exactly like a
-    registered operator.  ``codegen_sources`` (fused name → generated
-    binder source, from :func:`~repro.runtime.operators.
-    collect_codegen_sources`) upgrades those compositions: the worker
-    compiles the shipped source and binds it against its *own* registry,
-    so a dispatched fused body runs the same specialized code the master
-    would — source text crosses the process boundary, never code objects.
+    picklable data); the worker generates each body from its recipe and
+    binds it against its own registry on first use
+    (:func:`~repro.runtime.operators.fused_spec`), so a dispatched fused
+    body runs the same code the master would, like a registered operator
+    — only recipes cross the process boundary, never code.
 
     ``fault_spec`` (a picklable :class:`repro.faults.FaultSpec`) installs
     deterministic fault injection: the per-process injector is consulted
@@ -811,7 +807,6 @@ def worker_main(
     else:
         registry = default_registry()
     fused_chains = fused_chains or {}
-    codegen_sources = codegen_sources or {}
     fused_specs: dict[str, Any] = {}
     injector = fault_spec.build(fault_salt) if fault_spec is not None else None
     cache = BlockCache(cache_bytes)
@@ -872,9 +867,7 @@ def worker_main(
             chain = fused_chains.get(op_name)
             if chain is None:
                 return registry.get(op_name)
-            spec = fused_specs[op_name] = fused_spec(
-                op_name, chain, codegen_sources.get(op_name), registry
-            )
+            spec = fused_specs[op_name] = fused_spec(op_name, chain, registry)
         return spec
 
     while True:
@@ -1053,7 +1046,6 @@ class WorkerPool:
         shm_threshold: int = SHM_THRESHOLD_DEFAULT,
         fused_chains: dict[str, FusedChain] | None = None,
         fault_spec: Any = None,
-        codegen_sources: dict[str, str] | None = None,
         cache_bytes: int = CACHE_BYTES_DEFAULT,
     ) -> None:
         if n_workers < 1:
@@ -1086,7 +1078,6 @@ class WorkerPool:
         self._registry = registry
         self._fused_chains = fused_chains
         self._fault_spec = fault_spec
-        self._codegen_sources = codegen_sources
         #: Total workers replaced over the pool's lifetime.
         self.respawns = 0
         self.processes: list[Any] = [None] * n_workers
@@ -1110,7 +1101,6 @@ class WorkerPool:
                     self._fused_chains,
                     self._fault_spec,
                     fault_salt,
-                    self._codegen_sources,
                     self.cache_bytes,
                 ),
                 daemon=True,

@@ -86,14 +86,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "every copy decision dynamic)",
     )
     parser.add_argument(
-        "--codegen",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="lower fused chains to generated specialized Python at "
-        "graph-finalize time (--no-codegen interprets each recipe step "
-        "by step; results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -330,16 +322,6 @@ def _pass_tuple(args: argparse.Namespace) -> tuple[str, ...]:
         passes = passes + ("fuse",)
     if args.donate:
         passes = passes + ("donate",)
-    if args.codegen:
-        # On a --no-fuse graph the pass has nothing to lower and the
-        # compiled output is unchanged, but the cache key still
-        # distinguishes the two (the pass set is hashed).
-        passes = passes + ("codegen",)
-    if args.batch:
-        # Appends batch binders to codegen sources (no-op without
-        # codegen).  In the pass tuple even then, so --batch and
-        # --no-batch compilations never share a cache entry.
-        passes = passes + ("batch",)
     return passes
 
 

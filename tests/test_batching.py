@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
-from repro.compiler.passes import batch as batch_pass
 from repro.compiler.passes.pipeline import PASS_ORDER
 from repro.errors import DeliriumError, RuntimeFailure
 from repro.machine.calibrate import suggest_batch_threshold
@@ -32,17 +31,12 @@ from repro.runtime import (
     ThreadedExecutor,
     default_registry,
 )
-from repro.runtime.operators import (
-    BATCH_BINDER_NAME,
-    OperatorRegistry,
-    OperatorSpec,
-    batch_call,
-)
+from repro.runtime.operators import OperatorRegistry, OperatorSpec, batch_call
 from repro.runtime.supervise import DEFAULT_BATCH_THRESHOLD
 
 from repro.apps.montecarlo.coordination import compile_pi
 
-GRAPH_PASSES = ("fuse", "donate", "codegen", "batch")
+GRAPH_PASSES = ("fuse", "donate")
 
 
 def _compiled_pi(passes=PASS_ORDER + GRAPH_PASSES, batch_size=1500, seed=11):
@@ -195,71 +189,6 @@ class TestSuggestBatchThreshold:
     def test_clamped_to_bounds(self):
         assert suggest_batch_threshold({"op": 1.0}) == 4
         assert suggest_batch_threshold({"op": 0.002}, ceiling=8) == 8
-
-
-# ---------------------------------------------------------------------------
-# The compiler pass
-# ---------------------------------------------------------------------------
-class TestBatchPass:
-    def _chain(self, passes):
-        reg = default_registry()
-
-        @reg.register(pure=True)
-        def add1(x):
-            return x + 1
-
-        compiled = compile_source(
-            "main(n) add1(add1(add1(n)))",
-            registry=reg,
-            optimize_passes=passes,
-        )
-        return compiled, reg
-
-    def test_appends_binder_to_codegen_sources(self):
-        compiled, _ = self._chain(PASS_ORDER + GRAPH_PASSES)
-        sources = [
-            node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        ]
-        assert sources
-        assert all(BATCH_BINDER_NAME in src for src in sources)
-
-    def test_noop_without_codegen(self):
-        compiled, _ = self._chain(PASS_ORDER + ("fuse", "donate", "batch"))
-        assert all(
-            node.codegen is None
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-        )
-
-    def test_idempotent(self):
-        compiled, reg = self._chain(PASS_ORDER + GRAPH_PASSES)
-        before = {
-            node.name: node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        }
-        assert batch_pass.run(compiled.graph, reg) == {}
-        after = {
-            node.name: node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        }
-        assert before == after
-
-    def test_batched_run_of_lowered_chain_matches(self):
-        compiled, reg = self._chain(PASS_ORDER + GRAPH_PASSES)
-        plain = SequentialExecutor().run(
-            compiled.graph, args=(5,), registry=reg
-        )
-        batched = SequentialExecutor(batch=True).run(
-            compiled.graph, args=(5,), registry=reg
-        )
-        assert batched.value == plain.value == 8
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +415,14 @@ class TestBatchProperty:
         executor=st.sampled_from(["sequential", "threaded"]),
         workers=st.integers(1, 3),
         fuse=st.booleans(),
-        codegen=st.booleans(),
         threshold=st.integers(2, 40),
         n=st.integers(2, 12),
         seed=st.integers(0, 99),
     )
     def test_batched_equals_unbatched(
-        self, executor, workers, fuse, codegen, threshold, n, seed
+        self, executor, workers, fuse, threshold, n, seed
     ):
-        passes = PASS_ORDER
-        if fuse:
-            passes = passes + ("fuse", "donate")
-        if codegen:
-            passes = passes + ("codegen", "batch")
+        passes = PASS_ORDER + (GRAPH_PASSES if fuse else ())
         compiled = compile_pi(
             seed=seed, batch_size=64, optimize_passes=passes
         )
@@ -528,7 +452,6 @@ class TestBatchProperty:
         passes = PASS_ORDER + ("fuse",)
         if donate:
             passes = passes + ("donate",)
-        passes = passes + ("codegen", "batch")
         compiled = compile_pi(
             seed=seed, batch_size=64, optimize_passes=passes
         )

@@ -11,6 +11,8 @@ observable effect, so frontier + carry + offsets is a consistent cut.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pickle
 
@@ -21,6 +23,7 @@ from repro import compile_source
 from repro.compiler.passes.pipeline import PASS_ORDER
 from repro.faults import parse_fault_spec
 from repro.faults.spec import MASTER_SCOPE, FaultSpecError
+from repro.graph.serialize import dumps
 from repro.runtime.checkpoint import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -284,6 +287,31 @@ class TestResumeRefusal:
         with pytest.raises(CheckpointMismatchError) as err:
             runner.run(count_source(4), MemorySink(), resume=ckpt)
         assert err.value.key == "flags"
+
+    def test_checkpoint_of_a_graph_with_generated_text_refused(self, tmp_path):
+        # Builds before compiler revision 5 stored each fused node's
+        # generated source in the graph, so the program they fingerprinted
+        # is not the one this build runs: their checkpoints are refused.
+        passes = PASS_ORDER + ("fuse", "donate")
+        program = compile_source(SUM_SRC, optimize_passes=passes)
+        path = str(tmp_path / "run.ckpt")
+        StreamRunner(program, carry=True, initial=0, checkpoint_path=path).run(
+            count_source(4), MemorySink()
+        )
+        data = json.loads(dumps(program.graph))
+        fused = [n for t in data["templates"].values() for n in t["nodes"] if "fused" in n]
+        assert fused
+        for node in fused:
+            node["codegen"] = "def _delirium_bind(_f0, _f1): ...\n"
+        older = hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest()[:40]
+        ckpt = read_checkpoint(path)
+        write_checkpoint(path, {**ckpt.manifest, "program": older}, ckpt.payload)
+        runner = StreamRunner(program, carry=True, initial=0)
+        with pytest.raises(CheckpointMismatchError) as err:
+            runner.run(count_source(4), MemorySink(), resume=path)
+        assert err.value.key == "program"
+        assert err.value.expected == older
+        assert err.value.found == program_fingerprint(program.graph)
 
     def test_refusal_leaves_sink_untouched(self, tmp_path):
         ckpt = self._checkpointed_run(tmp_path)

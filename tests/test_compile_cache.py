@@ -8,6 +8,7 @@ key, and any stale/corrupt entry is just a miss.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 from repro import compile_source
-from repro.graph.serialize import FORMAT_VERSION
+from repro.graph.serialize import FORMAT_VERSION, dumps
 from repro.tools import cache
 from repro.tools.cache import (
     cache_dir,
@@ -75,13 +76,32 @@ class TestStoreLoad:
     def test_entry_of_revision_3_is_a_miss(self, cache_env, monkeypatch):
         # Revision 4 folds IFs with cheap arms into their regions: what the
         # revision-3 compiler stored for the same inputs is not served.
-        assert cache.COMPILER_REVISION == 4
         src = "main(x, y) incr(if is_less(x, y) then sub(6, x) else y)"
         passes = ("inline", "constprop", "cse", "dce", "fuse")
         with monkeypatch.context() as older:
             older.setattr(cache, "COMPILER_REVISION", 3)
             store_cached(cache_key(src, passes=passes), compile_source(src).graph)
             assert load_cached(cache_key(src, passes=passes)) is not None
+        assert cache.COMPILER_REVISION > 3
+        assert load_cached(cache_key(src, passes=passes)) is None
+
+    def test_entry_of_revision_4_is_a_miss(self, cache_env, monkeypatch):
+        # Revision 5 stops storing each fused node's generated source.  A
+        # revision-4 entry still carries it; read, the text is ignored, but
+        # the entry is never served to this build's key.
+        assert cache.COMPILER_REVISION == 5
+        src = "main(x, y) incr(if is_less(x, y) then sub(6, x) else y)"
+        passes = ("inline", "constprop", "cse", "dce", "fuse", "donate")
+        graph = compile_source(src, optimize_passes=passes).graph
+        data = json.loads(dumps(graph))
+        for node in data["templates"]["main"]["nodes"]:
+            if "fused" in node:
+                node["codegen"] = "stored by revision 4"
+        with monkeypatch.context() as older:
+            older.setattr(cache, "COMPILER_REVISION", 4)
+            key = cache_key(src, passes=passes)
+            (cache_env / f"{key}.dlc").write_text(json.dumps(data), encoding="utf-8")
+            assert dumps(load_cached(key)) == dumps(graph)
         assert load_cached(cache_key(src, passes=passes)) is None
 
     def test_round_trip(self, cache_env):

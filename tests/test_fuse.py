@@ -15,6 +15,7 @@ across every executor.
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import numpy as np
@@ -23,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GraphError, compile_source, validate_program
+from repro.apps.montecarlo.coordination import compile_pi
+from repro.apps.retina import RetinaConfig, compile_retina
 from repro.compiler.passes.fuse import (
     FUSE_COST_THRESHOLD,
     LABEL_FULL_OPS,
@@ -44,6 +47,7 @@ from repro.obs import (
     EventBus,
     EventLog,
     Expansion,
+    FireBatchFormed,
     OperatorsFused,
     OpStarted,
     attach_metrics,
@@ -55,7 +59,9 @@ from repro.runtime import (
     ThreadedExecutor,
     default_registry,
 )
-from repro.runtime.operators import SELECT, fused_name
+from repro.runtime import operators
+from repro.runtime.operators import SELECT, fused_name, fused_spec, generate_source
+from repro.runtime.values import is_truthy
 
 from .test_optimizer_linear import golden_compiles, pythia_source
 from .test_properties import REGISTRY as PROPERTY_REGISTRY
@@ -162,6 +168,43 @@ def _plain_ops(graph):
 
 def _run(graph, *args, registry=REGISTRY):
     return SequentialExecutor().run(graph, args=args, registry=registry)
+
+
+def _sources(graph):
+    """The text every fused recipe of ``graph`` generates."""
+    return {generate_source(*node.fused) for _, _, node in _fused_nodes(graph)}
+
+
+@pytest.fixture
+def generated(monkeypatch, tmp_path):
+    """Empty the process-wide code cache and record every text generated
+    or compiled from a recipe, in this process and in the workers forked
+    from it; returns a reader of ``(pid, "generate" | "compile", text)``
+    rows."""
+    log = tmp_path / "generated.jsonl"
+
+    def record(what, text):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), what, text]) + "\n")
+        return text
+
+    monkeypatch.setattr(operators, "_CODE_CACHE", {})
+    monkeypatch.setattr(
+        operators, "generate_source",
+        lambda steps, untuple_n: record("generate", generate_source(steps, untuple_n)),
+    )
+    monkeypatch.setattr(
+        operators, "compile",
+        lambda text, *args: compile(record("compile", text), *args),
+        raising=False,
+    )
+
+    def rows():
+        if not log.exists():
+            return []
+        return [tuple(json.loads(line)) for line in log.read_text().splitlines()]
+
+    return rows
 
 
 def assert_single_exit_and_convex(template, region):
@@ -436,11 +479,9 @@ class TestIfConversion:
             assert (got.stats.tasks_fired, got.stats.expansions) == (1, 0)
 
     def test_generated_source_is_an_if_else_around_the_guarded_steps(self):
-        fused = compile_source(
-            IF_SOURCE, registry=REGISTRY, optimize_passes=FULL_PASS_ORDER
-        )
+        fused = _compile(IF_SOURCE)
         (_, _, node), = _fused_nodes(fused.graph)
-        body = node.codegen.split("    def _fused(a0, a1, a2):\n")[1]
+        body = generate_source(*node.fused).split("    def _fused(a0, a1, a2):\n")[1]
         assert body.startswith(
             "        t0 = _f0(a0, a1)\n"
             "        if _f2(t0):\n"
@@ -454,14 +495,14 @@ class TestIfConversion:
 
     def test_trivial_arms_select_in_an_if_else_of_their_own(self):
         src = "main(x, y)\n  incr(if is_less(x, y) then x else 7)"
-        fused = compile_source(src, registry=REGISTRY, optimize_passes=FULL_PASS_ORDER)
+        fused = _compile(src)
         (_, _, node), = _fused_nodes(fused.graph)
         assert (
             "        if _f1(t0):\n"
             "            t1 = a0\n"
             "        else:\n"
             "            t1 = a2\n"
-        ) in node.codegen
+        ) in generate_source(*node.fused)
         assert [_run(fused.graph, x, 2).value for x in (1, 3)] == [2, 8]
 
     def test_arm_constants_are_hoisted_once_per_type_and_value(self):
@@ -506,10 +547,9 @@ class TestIfConversion:
         assert not _ifs(fused.graph)
 
     @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
-    def test_the_untaken_arm_never_runs(self, executor, passes):
+    def test_the_untaken_arm_never_runs(self, executor):
         plain = compile_source(BOOM_SOURCE, registry=REGISTRY)
-        fused = compile_source(BOOM_SOURCE, registry=REGISTRY, optimize_passes=passes)
+        fused = _compile(BOOM_SOURCE)
         assert not _ifs(fused.graph)
         ticks = {}
         for name, graph in (("plain", plain.graph), ("fused", fused.graph)):
@@ -524,12 +564,11 @@ class TestIfConversion:
         if executor != "process":  # the worker counted, not this process
             assert ticks["fused"] == ticks["plain"] == [3]
 
-    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
     @pytest.mark.parametrize("k", range(len(CONDITIONS)), ids=[repr(c) for c in CONDITIONS])
-    def test_condition_edge_cases_match_the_if_node(self, k, passes):
+    def test_condition_edge_cases_match_the_if_node(self, k):
         src = "main(k, x)\n  incr(if cond_of(k) then incr(x) else decr(x))"
         plain = compile_source(src, registry=REGISTRY)
-        fused = compile_source(src, registry=REGISTRY, optimize_passes=passes)
+        fused = _compile(src)
         assert not _ifs(fused.graph)
         for executor in (SequentialExecutor(), ThreadedExecutor(2)):
             def run(graph):
@@ -598,17 +637,10 @@ class TestIfConversion:
 
 class TestPipelineOrdering:
     def test_fuse_is_graph_level(self):
-        assert GRAPH_PASS_ORDER == ("fuse", "donate", "codegen", "batch")
+        assert GRAPH_PASS_ORDER == ("fuse", "donate")
         assert "fuse" not in PASS_ORDER
         assert "donate" not in PASS_ORDER
-        assert "codegen" not in PASS_ORDER
-        assert "batch" not in PASS_ORDER
-        assert FULL_PASS_ORDER == PASS_ORDER + (
-            "fuse",
-            "donate",
-            "codegen",
-            "batch",
-        )
+        assert FULL_PASS_ORDER == PASS_ORDER + ("fuse", "donate")
 
     def test_split_passes_partitions(self):
         ast_passes, graph_passes = split_passes(
@@ -654,9 +686,8 @@ class TestSerialization:
         assert '"fused"' not in text
         assert dumps(loads(text)) == text
 
-    @pytest.mark.parametrize("passes", [FUSED_PASSES, FULL_PASS_ORDER], ids=["interp", "codegen"])
-    def test_guarded_recipe_round_trips_as_format_2(self, passes):
-        fused = compile_source(IF_SOURCE, registry=REGISTRY, optimize_passes=passes)
+    def test_guarded_recipe_round_trips_as_format_2(self):
+        fused = _compile(IF_SOURCE)
         text = dumps(fused.graph)
         assert json.loads(text)["format"] == 2
         restored = loads(text)
@@ -852,9 +883,9 @@ def _set_step(node, j, step):
     node.fused = (steps[:j] + (step,) + steps[j + 1:], untuple_n)
 
 
-def _if_graph(passes=FUSED_PASSES):
+def _if_graph():
     """``IF_SOURCE`` fused: one region of :data:`IF_STEPS` in ``main``."""
-    graph = compile_source(IF_SOURCE, registry=REGISTRY, optimize_passes=passes).graph
+    graph = _compile(IF_SOURCE).graph
     (_, node_id, node), = _fused_nodes(graph)
     return graph, node_id, node
 
@@ -989,9 +1020,8 @@ class TestRecipeValidation:
         assert f"template 'main': node {node_id}" in str(exc.value)
 
     def test_guarded_recipe_is_sound(self):
-        for passes in (FUSED_PASSES, FULL_PASS_ORDER):
-            graph, node_id, _ = _if_graph(passes)
-            assert fusion_violation(graph.templates["main"], node_id, REGISTRY) is None
+        graph, node_id, _ = _if_graph()
+        assert fusion_violation(graph.templates["main"], node_id, REGISTRY) is None
 
     @pytest.mark.parametrize("what", sorted(GUARD_CORRUPTIONS))
     def test_malformed_guard_is_refused(self, what):
@@ -1020,24 +1050,26 @@ class TestRecipeValidation:
         with pytest.raises(GraphError, match=f"node {node_id}"):
             loads(dumps(graph))
 
-    @pytest.mark.parametrize("batch", [False, True], ids=["plain", "batch"])
-    def test_tampered_codegen_text_is_refused_before_it_is_executed(
-        self, batch, tmp_path, monkeypatch
-    ):
-        from repro.tools import cache
-
-        passes = FULL_PASS_ORDER if batch else PASS_ORDER + ("fuse", "codegen")
-        graph, node_id, node = _if_graph(passes)
-        assert ("_delirium_bind_batch" in node.codegen) is batch
-        monkeypatch.setenv("DELIRIUM_CACHE_DIR", str(tmp_path))
-        key = cache.cache_key(IF_SOURCE, passes=passes)
-        cache.store_cached(key, graph)
-        assert cache.load_cached(key) is not None
-        node.codegen = node.codegen.replace("t2 = a1", "t2 = a0")
-        with pytest.raises(GraphError, match="codegen text is not the one"):
-            loads(dumps(graph))
-        cache.store_cached(key, graph)
-        assert cache.load_cached(key) is None
+    def test_stored_generated_text_is_ignored(self, generated):
+        """A pythia ``.dlc`` whose fused nodes still carry generated text
+        (as older builds wrote it), tampered: it loads, the text is never
+        read, and the run computes the reference value.  Every string
+        compiled on the way is what a recipe of the graph generates."""
+        source = pythia_source(10, 1990, 1990)
+        graph = compile_source(source, optimize_passes=FULL_PASS_ORDER).graph
+        data = json.loads(dumps(graph))
+        stored = [nd for t in data["templates"].values() for nd in t["nodes"] if "fused" in nd]
+        for nd in stored:
+            nd["codegen"] = "raise SystemExit('the stored text ran')\n"
+        assert len(stored) == 3
+        restored = loads(json.dumps(data))
+        assert dumps(restored) == dumps(graph)
+        plain = compile_source(source, optimize_passes=PASS_ORDER).graph
+        for args in [(1, 2, 3), (-4, 0, 9)]:
+            want = SequentialExecutor().run(plain, args=args).value
+            assert SequentialExecutor().run(restored, args=args).value == want
+        compiled = [text for _, what, text in generated() if what == "compile"]
+        assert compiled and set(compiled) <= _sources(graph)
 
     def test_compile_cache_does_not_serve_a_corrupted_entry(
         self, tmp_path, monkeypatch
@@ -1248,3 +1280,389 @@ class TestCaseStudies:
             assert got.value == want.value
             assert work(got.stats) == conserved
             assert got.stats.tasks_fired <= 6 and got.stats.expansions <= 2
+
+
+# ---------------------------------------------------------------------------
+# Generated bodies: one per recipe per process, with a batch form
+# ---------------------------------------------------------------------------
+
+
+class TestGenerateSource:
+    def test_multi_step_source_shape(self):
+        steps = (
+            ("incr", (("i", 0),)),
+            ("decr", (("t", 0),)),
+            ("add", (("t", 1), ("i", 1))),
+        )
+        source = generate_source(steps, 0)
+        assert "def _delirium_bind(_f0, _f1, _f2):" in source
+        assert "def _fused(a0, a1):" in source
+        assert "t0 = _f0(a0)" in source
+        assert "t1 = _f1(t0)" in source
+        assert "t2 = _f2(t1, a1)" in source
+        assert "return t2" in source
+        assert "def _delirium_bind_batch(_f0, _f1, _f2):" in source
+        # The text is a pure function of the recipe.
+        assert source == generate_source(steps, 0)
+
+    def test_single_step_binds_member_directly(self):
+        steps = (("split", (("i", 0),)),)
+        source = generate_source(steps, 2)
+        assert "return _f0" in source
+        assert "def _fused(" not in source  # no wrapper frame
+        steps = (("incr", (("i", 0),)),)
+        spec = fused_spec(fused_name(steps, 0), (steps, 0), REGISTRY)
+        assert spec.fn is REGISTRY.get("incr").fn
+
+    def test_untuple_marker_in_header(self):
+        steps = (("incr", (("i", 0),)), ("split3", (("t", 0),)))
+        assert ">untuple3" in generate_source(steps, 3).splitlines()[0]
+
+    def test_spec_computes_with_the_calling_registry(self):
+        reg = default_registry()
+        reg.register(name="shadow", pure=True)(lambda x: x * 100)
+        steps = (("shadow", (("i", 0),)), ("add", (("t", 0), ("i", 1))))
+        spec = fused_spec(fused_name(steps, 0), (steps, 0), reg)
+        assert spec.fn(2, 1) == 201
+        assert spec.batch_fn([(2, 1), (3, 0)]) == [201, 300]
+        assert spec.fn.__code__.co_filename == f"<delirium-fused {spec.name}>"
+
+
+def _evaluate(steps, args, registry):
+    """A recipe run step by step, the way its generated body must run it:
+    a guarded step only when its condition is what it names, a select
+    picking one of two values."""
+    t = []
+
+    def val(ref):
+        return args[ref[1]] if ref[0] == "i" else t[ref[1]]
+
+    for step in steps:
+        if len(step) > 2 and is_truthy(val(step[2][0])) != step[2][1]:
+            t.append(None)  # untaken: no select reads it
+        elif step[0] == SELECT:
+            cond, then, orelse = step[1]
+            t.append(val(then) if is_truthy(val(cond)) else val(orelse))
+        else:
+            t.append(registry.get(step[0]).fn(*map(val, step[1])))
+    return t[-1]
+
+
+def _i(k):
+    return ("i", k)
+
+
+def _t(k):
+    return ("t", k)
+
+
+#: Recipe shapes the fuse pass writes: ``(steps, untuple_n, argument rows)``.
+RECIPES = {
+    "one step": ((("incr", (_i(0),)),), 0, [(4,), (-1,)]),
+    "one step and its untuple": ((("split2", (_i(0),)),), 2, [(4,), (0,)]),
+    "chain read twice": (
+        (("incr", (_i(0),)), ("decr", (_t(0),)), ("mul", (_t(1), _t(1)))), 0, [(5,), (-3,)],
+    ),
+    "fan-in": (
+        (("incr", (_i(0),)), ("decr", (_t(0),)), ("incr", (_t(0),)), ("mul", (_t(1), _t(1))),
+         ("mul", (_t(2), _t(2))), ("add", (_t(3), _t(4)))),
+        0, [(4,), (-2,)],
+    ),
+    "chain into its untuple": ((("incr", (_i(0),)), ("split2", (_t(0),))), 2, [(4,), (-9,)]),
+    "two inputs": (
+        (("incr", (_i(0),)), ("mul", (_t(0), _i(1))), ("sub", (_t(1), _i(0)))),
+        0, [(0, 0), (3, 4), (-7, 2)],
+    ),
+    "guarded then-arm": (IF_STEPS, 0, [(1, 2, 6), (2, 1, 6), (0, 0, 6)]),
+    "trivial arms": (
+        (("is_less", (_i(0), _i(1))), (SELECT, (_t(0), _i(0), _i(2))), ("incr", (_t(1),))),
+        0, [(1, 2, 7), (3, 2, 7)],
+    ),
+    "guards on both arms": (
+        (("is_less", (_i(0), _i(1))), ("add", (_i(0), _i(1)), (_t(0), True)),
+         ("mul", (_i(1), _i(1)), (_t(0), False)), (SELECT, (_t(0), _t(1), _t(2))),
+         ("incr", (_t(3),))),
+        0, [(1, 2), (2, 1), (5, 5)],
+    ),
+    "untaken arm that raises": (
+        (("is_less", (_i(0), _i(1))), ("boom", (_i(0),), (_t(0), True)),
+         (SELECT, (_t(0), _t(1), _i(1)))),
+        0, [(3, 2), (7, -1)],
+    ),
+    "two folded ifs in a row": (
+        (("is_less", (_i(0), _i(1))), ("incr", (_i(0),), (_t(0), True)),
+         (SELECT, (_t(0), _t(1), _i(1))), ("is_less", (_t(2), _i(2))),
+         ("decr", (_t(2),), (_t(3), False)), (SELECT, (_t(3), _t(2), _t(4))),
+         ("add", (_t(2), _t(5)))),
+        0, [(1, 2, 0), (5, 2, 9), (0, 0, 0)],
+    ),
+}
+
+
+def _outcome_of(call):
+    """What ``call()`` returned, or the error it raised."""
+    try:
+        return ("value", call())
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("error", type(exc), str(exc))
+
+
+class TestGeneratedMatchesItsRecipe:
+    @pytest.mark.parametrize("shape", list(RECIPES))
+    def test_scalar_and_batch_forms_compute_the_recipe(self, shape):
+        steps, untuple_n, rows = RECIPES[shape]
+        spec = fused_spec(fused_name(steps, untuple_n), (steps, untuple_n), REGISTRY)
+        want = [_evaluate(steps, row, REGISTRY) for row in rows]
+        assert [spec.fn(*row) for row in rows] == want
+        assert spec.batch_fn(rows) == want
+        assert spec.arity == len(rows[0])
+
+    @pytest.mark.parametrize("k", range(len(CONDITIONS)), ids=[repr(c) for c in CONDITIONS])
+    def test_a_batch_tests_its_condition_like_single_fires(self, k):
+        src = "main(k, x)\n  incr(if cond_of(k) then incr(x) else decr(x))"
+        (_, _, node), = _fused_nodes(_compile(src).graph)
+        spec = fused_spec(node.name, node.fused, REGISTRY)
+        rows = [(k, 10), (k, -4)]
+        singles = [_outcome_of(lambda row=row: spec.fn(*row)) for row in rows]
+        reference = [_outcome_of(lambda row=row: _evaluate(node.fused[0], row, REGISTRY)) for row in rows]
+        assert singles == reference
+        batch = _outcome_of(lambda: spec.batch_fn(rows))
+        if all(kind == "value" for kind, *_ in singles):
+            assert batch == ("value", [value for _, value in singles])
+        else:
+            assert batch == singles[0]
+
+
+#: ``leaf``'s IF folds; ``par_reduce`` fires its fused body from many
+#: activations at once, so batching executors coalesce them.
+LEAF_SOURCE = """
+leaf(k) incr(if is_less(k, 0) then boom(k) else tick(k))
+main(lo, hi) par_reduce(add, leaf, lo, hi)
+"""
+
+BATCH_EXECUTORS = {
+    "sequential": lambda bus: SequentialExecutor(batch=True, bus=bus),
+    "threaded": lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
+    "process": lambda bus: ProcessExecutor(1, batch=True, cost_threshold=0.0, bus=bus),
+}
+
+
+class TestGeneratedBodies:
+    @pytest.mark.parametrize("executor", sorted(BATCH_EXECUTORS))
+    def test_the_untaken_arm_never_runs_in_a_batch(self, executor):
+        make = BATCH_EXECUTORS[executor]
+        plain = compile_source(LEAF_SOURCE, registry=REGISTRY, prelude=True)
+        fused = compile_source(
+            LEAF_SOURCE, registry=REGISTRY, prelude=True, optimize_passes=FUSED_PASSES
+        )
+        leaf = fused_name(
+            (
+                ("is_less", (_i(0), _i(1))),
+                ("boom", (_i(0),), (_t(0), True)),
+                ("tick", (_i(0),), (_t(0), False)),
+                (SELECT, (_t(0), _t(1), _t(2))),
+                ("incr", (_t(3),)),
+            ),
+            0,
+        )
+        assert leaf in {node.name for _, _, node in _fused_nodes(fused.graph)}
+        ticks = {}
+        for name, graph in (("plain", plain.graph), ("fused", fused.graph)):
+            del TICKS[:]
+            bus, log = EventBus(), EventLog()
+            log.attach(bus)
+            got = make(bus).run(graph, args=(0, 16), registry=REGISTRY)
+            assert got.value == sum(3 * k + 1 for k in range(16))
+            ticks[name] = sorted(TICKS)
+            if name == "fused":
+                assert leaf in {e.operator for e in log.of_type(FireBatchFormed)}
+            with pytest.raises(OperatorError) as exc:
+                make(None).run(graph, args=(-3, 13), registry=REGISTRY)
+            assert type(exc.value.__cause__) is ValueError
+            assert str(exc.value.__cause__).startswith("boom(-")
+        if executor != "process":  # the worker counted, not this process
+            assert ticks["fused"] == ticks["plain"] == list(range(16))
+
+    def test_fuse_alone_fires_generated_bodies_with_a_batch_form(self):
+        """``("fuse",)`` with no other pass: each fused body is generated
+        code with a batch form, coalesced groups of it ride every real
+        executor, and the results are ``--no-fuse``'s."""
+        fused = compile_pi(seed=11, batch_size=64, optimize_passes=("fuse",))
+        plain = compile_pi(seed=11, batch_size=64, optimize_passes=())
+        nodes = [node for _, _, node in _fused_nodes(fused.graph)]
+        assert nodes
+        for node in nodes:
+            spec = fused_spec(node.name, node.fused, fused.registry)
+            assert spec.fn.__code__.co_filename == f"<delirium-fused {node.name}>"
+            assert spec.batch_fn is not None
+        want = SequentialExecutor().run(plain.graph, args=(8,), registry=plain.registry)
+        for make in (
+            lambda bus: SequentialExecutor(batch=True, bus=bus),
+            lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
+            lambda bus: ProcessExecutor(1, cost_threshold=0.0, bus=bus),
+        ):
+            bus, log = EventBus(), EventLog()
+            log.attach(bus)
+            got = make(bus).run(fused.graph, args=(8,), registry=fused.registry)
+            assert got.value == want.value
+            groups = {e.operator for e in log.of_type(FireBatchFormed)}
+            assert {node.name for node in nodes} & groups
+
+    def test_generated_frames_attribute_to_operator_body(self):
+        from repro.obs import RunContext
+        from repro.obs.critpath import RECONCILIATION_TOLERANCE
+
+        reg = default_registry()
+
+        # Cost hints stay under FUSE_COST_THRESHOLD so the chain fuses;
+        # churn's ~1 ms of real array math must land in operator_body.
+        @reg.register(name="churn", pure=True, cost=50.0)
+        def churn(n):
+            return float(np.sqrt(np.arange(120_000, dtype=np.float64)).sum())
+
+        reg.register(name="scale2", pure=True, cost=10.0)(lambda x: x * 2.0)
+        graph = compile_source(
+            "main(n) scale2(churn(n))", registry=reg, optimize_passes=FUSED_PASSES
+        ).graph
+        assert _fused_nodes(graph), "churn>scale2 must fuse"
+        ctx = RunContext(record_events=True, flight_recorder=False)
+        executor = SequentialExecutor()
+        executor.run_ctx = ctx
+        result = executor.run(graph, args=(3,), registry=reg)
+        report = ctx.critical_path(result.wall_seconds)
+        assert report.reconciliation_error <= RECONCILIATION_TOLERANCE
+        attribution = report.attribution
+        assert attribution["operator_body"] > 5 * attribution["engine_overhead"] > 0.0
+
+    def test_bound_specs_serve_a_second_run(self):
+        # The same program on a fresh executor: op plans come from the
+        # module-level cache, and the value is the same.
+        graph = _compile(CHAIN_SOURCE).graph
+        first = SequentialExecutor().run(graph, args=(5,), registry=REGISTRY).value
+        second = SequentialExecutor().run(graph, args=(5,), registry=REGISTRY).value
+        assert first == second == 25
+
+    def test_profile_ops_measures_generated_bodies(self):
+        compiled = compile_retina(2, TINY_RETINA, fuse=True)
+        assert _fused_nodes(compiled.graph)
+        result = SequentialExecutor(profile_ops=True).run(
+            compiled.graph, registry=compiled.registry
+        )
+        assert 0.0 < result.stats.op_body_seconds <= result.wall_seconds
+
+
+TINY_RETINA = RetinaConfig(height=24, width=24, num_iter=2)
+
+#: ``(--no-fuse, fully fused)`` builds and the arguments they run with.
+APPS = {
+    "retina": lambda: (
+        (compile_retina(2, TINY_RETINA), compile_retina(2, TINY_RETINA, fuse=True, donate=True)),
+        (),
+    ),
+    "montecarlo": lambda: (
+        tuple(compile_pi(batch_size=2000, optimize_passes=p) for p in (PASS_ORDER, FULL_PASS_ORDER)),
+        (4,),
+    ),
+}
+
+#: cost_threshold=0 ships every fire, so workers run the bodies they
+#: generate from the recipes, not the master's bindings.
+APP_EXECUTORS = {
+    "sequential": SequentialExecutor,
+    "threaded": lambda: ThreadedExecutor(3),
+    "process": lambda: ProcessExecutor(2, cost_threshold=0.0),
+}
+
+
+@pytest.fixture(scope="module")
+def app_builds():
+    return {name: build() for name, build in APPS.items()}
+
+
+class TestApplicationsBitIdentical:
+    @pytest.mark.parametrize("executor", sorted(APP_EXECUTORS))
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_fused_matches_no_fuse(self, app_builds, app, executor):
+        (plain, fused), args = app_builds[app]
+        want = SequentialExecutor().run(plain.graph, args=args, registry=plain.registry)
+        got = APP_EXECUTORS[executor]().run(fused.graph, args=args, registry=fused.registry)
+        value = getattr(got.value, "signature", lambda: got.value)()
+        assert value == getattr(want.value, "signature", lambda: want.value)()
+        assert got.stats.fused_fires > 0
+
+
+class TestCaseStudyDumps:
+    @pytest.mark.parametrize("name", sorted(golden_compiles()))
+    def test_a_full_compile_stores_recipes_and_no_generated_text(self, name):
+        kwargs = dict(golden_compiles()[name])
+        source, registry = kwargs.pop("source"), kwargs.pop("registry")
+        graph = compile_source(
+            source, registry=registry, optimize_passes=FULL_PASS_ORDER, **kwargs
+        ).graph
+        text = dumps(graph)
+        assert '"codegen"' not in text
+        restored = loads(text)
+        assert dumps(restored) == text
+        assert _sources(restored) == _sources(graph)
+        for _, _, node in _fused_nodes(restored):
+            spec = fused_spec(node.name, node.fused, registry)
+            assert len(node.fused[0]) == 1 or (
+                spec.fn.__code__.co_filename == f"<delirium-fused {node.name}>"
+            )
+
+
+def _once_each(rows, graph, pids):
+    """Each recipe of ``graph`` was generated and compiled exactly once
+    across ``pids``, and nothing else was."""
+    want = sorted(_sources(graph))
+    for what in ("generate", "compile"):
+        assert sorted(t for p, w, t in rows if w == what and p in pids) == want
+
+
+class TestGeneratedOncePerProcess:
+    @pytest.fixture(scope="class")
+    def pythia(self):
+        return compile_source(
+            pythia_source(10, 1990, 1990), optimize_passes=FULL_PASS_ORDER
+        ).graph
+
+    ARGS = (3, -2, 7)
+
+    def test_two_warm_runs(self, pythia, generated):
+        executor = SequentialExecutor()
+        values = {executor.run(pythia, args=self.ARGS).value for _ in range(2)}
+        assert len(values) == 1 and len(_sources(pythia)) == 3
+        _once_each(generated(), pythia, {os.getpid()})
+
+    def test_the_simulator_over_two_runs(self, pythia, generated):
+        for _ in range(2):
+            SimulatedExecutor(uniform(2)).run(pythia, args=self.ARGS)
+        _once_each(generated(), pythia, {os.getpid()})
+
+    def test_a_worker_and_its_respawn(self, pythia, generated):
+        """The worker forks before the master has compiled anything, so it
+        generates every recipe it is sent itself, once.  A respawn forks
+        later and inherits what the master compiled by then."""
+        from repro.faults import FaultSpec
+
+        plain = compile_source(pythia_source(10, 1990, 1990)).graph
+        want = SequentialExecutor().run(plain, args=self.ARGS).value
+        got = ProcessExecutor(1, cost_threshold=0.0).run(pythia, args=self.ARGS)
+        assert got.value == want
+        rows = generated()
+        (worker,) = {p for p, _, _ in rows} - {os.getpid()}
+        _once_each(rows, pythia, {worker})
+        _once_each(rows, pythia, {os.getpid()})
+
+        operators._CODE_CACHE.clear()
+        executor = ProcessExecutor(
+            1, cost_threshold=0.0, fault_spec=FaultSpec.parse("kill:nth=1")
+        )
+        got = executor.run(pythia, args=self.ARGS)
+        assert got.value == want and got.stats.worker_respawns == 1
+        rows = generated()[len(rows):]
+        for pid in {p for p, _, _ in rows}:
+            for what in ("generate", "compile"):
+                texts = [t for p, w, t in rows if p == pid and w == what]
+                assert len(texts) == len(set(texts))
+                assert set(texts) <= _sources(pythia)

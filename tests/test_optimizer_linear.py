@@ -282,23 +282,25 @@ def dlc_digest(source: str, optimize_passes=FULL_PASS_ORDER, **kwargs) -> str:
 
 
 #: sha256 of the full-pass ``.dlc`` text, from the parent commit.
+#: Every graph with a fused node moved when a fused node stopped storing
+#: its generated source (the recipe alone is serialized); queens has none.
 GOLDEN_DLC_SHA256: dict[str, str] = {
-    "circuit": "2d18faca373b1e3d329e15e95d44c97e6db7a98f91d50ce6faa2f27b83c8ce66",
-    "log": "b3c8d9b3ab6ce6f9ae8aaacc51be96da8b92304805c45431d1d895211c15f132",
-    "option": "3ae4c02f15018bb6f554b5d789f88e4fa0be49f3eb36d991060b882e071229ee",
-    "pi": "8fb228a6bb83b5a330d91b0cd3ab8cfbd6a396dd300269b65d906b95251a4c61",
+    "circuit": "22600184388455cb1c8707fe88176e25effb396b074b4064a4ebc477b092aade",
+    "log": "aa14abdef2ff00bca96826a8cf2efffca5dfb17b09cc84f3a400d698c19b5aff",
+    "option": "fbd173d0fc2ed91e636dc1232bee17ca0c38f7de22e670df11371c5ee8df398d",
+    "pi": "23817106660de3783db5fcb0d2912052caff54e12d0f31a3d8e551832c40e0f0",
     # Moved when `fuse` went from chains to single-exit regions (20 chains ->
     # 4 regions; b833dfd4…), then when it folded IFs with cheap arms into
-    # them (3 regions, 3 templates); the other ten carry neither.
-    "pythia": "4db1e2034bef19730f82a69b8b7283526ffb53b80e4726048ffe6d1129791685",
+    # them (3 regions, 3 templates).
+    "pythia": "8199f7156aad6f1be8c76aba59ff36d20c2b06d46556ee1d60c74925ac3ab177",
     # Moved when ``try`` was spliced into ``do_it``; the parent's bytes
     # are :data:`QUEENS_AS_WRITTEN_SHA256`.
     "queens_4": "220722d5346d09f002c5e9526ef4947b8e6db260e3752a50646db36f519e9197",
     "queens_5": "b13b93e10ce801148c0e53eb99baf8bce3f86735fd4ebd26de72d7a81f412eb9",
     "queens_6": "14a1025b86085a23fff4c8842b61cf559258b2272619fe2fbf9960aa16c03c3e",
-    "raytracer": "32e1321fb88e5d636c42302f11af0f63881ae4628039900ba4ac4bd1d0815aca",
-    "retina_v1": "6bf71a94c661ef7ab538418ef4230f1761f6cdd073c59ee8ecb2e7f021c9fc6d",
-    "retina_v2": "1a3c18cc034aeec9d210eec8cc51de3347743e27fc1924b0bc13ca9b4084ef46",
+    "raytracer": "1f5374e1356a84e32ab88e89cf85abfda511943c1c15fc9710502fcc4f894773",
+    "retina_v1": "4c5f1e789f9e7ffb461a140669f1618d43ba55a7fbd9e6354c6d76f9b0013513",
+    "retina_v2": "790035772dbe5bb58e033a35603f02348b5955794876aea68541446407207590",
 }
 
 

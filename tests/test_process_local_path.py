@@ -426,7 +426,7 @@ def test_warm_pythia_decides_nothing_again(monkeypatch):
     for a, b in zip(first, second, strict=True):
         assert a.value == b.value
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-    # The fused codegen chains are what cannot leave: batch form,
+    # The fused chains are what cannot leave: batch form,
     # numeric hint under the threshold.
     assert executors._LOCAL in set(_classes(graph).values())
     assert second[0].stats.fused_fires > 0

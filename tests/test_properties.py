@@ -457,98 +457,3 @@ class TestDonationProperty:
             donated.graph, args=(n,), registry=REGISTRY
         ).value == reference
 
-
-class TestCodegenProperty:
-    """ISSUE 7: the codegen backend (fused recipes lowered to generated
-    specialized Python) is bit-identical to the step-by-step interpreted
-    recipes under every executor, worker count, donation setting, and
-    scheduling seed.  Both sides compile with fusion on — codegen only
-    changes *how* a fused chain's callable executes, never the graph."""
-
-    @staticmethod
-    def _passes(donate: bool, codegen: bool):
-        from repro.compiler.passes.pipeline import PASS_ORDER
-
-        graph_passes = ("fuse", "donate") if donate else ("fuse",)
-        if codegen:
-            graph_passes = graph_passes + ("codegen",)
-        return PASS_ORDER + graph_passes
-
-    def _pair(self, source, donate):
-        interpreted = compile_source(
-            source,
-            registry=REGISTRY,
-            optimize_passes=self._passes(donate, codegen=False),
-        )
-        lowered = compile_source(
-            source,
-            registry=REGISTRY,
-            optimize_passes=self._passes(donate, codegen=True),
-        )
-        return interpreted, lowered
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(0, 1000),
-    )
-    def test_sequential_codegen_matches(self, source, n, donate, seed):
-        interpreted, lowered = self._pair(source, donate)
-        reference = SequentialExecutor().run(
-            interpreted.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert SequentialExecutor().run(
-            lowered.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-        assert SequentialExecutor(seed=seed).run(
-            lowered.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(1, 6),
-    )
-    def test_threaded_codegen_matches(self, source, n, donate, workers):
-        interpreted, lowered = self._pair(source, donate)
-        reference = SequentialExecutor().run(
-            interpreted.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert ThreadedExecutor(workers).run(
-            lowered.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(1, 3),
-        st.integers(0, 100),
-    )
-    def test_process_codegen_matches(self, source, n, donate, workers, seed):
-        # cost_threshold=0 force-dispatches every fire, so the workers
-        # execute from the generated sources shipped at pool start, not
-        # the master's bound callables.
-        interpreted, lowered = self._pair(source, donate)
-        reference = SequentialExecutor().run(
-            interpreted.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert ProcessExecutor(
-            workers, cost_threshold=0.0, shm_threshold=256, seed=seed
-        ).run(lowered.graph, args=(n,), registry=REGISTRY).value == reference
-
-    @settings(max_examples=12, deadline=None)
-    @given(_programs(), st.integers(-5, 5), st.integers(1, 6))
-    def test_simulated_codegen_matches(self, source, n, p):
-        interpreted, lowered = self._pair(source, donate=True)
-        reference = SequentialExecutor().run(
-            interpreted.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert SimulatedExecutor(uniform(p)).run(
-            lowered.graph, args=(n,), registry=REGISTRY
-        ).value == reference
