@@ -44,7 +44,7 @@ def test_batching_smoke(report):
     compiled = compile_pi(
         seed=12,
         batch_size=BATCH_SIZE,
-        optimize_passes=PASS_ORDER + ("fuse", "donate"),
+        optimize_passes=PASS_ORDER + ("fuse",),
     )
     graph, registry = compiled.graph, compiled.registry
     args = (N_BATCHES,)

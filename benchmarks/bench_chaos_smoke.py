@@ -1,7 +1,7 @@
 """Chaos smoke checks, small enough for CI.
 
 The ISSUE 5 fault-tolerance layer exercised on the two case-study apps:
-retina (mutable slab state, fused + donated graphs) and the Monte-Carlo
+retina (mutable slab state, fused graphs) and the Monte-Carlo
 π estimator (pure fan-out/reduce), each run under the supervised process
 executor with
 
@@ -56,7 +56,7 @@ def _chaos_run(graph, registry):
 def test_retina_survives_chaos():
     prog = compile_retina(
         2, RetinaConfig(height=32, width=32, kernel_size=5, num_iter=2),
-        fuse=True, donate=True,
+        fuse=True,
     )
     fault_free = SequentialExecutor().run(prog.graph, registry=prog.registry)
     before = _shm_entries()

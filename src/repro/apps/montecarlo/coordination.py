@@ -72,7 +72,7 @@ def compile_pi(
     """The dartboard-π estimator.
 
     Extra keyword arguments go to :func:`repro.compile_source` — e.g.
-    ``optimize_passes=PASS_ORDER + ("fuse", "donate")`` for the fused
+    ``optimize_passes=PASS_ORDER + ("fuse",)`` for the fused
     configurations the batching benchmarks compare.
     """
     return compile_source(

@@ -93,7 +93,6 @@ def compile_retina(
     version: int = 2,
     config: RetinaConfig | None = None,
     fuse: bool = False,
-    donate: bool = False,
     **kwargs,
 ) -> CompiledProgram:
     """Compile retina v1 or v2 against its operator registry.
@@ -101,20 +100,14 @@ def compile_retina(
     The preprocessor receives ``NUM_ITER``/``START_SLAB``/``FINAL_SLAB``
     from the config, exactly as the paper's symbolic constants.  With
     ``fuse=True`` the graph-level fusion pass collapses cheap
-    single-consumer chains (and the split→untuple pairs) into super-nodes;
-    ``donate=True`` adds the last-use donation analysis (always after
-    fusion).  The default keeps the paper-shaped graphs that the figure
-    and dump tests pin.
+    single-consumer chains (and the split→untuple pairs) into super-nodes.
+    The default keeps the paper-shaped graphs that the figure and dump
+    tests pin.
     """
     cfg = config or RetinaConfig()
     source = {1: RETINA_V1, 2: RETINA_V2}[version]
-    if (fuse or donate) and "optimize_passes" not in kwargs:
-        passes = PASS_ORDER
-        if fuse:
-            passes = passes + ("fuse",)
-        if donate:
-            passes = passes + ("donate",)
-        kwargs["optimize_passes"] = passes
+    if fuse and "optimize_passes" not in kwargs:
+        kwargs["optimize_passes"] = PASS_ORDER + ("fuse",)
     return compile_source(
         source,
         registry=make_registry(cfg),

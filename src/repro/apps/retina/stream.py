@@ -68,18 +68,12 @@ do_convol(c1,c2,c3,c4)
 def compile_retina_stream(
     config: RetinaConfig | None = None,
     fuse: bool = False,
-    donate: bool = False,
     **kwargs,
 ) -> CompiledProgram:
     """Compile the one-timestep stream program against the v2 registry."""
     cfg = config or RetinaConfig()
-    if (fuse or donate) and "optimize_passes" not in kwargs:
-        passes = PASS_ORDER
-        if fuse:
-            passes = passes + ("fuse",)
-        if donate:
-            passes = passes + ("donate",)
-        kwargs["optimize_passes"] = passes
+    if fuse and "optimize_passes" not in kwargs:
+        kwargs["optimize_passes"] = PASS_ORDER + ("fuse",)
     return compile_source(
         RETINA_STREAM_STEP,
         registry=make_registry(cfg),

@@ -31,7 +31,6 @@ from ..runtime.operators import OperatorRegistry, default_registry
 from .analysis import analyze_program
 from .graphgen import generate_graphs
 from .lowering import lower_program
-from .passes import donate as donate_pass
 from .passes import fuse as fuse_pass
 from .passes import splice as splice_pass
 from .passes.pipeline import (
@@ -47,7 +46,6 @@ from .symtab import analyze
 #: why the order is what it is) decides the order they run in.
 _GRAPH_RUNNERS = {
     "fuse": fuse_pass.run,
-    "donate": donate_pass.run,
 }
 
 #: Table 1 pass names, in the paper's order.
@@ -107,14 +105,12 @@ def compile_source(
     optimize_passes:
         Which optimizations to run (``None`` or ``()`` disables all —
         useful for ablations and for differential testing of the passes).
-        ``"fuse"`` enables the graph-level operator-fusion pass and
-        ``"donate"`` the last-use donation analysis; both run after
-        template generation (donate after fuse) and are *not* in the
-        default set so default compilations keep their historical graph
-        shapes (the CLI enables them by default via ``--fuse`` /
-        ``--donate``).  A fused node carries only its recipe; every
-        process that runs it generates and binds the body itself
-        (:func:`~repro.runtime.operators.fused_spec`).
+        ``"fuse"`` enables the graph-level operator-fusion pass; it runs
+        after template generation and is *not* in the default set so
+        default compilations keep their historical graph shapes (the CLI
+        enables it by default via ``--fuse``).  A fused node carries only
+        its recipe; every process that runs it generates and binds the
+        body itself (:func:`~repro.runtime.operators.fused_spec`).
     strict:
         Enforce unbound-name errors during environment analysis.
     entry:

@@ -310,13 +310,6 @@ def run(
         regions_fused += len(regions)
         _remove_nodes(template, removed)
         nodes_removed += len(removed)
-        # Fusion changes port fan-outs, so any pre-existing last-use
-        # annotations on this template are stale; drop them and let the
-        # donation pass (which always runs after fusion) recompute facts
-        # on the final graph shape.  Dropping is the safe direction — a
-        # missing donation is just a skipped optimization.
-        for node in template.nodes:
-            node.donated = None
     for arm in arms - graph.reachable_templates():
         del graph.templates[arm]
     if not regions_fused:

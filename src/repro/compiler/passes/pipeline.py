@@ -68,9 +68,7 @@ PASS_ORDER = ("inline", "constprop", "cse", "dce")
 #: Graph-level passes, run by the driver *after* template generation (they
 #: rewrite coordination graphs, not ASTs, so they live outside the fixpoint
 #: loop).  Names share the same flat namespace as :data:`PASS_ORDER`.
-#: ``donate`` always runs after ``fuse`` so last-use facts are computed on
-#: the post-fusion graph (fused super-nodes are ordinary OP nodes by then).
-GRAPH_PASS_ORDER = ("fuse", "donate")
+GRAPH_PASS_ORDER = ("fuse",)
 
 #: Every pass name a caller may request, in execution order.
 FULL_PASS_ORDER = PASS_ORDER + GRAPH_PASS_ORDER

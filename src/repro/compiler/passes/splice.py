@@ -68,7 +68,6 @@ def _copy(node: Node, inputs: list[Port], tail: bool) -> Node:
         n_then_captures=node.n_then_captures,
         recursive=node.recursive,
         fused=node.fused,
-        donated=None,  # last-use facts are the donation pass's, which runs later
         tail=tail,
         label=node.label,
     )

@@ -115,15 +115,6 @@ class Node:
         outputs instead of one.  ``None`` for ordinary nodes.  The
         recipe is the node's whole artifact: each process generates the
         body it fires from it (:func:`repro.runtime.operators.fused_spec`).
-    donated:
-        For ``OP`` nodes: sorted tuple of input indices whose incoming
-        edge the donation pass proved to be the *last use* of the value —
-        this node is the sole consumer of the producing port, the port is
-        not the template result, and the producer is not a closure capture
-        or a function result.  The engine hands such inputs to the
-        operator for in-place mutation without a copy-on-write copy, and
-        recycles their buffers at rc→0.  ``None`` when the pass did not
-        run (the default graphs carry no annotations).
     tail:
         The node's output *is* the template result; expansions inherit the
         parent continuation (constant-space loops).
@@ -142,7 +133,6 @@ class Node:
     n_then_captures: int = 0
     recursive: bool = False
     fused: tuple | None = None
-    donated: tuple | None = None
     tail: bool = False
     label: str = ""
 
@@ -284,12 +274,8 @@ class Template:
                 if untuple_n:
                     chain += f">untuple{untuple_n}"
                 extra = f" fused=[{chain}]"
-                if node.donated:
-                    extra += f" donated={list(node.donated)}"
             elif node.kind in (NodeKind.OP, NodeKind.OPREF):
                 extra = f" op={node.name}"
-                if node.donated:
-                    extra += f" donated={list(node.donated)}"
             elif node.kind is NodeKind.CLOSURE:
                 extra = f" template={node.template}"
             elif node.kind is NodeKind.IF:

@@ -35,8 +35,9 @@ GUARDED_FORMAT_VERSION = 2
 #: grows single-exit regions where it collapsed linear chains.  4: ``fuse``
 #: folds an ``IF`` whose arms are cheap operators into its region.  5: a
 #: fused node no longer carries generated source (it is made from the
-#: recipe at load).
-COMPILER_REVISION = 5
+#: recipe at load).  6: an operator node no longer carries static last-use
+#: edges (the engine's sole-reference check is the only copy decision).
+COMPILER_REVISION = 6
 
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}
@@ -95,10 +96,6 @@ def _encode_node(node: Node) -> dict:
             ],
             "untuple": untuple_n,
         }
-    if node.donated:
-        # Emitted only when non-empty so graphs compiled without the
-        # donation pass serialize bit-for-bit as before.
-        out["donated"] = list(node.donated)
     if node.tail:
         out["tail"] = True
     if node.label:
@@ -136,11 +133,10 @@ def _decode_node(data: dict) -> Node:
             tuple(_decode_step(*step) for step in fused["steps"]),
             int(fused.get("untuple", 0)),
         )
-    donated = data.get("donated")
-    if donated:
-        node.donated = tuple(int(i) for i in donated)
-    # Keys this build does not read are ignored, among them the generated
-    # ``codegen`` text older builds stored: a body is made from its recipe.
+    # Keys this build does not read are ignored, among them two that older
+    # builds stored: the generated ``codegen`` text (a body is made from
+    # its recipe) and per-edge last-use lists (the engine decides every
+    # copy from the reference count).
     return node
 
 

@@ -10,8 +10,7 @@ diagnosis.  :func:`validate_program` checks the whole-program invariants:
 * templates are acyclic (data flows forward only — cycles would deadlock
   the firing rule);
 * placeholders are exactly the leading nodes and never fire on their own;
-* donation annotations and fused recipes satisfy their static rules
-  (:func:`donation_violation`, :func:`fusion_violation`);
+* fused recipes satisfy their static rules (:func:`fusion_violation`);
 * ``IF`` capture splits are consistent; ``UNTUPLE`` output counts are
   positive; every non-placeholder node is reachable... every node's value
   is *used* somewhere or is the result (an unused node is legal — DCE
@@ -27,16 +26,6 @@ from typing import Any
 from ..errors import GraphError
 from ..runtime.operators import SELECT, fused_name
 from .ir import GraphProgram, NodeKind, Template
-
-#: Producer kinds whose outputs may be donated: plain data sources.  A
-#: ``CAPTURE`` is a closure capture (pinned for the closure's lifetime),
-#: ``CALL``/``IF`` outputs are function results (the value may simultaneously
-#: be the callee template's result and so outlive this edge), and
-#: ``CLOSURE``/``OPREF`` produce code values that donation cannot apply to.
-DONATABLE_PRODUCERS = frozenset(
-    {NodeKind.OP, NodeKind.CONST, NodeKind.PARAM,
-     NodeKind.TUPLE, NodeKind.UNTUPLE}
-)
 
 
 @dataclass
@@ -140,56 +129,6 @@ def _check_references(
                 raise GraphError(
                     f"template {template.name!r}: untuple node {i} has "
                     f"{node.n_outputs} outputs"
-                )
-
-
-def donation_violation(
-    template: Template, node_id: int, input_index: int
-) -> str | None:
-    """Why input ``input_index`` of node ``node_id`` must NOT be donated.
-
-    Returns ``None`` when the edge satisfies every static donation
-    condition (sole consumer of a non-result port whose producer is a
-    plain data source, on an ``OP`` node).  This is the single source of
-    truth for the donation rule: the compiler pass annotates exactly the
-    edges this function accepts, and :func:`validate_template` recomputes
-    it so a mis-annotated graph (hand-edited, corrupted, or produced by a
-    buggy pass) is rejected before it can corrupt shared payloads.
-    """
-    node = template.nodes[node_id]
-    if node.kind is not NodeKind.OP:
-        return f"node {node_id} is {node.kind.value}, not an operator"
-    if not (0 <= input_index < len(node.inputs)):
-        return f"node {node_id} has no input {input_index}"
-    port = node.inputs[input_index]
-    producer = template.nodes[port.node]
-    if producer.kind not in DONATABLE_PRODUCERS:
-        return (
-            f"producer node {port.node} is a {producer.kind.value} "
-            "(closure capture or function result)"
-        )
-    if template.result is not None and (
-        template.result.node == port.node and template.result.out == port.out
-    ):
-        return f"port {port.node}.{port.out} is the template result"
-    if len(template.consumers[port.node][port.out]) != 1:
-        return (
-            f"port {port.node}.{port.out} has "
-            f"{len(template.consumers[port.node][port.out])} consumers"
-        )
-    return None
-
-
-def _check_donations(template: Template) -> None:
-    for node_id, node in enumerate(template.nodes):
-        if not node.donated:
-            continue
-        for input_index in node.donated:
-            reason = donation_violation(template, node_id, input_index)
-            if reason is not None:
-                raise GraphError(
-                    f"template {template.name!r}: node {node_id} input "
-                    f"{input_index} is annotated donated, but {reason}"
                 )
 
 
@@ -301,7 +240,6 @@ def validate_template(
     _check_placeholders(template)
     _check_acyclic(template)
     _check_references(template, program)
-    _check_donations(template)
     _check_fusions(template, registry)
 
 

@@ -46,10 +46,8 @@ from .events import (
     BlockAllocated,
     BlockReleased,
     BlockRetained,
-    BufferRecycled,
     CheckpointWritten,
     CowCopy,
-    DonationApplied,
     Event,
     EventBus,
     EventLog,
@@ -105,7 +103,6 @@ __all__ = [
     "BlockAllocated",
     "BlockReleased",
     "BlockRetained",
-    "BufferRecycled",
     "CheckpointWritten",
     "ChromeTraceCollector",
     "Counter",
@@ -113,7 +110,6 @@ __all__ = [
     "CriticalPathReport",
     "DEFAULT_BUCKETS",
     "DEFAULT_CAPACITY",
-    "DonationApplied",
     "EVENT_LOG_MAXLEN",
     "Event",
     "EventBus",

@@ -153,8 +153,7 @@ class ActivationRecycled(Event):
 @dataclass(frozen=True, slots=True)
 class BlockAllocated(Event):
     """A fresh :class:`~repro.runtime.blocks.DataBlock` was constructed
-    (COW copies included; recycled-buffer copies construct one too, but
-    reuse the payload allocation)."""
+    (COW copies included)."""
 
     nbytes: int
 
@@ -180,25 +179,6 @@ class BlockReleased(Event):
 @dataclass(frozen=True, slots=True)
 class CowCopy(Event):
     """A copy-on-write copy, attributed to the operator that forced it."""
-
-    operator: str
-    nbytes: int
-
-
-@dataclass(frozen=True, slots=True)
-class DonationApplied(Event):
-    """A statically donated edge let the engine hand a block to its
-    operator in place — the copy-on-write decision was discharged at
-    compile time by the donation pass."""
-
-    operator: str
-    nbytes: int
-
-
-@dataclass(frozen=True, slots=True)
-class BufferRecycled(Event):
-    """A copy-on-write copy reused a pooled buffer (``np.copyto`` into a
-    recycled allocation) instead of allocating fresh memory."""
 
     operator: str
     nbytes: int
@@ -493,8 +473,6 @@ ALL_EVENTS: tuple[type, ...] = (
     BlockRetained,
     BlockReleased,
     CowCopy,
-    DonationApplied,
-    BufferRecycled,
     Expansion,
     TailExpansion,
     TaskDispatched,

@@ -45,7 +45,6 @@ from typing import Any, Callable
 from .events import (
     CheckpointWritten,
     CowCopy,
-    DonationApplied,
     Event,
     EventBus,
     EventLog,
@@ -81,7 +80,6 @@ DEFAULT_EVENTS: tuple[type, ...] = (
     Expansion,
     OperatorsFused,
     CowCopy,
-    DonationApplied,
     WorkerCrashed,
     WorkerRespawned,
     FireRetried,

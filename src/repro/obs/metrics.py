@@ -34,10 +34,8 @@ from .events import (
     BlockRefShipped,
     BlockReleased,
     BlockRetained,
-    BufferRecycled,
     CheckpointWritten,
     CowCopy,
-    DonationApplied,
     Event,
     EventBus,
     ExecutorDegraded,
@@ -301,12 +299,8 @@ def attach_metrics(
     fused_ops_saved = reg.counter("fused_ops_saved")
     fire_batches = reg.counter("fire_batches")
     batched_fires = reg.counter("batched_fires")
-    donated_fires = reg.counter("blocks.donated_fires")
-    donated_bytes = reg.counter("blocks.donated_bytes")
     blocks_allocated = reg.counter("blocks_allocated")
     blocks_alloc_bytes = reg.counter("blocks_allocated_bytes")
-    buffers_recycled = reg.counter("pool.buffers_recycled")
-    pool_recycled_bytes = reg.counter("pool.recycled_bytes")
     worker_crashes = reg.counter("worker_crashes")
     worker_respawns = reg.counter("worker_respawns")
     fires_retried = reg.counter("fires_retried")
@@ -348,12 +342,6 @@ def attach_metrics(
         elif isinstance(e, CowCopy):
             cow_copies.inc(label=e.operator)
             cow_bytes.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, DonationApplied):
-            donated_fires.inc(label=e.operator)
-            donated_bytes.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, BufferRecycled):
-            buffers_recycled.inc(label=e.operator)
-            pool_recycled_bytes.inc(e.nbytes, label=e.operator)
         elif isinstance(e, BlockAllocated):
             blocks_allocated.inc()
             blocks_alloc_bytes.inc(e.nbytes)

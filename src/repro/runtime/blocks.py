@@ -223,88 +223,6 @@ class DataBlock:
         )
 
 
-class BufferPool:
-    """Free lists of same-shape/dtype NumPy buffers for COW reuse.
-
-    When a donated block dies at rc→0 and its payload is a bare array the
-    engine proved the operator result cannot alias, the buffer lands here
-    instead of going back to the allocator; the next copy-on-write copy of
-    a matching shape/dtype becomes ``np.copyto`` into the recycled buffer
-    instead of a fresh allocation.  Capacity is bounded in bytes (oldest
-    offers are simply dropped once full), so the pool can never turn the
-    runtime into a leak — the CI memory-smoke benchmark guards this.
-
-    The pool is per-:class:`~repro.runtime.engine.ExecutionState` and is
-    only touched under the engine's serialization discipline (the single
-    thread, the threaded executor's condition lock, or the process
-    master), so it needs no locking of its own.
-    """
-
-    __slots__ = (
-        "max_bytes", "held_bytes", "recycled", "recycled_bytes", "dropped",
-        "_free",
-    )
-
-    def __init__(self, max_bytes: int = 128 * 1024 * 1024) -> None:
-        self.max_bytes = max_bytes
-        self.held_bytes = 0
-        self.recycled = 0        #: buffers handed back out via get()
-        self.recycled_bytes = 0  #: bytes of those buffers
-        self.dropped = 0         #: offers rejected (full pool / unusable)
-        self._free: dict[tuple, list[np.ndarray]] = {}
-
-    @staticmethod
-    def _key(shape: tuple, dtype: Any) -> tuple:
-        return (shape, np.dtype(dtype).str)
-
-    def put(self, arr: Any) -> bool:
-        """Offer a dead buffer for reuse; returns whether it was kept.
-
-        Only owning, C-contiguous, non-empty arrays are poolable — a view
-        does not own its memory, and copying into a strided target would
-        lose the cheap-``copyto`` property.
-        """
-        if (
-            not isinstance(arr, np.ndarray)
-            or arr.base is not None
-            or not arr.flags.c_contiguous
-            or not arr.flags.writeable
-            or arr.nbytes == 0
-            or self.held_bytes + arr.nbytes > self.max_bytes
-        ):
-            self.dropped += 1
-            return False
-        free = self._free.setdefault(self._key(arr.shape, arr.dtype), [])
-        for held in free:
-            if held is arr:
-                raise RuntimeError(
-                    "buffer offered to the pool twice — a firing was "
-                    "released more than once (retry double-release?)"
-                )
-        free.append(arr)
-        self.held_bytes += arr.nbytes
-        return True
-
-    def get(self, shape: tuple, dtype: Any) -> np.ndarray | None:
-        """A recycled buffer of exactly this shape/dtype, or ``None``."""
-        free = self._free.get(self._key(shape, dtype))
-        if not free:
-            return None
-        arr = free.pop()
-        self.held_bytes -= arr.nbytes
-        self.recycled += 1
-        self.recycled_bytes += arr.nbytes
-        return arr
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "recycled": self.recycled,
-            "recycled_bytes": self.recycled_bytes,
-            "held_bytes": self.held_bytes,
-            "dropped": self.dropped,
-        }
-
-
 #: Exact-class dispatch cache for :func:`wrap_payload`: 0 = circulate
 #: unwrapped, 1 = tuple-like → MultiValue, 2 = wrap in a DataBlock.  Every
 #: isinstance outcome below is a function of the payload's exact class, so

@@ -103,10 +103,11 @@ def program_fingerprint(program: Any) -> str:
     """Content hash of a compiled program graph.
 
     Hashes the canonical serialized form (:mod:`repro.graph.serialize`),
-    which includes fusion recipes and donation plans — so ``--no-fuse``
-    against a fused checkpoint already differs here, before the flag set
-    is even compared.  A checkpoint taken by a build whose ``.dlc`` still
-    carried generated fused source differs here too, and is refused.
+    which includes fusion recipes — so ``--no-fuse`` against a fused
+    checkpoint already differs here, before the flag set is even
+    compared.  A checkpoint taken by a build whose ``.dlc`` still carried
+    generated fused source or per-edge last-use lists differs here too,
+    and is refused.
     """
     from ..graph import serialize
 

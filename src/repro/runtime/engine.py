@@ -12,10 +12,10 @@ of time, and processor placement, and drive the state through two calls:
 * :meth:`fire` — fire one ready task, returning the tasks it made ready.
 
 An operator firing is written once, as two halves: *bind* (resolve the
-spec, take the node's inputs, make every in-place / copy-on-write /
-donation decision — :meth:`ExecutionState._bind`) and *commit* (wrap and
-deliver the result, release the input references, recycle dead donated
-buffers — :meth:`ExecutionState._commit`).  ``fire`` runs them back to
+spec, take the node's inputs, make every in-place / copy-on-write
+decision — :meth:`ExecutionState._bind`) and *commit* (wrap and deliver
+the result, release the input references —
+:meth:`ExecutionState._commit`).  ``fire`` runs them back to
 back around the body.  For executors that overlap operator bodies
 (threads, worker processes) the same halves are split at the body into
 :meth:`begin_fire`, which returns a :class:`PendingOp`, and
@@ -40,9 +40,7 @@ import numpy as np
 from ..errors import GraphError, OperatorError, RuntimeFailure
 from ..graph.ir import GraphProgram, Node, NodeKind, Template
 from ..obs.events import (
-    BufferRecycled,
     CowCopy,
-    DonationApplied,
     EventBus,
     Expansion,
     OperatorsFused,
@@ -53,14 +51,7 @@ from ..obs.events import (
 )
 from .activation import Activation, ActivationPool, NodePlan, TemplatePlan
 from . import blocks as _blocks
-from .blocks import (
-    BufferPool,
-    DataBlock,
-    release,
-    retain,
-    unwrap,
-    wrap_payload,
-)
+from .blocks import DataBlock, release, retain, unwrap, wrap_payload
 from .operators import OperatorRegistry, OperatorSpec, fused_source_ops, node_spec
 from .scheduler import Task
 from .values import Closure, MultiValue, OperatorValue, is_truthy
@@ -197,10 +188,6 @@ class PendingOp:
     #: critical-path profiler reconstructs the causal DAG with.
     seq: int = -1
     priority: int = 0
-    #: Input indices the donation pass proved are last uses
-    #: (``node.donated``); empty when the pass did not run or the node
-    #: has no donated edges.
-    donated: tuple[int, ...] = ()
     #: Set by :meth:`ExecutionState.complete_fire` on commit.  A retried
     #: fire must never be committed twice — the second commit would
     #: double-release every input share and underflow the pools.
@@ -244,18 +231,6 @@ class EngineStats:
     fused_ops_saved: int = 0
     cow_copies: int = 0
     in_place_writes: int = 0
-    #: Copies the donation analysis discharged: donated *modifies* args
-    #: handed over for in-place mutation, and defensive view copies skipped
-    #: because the view's base block was a dying donated input.
-    copies_avoided: int = 0
-    bytes_copy_avoided: int = 0
-    #: Donated edges whose block turned out shared at fire time (dynamic
-    #: aliasing the static analysis cannot see); fell back to COW.
-    donation_misses: int = 0
-    #: COW copies written into pool-recycled buffers (``np.copyto``)
-    #: instead of fresh allocations, and the bytes those reused.
-    buffers_recycled: int = 0
-    buffer_bytes_recycled: int = 0
     expansions: int = 0
     tail_expansions: int = 0
     #: Fault-tolerance counters (supervised executors; see
@@ -296,8 +271,6 @@ class EngineStats:
     #: ``perf_counter`` reads per firing, no event objects).
     op_body_seconds: float = 0.0
     activation_stats: dict[str, int] = field(default_factory=dict)
-    #: Buffer-pool snapshot (see :class:`~repro.runtime.blocks.BufferPool`).
-    pool_stats: dict[str, int] = field(default_factory=dict)
     #: Copy-on-write copies attributed to the operator that forced them —
     #: the profiling view a Delirium programmer uses to find the large
     #: structure that should have been split (section 2.1's advice).
@@ -323,47 +296,17 @@ def _package_blocks(values: Any) -> list[DataBlock]:
     ]
 
 
-def _may_alias(result: Any, payload: np.ndarray) -> bool:
-    """Could ``result`` reach ``payload``'s memory?  Conservative.
+def _arg_codes(spec: OperatorSpec, n_args: int) -> tuple[bool, ...] | None:
+    """Per-argument write flags for :meth:`ExecutionState._bind`.
 
-    Arrays are walked down their ``base`` chain; tuples recurse; atomic
-    immutables cannot alias.  Anything else is an opaque application
-    object that may hold a view we cannot see — assume it does.
-    """
-    if result is None or isinstance(
-        result, (int, float, complex, bool, str, bytes, np.integer,
-                 np.floating, np.bool_)
-    ):
-        return False
-    if isinstance(result, np.ndarray):
-        base: Any = result
-        while isinstance(base, np.ndarray):
-            if base is payload:
-                return True
-            base = base.base
-        return False
-    if isinstance(result, tuple):
-        return any(_may_alias(x, payload) for x in result)
-    return True
-
-
-def _arg_codes(
-    spec: OperatorSpec, n_args: int, donated: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Per-argument action codes for :meth:`ExecutionState._bind`.
-
-    ``0`` read-only, ``1`` modified through a donated edge, ``2``
-    modified; ``None`` when the operator writes none of its arguments —
-    the two set probes (``i in modifies`` / ``i in donated``) folded into
-    one tuple index.
+    Whether the body modifies argument ``i``; ``None`` when the operator
+    writes none of its arguments — the ``i in modifies`` set probe folded
+    into one tuple index.
     """
     modifies = spec.modifies
     if not modifies:
         return None
-    return tuple(
-        (1 if i in donated else 2) if i in modifies else 0
-        for i in range(n_args)
-    )
+    return tuple(i in modifies for i in range(n_args))
 
 
 def _fingerprint(payload: Any) -> object:
@@ -415,9 +358,6 @@ class ExecutionState:
         self.profile_ops = profile_ops
         self.bus = bus if (bus is not None and bus.active) else None
         self.pool = ActivationPool(bus=self.bus)
-        #: Free lists of dead donated buffers for COW-copy reuse; touched
-        #: only under the engine's serialization discipline.
-        self.buffers = BufferPool()
         #: Residency tracker installed by the supervised process executor
         #: when an affinity policy is active; consulted (via ``block.bid``
         #: guards, so the sequential hot path pays one attribute load)
@@ -447,7 +387,6 @@ class ExecutionState:
         self._wants_enqueued = bus is not None and bus.wants(TaskEnqueued)
         self._wants_op_started = bus is not None and bus.wants(OpStarted)
         self._wants_op_finished = bus is not None and bus.wants(OpFinished)
-        self._wants_donation = bus is not None and bus.wants(DonationApplied)
         self._wants_cow = bus is not None and bus.wants(CowCopy)
         self._wants_expansion = bus is not None and bus.wants(Expansion)
         self._wants_tail_expansion = bus is not None and bus.wants(
@@ -527,8 +466,8 @@ class ExecutionState:
         """Compute the per-node constants of one ``OP`` node into its row
         of the template's table.
 
-        ``(spec, fn, untuple_n, n_source_ops, is_fused, donated,
-        arg_codes, single_pass)``.  ``arg_codes`` is what :meth:`_bind`
+        ``(spec, fn, untuple_n, n_source_ops, is_fused, arg_codes,
+        single_pass)``.  ``arg_codes`` is what :meth:`_bind`
         reads; ``single_pass`` is False on a static arity mismatch (the
         begin path raises the canonical error).  A purity-checking state
         shares the plan and never takes the single pass: its
@@ -543,7 +482,6 @@ class ExecutionState:
         else:
             untuple_n = 0
             n_source_ops = 1
-        donated = node.donated if node.donated is not None else ()
         n = len(node.inputs)
         plan = entry.op = (
             spec,
@@ -551,8 +489,7 @@ class ExecutionState:
             untuple_n,
             n_source_ops,
             fused is not None,
-            donated,
-            _arg_codes(spec, n, donated),
+            _arg_codes(spec, n),
             spec.arity in (None, n),
         )
         return plan
@@ -577,7 +514,7 @@ class ExecutionState:
         act.fired += 1
         stats = self.stats
         stats.tasks_fired += 1
-        spec, fn, untuple_n, n_source_ops, is_fused, donated, codes, _ = plan
+        spec, fn, untuple_n, n_source_ops, is_fused, codes, _ = plan
         # The live slots row, not a copy: the activation is pinned until
         # the commit below ends, and a node fires exactly once, so
         # nothing can write the row while we hold it.
@@ -630,8 +567,8 @@ class ExecutionState:
         # pin keeps the recycling check from freeing it under our feet.
         act.pend_ops += 1
         return self._commit(
-            act, node_id, untuple_n, raw_result, arg_blocks, inputs,
-            donated, home, False, None,
+            act, node_id, untuple_n, raw_result, arg_blocks, inputs, home,
+            None,
         )
 
     def _body_failed(
@@ -861,9 +798,7 @@ class ExecutionState:
             raw_result,
             pending.arg_blocks,
             pending.all_inputs,
-            pending.donated,
             pending.home,
-            pending.remote,
             pending,
         )
 
@@ -875,19 +810,14 @@ class ExecutionState:
         raw_result: Any,
         arg_blocks: list[DataBlock | None],
         inputs: list[Any],
-        donated: tuple[int, ...],
         home: int,
-        remote: bool,
         pending: PendingOp | None,
     ) -> list[Task]:
         """The commit half of every operator firing.
 
         Checks a fused untuple, wraps and delivers the result, releases
-        the firing's share of every edge value in ``inputs``, offers dead
-        donated buffers to the pool, and unpins the activation (the
-        caller pinned it with ``pend_ops``).  ``donated`` indexes
-        ``inputs``: only ``OP`` nodes carry donation facts, and all of an
-        ``OP`` node's inputs are operator arguments.
+        the firing's share of every edge value in ``inputs``, and unpins
+        the activation (the caller pinned it with ``pend_ops``).
         """
         newly: list[Task] = []
         # Inlined _deliver_output, specialized for carried_share == 0 and
@@ -932,7 +862,7 @@ class ExecutionState:
             # Tuples (→ MultiValue) and ndarray results (input-view
             # aliasing check) still take the full path.
             if isinstance(element, (tuple, np.ndarray)):
-                value = self._wrap_result(element, arg_blocks, home, donated)
+                value = self._wrap_result(element, arg_blocks, home)
             else:
                 for b in arg_blocks:
                     if b is not None and b.payload is element:
@@ -978,30 +908,6 @@ class ExecutionState:
                 v.rc -= 1
             else:
                 release(v, 1)
-        # After the releases: a donated input that just died (rc 0) can
-        # hand its buffer to the pool.  Only provably safe buffers are
-        # pooled: a bare owning array (the pool enforces the shape of
-        # reusable buffers) that the raw result does not alias — a remote
-        # result never can (it was deserialized from the worker), a local
-        # one is walked structurally, and opaque application objects are
-        # conservatively assumed to hold views.
-        if donated:
-            # One buffer may sit on two donated edges (an operator that
-            # returned the same array twice): offer it once.
-            offered: list[np.ndarray] = []
-            for i in donated:
-                if i >= len(inputs):
-                    continue
-                v = inputs[i]
-                if (
-                    isinstance(v, DataBlock)
-                    and v.rc == 0
-                    and isinstance(v.payload, np.ndarray)
-                    and (remote or not _may_alias(raw_result, v.payload))
-                    and not any(v.payload is o for o in offered)
-                ):
-                    offered.append(v.payload)
-                    self.buffers.put(v.payload)
         act.pend_ops -= 1
         # Inlined _maybe_free.
         if (
@@ -1026,7 +932,6 @@ class ExecutionState:
 
     def snapshot_stats(self) -> EngineStats:
         self.stats.activation_stats = self.pool.stats()
-        self.stats.pool_stats = self.buffers.stats()
         return self.stats
 
     def snapshot_state(self) -> dict[str, Any]:
@@ -1040,7 +945,6 @@ class ExecutionState:
             "in_flight_ops": sum(a.pend_ops for a in self.pool.live_set),
             "finished": self.finished,
             "activation_stats": self.pool.stats(),
-            "buffer_pool": self.buffers.stats(),
         }
 
     def stall_report(self, limit: int = 8) -> str:
@@ -1240,7 +1144,7 @@ class ExecutionState:
         classify: Classify | None,
     ) -> PendingOp:
         """The begin half of a suspended operator firing: bind, pin, announce."""
-        spec, _, _, n_source_ops, is_fused, donated, codes, _ = plan
+        spec, _, _, n_source_ops, is_fused, codes, _ = plan
         if spec.arity is not None and spec.arity != len(op_inputs):
             raise RuntimeFailure(
                 f"operator {spec.name!r} takes {spec.arity} argument(s), "
@@ -1287,22 +1191,23 @@ class ExecutionState:
             home=home,
             remote=remote,
             op_began=op_began,
-            donated=donated,
         )
 
     def _bind(
         self,
         spec: OperatorSpec,
         inputs: list[Any],
-        codes: tuple[int, ...] | None,
+        codes: tuple[bool, ...] | None,
         home: int,
         remote: bool,
         fingerprints: list[tuple[int, object]] | None,
     ) -> tuple[list[Any], list[DataBlock | None]]:
         """Turn a firing's operator inputs into call arguments.
 
-        The one place the in-place / copy-on-write / donation decision is
-        made, for the single-pass fire and for :meth:`begin_fire` alike.
+        The one place the in-place / copy-on-write decision is made, for
+        the single-pass fire and for :meth:`begin_fire` alike: a written
+        argument whose block holds the sole reference (``rc == 1``) is
+        written in place, any other is copied first (§2.1).
         ``codes`` (see :func:`_arg_codes`) says which arguments the body
         writes.  ``remote`` — the body will run in another process —
         counts every decision but skips the physical copy and the
@@ -1317,9 +1222,9 @@ class ExecutionState:
         stats = self.stats
         bus = self.bus
         for i, v in enumerate(inputs):
-            code = codes[i] if codes is not None else 0
+            writes = codes is not None and codes[i]
             if type(v) is not DataBlock:
-                if code and isinstance(v, MultiValue):
+                if writes and isinstance(v, MultiValue):
                     raise RuntimeFailure(
                         f"operator {spec.name!r} declares it modifies "
                         f"argument {i}, which is a multiple-value package; "
@@ -1328,7 +1233,7 @@ class ExecutionState:
                 args.append(_payload_of(v))
                 arg_blocks.append(None)
                 continue
-            if not code:
+            if not writes:
                 if fingerprints is not None:
                     fingerprints.append((i, _fingerprint(v.payload)))
             elif v.rc == 1:
@@ -1340,30 +1245,11 @@ class ExecutionState:
                     if self.locality is not None:
                         self.locality.forget(v)
                     v.bid = None
-                if code == 1:
-                    # The compiler proved this is the edge's last use, so
-                    # the in-place handoff is statically discharged — a
-                    # copy-always engine would have copied here.  (The
-                    # ``rc == 1`` guard above stays: dynamic aliasing
-                    # through closures or re-converging calls is
-                    # invisible statically.)
-                    stats.copies_avoided += 1
-                    stats.bytes_copy_avoided += v.nbytes
-                    if self._wants_donation:
-                        bus.emit(
-                            DonationApplied(bus.now(), spec.name, v.nbytes)
-                        )
                 # The size is a function of the current payload: forget
-                # it once the reads above have seen the pre-write value,
-                # so a body that resizes the payload cannot leave it
+                # it so a body that resizes the payload cannot leave it
                 # stale.
                 v.drop_size()
             else:
-                if code == 1:
-                    # Annotated donated but dynamically shared: fall back
-                    # to copy-on-write, which is always correct; record
-                    # the miss for observability.
-                    stats.donation_misses += 1
                 stats.cow_copies += 1
                 name = spec.name
                 by_op = stats.copies_by_operator
@@ -1373,46 +1259,19 @@ class ExecutionState:
                 if self._wants_cow:
                     bus.emit(CowCopy(bus.now(), name, v.nbytes))
                 if not remote:
-                    v = self._cow_copy(v, home, name)
+                    v = v.copy(home)
                     # An alloc observer may have sized the copy.
                     v.drop_size()
             args.append(v.payload)
             arg_blocks.append(v)
         return args, arg_blocks
 
-    def _cow_copy(self, v: DataBlock, home: int, op_name: str) -> DataBlock:
-        """Copy-on-write copy, reusing a pooled buffer when one fits.
-
-        A recycled same-shape/dtype buffer turns the copy into a
-        ``np.copyto`` with no allocator round trip; otherwise this is the
-        plain :meth:`DataBlock.copy` path.
-        """
-        p = v.payload
-        if isinstance(p, np.ndarray):
-            buf = self.buffers.get(p.shape, p.dtype)
-            if buf is not None:
-                np.copyto(buf, p)
-                self.stats.buffers_recycled += 1
-                self.stats.buffer_bytes_recycled += buf.nbytes
-                bus = self.bus
-                if bus is not None and bus.wants(BufferRecycled):
-                    bus.emit(BufferRecycled(bus.now(), op_name, buf.nbytes))
-                return DataBlock(buf, home=home)
-        return v.copy(home)
-
     def _wrap_result(
-        self,
-        raw: Any,
-        arg_blocks: list[DataBlock | None],
-        home: int,
-        donated: tuple[int, ...] = (),
+        self, raw: Any, arg_blocks: list[DataBlock | None], home: int
     ) -> Any:
         if isinstance(raw, tuple):
             return MultiValue(
-                tuple(
-                    self._wrap_result(x, arg_blocks, home, donated)
-                    for x in raw
-                )
+                tuple(self._wrap_result(x, arg_blocks, home) for x in raw)
             )
         for block in arg_blocks:
             if block is not None and block.payload is raw:
@@ -1429,19 +1288,9 @@ class ExecutionState:
             base: Any = raw
             while isinstance(base, np.ndarray) and base.base is not None:
                 base = base.base
-            for i, block in enumerate(arg_blocks):
+            for block in arg_blocks:
                 if block is not None and block.payload is base:
-                    if i in donated and block.rc == 1:
-                        # Donated last use: the only live share is this
-                        # firing's input slot, released right after this
-                        # wrap, so no other consumer can ever reach the
-                        # buffer — and the view's NumPy ``base`` reference
-                        # keeps it alive.  The defensive copy is
-                        # unnecessary.
-                        self.stats.copies_avoided += 1
-                        self.stats.bytes_copy_avoided += int(raw.nbytes)
-                    else:
-                        raw = raw.copy()
+                    raw = raw.copy()
                     break
         return wrap_payload(raw, home)
 
@@ -1464,14 +1313,14 @@ class ExecutionState:
             cells: tuple[Any, ...] = ()
         elif isinstance(callee, OperatorValue):
             # The callee is known only now, so its constants are too: a
-            # plan like an ``OP`` node's, with no fusion or donation facts.
+            # plan like an ``OP`` node's, with no fusion facts.
             call_args = inputs[1:]
             spec = self.registry.get(callee.name)
-            codes = _arg_codes(spec, len(call_args), ())
+            codes = _arg_codes(spec, len(call_args))
             return self._begin_operator(
                 act,
                 node_id,
-                (spec, spec.fn, 0, 1, False, (), codes, False),
+                (spec, spec.fn, 0, 1, False, codes, False),
                 call_args,
                 inputs,
                 home,

@@ -19,9 +19,9 @@ write.
 The active pass set is part of the key, and the CLI encodes ``--fuse`` as
 the extra pass name ``"fuse"`` in that tuple — so fused and unfused
 compilations of identical source occupy *different* cache entries and can
-never be served to each other (``tests/test_fuse.py`` pins this); the
-same goes for ``--donate``.  An entry holds no generated code: a fused
-node is stored as its recipe, and the loader makes the body from it.
+never be served to each other (``tests/test_fuse.py`` pins this).  An
+entry holds no generated code: a fused node is stored as its recipe, and
+the loader makes the body from it.
 
 ``$DELIRIUM_CACHE_MAX`` (an entry count) bounds the cache with LRU
 eviction: every hit refreshes the entry's mtime, and a store that pushes

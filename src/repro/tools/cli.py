@@ -78,14 +78,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(--no-fuse reproduces the unfused graphs bit-for-bit)",
     )
     parser.add_argument(
-        "--donate",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="annotate statically-proven last-use edges so the engine "
-        "skips copy-on-write and recycles buffers (--no-donate keeps "
-        "every copy decision dynamic)",
-    )
-    parser.add_argument(
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -317,11 +309,8 @@ def _pass_tuple(args: argparse.Namespace) -> tuple[str, ...]:
     if args.fuse:
         # Graph-pass flags are part of the pass tuple, so the compile
         # cache key (which hashes the pass set) can never serve a --fuse
-        # or --donate graph to an invocation that disabled it, or vice
-        # versa.
+        # graph to an invocation that disabled it, or vice versa.
         passes = passes + ("fuse",)
-    if args.donate:
-        passes = passes + ("donate",)
     return passes
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
+from repro.compiler.passes.pipeline import PASS_ORDER
 from repro.faults import parse_fault_spec
 from repro.machine import SimulatedExecutor, butterfly, uniform
 from repro.obs import RunContext
@@ -428,7 +429,6 @@ class TestLocalityDispatch:
         stats = _run_fanout("data").stats
         assert stats.blocks_ref_shipped == 6
         assert stats.encode_bytes_avoided == 196608
-        assert stats.bytes_copy_avoided == 0
         assert stats.copy_bytes_by_operator == {}
 
     def test_block_ids_do_not_restart_under_a_warm_pool(self):
@@ -561,17 +561,6 @@ class TestLocalityDispatch:
 # ---------------------------------------------------------------------------
 # The property: affinity placement never changes an answer
 # ---------------------------------------------------------------------------
-def _opt_passes(fuse, donate):
-    from repro.compiler.passes.pipeline import PASS_ORDER
-
-    extra = ()
-    if fuse:
-        extra += ("fuse",)
-    if donate:
-        extra += ("donate",)
-    return PASS_ORDER + extra
-
-
 class TestAffinityProperty:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -579,20 +568,20 @@ class TestAffinityProperty:
         st.integers(-5, 5),
         st.integers(1, 3),
         st.booleans(),
-        st.booleans(),
         st.sampled_from(["data", "operator"]),
         st.booleans(),
         st.integers(0, 100),
     )
     def test_affinity_equals_none(
-        self, source, n, workers, fuse, donate, affinity, batch, seed
+        self, source, n, workers, fuse, affinity, batch, seed
     ):
         # Every fire force-dispatched over generated programs that share
         # mutable blocks across destructive bumps — placement policy,
         # ref shipping, and result adoption must all be invisible in the
         # answer under any worker count, seed, and optimization setting.
+        passes = PASS_ORDER + ("fuse",) if fuse else PASS_ORDER
         compiled = compile_source(
-            source, registry=REGISTRY, optimize_passes=_opt_passes(fuse, donate)
+            source, registry=REGISTRY, optimize_passes=passes
         )
         reference = SequentialExecutor().run(
             compiled.graph, args=(n,), registry=REGISTRY

@@ -36,7 +36,7 @@ from repro.runtime.supervise import DEFAULT_BATCH_THRESHOLD
 
 from repro.apps.montecarlo.coordination import compile_pi
 
-GRAPH_PASSES = ("fuse", "donate")
+GRAPH_PASSES = ("fuse",)
 
 
 def _compiled_pi(passes=PASS_ORDER + GRAPH_PASSES, batch_size=1500, seed=11):
@@ -446,14 +446,10 @@ class TestBatchProperty:
     @given(
         n=st.integers(4, 12),
         seed=st.integers(0, 9),
-        donate=st.booleans(),
     )
-    def test_process_batched_equals_unbatched(self, n, seed, donate):
-        passes = PASS_ORDER + ("fuse",)
-        if donate:
-            passes = passes + ("donate",)
+    def test_process_batched_equals_unbatched(self, n, seed):
         compiled = compile_pi(
-            seed=seed, batch_size=64, optimize_passes=passes
+            seed=seed, batch_size=64, optimize_passes=PASS_ORDER + GRAPH_PASSES
         )
         costs = {"pi_batch": 0.004}
         plain = ProcessExecutor(2, batch=False, measured_costs=costs).run(

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.blocks import (
-    BufferPool,
     DataBlock,
     copy_payload,
     payload_nbytes,
@@ -154,56 +153,6 @@ class TestUnwrap:
     def test_atoms_unchanged(self):
         assert unwrap(7) == 7
         assert unwrap(NULL) is NULL
-
-
-class TestBufferPool:
-    def test_round_trip_same_shape_dtype(self):
-        pool = BufferPool()
-        arr = np.ascontiguousarray(
-            np.arange(6, dtype=np.float64).reshape(2, 3)
-        ).copy()
-        assert pool.put(arr)
-        got = pool.get((2, 3), np.float64)
-        assert got is arr
-        assert pool.stats()["recycled"] == 1
-        assert pool.stats()["recycled_bytes"] == arr.nbytes
-
-    def test_get_miss_returns_none(self):
-        pool = BufferPool()
-        pool.put(np.zeros((2, 3)))
-        assert pool.get((3, 2), np.float64) is None
-        assert pool.get((2, 3), np.float32) is None
-
-    def test_views_rejected(self):
-        pool = BufferPool()
-        arr = np.zeros((4, 4))
-        assert not pool.put(arr[1:])
-        assert pool.stats()["dropped"] == 1
-
-    def test_non_contiguous_rejected(self):
-        pool = BufferPool()
-        assert not pool.put(np.zeros((4, 4)).T.copy(order="F"))
-
-    def test_empty_rejected(self):
-        pool = BufferPool()
-        assert not pool.put(np.zeros((0,)))
-
-    def test_non_array_rejected(self):
-        pool = BufferPool()
-        assert not pool.put([1, 2, 3])
-
-    def test_capacity_bound(self):
-        pool = BufferPool(max_bytes=100)
-        assert pool.put(np.zeros(10))  # 80 bytes held
-        assert not pool.put(np.zeros(10))  # would exceed 100
-        assert pool.stats()["held_bytes"] == 80
-        assert pool.stats()["dropped"] == 1
-
-    def test_held_bytes_tracks_get(self):
-        pool = BufferPool()
-        pool.put(np.zeros(10))
-        pool.get((10,), np.float64)
-        assert pool.stats()["held_bytes"] == 0
 
 
 _Point = namedtuple("_Point", "x y")

@@ -5,7 +5,7 @@ single-assignment semantics make re-execution of a failed firing safe by
 construction, so a run with deterministic fault injection — operator
 exceptions, delays, SIGKILLed workers, arena allocation failures — must
 be *bit-identical* to the fault-free run, under every executor, worker
-count, fusion setting, and donation setting.  The generated programs
+count and fusion setting.  The generated programs
 deliberately share mutable blocks across destructive bumps (the
 adversarial case for any re-fire path).
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
+from repro.compiler.passes.pipeline import PASS_ORDER
 from repro.faults import parse_fault_spec
 from repro.runtime import (
     FaultPolicy,
@@ -26,21 +27,9 @@ from repro.runtime import (
 from tests.test_properties import REGISTRY, _programs
 
 
-def _passes(fuse: bool, donate: bool):
-    from repro.compiler.passes.pipeline import PASS_ORDER
-
-    extra = ()
-    if fuse:
-        extra += ("fuse",)
-    if donate:
-        extra += ("donate",)
-    return PASS_ORDER + extra
-
-
-def _compile(source, fuse, donate):
-    return compile_source(
-        source, registry=REGISTRY, optimize_passes=_passes(fuse, donate)
-    )
+def _compile(source, fuse):
+    passes = PASS_ORDER + ("fuse",) if fuse else PASS_ORDER
+    return compile_source(source, registry=REGISTRY, optimize_passes=passes)
 
 
 def _reference(compiled, n):
@@ -78,11 +67,10 @@ class TestChaosEquivalence:
         _programs(),
         st.integers(-5, 5),
         st.booleans(),
-        st.booleans(),
         _FAULT_SPECS,
     )
-    def test_sequential_chaos_matches(self, source, n, fuse, donate, faults):
-        compiled = _compile(source, fuse, donate)
+    def test_sequential_chaos_matches(self, source, n, fuse, faults):
+        compiled = _compile(source, fuse)
         reference = _reference(compiled, n)
         chaotic = SequentialExecutor(
             fault_policy=_POLICY, fault_spec=parse_fault_spec(faults)
@@ -94,14 +82,11 @@ class TestChaosEquivalence:
         _programs(),
         st.integers(-5, 5),
         st.booleans(),
-        st.booleans(),
         st.integers(1, 4),
         _FAULT_SPECS,
     )
-    def test_threaded_chaos_matches(
-        self, source, n, fuse, donate, workers, faults
-    ):
-        compiled = _compile(source, fuse, donate)
+    def test_threaded_chaos_matches(self, source, n, fuse, workers, faults):
+        compiled = _compile(source, fuse)
         reference = _reference(compiled, n)
         chaotic = ThreadedExecutor(
             workers,
@@ -115,19 +100,18 @@ class TestChaosEquivalence:
         _programs(),
         st.integers(-5, 5),
         st.booleans(),
-        st.booleans(),
         st.integers(1, 3),
         st.integers(0, 100),
         _FAULT_SPECS,
     )
     def test_process_chaos_matches(
-        self, source, n, fuse, donate, workers, seed, faults
+        self, source, n, fuse, workers, seed, faults
     ):
         # The full tentpole claim: operator bodies in other processes,
         # every fire force-dispatched, workers crashing and respawning —
-        # still bit-identical under any worker count, scheduling seed,
-        # fusion setting, and donation setting.
-        compiled = _compile(source, fuse, donate)
+        # still bit-identical under any worker count, scheduling seed and
+        # fusion setting.
+        compiled = _compile(source, fuse)
         reference = _reference(compiled, n)
         result = ProcessExecutor(
             workers,
@@ -148,7 +132,7 @@ class TestChaosEquivalence:
     def test_forced_degradation_matches(self, source, n, workers):
         # Kill every worker instantly with no respawn budget: the run
         # must finish inline through the degradation ladder, bit-identical.
-        compiled = _compile(source, True, True)
+        compiled = _compile(source, True)
         reference = _reference(compiled, n)
         result = ProcessExecutor(
             workers,

@@ -282,17 +282,36 @@ class TestResumeRefusal:
             compile_source(SUM_SRC),
             carry=True,
             initial=0,
-            flags={"passes": ["fuse", "donate"]},
+            flags={"passes": ["fuse"]},
         )
         with pytest.raises(CheckpointMismatchError) as err:
             runner.run(count_source(4), MemorySink(), resume=ckpt)
         assert err.value.key == "flags"
 
+    def test_checkpoint_under_a_deleted_pass_refused(self, tmp_path):
+        # Older command lines added "donate" to the pass set they recorded;
+        # that set names a pass this build no longer has.
+        path = str(tmp_path / "run.ckpt")
+        program = compile_source(SUM_SRC)
+        older = list(PASS_ORDER + ("fuse", "donate"))
+        StreamRunner(
+            program, carry=True, initial=0, checkpoint_path=path,
+            flags={"passes": older},
+        ).run(count_source(4), MemorySink())
+        runner = StreamRunner(
+            program, carry=True, initial=0,
+            flags={"passes": list(PASS_ORDER + ("fuse",))},
+        )
+        with pytest.raises(CheckpointMismatchError, match="donate") as err:
+            runner.run(count_source(4), MemorySink(), resume=path)
+        assert err.value.key == "flags"
+        assert err.value.expected["passes"] == older
+
     def test_checkpoint_of_a_graph_with_generated_text_refused(self, tmp_path):
         # Builds before compiler revision 5 stored each fused node's
         # generated source in the graph, so the program they fingerprinted
         # is not the one this build runs: their checkpoints are refused.
-        passes = PASS_ORDER + ("fuse", "donate")
+        passes = PASS_ORDER + ("fuse",)
         program = compile_source(SUM_SRC, optimize_passes=passes)
         path = str(tmp_path / "run.ckpt")
         StreamRunner(program, carry=True, initial=0, checkpoint_path=path).run(

@@ -142,24 +142,23 @@ class TestFromTracer:
 
 
 class TestOptimizedProcessTrace:
-    """Traces stay schema-valid when fusion and donation reshape the
-    graph and the process executor spreads firings over workers."""
+    """Traces stay schema-valid when fusion reshapes the graph and the
+    process executor spreads firings over workers."""
 
     SMALL = None  # built lazily: retina imports are heavier than most
 
     @classmethod
-    def _compiled(cls, donate):
+    def _compiled(cls):
         from repro.apps.retina import RetinaConfig, compile_retina
 
         if cls.SMALL is None:
             cls.SMALL = RetinaConfig(height=32, width=32, num_iter=2)
-        return compile_retina(2, cls.SMALL, fuse=True, donate=donate)
+        return compile_retina(2, cls.SMALL, fuse=True)
 
-    @pytest.mark.parametrize("donate", [False, True])
-    def test_fused_process_run_trace_validates(self, donate):
+    def test_fused_process_run_trace_validates(self):
         from repro.runtime import ProcessExecutor
 
-        compiled = self._compiled(donate)
+        compiled = self._compiled()
         collector, result = collect(
             lambda bus: ProcessExecutor(2, bus=bus),
             compiled,
@@ -174,7 +173,7 @@ class TestOptimizedProcessTrace:
     def test_worker_spans_land_on_worker_tracks(self):
         from repro.runtime import ProcessExecutor
 
-        compiled = self._compiled(True)
+        compiled = self._compiled()
         collector, _ = collect(
             lambda bus: ProcessExecutor(2, bus=bus, cost_threshold=0.0),
             compiled,

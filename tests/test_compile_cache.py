@@ -85,20 +85,27 @@ class TestStoreLoad:
         assert cache.COMPILER_REVISION > 3
         assert load_cached(cache_key(src, passes=passes)) is None
 
-    def test_entry_of_revision_4_is_a_miss(self, cache_env, monkeypatch):
-        # Revision 5 stops storing each fused node's generated source.  A
-        # revision-4 entry still carries it; read, the text is ignored, but
-        # the entry is never served to this build's key.
-        assert cache.COMPILER_REVISION == 5
+    @pytest.mark.parametrize(
+        "revision, key, value",
+        [(4, "codegen", "stored by revision 4"), (5, "donated", [0])],
+    )
+    def test_entry_of_revision_4_or_5_is_a_miss(
+        self, cache_env, monkeypatch, revision, key, value
+    ):
+        # Revision 5 stops storing each fused node's generated source, and
+        # revision 6 its last-use edges.  An older entry still carries
+        # them; read, the key is ignored, but the entry is never served to
+        # this build's key.
+        assert cache.COMPILER_REVISION == 6
         src = "main(x, y) incr(if is_less(x, y) then sub(6, x) else y)"
-        passes = ("inline", "constprop", "cse", "dce", "fuse", "donate")
+        passes = ("inline", "constprop", "cse", "dce", "fuse")
         graph = compile_source(src, optimize_passes=passes).graph
         data = json.loads(dumps(graph))
         for node in data["templates"]["main"]["nodes"]:
             if "fused" in node:
-                node["codegen"] = "stored by revision 4"
+                node[key] = value
         with monkeypatch.context() as older:
-            older.setattr(cache, "COMPILER_REVISION", 4)
+            older.setattr(cache, "COMPILER_REVISION", revision)
             key = cache_key(src, passes=passes)
             (cache_env / f"{key}.dlc").write_text(json.dumps(data), encoding="utf-8")
             assert dumps(load_cached(key)) == dumps(graph)

@@ -254,6 +254,16 @@ class TestCopyOnWrite:
         # Writing through the view must not reach base.
         assert run(src, registry=reg).value == (21.0, 0.0)
 
+    def test_view_of_a_dying_input_is_copied_too(self):
+        # ``zeros()``'s block has one reader and dies at that fire, and
+        # its view is still copied: a result owns its memory whatever
+        # the count of the input it came from.
+        reg = default_registry()
+        reg.register(name="zeros")(lambda: np.zeros(6))
+        reg.register(name="top_half", pure=True)(lambda a: a[:3])
+        reg.register(name="owns", pure=True)(lambda a: a.base is None)
+        assert run("main() owns(top_half(zeros()))", registry=reg).value is True
+
     def test_purity_checker_catches_undeclared_write(self):
         reg = default_registry()
 

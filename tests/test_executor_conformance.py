@@ -105,10 +105,10 @@ def cf_boom(i):
 
 PROGRAMS = {
     # ``a`` is still owed to cf_total2 when cf_bump writes it (a copy);
-    # the second cf_mk's block has one consumer (in place, donated); ``y``
-    # is ``x``'s own block (an operator returning its input keeps the
-    # block), so the donated write to ``y`` finds it shared and misses.
-    "cow_donation": (
+    # the second cf_mk's block has one consumer (in place); ``y`` is
+    # ``x``'s own block (an operator returning its input keeps the block),
+    # so the write to ``y`` finds it shared and copies.
+    "cow_and_in_place": (
         """
 main(n)
   let
@@ -123,7 +123,7 @@ main(n)
   in add(add(s, cf_total(c)), t)
 """,
         (64,),
-        ("cow_copies", "in_place_writes", "copies_avoided", "donation_misses"),
+        ("cow_copies", "in_place_writes"),
         FULL_PASS_ORDER,
     ),
     "fused_untuple": (
@@ -200,8 +200,8 @@ ident(x) x
     ),
 }
 
-# One array returned twice ends up on two donated edges of cf_addv once
-# the untuple is fused away; its buffer must be recycled once.
+# One array returned twice reaches cf_addv on two edges once the untuple
+# is fused away: both elements keep the one block through the fused node.
 _TWICE = """
 main(n)
   let
@@ -216,7 +216,7 @@ FAILING = "main(n) par_index_map(cf_boom, 0, n)"
 
 COUNTERS = (
     "tasks_fired", "ops_executed", "expansions", "cow_copies",
-    "in_place_writes", "copies_avoided", "donation_misses", "fused_fires",
+    "in_place_writes", "fused_fires",
 )
 
 EXECUTORS = (

@@ -637,10 +637,32 @@ class TestIfConversion:
 
 class TestPipelineOrdering:
     def test_fuse_is_graph_level(self):
-        assert GRAPH_PASS_ORDER == ("fuse", "donate")
+        assert GRAPH_PASS_ORDER == ("fuse",)
         assert "fuse" not in PASS_ORDER
-        assert "donate" not in PASS_ORDER
-        assert FULL_PASS_ORDER == PASS_ORDER + ("fuse", "donate")
+        assert FULL_PASS_ORDER == PASS_ORDER + ("fuse",)
+
+    def test_a_deleted_pass_name_is_unknown(self):
+        with pytest.raises(KeyError, match="unknown optimization pass 'donate'"):
+            _compile("main(x) incr(x)", FULL_PASS_ORDER + ("donate",))
+
+    @pytest.mark.parametrize("flag", ["--donate", "--no-donate"])
+    def test_the_cli_has_no_switch_for_it(self, flag, tmp_path, capsys):
+        from repro.tools import cli
+
+        path = tmp_path / "p.dlm"
+        path.write_text("main(n) incr(n)\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["compile", str(path), "--no-cache", flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_the_retina_builders_take_no_argument_for_it(self, stream):
+        from repro.apps.retina.stream import compile_retina_stream
+
+        build = compile_retina_stream if stream else compile_retina
+        with pytest.raises(TypeError, match="'donate'"):
+            build(config=TINY_RETINA, fuse=True, donate=True)
 
     def test_split_passes_partitions(self):
         ast_passes, graph_passes = split_passes(
@@ -1556,7 +1578,7 @@ TINY_RETINA = RetinaConfig(height=24, width=24, num_iter=2)
 #: ``(--no-fuse, fully fused)`` builds and the arguments they run with.
 APPS = {
     "retina": lambda: (
-        (compile_retina(2, TINY_RETINA), compile_retina(2, TINY_RETINA, fuse=True, donate=True)),
+        (compile_retina(2, TINY_RETINA), compile_retina(2, TINY_RETINA, fuse=True)),
         (),
     ),
     "montecarlo": lambda: (

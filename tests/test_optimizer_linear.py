@@ -281,35 +281,37 @@ def dlc_digest(source: str, optimize_passes=FULL_PASS_ORDER, **kwargs) -> str:
     return hashlib.sha256(dumps(compiled.graph).encode("utf-8")).hexdigest()
 
 
-#: sha256 of the full-pass ``.dlc`` text, from the parent commit.
-#: Every graph with a fused node moved when a fused node stopped storing
-#: its generated source (the recipe alone is serialized); queens has none.
+#: sha256 of the full-pass ``.dlc`` text: the parent commit's dump with
+#: its per-edge ``donated`` lists removed.  Every graph with a fused node
+#: moved when a fused node stopped storing its generated source (the recipe
+#: alone is serialized); queens has none.
 GOLDEN_DLC_SHA256: dict[str, str] = {
-    "circuit": "22600184388455cb1c8707fe88176e25effb396b074b4064a4ebc477b092aade",
-    "log": "aa14abdef2ff00bca96826a8cf2efffca5dfb17b09cc84f3a400d698c19b5aff",
-    "option": "fbd173d0fc2ed91e636dc1232bee17ca0c38f7de22e670df11371c5ee8df398d",
-    "pi": "23817106660de3783db5fcb0d2912052caff54e12d0f31a3d8e551832c40e0f0",
+    "circuit": "21e2d07e55ee32fcf6f4efa885f4ed1c3c1f616f599d9ec7c53bbbb54b50f76c",
+    "log": "241c4ec727b3359d7f009197d67cd25910f9ac6adef3fb7aa39b275457fab40d",
+    "option": "961790df3dfb1e59e161fcc3f26b29afea985478a796fd8dee4b7f0b9bd7c54c",
+    "pi": "0e4b35ae52b9433d96606c6f664a54c36895a2cfd629214a45b1d637273ab4ba",
     # Moved when `fuse` went from chains to single-exit regions (20 chains ->
     # 4 regions; b833dfd4…), then when it folded IFs with cheap arms into
     # them (3 regions, 3 templates).
-    "pythia": "8199f7156aad6f1be8c76aba59ff36d20c2b06d46556ee1d60c74925ac3ab177",
+    "pythia": "40ba8bdd819fd959a598b897fa89e5ba88688c78231d071e943b86fb5d60a028",
     # Moved when ``try`` was spliced into ``do_it``; the parent's bytes
     # are :data:`QUEENS_AS_WRITTEN_SHA256`.
-    "queens_4": "220722d5346d09f002c5e9526ef4947b8e6db260e3752a50646db36f519e9197",
-    "queens_5": "b13b93e10ce801148c0e53eb99baf8bce3f86735fd4ebd26de72d7a81f412eb9",
-    "queens_6": "14a1025b86085a23fff4c8842b61cf559258b2272619fe2fbf9960aa16c03c3e",
-    "raytracer": "1f5374e1356a84e32ab88e89cf85abfda511943c1c15fc9710502fcc4f894773",
-    "retina_v1": "4c5f1e789f9e7ffb461a140669f1618d43ba55a7fbd9e6354c6d76f9b0013513",
-    "retina_v2": "790035772dbe5bb58e033a35603f02348b5955794876aea68541446407207590",
+    "queens_4": "1f4aa065cf46daa79f252103c7013d7df6b70c73fabd29cc93e1d60199f913c2",
+    "queens_5": "a6a5d6c2be8332649dab3b791abd78969a8febeb35eb98bab43c2c2e91e20011",
+    "queens_6": "9c427b822ea3ff2ed4e6039923c17e8390f7f5abed7dd55c60f537fb0316cbbc",
+    "raytracer": "fe27d1270ebb3941cc2c0769dc3e9685d437d4e94e8460c16572c56ce60bddb8",
+    "retina_v1": "216006580c5154d3c8d10c9f44dbbd3e162e4535724b29ae51bf21e741fba88f",
+    "retina_v2": "c747cfa9d185384a5e7795f11063e3692096813b37f1d30dba371df17e5813ef",
 }
 
 
 #: The queens goldens of the commit before calls around a cycle were
-#: spliced: what every pass but ``inline`` (both its halves) still emits.
+#: spliced: what every pass but ``inline`` (both its halves) still emits,
+#: without the ``donated`` lists.
 QUEENS_AS_WRITTEN_SHA256: dict[str, str] = {
-    "queens_4": "ab2a623695c3a2f858f61035113845a35fb1f0fc442b3e67ec3d466bc3b94f34",
-    "queens_5": "311b74ceeaa6af74c7390bbdf939734749bf9d8583445c813f54f745bc20b586",
-    "queens_6": "259a0ac26b1319350aebf86e72e64c18dd8cbdcdcd9977556eacd0d2604eeaee",
+    "queens_4": "a553e05a3cd0f290aaf3f6b2ea0a481489325956f41850f1198e7c8cd95c193b",
+    "queens_5": "90bbe3a652443abfb26c4013559402495f7923ab2766ec054523e1c21527c577",
+    "queens_6": "ef1e1aaf995437330cc4328fa8b1cea5f433497578b4fef34154bec2bd2c3207",
 }
 
 

@@ -225,14 +225,14 @@ ARRIVAL_DEPENDENT = {
     "fire_batches", "batched_fires", "ipc_messages_sent",
     "ipc_messages_received", "blocks_cached", "blocks_ref_shipped",
     "affinity_misses", "encode_bytes", "encode_bytes_avoided",
-    "activation_stats", "pool_stats",
+    "activation_stats",
 }
 
 #: ``sys.getsizeof`` of a list follows its allocation: a board copied by
 #: ``list.copy`` is exactly sized where ``deepcopy``'s append loop
 #: over-allocated, so the byte totals over copied boards moved with
 #: ``copy_payload``.  Every count is exact.
-ALLOCATION_DEPENDENT = {"bytes_copy_avoided", "copy_bytes_by_operator"}
+ALLOCATION_DEPENDENT = {"copy_bytes_by_operator"}
 
 
 @pytest.mark.parametrize("workers,batch,affinity", CONFIGS)

@@ -365,95 +365,3 @@ class TestFusionProperty:
         assert SimulatedExecutor(uniform(p)).run(
             fused.graph, args=(n,), registry=REGISTRY
         ).value == reference
-
-
-class TestDonationProperty:
-    """PR 4: the zero-copy memory path (last-use donation + buffer
-    pooling) is bit-identical to copy-always execution under every
-    executor, worker count, fusion setting, and scheduling seed — the
-    generated programs deliberately share mutable blocks across
-    destructive bumps, the adversarial case for an in-place handover."""
-
-    @staticmethod
-    def _passes(fuse: bool):
-        from repro.compiler.passes.pipeline import PASS_ORDER
-
-        return PASS_ORDER + (("fuse", "donate") if fuse else ("donate",))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(0, 1000),
-    )
-    def test_sequential_donated_matches(self, source, n, fuse, seed):
-        plain = compile_source(source, registry=REGISTRY)
-        donated = compile_source(
-            source, registry=REGISTRY, optimize_passes=self._passes(fuse)
-        )
-        reference = SequentialExecutor().run(
-            plain.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert SequentialExecutor().run(
-            donated.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-        assert SequentialExecutor(seed=seed).run(
-            donated.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(1, 6),
-    )
-    def test_threaded_donated_matches(self, source, n, fuse, workers):
-        plain = compile_source(source, registry=REGISTRY)
-        donated = compile_source(
-            source, registry=REGISTRY, optimize_passes=self._passes(fuse)
-        )
-        reference = SequentialExecutor().run(
-            plain.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert ThreadedExecutor(workers).run(
-            donated.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.booleans(),
-        st.integers(1, 3),
-        st.integers(0, 100),
-    )
-    def test_process_donated_matches(self, source, n, fuse, workers, seed):
-        # cost_threshold=0 force-dispatches every fire, so donated blocks
-        # also cross the process boundary (and back) on every path.
-        plain = compile_source(source, registry=REGISTRY)
-        donated = compile_source(
-            source, registry=REGISTRY, optimize_passes=self._passes(fuse)
-        )
-        reference = SequentialExecutor().run(
-            plain.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert ProcessExecutor(
-            workers, cost_threshold=0.0, shm_threshold=256, seed=seed
-        ).run(donated.graph, args=(n,), registry=REGISTRY).value == reference
-
-    @settings(max_examples=12, deadline=None)
-    @given(_programs(), st.integers(-5, 5), st.integers(1, 6))
-    def test_simulated_donated_matches(self, source, n, p):
-        plain = compile_source(source, registry=REGISTRY)
-        donated = compile_source(
-            source, registry=REGISTRY, optimize_passes=self._passes(True)
-        )
-        reference = SequentialExecutor().run(
-            plain.graph, args=(n,), registry=REGISTRY
-        ).value
-        assert SimulatedExecutor(uniform(p)).run(
-            donated.graph, args=(n,), registry=REGISTRY
-        ).value == reference
-

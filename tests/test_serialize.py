@@ -1,8 +1,12 @@
 """Serialization round trips for compiled coordination graphs."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import compile_source, validate_program
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import GraphError
 from repro.graph.serialize import (
     FORMAT_VERSION,
@@ -16,6 +20,11 @@ from repro.graph.serialize import (
 from repro.runtime import SequentialExecutor
 
 from tests.conftest import FACTORIAL_SRC, FIB_SRC, FORK_JOIN_SRC, fork_join_registry
+from tests.test_optimizer_linear import (
+    GOLDEN_DLC_SHA256,
+    QUEENS_AS_WRITTEN_SHA256,
+    golden_compiles,
+)
 
 ROUND_TRIP_SOURCES = [
     "main() 1",
@@ -121,3 +130,61 @@ class TestAppsSerialize:
             restored, registry=compiled.registry
         ).value
         assert value.signature() == run_sequential(cfg).signature()
+
+    def test_older_last_use_lists_are_ignored(self):
+        """Older builds wrote a ``donated`` list of input indices on some
+        operator nodes.  Nothing reads it any more: a fused retina whose
+        every operator lists all its inputs and one index past the last —
+        lists the older validator refused, first for an edge from a
+        closure capture — loads to this build's graph and runs to the
+        reference frame."""
+        from repro.apps.retina import RetinaConfig, compile_retina, run_sequential
+
+        cfg = RetinaConfig(height=32, width=32, num_iter=1)
+        compiled = compile_retina(2, cfg, fuse=True)
+        restored = loads(_with_last_use_lists(dumps(compiled.graph)))
+        assert dumps(restored) == dumps(compiled.graph)
+        value = SequentialExecutor().run(
+            restored, registry=compiled.registry
+        ).value
+        assert value.signature() == run_sequential(cfg).signature()
+
+
+def _with_last_use_lists(text):
+    """``text`` with the ``donated`` key an older build could write on
+    every operator node: all its inputs, and one index past the last."""
+    data = json.loads(text)
+    for template in data["templates"].values():
+        for node in template["nodes"]:
+            if node["kind"] == "op":
+                node["donated"] = list(range(len(node["inputs"]) + 1))
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return golden_compiles()
+
+
+#: ``(golden digests, the passes they were compiled with)``.
+_GOLDENS = {
+    "full": (GOLDEN_DLC_SHA256, FULL_PASS_ORDER),
+    "as_written": (
+        QUEENS_AS_WRITTEN_SHA256,
+        tuple(p for p in FULL_PASS_ORDER if p != "inline"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, (digests, _) in _GOLDENS.items() for name in sorted(digests)],
+)
+def test_every_golden_loads_the_same_from_an_older_dump(golden, kind, name):
+    """Each case study's dump, as a build with last-use lists wrote it,
+    loads to the graph whose bytes are this build's golden."""
+    digests, passes = _GOLDENS[kind]
+    digest = digests[name]
+    graph = compile_source(**golden[name], optimize_passes=passes).graph
+    text = dumps(loads(_with_last_use_lists(dumps(graph))))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

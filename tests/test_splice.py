@@ -333,15 +333,6 @@ class TestPass:
             == queens.solve_sequential(5)
         )
 
-    def test_clears_donation_annotations_on_copies(self):
-        graph, analysis = before_the_pass(EVEN_ODD)
-        for node in graph.templates["is_odd"].nodes:
-            if node.kind is NodeKind.OP:
-                node.donated = (0,)
-        splice.run(graph, analysis)
-        arm = graph.templates["is_even.if$1.else"]
-        assert [n.donated for n in arm.nodes if n.name == "is_equal"] == [None]
-
     def test_same_bytes_under_any_hash_seed(self):
         script = (
             "import hashlib\n"

@@ -530,15 +530,6 @@ class TestInlineExecutors:
 # Double-release guards (satellite)
 # ---------------------------------------------------------------------------
 class TestDoubleReleaseGuards:
-    def test_buffer_pool_rejects_double_offer(self):
-        from repro.runtime.blocks import BufferPool
-
-        pool = BufferPool()
-        arr = np.ones(64)
-        assert pool.put(arr)
-        with pytest.raises(RuntimeError, match="twice"):
-            pool.put(arr)
-
     def test_activation_pool_rejects_double_release(self):
         from repro.runtime import ActivationPool, TemplatePlan
         from repro.runtime.scheduler import Task  # noqa: F401 - engine dep
