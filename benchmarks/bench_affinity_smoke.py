@@ -57,7 +57,7 @@ def _run(compiled, registry, affinity, ctx=None):
     ).run(compiled.graph, args=(13,), registry=registry)
 
 
-def test_affinity_smoke(report, bench_json):
+def test_affinity_smoke(report):
     registry = _registry()
     compiled = compile_source(_fanout_source(), registry=registry)
     ref = SequentialExecutor().run(
@@ -95,18 +95,6 @@ def test_affinity_smoke(report, bench_json):
         f"{crit.reconciliation_error:.3f}"
     )
 
-    bench_json(
-        "affinity_smoke",
-        {
-            "fan": FAN,
-            "block_bytes": BLOCK_ELEMS * 8,
-            "encode_bytes_none": enc_none,
-            "encode_bytes_data": enc_data,
-            "encode_bytes_avoided": data.stats.encode_bytes_avoided,
-            "blocks_ref_shipped": data.stats.blocks_ref_shipped,
-            "reduction_factor": enc_none / max(enc_data, 1),
-        },
-    )
     report(
         "Affinity smoke — fan-out/fan-in, small",
         f"bit-identical under none/data; encoded wire bytes "

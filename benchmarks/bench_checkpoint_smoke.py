@@ -1,6 +1,6 @@
 """Checkpoint/resume smoke checks, small enough for CI (PR 10).
 
-Four gates on the robustness tentpole:
+Four checks on checkpoint/resume:
 
 * **The kill -9 drill** — the log-analytics CLI runs as a subprocess
   with a seeded ``masterkill`` clause, dies by real ``SIGKILL`` mid
@@ -10,11 +10,10 @@ Four gates on the robustness tentpole:
 * **Flat memory** — a 10⁵-firing streaming run (the ISSUE's order of
   magnitude) must hold RSS growth near zero: pull-based sources admit
   one item at a time, so nothing accumulates with stream length.
-* **Checkpoint overhead < 5%** — periodic snapshots on a firing-count
-  cadence must cost under 5% of the uncheckpointed wall clock, and the
-  sink digest must be unchanged by checkpointing.  With
-  ``--bench-json FILE`` the measured pair is recorded under
-  ``streaming_checkpoint``.
+* **Checkpoints change no output** — periodic snapshots on a
+  firing-count cadence leave the sink digest unchanged.  What they cost
+  in wall clock is the repository benchmark's ``checkpoint.on_x``
+  (``python3 -m bench --workload logstream``), not a gate here.
 * **Zero arena leaks** — after the drill, no shared-memory segment and
   no live arena survives (the atexit/SIGTERM reaper of
   :mod:`repro.runtime.workers` is the last line of defense; the drill
@@ -29,7 +28,6 @@ import resource
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from repro import compile_source
@@ -52,13 +50,10 @@ DEEP_SRC = (
 FLAT_RSS_ITEMS = 6_500
 RSS_BUDGET_KIB = 24 * 1024  # allocator noise allowance, ~24 MiB
 
-#: Overhead workload: 600 log batches (4 800 fires, ~0.6 s) with a
-#: snapshot every 800 fires — each snapshot is an fsync'd atomic
-#: rename, so the cadence must be amortized over real work.
-OVERHEAD_ITEMS = 600
+#: Cadence workload: 600 log batches (4 800 fires) with a snapshot every
+#: 800 fires.
+CADENCE_ITEMS = 600
 CHECKPOINT_EVERY = 800
-OVERHEAD_BUDGET = 0.05
-REPEATS = 3
 
 DRILL_ITEMS = 60
 DRILL_KILL_AT = 35
@@ -158,66 +153,22 @@ def test_flat_rss_over_1e5_firings(tmp_path):
     )
 
 
-def test_checkpoint_overhead_under_budget(tmp_path, bench_json):
-    """Periodic snapshots cost < 5% wall clock and change no output."""
+def test_checkpoints_change_no_output(tmp_path):
+    """Periodic snapshots leave the sink output as it was."""
     from repro.apps.loganalytics.stream import batch_source, make_stream_runner
 
-    def run(checkpointed: bool, tag: str):
-        best = None
-        digest = None
-        checkpoints = 0
-        fires = 0
-        for i in range(REPEATS):
-            kwargs = {}
-            if checkpointed:
-                kwargs = {
-                    "checkpoint_path": str(
-                        tmp_path / f"{tag}{i}.ckpt"
-                    ),
-                    "checkpoint_every": CHECKPOINT_EVERY,
-                }
-            runner = make_stream_runner(**kwargs)
-            sink = MemorySink()
-            t0 = time.perf_counter()
-            result = runner.run(
-                batch_source(n_batches=OVERHEAD_ITEMS), sink
-            )
-            elapsed = time.perf_counter() - t0
-            if best is None or elapsed < best:
-                best = elapsed
-            digest = result.sink_digest
-            checkpoints = result.checkpoints_written
-            fires = result.fires
-        return best, digest, checkpoints, fires
+    def run(**kwargs):
+        result = make_stream_runner(**kwargs).run(
+            batch_source(n_batches=CADENCE_ITEMS), MemorySink()
+        )
+        return result.sink_digest, result.checkpoints_written
 
-    plain_seconds, plain_digest, _, fires = run(False, "none")
-    ckpt_seconds, ckpt_digest, checkpoints, _ = run(True, "ck")
-
+    plain_digest, _ = run()
+    ckpt_digest, checkpoints = run(
+        checkpoint_path=str(tmp_path / "ck.ckpt"),
+        checkpoint_every=CHECKPOINT_EVERY,
+    )
     assert ckpt_digest == plain_digest, (
         "checkpointing changed the sink output"
     )
-    assert checkpoints >= 3, "cadence produced too few snapshots to measure"
-
-    overhead = max(ckpt_seconds - plain_seconds, 0.0) / plain_seconds
-    bench_json(
-        "streaming_checkpoint",
-        {
-            "workload": (
-                f"loganalytics stream, {OVERHEAD_ITEMS} batches, "
-                f"snapshot every {CHECKPOINT_EVERY} fires"
-            ),
-            "items": OVERHEAD_ITEMS,
-            "fires": fires,
-            "checkpoints_written": checkpoints,
-            "plain_seconds": plain_seconds,
-            "checkpointed_seconds": ckpt_seconds,
-            "overhead_fraction": overhead,
-            "budget": OVERHEAD_BUDGET,
-            "cpu_count": os.cpu_count(),
-        }
-    )
-    assert overhead < OVERHEAD_BUDGET, (
-        f"checkpoint overhead {overhead:.1%} exceeds "
-        f"{OVERHEAD_BUDGET:.0%} ({plain_seconds:.4f}s -> "
-        f"{ckpt_seconds:.4f}s, {checkpoints} snapshots)"
-    )
+    assert checkpoints >= 3, "cadence produced too few snapshots"

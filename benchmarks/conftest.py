@@ -10,52 +10,7 @@ time the core operation of each experiment.
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        default=None,
-        metavar="FILE",
-        help="append machine-readable benchmark results to this JSON file "
-        "(a dict keyed by benchmark name; merged with existing content)",
-    )
-
-
-@pytest.fixture
-def bench_json(request):
-    """Record a benchmark's structured result under a key.
-
-    With ``--bench-json FILE``, results accumulate into ``FILE`` (one
-    top-level key per benchmark, later runs overwrite the same key).
-    Without the option the recorder is a no-op, so benchmarks can call it
-    unconditionally.  Returns the path written, or None.
-    """
-    path = request.config.getoption("--bench-json")
-
-    def record(key: str, payload) -> str | None:
-        if path is None:
-            return None
-        data = {}
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError):
-                data = {}
-        data[key] = payload
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
-
-    return record
 
 
 @pytest.fixture

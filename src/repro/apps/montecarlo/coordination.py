@@ -36,14 +36,7 @@ def make_registry(
     local = OperatorRegistry()
     batch_cost = float(batch_size) * ticks_per_sample
 
-    @local.register(
-        name="pi_batch",
-        pure=True,
-        cost=batch_cost,
-        batch=lambda calls: model.pi_batch_many(
-            seed, [c[0] for c in calls], batch_size
-        ),
-    )
+    @local.register(name="pi_batch", pure=True, cost=batch_cost)
     def pi_batch(batch_index: int):
         return model.pi_batch(seed, batch_index, batch_size)
 
@@ -72,8 +65,8 @@ def compile_pi(
     """The dartboard-π estimator.
 
     Extra keyword arguments go to :func:`repro.compile_source` — e.g.
-    ``optimize_passes=PASS_ORDER + ("fuse",)`` for the fused
-    configurations the batching benchmarks compare.
+    ``optimize_passes=PASS_ORDER + ("fuse",)`` for a fused
+    configuration.
     """
     return compile_source(
         PI_PROGRAM,

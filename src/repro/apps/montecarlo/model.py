@@ -36,52 +36,12 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 # Dartboard pi
 # ---------------------------------------------------------------------------
 
-def _count_hits(xy: np.ndarray) -> int:
-    # x*x + y*y on the column views is the same multiply-add, in the
-    # same order, as the ``ij,ij->i`` einsum contraction (bit-identical
-    # float64), and roughly 2x faster on strided 2-column input.
-    x, y = xy[:, 0], xy[:, 1]
-    return int(np.count_nonzero(x * x + y * y <= 1.0))
-
-
 def pi_batch(seed: int, batch_index: int, batch_size: int) -> tuple[int, int]:
     """(hits inside the quarter circle, samples) for one batch."""
     rng = batch_rng(seed, batch_index)
     xy = rng.random((batch_size, 2))
-    return _count_hits(xy), batch_size
-
-
-#: Stacked working-set bound for :func:`pi_batch_many`.  Above this the
-#: stacked contraction loses to the per-batch loop: each 3.2 MB batch
-#: stays cache-warm between generation and reduction, while a stacked
-#: ``(n, batch_size, 2)`` array is generated cold, copied once more by
-#: ``np.stack``, and reduced cold (measured ~2.5× slower at 16×200k).
-_STACK_BYTES_MAX = 4 << 20
-
-
-def pi_batch_many(
-    seed: int, batch_indices: list[int], batch_size: int
-) -> list[tuple[int, int]]:
-    """N firings of :func:`pi_batch` in one call — the batch form.
-
-    Small batches stack into one NumPy contraction (``nij,nij->ni``
-    reduces the same ``j`` axis with the same pairwise multiply-add as
-    the per-batch ``ij,ij->i`` form); large batches run the per-batch
-    kernel in a loop, which keeps each batch cache-warm.  Either way the
-    per-batch counter-based streams make the results bit-identical to N
-    scalar :func:`pi_batch` calls — the batching win for large batches
-    is in the coordination layer (one scheduled group, one IPC message),
-    not the kernel.
-    """
-    n = len(batch_indices)
-    if 0 < n * batch_size * 16 <= _STACK_BYTES_MAX:
-        xys = np.stack(
-            [batch_rng(seed, b).random((batch_size, 2)) for b in batch_indices]
-        )
-        sq = np.einsum("nij,nij->ni", xys, xys)
-        hits = (sq <= 1.0).sum(axis=1)
-        return [(int(h), batch_size) for h in hits]
-    return [pi_batch(seed, b, batch_size) for b in batch_indices]
+    x, y = xy[:, 0], xy[:, 1]
+    return int(np.count_nonzero(x * x + y * y <= 1.0)), batch_size
 
 
 def pi_estimate(hits: int, samples: int) -> float:

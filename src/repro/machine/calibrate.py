@@ -163,43 +163,6 @@ def calibrate_dispatch(
     )
 
 
-def suggest_batch_threshold(
-    measured_seconds: dict[str, float] | None,
-    min_dispatch_seconds: float = 0.002,
-    floor: int = 4,
-    ceiling: int = 64,
-) -> int:
-    """A batch-size cap derived from measured per-operator costs.
-
-    The batched path amortizes one IPC round trip over a whole group, so
-    the useful group size is how many firings of the *cheapest dispatched*
-    operator fit in one dispatch bar: batching 64 firings of a 2 ms
-    operator coalesces 128 ms of work behind one message (fine), but so
-    would batching 8 — while 64 firings of a 40 ms operator serializes
-    2.5 s on one worker that the scheduler could have spread.  The
-    suggestion is ``min_dispatch_seconds / cheapest_cost`` scaled by the
-    bar, clamped to ``[floor, ceiling]``; with no measurements it is the
-    runtime default (see ``DEFAULT_BATCH_THRESHOLD`` in
-    :mod:`repro.runtime.supervise` — defined there, not here, because
-    this module imports the runtime and not vice versa).
-    """
-    from ..runtime.supervise import DEFAULT_BATCH_THRESHOLD
-
-    if not measured_seconds:
-        return DEFAULT_BATCH_THRESHOLD
-    dispatched = [
-        s for s in measured_seconds.values() if s >= min_dispatch_seconds
-    ]
-    if not dispatched:
-        return DEFAULT_BATCH_THRESHOLD
-    cheapest = min(dispatched)
-    # One batch should cost no more than ~16 dispatch bars of work: cheap
-    # operators batch wide, expensive ones stay near-singleton so the
-    # scheduler keeps its spreading freedom.
-    suggested = int((min_dispatch_seconds / cheapest) * 16)
-    return max(floor, min(ceiling, suggested))
-
-
 # ---------------------------------------------------------------------------
 # On-disk persistence
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .events import (
     EventLog,
     ExecutorDegraded,
     Expansion,
-    FireBatchFormed,
     FireRetried,
     FireTimedOut,
     OpFinished,
@@ -116,7 +115,6 @@ __all__ = [
     "EventLog",
     "ExecutorDegraded",
     "Expansion",
-    "FireBatchFormed",
     "FireRetried",
     "FireTimedOut",
     "FiringRecord",

@@ -250,23 +250,6 @@ class ShmBlockCreated(Event):
     nbytes: int
 
 
-@dataclass(frozen=True, slots=True)
-class FireBatchFormed(Event):
-    """Same-node ready fires were coalesced into one batched execution.
-
-    ``size`` is the number of firings in the group; ``remote`` is true
-    when the group shipped to a worker as one IPC message (false for an
-    in-process vectorized batch).  Per-fire ``TaskDispatched`` /
-    ``ResultReceived`` / ``TaskFired`` events are still emitted for every
-    member, so timelines and the critical-path join stay per-firing.
-    """
-
-    operator: str
-    node_id: int
-    size: int
-    remote: bool
-
-
 # ----------------------------------------------------------------------
 # Fault tolerance (supervised ProcessExecutor)
 # ----------------------------------------------------------------------
@@ -478,7 +461,6 @@ ALL_EVENTS: tuple[type, ...] = (
     TaskDispatched,
     ResultReceived,
     ShmBlockCreated,
-    FireBatchFormed,
     WorkerCrashed,
     WorkerRespawned,
     FireRetried,

@@ -40,7 +40,6 @@ from .events import (
     EventBus,
     ExecutorDegraded,
     Expansion,
-    FireBatchFormed,
     FireRetried,
     FireTimedOut,
     OperatorsFused,
@@ -297,8 +296,6 @@ def attach_metrics(
     shm_nbytes = reg.counter("shm_nbytes")
     fused_fires = reg.counter("fused_fires")
     fused_ops_saved = reg.counter("fused_ops_saved")
-    fire_batches = reg.counter("fire_batches")
-    batched_fires = reg.counter("batched_fires")
     blocks_allocated = reg.counter("blocks_allocated")
     blocks_alloc_bytes = reg.counter("blocks_allocated_bytes")
     worker_crashes = reg.counter("worker_crashes")
@@ -364,9 +361,6 @@ def attach_metrics(
         elif isinstance(e, TaskDispatched):
             ops_dispatched.inc(label=e.operator)
             dispatch_nbytes.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, FireBatchFormed):
-            fire_batches.inc(label=e.operator)
-            batched_fires.inc(e.size, label=e.operator)
         elif isinstance(e, ResultReceived):
             result_nbytes.inc(e.nbytes, label=e.operator)
             reg.histogram(f"worker_seconds/{e.operator}").observe(e.duration)

@@ -120,7 +120,7 @@ def registry_fingerprint(registry: Any) -> str:
 
     Function bodies cannot be hashed portably; what resume correctness
     needs is that the same operator names exist with the same shapes
-    (arity, destructive-modify sets, purity, batched form present).
+    (arity, destructive-modify sets, purity).
     """
     entries = []
     for name in sorted(registry.names()):
@@ -131,7 +131,6 @@ def registry_fingerprint(registry: Any) -> str:
                 spec.arity,
                 sorted(spec.modifies),
                 bool(spec.pure),
-                spec.batch_fn is not None,
             ]
         )
     blob = json.dumps(entries, separators=(",", ":"))

@@ -241,15 +241,11 @@ class EngineStats:
     fires_timed_out: int = 0
     executor_degraded: int = 0
     shm_segments_reclaimed: int = 0
-    #: Batched-execution counters (see the batched paths in
-    #: :mod:`repro.runtime.executors` / :mod:`repro.runtime.supervise`):
-    #: how many same-node groups were formed, how many firings rode in
-    #: them, how many firings were dispatched to workers at all, and the
-    #: raw IPC message traffic (both directions) — ``ipc_messages_sent +
-    #: ipc_messages_received`` over ``dispatched_fires`` is the
-    #: per-fire round-trip cost batching exists to amortize.
-    fire_batches: int = 0
-    batched_fires: int = 0
+    #: Dispatch counters (see :mod:`repro.runtime.supervise`): how many
+    #: firings were dispatched to workers, and the raw IPC message
+    #: traffic (both directions) — ``ipc_messages_sent +
+    #: ipc_messages_received`` over ``dispatched_fires`` is the per-fire
+    #: round-trip cost.
     dispatched_fires: int = 0
     ipc_messages_sent: int = 0
     ipc_messages_received: int = 0
@@ -713,39 +709,6 @@ class ExecutionState:
             pending.seq = task.seq
             pending.priority = task.priority
         return pending
-
-    def begin_fires(
-        self,
-        tasks: list[Task],
-        home: int = -1,
-        classify: Classify | None = None,
-    ) -> list[FireOutcome]:
-        """Fire a batch of ready tasks up to the compute boundary.
-
-        The plural form of :meth:`begin_fire`, in order: batching changes
-        *when* operator bodies run, never the order single-assignment
-        state observes the begins in.
-        """
-        return [self.begin_fire(task, home, classify) for task in tasks]
-
-    def complete_fires(
-        self,
-        pairs: list[tuple[PendingOp, Any]],
-        op_seconds: float | None = None,
-    ) -> list[Task]:
-        """Commit a batch of finished firings in master-assigned order.
-
-        ``pairs`` is ``(pending, raw_result)`` per firing; commits happen
-        by ascending ``pending.seq`` — the sequence the master assigned
-        when the fires were begun — so a batch commits exactly the tasks,
-        in exactly the order, the one-at-a-time path would have.
-        ``op_seconds`` (typically the batch's per-fire share) is passed
-        through to every :meth:`complete_fire`.
-        """
-        newly: list[Task] = []
-        for pending, raw in sorted(pairs, key=lambda p: p[0].seq):
-            newly.extend(self.complete_fire(pending, raw, op_seconds))
-        return newly
 
     def complete_fire(
         self,

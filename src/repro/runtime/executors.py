@@ -22,8 +22,8 @@ begin it and run its body *somewhere*.  The executors are that somewhere:
   is swapped for one of the other two backends on the same run.
 
 Which path a firing takes is selected by what the run observes — a
-``TaskFired`` subscriber, a fault injector, ``check_purity``, a batch
-form, a cost hint — never by a switch.  All three run every ready task to
+``TaskFired`` subscriber, a fault injector, ``check_purity``, a cost
+hint — never by a switch.  All three run every ready task to
 queue exhaustion and produce identical results: the coordination model's
 determinism guarantee, which ``tests/test_executor_conformance.py``
 checks cell by cell.
@@ -43,7 +43,6 @@ from ..obs.events import (
     BlockCached,
     EventBus,
     ExecutorDegraded,
-    FireBatchFormed,
     FireRetried,
     ResultReceived,
     TaskFired,
@@ -51,20 +50,9 @@ from ..obs.events import (
 from ..obs.runctx import RunContext
 from .blocks import DataBlock
 from .engine import EngineStats, ExecutionState, PendingOp
-from .operators import (
-    OperatorRegistry,
-    batch_call,
-    collect_fused_chains,
-    default_registry,
-)
+from .operators import OperatorRegistry, collect_fused_chains, default_registry
 from .scheduler import ReadyQueue, Task
-from .supervise import (
-    DEFAULT_BATCH_THRESHOLD,
-    Completion,
-    FaultPolicy,
-    Supervisor,
-    run_with_retries,
-)
+from .supervise import Completion, FaultPolicy, Supervisor, run_with_retries
 from .tracing import Tracer
 from .workers import (
     SHM_THRESHOLD_DEFAULT,
@@ -102,15 +90,13 @@ def resolve_bus(
 
 
 def batch_key(task: Task) -> tuple[int, int] | None:
-    """Coalescing key for :meth:`ReadyQueue.pop_batch`.
+    """Peer key for :meth:`ReadyQueue.take_peers`.
 
-    Ready fires of the same ``(template, node)`` are candidates for one
-    :class:`FireBatch` — they run the same operator on symmetric
-    activations, which is what a vectorized ``batch_call`` (or one
-    grouped IPC message) can exploit.  ``OP`` nodes and ``CALL`` nodes
-    both qualify (a ``CALL`` may resolve to an operator value, e.g. the
-    prelude's ``par_reduce`` leaf calls); everything else — expansions,
-    plumbing — returns ``None`` and pops as a singleton.
+    Ready fires of the same ``(template, node)`` are peers: a ``_CALL``
+    head is begun together with them (:meth:`Run.loop`).  ``CALL`` and
+    ``OP`` nodes qualify (under threads an ``OP`` head is a ``_CALL``
+    head); everything else — ``IF`` expansions, plumbing — returns
+    ``None`` and is never a peer.
     """
     node = task.activation.template.nodes[task.node_id]
     kind = node.kind
@@ -121,7 +107,11 @@ def batch_key(task: Task) -> tuple[int, int] | None:
 
 #: Dispatch classes of :meth:`Run.loop`, decided once per node and
 #: executor configuration (:meth:`Run._node_class`).
-_FIRE, _OP, _VECTOR, _CALL, _LOCAL = range(5)
+_FIRE, _OP, _CALL = range(3)
+
+#: Most ready fires of one ``CALL`` node that expand together, the head
+#: included.
+_GROUP_MAX = 32
 
 
 @dataclass
@@ -139,7 +129,7 @@ class _Inline:
 
     A backend is where suspended bodies go, and its surface is the one
     :class:`~repro.runtime.supervise.Supervisor` already has —
-    ``dispatch(pending, vector)``, ``pump(block) -> completions``,
+    ``dispatch(pending)``, ``pump(block) -> completions``,
     ``in_flight``, ``take_completions()``, ``drain_in_flight()``.  With
     no dispatch policy the loop never dispatches, so all it reads of this
     one is an ``in_flight`` of zero.
@@ -284,9 +274,8 @@ class Run:
             and not self.wants_fired
         )
         # Injection decisions are per firing, so an injector switches
-        # coalescing off.
+        # peer expansion off.
         self.batching = executor.batch and injector is None
-        self.threshold = executor.batch_threshold or DEFAULT_BATCH_THRESHOLD
         self.profile_ops = executor.profile_ops
         self.class_tokens = executor.class_tokens
         #: Marks the dispatch classes in the shared per-node tables
@@ -370,27 +359,24 @@ class Run:
 
     # -- the loop ---------------------------------------------------------
     def loop(self) -> None:
-        """The firing loop: ``pop → class → fire | begin → local body or
-        local group | submit``, then ``poll → commit``.
+        """The firing loop: ``pop → class → fire | begin → local body |
+        submit``, then ``poll → commit``.
 
         Each node has one dispatch class, memoized in its row of the
         template's per-node table (:meth:`_node_class`) under the token
         of the run's configuration: the first run of a configuration
         classifies, the rest read.
         A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
-        engine's single pass unless its payloads send it away; it looks
-        for peers only once suspended.  ``_VECTOR``, ``_LOCAL`` and
-        ``_CALL`` heads may run as one unit with the ready peers of their
-        node, and collect them when the queue holds one
-        (:meth:`ReadyQueue.has_peer`); alone, a ``_VECTOR`` head fires as
-        ``_OP`` does, a ``_LOCAL`` head — whose body is sure to stay
-        here — is fired whole, and a ``_CALL`` head is begun.  Whatever
-        was begun and stays here runs in :meth:`_local`; the rest goes to
-        the backend and comes back through :meth:`_commit`.
+        engine's single pass unless its payloads send it away.  A
+        ``_CALL`` head is begun; in a batching run whose queue holds a
+        ready peer of its node (:meth:`ReadyQueue.has_peer`) it expands
+        together with its peers, all begun before any body runs.
+        Whatever was begun and stays here runs in :meth:`_local`; the
+        rest goes to the backend and comes back through :meth:`_commit`.
         """
         state, queue = self.state, self.queue
         token, node_class = self.token, self._node_class
-        plain, batching, threshold = self.plain, self.batching, self.threshold
+        plain, batching = self.plain, self.batching
         fire, begin, local = state.fire, self._begin, self._local
         # A run that wants per-fire detail begins what the single pass
         # would have fired without it.
@@ -412,57 +398,24 @@ class Run:
                     else:
                         self._fire(task, entry.node)
                     continue
-                pending = None
                 if cls == _OP:
-                    pending = fire_op(task)
-                    if pending is None:
-                        continue
-                if batching and queue.has_peer(task):
+                    pendings = [fire_op(task)]
+                elif batching and queue.has_peer(task):
+                    # Expanded together, the peers' leaves meet in the
+                    # queue.
                     peers = queue.take_peers(
-                        task, batch_key(task), threshold - 1, batch_key
+                        task, batch_key(task), _GROUP_MAX - 1, batch_key
                     )
-                    if peers:
-                        # A head begun above stays first in the group.
-                        begun = [] if pending is None else [pending]
-                        tasks = peers if begun else (task, *peers)
-                        group: list[PendingOp] = []
-                        for p in begun + [begin(t) for t in tasks]:
-                            if p is None:
-                                continue
-                            if p.remote:
-                                # Vector-eligible: the supervisor groups
-                                # staged same-operator records into one
-                                # wire entry at flush time.
-                                backend.dispatch(p, vector=True)
-                            else:
-                                group.append(p)
-                        spec = group[0].spec if group else None
-                        if (
-                            len(group) > 1
-                            # Retries are per firing: under a retry
-                            # policy only a vectorized form is worth
-                            # running a group as one unit for.
-                            and (spec.batch_fn is not None or self.policy is None)
-                            and all(p.spec is spec for p in group)
-                        ):
-                            local(group)
-                        else:
-                            # Lone, or a CALL node that resolved to
-                            # different operators across activations.
-                            for p in group:
-                                local([p])
-                        continue
-                if pending is None:
-                    if cls == _LOCAL and plain:
-                        queue.push_all(fire(task))
-                        continue
-                    pending = (begin if cls == _CALL else fire_op)(task)
+                    pendings = [begin(t) for t in (task, *peers)]
+                else:
+                    pendings = [begin(task)]
+                for pending in pendings:
                     if pending is None:
                         continue
-                if pending.remote:
-                    backend.dispatch(pending, vector=batching)
-                else:
-                    local([pending])
+                    if pending.remote:
+                        backend.dispatch(pending)
+                    else:
+                        local(pending)
             if self.halted or not backend.in_flight:
                 return
             try:
@@ -483,16 +436,15 @@ class Run:
         queue.
 
         A head is fired whole (``_FIRE``) when its body is sure to run
-        here, alone and at once: nothing can send it away, it cannot ride
-        in a group, and no lock has to be released around it.
+        here, alone and at once: nothing can send it away, it does not
+        expand with peers, and no lock has to be released around it.
         """
         kind = entry.kind
         away = self.dispatch_policy is not None or self.threads is not None
         if kind is NodeKind.CALL:
             # A callee known only at fire time may be an operator.  A
             # batching run also collects the ready peers of a call it
-            # knows to expand a closure: expanded together, their leaves
-            # meet in the queue, which is the only way they can coalesce.
+            # knows to expand a closure.
             if self.batching or (away and entry.callee is None):
                 return _CALL
             return _FIRE
@@ -500,13 +452,11 @@ class Run:
             return _FIRE
         if self.threads is not None:
             return _CALL
-        spec = self.state.op_spec(entry)
         policy = self.dispatch_policy
-        stays = policy is None or policy.static_dispatch(spec) is False
-        if self.batching and spec.batch_fn is not None:
-            # Only a group can keep a body that stays from firing whole.
-            return _LOCAL if stays else _VECTOR
-        return _FIRE if stays else _OP
+        spec = self.state.op_spec(entry)
+        if policy is None or policy.static_dispatch(spec) is False:
+            return _FIRE
+        return _OP
 
     def _who(self, fired: Any, label: str, kind: str) -> tuple:
         """The identity fields of a span, read while the firing's
@@ -627,79 +577,39 @@ class Run:
                     threads.lock.release()
         return raw
 
-    def _local(self, pendings: list[PendingOp], isolate: bool = False) -> None:
-        """Run suspended bodies here and commit them: one firing, or a
-        group of one operator as a single :func:`batch_call`.
-
-        A lone firing runs under :meth:`retrying`; a group that raises —
-        nothing is committed yet — is re-run firing by firing, so the
-        failing one surfaces its own error exactly as an unbatched run
-        would have.  Under threads the body runs with the engine lock
-        released.
+    def _local(self, pending: PendingOp, isolate: bool = False) -> None:
+        """Run one suspended body here, under :meth:`retrying`, and commit
+        it.  Under threads the body runs with the engine lock released.
         """
-        state, bus, threads = self.state, self.bus, self.threads
-        spec = pendings[0].spec
-        n = len(pendings)
-        # Spans are emitted after the commit, so the firing's children
+        state, threads = self.state, self.threads
+        spec = pending.spec
+        # The span is emitted after the commit, so the firing's children
         # are enqueued (stream order) before the span that caused them —
         # the causal-profiler contract.  Only the body is spanned here:
         # engine bookkeeping under a lock is not attributable to a thread.
-        whos = (
-            [self._who(p, spec.name, "op") for p in pendings]
-            if self.wants_fired
-            else ()
-        )
+        who = self._who(pending, spec.name, "op") if self.wants_fired else None
+        args = pending.args
+        if isolate:
+            # A remote pending skipped its physical COW copies
+            # (serialization was going to isolate the worker's writes);
+            # running it here needs private copies, made through the same
+            # codec a worker would have used — with every buffer in-band,
+            # as nothing leaves this process.
+            args = tuple(decode_value(encode_value(a, sys.maxsize)) for a in args)
         if threads is not None:
             threads.leave()
         t0 = time.perf_counter()
         try:
-            if n > 1:
-                try:
-                    raws = batch_call(spec, [p.args for p in pendings])
-                except Exception:  # noqa: BLE001 - refired per fire below
-                    raws = None
-            else:
-                args = pendings[0].args
-                if isolate:
-                    # A remote pending skipped its physical COW copies
-                    # (serialization was going to isolate the worker's
-                    # writes); running it here needs private copies, made
-                    # through the same codec a worker would have used —
-                    # with every buffer in-band, as nothing leaves this
-                    # process.
-                    args = tuple(
-                        decode_value(encode_value(a, sys.maxsize)) for a in args
-                    )
-                raws = [self.retrying(spec, args, pendings[0].node_id)]
+            raw = self.retrying(spec, args, pending.node_id)
         finally:
-            t1 = time.perf_counter()
+            seconds = time.perf_counter() - t0
             if threads is not None:
                 threads.enter()
-        if raws is None:
-            for p in pendings:
-                self._local([p])
-            return
-        stats = state.stats
         if self.profile_ops:
-            stats.op_body_seconds += t1 - t0
-        per = (t1 - t0) / n
-        if n > 1:
-            stats.fire_batches += 1
-            stats.batched_fires += n
-            if bus is not None and bus.wants(FireBatchFormed):
-                bus.emit(
-                    FireBatchFormed(
-                        bus.now(), spec.name, pendings[0].node_id, n, False
-                    )
-                )
-        if n == 1:
-            newly = state.complete_fire(pendings[0], raws[0], per)
-        else:
-            # Master-assigned order; each member gets its share of the call.
-            newly = state.complete_fires(list(zip(pendings, raws)), per)
-        self.queue.push_all(newly)
-        for i, who in enumerate(whos):
-            self.span(who, t0 - self.began + i * per, per)
+            state.stats.op_body_seconds += seconds
+        self.queue.push_all(state.complete_fire(pending, raw, seconds))
+        if who is not None:
+            self.span(who, t0 - self.began, seconds)
 
     def _commit(self, c: Completion) -> None:
         """Commit one firing the backend finished elsewhere."""
@@ -767,7 +677,7 @@ class Run:
         # configuration: keep it out of the classes later runs read.
         self.token = object()
         for pending in supervisor.drain_in_flight():
-            self._local([pending], isolate=True)
+            self._local(pending, isolate=True)
 
 
 class _Executor:
@@ -834,7 +744,6 @@ class SequentialExecutor(_Executor):
         run_ctx: RunContext | None = None,
         profile_ops: bool = False,
         batch: bool = False,
-        batch_threshold: int | None = None,
         max_ready: int | None = None,
     ) -> None:
         super().__init__()
@@ -852,13 +761,10 @@ class SequentialExecutor(_Executor):
         #: the benchmark phase-split probe (far cheaper than subscribing
         #: to ``OpStarted``/``OpFinished`` events).
         self.profile_ops = profile_ops
-        #: Opt-in same-node fire coalescing (default off: one processor
-        #: gains only the vectorized-kernel win, and the plain unbatched
-        #: run is the queue's own drain loop).  Groups up to
-        #: ``batch_threshold`` ready fires per :func:`batch_key` and runs
-        #: them through the operator's ``batch_call``.
+        #: Opt-in peer expansion: a call expands together with the ready
+        #: calls of its node (default off: the plain run is the queue's
+        #: own drain loop, which a single processor loses by leaving).
         self.batch = batch
-        self.batch_threshold = batch_threshold
 
     def run(
         self,
@@ -895,7 +801,6 @@ class ThreadedExecutor(_Executor):
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
         batch: bool = False,
-        batch_threshold: int | None = None,
         max_ready: int | None = None,
     ) -> None:
         if n_workers < 1:
@@ -910,15 +815,11 @@ class ThreadedExecutor(_Executor):
         self.fault_spec = fault_spec
         self.run_ctx = run_ctx
         self.max_ready = max_ready
-        #: Opt-in same-node fire coalescing (see :func:`batch_key`): a
-        #: thread claims a whole group under the lock and runs one
-        #: ``batch_call`` outside it — fewer lock round-trips per firing
-        #: and a vectorized kernel when the operator has a batch form.
-        #: Switched off by a fault spec (injection decisions are per
-        #: firing); under a fault policy only vectorized groups form
-        #: (retries are per firing too).
+        #: Opt-in peer expansion (see :meth:`Run.loop`): a thread begins
+        #: a head and the ready peers of its node under the lock, then
+        #: runs their bodies one by one outside it.  Switched off by a
+        #: fault spec.
         self.batch = batch
-        self.batch_threshold = batch_threshold
 
     def run(
         self,
@@ -993,11 +894,14 @@ class ProcessExecutor(_Executor):
         registry skip pool startup and registry/fused-chain shipping).
         The pool is rebuilt automatically when a different program or
         registry arrives, and torn down by :meth:`close`.
-        Worker block caches persist across runs too; that is safe
-        because each run's fresh residency tracker never ref-ships a
-        block it did not itself record, so a stale entry can only be
-        overwritten (at next full ship of its bid) or LRU-evicted —
-        never served.
+        Worker block caches persist across runs too, and so does the
+        one residency tracker that records what they hold
+        (``WorkerPool.residency``).  That is safe because block ids are
+        never reused while a cache can still name them, and a block that
+        dies — in a run or between runs — queues its invalidation, which
+        rides on the next message its holder receives (the next run's
+        first one, at the latest) before any call in it runs; a stale
+        entry can waste cache budget, but it is never served.
     """
 
     def __init__(
@@ -1005,7 +909,6 @@ class ProcessExecutor(_Executor):
         n_workers: int = 4,
         batch_size: int = 4,
         batch: bool = True,
-        batch_threshold: int | None = None,
         cost_threshold: float = 2_000_000.0,
         shm_threshold: int = SHM_THRESHOLD_DEFAULT,
         use_priorities: bool = True,
@@ -1031,19 +934,11 @@ class ProcessExecutor(_Executor):
         super().__init__()
         self.n_workers = n_workers
         self.batch_size = batch_size
-        #: Batched execution (default on): ready same-node fires are
-        #: coalesced per :func:`batch_key`, remote groups ship as one
-        #: grouped IPC message answered by one N-result message, and
-        #: operators with a vectorized batch form run all N firings in
-        #: one kernel call (worker-side, or inline for kept-local
-        #: groups).  ``batch_threshold`` caps firings per group
-        #: (default :data:`~repro.runtime.supervise.
-        #: DEFAULT_BATCH_THRESHOLD`; the CLI passes a measured
-        #: suggestion from ``suggest_batch_threshold``).  Automatically
-        #: disabled while fault injection is active, since injection
-        #: decisions are per firing.
+        #: Peer expansion (default on): a call expands together with the
+        #: ready calls of its node, so the leaves of a fan-out meet in the
+        #: queue.  Automatically disabled while fault injection is
+        #: active, since injection decisions are per firing.
         self.batch = batch
-        self.batch_threshold = batch_threshold
         self.policy = DispatchPolicy(
             cost_threshold=cost_threshold,
             nbytes_threshold=shm_threshold,
@@ -1144,7 +1039,6 @@ class ProcessExecutor(_Executor):
             pool,
             policy,
             batch_size=self.batch_size,
-            batch_threshold=run.threshold,
             shm_threshold=self.shm_threshold,
             bus=run.bus,
             stats=run.state.stats,

@@ -23,15 +23,6 @@ Optional metadata powers the rest of the environment:
     speedup curves depend only on the dependency structure.
 ``arity``
     Expected argument count, checked at graph execution time.
-``batch``
-    Opt-in vectorized protocol: a callable receiving a *list of argument
-    tuples* (N firings of the same operator) and returning N results in
-    order.  Executors that coalesce same-node firings into one batch call
-    it through :func:`batch_call`, which falls back to a plain loop over
-    ``fn`` when no vectorized form is registered — results are required
-    to be bit-identical either way (the batching property suite enforces
-    it).  Batched operators must not declare ``modifies``: a vectorized
-    body has no per-firing copy-on-write boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ import operator as _pyop
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from ..errors import DeliriumError, RuntimeFailure, UnknownOperatorError
+from ..errors import DeliriumError, UnknownOperatorError
 from .values import NULL, is_truthy
 
 
@@ -57,12 +48,6 @@ class OperatorSpec:
     cost: float | Callable[..., float] | None = None
     arity: int | None = None
     doc: str = ""
-    #: Optional vectorized form: ``batch_fn(args_lists)`` executes N
-    #: firings (one argument tuple each) and returns their N results in
-    #: order.  ``None`` (the default) means :func:`batch_call` loops over
-    #: ``fn`` — batching then still wins on scheduling and IPC, just not
-    #: on kernel vectorization.
-    batch_fn: Callable[[list[tuple[Any, ...]]], Any] | None = None
     #: What error messages call a fused node (its ``name`` is the recipe).
     label: str = ""
 
@@ -116,14 +101,8 @@ class OperatorRegistry:
         foldable: bool = False,
         cost: float | Callable[..., float] | None = None,
         arity: int | None = None,
-        batch: Callable[[list[tuple[Any, ...]]], Any] | None = None,
     ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator: register the wrapped callable as an operator.
-
-        ``batch`` opts the operator into the vectorized protocol: it
-        receives a list of argument tuples (N coalesced firings) and must
-        return their N results in order, bit-identical to N calls of the
-        plain function.
 
         Example::
 
@@ -136,25 +115,16 @@ class OperatorRegistry:
         """
 
         def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-            op_name = name or fn.__name__
-            mods = frozenset(modifies)
-            if batch is not None and mods:
-                raise DeliriumError(
-                    f"operator {op_name!r} cannot register a batch form: "
-                    f"it declares modifies={sorted(mods)} (vectorized "
-                    "bodies have no per-firing copy-on-write boundary)"
-                )
             self.add(
                 OperatorSpec(
-                    name=op_name,
+                    name=name or fn.__name__,
                     fn=fn,
-                    modifies=mods,
+                    modifies=frozenset(modifies),
                     pure=pure,
                     foldable=foldable or (pure and foldable),
                     cost=cost,
                     arity=arity,
                     doc=(fn.__doc__ or "").strip(),
-                    batch_fn=batch,
                 )
             )
             return fn
@@ -366,14 +336,11 @@ def _chain(steps: tuple[tuple, ...], untuple_n: int) -> str:
     )
 
 
-#: The two factories every generated source defines.  Each process
-#: compiles the text and calls them with the member operator functions of
-#: its *own* registry (closure cells, so calls in the generated body are
-#: plain ``LOAD_DEREF`` + ``CALL``): ``_delirium_bind`` returns the scalar
-#: body, ``_delirium_bind_batch`` the :attr:`OperatorSpec.batch_fn` that
-#: loops it inside one generated frame.
+#: The factory every generated source defines.  Each process compiles the
+#: text and calls it with the member operator functions of its *own*
+#: registry (closure cells, so calls in the generated body are plain
+#: ``LOAD_DEREF`` + ``CALL``); it returns the body.
 _BIND = "_delirium_bind"
-_BIND_BATCH = "_delirium_bind_batch"
 
 
 def generate_source(steps: tuple[tuple, ...], untuple_n: int) -> str:
@@ -414,43 +381,7 @@ def generate_source(steps: tuple[tuple, ...], untuple_n: int) -> str:
                     lines.append(f"            t{j} = {val(result)}")
                 guarded = []
         lines += [f"        return t{len(steps) - 1}", "    return _fused"]
-    lines += [
-        "",
-        f"def {_BIND_BATCH}({fns}):",
-        f"    _fused = {_BIND}({fns})",
-        "    def _fused_batch(_calls):",
-        "        return [_fused(*_args) for _args in _calls]",
-        "    return _fused_batch",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def batch_call(
-    spec: OperatorSpec, args_lists: list[tuple[Any, ...]]
-) -> list[Any]:
-    """Execute N firings of one operator, vectorized when possible.
-
-    The single entry point of the batched execution path's operator
-    protocol: when ``spec`` registered a vectorized form it runs once
-    over the whole batch; otherwise the fallback is a plain loop over
-    ``spec.fn`` — same results, one call frame per firing.  A vectorized
-    form that returns the wrong number of results is a contract
-    violation and raises :class:`~repro.errors.RuntimeFailure` (silently
-    mis-aligning results with firings would corrupt single-assignment
-    state).
-    """
-    fn = spec.batch_fn
-    if fn is None:
-        call = spec.fn
-        return [call(*args) for args in args_lists]
-    results = list(fn(args_lists))
-    if len(results) != len(args_lists):
-        raise RuntimeFailure(
-            f"batch form of operator {spec.name!r} returned "
-            f"{len(results)} result(s) for {len(args_lists)} firing(s)"
-        )
-    return results
+    return "\n".join(lines) + "\n"
 
 
 #: Compiled code by fused name.  The name spells the whole recipe (the
@@ -522,7 +453,6 @@ def fused_spec(
         cost=cost,
         arity=_n_inputs(steps),
         doc=f"fused chain: {_chain(steps, untuple_n)}",
-        batch_fn=namespace[_BIND_BATCH](*fns),
         label=label,
     )
 

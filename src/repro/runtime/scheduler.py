@@ -192,9 +192,9 @@ class ReadyQueue:
     def pop_batch(self, limit: int, key: Any) -> list[Task]:
         """Pop the next task plus same-key peers from its priority class.
 
-        ``key(task)`` names the coalescing group — the batched executors
-        pass ``(template, node)`` for batchable operator nodes and
-        ``None`` for everything else.  The head task is popped exactly as
+        ``key(task)`` names the group — e.g. ``(template, node)``, as
+        the executors' peer expansion keys it, and ``None`` for tasks
+        that are never grouped.  The head task is popped exactly as
         :meth:`pop` would (so a seeded queue still randomizes the head),
         then :meth:`take_peers` collects up to ``limit - 1`` tasks with
         the head's key.  A ``None``-keyed head returns as a singleton.

@@ -59,7 +59,6 @@ from ..obs.events import (
     BlockCached,
     BlockRefShipped,
     EventBus,
-    FireBatchFormed,
     FireRetried,
     FireTimedOut,
     ShmBlockCreated,
@@ -90,13 +89,6 @@ from .workers import (
 #: when the pool is irrecoverable; ``"off"`` raises
 #: :class:`~repro.errors.PoolIrrecoverableError` to the caller instead.
 DEGRADE_MODES = ("ladder", "off")
-
-#: Default cap on how many same-node fires coalesce into one batched
-#: group (one IPC message / one vectorized kernel call).  Lives here
-#: rather than in :mod:`repro.machine.calibrate` — which computes a
-#: measured suggestion via ``suggest_batch_threshold`` — because
-#: calibrate imports the executors and the executors need the default.
-DEFAULT_BATCH_THRESHOLD = 32
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,6 @@ class _CallRecord:
     attempts: list[tuple[int, int | None, str]] = field(default_factory=list)
     deadline: float | None = None
     encoded: bool = False
-    #: Eligible for grouped ("batch", op, calls) dispatch.  First
-    #: attempts only: a retried record always goes out as a plain
-    #: singleton so the per-call salvage semantics govern recovery.
-    vector: bool = False
     #: Master-assigned block id for the worker to cache its result under.
     rbid: int | None = None
     #: Force full encodings on the next dispatch (set after a cache-miss
@@ -459,7 +447,6 @@ class Supervisor:
         policy: FaultPolicy,
         *,
         batch_size: int = 4,
-        batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
         shm_threshold: int | None = None,
         bus: EventBus | None = None,
         stats: EngineStats | None = None,
@@ -481,13 +468,9 @@ class Supervisor:
             if pool.residency is None:
                 pool.residency = ResidencyTracker(pool.n_workers)
             self.residency = pool.residency
-        self.batch_threshold = max(1, batch_threshold)
-        #: Staging bar for the eager flush in :meth:`dispatch` — high
-        #: enough that a vectorizable group is not broken up just because
-        #: the plain-batch bar (batch_size × workers) filled first.
-        self._flush_bar = max(
-            batch_size * pool.n_workers, self.batch_threshold
-        )
+        #: Staging bar for the eager flush in :meth:`dispatch`: one full
+        #: message for every worker.
+        self._flush_bar = batch_size * pool.n_workers
         self.shm_threshold = (
             shm_threshold if shm_threshold is not None else pool.shm_threshold
         )
@@ -512,17 +495,10 @@ class Supervisor:
         """Firings the supervisor still owes the executor a commit for."""
         return len(self._assigned) + len(self._staged) + len(self._delayed)
 
-    def dispatch(self, pending: PendingOp, vector: bool = False) -> int:
-        """Accept one remote firing; returns its call id.
-
-        ``vector=True`` marks the firing eligible for grouped dispatch:
-        staged vector records of the same operator ship as one
-        ``("batch", op, calls)`` wire entry — one IPC message, answered
-        by one N-result message — instead of ``batch_size``-chunked
-        per-call entries.
-        """
+    def dispatch(self, pending: PendingOp) -> int:
+        """Accept one remote firing; returns its call id."""
         self._call_seq += 1
-        record = _CallRecord(self._call_seq, pending, vector=vector)
+        record = _CallRecord(self._call_seq, pending)
         self._staged.append(record)
         self.stats.dispatched_fires += 1
         if len(self._staged) >= self._flush_bar:
@@ -763,68 +739,35 @@ class Supervisor:
         """Assign staged records to workers and send the batches.
 
         Retried records go out as singleton batches (a poison fire must
-        not drag batchmates past their deadlines or retry budgets —
-        and a crashed *vectorized* group retries through the per-call
-        worker loop, isolating the poison member); fresh plain records
-        are chunked so every worker gets work; fresh vector records are
-        grouped by operator into ``("batch", ...)`` wire entries capped
-        at ``batch_threshold`` firings each.
+        not drag batchmates past their deadlines or retry budgets); fresh
+        records are chunked so every worker gets work.
         """
         while True:
             staged, self._staged = self._staged, []
             if not staged:
                 return
-            retries = [r for r in staged if r.attempts]
+            batches = [[r] for r in staged if r.attempts]
             fresh = [r for r in staged if not r.attempts]
-            batches: list[tuple[list[_CallRecord], bool]] = [
-                ([r], False) for r in retries
-            ]
-            plain = [r for r in fresh if not r.vector]
-            if plain:
-                chunk = max(
-                    1,
-                    min(
-                        self.batch_size,
-                        -(-len(plain) // self.pool.n_workers),
-                    ),
+            if fresh:
+                chunk = min(
+                    self.batch_size, -(-len(fresh) // self.pool.n_workers)
                 )
                 batches.extend(
-                    (plain[i : i + chunk], False)
-                    for i in range(0, len(plain), chunk)
+                    fresh[i : i + chunk] for i in range(0, len(fresh), chunk)
                 )
-            vector = [r for r in fresh if r.vector]
-            if vector:
-                groups: dict[str, list[_CallRecord]] = {}
-                for r in vector:
-                    groups.setdefault(r.pending.spec.name, []).append(r)
-                for records in groups.values():
-                    chunk = max(
-                        1,
-                        min(
-                            self.batch_threshold,
-                            -(-len(records) // self.pool.n_workers),
-                        ),
-                    )
-                    batches.extend(
-                        (records[i : i + chunk], True)
-                        for i in range(0, len(records), chunk)
-                    )
             resend = False
-            for batch, is_vector in batches:
-                if not self._send(batch, vector=is_vector):
+            for batch in batches:
+                if not self._send(batch):
                     resend = True  # a worker died on send; records restaged
             if not resend and not self._staged:
                 return
 
-    def _send(self, batch: list[_CallRecord], vector: bool = False) -> bool:
+    def _send(self, batch: list[_CallRecord]) -> bool:
         """Send one batch to its chosen worker; False on dead pipe.
 
-        ``vector=True`` with two or more records ships the batch as one
-        grouped wire entry (all records share one operator by
-        construction in :meth:`flush`), which the worker answers with a
-        single N-result message.  The batch is placed as a unit — one
-        :meth:`_choose_worker` decision covers all members, so grouped
-        fires cannot be split across caches.
+        The batch is placed as a unit: one :meth:`_choose_worker`
+        decision covers all members.  The worker answers every call with
+        its own message.
         """
         worker = self._choose_worker(batch)
         now = time.monotonic()
@@ -842,26 +785,15 @@ class Supervisor:
                 self._release_encodings(record, crashed=True, pid=None)
             if not record.encoded:
                 self._encode(record, worker)
-        grouped = vector and len(batch) > 1
-        payload: list[tuple]
-        if grouped:
-            payload = [
-                (
-                    "batch",
-                    batch[0].pending.spec.name,
-                    [(r.call_id, r.enc_args, r.rbid) for r in batch],
-                )
-            ]
-        else:
-            payload = [
-                (
-                    record.call_id,
-                    record.pending.spec.name,
-                    record.enc_args,
-                    record.rbid,
-                )
-                for record in batch
-            ]
+        payload = [
+            (
+                record.call_id,
+                record.pending.spec.name,
+                record.enc_args,
+                record.rbid,
+            )
+            for record in batch
+        ]
         inval = (
             self.residency.take_invalidations(worker)
             if self.residency is not None
@@ -892,19 +824,6 @@ class Supervisor:
             for record in batch:
                 self._affinity.notify(
                     _DispatchLabel(record.pending.spec.name), worker
-                )
-        if grouped:
-            self.stats.fire_batches += 1
-            self.stats.batched_fires += len(batch)
-            if bus is not None and bus.wants(FireBatchFormed):
-                bus.emit(
-                    FireBatchFormed(
-                        bus.now(),
-                        batch[0].pending.spec.name,
-                        batch[0].pending.node_id,
-                        len(batch),
-                        True,
-                    )
                 )
         timeout = self.policy.timeout
         for record in batch:

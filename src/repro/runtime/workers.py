@@ -751,15 +751,10 @@ def worker_main(
     block ids this worker could not resolve; the master re-dispatches
     that fire with full encodings.
 
-    A batch entry is either a plain call ``(call_id, op_name, enc_args,
-    rbid)`` — answered by one single-result message as soon as it
-    finishes — or a grouped entry ``("batch", op_name, [(call_id,
-    enc_args, rbid), ...])``: N firings of one operator answered by *one*
-    N-result message, executed through the operator's vectorized
-    ``batch_fn`` when it has one and fault injection is off, and
-    otherwise unrolled through the plain per-call loop (so injection
-    decisions stay per firing).  ``rbid`` is the master-assigned block id
-    the result should be cached under (``None`` outside affinity runs).
+    A batch entry is one call ``(call_id, op_name, enc_args, rbid)``,
+    answered by one single-result message as soon as it finishes.
+    ``rbid`` is the master-assigned block id the result should be cached
+    under (``None`` outside affinity runs).
 
     Each element of ``enc_args`` is one of three wire forms:
 
@@ -880,146 +875,53 @@ def worker_main(
         invalidations, batch = message
         if invalidations:
             cache.invalidate(invalidations)
-        for entry in batch:
-            if entry[0] == "batch":
-                # Grouped entry ("batch", op_name, [(call_id, enc_args,
-                # rbid), ...]): N firings of one operator, one reply
-                # message.  One message for N results concentrates the
-                # mid-batch crash window, but a crashed vectorized group
-                # is retried by the supervisor as plain singleton fires,
-                # which restores the streamed-result salvage semantics.
-                _, op_name, calls = entry
+        for call_id, op_name, enc_args, rbid in batch:
+            t0 = time.perf_counter()
+            cached = False
+            try:
                 spec = resolve(op_name)
-                if spec.batch_fn is not None and injector is None:
-                    t_start = time.perf_counter()
-                    try:
-                        resolved = [
-                            resolve_args(op_name, enc_args)
-                            for _, enc_args, _ in calls
-                        ]
-                        # Members whose refs missed get structured miss
-                        # replies; the rest still run vectorized, so one
-                        # stale residency entry does not forfeit the
-                        # whole group's batching win.
-                        results = [
-                            (cid, "miss", missing, t_start, 0.0, False)
-                            for (cid, _, _), (_, missing, _) in zip(
-                                calls, resolved
+                args, missing, request = resolve_args(op_name, enc_args)
+                if missing:
+                    # Structured cache-miss reply: every full
+                    # encoding above was already decoded, so the
+                    # master's segment bookkeeping proceeds as for a
+                    # completed fire; it re-ships this one fully
+                    # encoded.
+                    ok: Any = "miss"
+                    payload: Any = missing
+                else:
+                    if injector is not None:
+                        injector.on_call(op_name)
+                    raw = spec.fn(*args)
+                    payload = encode_value(raw, shm_threshold, request)
+                    if rbid is not None and wraps_as_block(raw):
+                        cached = cache.put(rbid, raw)
+                    ok = True
+            except BaseException as exc:  # noqa: BLE001 - to master
+                payload = _encode_exception(exc)
+                ok = False
+            # Each result is shipped as soon as it exists, not at the
+            # end of the batch: the supervisor salvages the pipe's
+            # contents on a crash, so a finished result that was
+            # already sent survives its worker and is not recomputed.
+            try:
+                conn.send(
+                    (
+                        worker_id,
+                        [
+                            (
+                                call_id,
+                                ok,
+                                payload,
+                                t0,
+                                time.perf_counter() - t0,
+                                cached,
                             )
-                            if missing
-                        ]
-                        ready = [
-                            (cid, rbid, args, request)
-                            for (cid, _, rbid), (args, missing, request)
-                            in zip(calls, resolved)
-                            if not missing
-                        ]
-                        if ready:
-                            raws = list(
-                                spec.batch_fn(
-                                    [tuple(args) for _, _, args, _ in ready]
-                                )
-                            )
-                            if len(raws) != len(ready):
-                                raise RuntimeFailure(
-                                    f"batch form of operator {op_name!r} "
-                                    f"returned {len(raws)} result(s) for "
-                                    f"{len(ready)} firing(s)"
-                                )
-                            total = time.perf_counter() - t_start
-                            # The vectorized kernel ran all N firings in
-                            # one call; attribute each an equal share so
-                            # master timelines stay additive.
-                            per = total / len(ready)
-                            for i, ((cid, rbid, _, request), raw) in enumerate(
-                                zip(ready, raws)
-                            ):
-                                cached = (
-                                    rbid is not None
-                                    and wraps_as_block(raw)
-                                    and cache.put(rbid, raw)
-                                )
-                                results.append(
-                                    (
-                                        cid,
-                                        True,
-                                        encode_value(
-                                            raw, shm_threshold, request
-                                        ),
-                                        t_start + i * per,
-                                        per,
-                                        cached,
-                                    )
-                                )
-                    except BaseException as exc:  # noqa: BLE001
-                        duration = time.perf_counter() - t_start
-                        payload = _encode_exception(exc)
-                        results = [
-                            (cid, False, payload, t_start, duration, False)
-                            for cid, _, _ in calls
-                        ]
-                    try:
-                        conn.send((worker_id, results))
-                    except BrokenPipeError:  # master gone
-                        return
-                    continue
-                # No vectorized form (or fault injection active, which
-                # is decided per firing): fall through to the per-call
-                # loop so injection points and result streaming behave
-                # exactly as unbatched dispatch.
-                singles = [
-                    (cid, op_name, enc_args, rbid)
-                    for cid, enc_args, rbid in calls
-                ]
-            else:
-                singles = [entry]
-            for call_id, op_name, enc_args, rbid in singles:
-                t0 = time.perf_counter()
-                cached = False
-                try:
-                    spec = resolve(op_name)
-                    args, missing, request = resolve_args(op_name, enc_args)
-                    if missing:
-                        # Structured cache-miss reply: every full
-                        # encoding above was already decoded, so the
-                        # master's segment bookkeeping proceeds as for a
-                        # completed fire; it re-ships this one fully
-                        # encoded.
-                        ok: Any = "miss"
-                        payload: Any = missing
-                    else:
-                        if injector is not None:
-                            injector.on_call(op_name)
-                        raw = spec.fn(*args)
-                        payload = encode_value(raw, shm_threshold, request)
-                        if rbid is not None and wraps_as_block(raw):
-                            cached = cache.put(rbid, raw)
-                        ok = True
-                except BaseException as exc:  # noqa: BLE001 - to master
-                    payload = _encode_exception(exc)
-                    ok = False
-                # Each result is shipped as soon as it exists, not at the
-                # end of the batch: the supervisor salvages the pipe's
-                # contents on a crash, so a finished result that was
-                # already sent survives its worker and is not recomputed.
-                try:
-                    conn.send(
-                        (
-                            worker_id,
-                            [
-                                (
-                                    call_id,
-                                    ok,
-                                    payload,
-                                    t0,
-                                    time.perf_counter() - t0,
-                                    cached,
-                                )
-                            ],
-                        )
+                        ],
                     )
-                except BrokenPipeError:  # master gone; nothing to report
-                    return
+                )
+            except BrokenPipeError:  # master gone; nothing to report
+                return
 
 
 class WorkerPool:

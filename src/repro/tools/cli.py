@@ -81,10 +81,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="coalesce same-node ready fires into vectorized batches "
-        "executed through one call (and, for --executor process, one "
-        "IPC message per batch); --no-batch fires strictly one at a "
-        "time.  Results are bit-identical either way",
+        help="expand a call together with the ready calls of its node "
+        "(up to 32), so the leaves of a fan-out meet in the ready "
+        "queue; --no-batch expands calls strictly one at a time.  "
+        "Results are bit-identical either way",
     )
     parser.add_argument(
         "--no-cache",
@@ -280,13 +280,6 @@ def _make_executor(
     if ns.executor == "process":
         if measured_costs:
             faults["measured_costs"] = measured_costs
-            # Measured costs also size the batches: cheap dispatched
-            # operators coalesce wide, expensive ones near-singleton.
-            from ..machine.calibrate import suggest_batch_threshold
-
-            faults["batch_threshold"] = suggest_batch_threshold(
-                measured_costs
-            )
         return ProcessExecutor(
             ns.workers,
             trace=trace,

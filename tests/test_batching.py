@@ -1,27 +1,25 @@
-"""Batched execution: coalescing, vectorized calls, one-message IPC.
+"""Peer expansion: a call expands together with its ready peers.
 
-The batched path may only change *how much* work rides each scheduling
-and IPC step, never *what* the program computes: single-assignment
-semantics make results independent of pop order, so coalescing same-node
-ready fires and committing their results in master-assigned sequence must
-be bit-identical to firing one at a time.  These tests pin that down for
-every executor, plus the moving parts underneath: ``pop_batch``
-formation, the ``batch_call`` operator protocol, the plural engine forms,
-the grouped wire format's crash salvage, and the observability story
-(events, stats, critical-path reconciliation).
+The ``batch`` switch may only change *when* calls expand, never *what*
+the program computes: single-assignment semantics make results
+independent of pop order, so expanding same-node ready calls together
+must be bit-identical to expanding them one at a time.  These tests pin
+that down for every executor, plus the queue's ``pop_batch`` formation,
+the cap on a group, the one-reply-per-call wire shape, the salvage of a
+chunk whose worker dies, and critical-path reconciliation.
 """
 
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
-from repro.compiler.passes.pipeline import PASS_ORDER
-from repro.errors import DeliriumError, RuntimeFailure
-from repro.machine.calibrate import suggest_batch_threshold
-from repro.obs import EventBus, EventLog, FireBatchFormed, attach_metrics
+from repro.apps import queens
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER, PASS_ORDER
+from repro.obs import EventBus, TaskFired, attach_metrics
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -30,13 +28,18 @@ from repro.runtime import (
     Task,
     ThreadedExecutor,
     default_registry,
+    executors,
 )
-from repro.runtime.operators import OperatorRegistry, OperatorSpec, batch_call
-from repro.runtime.supervise import DEFAULT_BATCH_THRESHOLD
+from repro.runtime.operators import OperatorRegistry
+from repro.runtime.workers import WorkerPool
 
 from repro.apps.montecarlo.coordination import compile_pi
 
 GRAPH_PASSES = ("fuse",)
+
+#: Measured costs that send the pi leaves to the workers and keep the
+#: glue here.
+PI_COSTS = {"pi_batch": 0.004, "mc_combine": 1e-7, "mc_pi": 1e-7}
 
 
 def _compiled_pi(passes=PASS_ORDER + GRAPH_PASSES, batch_size=1500, seed=11):
@@ -124,74 +127,6 @@ class TestPopBatch:
 
 
 # ---------------------------------------------------------------------------
-# The operator protocol
-# ---------------------------------------------------------------------------
-class TestBatchCall:
-    def _spec(self, batch_fn=None):
-        return OperatorSpec(name="sq", fn=lambda x: x * x, batch_fn=batch_fn)
-
-    def test_fallback_loops_plain_fn(self):
-        spec = self._spec()
-        assert batch_call(spec, [(2,), (3,), (4,)]) == [4, 9, 16]
-
-    def test_vectorized_form_used_when_present(self):
-        calls = []
-
-        def many(args_lists):
-            calls.append(len(args_lists))
-            return [x * x for (x,) in args_lists]
-
-        spec = self._spec(batch_fn=many)
-        assert batch_call(spec, [(2,), (3,)]) == [4, 9]
-        assert calls == [2]
-
-    def test_wrong_result_count_raises(self):
-        spec = self._spec(batch_fn=lambda args_lists: [1])
-        with pytest.raises(RuntimeFailure, match="1 result"):
-            batch_call(spec, [(2,), (3,)])
-
-    def test_register_batch_on_mutator_rejected(self):
-        reg = OperatorRegistry()
-        with pytest.raises(DeliriumError, match="batch form"):
-
-            @reg.register(name="bump", modifies=(0,), batch=lambda c: c)
-            def bump(a):
-                return a
-
-    def test_register_batch_form_lands_on_spec(self):
-        reg = OperatorRegistry()
-
-        @reg.register(name="sq", pure=True, batch=lambda c: [x * x for (x,) in c])
-        def sq(x):
-            return x * x
-
-        assert reg.get("sq").batch_fn is not None
-        assert batch_call(reg.get("sq"), [(5,)]) == [25]
-
-
-class TestSuggestBatchThreshold:
-    def test_no_measurements_gives_default(self):
-        assert suggest_batch_threshold(None) == DEFAULT_BATCH_THRESHOLD
-        assert suggest_batch_threshold({}) == DEFAULT_BATCH_THRESHOLD
-
-    def test_nothing_dispatched_gives_default(self):
-        assert (
-            suggest_batch_threshold({"cheap": 1e-6})
-            == DEFAULT_BATCH_THRESHOLD
-        )
-
-    def test_cheap_operators_batch_wide(self):
-        wide = suggest_batch_threshold({"op": 0.002})
-        narrow = suggest_batch_threshold({"op": 0.050})
-        assert wide > narrow
-        assert narrow >= 4  # the floor
-
-    def test_clamped_to_bounds(self):
-        assert suggest_batch_threshold({"op": 1.0}) == 4
-        assert suggest_batch_threshold({"op": 0.002}, ceiling=8) == 8
-
-
-# ---------------------------------------------------------------------------
 # Executor parity (the tentpole's correctness claim)
 # ---------------------------------------------------------------------------
 class TestBatchedParity:
@@ -202,8 +137,6 @@ class TestBatchedParity:
             compiled.graph, args=(16,), registry=compiled.registry
         )
         assert got.value == ref.value
-        assert got.stats.fire_batches > 0
-        assert got.stats.batched_fires > 1
 
     def test_threaded(self):
         compiled = _compiled_pi()
@@ -220,7 +153,6 @@ class TestBatchedParity:
             2, batch=True, measured_costs={"pi_batch": 0.004}
         ).run(compiled.graph, args=(16,), registry=compiled.registry)
         assert got.value == ref.value
-        assert got.stats.fire_batches > 0
 
     def test_process_batch_off_also_matches(self):
         compiled = _compiled_pi()
@@ -229,11 +161,8 @@ class TestBatchedParity:
             2, batch=False, measured_costs={"pi_batch": 0.004}
         ).run(compiled.graph, args=(16,), registry=compiled.registry)
         assert got.value == ref.value
-        assert got.stats.fire_batches == 0
 
-    def test_loop_fallback_operator_matches(self):
-        # option_batch registers no batch form: coalesced groups run the
-        # fallback loop, still one scheduling step per group.
+    def test_option_pricer_matches(self):
         from repro.apps.montecarlo.coordination import compile_option
 
         compiled = compile_option(
@@ -248,74 +177,9 @@ class TestBatchedParity:
             compiled.graph, args=(12,), registry=compiled.registry
         )
         assert got.value == ref.value
-        assert got.stats.fire_batches > 0
-
-    def test_batch_threshold_one_degenerates_to_unbatched(self):
-        compiled = _compiled_pi()
-        ref = _pi_reference(compiled)
-        got = SequentialExecutor(batch=True, batch_threshold=1).run(
-            compiled.graph, args=(16,), registry=compiled.registry
-        )
-        assert got.value == ref.value
-        assert got.stats.fire_batches == 0
 
 
 class TestBatchingObservability:
-    def test_fire_batch_formed_events_and_metrics(self):
-        compiled = _compiled_pi()
-        bus = EventBus()
-        log = EventLog()
-        log.attach(bus)
-        metrics = attach_metrics(bus)
-        got = SequentialExecutor(batch=True, bus=bus).run(
-            compiled.graph, args=(16,), registry=compiled.registry
-        )
-        formed = log.of_type(FireBatchFormed)
-        assert formed
-        assert sum(e.size for e in formed) == got.stats.batched_fires
-        assert all(e.size > 1 for e in formed)
-        assert all(not e.remote for e in formed)
-        assert (
-            metrics.counter("fire_batches").value == got.stats.fire_batches
-        )
-        assert (
-            metrics.counter("batched_fires").value == got.stats.batched_fires
-        )
-
-    def test_remote_batches_marked_remote(self):
-        compiled = _compiled_pi()
-        bus = EventBus()
-        log = EventLog()
-        log.attach(bus)
-        ProcessExecutor(
-            1, batch=True, bus=bus, measured_costs={"pi_batch": 0.004}
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
-        formed = log.of_type(FireBatchFormed)
-        assert formed
-        assert any(e.remote for e in formed)
-
-    def test_ipc_message_drop(self):
-        compiled = _compiled_pi()
-        costs = {"pi_batch": 0.004, "mc_combine": 1e-7, "mc_pi": 1e-7}
-        batched = ProcessExecutor(
-            1, batch=True, measured_costs=costs
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
-        plain = ProcessExecutor(
-            1, batch=False, measured_costs=costs
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
-        assert batched.value == plain.value
-        assert batched.stats.dispatched_fires == plain.stats.dispatched_fires
-        sent_b = batched.stats.ipc_messages_sent
-        sent_p = plain.stats.ipc_messages_sent
-        assert sent_b < sent_p
-        per_fire_b = (
-            sent_b + batched.stats.ipc_messages_received
-        ) / batched.stats.dispatched_fires
-        per_fire_p = (
-            sent_p + plain.stats.ipc_messages_received
-        ) / plain.stats.dispatched_fires
-        assert per_fire_p / per_fire_b >= 4.0
-
     def test_critical_path_reconciles_with_batching(self):
         from repro.obs import RunContext
 
@@ -341,57 +205,244 @@ class TestBatchingObservability:
             report = ctx.critical_path(result.wall_seconds)
             assert report.reconciliation_error <= 0.05
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bus: SequentialExecutor(batch=True, bus=bus),
+            lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
+            lambda bus: ProcessExecutor(
+                1, batch=True, bus=bus, measured_costs=PI_COSTS
+            ),
+        ],
+        ids=["sequential", "threaded", "process"],
+    )
+    def test_metrics_agree_with_stats_under_peer_expansion(self, make):
+        compiled = _compiled_pi()
+        bus = EventBus()
+        metrics = attach_metrics(bus)
+        got = make(bus).run(
+            compiled.graph, args=(16,), registry=compiled.registry
+        )
+        assert got.value == _pi_reference(compiled).value
+        stats = got.stats
+        assert metrics.counter("tasks_fired").value == stats.tasks_fired
+        assert metrics.counter("expansions").value == stats.expansions > 0
+        assert (
+            metrics.counter("ops_dispatched").value == stats.dispatched_fires
+        )
+
+    def test_dispatched_calls_span_on_worker_tracks(self):
+        compiled = _compiled_pi()
+        bus = EventBus()
+        spans = []
+        bus.subscribe(spans.append, [TaskFired])
+        got = ProcessExecutor(
+            1, batch=True, bus=bus, measured_costs=PI_COSTS
+        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        remote = [s for s in spans if s.processor > 0]
+        assert got.stats.dispatched_fires > 0
+        assert len(remote) == got.stats.dispatched_fires
+        assert {s.processor for s in remote} == {1}
+        assert all(s.kind == "op" for s in remote)
+
 
 # ---------------------------------------------------------------------------
-# Crash salvage: a grouped message dies mid-batch
+# The cap on a group
+# ---------------------------------------------------------------------------
+def _queens_program(n=6):
+    registry = queens.make_registry(n)
+    compiled = compile_source(
+        queens.queens_source(n),
+        registry=registry,
+        optimize_passes=FULL_PASS_ORDER,
+    )
+    return compiled.graph, registry
+
+
+def _record_groups(monkeypatch):
+    """Record ``(limit, peers taken)`` for every peer collection."""
+    groups = []
+    take_peers = ReadyQueue.take_peers
+
+    def recording(self, head, k, limit, key):
+        peers = take_peers(self, head, k, limit, key)
+        groups.append((limit, len(peers)))
+        return peers
+
+    monkeypatch.setattr(ReadyQueue, "take_peers", recording)
+    return groups
+
+
+def _schedule_free(stats):
+    return (
+        stats.tasks_fired, stats.ops_executed, stats.expansions,
+        stats.fused_fires,
+    )
+
+
+class TestPeerGroups:
+    def test_a_group_never_exceeds_the_cap(self, monkeypatch):
+        graph, registry = _queens_program()
+        plain = SequentialExecutor().run(graph, (), registry)
+        monkeypatch.setattr(executors, "_GROUP_MAX", 4)
+        groups = _record_groups(monkeypatch)
+        got = SequentialExecutor(batch=True).run(graph, (), registry)
+        assert got.value == plain.value
+        assert _schedule_free(got.stats) == _schedule_free(plain.stats)
+        assert groups
+        assert {limit for limit, _ in groups} == {3}
+        assert max(taken for _, taken in groups) == 3
+
+    def test_a_cap_of_one_degenerates_to_unbatched(self, monkeypatch):
+        graph, registry = _queens_program()
+        plain = SequentialExecutor().run(graph, (), registry)
+        monkeypatch.setattr(executors, "_GROUP_MAX", 1)
+        groups = _record_groups(monkeypatch)
+        got = SequentialExecutor(batch=True).run(graph, (), registry)
+        assert got.value == plain.value
+        assert _schedule_free(got.stats) == _schedule_free(plain.stats)
+        assert all(taken == 0 for _, taken in groups)
+
+
+# ---------------------------------------------------------------------------
+# The wire: chunks of up to batch_size calls, one reply per call
+# ---------------------------------------------------------------------------
+class TestPerCallReplies:
+    def test_each_dispatched_call_gets_its_own_reply(self):
+        compiled = _compiled_pi()
+        got = ProcessExecutor(
+            1, batch=True, batch_size=4, measured_costs=PI_COSTS
+        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        assert got.value == _pi_reference(compiled).value
+        stats = got.stats
+        assert stats.dispatched_fires == 16
+        assert stats.ipc_messages_received == stats.dispatched_fires
+        assert 4 <= stats.ipc_messages_sent < stats.dispatched_fires
+
+    def test_peer_expansion_dispatches_the_same_calls(self):
+        compiled = _compiled_pi()
+        runs = [
+            ProcessExecutor(1, batch=batch, measured_costs=PI_COSTS).run(
+                compiled.graph, args=(16,), registry=compiled.registry
+            )
+            for batch in (False, True)
+        ]
+        plain, batched = runs
+        assert batched.value == plain.value
+        assert batched.stats.dispatched_fires == plain.stats.dispatched_fires
+        for run in runs:
+            assert run.stats.ipc_messages_received == run.stats.dispatched_fires
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_no_message_carries_more_than_batch_size_calls(
+        self, batch_size, monkeypatch
+    ):
+        sizes = []
+        submit_to = WorkerPool.submit_to
+
+        def recording(self, i, message):
+            sizes.append(len(message[1]))
+            submit_to(self, i, message)
+
+        monkeypatch.setattr(WorkerPool, "submit_to", recording)
+        compiled = _compiled_pi()
+        got = ProcessExecutor(
+            2, batch=True, batch_size=batch_size, measured_costs=PI_COSTS
+        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        assert got.value == _pi_reference(compiled).value
+        assert sum(sizes) == got.stats.dispatched_fires
+        assert len(sizes) == got.stats.ipc_messages_sent
+        assert 1 <= min(sizes) and max(sizes) <= batch_size
+
+
+# ---------------------------------------------------------------------------
+# Crash salvage: a worker dies in the middle of a chunk
 # ---------------------------------------------------------------------------
 SALVAGE_SRC = "main(n) par_reduce(combine, work, 0, n)"
+SALVAGE_N = 8
+KILLER = SALVAGE_N - 1
 
 
-def _salvage_registry():
+def _salvage_registry(ledger):
+    """``work(KILLER)`` SIGKILLs its worker the first time it runs; every
+    run of ``work`` first appends its argument to ``ledger``.
+
+    ``combine`` is slow on the master, so the worker's replies pile up
+    in the pipe while the master is busy and are still unread when it
+    sees the worker die: the crash path has to salvage them.
+    """
     reg = default_registry()
     local = OperatorRegistry()
+    marker = f"{ledger}.killed"
+    master = os.getpid()
 
-    def _die(args_lists):  # pragma: no cover - killed before returning
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    @local.register(name="work", pure=True, cost=3e6, batch=_die)
+    @local.register(name="work", pure=True, cost=3e6)
     def work(i):
+        with open(ledger, "a") as fh:
+            fh.write(f"{i}\n")
+        if i == KILLER and not os.path.exists(marker):
+            open(marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
         return (i * i, 1)
 
     @local.register(name="combine", pure=True, cost=5.0)
     def combine(a, b):
+        if os.getpid() == master:
+            time.sleep(0.05)
         return (a[0] + b[0], a[1] + b[1])
 
     return reg.merged_with(local)
 
 
-class TestMidBatchCrashSalvage:
-    def test_group_lost_to_sigkill_salvaged_as_singletons(self):
-        reg = _salvage_registry()
-        compiled = compile_source(
-            SALVAGE_SRC,
-            registry=reg,
-            prelude=True,
-            optimize_passes=PASS_ORDER + GRAPH_PASSES,
-        )
-        ref = SequentialExecutor().run(
-            compiled.graph, args=(8,), registry=reg
-        )
-        # The batch form SIGKILLs the worker, losing the whole grouped
-        # message; every member must come back as a plain singleton retry
-        # (which runs the scalar fn) and the result must be unchanged.
-        got = ProcessExecutor(
-            2,
-            batch=True,
-            measured_costs={"work": 0.01, "combine": 1e-7},
-            fault_policy=FaultPolicy(
-                max_retries=3, backoff=0.0, max_respawns=8
-            ),
-        ).run(compiled.graph, args=(8,), registry=reg)
-        assert got.value == ref.value
-        assert got.stats.worker_crashes >= 1
-        assert got.stats.fires_retried >= 2
+def _salvage_run(tmp_path):
+    ledger = str(tmp_path / "ledger")
+    reg = _salvage_registry(ledger)
+    compiled = compile_source(
+        SALVAGE_SRC,
+        registry=reg,
+        prelude=True,
+        optimize_passes=PASS_ORDER + GRAPH_PASSES,
+    )
+    got = ProcessExecutor(
+        1,
+        batch=True,
+        batch_size=SALVAGE_N,
+        measured_costs={"work": 0.01, "combine": 1e-7},
+        fault_policy=FaultPolicy(max_retries=3, backoff=0.0, max_respawns=8),
+    ).run(compiled.graph, args=(SALVAGE_N,), registry=reg)
+    with open(ledger) as fh:
+        ran = [int(line) for line in fh]
+    return got, ran
+
+
+class TestMidChunkCrashSalvage:
+    def test_call_lost_to_sigkill_is_refired(self, tmp_path):
+        got, _ = _salvage_run(tmp_path)
+        squares = sum(i * i for i in range(SALVAGE_N))
+        assert got.value == (squares, SALVAGE_N)
+        assert got.stats.worker_crashes == 1
+        assert got.stats.worker_respawns == 1
+        assert got.stats.fires_retried >= 1
+
+    def test_calls_that_replied_before_the_crash_are_not_rerun(
+        self, tmp_path
+    ):
+        _, ran = _salvage_run(tmp_path)
+        # Each call streams its own reply, and the crash path drains the
+        # dead worker's pipe before it re-fires what is still owed: the
+        # killed call runs again, and the calls after it run once.
+        assert sorted(set(ran)) == list(range(SALVAGE_N))
+        assert ran.count(KILLER) == 2
+        assert all(ran.count(i) == 1 for i in range(SALVAGE_N) if i != KILLER)
+
+
+# ---------------------------------------------------------------------------
+# One body per operator
+# ---------------------------------------------------------------------------
+def test_register_takes_no_batch_form():
+    reg = OperatorRegistry()
+    with pytest.raises(TypeError):
+        reg.register(name="sq", pure=True, batch=lambda calls: calls)
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +466,18 @@ class TestBatchProperty:
         executor=st.sampled_from(["sequential", "threaded"]),
         workers=st.integers(1, 3),
         fuse=st.booleans(),
-        threshold=st.integers(2, 40),
         n=st.integers(2, 12),
         seed=st.integers(0, 99),
     )
-    def test_batched_equals_unbatched(
-        self, executor, workers, fuse, threshold, n, seed
-    ):
+    def test_batched_equals_unbatched(self, executor, workers, fuse, n, seed):
         passes = PASS_ORDER + (GRAPH_PASSES if fuse else ())
         compiled = compile_pi(
             seed=seed, batch_size=64, optimize_passes=passes
         )
         if executor == "sequential":
-            make = lambda batch: SequentialExecutor(
-                batch=batch, batch_threshold=threshold
-            )
+            make = lambda batch: SequentialExecutor(batch=batch)
         else:
-            make = lambda batch: ThreadedExecutor(
-                workers, batch=batch, batch_threshold=threshold
-            )
+            make = lambda batch: ThreadedExecutor(workers, batch=batch)
         plain = make(False).run(
             compiled.graph, args=(n,), registry=compiled.registry
         )

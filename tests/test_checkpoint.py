@@ -332,6 +332,30 @@ class TestResumeRefusal:
         assert err.value.expected == older
         assert err.value.found == program_fingerprint(program.graph)
 
+    def test_checkpoint_that_fingerprinted_batch_forms_refused(self, tmp_path):
+        # Builds whose operators could carry a vectorized batch form added
+        # "has one" to each operator's fingerprint entry: their registry
+        # fingerprint is not this build's, so their checkpoints are refused.
+        program = compile_source(SUM_SRC)
+        path = str(tmp_path / "run.ckpt")
+        StreamRunner(program, carry=True, initial=0, checkpoint_path=path).run(
+            count_source(4), MemorySink()
+        )
+        entries = [
+            [s.name, s.arity, sorted(s.modifies), bool(s.pure), False]
+            for s in sorted(program.registry, key=lambda s: s.name)
+        ]
+        blob = json.dumps(entries, separators=(",", ":")).encode("utf-8")
+        older = hashlib.sha256(blob).hexdigest()[:40]
+        ckpt = read_checkpoint(path)
+        write_checkpoint(path, {**ckpt.manifest, "registry": older}, ckpt.payload)
+        runner = StreamRunner(program, carry=True, initial=0)
+        with pytest.raises(CheckpointMismatchError) as err:
+            runner.run(count_source(4), MemorySink(), resume=path)
+        assert err.value.key == "registry"
+        assert err.value.expected == older
+        assert err.value.found == registry_fingerprint(program.registry)
+
     def test_refusal_leaves_sink_untouched(self, tmp_path):
         ckpt = self._checkpointed_run(tmp_path)
         sink_path = str(tmp_path / "precious.jsonl")

@@ -4,9 +4,9 @@ Every executor drives the same ``Run`` loop and differs only in where a
 suspended body runs, so a program must produce the same result, the same
 schedule-independent engine counters and — when it fails — the same
 error from every one of them, whatever the run observes (a span
-subscriber, a fault injector, the purity checker) and whether ready
-fires are coalesced or not.  The reference for every cell is the plain,
-unbatched sequential run.
+subscriber, a fault injector, the purity checker) and whether calls
+expand with their ready peers or not.  The reference for every cell is
+the plain, unbatched sequential run.
 
 The programs are built so the counters cannot depend on the schedule: a
 block's second consumer always needs the first one's result, so its
@@ -72,11 +72,7 @@ def cf_split(x):
     return x + 1, x * 2
 
 
-def _cf_leaf_batch(args_lists):
-    return [i * i + 1 for (i,) in args_lists]
-
-
-@REGISTRY.register(name="cf_leaf", pure=True, cost=HEAVY, batch=_cf_leaf_batch)
+@REGISTRY.register(name="cf_leaf", pure=True, cost=HEAVY)
 def cf_leaf(i):
     return i * i + 1
 
@@ -138,8 +134,7 @@ halves(i)
         ("fused_fires", "expansions"),
         FULL_PASS_ORDER,
     ),
-    # Operator values reach CALL nodes: one with a batch form that is
-    # dispatched, one kept local.
+    # Operator values reach CALL nodes: one dispatched, one kept local.
     "call_of_operator": (
         """
 main(n) add(par_reduce(add, cf_leaf, 0, n), par_reduce(add, cf_glue, 0, n))
@@ -329,8 +324,7 @@ def test_failing_program_reports_the_same_error(
     """Error type, operator and node id are the engine's, not the
     backend's: a failing firing names its node under every executor
     (``ThreadedExecutor`` used to report ``-1``) and is wrapped even when
-    it failed inside a coalesced group (``SequentialExecutor(batch=True)``
-    used to let the raw ``ValueError`` out)."""
+    its call expanded with its peers."""
     with pytest.raises(OperatorError) as reference:
         SequentialExecutor().run(_graph(FAILING), (8,), REGISTRY)
     with pytest.raises(OperatorError) as excinfo:

@@ -47,7 +47,6 @@ from repro.obs import (
     EventBus,
     EventLog,
     Expansion,
-    FireBatchFormed,
     OperatorsFused,
     OpStarted,
     attach_metrics,
@@ -1305,7 +1304,7 @@ class TestCaseStudies:
 
 
 # ---------------------------------------------------------------------------
-# Generated bodies: one per recipe per process, with a batch form
+# Generated bodies: one per recipe per process
 # ---------------------------------------------------------------------------
 
 
@@ -1323,7 +1322,6 @@ class TestGenerateSource:
         assert "t1 = _f1(t0)" in source
         assert "t2 = _f2(t1, a1)" in source
         assert "return t2" in source
-        assert "def _delirium_bind_batch(_f0, _f1, _f2):" in source
         # The text is a pure function of the recipe.
         assert source == generate_source(steps, 0)
 
@@ -1346,7 +1344,7 @@ class TestGenerateSource:
         steps = (("shadow", (("i", 0),)), ("add", (("t", 0), ("i", 1))))
         spec = fused_spec(fused_name(steps, 0), (steps, 0), reg)
         assert spec.fn(2, 1) == 201
-        assert spec.batch_fn([(2, 1), (3, 0)]) == [201, 300]
+        assert spec.fn(3, 0) == 300
         assert spec.fn.__code__.co_filename == f"<delirium-fused {spec.name}>"
 
 
@@ -1431,16 +1429,15 @@ def _outcome_of(call):
 
 class TestGeneratedMatchesItsRecipe:
     @pytest.mark.parametrize("shape", list(RECIPES))
-    def test_scalar_and_batch_forms_compute_the_recipe(self, shape):
+    def test_the_body_computes_the_recipe(self, shape):
         steps, untuple_n, rows = RECIPES[shape]
         spec = fused_spec(fused_name(steps, untuple_n), (steps, untuple_n), REGISTRY)
         want = [_evaluate(steps, row, REGISTRY) for row in rows]
         assert [spec.fn(*row) for row in rows] == want
-        assert spec.batch_fn(rows) == want
         assert spec.arity == len(rows[0])
 
     @pytest.mark.parametrize("k", range(len(CONDITIONS)), ids=[repr(c) for c in CONDITIONS])
-    def test_a_batch_tests_its_condition_like_single_fires(self, k):
+    def test_a_fire_tests_its_condition_like_the_recipe(self, k):
         src = "main(k, x)\n  incr(if cond_of(k) then incr(x) else decr(x))"
         (_, _, node), = _fused_nodes(_compile(src).graph)
         spec = fused_spec(node.name, node.fused, REGISTRY)
@@ -1448,21 +1445,17 @@ class TestGeneratedMatchesItsRecipe:
         singles = [_outcome_of(lambda row=row: spec.fn(*row)) for row in rows]
         reference = [_outcome_of(lambda row=row: _evaluate(node.fused[0], row, REGISTRY)) for row in rows]
         assert singles == reference
-        batch = _outcome_of(lambda: spec.batch_fn(rows))
-        if all(kind == "value" for kind, *_ in singles):
-            assert batch == ("value", [value for _, value in singles])
-        else:
-            assert batch == singles[0]
 
 
 #: ``leaf``'s IF folds; ``par_reduce`` fires its fused body from many
-#: activations at once, so batching executors coalesce them.
+#: activations at once, which executors with ``batch=True`` expand
+#: together.
 LEAF_SOURCE = """
 leaf(k) incr(if is_less(k, 0) then boom(k) else tick(k))
 main(lo, hi) par_reduce(add, leaf, lo, hi)
 """
 
-BATCH_EXECUTORS = {
+PEER_EXECUTORS = {
     "sequential": lambda bus: SequentialExecutor(batch=True, bus=bus),
     "threaded": lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
     "process": lambda bus: ProcessExecutor(1, batch=True, cost_threshold=0.0, bus=bus),
@@ -1470,9 +1463,9 @@ BATCH_EXECUTORS = {
 
 
 class TestGeneratedBodies:
-    @pytest.mark.parametrize("executor", sorted(BATCH_EXECUTORS))
-    def test_the_untaken_arm_never_runs_in_a_batch(self, executor):
-        make = BATCH_EXECUTORS[executor]
+    @pytest.mark.parametrize("executor", sorted(PEER_EXECUTORS))
+    def test_the_untaken_arm_never_runs_in_a_fan_out(self, executor):
+        make = PEER_EXECUTORS[executor]
         plain = compile_source(LEAF_SOURCE, registry=REGISTRY, prelude=True)
         fused = compile_source(
             LEAF_SOURCE, registry=REGISTRY, prelude=True, optimize_passes=FUSED_PASSES
@@ -1491,13 +1484,11 @@ class TestGeneratedBodies:
         ticks = {}
         for name, graph in (("plain", plain.graph), ("fused", fused.graph)):
             del TICKS[:]
-            bus, log = EventBus(), EventLog()
-            log.attach(bus)
-            got = make(bus).run(graph, args=(0, 16), registry=REGISTRY)
+            got = make(None).run(graph, args=(0, 16), registry=REGISTRY)
             assert got.value == sum(3 * k + 1 for k in range(16))
             ticks[name] = sorted(TICKS)
             if name == "fused":
-                assert leaf in {e.operator for e in log.of_type(FireBatchFormed)}
+                assert got.stats.fused_fires >= 16
             with pytest.raises(OperatorError) as exc:
                 make(None).run(graph, args=(-3, 13), registry=REGISTRY)
             assert type(exc.value.__cause__) is ValueError
@@ -1505,10 +1496,10 @@ class TestGeneratedBodies:
         if executor != "process":  # the worker counted, not this process
             assert ticks["fused"] == ticks["plain"] == list(range(16))
 
-    def test_fuse_alone_fires_generated_bodies_with_a_batch_form(self):
+    def test_fuse_alone_fires_generated_bodies(self):
         """``("fuse",)`` with no other pass: each fused body is generated
-        code with a batch form, coalesced groups of it ride every real
-        executor, and the results are ``--no-fuse``'s."""
+        code, every real executor fires it, and the results are
+        ``--no-fuse``'s."""
         fused = compile_pi(seed=11, batch_size=64, optimize_passes=("fuse",))
         plain = compile_pi(seed=11, batch_size=64, optimize_passes=())
         nodes = [node for _, _, node in _fused_nodes(fused.graph)]
@@ -1516,19 +1507,15 @@ class TestGeneratedBodies:
         for node in nodes:
             spec = fused_spec(node.name, node.fused, fused.registry)
             assert spec.fn.__code__.co_filename == f"<delirium-fused {node.name}>"
-            assert spec.batch_fn is not None
         want = SequentialExecutor().run(plain.graph, args=(8,), registry=plain.registry)
         for make in (
             lambda bus: SequentialExecutor(batch=True, bus=bus),
             lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
             lambda bus: ProcessExecutor(1, cost_threshold=0.0, bus=bus),
         ):
-            bus, log = EventBus(), EventLog()
-            log.attach(bus)
-            got = make(bus).run(fused.graph, args=(8,), registry=fused.registry)
+            got = make(None).run(fused.graph, args=(8,), registry=fused.registry)
             assert got.value == want.value
-            groups = {e.operator for e in log.of_type(FireBatchFormed)}
-            assert {node.name for node in nodes} & groups
+            assert got.stats.fused_fires > 0
 
     def test_generated_frames_attribute_to_operator_body(self):
         from repro.obs import RunContext

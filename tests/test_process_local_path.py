@@ -2,14 +2,14 @@
 
 ``ProcessExecutor`` decides a dispatch class once per node and executor
 configuration and fires local work with ``ExecutionState.fire``; a firing
-suspends (a ``PendingOp`` exists) only when it goes remote or rides in a
-group.  This file pins what must not move while that happens:
+suspends (a ``PendingOp`` exists) only when it goes remote or a call
+head's callee turns out to be an operator.  This file pins what must not move while that happens:
 
 * results bit-identical to ``SequentialExecutor`` and every
   ``EngineStats`` counter equal to the goldens recorded at the commit
   before the class table existed (``golden_process_stats.json``);
 * structural guards on the fast path (no ``PendingOp``, no retry
-  wrapper, no coalescing key for heads that cannot coalesce; on a warm
+  wrapper, no peer key for heads that have no peers; on a warm
   executor no classification, no policy call and no scan for peers that
   finds none);
 * the retry contract: a local body that raises gets the same attempts,
@@ -71,7 +71,7 @@ def _queens(n):
 
 def _pi(ticks_per_sample):
     """``PI_PROGRAM``; the batch cost hint (samples x ticks) puts the
-    vectorized leaves under or over the default dispatch threshold."""
+    leaves under or over the default dispatch threshold."""
     registry = montecarlo.make_registry(
         seed=3, batch_size=2_000, ticks_per_sample=ticks_per_sample
     )
@@ -222,10 +222,9 @@ with open(GOLDENS_PATH) as fh:
 #: group, where they are placed and how many activations are live at
 #: once — belongs to the host's scheduler, not to the program.
 ARRIVAL_DEPENDENT = {
-    "fire_batches", "batched_fires", "ipc_messages_sent",
-    "ipc_messages_received", "blocks_cached", "blocks_ref_shipped",
-    "affinity_misses", "encode_bytes", "encode_bytes_avoided",
-    "activation_stats",
+    "ipc_messages_sent", "ipc_messages_received", "blocks_cached",
+    "blocks_ref_shipped", "affinity_misses", "encode_bytes",
+    "encode_bytes_avoided", "activation_stats",
 }
 
 #: ``sys.getsizeof`` of a list follows its allocation: a board copied by
@@ -426,9 +425,16 @@ def test_warm_pythia_decides_nothing_again(monkeypatch):
     for a, b in zip(first, second, strict=True):
         assert a.value == b.value
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-    # The fused chains are what cannot leave: batch form,
-    # numeric hint under the threshold.
-    assert executors._LOCAL in set(_classes(graph).values())
+    # The fused chains cannot leave (numeric hint under the threshold):
+    # each is fired whole.
+    classes = _classes(graph)
+    fused = [
+        classes[name, node_id]
+        for name, template in graph.templates.items()
+        for node_id, node in enumerate(template.nodes)
+        if node.fused is not None and (name, node_id) in classes
+    ]
+    assert fused and set(fused) == {executors._FIRE}
     assert second[0].stats.fused_fires > 0
     assert second[0].stats.dispatched_fires == 0
 
@@ -451,7 +457,6 @@ def test_only_a_head_with_a_peer_collects_peers(pi_local, monkeypatch):
     assert counts["take_peers"] > 0
     assert counts["empty take_peers"] == 0
     assert second.value == first.value
-    assert second.stats.fire_batches == first.stats.fire_batches > 0
 
 
 def test_alternating_configurations_read_only_their_own_classes(
@@ -498,17 +503,17 @@ def test_runs_that_want_per_fire_detail_keep_the_generic_path(monkeypatch):
 
     monkeypatch.setattr(engine, "PendingOp", RecordingPendingOp)
     counts = _count_decisions(monkeypatch)
-    # An injector sees every body before it runs, and switches
-    # coalescing off: every operator is begun, no head looks for peers.
+    # An injector sees every body before it runs, and switches peer
+    # expansion off: every operator is begun, no head looks for peers.
     injected = ProcessExecutor(1, fault_spec=FaultSpec.parse(NEVER)).run(
         graph, args, registry
     )
     assert injected.value == expected.value
     assert len(pendings) == injected.stats.ops_executed > 0
-    assert executors._LOCAL not in set(_classes(graph).values())
     assert counts["take_peers"] == counts["batch_key"] == 0
-    # A span subscriber: one span per firing, and a ``_LOCAL`` head is
-    # begun, so its span brackets the body alone.
+    # A span subscriber: one span per firing.  No body here can leave and
+    # every call expands a closure, so each firing is spanned whole and
+    # none is begun.
     del pendings[:]
     bus = EventBus()
     spans = []
@@ -516,35 +521,22 @@ def test_runs_that_want_per_fire_detail_keep_the_generic_path(monkeypatch):
     traced = ProcessExecutor(1, bus=bus).run(graph, args, registry)
     assert traced.value == expected.value
     assert len(spans) == traced.stats.tasks_fired
-    classes = _classes(graph)
-    begun = sorted((p.activation.template.name, p.node_id) for p in pendings)
-    assert begun == sorted(
-        (s.template, s.node_id)
-        for s in spans
-        if classes[s.template, s.node_id] == executors._LOCAL
-    )
-    assert begun
+    assert pendings == []
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(1, 12), st.sampled_from([5, 8, 13]))
-def test_peer_check_skips_only_scans_that_find_nothing(
-    pi_local, threshold, leaves
-):
+@pytest.mark.parametrize("leaves", [5, 8, 13])
+def test_peer_check_skips_only_scans_that_find_nothing(pi_local, leaves):
     """With ``has_peer`` answering yes to everything every head scans
     for peers, as before the check existed: same groups, same counters."""
     graph, registry, _, _ = pi_local
 
     def run():
-        result = ProcessExecutor(1, batch_threshold=threshold).run(
-            graph, (leaves,), registry
-        )
+        result = ProcessExecutor(1).run(graph, (leaves,), registry)
         return result.value, stats_dict(result.stats)
 
     checked = run()
     with mock.patch.object(ReadyQueue, "has_peer", lambda self, head: True):
         assert run() == checked
-    assert (checked[1].get("fire_batches", 0) > 0) == (threshold > 1)
 
 
 def test_finished_run_leaves_no_cycle_through_the_state(monkeypatch):

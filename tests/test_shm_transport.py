@@ -83,9 +83,7 @@ def _registry():
     def make(n):
         return np.arange(n, dtype=np.float64)
 
-    @reg.register(
-        pure=True, cost=2e6, batch=lambda calls: [a + 1.0 for (a,) in calls]
-    )
+    @reg.register(pure=True, cost=2e6)
     def vbump(a):
         return a + 1.0
 
@@ -397,12 +395,12 @@ class TestReplyPlacement:
         np.testing.assert_array_equal(decode_value(payload), a * 2.0)
         assert payload.shm_name not in _shm_entries()
 
-    def test_vectorized_group_replies_per_member(self, pool):
+    def test_each_call_of_a_batch_replies_in_its_own_segment(self, pool):
         arrays = [np.full(2_000, float(i)) for i in range(3)]
         encs = [_arg(pool, a) for a in arrays]
         assert len({e.shm_name for e in encs}) == 3
-        calls = [(10 + i, [enc], None) for i, enc in enumerate(encs)]
-        results = _round_trip(pool, [("batch", "vbump", calls)], 3)
+        calls = [(10 + i, "vbump", [enc], None) for i, enc in enumerate(encs)]
+        results = _round_trip(pool, calls)
         assert [r[0] for r in results] == [10, 11, 12]
         for (_, ok, payload, *_), enc, a in zip(results, encs, arrays):
             assert ok is True
