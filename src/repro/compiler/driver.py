@@ -8,7 +8,8 @@ paper, and per-pass wall times are recorded under those names)::
     Macro Expansion   symbolic-constant substitution (textual, but timed
                       as its own pass like the original)
     Env Analysis      scoping, single-assignment, arity, free variables
-    Optimization      inline + constprop + CSE + DCE to fixpoint
+    Optimization      inline + constprop + CSE + DCE, each function to its
+                      fixpoint, callees first; dead functions dropped
     Graph Conversion  iterate lowering + template generation
 
 The result is a :class:`CompiledProgram`: coordination graphs plus the
@@ -155,7 +156,7 @@ def compile_source(
     t0 = time.perf_counter()
     report: OptimizationReport | None = None
     if ast_passes:
-        report = optimize(program, registry, enabled=ast_passes)
+        report = optimize(program, registry, enabled=ast_passes, entry=entry)
     seconds["Optimization"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

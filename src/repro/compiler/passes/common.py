@@ -20,19 +20,99 @@ from dataclasses import dataclass, field
 
 from ...lang import ast
 from ...runtime.operators import OperatorRegistry
-from ..analysis import FreshNames, ProgramAnalysis
-from ..symtab import EnvAnalysis
+from ..analysis import FreshNames, ProgramAnalysis, all_names, analyze_program
+from ..symtab import EnvAnalysis, EnvAnalyzer
 
 
 @dataclass
 class PassContext:
-    """Everything a pass may consult; rebuilt between pipeline rounds."""
+    """Everything a pass may consult, built once per optimization and kept
+    current as the pipeline rewrites one function at a time.
+
+    A pass over function ``f`` changes only ``f``'s facts, so the pipeline
+    marks ``f`` stale and :meth:`refresh` re-derives the environment facts
+    of the stale functions alone, then the call graph's SCCs and purity
+    from the per-function facts (a graph of one vertex per function).
+
+    Only inlining adds calls, and only to a function that already calls
+    one: constant propagation, CSE and DCE move or delete reads of names
+    but never introduce a function name a function did not read.  So a
+    function whose facts record no call and no read of a Delirium
+    function keeps none, and neither the inliner nor a refresh need look
+    at it again (:meth:`uses_functions`).
+    """
 
     registry: OperatorRegistry | None
-    env: EnvAnalysis
+    #: Holds the environment facts (:attr:`env`) and re-derives them.
+    analyzer: EnvAnalyzer
     analysis: ProgramAnalysis
+    #: One generator for the whole optimization: a name it handed out is
+    #: never handed out again, even after DCE removed its binding.
     fresh: FreshNames
+    #: The program's live top-level functions by name.
+    top_level: dict[str, ast.FunDef] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
+    #: Top-level functions rewritten since ``env``/``analysis`` were derived.
+    stale: set[str] = field(default_factory=set)
+
+    @classmethod
+    def build(
+        cls,
+        program: ast.Program,
+        registry: OperatorRegistry | None,
+        stats: dict[str, int],
+    ) -> "PassContext":
+        """The context of ``program``: its one whole-program analysis."""
+        known = registry.names() if registry is not None else None
+        analyzer = EnvAnalyzer(program, known, strict=False)
+        env = analyzer.run()
+        ctx = cls(
+            registry=registry,
+            analyzer=analyzer,
+            analysis=ProgramAnalysis(env=env),
+            fresh=FreshNames(all_names(program)),
+            top_level={f.name: f for f in program.functions},
+            stats=stats,
+        )
+        ctx._derive()
+        return ctx
+
+    @property
+    def env(self) -> EnvAnalysis:
+        return self.analyzer.result
+
+    def refresh(self) -> None:
+        """Bring ``env`` and ``analysis`` up to date with the stale functions."""
+        stale = [name for name in self.stale if self.uses_functions(name)]
+        self.stale.clear()
+        if stale:
+            for name in stale:
+                self.analyzer.reanalyze(self.top_level[name])
+            self._derive()
+
+    def uses_functions(self, name: str) -> bool:
+        """Whether top-level function ``name`` or a local function of it
+        calls or reads a Delirium function, as its facts were last derived
+        (stale facts over-estimate: see the class docstring)."""
+        prefix = name + "."
+        return any(
+            info.calls or info.refs
+            for qualname, info in self.env.functions.items()
+            if qualname == name or qualname.startswith(prefix)
+        )
+
+    def drop(self, names: set[str]) -> None:
+        """Forget the top-level functions ``names`` (the pipeline has
+        removed them from the program)."""
+        for name in names:
+            del self.top_level[name]
+        self.stale -= names
+        self.analyzer.forget(names)
+        self._derive()
+
+    def _derive(self) -> None:
+        pure = self.registry.pure_names() if self.registry is not None else set()
+        self.analysis = analyze_program(self.env, pure_operators=pure)
 
     def bump(self, key: str, n: int = 1) -> None:
         self.stats[key] = self.stats.get(key, 0) + n

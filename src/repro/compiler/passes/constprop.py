@@ -1,6 +1,6 @@
 """Constant propagation and folding.
 
-Three rewrites, iterated to a local fixpoint by the pipeline:
+Three rewrites, iterated to each function's fixpoint by the pipeline:
 
 1. **propagation** — a use of ``x`` where ``x = <literal>`` becomes the
    literal; a use of ``x`` where ``x = y`` (copy) becomes ``y``;
@@ -143,11 +143,9 @@ class _Folder:
         return _as_literal_expr(folded, e)
 
 
-def run(program: ast.Program, ctx: PassContext) -> bool:
-    """Run constant propagation over every function; True when changed."""
-    changed = False
-    for f in program.functions:
-        folder = _Folder(ctx)
-        folder.function(f)
-        changed = changed or folder.changed
-    return changed
+def run(function: ast.FunDef, ctx: PassContext) -> bool:
+    """Run constant propagation over one top-level function; True when
+    changed."""
+    folder = _Folder(ctx)
+    folder.function(function)
+    return folder.changed

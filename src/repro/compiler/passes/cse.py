@@ -103,11 +103,9 @@ class _CSE:
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 
-def run(program: ast.Program, ctx: PassContext) -> bool:
-    """Run CSE over every function; True when anything was eliminated."""
-    changed = False
-    for f in program.functions:
-        cse = _CSE(ctx)
-        cse.function(f)
-        changed = changed or cse.changed
-    return changed
+def run(function: ast.FunDef, ctx: PassContext) -> bool:
+    """Run CSE over one top-level function; True when anything was
+    eliminated."""
+    cse = _CSE(ctx)
+    cse.function(function)
+    return cse.changed

@@ -16,14 +16,19 @@ themselves, so an unused function binding is always removable.  Lets that
 lose all their bindings collapse into their bodies.
 
 Removing one binding can kill the uses that kept another alive, so a
-function is swept again after a sweep that removed something — but at
-most once: ``run`` makes one or two sweeps, not a fixpoint, and what a
-third sweep would remove is left to the pipeline's next round.
+function is swept again after every sweep that removed something: ``run``
+stops at its fixpoint, when a sweep removes nothing.
+
+Whole top-level functions are the pipeline's concern: once no live
+function reaches one from the entry, :func:`dead_functions` names it and
+the pipeline drops it from the program (the AST counterpart of
+:meth:`~repro.graph.ir.GraphProgram.prune_unreachable`).
 """
 
 from __future__ import annotations
 
 from ...lang import ast
+from ..symtab import EnvAnalysis
 from .common import PassContext, count_reads, count_uses, expr_is_pure
 
 NAME = "dce"
@@ -37,15 +42,18 @@ class _DCE:
         #: name -> number of reads in the live ``function.body``.
         self.reads: dict[str, int] = {}
 
-    def run(self) -> None:
+    def run(self) -> bool:
+        """Sweep until a sweep removes nothing; True when any removed."""
         self.reads = count_reads(self.function.body)
+        removed = False
         while True:
-            before = self.changed
+            self.changed = False
             self.function.body = self._expr(
                 self.function.body, set(self.function.params)
             )
-            if self.changed == before:
-                return
+            if not self.changed:
+                return removed
+            removed = True
 
     def _unread_outside(self, name: str, rhs: ast.Node) -> bool:
         """No read of ``name`` in the function outside ``rhs``.
@@ -124,11 +132,26 @@ class _DCE:
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 
-def run(program: ast.Program, ctx: PassContext) -> bool:
-    """Run DCE over every function; True when anything was removed."""
-    changed = False
-    for f in program.functions:
-        dce = _DCE(ctx, f)
-        dce.run()
-        changed = changed or dce.changed
-    return changed
+def run(function: ast.FunDef, ctx: PassContext) -> bool:
+    """Run DCE over one top-level function; True when anything was removed."""
+    return _DCE(ctx, function).run()
+
+
+def dead_functions(env: EnvAnalysis, entry: str) -> set[str]:
+    """Top-level functions that no call or value read reaches from
+    ``entry``, judged on the call graph ``env`` holds (a local function's
+    calls count as its host's).  Empty when ``entry`` is not a function:
+    the driver's entry check reports that, not this pass."""
+    if entry not in env.functions:
+        return set()
+    edges: dict[str, set[str]] = {}
+    for qualname, info in env.functions.items():
+        out = edges.setdefault(qualname.split(".", 1)[0], set())
+        out.update(q.split(".", 1)[0] for q in (*info.calls, *info.refs))
+    live, pending = {entry}, [entry]
+    while pending:
+        for callee in edges[pending.pop()]:
+            if callee not in live:
+                live.add(callee)
+                pending.append(callee)
+    return set(env.top_level) - live

@@ -9,8 +9,10 @@ let that binds fresh copies of the parameters and the alpha-renamed body::
 Benefits mirror the paper's: every inlined call is one fewer call-closure
 expansion (template activation) at run time, and the exposed body becomes
 visible to constant propagation / CSE / DCE.  The definition itself is left
-alone — dead-code elimination of unused *top-level* functions is the graph
-generator's concern (templates are only expanded when referenced).
+alone; once no function the entry reaches calls or reads it any more,
+the pipeline drops it (:func:`.dce.dead_functions`).  The pipeline
+optimizes callees before their callers, so a call site receives the
+callee's final body.
 
 Safety conditions checked per call site:
 
@@ -36,13 +38,11 @@ DEFAULT_THRESHOLD = 40
 
 
 class _Inliner:
-    def __init__(
-        self, ctx: PassContext, program: ast.Program, threshold: int
-    ) -> None:
+    def __init__(self, ctx: PassContext, threshold: int) -> None:
         self.ctx = ctx
         self.threshold = threshold
         self.changed = False
-        self.top_level = {f.name: f for f in program.functions}
+        self.top_level = ctx.top_level
         self.current: str = ""
 
     # ------------------------------------------------------------------
@@ -69,9 +69,9 @@ class _Inliner:
         info = self.ctx.env.functions.get(qualname)
         if info is None:
             return False
-        # Measured here, not read from ``info.body_size``: that was taken
-        # when the context was built, and this pass has since expanded the
-        # calls inside every callee defined before the current function.
+        # Measured here, not read from ``info.body_size``: a local callee
+        # defined earlier in the current function has had its own calls
+        # expanded by this very sweep.
         if fundef.body.size() > self.threshold:
             return False
         # Global names the body relies on must not be shadowed at the site.
@@ -186,10 +186,9 @@ class _Inliner:
 
 
 def run(
-    program: ast.Program, ctx: PassContext, threshold: int = DEFAULT_THRESHOLD
+    function: ast.FunDef, ctx: PassContext, threshold: int = DEFAULT_THRESHOLD
 ) -> bool:
-    """Run inline expansion over every function; True when changed."""
-    inliner = _Inliner(ctx, program, threshold)
-    for f in program.functions:
-        inliner.function(f)
+    """Run inline expansion over one top-level function; True when changed."""
+    inliner = _Inliner(ctx, threshold)
+    inliner.function(function)
     return inliner.changed

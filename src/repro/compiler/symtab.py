@@ -14,7 +14,13 @@ function, building lexical scopes, and
   operators are external code);
 * records, per function, the ordered free variables and the set of
   statically known callees — the inputs for recursion detection, closure
-  conversion, and the purity analysis.
+  conversion, and the purity analysis — plus the functions it reads as
+  values, which with the callees say which functions are live.
+
+A function's facts depend only on its own body and on the top-level
+names and arities, so after an optimization pass rewrites one function
+:meth:`EnvAnalyzer.reanalyze` re-derives that function's facts (and its
+local functions') and keeps every other function's.
 
 Local functions are given qualified names (``outer.inner``); the compiler's
 generated loop functions later follow the same convention (``outer.loop$1``).
@@ -46,6 +52,10 @@ class FunctionInfo:
     calls: set[str] = field(default_factory=set)
     #: Names of operators this function applies directly.
     op_calls: set[str] = field(default_factory=set)
+    #: Qualified names of Delirium functions this function reads as values
+    #: (passed or bound, not applied): not calls, but they keep the
+    #: function alive.
+    refs: set[str] = field(default_factory=set)
     #: True when some callee is a computed value (first-class function),
     #: so the static call graph is incomplete for this function.
     has_dynamic_calls: bool = False
@@ -97,7 +107,10 @@ class EnvAnalysis:
         return self.functions[qualname]
 
 
-class _Analyzer:
+class EnvAnalyzer:
+    """Environment analysis of one program; after :meth:`run`, keeps its
+    result current one function at a time (:meth:`reanalyze`)."""
+
     def __init__(
         self,
         program: ast.Program,
@@ -121,12 +134,42 @@ class _Analyzer:
                 )
             self.top_level_arity[f.name] = len(f.params)
         self.result.top_level = self.program.function_names()
-        globals_scope = _Scope(None, "")
+        self.globals_scope = _Scope(None, "")
         for f in self.program.functions:
-            globals_scope.bindings[f.name] = ("topfun", f.name)
+            self.globals_scope.bindings[f.name] = ("topfun", f.name)
         for f in self.program.functions:
-            self._function(f, f.name, globals_scope)
+            self.function(f)
         return self.result
+
+    def function(self, f: ast.FunDef) -> FunctionInfo:
+        """Analyze top-level function ``f`` into ``self.result``."""
+        return self._function(f, f.name, self.globals_scope)
+
+    def reanalyze(self, f: ast.FunDef) -> None:
+        """Re-derive the facts of top-level function ``f`` and its local
+        functions from ``f``'s current body; every other function keeps
+        its entry, and the entries keep their order."""
+        result = self.result
+        old = result.functions
+        result.functions = {}
+        self.function(f)
+        new, prefix = result.functions, f.name + "."
+        result.functions = {}
+        for qualname, info in old.items():
+            if qualname == f.name:
+                result.functions.update(new)
+            elif not qualname.startswith(prefix):
+                result.functions[qualname] = info
+
+    def forget(self, names: set[str]) -> None:
+        """Drop the top-level functions ``names`` and their local functions."""
+        result = self.result
+        result.top_level = [n for n in result.top_level if n not in names]
+        result.functions = {
+            q: info
+            for q, info in result.functions.items()
+            if q.split(".", 1)[0] not in names
+        }
 
     # ------------------------------------------------------------------
     def _function(self, f: ast.FunDef, qualname: str, outer: _Scope) -> FunctionInfo:
@@ -176,7 +219,9 @@ class _Analyzer:
         if isinstance(e, (ast.Literal, ast.Null)):
             return
         if isinstance(e, ast.Var):
-            self._resolve_use(e, scope, info)
+            kind, detail = self._resolve_use(e, scope, info)
+            if kind in ("topfun", "localfun"):
+                info.refs.add(detail)
             return
         if isinstance(e, ast.TupleExpr):
             for item in e.items:
@@ -299,4 +344,4 @@ def analyze(
     ------
     SingleAssignmentError, UnboundNameError, ArityError
     """
-    return _Analyzer(program, known_operators, strict).run()
+    return EnvAnalyzer(program, known_operators, strict).run()

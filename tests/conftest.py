@@ -10,11 +10,6 @@ import numpy as np
 import pytest
 
 from repro import compile_source, default_registry
-from repro.compiler.analysis import FreshNames, analyze_program
-from repro.compiler.passes import constprop, cse, inline
-from repro.compiler.passes.common import PassContext, expr_is_pure
-from repro.compiler.passes.pipeline import PASS_ORDER, OptimizationReport
-from repro.compiler.symtab import analyze
 from repro.lang import ast
 from repro.runtime import OperatorRegistry
 
@@ -56,10 +51,9 @@ def recursive_payload_nbytes(payload):
 
 
 # ---------------------------------------------------------------------------
-# The AST traversal, DCE and pass loop as they were when every liveness
-# question re-walked the whole function, verbatim: the oracles the
-# linear-time optimizer must match node for node, stat for stat and round
-# for round (tests/test_optimizer_linear.py).
+# The AST traversal as it was when ``children`` reflected on dataclass
+# fields and ``walk`` recursed, verbatim: the oracles the explicit-stack
+# traversal must match node for node (tests/test_optimizer_linear.py).
 # ---------------------------------------------------------------------------
 
 
@@ -80,12 +74,6 @@ def recursive_walk(node):
         yield from recursive_walk(child)
 
 
-def oracle_count_uses(e, name):
-    return sum(
-        1 for n in recursive_walk(e) if isinstance(n, ast.Var) and n.name == name
-    )
-
-
 def oracle_bound_names_in(e):
     out = set()
     for n in recursive_walk(e):
@@ -98,161 +86,6 @@ def oracle_bound_names_in(e):
         elif isinstance(n, ast.LoopVar):
             out.add(n.name)
     return out
-
-
-def oracle_count_uses_excluding_binding(function, name, binding):
-    total = oracle_count_uses(function.body, name)
-    if isinstance(binding, (ast.SimpleBinding, ast.TupleBinding)):
-        total -= oracle_count_uses(binding.expr, name)
-    elif isinstance(binding, ast.FunBinding):
-        total -= oracle_count_uses(binding.func.body, name)
-    return total
-
-
-class OracleDCE:
-    def __init__(self, ctx, function):
-        self.ctx = ctx
-        self.function = function
-        self.changed = False
-
-    def run(self):
-        while True:
-            before = self.changed
-            self.function.body = self._expr(
-                self.function.body, set(self.function.params)
-            )
-            if self.changed == before:
-                return
-
-    def _expr(self, e, bound):
-        if isinstance(e, (ast.Literal, ast.Null, ast.Var)):
-            return e
-        if isinstance(e, ast.TupleExpr):
-            e.items = [self._expr(i, bound) for i in e.items]
-            return e
-        if isinstance(e, ast.Apply):
-            e.callee = self._expr(e.callee, bound)
-            e.args = [self._expr(a, bound) for a in e.args]
-            return e
-        if isinstance(e, ast.If):
-            e.cond = self._expr(e.cond, bound)
-            e.then = self._expr(e.then, bound)
-            e.orelse = self._expr(e.orelse, bound)
-            return e
-        if isinstance(e, ast.Let):
-            inner = set(bound)
-            kept = []
-            for b in e.bindings:
-                removable = False
-                if isinstance(b, ast.SimpleBinding):
-                    if oracle_count_uses_excluding_binding(
-                        self.function, b.name, b
-                    ) == 0 and expr_is_pure(b.expr, self.ctx, inner):
-                        removable = True
-                elif isinstance(b, ast.TupleBinding):
-                    if all(
-                        oracle_count_uses_excluding_binding(self.function, n, b) == 0
-                        for n in b.names
-                    ) and expr_is_pure(b.expr, self.ctx, inner):
-                        removable = True
-                elif isinstance(b, ast.FunBinding):
-                    external = oracle_count_uses(
-                        self.function.body, b.func.name
-                    ) - oracle_count_uses(b.func.body, b.func.name)
-                    if external == 0:
-                        removable = True
-                if removable:
-                    self.changed = True
-                    self.ctx.bump("dce.removed")
-                    continue
-                if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
-                    b.expr = self._expr(b.expr, inner)
-                elif isinstance(b, ast.FunBinding):
-                    fn_bound = inner | {b.func.name} | set(b.func.params)
-                    b.func.body = self._expr(b.func.body, fn_bound)
-                inner.update(b.bound_names())
-                kept.append(b)
-            e.bindings = kept
-            e.body = self._expr(e.body, inner)
-            if not e.bindings:
-                self.changed = True
-                self.ctx.bump("dce.lets_collapsed")
-                return e.body
-            return e
-        if isinstance(e, ast.Iterate):  # pre-lowering robustness
-            for lv in e.loopvars:
-                lv.init = self._expr(lv.init, bound)
-            inner = bound | {lv.name for lv in e.loopvars}
-            e.cond = self._expr(e.cond, inner)
-            for lv in e.loopvars:
-                lv.update = self._expr(lv.update, inner)
-            e.result = self._expr(e.result, inner)
-            return e
-        raise TypeError(f"unexpected AST node {type(e).__name__}")
-
-
-def oracle_dce_run(program, ctx):
-    changed = False
-    for f in program.functions:
-        dce = OracleDCE(ctx, f)
-        dce.run()
-        changed = changed or dce.changed
-    return changed
-
-
-def oracle_make_context(program, registry, stats):
-    known = registry.names() if registry is not None else None
-    env = analyze(program, known_operators=known, strict=False)
-    pure = registry.pure_names() if registry is not None else set()
-    analysis = analyze_program(env, pure_operators=pure)
-    used = set()
-    for f in program.functions:
-        used.add(f.name)
-        used.update(f.params)
-        used.update(oracle_bound_names_in(f.body))
-        for node in recursive_walk(f.body):
-            if isinstance(node, ast.Var):
-                used.add(node.name)
-    return PassContext(
-        registry=registry,
-        env=env,
-        analysis=analysis,
-        fresh=FreshNames(used),
-        stats=stats,
-    )
-
-
-def oracle_optimize(
-    program,
-    registry=None,
-    enabled=PASS_ORDER,
-    max_rounds=8,
-    inline_threshold=inline.DEFAULT_THRESHOLD,
-):
-    """The pass loop with a context rebuilt at every round start and
-    unconditionally after ``inline``, and the quadratic DCE."""
-    runners = {
-        "inline": inline.run,
-        "constprop": constprop.run,
-        "cse": cse.run,
-        "dce": oracle_dce_run,
-    }
-    report = OptimizationReport(enabled=tuple(enabled))
-    for _ in range(max_rounds):
-        ctx = oracle_make_context(program, registry, report.stats)
-        changed = False
-        for name in PASS_ORDER:
-            if name not in enabled:
-                continue
-            if name == "inline":
-                changed = inline.run(program, ctx, threshold=inline_threshold) or changed
-                ctx = oracle_make_context(program, registry, report.stats)
-            else:
-                changed = runners[name](program, ctx) or changed
-        report.rounds += 1
-        if not changed:
-            break
-    return report
 
 
 #: The paper's fork-join example (section 2.1), verbatim modulo operators.

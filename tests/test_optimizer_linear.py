@@ -1,17 +1,20 @@
-"""The linear-time optimizer does exactly what the quadratic one did.
+"""The optimizer is linear in the program and reaches a true fixpoint.
 
-Three kinds of evidence, none of them in seconds:
+Four kinds of evidence, none of them in seconds:
 
-* **oracles** — the recursive ``children``/``walk``, the whole-function
-  re-walking DCE and the rebuild-every-time pass loop live on verbatim in
+* **oracles** — the recursive ``children``/``walk`` live on verbatim in
   ``conftest.py``; over generated and fuzzed programs the new traversal
-  yields the same nodes in the same order and the new ``optimize`` leaves
-  the same text, stats and round count;
-* **goldens** — ``.dlc`` digests of the case-study programs, recorded from
-  the commit before the rewrite;
+  yields the same nodes in the same order;
+* **a fixpoint postcondition** — after :func:`optimize`, one more sweep of
+  every enabled pass over every surviving function changes nothing, and
+  no surviving function is unreachable from the entry (what the programs
+  *mean* is checked against the reference evaluator in
+  ``test_reference.py``);
+* **goldens** — ``.dlc`` digests of the case-study programs;
 * **structural guards** — counts of reflective calls, whole-body
-  ``count_uses`` calls and node visits, so the quadratic shapes cannot
-  come back unnoticed.
+  ``count_uses`` calls, node visits, whole-program analyses and sweeps of
+  dropped functions, so the quadratic and rebuild-everything shapes
+  cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from repro.apps import circuit, loganalytics, montecarlo, queens, raytracer, ret
 from repro.apps.compiler_app import generate_workload
 from repro.compiler import PASS_NAMES
 from repro.compiler.analysis import all_names
+from repro.compiler import symtab
 from repro.compiler.lowering import lower_program
-from repro.compiler.passes import dce
-from repro.compiler.passes.common import count_reads
+from repro.compiler.passes import constprop, cse, dce, inline
+from repro.compiler.passes.common import PassContext, count_reads
 from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
     PASS_ORDER,
-    _make_context,
     optimize,
 )
 from repro.compiler.symtab import analyze
@@ -43,12 +46,7 @@ from repro.graph.serialize import dumps
 from repro.lang import ast, parse_program
 from repro.lang.ast import unparse
 
-from .conftest import (
-    oracle_bound_names_in,
-    oracle_optimize,
-    recursive_children,
-    recursive_walk,
-)
+from .conftest import oracle_bound_names_in, recursive_children, recursive_walk
 from .test_fuzz_compiler import _loop_programs
 
 REGISTRY = default_registry()
@@ -161,29 +159,40 @@ class TestTraversalOracle:
 
 
 # ---------------------------------------------------------------------------
-# optimize ≡ oracle optimize
+# The fixpoint postcondition
 # ---------------------------------------------------------------------------
 
-
-def assert_same_optimization(source: str, enabled=PASS_ORDER) -> None:
-    new, old = lowered(source), lowered(source)
-    report = optimize(new, REGISTRY, enabled=enabled)
-    expected = oracle_optimize(old, REGISTRY, enabled=enabled)
-    assert [unparse(f) for f in new.functions] == [unparse(f) for f in old.functions]
-    assert report.stats == expected.stats
-    assert report.rounds == expected.rounds
+PASSES = {"inline": inline, "constprop": constprop, "cse": cse, "dce": dce}
 
 
-class TestOptimizeOracle:
+def assert_fixpoint(source: str, enabled=PASS_ORDER) -> ast.Program:
+    """Optimize ``source`` from ``main``; then one more sweep of every
+    enabled pass over every surviving function must change nothing, and
+    every surviving function must be reachable from ``main``."""
+    program = lowered(source)
+    optimize(program, REGISTRY, enabled=enabled, entry="main")
+    before = [unparse(f) for f in program.functions]
+    ctx = PassContext.build(program, REGISTRY, {})
+    assert dce.dead_functions(ctx.env, "main") == set()
+    for f in program.functions:
+        for name in PASS_ORDER:
+            if name in enabled:
+                assert not PASSES[name].run(f, ctx), (name, f.name)
+    assert ctx.stats == {}
+    assert [unparse(f) for f in program.functions] == before
+    return program
+
+
+class TestFixpoint:
     @settings(max_examples=30, deadline=None)
     @given(generated_sources)
     def test_generated_workloads(self, source):
-        assert_same_optimization(source)
+        assert_fixpoint(source)
 
     @settings(max_examples=40, deadline=None)
     @given(_loop_programs())
     def test_fuzzed_programs(self, source):
-        assert_same_optimization(source)
+        assert_fixpoint(source)
 
     @pytest.mark.parametrize(
         "enabled",
@@ -193,12 +202,12 @@ class TestOptimizeOracle:
     @settings(max_examples=10, deadline=None)
     @given(sources)
     def test_pass_subsets(self, enabled, source):
-        assert_same_optimization(source, enabled)
+        assert_fixpoint(source, enabled)
 
     def test_dead_chain_inside_a_local_function_and_a_tuple(self):
         # Tuple bindings, an unused local function, a let nested in a
-        # kept binding, and a dead chain longer than DCE's two sweeps.
-        assert_same_optimization(
+        # kept binding, and a dead chain longer than one sweep removes.
+        program = assert_fixpoint(
             """
 main(n)
   let
@@ -213,12 +222,43 @@ main(n)
   in add(kept, r)
 """
         )
+        assert unparse(program.function("main").body) == unparse(
+            parse_program(
+                "main(n) let <p, q> = <incr(n), incr(n)> "
+                "<r, s> = <incr(p), decr(p)> kept = add(s, 1) in add(kept, r)"
+            ).function("main").body
+        )
 
+    def test_without_an_entry_every_function_stays_in_place(self):
+        program = lowered(pythia_source(6, 1990, 1990))
+        names = program.function_names()
+        report = optimize(program, REGISTRY)
+        assert program.function_names() == names
+        assert "dce.functions_dropped" not in report.stats
+
+    def test_a_missing_entry_drops_nothing(self):
+        program = lowered("main(n) helper(n)\nhelper(x) incr(x)")
+        optimize(program, REGISTRY, entry="nowhere")
+        assert program.function_names() == ["main", "helper"]
+
+    def test_a_function_read_as_a_value_stays(self):
+        program = lowered(
+            "main(n) <twice, helper(n)>\n"
+            "helper(x) incr(x)\n"
+            "twice(x) add(x, x)\n"
+            "orphan(x) decr(x)"
+        )
+        report = optimize(program, REGISTRY, entry="main")
+        assert program.function_names() == ["main", "twice"]
+        assert report.stats["dce.functions_dropped"] == 2
+
+
+class TestDCE:
     @settings(max_examples=25, deadline=None)
     @given(sources)
     def test_reads_table_equals_the_live_tree_after_a_run(self, source):
         program = lowered(source)
-        ctx = _make_context(program, REGISTRY, {})
+        ctx = PassContext.build(program, REGISTRY, {})
         for f in program.functions:
             sweep = dce._DCE(ctx, f)
             sweep.run()
@@ -391,15 +431,59 @@ class TestStructuralGuards:
 
         def visits_of_one_run(n: int) -> int:
             program = parse_program(chained_lets(n))
-            ctx = _make_context(program, REGISTRY, {})
+            ctx = PassContext.build(program, REGISTRY, {})
             visits[0] = 0
-            assert dce.run(program, ctx)
+            assert dce.run(program.functions[0], ctx)
             assert ctx.stats["dce.removed"] == n // 2
             return visits[0]
 
         # Four times the bindings: a linear sweep visits ~4x the nodes,
         # the whole-function re-walk per binding visited ~16x.
         assert visits_of_one_run(400) <= 5 * visits_of_one_run(100)
+
+
+    def test_one_whole_program_analysis_per_optimize(self, monkeypatch):
+        runs = []
+        real_run = symtab.EnvAnalyzer.run
+
+        def counting_run(self):
+            runs.append(self)
+            return real_run(self)
+
+        monkeypatch.setattr(symtab.EnvAnalyzer, "run", counting_run)
+        optimize(lowered(pythia_source(10, 1990, 1990)), REGISTRY, entry="main")
+        assert len(runs) == 1
+
+    def test_no_function_is_swept_once_dropped(self, monkeypatch):
+        events: list[tuple[str, str]] = []
+        for name, module in PASSES.items():
+            real = module.run
+
+            def spying_run(f, ctx, *args, _real=real, **kwargs):
+                events.append(("sweep", f.name))
+                return _real(f, ctx, *args, **kwargs)
+
+            monkeypatch.setattr(module, "run", spying_run)
+        real_drop = PassContext.drop
+
+        def spying_drop(self, names):
+            events.extend(("drop", n) for n in sorted(names))
+            return real_drop(self, names)
+
+        monkeypatch.setattr(PassContext, "drop", spying_drop)
+        # Inlining leaves the generated helpers dead; ``orphan`` is dead
+        # from the start.
+        source = pythia_source(10, 1990, 1990) + "\norphan(x) incr(x)\n"
+        program = lowered(source)
+        report = optimize(program, REGISTRY, entry="main")
+        dropped = {n for kind, n in events if kind == "drop"}
+        assert "orphan" in dropped
+        assert report.stats["dce.functions_dropped"] == len(dropped) == 9
+        assert ("sweep", "orphan") not in events
+        for i, (kind, name) in enumerate(events):
+            if kind == "drop":
+                assert ("sweep", name) not in events[i:]
+        assert {f.name for f in program.functions}.isdisjoint(dropped)
 
 
 # ---------------------------------------------------------------------------
