@@ -18,7 +18,8 @@ name→value table per top-level function is sound.
 from __future__ import annotations
 
 from ...lang import ast
-from ...runtime.values import NULL, is_truthy
+from ...runtime.blocks import is_truthy
+from ...runtime.values import NULL
 from .common import PassContext
 
 NAME = "constprop"

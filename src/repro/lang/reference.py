@@ -36,7 +36,8 @@ from typing import Any
 
 from ..errors import DeliriumError
 from ..runtime.operators import OperatorRegistry, default_registry
-from ..runtime.values import NULL, MultiValue, is_truthy
+from ..runtime.blocks import is_truthy
+from ..runtime.values import NULL, MultiValue
 from . import ast
 from .parser import parse_program
 from .preprocessor import preprocess

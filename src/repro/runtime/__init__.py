@@ -12,6 +12,7 @@ from .checkpoint import (
 from .blocks import (
     DataBlock,
     get_block_hook,
+    is_truthy,
     release,
     retain,
     set_block_hook,
@@ -57,7 +58,7 @@ from .stream import (
 )
 from .supervise import FaultPolicy, Supervisor, run_with_retries
 from .tracing import NodeTiming, Tracer
-from .values import NULL, Closure, MultiValue, OperatorValue, is_truthy
+from .values import NULL, Closure, MultiValue, OperatorValue
 from .workers import (
     DispatchPolicy,
     RegistryRef,

@@ -27,7 +27,7 @@ from typing import Any
 from ..graph.ir import GraphProgram, Node, NodeKind, Template
 from ..obs.events import ActivationAllocated, ActivationRecycled, EventBus
 from .blocks import DataBlock
-from .values import Closure, MultiValue, OperatorValue
+from .values import _SELF, Closure, MultiValue, OperatorValue
 
 #: Sentinel marking an input slot that has not received its value yet.
 _EMPTY = object()
@@ -50,9 +50,13 @@ class NodePlan:
     (backend kind, batching, dispatch policy), so its later runs read
     the class instead of deciding it again.  One slot: executors of
     different configuration taking turns on a program overwrite it.
+    ``crown`` is set on a ``CALL`` whose callee port is fed by a closure
+    node of its own template: first ``(callee name, self capture)``, then,
+    once the executor asks, the callee closure's generated code
+    (:func:`repro.runtime.crown.crown_for`) or ``None``.
     """
 
-    __slots__ = ("node", "kind", "op", "callee", "expands", "memo")
+    __slots__ = ("node", "kind", "op", "callee", "expands", "memo", "crown")
 
     def __init__(self, node: Node) -> None:
         self.node = node
@@ -61,6 +65,17 @@ class NodePlan:
         self.callee: Template | None = None
         self.expands: list["TemplatePlan | None"] = [None, None]
         self.memo: tuple[Any, int] = (None, 0)
+        self.crown: Any = None
+
+
+def self_capture(closure: Node, nodes: list[Node]) -> int | None:
+    """Which cell of a ``CLOSURE`` node is the closure itself (a recursive
+    local function): ``None`` for none, ``-1`` for more than one."""
+    selfs = [
+        j for j, p in enumerate(closure.inputs)
+        if nodes[p.node].kind is NodeKind.CONST and nodes[p.node].value is _SELF
+    ]
+    return selfs[0] if len(selfs) == 1 else -1 if selfs else None
 
 
 def _static_value(node: Node, program: GraphProgram) -> Any:
@@ -140,6 +155,9 @@ class TemplatePlan:
                 callee = static.get(entry.node.inputs[0].node)
                 if isinstance(callee, Closure):
                     entry.callee = callee.template
+                source = nodes[entry.node.inputs[0].node]
+                if source.kind is NodeKind.CLOSURE:
+                    entry.crown = (source.template, self_capture(source, nodes))
 
 
 class Activation:

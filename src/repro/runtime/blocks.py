@@ -340,6 +340,20 @@ def release(value: Any, n: int = 1) -> None:
             release(item, n)
 
 
+def is_truthy(value: Any) -> bool:
+    """Delirium condition semantics.
+
+    ``NULL`` is false; numbers and strings follow Python truthiness; a
+    :class:`DataBlock` is judged by its payload.  Multi-element NumPy
+    arrays raise, as they do in Python — conditions must be scalars.
+    """
+    if value is NULL:
+        return False
+    if isinstance(value, DataBlock):
+        return bool(value.payload)
+    return bool(value)
+
+
 def unwrap(value: Any) -> Any:
     """Recursively strip runtime wrappers for the public API boundary.
 

@@ -51,10 +51,10 @@ from ..obs.events import (
 )
 from .activation import Activation, ActivationPool, NodePlan, TemplatePlan
 from . import blocks as _blocks
-from .blocks import DataBlock, release, retain, unwrap, wrap_payload
+from .blocks import DataBlock, is_truthy, release, retain, unwrap, wrap_payload
 from .operators import OperatorRegistry, OperatorSpec, fused_source_ops, node_spec
-from .scheduler import Task
-from .values import Closure, MultiValue, OperatorValue, is_truthy
+from .scheduler import ReadyQueue, Task
+from .values import Closure, MultiValue, OperatorValue
 
 _NO_RESULT = object()
 
@@ -305,6 +305,20 @@ def _arg_codes(spec: OperatorSpec, n_args: int) -> tuple[bool, ...] | None:
     return tuple(i in modifies for i in range(n_args))
 
 
+def check_package(value: Any, kind: type, n: int, what: str, where: str) -> None:
+    """Refuse to decompose ``value`` into ``n`` names unless it is a
+    package (``kind``) of that many values."""
+    if not isinstance(value, kind):
+        raise RuntimeFailure(
+            f"cannot decompose non-package value {value!r} ({what} in {where!r})"
+        )
+    if len(value) != n:
+        raise RuntimeFailure(
+            f"package of {len(value)} value(s) decomposed into {n} name(s) "
+            f"in {where!r}"
+        )
+
+
 def _fingerprint(payload: Any) -> object:
     """Cheap content fingerprint for purity checking (debug mode only)."""
     if isinstance(payload, np.ndarray):
@@ -364,6 +378,10 @@ class ExecutionState:
         #: :data:`RecoverOp`); ``None`` wraps a body exception at once.
         #: An executor that installs one clears it when its run ends.
         self.recover_op: RecoverOp | None = None
+        #: Set by a run whose configuration lets calls be clipped: maps a
+        #: ``CALL``'s row to the crown it fires as one operator-like
+        #: firing, or ``None`` (see :mod:`repro.runtime.crown`).
+        self.clip: Callable[[NodePlan], Any] | None = None
         self.stats = EngineStats()
         self._final: Any = _NO_RESULT
         self._task_seq = 0
@@ -673,16 +691,10 @@ class ExecutionState:
             release(mv, 1)  # drop the input slots' shares
         elif kind is NodeKind.UNTUPLE:
             value = act.take_inputs(node_id)[0]
-            if not isinstance(value, MultiValue):
-                raise RuntimeFailure(
-                    f"cannot decompose non-package value {value!r} "
-                    f"(node {node.label!r} in {act.template.name!r})"
-                )
-            if len(value) != node.n_outputs:
-                raise RuntimeFailure(
-                    f"package of {len(value)} value(s) decomposed into "
-                    f"{node.n_outputs} name(s) in {act.template.name!r}"
-                )
+            check_package(
+                value, MultiValue, node.n_outputs, f"node {node.label!r}",
+                act.template.name,
+            )
             for i, element in enumerate(value.items):
                 self._deliver_output(act, node_id, i, element, 0, newly)
             release(value, 1)
@@ -804,17 +816,10 @@ class ExecutionState:
             # raw tuple is delivered element-by-element to this node's
             # output ports, exactly as the standalone UNTUPLE would have
             # delivered the elements of the MultiValue it unpacked.
-            if not isinstance(raw_result, tuple):
-                raise RuntimeFailure(
-                    f"cannot decompose non-package value {raw_result!r} "
-                    f"(fused node {template.nodes[node_id].label!r} in "
-                    f"{template.name!r})"
-                )
-            if len(raw_result) != untuple_n:
-                raise RuntimeFailure(
-                    f"package of {len(raw_result)} value(s) decomposed into "
-                    f"{untuple_n} name(s) in {template.name!r}"
-                )
+            check_package(
+                raw_result, tuple, untuple_n,
+                f"fused node {template.nodes[node_id].label!r}", template.name,
+            )
             outputs = enumerate(raw_result)
         else:
             outputs = ((0, raw_result),)
@@ -1182,52 +1187,61 @@ class ExecutionState:
         """
         args: list[Any] = []
         arg_blocks: list[DataBlock | None] = []
-        stats = self.stats
-        bus = self.bus
         for i, v in enumerate(inputs):
-            writes = codes is not None and codes[i]
-            if type(v) is not DataBlock:
-                if writes and isinstance(v, MultiValue):
-                    raise RuntimeFailure(
-                        f"operator {spec.name!r} declares it modifies "
-                        f"argument {i}, which is a multiple-value package; "
-                        "split the package and pass the parts instead"
-                    )
+            if codes is not None and codes[i]:
+                v = self._write(spec, i, v, home, remote)
+            elif fingerprints is not None and type(v) is DataBlock:
+                fingerprints.append((i, _fingerprint(v.payload)))
+            if type(v) is DataBlock:
+                args.append(v.payload)
+                arg_blocks.append(v)
+            else:
                 args.append(_payload_of(v))
                 arg_blocks.append(None)
-                continue
-            if not writes:
-                if fingerprints is not None:
-                    fingerprints.append((i, _fingerprint(v.payload)))
-            elif v.rc == 1:
-                stats.in_place_writes += 1
-                if v.bid is not None and not remote:
-                    # The body is about to mutate this payload in place
-                    # while workers may hold resident copies keyed by its
-                    # block id: invalidate before the bytes change.
-                    if self.locality is not None:
-                        self.locality.forget(v)
-                    v.bid = None
-                # The size is a function of the current payload: forget
-                # it so a body that resizes the payload cannot leave it
-                # stale.
-                v.drop_size()
-            else:
-                stats.cow_copies += 1
-                name = spec.name
-                by_op = stats.copies_by_operator
-                by_op[name] = by_op.get(name, 0) + 1
-                by_op = stats.copy_bytes_by_operator
-                by_op[name] = by_op.get(name, 0) + v.nbytes
-                if self._wants_cow:
-                    bus.emit(CowCopy(bus.now(), name, v.nbytes))
-                if not remote:
-                    v = v.copy(home)
-                    # An alloc observer may have sized the copy.
-                    v.drop_size()
-            args.append(v.payload)
-            arg_blocks.append(v)
         return args, arg_blocks
+
+    def _write(
+        self, spec: OperatorSpec, i: int, v: Any, home: int, remote: bool
+    ) -> Any:
+        """What a body that writes argument ``i`` gets: a block itself
+        when it holds the sole reference, else a copy (not made when
+        ``remote``); an atomic as it is.  A package is refused."""
+        if type(v) is not DataBlock:
+            if isinstance(v, MultiValue):
+                raise RuntimeFailure(
+                    f"operator {spec.name!r} declares it modifies argument "
+                    f"{i}, which is a multiple-value package; split the "
+                    "package and pass the parts instead"
+                )
+            return v
+        stats = self.stats
+        if v.rc == 1:
+            stats.in_place_writes += 1
+            if v.bid is not None and not remote:
+                # The body is about to mutate this payload in place while
+                # workers may hold resident copies keyed by its block id:
+                # invalidate before the bytes change.
+                if self.locality is not None:
+                    self.locality.forget(v)
+                v.bid = None
+            # The size is a function of the current payload: forget it so
+            # a body that resizes the payload cannot leave it stale.
+            v.drop_size()
+            return v
+        stats.cow_copies += 1
+        name = spec.name
+        by_op = stats.copies_by_operator
+        by_op[name] = by_op.get(name, 0) + 1
+        by_op = stats.copy_bytes_by_operator
+        by_op[name] = by_op.get(name, 0) + v.nbytes
+        if self._wants_cow:
+            bus = self.bus
+            bus.emit(CowCopy(bus.now(), name, v.nbytes))
+        if not remote:
+            v = v.copy(home)
+            # An alloc observer may have sized the copy.
+            v.drop_size()
+        return v
 
     def _wrap_result(
         self, raw: Any, arg_blocks: list[DataBlock | None], home: int
@@ -1269,6 +1283,11 @@ class ExecutionState:
     ) -> PendingOp | None:
         inputs = act.take_inputs(node_id)
         callee = inputs[0]
+        if self.clip is not None:
+            crown = self.clip(entry)
+            if crown is not None:
+                self._fire_clipped(act, node_id, crown, inputs, newly)
+                return None
         if entry.callee is not None:
             # The template created this closure itself: nothing to learn
             # from the value, and it has no cells.
@@ -1299,6 +1318,57 @@ class ExecutionState:
             )
         self._expand(act, node_id, entry.node, plan, inputs[1:], 1, cells, 0, newly)
         return None
+
+    def _fire_clipped(
+        self, act: Activation, node_id: int, crown: Any, inputs: list[Any],
+        newly: list[Task],
+    ) -> None:
+        """Fire a clipped ``CALL``: the callee's whole subtree runs here as
+        the crown's generated function, one operator-like firing bracketed
+        by one ``OpStarted``/``OpFinished`` pair.  The parameters hand
+        their shares on and the cells none, as an expansion does."""
+        fn = crown.bind(self)
+        bus = self.bus
+        if bus is not None:
+            began = bus.now()
+            if self._wants_op_started:
+                bus.emit(OpStarted(began, crown.name, 1))
+        t_body = _perf_counter()
+        value = fn(*inputs[1:], *inputs[0].cells, 0)
+        if self.profile_ops:
+            self.stats.op_body_seconds += _perf_counter() - t_body
+        if self._wants_op_finished:
+            ended = bus.now()
+            bus.emit(OpFinished(ended, crown.name, ended - began))
+        self._deliver_output(act, node_id, 0, value, 1, newly)
+
+    def _run_nested(
+        self, template: Template, params: tuple[Any, ...], cells: tuple[Any, ...]
+    ) -> Any:
+        """Evaluate a call on the graph path, in a nested drain with
+        clipping off: where a clipped call goes past its depth bound.
+        Returns the result carrying its one share, as a crown call does."""
+        clip, final = self.clip, self._final
+        self.clip, self._final = None, _NO_RESULT
+        try:
+            plan = self.plans.load(template)
+            act = self.pool.acquire(plan)
+            newly = [self._task(act, nid) for nid in plan.ready]
+            if params:
+                self._deliver_values(act, 0, params, 1, newly)
+            if cells:
+                self._deliver_values(act, len(params), cells, 0, newly)
+            queue = ReadyQueue()
+            queue.push_all(newly)
+            queue.drain(self.fire)
+            value = self._final
+        finally:
+            self.clip, self._final = clip, final
+        if value is _NO_RESULT:
+            raise RuntimeFailure(
+                "execution stalled in a nested drain\n" + self.stall_report()
+            )
+        return value
 
     def _target(self, entry: NodePlan, which: int) -> TemplatePlan:
         """The plan of a template ``entry`` expands, loaded when first

@@ -49,6 +49,7 @@ from ..obs.events import (
 )
 from ..obs.runctx import RunContext
 from .blocks import DataBlock
+from .crown import crown_for
 from .engine import EngineStats, ExecutionState, PendingOp
 from .operators import OperatorRegistry, collect_fused_chains, default_registry
 from .scheduler import ReadyQueue, Task
@@ -106,8 +107,9 @@ def batch_key(task: Task) -> tuple[int, int] | None:
 
 
 #: Dispatch classes of :meth:`Run.loop`, decided once per node and
-#: executor configuration (:meth:`Run._node_class`).
-_FIRE, _OP, _CALL = range(3)
+#: executor configuration (:meth:`Run._node_class`).  A ``_CLIP`` call is
+#: fired whole, as its crown (:mod:`repro.runtime.crown`).
+_FIRE, _OP, _CALL, _CLIP = range(4)
 
 #: Most ready fires of one ``CALL`` node that expand together, the head
 #: included.
@@ -293,6 +295,10 @@ class Run:
         self.on_pump: Any = None
         #: Set when a driving thread failed: the others stop popping.
         self.halted = False
+        #: Calls may be clipped: nothing watches or perturbs single
+        #: firings, pops are not shuffled and (see :meth:`execute`) one
+        #: thread drives the loop.
+        self.clipping = self.plain and executor.seed is None
         if ctx is not None:
             ctx.add_snapshot_source("engine", state.snapshot_state)
             ctx.add_snapshot_source(
@@ -315,11 +321,14 @@ class Run:
         self.dispatch_policy = dispatch_policy
         if dispatch_policy is not None:
             self.classify = dispatch_policy.should_dispatch
+        self.clipping = self.clipping and self.threads is None
         # Everything :meth:`_node_class` reads besides the node: runs of
         # one configuration share a token, so only the first of them
         # classifies.
-        key = (type(backend), self.batching, dispatch_policy)
+        key = (type(backend), self.batching, dispatch_policy, self.clipping)
         self.token = self.class_tokens.setdefault(key, key)
+        if self.clipping:
+            self.state.clip = self._clip_of
         state, queue, ctx, began = self.state, self.queue, self.ctx, self.began
         if ctx is not None:
             ctx.run_started(self.name)
@@ -352,7 +361,7 @@ class Run:
                 ctx.run_failed(exc, time.perf_counter() - began)
             raise
         finally:
-            state.recover_op = None
+            state.recover_op = state.clip = None
         if ctx is not None:
             ctx.run_finished(wall)
         return RunResult(state.result(), state.snapshot_stats(), self.tracer, wall)
@@ -392,7 +401,7 @@ class Run:
                 else:
                     cls = node_class(entry)
                     entry.memo = (token, cls)
-                if cls == _FIRE:
+                if cls == _FIRE or cls == _CLIP:
                     if plain:
                         queue.push_all(fire(task))
                     else:
@@ -442,6 +451,8 @@ class Run:
         kind = entry.kind
         away = self.dispatch_policy is not None or self.threads is not None
         if kind is NodeKind.CALL:
+            if self.clipping and self._clips(entry):
+                return _CLIP
             # A callee known only at fire time may be an operator.  A
             # batching run also collects the ready peers of a call it
             # knows to expand a closure.
@@ -457,6 +468,26 @@ class Run:
         if policy is None or policy.static_dispatch(spec) is False:
             return _FIRE
         return _OP
+
+    def _clips(self, entry: Any) -> bool:
+        """Crown eligibility: the call's callee closure is closed, and
+        every operator in it would run here — no dispatch policy, or one
+        that keeps each of them home whatever its payloads."""
+        crown = crown_for(self.state, entry)
+        if crown is None:
+            return False
+        policy = self.dispatch_policy
+        return policy is None or all(
+            policy.static_dispatch(spec) is False for spec in crown.specs
+        )
+
+    def _clip_of(self, entry: Any) -> Any:
+        """The engine's view of the memo: the crown a ``CALL`` fires as,
+        or ``None``; decided on first sight under this run's token."""
+        memo = entry.memo
+        if memo[0] is not self.token:
+            memo = entry.memo = (self.token, self._node_class(entry))
+        return entry.crown if memo[1] == _CLIP else None
 
     def _who(self, fired: Any, label: str, kind: str) -> tuple:
         """The identity fields of a span, read while the firing's

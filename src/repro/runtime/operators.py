@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import DeliriumError, UnknownOperatorError
-from .values import NULL, is_truthy
+from .blocks import is_truthy
+from .values import NULL
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def default_registry() -> OperatorRegistry:
 FusedChain = tuple[tuple[tuple, ...], int]
 
 #: A folded ``IF``'s select step: no Delirium identifier; its member is
-#: :func:`~repro.runtime.values.is_truthy`, the ``IF`` node's own test.
+#: :func:`~repro.runtime.blocks.is_truthy`, the ``IF`` node's own test.
 SELECT = "?"
 
 

@@ -118,18 +118,11 @@ class _SelfPlaceholder:
 _SELF = _SelfPlaceholder()
 
 
-def is_truthy(value: Any) -> bool:
-    """Delirium condition semantics.
+def __getattr__(name: str) -> Any:
+    # ``is_truthy`` judges a DataBlock by its payload, so it lives in
+    # ``blocks`` (which imports this module); it is re-exported here.
+    if name == "is_truthy":
+        from .blocks import is_truthy
 
-    ``NULL`` is false; numbers and strings follow Python truthiness; a
-    :class:`~repro.runtime.blocks.DataBlock` is judged by its payload.
-    Multi-element NumPy arrays raise, as they do in Python — conditions
-    must be scalars.
-    """
-    from .blocks import DataBlock
-
-    if value is NULL:
-        return False
-    if isinstance(value, DataBlock):
-        return bool(value.payload)
-    return bool(value)
+        return is_truthy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,6 +28,17 @@ def shm_leak_gate():
     assert not leaked, f"shared-memory segments leaked: {leaked}"
 
 
+@pytest.fixture
+def graph_path(monkeypatch):
+    """Run on the graph path: no call is clipped (crown clipping,
+    ``repro.runtime.crown``).  For tests that pin graph mechanics —
+    activations, expansions, per-node fires — and for the clipped-vs-graph
+    properties."""
+    from repro.runtime.executors import Run
+
+    monkeypatch.setattr(Run, "_clips", lambda self, entry: False)
+
+
 def recursive_payload_nbytes(payload):
     """``payload_nbytes`` as it was when every block was sized at
     construction, verbatim: the oracle the explicit-stack walk must match

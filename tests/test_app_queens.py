@@ -80,6 +80,7 @@ PARENT_QUEENS_6_SHA256 = (
 class TestPriorityScheme:
     """Section 7: the priority scheme tames the activation explosion."""
 
+    @pytest.mark.usefixtures("graph_path")
     def test_priorities_reduce_peak_activations(self):
         # The paper's experiment is on the program as written, where every
         # ``try`` is a call (inline expansion's graph half would splice it
@@ -99,6 +100,7 @@ class TestPriorityScheme:
         peak_without = without.stats.activation_stats["peak_live"]
         assert peak_with < peak_without / 2
 
+    @pytest.mark.usefixtures("graph_path")
     def test_spliced_program_barely_needs_the_priorities(self):
         # Most of what the scheme saved were short-lived ``try``
         # activations: without them flat FIFO peaks within 10% of it.

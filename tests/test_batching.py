@@ -281,6 +281,7 @@ def _schedule_free(stats):
 
 
 class TestPeerGroups:
+    @pytest.mark.usefixtures("graph_path")
     def test_a_group_never_exceeds_the_cap(self, monkeypatch):
         graph, registry = _queens_program()
         plain = SequentialExecutor().run(graph, (), registry)

@@ -144,6 +144,7 @@ class TestRecursionAndTailCalls:
         assert result.value == 2000
         assert result.stats.activation_stats["peak_live"] <= 3
 
+    @pytest.mark.usefixtures("graph_path")
     def test_tail_expansions_counted(self):
         src = """
         main(n) count(0, n)
@@ -343,6 +344,7 @@ class TestStatistics:
         result = run("main(n) add(incr(n), 2)", args=(1,))
         assert result.stats.ops_executed == 2
 
+    @pytest.mark.usefixtures("graph_path")
     def test_activation_reuse_in_loops(self):
         compiled = compile_source(
             "main(n) iterate { i = 0, incr(i) } while is_less(i, n), result i"

@@ -209,6 +209,7 @@ class TestActivationRecycling:
         )
         assert compiled.run(args=(7,)).value == (7, 107)
 
+    @pytest.mark.usefixtures("graph_path")
     def test_reuse_counter_grows_with_iterations(self):
         compiled = compile_source(
             "main(n) iterate { i = 0, incr(i) } while is_less(i, n), result i"

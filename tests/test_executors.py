@@ -103,6 +103,7 @@ class TestThreadedParity:
 
 
 class TestStatsParity:
+    @pytest.mark.usefixtures("graph_path")
     def test_ops_executed_identical_across_executors(self):
         compiled = compile_source(FIB_SRC)
         seq = SequentialExecutor().run(compiled.graph, args=(10,))

@@ -1288,6 +1288,7 @@ class TestCaseStudies:
         assert folded == {**dict.fromkeys(sizes, 0), "pythia": 8}
         assert max(max(v, default=0) for k, v in sizes.items() if k != "pythia") <= 2
 
+    @pytest.mark.usefixtures("graph_path")
     def test_pythia_fires_fewer_nodes_for_the_same_operator_calls(self):
         source = pythia_source(10, 1990, 1990)
         plain = compile_source(source, optimize_passes=PASS_ORDER)

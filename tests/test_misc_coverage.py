@@ -50,6 +50,23 @@ class TestTruthiness:
         assert is_truthy(DataBlock([1]))
         assert not is_truthy(DataBlock([]))
 
+    def test_a_call_performs_no_import(self, monkeypatch):
+        import builtins
+
+        from repro.runtime import values
+
+        imports = []
+        real = builtins.__import__
+        monkeypatch.setattr(
+            builtins, "__import__",
+            lambda *a, **k: imports.append(a[0]) or real(*a, **k),
+        )
+        for value in (NULL, 0, 3, "", DataBlock([1]), DataBlock([])):
+            is_truthy(value)
+        assert imports == []
+        # The old home re-exports the one function.
+        assert values.is_truthy is is_truthy
+
     def test_multielement_array_condition_raises(self):
         reg = default_registry()
         reg.register(name="arr")(lambda: np.array([1, 2]))

@@ -35,6 +35,10 @@ from repro.runtime import (
     default_registry,
 )
 
+#: Every test here pins graph mechanics (expansions, tasks, activations):
+#: the graph path, with no call clipped.
+pytestmark = pytest.mark.usefixtures("graph_path")
+
 REGISTRY = default_registry()
 
 

@@ -1,10 +1,13 @@
 """Stress shapes: deep recursion, wide fan-outs, long loops, big graphs."""
 
+import pytest
+
 from repro import compile_source, default_registry
 from repro.machine import SimulatedExecutor, uniform
 
 
 class TestDepth:
+    @pytest.mark.usefixtures("graph_path")
     def test_deep_non_tail_recursion(self):
         # 800 live activations unwound through the ready queue — no
         # Python recursion blowup (deliveries cross task boundaries).
@@ -82,6 +85,7 @@ class TestBigPrograms:
         compiled = compile_source(source, optimize_passes=("constprop", "dce"))
         assert compiled.run(args=(0,)).value == n
 
+    @pytest.mark.usefixtures("graph_path")
     def test_inliner_collapses_call_chain(self):
         n = 30
         parts = [f"g{i}(x) g{i + 1}(incr(x))" for i in range(n - 1)]

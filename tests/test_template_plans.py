@@ -33,6 +33,10 @@ from repro.runtime import (
 )
 from repro.runtime.engine import PurityViolationError
 
+#: Every test here pins graph mechanics (expansions, tasks, activations):
+#: the graph path, with no call clipped.
+pytestmark = pytest.mark.usefixtures("graph_path")
+
 
 def _registry():
     registry = default_registry()
