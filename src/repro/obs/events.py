@@ -130,17 +130,17 @@ class OpFinished(Event):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class ActivationAllocated(Event):
-    """An activation was acquired (fresh or recycled) from the pool."""
+    """An activation was created for an expansion (or the root)."""
 
     template: str
     aid: int
-    reused: bool
     live: int
 
 
 @dataclass(frozen=True, slots=True)
 class ActivationRecycled(Event):
-    """An activation finished and returned to its template's free list."""
+    """An activation finished and was released: the pool keeps nothing of
+    it."""
 
     template: str
     aid: int

@@ -286,7 +286,6 @@ def attach_metrics(
     expansions = reg.counter("expansions")
     tail_expansions = reg.counter("tail_expansions")
     act_allocated = reg.counter("activations_allocated")
-    act_reused = reg.counter("activations_reused")
     block_retains = reg.counter("block_retains")
     block_releases = reg.counter("block_releases")
     ops_dispatched = reg.counter("ops_dispatched")
@@ -349,8 +348,6 @@ def attach_metrics(
             expansions.inc()
         elif isinstance(e, ActivationAllocated):
             act_allocated.inc(label=e.template)
-            if e.reused:
-                act_reused.inc()
             act_live.set(e.live)
         elif isinstance(e, ActivationRecycled):
             act_live.set(e.live)

@@ -7,11 +7,12 @@ activations generalizes the sequential call stack.
 
 An activation owns one input-slot buffer per node and a countdown of
 missing inputs; when a node's countdown hits zero it is ready.  Because
-every node fires exactly once, the buffers never need clearing mid-run, and
-an activation whose nodes have all fired (and whose result has been
-delivered or delegated to a tail call) can be recycled through a per-
-template free list — the reuse the paper's priority scheme is designed to
-maximize.
+every node fires exactly once, the buffers never need clearing mid-run.
+An activation whose nodes have all fired (and whose result has been
+delivered or delegated to a tail call) is released to the garbage
+collector.  The paper's priority scheme exists to release activations as
+early as possible; :class:`ActivationPool` measures how well it does by
+the number live at once.
 
 The paper's split is static template / per-invocation buffer space; the
 :class:`TemplatePlan` is everything on the static side that the IR does
@@ -184,9 +185,9 @@ class Activation:
         Serial number (diagnostics and deterministic tie-breaking).
     pend_ops / pend_children:
         In-flight operator firings and outstanding non-tail children of
-        this activation; both must be zero before it can be recycled.
+        this activation; both must be zero before it can be released.
         Kept as plain counters on the activation (rather than engine-side
-        dicts keyed by ``aid``) because the recycling check runs after
+        dicts keyed by ``aid``) because the release check runs after
         every firing.
     """
 
@@ -217,20 +218,6 @@ class Activation:
         self.pend_children = 0
         self.fireable = plan.fireable
 
-    # ------------------------------------------------------------------
-    def reset(self, aid: int) -> None:
-        """Recycle this activation for a fresh evaluation of its template:
-        one C-level slice assignment per row restores the static values."""
-        for slot_row, blank in zip(self.slots, self.plan.blank):
-            slot_row[:] = blank
-        self.missing[:] = self.plan.missing
-        self.continuation = None
-        self.fired = 0
-        self.result_done = False
-        self.aid = aid
-        self.pend_ops = 0
-        self.pend_children = 0
-
     def fireable_nodes(self) -> int:
         """Nodes that will fire (placeholders and static nodes do not)."""
         return self.fireable
@@ -247,40 +234,27 @@ class Activation:
 
 
 class ActivationPool:
-    """Per-template free lists enabling activation reuse.
+    """The live activations of one run, and how many were live at once.
 
     The paper: the priority scheme "reduces the number of template
     activations required ... by making activations available for re-use as
-    early as possible."  The pool makes that measurable: the ablation
-    benchmark reports created/reused counts and the peak number live.
-
-    Free lists are bounded per template (``max_free_per_template``): a
-    burst of parallelism — a wide fork-join that briefly needs hundreds
-    of activations of one template — must not pin that burst's slot
-    buffers (and every block they reference is already cleared, but the
-    list/slot structures themselves are not small) for the rest of the
-    run.  Releases beyond the bound simply drop the activation to the
-    garbage collector.
+    early as possible."  The pool makes that measurable: ``created``
+    counts every activation and ``peak_live`` / ``peak_by_template`` the
+    most live at once, which the ablation benchmark and the simulator's
+    memory inventory read.  A released activation is dropped, not kept for
+    reuse: the pool holds no reference to it.
     """
 
-    def __init__(
-        self,
-        bus: EventBus | None = None,
-        max_free_per_template: int = 64,
-    ) -> None:
+    def __init__(self, bus: EventBus | None = None) -> None:
         self._bus = bus if (bus is not None and bus.active) else None
-        self.max_free_per_template = max_free_per_template
-        self.free_dropped = 0
-        self._free: dict[str, list[Activation]] = {}
         self.created = 0
-        self.reused = 0
         self.live = 0
         self.peak_live = 0
         self.live_by_template: dict[str, int] = {}
         self.peak_by_template: dict[str, int] = {}
-        #: Currently live activations (identity set; diagnostics only).
+        #: Currently live activations (identity set; diagnostics and the
+        #: double-release check).
         self.live_set: set[Activation] = set()
-        self._serial = 0
         # Subscriber-set snapshot (same discipline as the engine and the
         # ready queue): pools are constructed after subscriptions attach.
         bus = self._bus
@@ -290,18 +264,9 @@ class ActivationPool:
         )
 
     def acquire(self, plan: TemplatePlan) -> Activation:
-        self._serial += 1
+        self.created += 1
+        act = Activation(plan, self.created)
         name = plan.template.name
-        free_list = self._free.get(name)
-        if free_list:
-            act = free_list.pop()
-            act.reset(self._serial)
-            self.reused += 1
-            reused = True
-        else:
-            act = Activation(plan, self._serial)
-            self.created += 1
-            reused = False
         self.live += 1
         self.peak_live = max(self.peak_live, self.live)
         live = self.live_by_template.get(name, 0) + 1
@@ -311,9 +276,7 @@ class ActivationPool:
         self.live_set.add(act)
         bus = self._bus
         if self._wants_alloc:
-            bus.emit(
-                ActivationAllocated(bus.now(), name, act.aid, reused, self.live)
-            )
+            bus.emit(ActivationAllocated(bus.now(), name, act.aid, self.live))
         return act
 
     def release(self, act: Activation) -> None:
@@ -326,11 +289,6 @@ class ActivationPool:
         self.live -= 1
         self.live_by_template[act.template.name] -= 1
         self.live_set.discard(act)
-        free_list = self._free.setdefault(act.template.name, [])
-        if len(free_list) < self.max_free_per_template:
-            free_list.append(act)
-        else:
-            self.free_dropped += 1
         bus = self._bus
         if self._wants_recycled:
             bus.emit(
@@ -340,9 +298,4 @@ class ActivationPool:
             )
 
     def stats(self) -> dict[str, int]:
-        return {
-            "created": self.created,
-            "reused": self.reused,
-            "peak_live": self.peak_live,
-            "free_dropped": self.free_dropped,
-        }
+        return {"created": self.created, "peak_live": self.peak_live}

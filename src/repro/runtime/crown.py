@@ -266,9 +266,10 @@ class _Generator:
             if last_use((i, 0)) < 0 and kind != "s" and expr not in self.pinned:
                 emit((depth, f"del {expr}"))
         # Locals past their last use stay bound until this template's
-        # activation ends (the graph path's slots hold them at least that
-        # long): values are freed an activation at a time, not one by one
-        # between operator calls, which keeps the allocator's heap steady.
+        # activation ends (the graph path's slots hold them exactly that
+        # long: they go with the activation when it is released): values
+        # are freed an activation at a time, not one by one between
+        # operator calls, which keeps the allocator's heap steady.
         held: list[str] = []
         if ops:
             emit((depth, f"S.ops_executed += {ops}"))

@@ -2,10 +2,10 @@
 
 :class:`ExecutionState` implements the *semantics* of template-activation
 execution — node firing rules, reference-counted copy-on-write, call-closure
-expansion, conditional-arm expansion, tail-call continuation inheritance,
-and activation recycling.  It deliberately contains no *policy*: executors
-(sequential, threaded, simulated-machine) own the ready queue, the notion
-of time, and processor placement, and drive the state through two calls:
+expansion, conditional-arm expansion and tail-call continuation
+inheritance.  It deliberately contains no *policy*: executors (sequential,
+threaded, simulated-machine) own the ready queue, the notion of time, and
+processor placement, and drive the state through two calls:
 
 * :meth:`start` — build the root activation, returning the initially ready
   tasks;
@@ -22,6 +22,12 @@ back around the body.  For executors that overlap operator bodies
 :meth:`complete_fire`, which takes the raw result however and wherever
 the executor computed it.  All engine bookkeeping stays in the calling
 thread; only the opaque sequential computation happens elsewhere.
+
+Each rule of the engine has one site: :meth:`ExecutionState._deliver_output`
+is the only code that writes an input slot, :func:`~repro.runtime.blocks.retain`
+and :func:`~repro.runtime.blocks.release` the only code that changes a
+block's count, and :meth:`ExecutionState._task` the only code that makes a
+ready task.
 
 Any interleaving of ``fire`` calls that respects readiness produces the
 same final result; that is the determinism guarantee of the coordination
@@ -50,7 +56,6 @@ from ..obs.events import (
     TaskEnqueued,
 )
 from .activation import Activation, ActivationPool, NodePlan, TemplatePlan
-from . import blocks as _blocks
 from .blocks import DataBlock, is_truthy, release, retain, unwrap, wrap_payload
 from .operators import OperatorRegistry, OperatorSpec, fused_source_ops, node_spec
 from .scheduler import ReadyQueue, Task
@@ -387,8 +392,8 @@ class ExecutionState:
         self._task_seq = 0
         # Outstanding non-tail children and in-flight operator firings
         # live directly on each activation (``pend_children`` /
-        # ``pend_ops``) — the recycling guard reads them after every
-        # firing, so they must be attribute loads, not dict probes.
+        # ``pend_ops``) — ``_maybe_free`` reads them after every firing,
+        # so they must be attribute loads, not dict probes.
         #: The load plans every activation is instantiated from, shared
         #: with every other state over the same (program, registry).
         self.plans = _plans_for(program, registry)
@@ -533,21 +538,7 @@ class ExecutionState:
         # the commit below ends, and a node fires exactly once, so
         # nothing can write the row while we hold it.
         inputs = act.slots[node_id]
-        if codes is None:
-            # The body writes none of its arguments: nothing to decide.
-            args: list[Any] = []
-            arg_blocks: list[DataBlock | None] = []
-            for v in inputs:
-                if type(v) is DataBlock:
-                    args.append(v.payload)
-                    arg_blocks.append(v)
-                else:
-                    args.append(_payload_of(v))
-                    arg_blocks.append(None)
-        else:
-            args, arg_blocks = self._bind(
-                spec, inputs, codes, home, False, None
-            )
+        args, arg_blocks = self._bind(spec, inputs, codes, home, False, None)
         stats.ops_executed += 1
         if is_fused:
             stats.fused_fires += 1
@@ -577,8 +568,8 @@ class ExecutionState:
             op_ended = now()
             bus.emit(OpFinished(op_ended, spec.name, op_ended - op_began))
         # Pin the activation across the commit exactly as a pending op
-        # would: a delivered result may mark it done mid-loop, and the
-        # pin keeps the recycling check from freeing it under our feet.
+        # would: a delivered result may mark it done mid-commit, and the
+        # pin keeps ``_maybe_free`` from releasing it before its inputs.
         act.pend_ops += 1
         return self._commit(
             act, node_id, untuple_n, raw_result, arg_blocks, inputs, home,
@@ -795,18 +786,6 @@ class ExecutionState:
         the activation (the caller pinned it with ``pend_ops``).
         """
         newly: list[Task] = []
-        # Inlined _deliver_output, specialized for carried_share == 0 and
-        # the hook-free retain fast case; the result port falls back to
-        # _handle_result exactly as the generic delivery does.
-        template = act.template
-        consumers_by_out = template.consumers[node_id]
-        result_node = template.result_node
-        result_out = template.result_out
-        slots = act.slots
-        missing = act.missing
-        priorities = template.priorities
-        hook = _blocks._BLOCK_HOOK
-        wants_enqueued = self._wants_enqueued
         if untuple_n or type(raw_result) is tuple:
             # Elements handed back from a package input (a folded ``IF``
             # selecting one) keep their blocks, as the IF would have.
@@ -816,76 +795,25 @@ class ExecutionState:
             # raw tuple is delivered element-by-element to this node's
             # output ports, exactly as the standalone UNTUPLE would have
             # delivered the elements of the MultiValue it unpacked.
+            template = act.template
             check_package(
                 raw_result, tuple, untuple_n,
                 f"fused node {template.nodes[node_id].label!r}", template.name,
             )
-            outputs = enumerate(raw_result)
+            for out, element in enumerate(raw_result):
+                self._deliver_output(
+                    act, node_id, out,
+                    self._wrap_result(element, arg_blocks, home), 0, newly,
+                )
         else:
-            outputs = ((0, raw_result),)
-        for out, element in outputs:
-            # Inline _wrap_result's two dominant shapes — the merging
-            # idiom (the operator returned one of its input payloads,
-            # keeping that block's identity) and a fresh opaque result.
-            # Tuples (→ MultiValue) and ndarray results (input-view
-            # aliasing check) still take the full path.
-            if isinstance(element, (tuple, np.ndarray)):
-                value = self._wrap_result(element, arg_blocks, home)
-            else:
-                for b in arg_blocks:
-                    if b is not None and b.payload is element:
-                        if home >= 0:
-                            b.home = home
-                        value = b
-                        break
-                else:
-                    value = wrap_payload(element, home)
-            consumers = consumers_by_out[out]
-            is_result = result_node == node_id and result_out == out
-            shares = len(consumers) + 1 if is_result else len(consumers)
-            if shares:
-                if type(value) is DataBlock and hook is None:
-                    value.rc += shares
-                else:
-                    retain(value, shares)
-            if wants_enqueued:
-                for dest, idx in consumers:
-                    slots[dest][idx] = value
-                    left = missing[dest] - 1
-                    missing[dest] = left
-                    if left == 0:
-                        newly.append(self._task(act, dest))
-            else:
-                seq = self._task_seq
-                for dest, idx in consumers:
-                    slots[dest][idx] = value
-                    left = missing[dest] - 1
-                    missing[dest] = left
-                    if left == 0:
-                        seq += 1
-                        newly.append(Task(act, dest, priorities[dest], seq))
-                self._task_seq = seq
-            if is_result:
-                self._handle_result(act, value, newly)
-        if pending is not None and not untuple_n:
-            pending.result_value = value
+            value = self._wrap_result(raw_result, arg_blocks, home)
+            self._deliver_output(act, node_id, 0, value, 0, newly)
+            if pending is not None:
+                pending.result_value = value
         for v in inputs:
-            # Inline ``release`` for bare blocks with no hook attached;
-            # the slow call keeps the canonical negative-rc error.
-            if type(v) is DataBlock and hook is None and v.rc > 0:
-                v.rc -= 1
-            else:
-                release(v, 1)
+            release(v, 1)
         act.pend_ops -= 1
-        # Inlined _maybe_free.
-        if (
-            act.result_done
-            and act.fired >= act.fireable
-            and act.pend_children == 0
-            and act.pend_ops == 0
-        ):
-            act.result_done = False
-            self.pool.release(act)
+        self._maybe_free(act)
         return newly
 
     @property
@@ -953,27 +881,29 @@ class ExecutionState:
     # Node semantics
     # ------------------------------------------------------------------
     def _task(self, act: Activation, node_id: int) -> Task:
+        """The ready task of ``act``'s node ``node_id``, with the next
+        sequence number."""
         template = act.template
         # Priorities are precomputed per node at template finalize time;
         # the hot path never touches the Node object.
         priority = template.priorities[node_id]
-        self._task_seq += 1
-        bus = self.bus
+        seq = self._task_seq = self._task_seq + 1
         if self._wants_enqueued:
             node = template.nodes[node_id]
+            bus = self.bus
             bus.emit(
                 TaskEnqueued(
                     bus.now(),
                     node.label,
                     node.kind.value,
                     priority,
-                    act.template.name,
+                    template.name,
                     act.aid,
                     node_id,
-                    self._task_seq,
+                    seq,
                 )
             )
-        return Task(act, node_id, priority, self._task_seq)
+        return Task(act, node_id, priority, seq)
 
     def _deliver_output(
         self,
@@ -988,31 +918,16 @@ class ExecutionState:
         consumers = template.consumers[node_id][out]
         is_result = template.result_node == node_id and template.result_out == out
         shares = len(consumers) + 1 if is_result else len(consumers)
-        if shares:
-            # Inline ``retain`` for the dominant shape — a bare block with
-            # no ``observe_blocks`` hook attached; packages, unwrapped
-            # values, and hooked runs take the full call.
-            if type(value) is DataBlock and _blocks._BLOCK_HOOK is None:
-                value.rc += shares
-            else:
-                retain(value, shares)
-        if carried_share:
-            release(value, carried_share)
+        retain(value, shares)
+        release(value, carried_share)
         slots = act.slots
         missing = act.missing
-        wants_enqueued = self._wants_enqueued
-        priorities = template.priorities
         for dest, idx in consumers:
             slots[dest][idx] = value
             left = missing[dest] - 1
             missing[dest] = left
             if left == 0:
-                if wants_enqueued:
-                    newly.append(self._task(act, dest))
-                else:
-                    seq = self._task_seq + 1
-                    self._task_seq = seq
-                    newly.append(Task(act, dest, priorities[dest], seq))
+                newly.append(self._task(act, dest))
         if is_result:
             self._handle_result(act, value, newly)
 
@@ -1024,58 +939,10 @@ class ExecutionState:
         carried_share: int,
         newly: list[Task],
     ) -> None:
-        """Deliver ``values`` to consecutive placeholder nodes of ``act``.
-
-        Fused form of one :meth:`_deliver_output` call per value, used by
-        :meth:`_expand` for params and captures: the per-activation
-        lookups are hoisted across the batch, and the retain(shares) /
-        release(carried_share) pair collapses to a single count update
-        for bare hook-free blocks.  Semantics match ``_deliver_output``
-        exactly, including the negative-count error release() raises.
-        """
-        template = act.template
-        consumers_by_node = template.consumers
-        result_node = template.result_node
-        result_out = template.result_out
-        slots = act.slots
-        missing = act.missing
-        priorities = template.priorities
-        hook = _blocks._BLOCK_HOOK
-        wants_enqueued = self._wants_enqueued
-        for offset, value in enumerate(values):
-            node_id = first + offset
-            consumers = consumers_by_node[node_id][0]
-            is_result = result_node == node_id and result_out == 0
-            shares = len(consumers) + 1 if is_result else len(consumers)
-            if type(value) is DataBlock and hook is None:
-                delta = shares - carried_share
-                if delta:
-                    rc = value.rc + delta
-                    if rc < 0:
-                        raise RuntimeError(
-                            f"data block reference count went negative "
-                            f"(released {carried_share} share(s) from "
-                            f"rc={value.rc + shares}): {value!r}"
-                        )
-                    value.rc = rc
-            else:
-                if shares:
-                    retain(value, shares)
-                if carried_share:
-                    release(value, carried_share)
-            for dest, idx in consumers:
-                slots[dest][idx] = value
-                left = missing[dest] - 1
-                missing[dest] = left
-                if left == 0:
-                    if wants_enqueued:
-                        newly.append(self._task(act, dest))
-                    else:
-                        seq = self._task_seq + 1
-                        self._task_seq = seq
-                        newly.append(Task(act, dest, priorities[dest], seq))
-            if is_result:
-                self._handle_result(act, value, newly)
+        """Deliver ``values`` to consecutive placeholder nodes of ``act``,
+        each carrying ``carried_share`` references handed on to it."""
+        for node_id, value in enumerate(values, first):
+            self._deliver_output(act, node_id, 0, value, carried_share, newly)
 
     def _handle_result(self, act: Activation, value: Any, newly: list[Task]) -> None:
         act.result_done = True
@@ -1462,16 +1329,7 @@ class ExecutionState:
                 bus.emit(Expansion(bus.now(), template.name, child.aid))
             child.continuation = (parent, node_id)
             parent.pend_children += 1
-        if self._wants_enqueued:
-            for nid in plan.ready:
-                newly.append(self._task(child, nid))
-        else:
-            priorities = template.priorities
-            seq = self._task_seq
-            for nid in plan.ready:
-                seq += 1
-                newly.append(Task(child, nid, priorities[nid], seq))
-            self._task_seq = seq
+        newly.extend([self._task(child, nid) for nid in plan.ready])
         if params:
             self._deliver_values(child, 0, params, param_share, newly)
         if captures:

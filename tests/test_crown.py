@@ -186,15 +186,20 @@ class TestOracle:
     @given(oracle_programs(), st.integers(0, 4))
     def test_every_block_ends_at_rc_zero_on_both_paths(self, source, n):
         graph = compile_source(source, registry=REGISTRY, optimize_passes=()).graph
-        for path in (SequentialExecutor().run, _graph_run):
-            hook = BlockCensus()
-            previous = blocks.get_block_hook()
-            blocks.set_block_hook(hook)
-            try:
-                result = path(graph, (n,), REGISTRY)
-            finally:
-                blocks.set_block_hook(previous)
-            hook.assert_conserved(result.value)
+        # Every body dispatched: each commit arrives through complete_fire.
+        remote = ProcessExecutor(1, cost_threshold=0.0)
+        try:
+            for path in (SequentialExecutor().run, _graph_run, remote.run):
+                hook = BlockCensus()
+                previous = blocks.get_block_hook()
+                blocks.set_block_hook(hook)
+                try:
+                    result = path(graph, (n,), REGISTRY)
+                finally:
+                    blocks.set_block_hook(previous)
+                hook.assert_conserved(result.value)
+        finally:
+            remote.close()
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_queens_keeps_the_contract(self, n, census):

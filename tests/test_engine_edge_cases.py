@@ -2,9 +2,12 @@
 
 The corners the main engine tests do not reach: dead call results,
 operator failures mid-graph on every executor, closure pinning semantics,
-zero-consumer values, activation recycling under adversarial shapes, and
+zero-consumer values, activation lifetimes under adversarial shapes, and
 reference-count hygiene after a run.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.runtime import (
 class TestDeadCallsAndUnusedValues:
     def test_unused_call_result_does_not_corrupt_parent(self):
         # Without DCE, an unused function call still expands; its child
-        # activation must not deliver into a recycled parent.
+        # activation must not deliver into a released parent.
         compiled = compile_source(
             """
             main(n)
@@ -181,8 +184,8 @@ class TestClosureSemantics:
 
 class TestActivationRecycling:
     def test_recycled_activations_reset_cleanly(self):
-        # A loop reusing activations must never leak values across
-        # iterations: each iteration computes from fresh inputs.
+        # A loop must never leak values across iterations: each
+        # iteration computes from fresh inputs.
         compiled = compile_source(
             """
             main(n)
@@ -210,13 +213,37 @@ class TestActivationRecycling:
         assert compiled.run(args=(7,)).value == (7, 107)
 
     @pytest.mark.usefixtures("graph_path")
-    def test_reuse_counter_grows_with_iterations(self):
+    def test_live_count_stays_flat_as_iterations_grow(self):
         compiled = compile_source(
             "main(n) iterate { i = 0, incr(i) } while is_less(i, n), result i"
         )
-        small = compiled.run(args=(10,)).stats.activation_stats["reused"]
-        large = compiled.run(args=(100,)).stats.activation_stats["reused"]
-        assert large > small
+        small = compiled.run(args=(10,))
+        large = compiled.run(args=(100,))
+        assert (small.value, large.value) == (10, 100)
+        assert small.stats.activation_stats["peak_live"] <= 2
+        assert large.stats.activation_stats["peak_live"] <= 2
+
+    def test_pool_keeps_no_reference_to_a_released_activation(
+        self, monkeypatch
+    ):
+        from repro.runtime import activation as activation_mod
+
+        # A subclass without slots can be weakly referenced.
+        class Traced(activation_mod.Activation):
+            pass
+
+        monkeypatch.setattr(activation_mod, "Activation", Traced)
+        graph = compile_source("main(n) incr(n)").graph
+        pool = activation_mod.ActivationPool()
+        act = pool.acquire(
+            activation_mod.TemplatePlan(graph.template("main"), graph)
+        )
+        ref = weakref.ref(act)
+        pool.release(act)
+        del act
+        gc.collect()
+        assert ref() is None
+        assert (pool.created, pool.live, pool.peak_live) == (1, 0, 1)
 
 
 class TestReferenceCountHygiene:

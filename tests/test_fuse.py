@@ -1303,6 +1303,19 @@ class TestCaseStudies:
             assert work(got.stats) == conserved
             assert got.stats.tasks_fired <= 6 and got.stats.expansions <= 2
 
+    @pytest.mark.usefixtures("graph_path")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retina_fires_fewer_nodes_for_the_same_operator_calls(self, version):
+        plain = compile_retina(version, TINY_RETINA)
+        fused = compile_retina(version, TINY_RETINA, fuse=True)
+        assert fused.graph.total_nodes() < plain.graph.total_nodes()
+        want, conserved = unfused_work(plain.graph, fused.graph, (), plain.registry)
+        got = SequentialExecutor().run(fused.graph, registry=fused.registry)
+        assert got.value.signature() == want.value.signature()
+        assert work(got.stats) == conserved
+        assert got.stats.tasks_fired < want.stats.tasks_fired
+        assert got.stats.fused_fires > 0
+
 
 # ---------------------------------------------------------------------------
 # Generated bodies: one per recipe per process

@@ -185,11 +185,6 @@ class TestMetricsMatchEngineStats:
         assert (
             metrics.counter("activations_allocated").value
             == result.stats.activation_stats["created"]
-            + result.stats.activation_stats["reused"]
-        )
-        assert (
-            metrics.counter("activations_reused").value
-            == result.stats.activation_stats["reused"]
         )
         assert (
             metrics.gauge("activations_live").high
