@@ -275,9 +275,9 @@ class Run:
             and not executor.check_purity
             and not self.wants_fired
         )
-        # Injection decisions are per firing, so an injector switches
-        # peer expansion off.
-        self.batching = executor.batch and injector is None
+        #: Calls expand together with their ready peers (set by
+        #: :meth:`execute`).
+        self.batching = False
         self.profile_ops = executor.profile_ops
         self.class_tokens = executor.class_tokens
         #: Marks the dispatch classes in the shared per-node tables
@@ -321,6 +321,11 @@ class Run:
         self.dispatch_policy = dispatch_policy
         if dispatch_policy is not None:
             self.classify = dispatch_policy.should_dispatch
+        # Peer expansion pays where expanded leaves meet in the queue to
+        # be dispatched together, so it is on exactly when bodies may
+        # leave the master; injection decisions are per firing, so an
+        # injector switches it off.
+        self.batching = dispatch_policy is not None and self.injector is None
         self.clipping = self.clipping and self.threads is None
         # Everything :meth:`_node_class` reads besides the node: runs of
         # one configuration share a token, so only the first of them
@@ -340,7 +345,7 @@ class Run:
             queue.push_all(state.start(args))
             if self.threads is not None:
                 self.threads.drive(self)
-            elif self.plain and not self.batching and dispatch_policy is None:
+            elif self.plain and dispatch_policy is None:
                 # Every head would take the loop's first branch: the
                 # queue's own drain loop folds pop/fire/push into one
                 # frame.
@@ -377,9 +382,10 @@ class Run:
         classifies, the rest read.
         A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
         engine's single pass unless its payloads send it away.  A
-        ``_CALL`` head is begun; in a batching run whose queue holds a
-        ready peer of its node (:meth:`ReadyQueue.has_peer`) it expands
-        together with its peers, all begun before any body runs.
+        ``_CALL`` head is begun; in a batching run (one with a dispatch
+        policy and no injector) whose queue holds a ready peer of its
+        node (:meth:`ReadyQueue.has_peer`) it expands together with its
+        peers, all begun before any body runs.
         Whatever was begun and stays here runs in :meth:`_local`; the
         rest goes to the backend and comes back through :meth:`_commit`.
         """
@@ -774,7 +780,6 @@ class SequentialExecutor(_Executor):
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
         profile_ops: bool = False,
-        batch: bool = False,
         max_ready: int | None = None,
     ) -> None:
         super().__init__()
@@ -792,10 +797,6 @@ class SequentialExecutor(_Executor):
         #: the benchmark phase-split probe (far cheaper than subscribing
         #: to ``OpStarted``/``OpFinished`` events).
         self.profile_ops = profile_ops
-        #: Opt-in peer expansion: a call expands together with the ready
-        #: calls of its node (default off: the plain run is the queue's
-        #: own drain loop, which a single processor loses by leaving).
-        self.batch = batch
 
     def run(
         self,
@@ -831,7 +832,6 @@ class ThreadedExecutor(_Executor):
         fault_policy: FaultPolicy | None = None,
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
-        batch: bool = False,
         max_ready: int | None = None,
     ) -> None:
         if n_workers < 1:
@@ -846,11 +846,6 @@ class ThreadedExecutor(_Executor):
         self.fault_spec = fault_spec
         self.run_ctx = run_ctx
         self.max_ready = max_ready
-        #: Opt-in peer expansion (see :meth:`Run.loop`): a thread begins
-        #: a head and the ready peers of its node under the lock, then
-        #: runs their bodies one by one outside it.  Switched off by a
-        #: fault spec.
-        self.batch = batch
 
     def run(
         self,
@@ -876,11 +871,12 @@ class ProcessExecutor(_Executor):
     Dispatch policy (see :class:`~repro.runtime.workers.DispatchPolicy`):
     an operator crosses the process boundary only when its cost hint
     clears ``cost_threshold`` ticks (falling back to a payload-size test
-    when it has no usable hint), so scalar glue never pays IPC.  Ready
-    dispatches are staged and sent in batches of up to ``batch_size``
-    calls — but never so coarse that a worker sits idle while another
-    holds the whole frontier.  Argument and result payloads whose NumPy
-    buffers reach ``shm_threshold`` bytes travel via POSIX shared memory
+    when it has no usable hint), so scalar glue never pays IPC.  A
+    dispatched call is staged and sent, one call per message, when the
+    ready queue drains (a call expands together with its ready same-node
+    peers, so the leaves of a fan-out go out together).  Argument and
+    result payloads whose NumPy buffers reach ``shm_threshold`` bytes
+    travel via POSIX shared memory
     (:class:`~repro.obs.events.ShmBlockCreated` on the bus); the rest
     ride the pickle stream.
 
@@ -888,15 +884,14 @@ class ProcessExecutor(_Executor):
 
     n_workers:
         Worker process count.
-    batch_size:
-        Maximum operator calls per IPC message.
-    cost_threshold / shm_threshold / pinned_local:
+    cost_threshold / shm_threshold:
         Dispatch and transport tuning (see above).
     measured_costs / min_dispatch_seconds:
         Measured per-firing wall seconds by operator name (from
         :func:`repro.machine.calibrate.calibrate_dispatch`) and the
         per-call IPC cost bar they are compared against; measured
-        operators bypass the static cost-hint test entirely.
+        operators bypass the static cost-hint test entirely, and
+        ``{name: 0.0}`` keeps an operator in-process.
     registry_ref:
         :class:`~repro.runtime.workers.RegistryRef` naming an importable
         registry factory — required only on platforms without ``fork``,
@@ -938,8 +933,6 @@ class ProcessExecutor(_Executor):
     def __init__(
         self,
         n_workers: int = 4,
-        batch_size: int = 4,
-        batch: bool = True,
         cost_threshold: float = 2_000_000.0,
         shm_threshold: int = SHM_THRESHOLD_DEFAULT,
         use_priorities: bool = True,
@@ -948,7 +941,6 @@ class ProcessExecutor(_Executor):
         trace: bool = False,
         bus: EventBus | None = None,
         registry_ref: RegistryRef | None = None,
-        pinned_local: tuple[str, ...] = (),
         measured_costs: dict[str, float] | None = None,
         min_dispatch_seconds: float = 0.002,
         fault_policy: FaultPolicy | None = None,
@@ -960,20 +952,11 @@ class ProcessExecutor(_Executor):
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         super().__init__()
         self.n_workers = n_workers
-        self.batch_size = batch_size
-        #: Peer expansion (default on): a call expands together with the
-        #: ready calls of its node, so the leaves of a fan-out meet in the
-        #: queue.  Automatically disabled while fault injection is
-        #: active, since injection decisions are per firing.
-        self.batch = batch
         self.policy = DispatchPolicy(
             cost_threshold=cost_threshold,
             nbytes_threshold=shm_threshold,
-            pinned_local=frozenset(pinned_local),
             measured_seconds=measured_costs,
             min_dispatch_seconds=min_dispatch_seconds,
         )
@@ -1069,7 +1052,6 @@ class ProcessExecutor(_Executor):
         supervisor = Supervisor(
             pool,
             policy,
-            batch_size=self.batch_size,
             shm_threshold=self.shm_threshold,
             bus=run.bus,
             stats=run.state.stats,

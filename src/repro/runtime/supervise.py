@@ -12,10 +12,11 @@ into a fault-tolerance layer:
   off, and whether an irrecoverable worker pool degrades to an
   in-process executor or surfaces an error.
 * :class:`Supervisor` — owns the dispatch bookkeeping for
-  :class:`~repro.runtime.executors.ProcessExecutor`: per-worker batch
-  assignment, multiplexed result/sentinel waiting, crash detection with
-  automatic respawn (re-shipping registry refs, fused chains, and the
-  fault spec), deterministic re-fire of the calls a dead worker held,
+  :class:`~repro.runtime.executors.ProcessExecutor`: staging, sending
+  one call per message from :meth:`Supervisor.pump` alone, multiplexed
+  result/sentinel waiting, crash detection with automatic respawn
+  (re-shipping registry refs, fused chains, and the fault spec),
+  deterministic re-fire of the calls a dead worker held,
   per-fire timeouts (a hung worker is killed and replaced), reclamation
   of shared-memory arena segments checked out to crashed workers, and a
   poison-fire ledger that converts a repeatedly failing firing into a
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -85,8 +87,10 @@ from .workers import (
     encode_value,
 )
 
-#: Degradation modes: ``"ladder"`` falls process → threaded → sequential
-#: when the pool is irrecoverable; ``"off"`` raises
+#: Degradation modes: ``"ladder"`` finishes the run in the master — on
+#: threads when the pool cannot be built, sequentially when it is lost
+#: mid-run (every such loss surfaces in :meth:`Supervisor.pump`, the only
+#: place that sends); ``"off"`` raises
 #: :class:`~repro.errors.PoolIrrecoverableError` to the caller instead.
 DEGRADE_MODES = ("ladder", "off")
 
@@ -100,10 +104,12 @@ class FaultPolicy:
         attempt (so a firing runs at most ``1 + max_retries`` times
         before it is declared poison).
     timeout:
-        Per-fire wall-clock budget in seconds for dispatched firings
-        (scaled by batch length, since a worker runs its batch
-        serially); ``None`` disables timeouts.  A worker that blows the
-        budget is presumed hung, killed, and respawned.
+        Per-fire wall-clock budget in seconds for dispatched firings;
+        ``None`` disables timeouts.  A worker runs its calls one after
+        another, so a call's deadline is its send time plus ``timeout``
+        times the number of calls assigned to its worker, its own
+        included.  A worker that blows the budget is presumed hung,
+        killed, and respawned.
     backoff:
         Base delay in seconds before a retry; attempt ``n`` waits
         ``backoff * 2**(n-1)``.  ``0`` retries immediately.
@@ -409,7 +415,7 @@ class ResidencyTracker:
 
 
 class _DispatchLabel:
-    """Adapter giving a dispatch batch the ``label()`` surface the
+    """Adapter giving a dispatched call the ``label()`` surface the
     simulator-facing affinity policies expect from a task."""
 
     __slots__ = ("_label",)
@@ -425,14 +431,15 @@ class Supervisor:
     """Dispatch bookkeeping + fault handling for the process executor.
 
     The executor calls :meth:`dispatch` for every remote
-    :class:`~repro.runtime.engine.PendingOp` and :meth:`pump` whenever
-    its ready queue drains; ``pump`` returns committed-ready
-    :class:`Completion` objects and internally handles everything that
-    can go wrong in between: worker crashes (drain late results, reclaim
-    arena segments, respawn, re-fire), hung workers (kill + crash path),
-    failed attempts (exponential-backoff re-dispatch as singleton
-    batches, so a poison fire cannot keep dragging innocent batchmates
-    past their retry budget), and the poison ledger.
+    :class:`~repro.runtime.engine.PendingOp`, which only stages it, and
+    :meth:`pump` whenever its ready queue drains.  ``pump`` is the only
+    place that sends (one call per message) and returns committed-ready
+    :class:`Completion` objects; it handles everything that can go wrong
+    in between: worker crashes (drain late results, reclaim arena
+    segments, respawn, re-fire), hung workers (kill + crash path),
+    failed attempts (exponential-backoff re-dispatch), and the poison
+    ledger.  Every fault therefore surfaces inside ``pump``, where the
+    executor's degradation handler sees it.
 
     Raises :class:`~repro.errors.OperatorError` when one firing exhausts
     its retries, and :class:`~repro.errors.PoolIrrecoverableError` when
@@ -446,7 +453,6 @@ class Supervisor:
         pool: WorkerPool,
         policy: FaultPolicy,
         *,
-        batch_size: int = 4,
         shm_threshold: int | None = None,
         bus: EventBus | None = None,
         stats: EngineStats | None = None,
@@ -454,7 +460,6 @@ class Supervisor:
     ) -> None:
         self.pool = pool
         self.policy = policy
-        self.batch_size = batch_size
         #: Locality layer: placement policy + residency tracker, or both
         #: ``None`` for ``affinity="none"`` — which is exactly the legacy
         #: least-loaded dispatch path (full encodings, no caches), the
@@ -468,9 +473,6 @@ class Supervisor:
             if pool.residency is None:
                 pool.residency = ResidencyTracker(pool.n_workers)
             self.residency = pool.residency
-        #: Staging bar for the eager flush in :meth:`dispatch`: one full
-        #: message for every worker.
-        self._flush_bar = batch_size * pool.n_workers
         self.shm_threshold = (
             shm_threshold if shm_threshold is not None else pool.shm_threshold
         )
@@ -478,7 +480,7 @@ class Supervisor:
         self.stats = stats if stats is not None else EngineStats()
         self._call_seq = 0
         #: Records staged for (re-)dispatch, in arrival order.
-        self._staged: list[_CallRecord] = []
+        self._staged: deque[_CallRecord] = deque()
         #: Backoff queue: ``(fire_at_monotonic, record)``.
         self._delayed: list[tuple[float, _CallRecord]] = []
         #: call_id -> record for calls sitting in a worker's pipe/loop.
@@ -496,13 +498,12 @@ class Supervisor:
         return len(self._assigned) + len(self._staged) + len(self._delayed)
 
     def dispatch(self, pending: PendingOp) -> int:
-        """Accept one remote firing; returns its call id."""
+        """Stage one remote firing for the next :meth:`pump`; returns
+        its call id."""
         self._call_seq += 1
         record = _CallRecord(self._call_seq, pending)
         self._staged.append(record)
         self.stats.dispatched_fires += 1
-        if len(self._staged) >= self._flush_bar:
-            self.flush()
         return record.call_id
 
     def take_completions(self) -> list[Completion]:
@@ -702,8 +703,8 @@ class Supervisor:
             self._worker_calls, key=lambda i: len(self._worker_calls[i])
         )
 
-    def _choose_worker(self, batch: list[_CallRecord]) -> int:
-        """Pick the target worker for one batch.
+    def _choose_worker(self, record: _CallRecord) -> int:
+        """Pick the target worker for one call.
 
         Without affinity: least-loaded (the legacy rule).  With it:
         choose among *idle* workers only (work-conserving — when none is
@@ -711,7 +712,7 @@ class Supervisor:
         preference, exactly the paper's "overridden if the desired
         processor is busy").  Data affinity feeds the shared
         :func:`~repro.runtime.affinity.input_residency` scan with the
-        residency tracker's holders; operator affinity sees the batch's
+        residency tracker's holders; operator affinity sees the call's
         operator name through a :class:`_DispatchLabel`.
         """
         policy = self._affinity
@@ -723,94 +724,60 @@ class Supervisor:
         tracker = self.residency
         if tracker is not None and isinstance(policy, DataAffinity):
             bytes_by_worker = input_residency(
-                (
-                    v
-                    for record in batch
-                    for v in record.pending.op_inputs
-                ),
-                tracker.holders,
+                record.pending.op_inputs, tracker.holders
             )
             return pick_most_resident(bytes_by_worker, idle)
         return policy.choose(
-            _DispatchLabel(batch[0].pending.spec.name), set(idle)
+            _DispatchLabel(record.pending.spec.name), set(idle)
         )
 
     def flush(self) -> None:
-        """Assign staged records to workers and send the batches.
+        """Send every staged record, one call per message, in order.
 
-        Retried records go out as singleton batches (a poison fire must
-        not drag batchmates past their deadlines or retry budgets); fresh
-        records are chunked so every worker gets work.
+        Records leave the staging queue one at a time, so a raise in the
+        middle (a pool loss noticed on send, a poison fire) leaves the
+        rest staged for :meth:`drain_in_flight`.
         """
-        while True:
-            staged, self._staged = self._staged, []
-            if not staged:
-                return
-            batches = [[r] for r in staged if r.attempts]
-            fresh = [r for r in staged if not r.attempts]
-            if fresh:
-                chunk = min(
-                    self.batch_size, -(-len(fresh) // self.pool.n_workers)
-                )
-                batches.extend(
-                    fresh[i : i + chunk] for i in range(0, len(fresh), chunk)
-                )
-            resend = False
-            for batch in batches:
-                if not self._send(batch):
-                    resend = True  # a worker died on send; records restaged
-            if not resend and not self._staged:
-                return
+        staged = self._staged
+        while staged:
+            self._send(staged.popleft())
 
-    def _send(self, batch: list[_CallRecord]) -> bool:
-        """Send one batch to its chosen worker; False on dead pipe.
+    def _send(self, record: _CallRecord) -> None:
+        """Send one call to its chosen worker.
 
-        The batch is placed as a unit: one :meth:`_choose_worker`
-        decision covers all members.  The worker answers every call with
-        its own message.
+        On a dead pipe the record goes back to the head of the staging
+        queue and the crash path runs (respawn, or
+        :class:`~repro.errors.PoolIrrecoverableError`).
         """
-        worker = self._choose_worker(batch)
-        now = time.monotonic()
-        bus = self.bus
-        for record in batch:
-            if (
-                record.encoded
-                and record.enc_worker != worker
-                and record.ref_bids
-            ):
-                # The old encoding refs a different worker's cache —
-                # refs are worker-bound, so drop it and re-encode.  The
-                # old target never saw the message (crashed=True: its
-                # consumption state is exactly "never consumed").
-                self._release_encodings(record, crashed=True, pid=None)
-            if not record.encoded:
-                self._encode(record, worker)
-        payload = [
-            (
-                record.call_id,
-                record.pending.spec.name,
-                record.enc_args,
-                record.rbid,
-            )
-            for record in batch
-        ]
+        worker = self._choose_worker(record)
+        if record.encoded and record.enc_worker != worker and record.ref_bids:
+            # The old encoding refs a different worker's cache — refs
+            # are worker-bound, so drop it and re-encode.  The old
+            # target never saw the message (crashed=True: its
+            # consumption state is exactly "never consumed").
+            self._release_encodings(record, crashed=True, pid=None)
+        if not record.encoded:
+            self._encode(record, worker)
         inval = (
             self.residency.take_invalidations(worker)
             if self.residency is not None
             else []
         )
+        call = (
+            record.call_id, record.pending.spec.name, record.enc_args,
+            record.rbid,
+        )
         try:
-            self.pool.submit_to(worker, (inval, payload))
+            self.pool.submit_to(worker, (inval, [call]))
         except (BrokenPipeError, OSError):
-            # The worker died before taking the batch: nothing executed,
-            # so the records go back to staging without an attempt mark.
-            # The encodings are released on the crash path (refs/blk
-            # entries bind to the dead worker's cache) and the drained
-            # invalidations are moot — drop_worker purges the queue a
-            # fresh respawn must not see.
-            for record in batch:
-                self._release_encodings(record, crashed=True, pid=None)
-            self._staged.extend(batch)
+            # The worker died before taking the call: nothing executed,
+            # so the record goes back to staging without an attempt
+            # mark.  Its encodings are released on the crash path
+            # (refs/blk entries bind to the dead worker's cache) and the
+            # drained invalidations are moot — drop_worker purges the
+            # queue a fresh respawn must not see.
+            self._release_encodings(record, crashed=True, pid=None)
+            self._staged.appendleft(record)
             process = self.pool.processes[worker]
             if process is not None and process.is_alive():
                 process.join(timeout=1.0)
@@ -818,33 +785,37 @@ class Supervisor:
                     process.kill()
                     process.join(timeout=5.0)
             self._handle_crash(worker)
-            return False
+            return
         self.stats.ipc_messages_sent += 1
         if self._affinity is not None:
-            for record in batch:
-                self._affinity.notify(
-                    _DispatchLabel(record.pending.spec.name), worker
-                )
-        timeout = self.policy.timeout
-        for record in batch:
-            record.worker = worker
-            record.deadline = (
-                now + timeout * len(batch) if timeout is not None else None
+            self._affinity.notify(
+                _DispatchLabel(record.pending.spec.name), worker
             )
-            self._assigned[record.call_id] = record
-            self._worker_calls[worker].add(record.call_id)
-            if bus is not None and bus.wants(TaskDispatched):
-                bus.emit(
-                    TaskDispatched(
-                        bus.now(),
-                        record.pending.spec.name,
-                        record.call_id,
-                        sum(e.nbytes for e in self._enc_values(record.enc_args)),
-                        any(e.via_shm for e in self._enc_values(record.enc_args)),
-                        record.pending.node_id,
-                    )
+        calls = self._worker_calls[worker]
+        calls.add(record.call_id)
+        record.worker = worker
+        timeout = self.policy.timeout
+        # The worker runs its calls one after another: this one may wait
+        # behind every call it already holds.
+        record.deadline = (
+            time.monotonic() + timeout * len(calls)
+            if timeout is not None
+            else None
+        )
+        self._assigned[record.call_id] = record
+        bus = self.bus
+        if bus is not None and bus.wants(TaskDispatched):
+            encs = list(self._enc_values(record.enc_args))
+            bus.emit(
+                TaskDispatched(
+                    bus.now(),
+                    record.pending.spec.name,
+                    record.call_id,
+                    sum(e.nbytes for e in encs),
+                    any(e.via_shm for e in encs),
+                    record.pending.node_id,
                 )
-        return True
+            )
 
     def locality_stats(self) -> dict[str, Any]:
         """Residency-tracker counters, or ``{}`` with affinity off."""
@@ -920,80 +891,81 @@ class Supervisor:
                 progressed = True
         return progressed
 
-    def _absorb(self, message: tuple[int, list[tuple]]) -> None:
-        worker_id, results = message
+    def _absorb(self, message: tuple) -> None:
+        """Take one worker reply: ``(worker_id, call_id, ok, payload, t0,
+        duration, cached)`` (see :func:`~repro.runtime.workers.worker_main`)."""
+        worker_id, call_id, ok, payload, t0, duration, cached = message
         self.stats.ipc_messages_received += 1
-        bus = self.bus
-        for call_id, ok, payload, t0, duration, cached in results:
-            record = self._assigned.pop(call_id, None)
-            if record is None:
-                # Already resolved via the crash path; a late success may
-                # still own a fresh segment nobody will decode.
-                if ok is True:
-                    discard_encoded(payload)
-                continue
-            self._worker_calls[record.worker].discard(call_id)
-            pending = record.pending
-            if ok == "miss":
-                # The worker's cache no longer held a ref-shipped block.
-                # It decoded every full encoding before resolving refs
-                # (pooled segments were consumed), so release normally,
-                # correct the residency belief, and re-dispatch fully
-                # encoded — no attempt is recorded: nothing executed,
-                # and a miss must never eat the retry budget.
-                self._release_encodings(record, crashed=False, pid=None)
-                tracker = self.residency
-                if tracker is not None:
-                    for bid in payload:
-                        tracker.discard(bid, worker_id)
-                    tracker.refs_missed += len(payload)
-                record.no_ref = True
-                record.worker = -1
-                record.deadline = None
-                self.stats.affinity_misses += 1
-                if bus is not None and bus.wants(AffinityMiss):
-                    bus.emit(
-                        AffinityMiss(
-                            bus.now(),
-                            pending.spec.name,
-                            call_id,
-                            worker_id,
-                            len(payload),
-                        )
-                    )
-                self._staged.append(record)
-                continue
-            if ok:
-                raw_payload: EncodedValue = payload
-                # Decode before releasing: the result may sit in one of
-                # this call's own argument segments, which stay lent (and
-                # mapped here) exactly until the release below.
-                arena = self.pool.arena
-                try:
-                    raw = decode_value(
-                        raw_payload, segment=arena.reply_segment(raw_payload)
-                    )
-                finally:
-                    self._release_encodings(record, crashed=False, pid=None)
-                self._completions.append(
-                    Completion(
-                        pending,
-                        raw,
+        record = self._assigned.pop(call_id, None)
+        if record is None:
+            # Already resolved via the crash path; a late success may
+            # still own a fresh segment nobody will decode.
+            if ok is True:
+                discard_encoded(payload)
+            return
+        self._worker_calls[record.worker].discard(call_id)
+        pending = record.pending
+        if ok == "miss":
+            # The worker's cache no longer held a ref-shipped block.  It
+            # decoded every full encoding before resolving refs (pooled
+            # segments were consumed), so release normally, correct the
+            # residency belief, and re-dispatch fully encoded — no
+            # attempt is recorded: nothing executed, and a miss must
+            # never eat the retry budget.
+            self._release_encodings(record, crashed=False, pid=None)
+            tracker = self.residency
+            if tracker is not None:
+                for bid in payload:
+                    tracker.discard(bid, worker_id)
+                tracker.refs_missed += len(payload)
+            record.no_ref = True
+            record.worker = -1
+            record.deadline = None
+            self.stats.affinity_misses += 1
+            bus = self.bus
+            if bus is not None and bus.wants(AffinityMiss):
+                bus.emit(
+                    AffinityMiss(
+                        bus.now(),
+                        pending.spec.name,
                         call_id,
                         worker_id,
-                        t0,
-                        duration,
-                        raw_payload.nbytes,
-                        raw_payload.via_shm,
-                        cached=bool(cached),
-                        rbid=record.rbid,
+                        len(payload),
                     )
                 )
-                continue
-            self._release_encodings(record, crashed=False, pid=None)
-            exc = _decode_exception(payload)
-            pid = self._worker_pid(record.worker)
-            self._record_failure(record, pid, f"raised: {exc!r}", exc, "error")
+            self._staged.append(record)
+            return
+        if ok:
+            raw_payload: EncodedValue = payload
+            # Decode before releasing: the result may sit in one of this
+            # call's own argument segments, which stay lent (and mapped
+            # here) exactly until the release below.
+            arena = self.pool.arena
+            try:
+                raw = decode_value(
+                    raw_payload, segment=arena.reply_segment(raw_payload)
+                )
+            finally:
+                self._release_encodings(record, crashed=False, pid=None)
+            self._completions.append(
+                Completion(
+                    pending,
+                    raw,
+                    call_id,
+                    worker_id,
+                    t0,
+                    duration,
+                    raw_payload.nbytes,
+                    raw_payload.via_shm,
+                    cached=bool(cached),
+                    rbid=record.rbid,
+                )
+            )
+            return
+        self._release_encodings(record, crashed=False, pid=None)
+        exc = _decode_exception(payload)
+        pid = self._worker_pid(record.worker)
+        self._record_failure(record, pid, f"raised: {exc!r}", exc, "error")
 
     def _record_failure(
         self,

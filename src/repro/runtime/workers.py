@@ -26,15 +26,14 @@ analogue.  Three pieces:
   process.
 
 * **The pool** (:class:`WorkerPool`) — persistent worker processes, each
-  fed *batches* of operator calls over its own duplex pipe.  Per-worker
-  pipes (rather than one shared queue) are what makes the pool
-  supervisable: the master always knows which calls a worker holds, a
-  SIGKILLed worker cannot die holding a shared queue lock and deadlock
-  everyone else, and ``multiprocessing.connection.wait`` multiplexes the
-  result pipes *and* the process sentinels so a crash is observed the
-  same way a result is.  The master assigns batches least-loaded;
-  batching amortizes the per-message IPC cost for fine-grained
-  operators.  :meth:`WorkerPool.respawn` replaces a dead worker with a
+  fed operator calls, one per message, over its own duplex pipe and
+  answering each with one result.  Per-worker pipes (rather than one
+  shared queue) are what makes the pool supervisable: the master always
+  knows which calls a worker holds, a SIGKILLed worker cannot die
+  holding a shared queue lock and deadlock everyone else, and
+  ``multiprocessing.connection.wait`` multiplexes the result pipes *and*
+  the process sentinels so a crash is observed the same way a result
+  is.  :meth:`WorkerPool.respawn` replaces a dead worker with a
   fresh process (re-shipping the registry ref, fused chains, and fault
   spec), which is the mechanism under
   :class:`~repro.runtime.supervise.Supervisor`'s fault policy.
@@ -53,7 +52,7 @@ import signal
 import time
 import traceback
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any
 
@@ -733,15 +732,18 @@ def worker_main(
     fault_salt: int = 0,
     cache_bytes: int = CACHE_BYTES_DEFAULT,
 ) -> None:
-    """Body of one worker process: batches in, batches out, until None.
+    """Body of one worker process: one call in, one result out, until None.
 
     ``conn`` is the worker's end of a duplex pipe owned exclusively by
-    this process — ``(invalidations, batch)`` messages arrive on it,
-    ``(worker_id, results)`` messages go back on it.  ``invalidations``
-    is a list of block ids to drop from the resident cache before the
-    batch runs (dead or mutated master blocks, piggybacked here so
-    invalidation costs no extra IPC).  Each result is ``(call_id, ok,
-    payload, t0, duration, cached)`` with ``t0`` a raw
+    this process — ``(invalidations, [call])`` messages arrive on it, and
+    each is answered by one ``(worker_id, call_id, ok, payload, t0,
+    duration, cached)`` message.  ``invalidations`` is a list of block
+    ids to drop from the resident cache before the call runs (dead or
+    mutated master blocks, piggybacked here so invalidation costs no
+    extra IPC).  A message carries exactly one call, in a one-element
+    list: ``(call_id, op_name, enc_args, rbid)``, with ``rbid`` the
+    master-assigned block id the result should be cached under (``None``
+    outside affinity runs).  In the reply ``t0`` is a raw
     ``time.perf_counter`` stamp (CLOCK_MONOTONIC is process-shared, so
     the master can place worker spans on its own timeline) and ``cached``
     whether the worker kept its raw result resident under the
@@ -750,11 +752,6 @@ def worker_main(
     ``"miss"`` — the structured cache-miss reply, payload the list of
     block ids this worker could not resolve; the master re-dispatches
     that fire with full encodings.
-
-    A batch entry is one call ``(call_id, op_name, enc_args, rbid)``,
-    answered by one single-result message as soon as it finishes.
-    ``rbid`` is the master-assigned block id the result should be cached
-    under (``None`` outside affinity runs).
 
     Each element of ``enc_args`` is one of three wire forms:
 
@@ -829,7 +826,7 @@ def worker_main(
         Two passes: every full encoding is decoded first (consuming its
         shm segments and making ``("blk", ...)`` entries resident), then
         refs are served from the cache — which lets a later argument ref
-        a block shipped earlier in the *same* message.
+        a block shipped earlier in the *same* call.
         """
         out: list[Any] = [None] * len(enc_args)
         refs: list[tuple[int, int]] = []
@@ -872,65 +869,52 @@ def worker_main(
             return
         if message is None:
             return
-        invalidations, batch = message
+        invalidations, [(call_id, op_name, enc_args, rbid)] = message
         if invalidations:
             cache.invalidate(invalidations)
-        for call_id, op_name, enc_args, rbid in batch:
-            t0 = time.perf_counter()
-            cached = False
-            try:
-                spec = resolve(op_name)
-                args, missing, request = resolve_args(op_name, enc_args)
-                if missing:
-                    # Structured cache-miss reply: every full
-                    # encoding above was already decoded, so the
-                    # master's segment bookkeeping proceeds as for a
-                    # completed fire; it re-ships this one fully
-                    # encoded.
-                    ok: Any = "miss"
-                    payload: Any = missing
-                else:
-                    if injector is not None:
-                        injector.on_call(op_name)
-                    raw = spec.fn(*args)
-                    payload = encode_value(raw, shm_threshold, request)
-                    if rbid is not None and wraps_as_block(raw):
-                        cached = cache.put(rbid, raw)
-                    ok = True
-            except BaseException as exc:  # noqa: BLE001 - to master
-                payload = _encode_exception(exc)
-                ok = False
-            # Each result is shipped as soon as it exists, not at the
-            # end of the batch: the supervisor salvages the pipe's
-            # contents on a crash, so a finished result that was
-            # already sent survives its worker and is not recomputed.
-            try:
-                conn.send(
-                    (
-                        worker_id,
-                        [
-                            (
-                                call_id,
-                                ok,
-                                payload,
-                                t0,
-                                time.perf_counter() - t0,
-                                cached,
-                            )
-                        ],
-                    )
+        t0 = time.perf_counter()
+        cached = False
+        try:
+            spec = resolve(op_name)
+            args, missing, request = resolve_args(op_name, enc_args)
+            if missing:
+                # Structured cache-miss reply: every full encoding above
+                # was already decoded, so the master's segment
+                # bookkeeping proceeds as for a completed fire; it
+                # re-ships this one fully encoded.
+                ok: Any = "miss"
+                payload: Any = missing
+            else:
+                if injector is not None:
+                    injector.on_call(op_name)
+                raw = spec.fn(*args)
+                payload = encode_value(raw, shm_threshold, request)
+                if rbid is not None and wraps_as_block(raw):
+                    cached = cache.put(rbid, raw)
+                ok = True
+        except BaseException as exc:  # noqa: BLE001 - to master
+            payload = _encode_exception(exc)
+            ok = False
+        # The supervisor salvages the pipe's contents on a crash, so a
+        # result already sent survives its worker and is not recomputed.
+        try:
+            conn.send(
+                (
+                    worker_id, call_id, ok, payload, t0,
+                    time.perf_counter() - t0, cached,
                 )
-            except BrokenPipeError:  # master gone; nothing to report
-                return
+            )
+        except BrokenPipeError:  # master gone; nothing to report
+            return
 
 
 class WorkerPool:
     """A persistent, supervisable pool of operator-executing processes.
 
     Every worker owns a duplex pipe to the master: the master sends
-    batches down a worker's pipe (:meth:`submit_to`; the scheduler picks
-    the least-loaded worker) and multiplexes all result pipes plus the
-    process *sentinels* with :meth:`wait` — so a completed batch and a
+    calls down a worker's pipe, one per message (:meth:`submit_to`; the
+    supervisor picks the worker), and multiplexes all result pipes plus
+    the process *sentinels* with :meth:`wait` — so a result and a
     dead worker arrive through the same select call, and a SIGKILLed
     worker can never wedge a lock another worker needs.  A dead worker
     is replaced in place with :meth:`respawn`, which re-ships the same
@@ -1037,7 +1021,7 @@ class WorkerPool:
         return self._spawn(i, fault_salt=self.respawns)
 
     def submit_to(self, i: int, message: tuple[list[int], list[Any]]) -> None:
-        """Send one ``(invalidations, batch)`` message to worker ``i``.
+        """Send one ``(invalidations, [call])`` message to worker ``i``.
 
         Raises ``BrokenPipeError``/``OSError`` if the worker is already
         dead — callers treat that exactly like a crash-after-dispatch
@@ -1140,11 +1124,9 @@ class DispatchPolicy:
 
     cost_threshold: float = 2_000_000.0
     nbytes_threshold: int = SHM_THRESHOLD_DEFAULT
-    #: Operator names always kept in-process (glue the master can run
-    #: faster than it can serialize).
-    pinned_local: frozenset[str] = field(default_factory=frozenset)
     #: Measured wall seconds per firing, by operator name (including
-    #: fused super-operator names) — see ``calibrate_dispatch``.
+    #: fused super-operator names) — see ``calibrate_dispatch``.  A
+    #: measurement of ``0.0`` keeps an operator in-process.
     measured_seconds: dict[str, float] | None = None
     #: Minimum measured per-firing cost that justifies the process
     #: boundary (~ one IPC round trip).
@@ -1157,8 +1139,6 @@ class DispatchPolicy:
             )
 
     def _by_name(self, name: str) -> bool | None:
-        if name in self.pinned_local:
-            return False
         if self.measured_seconds is not None:
             seconds = self.measured_seconds.get(name)
             if seconds is not None:
@@ -1168,7 +1148,7 @@ class DispatchPolicy:
     def static_dispatch(self, spec: Any) -> bool | None:
         """The decision when no payload can change it, else ``None``.
 
-        Pinned, measured and numeric-hint operators are decided by their
+        Measured and numeric-hint operators are decided by their
         spec alone; a callable or absent hint needs the payloads.  Agrees
         with :meth:`should_dispatch` wherever it answers, so an executor
         may classify such a node once instead of once per firing.

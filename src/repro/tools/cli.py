@@ -78,15 +78,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(--no-fuse reproduces the unfused graphs bit-for-bit)",
     )
     parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="expand a call together with the ready calls of its node "
-        "(up to 32), so the leaves of a fan-out meet in the ready "
-        "queue; --no-batch expands calls strictly one at a time.  "
-        "Results are bit-identical either way",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the compile cache (~/.cache/delirium or "
@@ -272,11 +263,8 @@ def _make_executor(
     faults = _fault_options(ns)
     if run_ctx is not None:
         faults["run_ctx"] = run_ctx
-    batch = getattr(ns, "batch", True)
     if ns.executor == "threaded":
-        return ThreadedExecutor(
-            ns.workers, trace=trace, bus=bus, batch=batch, **faults
-        )
+        return ThreadedExecutor(ns.workers, trace=trace, bus=bus, **faults)
     if ns.executor == "process":
         if measured_costs:
             faults["measured_costs"] = measured_costs
@@ -284,11 +272,10 @@ def _make_executor(
             ns.workers,
             trace=trace,
             bus=bus,
-            batch=batch,
             affinity=getattr(ns, "affinity", "data"),
             **faults,
         )
-    return SequentialExecutor(trace=trace, bus=bus, batch=batch, **faults)
+    return SequentialExecutor(trace=trace, bus=bus, **faults)
 
 
 def _pass_tuple(args: argparse.Namespace) -> tuple[str, ...]:

@@ -420,6 +420,8 @@ class TestLocalityDispatch:
         assert none.stats.encode_bytes_avoided == 0
         assert data.stats.blocks_ref_shipped >= 2
         assert data.stats.encode_bytes_avoided > 0
+        # One worker holds every block it was sent: no ref can miss.
+        assert data.stats.affinity_misses == 0
         # The headline claim: at least 2x fewer encoded wire bytes.
         assert data.stats.encode_bytes * 2 <= none.stats.encode_bytes
 
@@ -454,7 +456,7 @@ class TestLocalityDispatch:
         )
         small_cache = functools.partial(WorkerPool, cache_bytes=1_000_000)
         with mock.patch.object(executors, "WorkerPool", small_cache):
-            executor = ProcessExecutor(1, batch=False, persistent=True)
+            executor = ProcessExecutor(1, persistent=True)
             try:
                 values = [
                     executor.run(program.graph, args, registry).value
@@ -588,14 +590,16 @@ class TestAffinityProperty:
         ).value
 
         def run(policy):
-            return ProcessExecutor(
-                workers,
-                cost_threshold=0.0,
-                shm_threshold=256,
-                seed=seed,
-                batch=batch,
-                affinity=policy,
-            ).run(compiled.graph, args=(n,), registry=REGISTRY).value
+            # ``batch`` off: every call expands alone.
+            group_max = executors._GROUP_MAX if batch else 1
+            with mock.patch.object(executors, "_GROUP_MAX", group_max):
+                return ProcessExecutor(
+                    workers,
+                    cost_threshold=0.0,
+                    shm_threshold=256,
+                    seed=seed,
+                    affinity=policy,
+                ).run(compiled.graph, args=(n,), registry=REGISTRY).value
 
         base = run("none")
         assert base == reference

@@ -1,12 +1,14 @@
 """Peer expansion: a call expands together with its ready peers.
 
-The ``batch`` switch may only change *when* calls expand, never *what*
-the program computes: single-assignment semantics make results
-independent of pop order, so expanding same-node ready calls together
-must be bit-identical to expanding them one at a time.  These tests pin
-that down for every executor, plus the queue's ``pop_batch`` formation,
-the cap on a group, the one-reply-per-call wire shape, the salvage of a
-chunk whose worker dies, and critical-path reconciliation.
+A run expands peers together exactly when it has a dispatch policy and
+no fault injector (a process run), and that may only change *when* calls
+expand, never *what* the program computes: single-assignment semantics
+make results independent of pop order, so expanding same-node ready
+calls together must be bit-identical to expanding them one at a time
+(a peer-group cap of one, ``executors._GROUP_MAX = 1``).  These tests pin
+that down, plus the queue's ``pop_batch`` formation, the cap on a group,
+the one-call-per-message wire shape, the salvage of queued calls whose
+worker dies, and critical-path reconciliation.
 """
 
 import os
@@ -14,6 +16,8 @@ import signal
 import time
 
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
@@ -31,6 +35,7 @@ from repro.runtime import (
     executors,
 )
 from repro.runtime.operators import OperatorRegistry
+from repro.runtime.supervise import Supervisor
 from repro.runtime.workers import WorkerPool
 
 from repro.apps.montecarlo.coordination import compile_pi
@@ -130,37 +135,58 @@ class TestPopBatch:
 # Executor parity (the tentpole's correctness claim)
 # ---------------------------------------------------------------------------
 class TestBatchedParity:
-    def test_sequential(self):
+    def test_sequential(self, monkeypatch):
+        # No dispatch policy: calls expand one at a time.
+        groups = _record_groups(monkeypatch)
         compiled = _compiled_pi()
         ref = _pi_reference(compiled)
-        got = SequentialExecutor(batch=True).run(
+        got = SequentialExecutor(trace=True).run(
             compiled.graph, args=(16,), registry=compiled.registry
         )
         assert got.value == ref.value
+        assert groups == []
 
-    def test_threaded(self):
+    def test_threaded(self, monkeypatch):
+        groups = _record_groups(monkeypatch)
         compiled = _compiled_pi()
         ref = _pi_reference(compiled)
-        got = ThreadedExecutor(3, batch=True).run(
+        got = ThreadedExecutor(3).run(
             compiled.graph, args=(16,), registry=compiled.registry
         )
         assert got.value == ref.value
+        assert groups == []
 
-    def test_process(self):
+    def test_process(self, monkeypatch):
+        groups = _record_groups(monkeypatch)
         compiled = _compiled_pi()
         ref = _pi_reference(compiled)
         got = ProcessExecutor(
-            2, batch=True, measured_costs={"pi_batch": 0.004}
+            2, measured_costs={"pi_batch": 0.004}
         ).run(compiled.graph, args=(16,), registry=compiled.registry)
         assert got.value == ref.value
+        assert max(taken for _, taken in groups) > 0
 
-    def test_process_batch_off_also_matches(self):
+    def test_process_batch_off_also_matches(self, monkeypatch):
+        monkeypatch.setattr(executors, "_GROUP_MAX", 1)
         compiled = _compiled_pi()
         ref = _pi_reference(compiled)
         got = ProcessExecutor(
-            2, batch=False, measured_costs={"pi_batch": 0.004}
+            2, measured_costs={"pi_batch": 0.004}
         ).run(compiled.graph, args=(16,), registry=compiled.registry)
         assert got.value == ref.value
+
+    def test_an_injector_switches_peer_expansion_off(self, monkeypatch):
+        from repro.faults import FaultSpec
+
+        groups = _record_groups(monkeypatch)
+        compiled = _compiled_pi()
+        got = ProcessExecutor(
+            1,
+            measured_costs=PI_COSTS,
+            fault_spec=FaultSpec.parse("raise:op=no_such_operator,nth=1"),
+        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        assert got.value == _pi_reference(compiled).value
+        assert groups == []
 
     def test_option_pricer_matches(self):
         from repro.apps.montecarlo.coordination import compile_option
@@ -173,7 +199,7 @@ class TestBatchedParity:
         ref = SequentialExecutor().run(
             compiled.graph, args=(12,), registry=compiled.registry
         )
-        got = SequentialExecutor(batch=True).run(
+        got = ProcessExecutor(1).run(
             compiled.graph, args=(12,), registry=compiled.registry
         )
         assert got.value == ref.value
@@ -185,10 +211,9 @@ class TestBatchingObservability:
 
         compiled = _compiled_pi()
         for make in (
-            lambda ctx: SequentialExecutor(batch=True, run_ctx=ctx),
+            lambda ctx: SequentialExecutor(run_ctx=ctx),
             lambda ctx: ProcessExecutor(
                 2,
-                batch=True,
                 run_ctx=ctx,
                 measured_costs={"pi_batch": 0.004},
             ),
@@ -208,15 +233,13 @@ class TestBatchingObservability:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda bus: SequentialExecutor(batch=True, bus=bus),
-            lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
-            lambda bus: ProcessExecutor(
-                1, batch=True, bus=bus, measured_costs=PI_COSTS
-            ),
+            lambda bus: SequentialExecutor(bus=bus),
+            lambda bus: ThreadedExecutor(2, bus=bus),
+            lambda bus: ProcessExecutor(1, bus=bus, measured_costs=PI_COSTS),
         ],
         ids=["sequential", "threaded", "process"],
     )
-    def test_metrics_agree_with_stats_under_peer_expansion(self, make):
+    def test_metrics_agree_with_stats(self, make):
         compiled = _compiled_pi()
         bus = EventBus()
         metrics = attach_metrics(bus)
@@ -236,9 +259,9 @@ class TestBatchingObservability:
         bus = EventBus()
         spans = []
         bus.subscribe(spans.append, [TaskFired])
-        got = ProcessExecutor(
-            1, batch=True, bus=bus, measured_costs=PI_COSTS
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        got = ProcessExecutor(1, bus=bus, measured_costs=PI_COSTS).run(
+            compiled.graph, args=(16,), registry=compiled.registry
+        )
         remote = [s for s in spans if s.processor > 0]
         assert got.stats.dispatched_fires > 0
         assert len(remote) == got.stats.dispatched_fires
@@ -280,14 +303,14 @@ def _schedule_free(stats):
     )
 
 
+@pytest.mark.usefixtures("graph_path")
 class TestPeerGroups:
-    @pytest.mark.usefixtures("graph_path")
     def test_a_group_never_exceeds_the_cap(self, monkeypatch):
         graph, registry = _queens_program()
         plain = SequentialExecutor().run(graph, (), registry)
         monkeypatch.setattr(executors, "_GROUP_MAX", 4)
         groups = _record_groups(monkeypatch)
-        got = SequentialExecutor(batch=True).run(graph, (), registry)
+        got = ProcessExecutor(1).run(graph, (), registry)
         assert got.value == plain.value
         assert _schedule_free(got.stats) == _schedule_free(plain.stats)
         assert groups
@@ -299,65 +322,75 @@ class TestPeerGroups:
         plain = SequentialExecutor().run(graph, (), registry)
         monkeypatch.setattr(executors, "_GROUP_MAX", 1)
         groups = _record_groups(monkeypatch)
-        got = SequentialExecutor(batch=True).run(graph, (), registry)
+        got = ProcessExecutor(1).run(graph, (), registry)
         assert got.value == plain.value
         assert _schedule_free(got.stats) == _schedule_free(plain.stats)
         assert all(taken == 0 for _, taken in groups)
 
 
 # ---------------------------------------------------------------------------
-# The wire: chunks of up to batch_size calls, one reply per call
+# The wire: every message carries one call, every reply one result
 # ---------------------------------------------------------------------------
-class TestPerCallReplies:
-    def test_each_dispatched_call_gets_its_own_reply(self):
+class TestOneCallPerMessage:
+    def test_each_dispatched_call_is_one_message_each_way(self):
         compiled = _compiled_pi()
-        got = ProcessExecutor(
-            1, batch=True, batch_size=4, measured_costs=PI_COSTS
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        got = ProcessExecutor(1, measured_costs=PI_COSTS).run(
+            compiled.graph, args=(16,), registry=compiled.registry
+        )
         assert got.value == _pi_reference(compiled).value
         stats = got.stats
         assert stats.dispatched_fires == 16
+        assert stats.ipc_messages_sent == stats.dispatched_fires
         assert stats.ipc_messages_received == stats.dispatched_fires
-        assert 4 <= stats.ipc_messages_sent < stats.dispatched_fires
 
-    def test_peer_expansion_dispatches_the_same_calls(self):
+    def test_peer_expansion_dispatches_the_same_calls(self, monkeypatch):
         compiled = _compiled_pi()
-        runs = [
-            ProcessExecutor(1, batch=batch, measured_costs=PI_COSTS).run(
-                compiled.graph, args=(16,), registry=compiled.registry
+        runs = []
+        for group_max in (1, executors._GROUP_MAX):
+            monkeypatch.setattr(executors, "_GROUP_MAX", group_max)
+            runs.append(
+                ProcessExecutor(1, measured_costs=PI_COSTS).run(
+                    compiled.graph, args=(16,), registry=compiled.registry
+                )
             )
-            for batch in (False, True)
-        ]
         plain, batched = runs
         assert batched.value == plain.value
         assert batched.stats.dispatched_fires == plain.stats.dispatched_fires
         for run in runs:
             assert run.stats.ipc_messages_received == run.stats.dispatched_fires
 
-    @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_no_message_carries_more_than_batch_size_calls(
-        self, batch_size, monkeypatch
-    ):
-        sizes = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_message_carries_one_call(self, workers, monkeypatch):
+        sent, replies = [], []
         submit_to = WorkerPool.submit_to
+        absorb = Supervisor._absorb
 
-        def recording(self, i, message):
-            sizes.append(len(message[1]))
+        def recording_submit(self, i, message):
+            [call] = message[1]
+            sent.append(call)
             submit_to(self, i, message)
 
-        monkeypatch.setattr(WorkerPool, "submit_to", recording)
+        def recording_absorb(self, message):
+            replies.append(message)
+            absorb(self, message)
+
+        monkeypatch.setattr(WorkerPool, "submit_to", recording_submit)
+        monkeypatch.setattr(Supervisor, "_absorb", recording_absorb)
         compiled = _compiled_pi()
-        got = ProcessExecutor(
-            2, batch=True, batch_size=batch_size, measured_costs=PI_COSTS
-        ).run(compiled.graph, args=(16,), registry=compiled.registry)
+        got = ProcessExecutor(workers, measured_costs=PI_COSTS).run(
+            compiled.graph, args=(16,), registry=compiled.registry
+        )
         assert got.value == _pi_reference(compiled).value
-        assert sum(sizes) == got.stats.dispatched_fires
-        assert len(sizes) == got.stats.ipc_messages_sent
-        assert 1 <= min(sizes) and max(sizes) <= batch_size
+        # ``(call_id, op_name, enc_args, rbid)`` out, one result back.
+        assert {len(call) for call in sent} == {4}
+        assert {call[1] for call in sent} == {"pi_batch"}
+        assert len(sent) == got.stats.ipc_messages_sent == 16
+        assert {len(reply) for reply in replies} == {7}
+        assert sorted(r[1] for r in replies) == sorted(c[0] for c in sent)
 
 
 # ---------------------------------------------------------------------------
-# Crash salvage: a worker dies in the middle of a chunk
+# Crash salvage: a worker dies with calls queued behind the one it runs
 # ---------------------------------------------------------------------------
 SALVAGE_SRC = "main(n) par_reduce(combine, work, 0, n)"
 SALVAGE_N = 8
@@ -406,8 +439,6 @@ def _salvage_run(tmp_path):
     )
     got = ProcessExecutor(
         1,
-        batch=True,
-        batch_size=SALVAGE_N,
         measured_costs={"work": 0.01, "combine": 1e-7},
         fault_policy=FaultPolicy(max_retries=3, backoff=0.0, max_respawns=8),
     ).run(compiled.graph, args=(SALVAGE_N,), registry=reg)
@@ -416,7 +447,7 @@ def _salvage_run(tmp_path):
     return got, ran
 
 
-class TestMidChunkCrashSalvage:
+class TestQueuedCallsCrashSalvage:
     def test_call_lost_to_sigkill_is_refired(self, tmp_path):
         got, _ = _salvage_run(tmp_path)
         squares = sum(i * i for i in range(SALVAGE_N))
@@ -462,31 +493,6 @@ class TestHitCounter:
 # The property: batched == unbatched, everywhere
 # ---------------------------------------------------------------------------
 class TestBatchProperty:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        executor=st.sampled_from(["sequential", "threaded"]),
-        workers=st.integers(1, 3),
-        fuse=st.booleans(),
-        n=st.integers(2, 12),
-        seed=st.integers(0, 99),
-    )
-    def test_batched_equals_unbatched(self, executor, workers, fuse, n, seed):
-        passes = PASS_ORDER + (GRAPH_PASSES if fuse else ())
-        compiled = compile_pi(
-            seed=seed, batch_size=64, optimize_passes=passes
-        )
-        if executor == "sequential":
-            make = lambda batch: SequentialExecutor(batch=batch)
-        else:
-            make = lambda batch: ThreadedExecutor(workers, batch=batch)
-        plain = make(False).run(
-            compiled.graph, args=(n,), registry=compiled.registry
-        )
-        batched = make(True).run(
-            compiled.graph, args=(n,), registry=compiled.registry
-        )
-        assert batched.value == plain.value
-
     @settings(max_examples=4, deadline=None)
     @given(
         n=st.integers(4, 12),
@@ -497,10 +503,11 @@ class TestBatchProperty:
             seed=seed, batch_size=64, optimize_passes=PASS_ORDER + GRAPH_PASSES
         )
         costs = {"pi_batch": 0.004}
-        plain = ProcessExecutor(2, batch=False, measured_costs=costs).run(
-            compiled.graph, args=(n,), registry=compiled.registry
-        )
-        batched = ProcessExecutor(2, batch=True, measured_costs=costs).run(
+        with mock.patch.object(executors, "_GROUP_MAX", 1):
+            plain = ProcessExecutor(2, measured_costs=costs).run(
+                compiled.graph, args=(n,), registry=compiled.registry
+            )
+        batched = ProcessExecutor(2, measured_costs=costs).run(
             compiled.graph, args=(n,), registry=compiled.registry
         )
         assert batched.value == plain.value

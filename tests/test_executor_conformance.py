@@ -5,8 +5,9 @@ suspended body runs, so a program must produce the same result, the same
 schedule-independent engine counters and — when it fails — the same
 error from every one of them, whatever the run observes (a span
 subscriber, a fault injector, the purity checker) and whether calls
-expand with their ready peers or not.  The reference for every cell is
-the plain, unbatched sequential run.
+expand with their ready peers or not (``nobatch`` caps a peer group at
+one call; only a run with a dispatch policy forms groups).  The
+reference for every cell is the plain sequential run.
 
 The programs are built so the counters cannot depend on the schedule: a
 block's second consumer always needs the first one's result, so its
@@ -237,7 +238,9 @@ def _no_pool(*args, **kwargs):
 
 def _run(kind, mode, batch, graph, args, monkeypatch):
     """One cell of the matrix; returns ``(result, spans)``."""
-    options = {"batch": batch}
+    if not batch:
+        monkeypatch.setattr(executors, "_GROUP_MAX", 1)
+    options = {}
     clauses = []
     spans = []
     if mode == "subscriber":

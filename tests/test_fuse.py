@@ -1462,17 +1462,16 @@ class TestGeneratedMatchesItsRecipe:
 
 
 #: ``leaf``'s IF folds; ``par_reduce`` fires its fused body from many
-#: activations at once, which executors with ``batch=True`` expand
-#: together.
+#: activations at once, which a process executor expands together.
 LEAF_SOURCE = """
 leaf(k) incr(if is_less(k, 0) then boom(k) else tick(k))
 main(lo, hi) par_reduce(add, leaf, lo, hi)
 """
 
 PEER_EXECUTORS = {
-    "sequential": lambda bus: SequentialExecutor(batch=True, bus=bus),
-    "threaded": lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
-    "process": lambda bus: ProcessExecutor(1, batch=True, cost_threshold=0.0, bus=bus),
+    "sequential": lambda bus: SequentialExecutor(bus=bus),
+    "threaded": lambda bus: ThreadedExecutor(2, bus=bus),
+    "process": lambda bus: ProcessExecutor(1, cost_threshold=0.0, bus=bus),
 }
 
 
@@ -1523,8 +1522,8 @@ class TestGeneratedBodies:
             assert spec.fn.__code__.co_filename == f"<delirium-fused {node.name}>"
         want = SequentialExecutor().run(plain.graph, args=(8,), registry=plain.registry)
         for make in (
-            lambda bus: SequentialExecutor(batch=True, bus=bus),
-            lambda bus: ThreadedExecutor(2, batch=True, bus=bus),
+            lambda bus: SequentialExecutor(bus=bus),
+            lambda bus: ThreadedExecutor(2, bus=bus),
             lambda bus: ProcessExecutor(1, cost_threshold=0.0, bus=bus),
         ):
             got = make(None).run(fused.graph, args=(8,), registry=fused.registry)

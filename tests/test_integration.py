@@ -174,6 +174,52 @@ class TestCLI:
         assert "call of" in proc.stdout
 
 
+FIB = """
+main(n) fib(n)
+fib(n)
+  if is_less(n, 2)
+  then n
+  else add(fib(sub(n, 1)), fib(sub(n, 2)))
+"""
+
+
+class TestCLIParity:
+    """A CLI run is configured like the library executor it names."""
+
+    def test_default_run_takes_the_drain_loop(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.runtime import ReadyQueue
+        from repro.tools import cli
+
+        drains = []
+        drain = ReadyQueue.drain
+
+        def recording(self, fire):
+            drains.append(fire)
+            return drain(self, fire)
+
+        monkeypatch.setattr(ReadyQueue, "drain", recording)
+        path = tmp_path / "fib.dlm"
+        path.write_text(FIB)
+        assert cli.main(["run", str(path), "--arg", "10", "--no-cache"]) == 0
+        assert capsys.readouterr().out.strip() == "55"
+        assert len(drains) == 1
+        # The library's sequential executor takes the same path.
+        graph = compile_source(FIB).graph
+        assert SequentialExecutor().run(graph, (10,)).value == 55
+        assert len(drains) == 2
+
+    def test_run_has_no_batch_flag(self, tmp_path, capsys):
+        from repro.tools import cli
+
+        path = tmp_path / "fib.dlm"
+        path.write_text(FIB)
+        with pytest.raises(SystemExit):
+            cli.main(["run", str(path), "--arg", "3", "--no-batch"])
+        assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
+
+
 class TestCLIEmitAndValidate:
     def _tmp_source(self, tmp_path, text="main(n) add(incr(n), 1)\n"):
         path = tmp_path / "prog.dlm"

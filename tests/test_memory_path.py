@@ -143,13 +143,6 @@ class TestDispatchPolicy:
         assert policy.should_dispatch(_spec("unknown", 3_000_000.0), (1,))
         assert not policy.should_dispatch(_spec("unknown", 1_000.0), (1,))
 
-    def test_pinned_local_beats_measurement(self):
-        policy = DispatchPolicy(
-            pinned_local=frozenset({"heavy"}),
-            measured_seconds={"heavy": 10.0},
-        )
-        assert not policy.should_dispatch(_spec("heavy", 1e9), (1,))
-
     def test_zero_threshold_still_dispatches_everything(self):
         policy = DispatchPolicy(cost_threshold=0.0)
         assert policy.should_dispatch(_spec("anything", 0.0), (1,))

@@ -29,6 +29,7 @@ from repro.runtime import (
     RegistryRef,
     SequentialExecutor,
     default_registry,
+    executors,
 )
 from repro.runtime.operators import OperatorSpec
 from repro.runtime.workers import (
@@ -192,9 +193,10 @@ class TestDispatchPolicy:
             self._spec(cost=bad_cost), (np.zeros(4096),)
         )
 
-    def test_pinned_local_never_dispatches(self):
-        policy = DispatchPolicy(cost_threshold=0.0, pinned_local={"op"})
+    def test_measured_zero_never_dispatches(self):
+        policy = DispatchPolicy(cost_threshold=0.0, measured_seconds={"op": 0.0})
         assert not policy.should_dispatch(self._spec(cost=1e9), (1,))
+        assert policy.static_dispatch(self._spec(cost=1e9)) is False
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +231,16 @@ class TestParity:
         )
         assert result.value == 21
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 8])
-    def test_numpy_program_bit_identical(self, batch_size):
+    @pytest.mark.parametrize("group_max", [1, 2, 8])
+    def test_numpy_program_bit_identical(self, group_max, monkeypatch):
+        # Calls expand with at most ``group_max - 1`` ready peers.
+        monkeypatch.setattr(executors, "_GROUP_MAX", group_max)
         compiled = compile_source(SHARED_BLOCK_SRC, registry=NUMPY_REGISTRY)
         seq = SequentialExecutor().run(
             compiled.graph, args=(32,), registry=NUMPY_REGISTRY
         )
         proc = ProcessExecutor(
             2,
-            batch_size=batch_size,
             cost_threshold=0.0,
             shm_threshold=1024,
         ).run(compiled.graph, args=(32,), registry=NUMPY_REGISTRY)
@@ -271,8 +274,6 @@ class TestParity:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ProcessExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(2, batch_size=0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,8 @@ CASES = {
 }
 
 #: ``(workers, batch, affinity)``: the defaults at one and two workers,
-#: then each option moved alone.
+#: then each option moved alone.  ``batch`` off caps a peer group at one
+#: call (``executors._GROUP_MAX``): every call expands alone.
 CONFIGS = [
     (1, True, "data"),
     (2, True, "data"),
@@ -185,10 +186,14 @@ def run_case(name, workers, batch, affinity):
     returns ``(values, per-run stats dicts)``."""
     graph, registry, arg_tuples, options = CASES[name]()
     executor = ProcessExecutor(
-        workers, persistent=True, batch=batch, affinity=affinity, **options
+        workers, persistent=True, affinity=affinity, **options
     )
+    group_max = executors._GROUP_MAX if batch else 1
     try:
-        results = [executor.run(graph, args, registry) for args in arg_tuples]
+        with mock.patch.object(executors, "_GROUP_MAX", group_max):
+            results = [
+                executor.run(graph, args, registry) for args in arg_tuples
+            ]
     finally:
         executor.close()
     return (
@@ -290,7 +295,6 @@ _policies = st.builds(
     DispatchPolicy,
     cost_threshold=st.floats(0.0, 1e7),
     nbytes_threshold=st.integers(0, 4_000),
-    pinned_local=st.frozensets(st.sampled_from("abc")),
     measured_seconds=st.none()
     | st.dictionaries(st.sampled_from("abc"), st.floats(0.0, 0.01)),
 )
@@ -298,9 +302,7 @@ _policies = st.builds(
 
 def _should_dispatch_at_parent(policy, spec, payloads):
     """``DispatchPolicy.should_dispatch`` as it was before the static
-    half was split off, verbatim: the oracle for both halves."""
-    if spec.name in policy.pinned_local:
-        return False
+    half was split off: the oracle for both halves."""
     if policy.measured_seconds is not None:
         seconds = policy.measured_seconds.get(spec.name)
         if seconds is not None:
@@ -322,9 +324,7 @@ def test_static_decision_agrees_with_the_payload_decision(
     decision = policy.should_dispatch(spec, payloads)
     assert decision == _should_dispatch_at_parent(policy, spec, payloads)
     static = policy.static_dispatch(spec)
-    named = name in policy.pinned_local or name in (
-        policy.measured_seconds or {}
-    )
+    named = name in (policy.measured_seconds or {})
     assert (static is None) == (
         not named and (hint is None or callable(hint))
     )

@@ -17,6 +17,8 @@ destructively modify them) and check:
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
@@ -27,6 +29,7 @@ from repro.runtime import (
     SequentialExecutor,
     ThreadedExecutor,
     default_registry,
+    executors,
 )
 
 
@@ -178,24 +181,24 @@ class TestDeterminismProperty:
         st.integers(0, 100),
     )
     def test_process_executor_independence(
-        self, source, n, workers, batch, seed
+        self, source, n, workers, group_max, seed
     ):
         # The strongest form of the section-8 guarantee: operator bodies
         # run in other *processes* (every op force-dispatched, payloads
         # through shared memory when big enough), under any worker count,
-        # batch size, and scheduling seed — still bit-identical.  The
+        # peer-group cap, and scheduling seed — still bit-identical.  The
         # module-level REGISTRY travels to workers by fork inheritance.
         compiled = compile_source(source, registry=REGISTRY)
         reference = SequentialExecutor().run(
             compiled.graph, args=(n,), registry=REGISTRY
         ).value
-        remote = ProcessExecutor(
-            workers,
-            batch_size=batch,
-            cost_threshold=0.0,
-            shm_threshold=256,
-            seed=seed,
-        ).run(compiled.graph, args=(n,), registry=REGISTRY).value
+        with mock.patch.object(executors, "_GROUP_MAX", group_max):
+            remote = ProcessExecutor(
+                workers,
+                cost_threshold=0.0,
+                shm_threshold=256,
+                seed=seed,
+            ).run(compiled.graph, args=(n,), registry=REGISTRY).value
         assert remote == reference
 
     @settings(max_examples=15, deadline=None)

@@ -116,17 +116,18 @@ def _arg(pool, array):
     return enc
 
 
-def _round_trip(pool, entries, n_results=None):
-    """Send one batch to worker 0; its results, in arrival order."""
-    pool.submit_to(0, ([], entries))
-    want = len(entries) if n_results is None else n_results
+def _round_trip(pool, calls):
+    """Send ``calls`` to worker 0, one per message; their replies
+    (without the worker id), in arrival order."""
+    for call in calls:
+        pool.submit_to(0, ([], [call]))
     results = []
-    while len(results) < want:
+    while len(results) < len(calls):
         ready = pool.wait(10.0)
         assert ready, "worker did not answer"
         for obj in ready:
             assert pool.worker_for_conn(obj) is not None, "worker died"
-            results.extend(obj.recv()[1])
+            results.append(obj.recv()[1:])
     return results
 
 
@@ -287,7 +288,7 @@ class TestSteadyState:
                 persistent=True,
                 cost_threshold=0.0,
                 shm_threshold=1024,
-                pinned_local=("mk",),
+                measured_costs={"mk": 0.0},
             )
             value = executor.run(prog.graph, (50_000,), reg).value
             assert value == float(np.arange(50_000).sum() * 3)
@@ -395,7 +396,7 @@ class TestReplyPlacement:
         np.testing.assert_array_equal(decode_value(payload), a * 2.0)
         assert payload.shm_name not in _shm_entries()
 
-    def test_each_call_of_a_batch_replies_in_its_own_segment(self, pool):
+    def test_each_queued_call_replies_in_its_own_segment(self, pool):
         arrays = [np.full(2_000, float(i)) for i in range(3)]
         encs = [_arg(pool, a) for a in arrays]
         assert len({e.shm_name for e in encs}) == 3
@@ -444,7 +445,7 @@ class TestReplyPlacement:
             persistent=True,
             cost_threshold=0.0,
             shm_threshold=THRESHOLD,
-            pinned_local=("make",),
+            measured_costs={"make": 0.0},
             affinity="none",  # ship ``a`` in full to both consumers
         )
         try:
@@ -524,7 +525,7 @@ def _chaos_run(spec_text, workers_n=2, **options):
         persistent=True,
         cost_threshold=0.0,
         shm_threshold=THRESHOLD,
-        pinned_local=("make",),
+        measured_costs={"make": 0.0},
         fault_policy=FaultPolicy(max_retries=6, backoff=0.0, max_respawns=64),
         fault_spec=parse_fault_spec(spec_text) if spec_text else None,
         **options,
@@ -573,9 +574,9 @@ class TestChaos:
         if "kill:op" in spec_text:
             assert sum(r.stats.worker_crashes for r in results) >= 1
 
-    def test_sigkill_mid_batch_with_replies_in_flight(self, monkeypatch):
-        """Kill the worker from outside while it streams a batch's
-        results: whatever was salvaged or re-fired, the answer and
+    def test_sigkill_with_replies_in_flight(self, monkeypatch):
+        """Kill the worker from outside while it still holds queued
+        calls: whatever was salvaged or re-fired, the answer and
         ``/dev/shm`` do not change."""
         compiled = compile_source(CHAOS_SRC, registry=REGISTRY)
         want = SequentialExecutor().run(
@@ -585,10 +586,11 @@ class TestChaos:
         killed = []
         real_absorb = Supervisor._absorb
 
-        def kill_mid_batch(self, message):
+        def kill_with_calls_queued(self, message):
             real_absorb(self, message)
             if not killed and self._worker_calls[message[0]]:
-                # Batchmates of the result just decoded are still there.
+                # Calls queued behind the result just decoded are still
+                # there.
                 process = self.pool.processes[message[0]]
                 os.kill(process.pid, signal.SIGKILL)
                 killed.append(process.pid)
@@ -596,14 +598,12 @@ class TestChaos:
         executor = ProcessExecutor(
             1,
             persistent=True,
-            batch=False,
-            batch_size=8,
             cost_threshold=0.0,
             shm_threshold=THRESHOLD,
             fault_policy=FaultPolicy(max_retries=4, backoff=0.0),
         )
         try:
-            monkeypatch.setattr(Supervisor, "_absorb", kill_mid_batch)
+            monkeypatch.setattr(Supervisor, "_absorb", kill_with_calls_queued)
             result = executor.run(compiled.graph, (50_000,), REGISTRY)
             arena = executor._pool.arena.stats()
         finally:
@@ -665,12 +665,12 @@ class TestLeaks:
         before = _shm_entries()
         late = encode_value(np.arange(5_000, dtype=np.float64), THRESHOLD)
         assert late.shm_name in _shm_entries()
-        sup._absorb((0, [(999, True, late, 0.0, 0.0, False)]))
+        sup._absorb((0, 999, True, late, 0.0, 0.0, False))
         assert _shm_entries() == before
         assert sup.take_completions() == []
         # Error and miss replies carry no segment and are dropped too.
-        sup._absorb((0, [(998, False, ("text", "boom", ""), 0.0, 0.0, False)]))
-        sup._absorb((0, [(997, "miss", [3], 0.0, 0.0, False)]))
+        sup._absorb((0, 998, False, ("text", "boom", ""), 0.0, 0.0, False))
+        sup._absorb((0, 997, "miss", [3], 0.0, 0.0, False))
 
     def test_sweep_removes_what_a_dead_child_created(self):
         before = _shm_entries()
@@ -742,7 +742,7 @@ class TestLeaks:
             1,
             cost_threshold=0.0,
             shm_threshold=THRESHOLD,
-            pinned_local=("make", "total"),
+            measured_costs={"make": 0.0, "total": 0.0},
             fault_spec=parse_fault_spec("kill:op=double,p=1.0"),
             fault_policy=FaultPolicy(
                 max_retries=0, max_respawns=0, backoff=0.0
@@ -766,7 +766,7 @@ class TestObservability:
             1,
             cost_threshold=0.0,
             shm_threshold=THRESHOLD,
-            pinned_local=("make",),
+            measured_costs={"make": 0.0},
             run_ctx=ctx,
         ).run(compiled.graph, (4_000,), REGISTRY)
         gauges = ctx.metrics.gauges

@@ -11,6 +11,8 @@ saving.  Poison fires surface as structured
 
 import os
 import pickle
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,10 +42,12 @@ from repro.runtime import (
     ThreadedExecutor,
     default_registry,
 )
+from repro.runtime.engine import EngineStats
 from repro.runtime.operators import OperatorSpec
-from repro.runtime.supervise import run_with_retries
+from repro.runtime.supervise import Supervisor, run_with_retries
 from repro.runtime.workers import (
     RemoteOperatorFailure,
+    WorkerPool,
     _decode_exception,
     _encode_exception,
 )
@@ -434,6 +438,115 @@ class TestPoisonFires:
             )
         assert "die" in str(excinfo.value)
         assert "worker boom 5" in str(excinfo.value.__cause__)
+
+
+# ---------------------------------------------------------------------------
+# The send path: dispatch stages, pump sends one call per message
+# ---------------------------------------------------------------------------
+def _send_registry():
+    reg = default_registry()
+
+    @reg.register(name="work", pure=True, cost=1e7)
+    def work(i):
+        return i * i
+
+    @reg.register(name="slow", pure=True, cost=5.0)
+    def slow(n):
+        time.sleep(0.3)
+        return n
+
+    @reg.register(name="nap", pure=True, cost=1e7)
+    def nap(i):
+        time.sleep(0.3)
+        return i
+
+    return reg
+
+
+SEND_REGISTRY = _send_registry()
+
+#: Four dispatched calls, a slow local body, four more dispatched calls:
+#: all before the ready queue first drains.
+FOUR_AND_FOUR = """
+main(n)
+  let
+    a1 = work(1)
+    a2 = work(2)
+    a3 = work(3)
+    a4 = work(4)
+    s = slow(n)
+    b1 = work(add(s, 1))
+    b2 = work(add(s, 2))
+    b3 = work(add(s, 3))
+    b4 = work(add(s, 4))
+  in add(add(add(a1, a2), add(a3, a4)), add(add(b1, b2), add(b3, b4)))
+"""
+
+
+class TestSendPath:
+    def test_pool_lost_between_dispatches_degrades(self):
+        # The first call kills the only worker.  Nothing is sent before
+        # the queue drains, so the loss surfaces in pump, where the
+        # ladder catches it, not in a dispatch that raises past it.
+        compiled = compile_source(FOUR_AND_FOUR, registry=SEND_REGISTRY)
+        want = SequentialExecutor().run(
+            compiled.graph, (10,), SEND_REGISTRY
+        ).value
+        got = ProcessExecutor(
+            1,
+            fault_spec=parse_fault_spec("kill:op=work,nth=1"),
+            fault_policy=FaultPolicy(max_respawns=0, backoff=0.0),
+        ).run(compiled.graph, (10,), SEND_REGISTRY)
+        assert got.value == want
+        assert got.stats.dispatched_fires == 8
+        assert got.stats.executor_degraded == 1
+
+    def test_calls_queued_on_one_worker_do_not_time_out(self):
+        # Eight 0.3 s calls on one worker: the eighth finishes 2.4 s
+        # after the send, inside its budget of 8 x 0.55 s.
+        compiled = compile_source(
+            "main(n) par_reduce(add, nap, 0, n)",
+            registry=SEND_REGISTRY,
+            prelude=True,
+        )
+        got = ProcessExecutor(
+            1, fault_policy=FaultPolicy(timeout=0.55)
+        ).run(compiled.graph, (8,), SEND_REGISTRY)
+        assert got.value == sum(range(8))
+        assert got.stats.dispatched_fires == 8
+        assert got.stats.fires_timed_out == 0
+        assert got.stats.worker_respawns == 0
+
+    def test_raise_mid_flush_leaves_the_rest_staged(self):
+        before = _shm_entries()
+        pendings = [
+            SimpleNamespace(
+                spec=REGISTRY.get("total"),
+                args=(np.full(4, float(i)),),
+                op_inputs=(),
+                node_id=i,
+            )
+            for i in range(5)
+        ]
+        with WorkerPool(3, registry=REGISTRY) as pool:
+            supervisor = Supervisor(
+                pool, FaultPolicy(max_respawns=0), stats=EngineStats()
+            )
+            for pending in pendings:
+                supervisor.dispatch(pending)
+            # Staged, not sent: dispatch never touches a pipe.
+            assert supervisor.stats.ipc_messages_sent == 0
+            dead = pool.processes[1]
+            dead.kill()
+            dead.join()
+            with pytest.raises(PoolIrrecoverableError):
+                supervisor.pump(block=False)
+            # One call reached worker 0 before the send to the dead
+            # worker 1 raised; the other three were still staged.
+            assert supervisor.stats.ipc_messages_sent == 1
+            recovered = supervisor.drain_in_flight()
+        assert sorted(p.node_id for p in recovered) == list(range(5))
+        assert _shm_entries() == before
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from repro import compile_source
 from repro.apps import queens
 from repro.errors import RuntimeFailure
+from repro.faults import FaultSpec
 from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
 from repro.obs import ActivationAllocated, EventBus, TaskEnqueued
 from repro.runtime import (
@@ -260,8 +261,12 @@ class TestKnownCallees:
             }
 
         fire, call = executors._FIRE, executors._CALL
-        # Every queens callee is a closure its own template created.
-        assert call_classes(ProcessExecutor(1, batch=False)) == {(True, fire)}
+        # Every queens callee is a closure its own template created.  An
+        # injector (here one that never fires) switches batching off.
+        inert = FaultSpec.parse("raise:op=no_such_operator,nth=1")
+        assert call_classes(ProcessExecutor(1, fault_spec=inert)) == {
+            (True, fire)
+        }
         assert call_classes(ThreadedExecutor(2)) == {(True, fire)}
         # A batching run collects the peers of an expansion too.
         assert call_classes(ProcessExecutor(1)) == {(True, call)}
