@@ -301,11 +301,14 @@ def verify_compatible(
 
 @dataclass
 class CheckpointCadence:
-    """When is the next snapshot due?  Firing-count and/or wall-clock.
+    """When is the next snapshot due?  Operator-call count and/or
+    wall-clock.
 
-    ``every_fires`` counts engine firings since the last snapshot (the
-    natural unit for the <5% overhead budget: cost amortizes over work
-    actually done); ``every_seconds`` bounds data loss on a wall clock
+    ``every_fires`` counts operator calls (``ops_executed``) since the
+    last snapshot (the natural unit for the <5% overhead budget: cost
+    amortizes over work actually done, and the count is the same whether
+    a run clipped its calls or took the graph path); ``every_seconds``
+    bounds data loss on a wall clock
     (the :class:`~repro.runtime.supervise.FaultPolicy` ``checkpoint=``
     knob).  Either, both, or neither may be set; with neither, only
     final checkpoints happen.

@@ -9,6 +9,8 @@ rule, ``_commit``'s result wrapping, ``_body_failed`` — emits readers
 before writers (:func:`_order`), frees a template's locals where its
 activation would end, and hands a call deeper than a quarter of the
 recursion limit back to the graph (``ExecutionState._run_nested``).
+The entry template is a call site too (:class:`EntryRow`): a run that
+may clip calls its entry's crown instead of starting the graph.
 ``docs/RUNTIME.md``, "Crown clipping", has the whole story.
 """
 
@@ -26,11 +28,16 @@ from .engine import _package_blocks, _payload_of, check_package
 from .values import NULL, Closure, MultiValue
 
 #: Most generated lines one crown may have (arms are inlined per ``IF``).
-_MAX_LINES = 20_000
+#: Compiling a crown peaks at about 7 KB of Python compiler memory per
+#: line (pythia's unoptimized entry, 1,904 lines: 12.8 MB), which a run's
+#: peak RSS shows; a larger closure stays on the graph, where its calls
+#: may still clip one by one.
+_MAX_LINES = 1_000
 
 
 class _Ineligible(Exception):
-    """The callee closure is not closed."""
+    """The callee closure is not closed, or not a graph the generator
+    can emit (a cycle, say): the graph path runs it and reports."""
 
 
 def _result(state: Any, raw: Any, vals: tuple, packages: bool = False) -> Any:
@@ -82,16 +89,42 @@ class Crown:
         )
 
 
+class EntryRow:
+    """The entry template as a call site: the fields of a ``CALL``'s row
+    (:class:`~repro.runtime.activation.NodePlan`) the executor reads to
+    clip it, kept once per (program, registry) beside the call crowns
+    (:func:`entry_row`).  An entry with captures is no candidate: the
+    graph path reports it."""
+
+    __slots__ = ("node", "kind", "callee", "memo", "crown")
+
+    def __init__(self, template: Template) -> None:
+        self.node, self.kind, self.callee = None, NodeKind.CALL, None
+        self.memo: tuple[Any, int] = (None, 0)
+        self.crown: Any = None if template.captures else (template.name, None)
+
+
+def entry_row(state: Any) -> EntryRow:
+    """The entry's row in ``state``'s plans, made on first use."""
+    plans = state.plans
+    if plans.entry is None:
+        plans.entry = EntryRow(state.program.entry_template())
+    return plans.entry
+
+
 def crown_for(state: Any, entry: Any) -> Crown | None:
     """The crown of a ``CALL`` whose callee is built by a closure node of
-    its own template, generated the first time it is asked for; ``None``
-    when the callee closure is not closed or the node is no candidate."""
+    its own template (or of the entry, :class:`EntryRow`), generated the
+    first time it is asked for; ``None`` when the callee closure is not
+    closed or the node is no candidate.  A call's arity is checked here,
+    the entry's by the run (``ExecutionState.call``)."""
     crown = entry.crown
     if type(crown) is tuple:
         template = state.program.templates.get(crown[0])
+        node = entry.node
         try:
-            if template is None or crown[1] == -1 or len(
-                entry.node.inputs
+            if template is None or crown[1] == -1 or node is not None and len(
+                node.inputs
             ) - 1 != len(template.params):
                 raise _Ineligible
             crown = _Generator(state).generate(template, crown[1])
@@ -118,7 +151,7 @@ class _Generator:
         self.funcs: dict[str, tuple[str, int | None]] = {}
         self.pending: list[Template] = []
         self.specs: list[Any] = []
-        self.n_vars = self.n_lines = 0
+        self.n_vars = 0
 
     def const(self, obj: Any) -> str:
         name = self._const_names.get(id(obj))
@@ -145,6 +178,8 @@ class _Generator:
         lines: list[str] = []
         while self.pending:
             lines += self._function(self.pending.pop(0))
+            if len(lines) > _MAX_LINES:
+                raise _Ineligible
         params = ", ".join(
             ["ST", "S", "L"] + [f"K{i}" for i in range(len(self.consts))]
         )
@@ -315,9 +350,6 @@ class _Generator:
                 for expr, kd in ins:  # the firing's share of each input
                     self._adjust(out, depth, expr, kd, -1)
             held += [e for e in dying if e not in held]
-        self.n_lines += len(out)
-        if self.n_lines > _MAX_LINES:
-            raise _Ineligible
         if tail:
             emit((depth, f"return {val[result][0]}"))
             return None
@@ -473,4 +505,6 @@ def _order(t: Template, static: dict, writes: dict) -> list[int]:
             left[s] -= 1
             if not left[s]:
                 ready.append(s)
+    if len(order) < len(todo):
+        raise _Ineligible  # a cycle: the graph path reports the stall
     return order

@@ -83,6 +83,9 @@ class ProgramPlans:
         self.registry = weakref.ref(registry)
         self.templates: dict[str, TemplatePlan] = {}
         self.fused_specs: dict[str, OperatorSpec] = {}
+        #: The entry template's call-site row and, once asked for, its
+        #: crown (:func:`repro.runtime.crown.entry_row`).
+        self.entry: Any = None
         self._fused: tuple[int, int] | None = None
 
     def load(self, template: Template) -> TemplatePlan:
@@ -415,8 +418,9 @@ class ExecutionState:
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
-    def start(self, args: tuple[Any, ...] = ()) -> list[Task]:
-        """Create the root activation of the entry template."""
+    def _entry(self, args: tuple[Any, ...]) -> Template:
+        """The entry template, checked against ``args``; announces the
+        program's fused nodes."""
         template = self.program.entry_template()
         if template.captures:
             raise GraphError(
@@ -433,15 +437,30 @@ class ExecutionState:
             fused_nodes, ops_absorbed = self.plans.fused_counts()
             if fused_nodes:
                 bus.emit(OperatorsFused(bus.now(), fused_nodes, ops_absorbed))
+        return template
+
+    def start(self, args: tuple[Any, ...] = ()) -> list[Task]:
+        """Create the root activation of the entry template."""
         # The entry template is instantiated even when it is a shortcut:
         # there is no expanding node to deliver its result for it.
-        plan = self.plans.load(template)
+        plan = self.plans.load(self._entry(args))
         root = self.pool.acquire(plan)
         root.continuation = None
         newly: list[Task] = [self._task(root, nid) for nid in plan.ready]
         for i, a in enumerate(args):
             self._deliver_output(root, i, 0, wrap_payload(a), 0, newly)
         return newly
+
+    def call(self, crown: Any, args: tuple[Any, ...] = ()) -> None:
+        """Run the whole program as one call of the entry's crown, in
+        place of :meth:`start` and a drain: one firing, the checks of
+        :meth:`start`, each argument handed over with one share."""
+        self._entry(args)
+        self.stats.tasks_fired += 1
+        values = [wrap_payload(a) for a in args]
+        for v in values:
+            retain(v, 1)
+        self._final = self._call_crown(crown, values)
 
     def fire(self, task: Task, run_op: RunOp | None = None, home: int = -1) -> list[Task]:
         """Fire one ready task to completion; return the newly ready tasks.
@@ -1194,6 +1213,12 @@ class ExecutionState:
         the crown's generated function, one operator-like firing bracketed
         by one ``OpStarted``/``OpFinished`` pair.  The parameters hand
         their shares on and the cells none, as an expansion does."""
+        value = self._call_crown(crown, (*inputs[1:], *inputs[0].cells))
+        self._deliver_output(act, node_id, 0, value, 1, newly)
+
+    def _call_crown(self, crown: Any, args: Any) -> Any:
+        """Call ``crown`` on ``args`` as one operator-like body; returns
+        the result carrying its one share."""
         fn = crown.bind(self)
         bus = self.bus
         if bus is not None:
@@ -1201,13 +1226,13 @@ class ExecutionState:
             if self._wants_op_started:
                 bus.emit(OpStarted(began, crown.name, 1))
         t_body = _perf_counter()
-        value = fn(*inputs[1:], *inputs[0].cells, 0)
+        value = fn(*args, 0)
         if self.profile_ops:
             self.stats.op_body_seconds += _perf_counter() - t_body
         if self._wants_op_finished:
             ended = bus.now()
             bus.emit(OpFinished(ended, crown.name, ended - began))
-        self._deliver_output(act, node_id, 0, value, 1, newly)
+        return value
 
     def _run_nested(
         self, template: Template, params: tuple[Any, ...], cells: tuple[Any, ...]

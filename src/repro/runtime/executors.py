@@ -49,7 +49,7 @@ from ..obs.events import (
 )
 from ..obs.runctx import RunContext
 from .blocks import DataBlock
-from .crown import crown_for
+from .crown import crown_for, entry_row
 from .engine import EngineStats, ExecutionState, PendingOp
 from .operators import OperatorRegistry, collect_fused_chains, default_registry
 from .scheduler import ReadyQueue, Task
@@ -342,16 +342,21 @@ class Run:
             # rule from its first failure.
             if self.policy is not None:
                 state.recover_op = self.retrying
-            queue.push_all(state.start(args))
-            if self.threads is not None:
-                self.threads.drive(self)
-            elif self.plain and dispatch_policy is None:
-                # Every head would take the loop's first branch: the
-                # queue's own drain loop folds pop/fire/push into one
-                # frame.
-                queue.drain(state.fire)
+            # A run is a call: an entry that clips runs as its crown.
+            crown = self._clip_of(entry_row(state)) if self.clipping else None
+            if crown is not None:
+                state.call(crown, args)
             else:
-                self.loop()
+                queue.push_all(state.start(args))
+                if self.threads is not None:
+                    self.threads.drive(self)
+                elif self.plain and dispatch_policy is None:
+                    # Every head would take the loop's first branch: the
+                    # queue's own drain loop folds pop/fire/push into one
+                    # frame.
+                    queue.drain(state.fire)
+                else:
+                    self.loop()
             if self.on_pump is not None:
                 self.on_pump()
             wall = time.perf_counter() - began

@@ -27,7 +27,7 @@ Delirium value — which is exactly why checkpointing it (a pickle) is
 consistent: at an item boundary it is the *only* live state.
 
 **Checkpoint/resume** (:mod:`repro.runtime.checkpoint`): give the
-runner a checkpoint path and a cadence (every N engine fires, and/or
+runner a checkpoint path and a cadence (every N operator calls, and/or
 every S wall seconds via ``FaultPolicy(checkpoint=S)``) and it
 periodically flushes the sink and snapshots the frontier atomically.
 ``resume=`` rebuilds the run from the snapshot: seek the source,
@@ -358,6 +358,8 @@ class StreamResult:
     """Outcome of one :meth:`StreamRunner.run` call."""
 
     items: int
+    #: Operator calls (``ops_executed``) over the items: the checkpoint
+    #: cadence's unit.
     fires: int
     wall_seconds: float
     stats: dict[str, float]
@@ -393,10 +395,11 @@ class StreamRunner:
         Reduces each run's result to the JSON-representable item
         appended to the sink (default: identity).
     checkpoint_path / checkpoint_every / fault_policy.checkpoint:
-        Enable periodic snapshots: every ``checkpoint_every`` engine
-        fires and/or every ``FaultPolicy(checkpoint=S)`` seconds.  A
-        final snapshot is always written on normal completion when a
-        path is configured.
+        Enable periodic snapshots: every ``checkpoint_every`` operator
+        calls (``ops_executed``, equal on every path a run may take,
+        clipped or not) and/or every ``FaultPolicy(checkpoint=S)``
+        seconds.  A final snapshot is always written on normal
+        completion when a path is configured.
     fault_spec:
         A :class:`~repro.faults.FaultSpec`; wrapped in
         :class:`SharedFaultSpec` so clause cursors span the whole
@@ -656,7 +659,7 @@ class StreamRunner:
             sink.append(self.emit(value))
             items += 1
             done += 1
-            fires += result.stats.tasks_fired
+            fires += result.stats.ops_executed
             _accumulate(stats, result.stats)
             if injector is not None:
                 # May SIGKILL this process (masterkill) — everything

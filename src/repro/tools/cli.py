@@ -516,9 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--checkpoint-every",
         type=int,
-        metavar="FIRES",
+        metavar="CALLS",
         default=None,
-        help="checkpoint after every N engine firings (cost amortizes "
+        help="checkpoint after every N operator calls (cost amortizes "
         "over work done; keeps overhead under the <5%% budget)",
     )
     p_run.add_argument(

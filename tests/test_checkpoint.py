@@ -683,3 +683,75 @@ class TestCheckpointProperty:
         assert again.items == first.items
         assert again.fires == first.fires  # nothing replayed
         assert open(out, "rb").read() == bytes_before
+
+
+#: A carry stream whose items make calls: a run fires once when its entry
+#: clips and several times on the graph, for the same operator calls.
+TRI_SRC = """
+main(acc, x)
+  add(acc, tri(x))
+
+tri(k)
+  if is_less(k, 1) then 0 else add(k, tri(sub(k, 1)))
+"""
+
+
+class TestCadenceCountsOperatorCalls:
+    """The ``checkpoint_every`` cadence counts ``ops_executed``, which is
+    the same on every path a run takes, so clipping cannot move it."""
+
+    def _checkpoints(self, tmp_path, tag):
+        from repro.obs import CheckpointWritten, EventBus
+
+        bus = EventBus()
+        written = []
+        bus.subscribe(written.append, (CheckpointWritten,))
+        runner = StreamRunner(
+            compile_source(TRI_SRC), carry=True, initial=0, bus=bus,
+            checkpoint_path=str(tmp_path / f"{tag}.ckpt"), checkpoint_every=25,
+        )
+        result = runner.run(count_source(12), MemorySink())
+        return result, [(e.items, e.fires) for e in written]
+
+    def test_checkpoints_fall_on_the_same_items_on_every_path(
+        self, tmp_path, monkeypatch
+    ):
+        clipped, at = self._checkpoints(tmp_path, "clipped")
+        assert clipped.stats["tasks_fired"] == clipped.items == 12
+        from repro.runtime.executors import Run
+
+        monkeypatch.setattr(Run, "_clips", lambda self, entry: False)
+        graph, graph_at = self._checkpoints(tmp_path, "graph")
+        assert graph.stats["tasks_fired"] > 12
+        assert at == graph_at and len(at) > 2  # the last is the final one
+        assert clipped.fires == graph.fires == clipped.stats["ops_executed"]
+        assert clipped.value == graph.value
+
+    def test_kill_and_resume_of_a_stream_whose_entry_clips(self, tmp_path):
+        compiled = compile_source(TRI_SRC)
+
+        def runner():
+            return StreamRunner(
+                compiled, carry=True, initial=0,
+                checkpoint_path=str(tmp_path / "run.ckpt"), checkpoint_every=10,
+            )
+
+        ref_path, out_path = str(tmp_path / "ref.jsonl"), str(tmp_path / "out.jsonl")
+        ref_sink = JsonlSink(ref_path)
+        reference = StreamRunner(compiled, carry=True, initial=0).run(
+            count_source(9), ref_sink
+        )
+        ref_sink.close()
+        crash_sink = JsonlSink(out_path)
+        crashed = runner().run(count_source(9), crash_sink, stop_after_items=5)
+        crash_sink.close()
+        assert crashed.stats["tasks_fired"] == 5  # one call per item
+        resumed_sink = JsonlSink(out_path, resume=True)
+        result = runner().run(
+            count_source(9), resumed_sink, resume=str(tmp_path / "run.ckpt")
+        )
+        resumed_sink.close()
+        assert result.resumed_from is not None
+        assert open(out_path, "rb").read() == open(ref_path, "rb").read()
+        assert result.value == reference.value
+        assert result.fires == reference.fires

@@ -11,6 +11,7 @@ call only where nothing watches or perturbs single firings.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,16 +24,19 @@ from hypothesis import strategies as st
 from repro import compile_source, default_registry
 from repro.apps import queens
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
-from repro.errors import OperatorError
+from repro.errors import GraphError, OperatorError, RuntimeFailure
+from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
 from repro.lang.reference import evaluate_source
-from repro.obs import EventBus, OpFinished, OpStarted
+from repro.obs import EventBus, FireRetried, OpFinished, OpStarted
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
     SequentialExecutor,
     ThreadedExecutor,
     blocks,
+    executors,
 )
+from repro.runtime.crown import _MAX_LINES, EntryRow
 from repro.runtime.engine import _plans_for
 from repro.runtime.executors import Run
 
@@ -126,6 +130,19 @@ def _graph_run(graph, args, registry, **options):
         return SequentialExecutor(**options).run(graph, args, registry)
 
 
+def _calls_run(graph, args, registry, **options):
+    """A run whose calls clip but whose entry starts on the graph."""
+
+    def no_entry_crown(state):
+        row = EntryRow(state.program.entry_template())
+        row.crown = None
+        return row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executors, "entry_row", no_entry_crown)
+        return SequentialExecutor(**options).run(graph, args, registry)
+
+
 class BlockCensus:
     """Every block allocated while installed, through the block hook."""
 
@@ -152,12 +169,14 @@ def census(monkeypatch):
 
 
 def _crown_sources(graph, registry):
+    """The text of every crown generated for ``graph``, the entry's first."""
     plans = _plans_for(graph, registry)
     return [
         e.crown.source
-        for plan in plans.templates.values()
-        for e in plan.nodes
-        if e.crown is not None and not isinstance(e.crown, tuple)
+        for e in [plans.entry] + [
+            e for plan in plans.templates.values() for e in plan.nodes
+        ]
+        if e is not None and e.crown is not None and not isinstance(e.crown, tuple)
     ]
 
 
@@ -169,18 +188,21 @@ class TestOracle:
             source, registry=REGISTRY,
             optimize_passes=FULL_PASS_ORDER if passes else (),
         ).graph
-        clipped = SequentialExecutor().run(graph, (n,), REGISTRY)
+        entry = SequentialExecutor().run(graph, (n,), REGISTRY)
+        calls = _calls_run(graph, (n,), REGISTRY)
         graph_path = _graph_run(graph, (n,), REGISTRY)
-        assert clipped.value == graph_path.value == evaluate_source(
+        assert entry.value == calls.value == graph_path.value == evaluate_source(
             source, (n,), REGISTRY
         )
-        a, b = clipped.stats, graph_path.stats
-        assert a.ops_executed == b.ops_executed
-        assert (
-            a.cow_copies + a.in_place_writes
-            == b.cow_copies + b.in_place_writes
-        )
-        assert a.cow_copies <= b.cow_copies
+        assert entry.stats.tasks_fired == 1 and entry.stats.expansions == 0
+        b = graph_path.stats
+        for a in (entry.stats, calls.stats):
+            assert (a.ops_executed, a.fused_fires) == (b.ops_executed, b.fused_fires)
+            assert (
+                a.cow_copies + a.in_place_writes
+                == b.cow_copies + b.in_place_writes
+            )
+            assert a.cow_copies <= b.cow_copies
 
     @settings(max_examples=15, deadline=None)
     @given(oracle_programs(), st.integers(0, 4))
@@ -212,7 +234,7 @@ class TestOracle:
         census.assert_conserved(clipped.value)
         graph_path = _graph_run(graph, (), registry)
         assert clipped.value == graph_path.value
-        assert clipped.stats.tasks_fired == 3  # main's op, call, op
+        assert clipped.stats.tasks_fired == 1  # the entry, as one call
         assert clipped.stats.expansions == 0
         for counter in (
             "ops_executed", "cow_copies", "in_place_writes",
@@ -348,6 +370,14 @@ class TestLifetimes:
         assert max(clipped) <= 2 and max(graph_path) <= 2
 
 
+#: ``apply`` calls an operator value, so neither it nor the entry clips.
+APPLY = """
+main(n) apply(incr, twice(n))
+apply(f, x) f(x)
+twice(x) add(x, x)
+"""
+
+
 class TestWhenCallsClip:
     def _queens(self):
         registry = queens.make_registry(5)
@@ -356,15 +386,20 @@ class TestWhenCallsClip:
             optimize_passes=FULL_PASS_ORDER,
         ).graph, registry
 
-    def test_a_clipped_call_is_one_op_span(self):
-        graph, registry = self._queens()
+    @pytest.mark.parametrize("entry", [True, False], ids=["entry", "call"])
+    def test_a_clipped_call_is_one_op_span(self, entry):
+        if entry:
+            (graph, registry), args, name = self._queens(), (), "crown:main"
+        else:  # ``apply`` calls an operator value: the entry cannot clip.
+            graph, registry = compile_source(APPLY, optimize_passes=()).graph, REGISTRY
+            args, name = (4,), "crown:twice"
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append, (OpStarted, OpFinished))
-        SequentialExecutor(bus=bus).run(graph, (), registry)
+        SequentialExecutor(bus=bus).run(graph, args, registry)
         crown = [e for e in seen if e.name.startswith("crown:")]
         assert [type(e) for e in crown] == [OpStarted, OpFinished]
-        assert crown[0].name == "crown:do_it"
+        assert crown[0].name == name
 
     @pytest.mark.parametrize("options", [
         {"trace": True}, {"seed": 3}, {"check_purity": True},
@@ -396,12 +431,7 @@ class TestWhenCallsClip:
         assert result.value == 210 and result.stats.expansions == 0
 
     def test_calls_of_values_and_escaping_closures_stay_on_the_graph(self):
-        source = """
-main(n) apply(incr, twice(n))
-apply(f, x) f(x)
-twice(x) add(x, x)
-"""
-        graph = compile_source(source, optimize_passes=()).graph
+        graph = compile_source(APPLY, optimize_passes=()).graph
         result = SequentialExecutor().run(graph, (4,), REGISTRY)
         assert result.value == 9
         # ``twice`` clips; ``apply`` calls an operator value.
@@ -484,7 +514,9 @@ class TestGeneratedSource:
             "g = compile_source(queens.queens_source(5), registry=r,"
             " optimize_passes=FULL_PASS_ORDER).graph\n"
             "SequentialExecutor().run(g, (), r)\n"
-            "for p in _plans_for(g, r).templates.values():\n"
+            "plans = _plans_for(g, r)\n"
+            "print(plans.entry.crown.source)\n"
+            "for p in plans.templates.values():\n"
             "    for e in p.nodes:\n"
             "        print(getattr(e.crown, 'source', ''))\n"
         )
@@ -497,3 +529,134 @@ class TestGeneratedSource:
                 capture_output=True, text=True,
             ).stdout)
         assert len(texts) == 1 and "def _delirium_crown" in texts.pop()
+
+
+#: ``main`` itself recurses without a tail call.
+DEEP_ENTRY = """
+main(k)
+  if is_less(k, 1) then 0 else add(k, main(sub(k, 1)))
+"""
+
+
+class TestEntry:
+    """A run is a call: where calls may clip and the entry closure is
+    closed, the whole run is one call of the entry's crown — one fire,
+    no activation — with the graph path's arity check, errors, retries
+    and contract counters."""
+
+    def test_a_run_is_one_call(self):
+        graph = compile_source(DEEP).graph
+        result = SequentialExecutor().run(graph, (10,), REGISTRY)
+        assert result.value == 55
+        assert result.stats.tasks_fired == 1
+        assert result.stats.activation_stats == {"created": 0, "peak_live": 0}
+        (crown,) = _crown_sources(graph, REGISTRY)
+        assert crown.startswith("# crown: main\n")
+
+    def test_non_tail_recursion_of_the_entry_past_the_stack(self):
+        n = 5 * sys.getrecursionlimit()
+        graph = compile_source(DEEP_ENTRY).graph
+        clipped = SequentialExecutor().run(graph, (n,), REGISTRY)
+        graph_path = _graph_run(graph, (n,), REGISTRY)
+        assert clipped.value == graph_path.value == n * (n + 1) // 2
+        assert clipped.stats.ops_executed == graph_path.stats.ops_executed
+        # The bound handed the rest of the recursion to the graph.
+        assert 0 < clipped.stats.expansions < graph_path.stats.expansions
+
+    @pytest.mark.parametrize("args", [(), (1, 2)], ids=["too_few", "too_many"])
+    def test_a_wrong_argument_count_fails_as_on_the_graph(self, args):
+        graph = compile_source(DEEP).graph
+        errors = []
+        for run in (SequentialExecutor().run, _graph_run):
+            with pytest.raises(RuntimeFailure) as excinfo:
+                run(graph, args, REGISTRY)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] == (
+            f"entry 'main' takes 1 argument(s), got {len(args)}"
+        )
+        # A failed check leaves the crown for the next, well-formed run.
+        assert SequentialExecutor().run(graph, (3,), REGISTRY).value == 6
+
+    def test_an_entry_with_captures_is_refused(self):
+        entry = Template(name="main", captures=["c"])
+        entry.nodes.append(Node(kind=NodeKind.CAPTURE, name="c"))
+        entry.result = Port(0, 0)
+        entry.finalize()
+        graph = GraphProgram()
+        graph.add(entry)
+        with pytest.raises(GraphError, match="has captures"):
+            SequentialExecutor().run(graph, (), REGISTRY)
+        assert _plans_for(graph, REGISTRY).entry.crown is None
+
+    def test_an_entry_past_the_line_budget_runs_on_the_graph(self):
+        # Unfused, each operator call is several generated lines.
+        n = _MAX_LINES // 2
+        chain = "\n      ".join(f"a{i + 1} = incr(a{i})" for i in range(n))
+        graph = compile_source(
+            f"main(a0)\n  let {chain}\n  in a{n}\n", optimize_passes=()
+        ).graph
+        result = SequentialExecutor().run(graph, (1,), REGISTRY)
+        assert result.value == n + 1
+        assert result.stats.tasks_fired == result.stats.ops_executed == n
+        assert _plans_for(graph, REGISTRY).entry.crown is None
+
+    def test_a_graph_the_generator_cannot_emit_stalls_on_the_graph(self):
+        # Two nodes wait on each other: no order exists to emit them in.
+        entry = Template(name="main")
+        entry.nodes.append(Node(kind=NodeKind.OP, name="incr", inputs=[Port(1)]))
+        entry.nodes.append(Node(kind=NodeKind.OP, name="incr", inputs=[Port(0)]))
+        entry.result = Port(0, 0)
+        entry.finalize()
+        graph = GraphProgram()
+        graph.add(entry)
+        with pytest.raises(RuntimeFailure, match="stalled"):
+            SequentialExecutor().run(graph, (), REGISTRY)
+        assert _plans_for(graph, REGISTRY).entry.crown is None
+
+    def _retried(self, source, fail_times, run):
+        registry = TestFailures()._registry(fail_times)
+
+        registry.register(name="mklist", pure=True)(lambda x: [x])
+
+        @registry.register(name="grow", modifies=(0,))
+        def grow(xs):
+            registry.grown = getattr(registry, "grown", 0) + 1
+            raise ValueError("grow boom")
+
+        graph = compile_source(source, registry=registry).graph
+        bus = EventBus()
+        retried = []
+        bus.subscribe(retried.append, (FireRetried,))
+        policy = FaultPolicy(max_retries=2, backoff=0.0)
+        try:
+            result = run(graph, (1,), registry, bus=bus, fault_policy=policy)
+        except OperatorError as exc:
+            result = exc
+        # Only the run that clipped its entry has made its crown.
+        clipped = hasattr(_plans_for(graph, registry).entry.crown, "source")
+        assert clipped == (run is not _graph_run)
+        return result, [dataclasses.astuple(e)[1:] for e in retried], registry
+
+    @pytest.mark.parametrize("fail_times", [1, 2])
+    def test_a_fault_policy_retries_as_on_the_graph(self, fail_times):
+        source = "main(x) add(flaky(x), 1)"
+        runs = [
+            self._retried(source, fail_times, run)
+            for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), _graph_run)
+        ]
+        (clipped, clipped_events, _), (graph_path, graph_events, _) = runs
+        assert clipped.value == graph_path.value == 3
+        assert clipped.stats.tasks_fired == 1
+        assert clipped.stats.fires_retried == graph_path.stats.fires_retried
+        assert clipped.stats.fires_retried == fail_times
+        assert clipped_events == graph_events and len(clipped_events) == fail_times
+
+    def test_a_modifies_operator_is_never_retried(self):
+        source = "main(x) grow(mklist(x))"
+        errors = []
+        for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), _graph_run):
+            error, events, registry = self._retried(source, 0, run)
+            assert isinstance(error, OperatorError) and error.attempts == ()
+            assert events == [] and registry.grown == 1
+            errors.append(str(error))
+        assert errors[0] == errors[1] and "grow boom" in errors[0]

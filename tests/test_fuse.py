@@ -597,6 +597,7 @@ class TestIfConversion:
                 fused.graph, args=(n,), registry=registry
             ).value == want
 
+    @pytest.mark.usefixtures("graph_path")
     def test_a_select_counts_as_the_if_it_absorbed(self):
         fused = _compile(IF_SOURCE)
         plain = compile_source(IF_SOURCE, registry=REGISTRY)
@@ -764,6 +765,7 @@ class TestExecution:
         assert _fused_nodes(fused.graph)
         return plain, fused
 
+    @pytest.mark.usefixtures("graph_path")
     def test_sequential_matches(self):
         plain, fused = self._both()
         for n in (-3, 0, 7):
@@ -1216,6 +1218,7 @@ def _if_programs(draw):
 PROGRAMS = st.one_of(_programs(), _if_programs())
 
 
+@pytest.mark.usefixtures("graph_path")
 class TestRegionProperty:
     @settings(max_examples=40, deadline=None)
     @given(PROGRAMS, st.integers(-5, 5), st.integers(1, 4))

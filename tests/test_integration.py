@@ -186,29 +186,40 @@ fib(n)
 class TestCLIParity:
     """A CLI run is configured like the library executor it names."""
 
+    @pytest.mark.parametrize("path", ["default", "graph"])
     def test_default_run_takes_the_drain_loop(
-        self, tmp_path, monkeypatch, capsys
+        self, path, tmp_path, monkeypatch, capsys, request
     ):
-        from repro.runtime import ReadyQueue
+        """A plain CLI run is one call of the entry's crown; on the graph
+        path it is one drain of the ready queue.  Either way the library's
+        sequential executor takes the same path."""
+        from repro.runtime import ExecutionState, ReadyQueue
         from repro.tools import cli
 
-        drains = []
-        drain = ReadyQueue.drain
+        if path == "graph":
+            request.getfixturevalue("graph_path")
+        taken = []
+        drain, call = ReadyQueue.drain, ExecutionState.call
 
-        def recording(self, fire):
-            drains.append(fire)
+        def drains(self, fire):
+            taken.append("drain")
             return drain(self, fire)
 
-        monkeypatch.setattr(ReadyQueue, "drain", recording)
-        path = tmp_path / "fib.dlm"
-        path.write_text(FIB)
-        assert cli.main(["run", str(path), "--arg", "10", "--no-cache"]) == 0
+        def calls(self, crown, args):
+            taken.append("call")
+            return call(self, crown, args)
+
+        monkeypatch.setattr(ReadyQueue, "drain", drains)
+        monkeypatch.setattr(ExecutionState, "call", calls)
+        want = "call" if path == "default" else "drain"
+        source = tmp_path / "fib.dlm"
+        source.write_text(FIB)
+        assert cli.main(["run", str(source), "--arg", "10", "--no-cache"]) == 0
         assert capsys.readouterr().out.strip() == "55"
-        assert len(drains) == 1
-        # The library's sequential executor takes the same path.
+        assert taken == [want]
         graph = compile_source(FIB).graph
         assert SequentialExecutor().run(graph, (10,)).value == 55
-        assert len(drains) == 2
+        assert taken == [want, want]
 
     def test_run_has_no_batch_flag(self, tmp_path, capsys):
         from repro.tools import cli

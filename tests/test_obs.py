@@ -243,6 +243,7 @@ class TestZeroSubscriberTransparency:
         if mode == "simulated":
             assert idle.ticks == plain.ticks
 
+    @pytest.mark.usefixtures("graph_path")
     def test_subscribed_bus_does_not_perturb_results(self):
         compiled, reg = cow_program()
         plain = SequentialExecutor().run(compiled.graph, args=(7,), registry=reg)

@@ -246,6 +246,7 @@ class TestParity:
         ).run(compiled.graph, args=(32,), registry=NUMPY_REGISTRY)
         assert proc.value == seq.value
 
+    @pytest.mark.usefixtures("graph_path")
     def test_stats_match_sequential(self):
         # COW decisions are *counted* identically even though remote
         # dispatch skips the physical copies.

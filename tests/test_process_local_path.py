@@ -48,6 +48,7 @@ from repro.runtime import (
     ProcessExecutor,
     ReadyQueue,
     SequentialExecutor,
+    crown,
     default_registry,
     engine,
     executors,
@@ -414,11 +415,10 @@ def _classes(graph):
     }
 
 
-def test_warm_pythia_decides_nothing_again(monkeypatch):
-    """Every node fires once per run, nothing is dispatched and no two
-    activations of a node are ever ready together: the second run of a
-    persistent executor classifies nothing, asks no policy and scans for
-    no peers."""
+def _warm_pythia(monkeypatch):
+    """Run pythia's tuples twice on a persistent one-worker executor and
+    check that the second round decides nothing and repeats the first;
+    returns the graph and the second round's results."""
     graph, registry, arg_tuples, _ = _pythia()
     executor = ProcessExecutor(1, persistent=True)
     try:
@@ -431,6 +431,43 @@ def test_warm_pythia_decides_nothing_again(monkeypatch):
     for a, b in zip(first, second, strict=True):
         assert a.value == b.value
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+    return graph, second
+
+
+def test_warm_pythia_decides_nothing_again(monkeypatch):
+    """Every operator stays home, so the entry clips: the second run of a
+    persistent executor decides nothing, generates nothing and calls the
+    crown the first run made."""
+    generated = []
+    monkeypatch.setattr(crown.Crown, "__init__", _recording(
+        crown.Crown.__init__, generated
+    ))
+    graph, second = _warm_pythia(monkeypatch)
+    assert len(generated) == 1
+    # The fused chains cannot leave (numeric hint under the threshold):
+    # the whole run is one call of the entry's crown.
+    row = engine._PLAN_CACHES[id(graph)].entry
+    assert row.memo[1] == executors._CLIP and row.crown.specs
+    assert second[0].stats.tasks_fired == 1
+    assert second[0].stats.fused_fires > 0
+    assert second[0].stats.dispatched_fires == 0
+
+
+def _recording(init, log):
+    def recording(self, *args, **kwargs):
+        log.append(args[0])
+        init(self, *args, **kwargs)
+
+    return recording
+
+
+@pytest.mark.usefixtures("graph_path")
+def test_warm_pythia_on_the_graph_decides_nothing_again(monkeypatch):
+    """Every node fires once per run, nothing is dispatched and no two
+    activations of a node are ever ready together: the second run of a
+    persistent executor classifies nothing, asks no policy and scans for
+    no peers."""
+    graph, second = _warm_pythia(monkeypatch)
     # The fused chains cannot leave (numeric hint under the threshold):
     # each is fired whole.
     classes = _classes(graph)
@@ -632,6 +669,7 @@ def _retry_run(source, fail_times, **options):
 NEVER = "raise:op=no_such_operator,nth=1"
 
 
+@pytest.mark.usefixtures("graph_path")
 @pytest.mark.parametrize("fail_times", [1, 2])
 def test_flaky_pure_operator_is_retried_like_the_generic_path(fail_times):
     source = "main(x) add(flaky(x), 1)"
@@ -655,6 +693,7 @@ def test_flaky_pure_operator_is_retried_like_the_generic_path(fail_times):
     ]
 
 
+@pytest.mark.usefixtures("graph_path")
 def test_exhausted_retries_report_every_attempt():
     source = "main(x) add(flaky(x), 1)"
     fast = _retry_run(source, 99)
@@ -670,6 +709,7 @@ def test_exhausted_retries_report_every_attempt():
     assert fast[1].node_id == generic[1].node_id
 
 
+@pytest.mark.usefixtures("graph_path")
 def test_failing_modifies_operator_is_never_retried():
     source = "main(x) grow(mklist(x))"
     fast = _retry_run(source, 0)
