@@ -31,7 +31,7 @@ from ..runtime.affinity import AffinityPolicy, make_policy
 from ..runtime.blocks import DataBlock
 from ..runtime.engine import EngineStats, ExecutionState
 from ..runtime.executors import resolve_bus
-from ..runtime.operators import OperatorRegistry, default_registry, node_spec
+from ..runtime.operators import OperatorRegistry, builtin_registry, node_spec
 from ..runtime.scheduler import ReadyQueue, Task
 from ..runtime.tracing import Tracer
 from ..runtime.values import Closure, MultiValue, OperatorValue
@@ -221,7 +221,7 @@ class SimulatedExecutor:
         args: tuple[Any, ...] = (),
         registry: OperatorRegistry | None = None,
     ) -> SimResult:
-        registry = registry if registry is not None else default_registry()
+        registry = registry if registry is not None else builtin_registry()
         # Per-run cache of composed fused-node specs (cost resolution).
         self._fused_specs = {}
         machine = self.machine

@@ -647,11 +647,10 @@ def observe_blocks(bus: EventBus) -> "Any":
             elif bus.wants(BlockReleased):
                 bus.emit(BlockReleased(bus.now(), block.nbytes, n, block.rc))
 
-        previous = _blocks.get_block_hook()
-        _blocks.set_block_hook(hook)
+        previous = _blocks.set_block_hook(hook, hook)
         try:
             yield bus
         finally:
-            _blocks.set_block_hook(previous)
+            _blocks.set_block_hook(*previous)
 
     return _ctx()

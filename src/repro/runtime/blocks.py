@@ -41,25 +41,37 @@ from .values import Closure, MultiValue, NULL, OperatorValue
 #: Types that circulate unwrapped (immutable atomic values).
 IMMUTABLE_TYPES = (int, float, complex, bool, str, bytes, frozenset, type(None))
 
-#: Optional module-wide observer of block traffic, called as
-#: ``hook(kind, block, n)`` with kind ``"retain"`` or ``"release"`` after
-#: a count update, or ``"alloc"`` when a fresh block is constructed.
-#: Retain/release are module functions with no per-run state, so the hook
-#: is global; install it scoped via
-#: :func:`repro.obs.events.observe_blocks`.  ``None`` (the default) keeps
-#: the hot path at one global load + identity check.
-_BLOCK_HOOK = None
+#: Optional module-wide observers of block traffic, each called as
+#: ``hook(kind, block, n)``: the allocation hook with kind ``"alloc"``
+#: when a fresh block is constructed, the count hook with ``"retain"`` or
+#: ``"release"`` after a count update.  Retain/release are module
+#: functions with no per-run state, so the hooks are global; install them
+#: scoped via :func:`repro.obs.events.observe_blocks`.  ``None`` (the
+#: default) keeps the hot path at one global load + identity check, and a
+#: crown updates counts inline only while no count hook is installed
+#: (:mod:`repro.runtime.crown`): an allocation hook alone watches the
+#: fast path.
+_ALLOC_HOOK = None
+_COUNT_HOOK = None
 
 
-def set_block_hook(hook) -> None:
-    """Install (or clear, with ``None``) the block reference-count hook."""
-    global _BLOCK_HOOK
-    _BLOCK_HOOK = hook
+def set_block_hook(hook, count_hook=None) -> tuple:
+    """Install (or clear, with ``None``) the allocation hook and the count
+    hook; returns the pair they replace, for ``set_block_hook(*previous)``."""
+    global _ALLOC_HOOK, _COUNT_HOOK
+    previous = _ALLOC_HOOK, _COUNT_HOOK
+    _ALLOC_HOOK, _COUNT_HOOK = hook, count_hook
+    return previous
 
 
 def get_block_hook():
-    """The currently installed hook (for save/restore nesting)."""
-    return _BLOCK_HOOK
+    """The currently installed allocation hook."""
+    return _ALLOC_HOOK
+
+
+#: Exact classes with no parts: ``copy.deepcopy`` returns them as they
+#: are, and :func:`payload_nbytes` sizes them with ``sys.getsizeof``.
+_ATOMIC = frozenset({int, float, complex, bool, str, bytes, type(None)})
 
 
 #: Exact-class dispatch cache for :func:`payload_nbytes`: how the walk
@@ -95,6 +107,14 @@ def payload_nbytes(payload: Any) -> int:
     walking forever.
     """
     sizeof = sys.getsizeof
+    if payload.__class__ is list:
+        classes = set(map(type, payload))
+        if _ATOMIC.issuperset(classes):
+            # A flat list (a queens board): the walk below, without the
+            # walk.  No atomic is garbage-collected, so ``getsizeof`` is
+            # its ``__sizeof__``, and items of one class need no lookup.
+            each = classes.pop().__sizeof__ if len(classes) == 1 else sizeof
+            return sizeof(payload) + sum(map(each, payload))
     kinds = _SIZE_KIND
     total = 0
     stack = [iter((payload,))]
@@ -125,10 +145,6 @@ def payload_nbytes(payload: Any) -> int:
         else:
             stack.pop()
     return total
-
-
-#: Exact classes ``copy.deepcopy`` returns as they are.
-_ATOMIC = frozenset({int, float, complex, bool, str, bytes, type(None)})
 
 
 def copy_payload(payload: Any) -> Any:
@@ -194,8 +210,8 @@ class DataBlock:
         self.home = home
         self._nbytes: int | None = None
         self.bid: int | None = None
-        if _BLOCK_HOOK is not None:
-            _BLOCK_HOOK("alloc", self, 1)
+        if _ALLOC_HOOK is not None:
+            _ALLOC_HOOK("alloc", self, 1)
 
     @property
     def nbytes(self) -> int:
@@ -213,8 +229,12 @@ class DataBlock:
         return self.rc == 1
 
     def copy(self, home: int = -1) -> "DataBlock":
-        """Copy-on-write: a fresh block around a copied payload."""
-        return DataBlock(copy_payload(self.payload), home=home)
+        """Copy-on-write: a fresh block around a copied payload, unsized
+        (an allocation hook may have sized it; its writer is about to
+        change it)."""
+        clone = DataBlock(copy_payload(self.payload), home)
+        clone._nbytes = None
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -310,8 +330,8 @@ def retain(value: Any, n: int = 1) -> None:
         return
     if isinstance(value, DataBlock):
         value.rc += n
-        if _BLOCK_HOOK is not None:
-            _BLOCK_HOOK("retain", value, n)
+        if _COUNT_HOOK is not None:
+            _COUNT_HOOK("retain", value, n)
     elif isinstance(value, MultiValue):
         for item in value.items:
             retain(item, n)
@@ -333,8 +353,8 @@ def release(value: Any, n: int = 1) -> None:
                 f"data block reference count went negative "
                 f"(released {n} share(s) from rc={value.rc}): {value!r}"
             )
-        if _BLOCK_HOOK is not None:
-            _BLOCK_HOOK("release", value, n)
+        if _COUNT_HOOK is not None:
+            _COUNT_HOOK("release", value, n)
     elif isinstance(value, MultiValue):
         for item in value.items:
             release(item, n)

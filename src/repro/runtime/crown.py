@@ -23,6 +23,7 @@ import numpy as np
 
 from ..graph.ir import NodeKind, Template
 from .activation import _EMPTY, _static_value, self_capture
+from . import blocks
 from .blocks import DataBlock, release, retain, wrap_payload
 from .engine import _package_blocks, _payload_of, check_package
 from .values import NULL, Closure, MultiValue
@@ -69,6 +70,27 @@ _GLOBALS = {
 }
 
 
+#: glibc's ``malloc_trim``, resolved on first use; ``False`` where the C
+#: library has none (musl, macOS, Windows).
+_malloc_trim: Any = None
+
+
+def _trim_heap() -> None:
+    """Give the heap's free pages back to the system: compiling a crown
+    leaves the Python compiler's freed arenas behind, and a worker forked
+    later would inherit and count them again."""
+    global _malloc_trim
+    if _malloc_trim is None:
+        try:
+            import ctypes
+
+            _malloc_trim = ctypes.CDLL(None).malloc_trim
+        except (AttributeError, OSError, TypeError):
+            _malloc_trim = False
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
 class Crown:
     """The generated code of one clipped callee closure: ``source`` is a
     deterministic function of the graph and the operator plans; ``specs``
@@ -81,11 +103,13 @@ class Crown:
         namespace = dict(_GLOBALS)
         exec(compile(source, f"<delirium {name}>", "exec"), namespace)
         self._factory = namespace["_delirium_crown"]
+        _trim_heap()
 
     def bind(self, state: Any) -> Any:
         """The entry function, bound to one run's state and counters."""
         return self._factory(
-            state, state.stats, sys.getrecursionlimit() // 4, *self._consts
+            state, state.stats, sys.getrecursionlimit() // 4,
+            blocks._COUNT_HOOK is None, *self._consts,
         )
 
 
@@ -181,7 +205,7 @@ class _Generator:
             if len(lines) > _MAX_LINES:
                 raise _Ineligible
         params = ", ".join(
-            ["ST", "S", "L"] + [f"K{i}" for i in range(len(self.consts))]
+            ["ST", "S", "L", "H"] + [f"K{i}" for i in range(len(self.consts))]
         )
         source = "\n".join(
             [f"# crown: {template.name}", f"def _delirium_crown({params}):"]
@@ -357,22 +381,42 @@ class _Generator:
         return val[result][0]
 
     def _adjust(self, out, depth, expr, kind, delta) -> None:
-        """Emit a count update of ``delta`` shares on a counted value."""
+        """Emit a count update of ``delta`` shares on a counted value: a
+        block's count changes inline while no count hook watches (``H``);
+        a package, a watched block and a release below zero go to
+        ``retain``/``release``, which refuses the last."""
         if kind == "v" and delta:
-            fn = "RET" if delta > 0 else "REL"
-            out.append((depth, f"if {expr}.__class__ in RC: {fn}({expr}, {abs(delta)})"))
+            n = abs(delta)
+            if delta > 0:
+                fn, test, op = "RET", "", "+="
+            else:
+                fn, test, op = "REL", f" and {expr}.rc >= {n}", "-="
+            out += [
+                (depth, f"if {expr}.__class__ is DB and H{test}: {expr}.rc {op} {n}"),
+                (depth, f"elif {expr}.__class__ in RC: {fn}({expr}, {n})"),
+            ]
 
     def _op(self, t, op, i, ins, out, depth, val) -> list[str]:
         """Emit one operator firing; returns the temporaries it bound."""
         spec, fn, untuple_n, _, _, codes, _ = op
         f, sp = self.const(fn), self.const(spec)
         bound, temps = [], []
-        for k, (expr, kind) in enumerate(ins):
+        for k, (x, kind) in enumerate(ins):
             if codes is not None and codes[k] and kind == "v":
-                temps.append(self.fresh())
-                out.append((depth, f"{temps[-1]} = ST._write({sp}, {k}, {expr}, -1, False)"))
-                expr = temps[-1]
-            bound.append((expr, kind))
+                # ``_write``: a sole, unshipped block is written in place,
+                # a shared one copied (``_cow``), anything else decided
+                # (or refused) by ``_write`` itself.
+                t = self.fresh()
+                temps.append(t)
+                out += [
+                    (depth, f"if {x}.__class__ is DB and {x}.rc == 1 and {x}.bid is None: "
+                            f"S.in_place_writes += 1; {x}._nbytes = None; {t} = {x}"),
+                    (depth, f"elif {x}.__class__ is DB and {x}.rc > 1: "
+                            f"{t} = ST._cow({self.const(spec.name)}, {x}, -1, False)"),
+                    (depth, f"else: {t} = ST._write({sp}, {k}, {x}, -1, False)"),
+                ]
+                x = t
+            bound.append((x, kind))
         args = ", ".join(
             e if kd == "s" else
             f"({e}.payload if {e}.__class__ is DB else PAY({e}) if {e}.__class__ is MV else {e})"
@@ -391,9 +435,15 @@ class _Generator:
             out.append((depth, f"{_items(val[(i, o)] for o in range(untuple_n))}= UNT("
                         f"ST, r, ({_items(bound)}), {untuple_n}, "
                         f"{self.const(t.nodes[i].label)}, {self.const(t.name)})"))
-        else:  # atomic results circulate as they are (``wrap_payload``)
+        else:
+            # Atomic results circulate as they are (``wrap_payload``); a
+            # result that is a written argument's payload is its block,
+            # ``_result``'s identity rule tried first.
+            written = "".join(
+                f"{t} if {t}.__class__ is DB and r is {t}.payload else " for t in temps
+            )
             out.append((depth, f"{outs[0]} = r if r.__class__ in ATOMIC else "
-                        f"RES(ST, r, ({_items(bound)}))"))
+                        f"{written}RES(ST, r, ({_items(bound)}))"))
         return temps
 
     def _call(self, i, node, ins, closures, dying, held, out, depth, is_tail, val) -> bool:

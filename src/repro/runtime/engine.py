@@ -1114,19 +1114,25 @@ class ExecutionState:
             # a body that resizes the payload cannot leave it stale.
             v.drop_size()
             return v
+        return self._cow(spec.name, v, home, remote)
+
+    def _cow(self, name: str, v: DataBlock, home: int, remote: bool) -> Any:
+        """The copy-on-write of a shared block ``v`` that operator ``name``
+        writes: counted, sized, announced, and (unless ``remote``) made.
+        The one place a copy-on-write copy is made, for :meth:`_write` and
+        for a crown's inlined write (:mod:`repro.runtime.crown`)."""
+        stats = self.stats
         stats.cow_copies += 1
-        name = spec.name
+        nbytes = v.nbytes
         by_op = stats.copies_by_operator
         by_op[name] = by_op.get(name, 0) + 1
         by_op = stats.copy_bytes_by_operator
-        by_op[name] = by_op.get(name, 0) + v.nbytes
+        by_op[name] = by_op.get(name, 0) + nbytes
         if self._wants_cow:
             bus = self.bus
-            bus.emit(CowCopy(bus.now(), name, v.nbytes))
+            bus.emit(CowCopy(bus.now(), name, nbytes))
         if not remote:
             v = v.copy(home)
-            # An alloc observer may have sized the copy.
-            v.drop_size()
         return v
 
     def _wrap_result(

@@ -51,7 +51,7 @@ from ..obs.runctx import RunContext
 from .blocks import DataBlock
 from .crown import crown_for, entry_row
 from .engine import EngineStats, ExecutionState, PendingOp
-from .operators import OperatorRegistry, collect_fused_chains, default_registry
+from .operators import OperatorRegistry, builtin_registry, collect_fused_chains
 from .scheduler import ReadyQueue, Task
 from .supervise import Completion, FaultPolicy, Supervisor, run_with_retries
 from .tracing import Tracer
@@ -809,7 +809,7 @@ class SequentialExecutor(_Executor):
         args: tuple[Any, ...] = (),
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
-        registry = registry if registry is not None else default_registry()
+        registry = registry if registry is not None else builtin_registry()
         run = Run(self, "sequential", program, registry, self.fault_policy)
         return run.execute(args, _INLINE)
 
@@ -858,7 +858,7 @@ class ThreadedExecutor(_Executor):
         args: tuple[Any, ...] = (),
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
-        registry = registry if registry is not None else default_registry()
+        registry = registry if registry is not None else builtin_registry()
         run = Run(self, "threaded", program, registry, self.fault_policy)
         return run.execute(args, _Threads(self.n_workers))
 
@@ -1006,7 +1006,7 @@ class ProcessExecutor(_Executor):
         args: tuple[Any, ...] = (),
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
-        registry = registry if registry is not None else default_registry()
+        registry = registry if registry is not None else builtin_registry()
         policy = (
             self.fault_policy
             if self.fault_policy is not None

@@ -487,12 +487,12 @@ class StreamRunner:
     def fingerprints(self) -> tuple[str, str]:
         if self._program_fp is None:
             self._program_fp = program_fingerprint(self.program)
-            from .operators import default_registry
+            from .operators import builtin_registry
 
             reg = (
                 self.registry
                 if self.registry is not None
-                else default_registry()
+                else builtin_registry()
             )
             self._registry_fp = registry_fingerprint(reg)
         return self._program_fp, self._registry_fp

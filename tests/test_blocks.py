@@ -195,6 +195,17 @@ class TestSizes:
     def test_payload_nbytes_matches_the_recursive_definition(self, payload):
         assert payload_nbytes(payload) == recursive_payload_nbytes(payload)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(), max_size=12),  # one class: a queens board
+        st.lists(st.one_of(_hashable_leaves, st.complex_numbers()), max_size=12),
+        st.lists(st.lists(st.integers(), max_size=3), max_size=4),
+        _payloads,
+    ))
+    def test_the_flat_list_path_is_the_walk(self, payload):
+        # A list of atomics is sized without the walk; the sum must not move.
+        assert payload_nbytes(payload) == recursive_payload_nbytes(payload)
+
     def test_payload_nbytes_counts_shared_children_once_per_path(self):
         shared = [1, 2, 3]
         payload = [shared, shared, {"k": shared}]

@@ -11,6 +11,7 @@ call only where nothing watches or perturbs single firings.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import subprocess
@@ -27,7 +28,7 @@ from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import GraphError, OperatorError, RuntimeFailure
 from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
 from repro.lang.reference import evaluate_source
-from repro.obs import EventBus, FireRetried, OpFinished, OpStarted
+from repro.obs import EventBus, FireRetried, OpFinished, OpStarted, observe_blocks
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -36,7 +37,9 @@ from repro.runtime import (
     blocks,
     executors,
 )
+from repro.runtime import crown as crown_module
 from repro.runtime.crown import _MAX_LINES, EntryRow
+from repro.runtime import engine
 from repro.runtime.engine import _plans_for
 from repro.runtime.executors import Run
 
@@ -144,7 +147,9 @@ def _calls_run(graph, args, registry, **options):
 
 
 class BlockCensus:
-    """Every block allocated while installed, through the block hook."""
+    """Every block allocated while installed, through the allocation hook
+    alone: with no count hook a crown updates counts on its inline path,
+    so the census checks the path plain runs take."""
 
     def __init__(self) -> None:
         self.blocks: list = []
@@ -164,7 +169,7 @@ class BlockCensus:
 @pytest.fixture
 def census(monkeypatch):
     hook = BlockCensus()
-    monkeypatch.setattr(blocks, "_BLOCK_HOOK", hook)
+    monkeypatch.setattr(blocks, "_ALLOC_HOOK", hook)
     return hook
 
 
@@ -660,3 +665,80 @@ class TestEntry:
             assert events == [] and registry.grown == 1
             errors.append(str(error))
         assert errors[0] == errors[1] and "grow boom" in errors[0]
+
+
+class TestPlansWithoutARegistry:
+    """``run(graph, args)`` with no registry runs against the builtins'
+    one cached registry, so the program's plans (and its entry crown)
+    are built once, not on every run."""
+
+    @pytest.mark.parametrize("make, crowns", [
+        (SequentialExecutor, 1),
+        (lambda: ThreadedExecutor(2), 0),  # threads never clip
+        (lambda: ProcessExecutor(1), 1),
+    ])
+    def test_two_runs_share_one_plan_set(self, make, crowns, monkeypatch):
+        generated = []
+        generate = crown_module._Generator.generate
+
+        def counted(self, template, selfcap):
+            generated.append(template.name)
+            return generate(self, template, selfcap)
+
+        monkeypatch.setattr(crown_module._Generator, "generate", counted)
+        graph = compile_source(DEEP).graph
+        executor = make()
+        try:
+            assert executor.run(graph, (3,)).value == 6
+            plans = engine._PLAN_CACHES[id(graph)]
+            assert executor.run(graph, (4,)).value == 10
+        finally:
+            close = getattr(executor, "close", None)
+            if close is not None:
+                close()
+        assert engine._PLAN_CACHES[id(graph)] is plans
+        assert len(generated) == crowns
+
+
+class TestInlineRules:
+    """A crown changes counts, writes in place and reuses a written
+    argument's block inline; each inline form hands what it does not
+    cover to the engine function it stands for."""
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_one_extra_release_raises_releases_error(self, watched, monkeypatch):
+        adjust = crown_module._Generator._adjust
+        extra = [1]
+
+        def one_more(self, out, depth, expr, kind, delta):
+            if delta < 0 and kind == "v" and extra:
+                delta -= extra.pop()
+            adjust(self, out, depth, expr, kind, delta)
+
+        monkeypatch.setattr(crown_module._Generator, "_adjust", one_more)
+        graph = compile_source(
+            "main() total(mk(1))", registry=REGISTRY, optimize_passes=()
+        ).graph
+        bus = EventBus()
+        with observe_blocks(bus) if watched else contextlib.nullcontext():
+            with pytest.raises(RuntimeError, match="reference count went negative"):
+                SequentialExecutor().run(graph, (), REGISTRY)
+        assert "REL(" in _crown_sources(graph, REGISTRY)[0]
+
+    def test_a_shared_write_copies_and_a_sole_one_does_not(self):
+        graph = compile_source(
+            # ``add`` reads ``z`` beside the ``push`` that writes it.
+            "main(n)\n  let z = mk(n)\n  in total(push(add(z, push(z, 2)), 3))",
+            registry=REGISTRY, optimize_passes=(),
+        ).graph
+        clipped = SequentialExecutor().run(graph, (1,), REGISTRY)
+        graph_path = _graph_run(graph, (1,), REGISTRY)
+        assert clipped.value == graph_path.value == 1 + 1 + 2 + 3
+        for counter in (
+            "cow_copies", "in_place_writes", "copies_by_operator",
+            "copy_bytes_by_operator",
+        ):
+            assert getattr(clipped.stats, counter) == getattr(
+                graph_path.stats, counter
+            ), counter
+        assert (clipped.stats.cow_copies, clipped.stats.in_place_writes) == (1, 1)

@@ -58,7 +58,7 @@ from repro.runtime import (
     ThreadedExecutor,
     default_registry,
 )
-from repro.runtime import operators
+from repro.runtime import engine, operators
 from repro.runtime.operators import SELECT, fused_name, fused_spec, generate_source
 from repro.runtime.values import is_truthy
 
@@ -176,10 +176,12 @@ def _sources(graph):
 
 @pytest.fixture
 def generated(monkeypatch, tmp_path):
-    """Empty the process-wide code cache and record every text generated
-    or compiled from a recipe, in this process and in the workers forked
-    from it; returns a reader of ``(pid, "generate" | "compile", text)``
-    rows."""
+    """Empty the process-wide code and plan caches and record every text
+    generated or compiled from a recipe, in this process and in the
+    workers forked from it; returns a reader of ``(pid, "generate" |
+    "compile", text)`` rows.  (Runs without a registry share the builtins'
+    one registry, so a program's plans, and the fused bodies bound in
+    them, outlive a test unless the plan cache is emptied too.)"""
     log = tmp_path / "generated.jsonl"
 
     def record(what, text):
@@ -188,6 +190,7 @@ def generated(monkeypatch, tmp_path):
         return text
 
     monkeypatch.setattr(operators, "_CODE_CACHE", {})
+    monkeypatch.setattr(engine, "_PLAN_CACHES", {})
     monkeypatch.setattr(
         operators, "generate_source",
         lambda steps, untuple_n: record("generate", generate_source(steps, untuple_n)),
