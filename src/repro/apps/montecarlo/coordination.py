@@ -65,8 +65,8 @@ def compile_pi(
     """The dartboard-π estimator.
 
     Extra keyword arguments go to :func:`repro.compile_source` — e.g.
-    ``optimize_passes=PASS_ORDER + ("fuse",)`` for a fused
-    configuration.
+    ``optimize_passes=FULL_PASS_ORDER`` (from
+    :mod:`repro.compiler.passes.pipeline`) for a fused configuration.
     """
     return compile_source(
         PI_PROGRAM,

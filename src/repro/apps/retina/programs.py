@@ -10,7 +10,7 @@ preprocessor exactly as in the paper.
 from __future__ import annotations
 
 from ...compiler import CompiledProgram, compile_source
-from ...compiler.passes.pipeline import PASS_ORDER
+from ...compiler.passes.pipeline import FULL_PASS_ORDER
 from .model import RetinaConfig
 from .operators import make_registry
 
@@ -107,7 +107,7 @@ def compile_retina(
     cfg = config or RetinaConfig()
     source = {1: RETINA_V1, 2: RETINA_V2}[version]
     if fuse and "optimize_passes" not in kwargs:
-        kwargs["optimize_passes"] = PASS_ORDER + ("fuse",)
+        kwargs["optimize_passes"] = FULL_PASS_ORDER
     return compile_source(
         source,
         registry=make_registry(cfg),

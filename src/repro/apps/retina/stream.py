@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from ...compiler import CompiledProgram, compile_source
-from ...compiler.passes.pipeline import PASS_ORDER
+from ...compiler.passes.pipeline import FULL_PASS_ORDER
 from ...runtime.stream import StreamResult, StreamRunner, count_source
 from . import model
 from .model import RetinaConfig, RetinaState
@@ -73,7 +73,7 @@ def compile_retina_stream(
     """Compile the one-timestep stream program against the v2 registry."""
     cfg = config or RetinaConfig()
     if fuse and "optimize_passes" not in kwargs:
-        kwargs["optimize_passes"] = PASS_ORDER + ("fuse",)
+        kwargs["optimize_passes"] = FULL_PASS_ORDER
     return compile_source(
         RETINA_STREAM_STEP,
         registry=make_registry(cfg),

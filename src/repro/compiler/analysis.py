@@ -218,15 +218,6 @@ def free_variables(expr: ast.Expr, bound: set[str]) -> list[str]:
                     visit(b.func.body, frozenset(fn_bound))
             visit(e.body, frozenset(inner))
             return
-        if isinstance(e, ast.Iterate):
-            for lv in e.loopvars:
-                visit(lv.init, bound)
-            inner = frozenset(bound | {lv.name for lv in e.loopvars})
-            visit(e.cond, inner)
-            for lv in e.loopvars:
-                visit(lv.update, inner)
-            visit(e.result, inner)
-            return
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
     visit(expr, frozenset(bound))

@@ -10,7 +10,13 @@ paper, and per-pass wall times are recorded under those names)::
     Env Analysis      scoping, single-assignment, arity, free variables
     Optimization      inline + constprop + CSE + DCE, each function to its
                       fixpoint, callees first; dead functions dropped
-    Graph Conversion  iterate lowering + template generation
+    Graph Conversion  iterate lowering + template generation + the enabled
+                      passes' graph halves
+
+``iterate`` is lowered right after parsing, so every later stage sees a
+program without one (:func:`~.lowering.lower_program` states the
+contract).  Which passes exist, and in what order their halves run, is
+:data:`~.passes.pipeline.PASSES`; this module names none of them.
 
 The result is a :class:`CompiledProgram`: coordination graphs plus the
 registry they were checked against, runnable on any executor.
@@ -32,22 +38,14 @@ from ..runtime.operators import OperatorRegistry, default_registry
 from .analysis import analyze_program
 from .graphgen import generate_graphs
 from .lowering import lower_program
-from .passes import fuse as fuse_pass
-from .passes import splice as splice_pass
 from .passes.pipeline import (
     GRAPH_PASS_ORDER,
     PASS_ORDER,
+    PASSES,
     OptimizationReport,
     optimize,
-    split_passes,
 )
 from .symtab import analyze
-
-#: The graph passes' entry points; :data:`GRAPH_PASS_ORDER` (which says
-#: why the order is what it is) decides the order they run in.
-_GRAPH_RUNNERS = {
-    "fuse": fuse_pass.run,
-}
 
 #: Table 1 pass names, in the paper's order.
 PASS_NAMES = (
@@ -104,14 +102,15 @@ def compile_source(
         Symbolic-constant values (the preprocessor's input), e.g.
         ``{"NUM_ITER": 4}``.
     optimize_passes:
-        Which optimizations to run (``None`` or ``()`` disables all —
-        useful for ablations and for differential testing of the passes).
-        ``"fuse"`` enables the graph-level operator-fusion pass; it runs
-        after template generation and is *not* in the default set so
-        default compilations keep their historical graph shapes (the CLI
-        enables it by default via ``--fuse``).  A fused node carries only
-        its recipe; every process that runs it generates and binds the
-        body itself (:func:`~repro.runtime.operators.fused_spec`).
+        Which passes of :data:`~.passes.pipeline.PASSES` to run (``None``
+        or ``()`` disables all — useful for ablations and for differential
+        testing of the passes); a name enables both its halves.  The
+        default is the passes with an AST half; the graph-only operator
+        fusion pass is *not* in it, so default compilations keep the
+        paper's graph shapes (the CLI enables it by default via
+        ``--fuse``).  A fused node carries only its recipe; every process
+        that runs it generates and binds the body itself
+        (:func:`~repro.runtime.operators.fused_spec`).
     strict:
         Enforce unbound-name errors during environment analysis.
     entry:
@@ -140,8 +139,7 @@ def compile_source(
     program = Parser(tokens).parse_program()
     seconds["Parsing"] = time.perf_counter() - t0
 
-    # Lower iterate before analysis so the loop functions participate in
-    # the call graph (recursion detection needs them).
+    # Lower iterate first: every later stage relies on none being left.
     t_lower0 = time.perf_counter()
     lower_program(program)
     lowering_seconds = time.perf_counter() - t_lower0
@@ -150,9 +148,8 @@ def compile_source(
     analyze(program, known_operators=registry.names(), strict=strict)
     seconds["Env Analysis"] = time.perf_counter() - t0
 
-    ast_passes, graph_passes = split_passes(
-        tuple(optimize_passes) if optimize_passes else ()
-    )
+    enabled = tuple(optimize_passes or ())
+    ast_passes = tuple(p for p in enabled if p not in GRAPH_PASS_ORDER)
     t0 = time.perf_counter()
     report: OptimizationReport | None = None
     if ast_passes:
@@ -166,18 +163,14 @@ def compile_source(
     graph.entry = entry
     graph.entry_template()  # fail fast if the entry is missing
     graph.prune_unreachable()
-    if "inline" in ast_passes:
-        # Inline expansion's graph half: calls around a recursive cycle.
-        spliced = splice_pass.run(graph, prog_analysis)
-        if spliced:
-            report.stats["inline.spliced"] = spliced
-    for name in GRAPH_PASS_ORDER:
-        if name not in graph_passes:
+    for name, _, graph_half in PASSES:
+        if graph_half is None or name not in enabled:
             continue
-        pass_stats = _GRAPH_RUNNERS[name](graph, registry)
+        pass_stats = graph_half(graph, prog_analysis, registry)
         if report is None:
             report = OptimizationReport()
-        report.enabled += (name,)
+        if name not in report.enabled:
+            report.enabled += (name,)
         for key, count in pass_stats.items():
             report.stats[key] = report.stats.get(key, 0) + count
     seconds["Graph Conversion"] = time.perf_counter() - t0 + lowering_seconds

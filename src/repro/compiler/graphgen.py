@@ -215,7 +215,7 @@ class GraphGenerator:
             return self._emit_let(e, builder, env, context)
         if isinstance(e, ast.Iterate):
             raise CompileError(
-                "iterate reached graph generation; run lowering first",
+                "iterate reached graph generation; run lower_program first",
                 e.line,
                 e.column,
             )

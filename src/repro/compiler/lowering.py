@@ -105,6 +105,19 @@ def _lower(e: ast.Expr, fresh: FreshNames) -> ast.Expr:
 def lower_program(program: ast.Program) -> ast.Program:
     """Lower every iterate in ``program`` (in place; returns the program).
 
+    The contract every later stage relies on, and the only place it is
+    stated:
+
+    * no :class:`~repro.lang.ast.Iterate` remains anywhere in the program;
+    * each loop is a local function (``loop$k``) whose only self-call is
+      in tail position, in the then-arm of its body's ``if``.
+
+    So environment analysis, the optimization passes (both halves) and the
+    analyses they share handle no ``iterate``; graph generation refuses
+    one with a :class:`~repro.errors.CompileError` naming this function.
+    :func:`repro.compile_source` and the self-applied compiler
+    (:mod:`repro.apps.compiler_app`) both lower before anything else runs.
+
     Idempotent: a program with no iterates is returned unchanged.
     """
     fresh = FreshNames(all_names(program))

@@ -1,4 +1,4 @@
-"""The Pythia optimization passes (inline, constprop, CSE, DCE)."""
+"""The Pythia compiler passes; :data:`.pipeline.PASSES` names them, in order."""
 
 from . import constprop, cse, dce, inline
 from .common import PassContext

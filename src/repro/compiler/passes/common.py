@@ -160,8 +160,6 @@ def expr_is_pure(e: ast.Expr, ctx: PassContext, bound: set[str]) -> bool:
                     return False
             inner.update(b.bound_names())
         return expr_is_pure(e.body, ctx, inner)
-    if isinstance(e, ast.Iterate):
-        return False  # lowered away before optimization; stay conservative
     return False
 
 
@@ -196,8 +194,6 @@ def bound_names_in(e: ast.Node) -> set[str]:
             out.add(n.func.name)
         elif isinstance(n, ast.FunDef):
             out.update(n.params)
-        elif isinstance(n, ast.LoopVar):
-            out.add(n.name)
     return out
 
 
@@ -219,6 +215,4 @@ def rename_bound(e: ast.Expr, mapping: dict[str, str]) -> ast.Expr:
             if n.name in mapping:
                 n.name = mapping[n.name]
             n.params = [mapping.get(p, p) for p in n.params]
-        elif isinstance(n, ast.LoopVar) and n.name in mapping:
-            n.name = mapping[n.name]
     return e

@@ -103,15 +103,6 @@ class _Folder:
                     b.func.body = self.expr(b.func.body)
             e.body = self.expr(e.body)
             return e
-        if isinstance(e, ast.Iterate):  # pre-lowering robustness
-            for lv in e.loopvars:
-                lv.init = self.expr(lv.init)
-                self.bound.add(lv.name)
-            e.cond = self.expr(e.cond)
-            for lv in e.loopvars:
-                lv.update = self.expr(lv.update)
-            e.result = self.expr(e.result)
-            return e
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
     # ------------------------------------------------------------------

@@ -91,15 +91,6 @@ class _CSE:
                     self._expr(b.func.body, dict(inner), fn_bound)
             self._expr(e.body, inner, inner_bound)
             return
-        if isinstance(e, ast.Iterate):  # pre-lowering robustness
-            for lv in e.loopvars:
-                self._expr(lv.init, available, bound)
-            inner_bound = bound | {lv.name for lv in e.loopvars}
-            self._expr(e.cond, dict(available), inner_bound)
-            for lv in e.loopvars:
-                self._expr(lv.update, dict(available), inner_bound)
-            self._expr(e.result, dict(available), inner_bound)
-            return
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 

@@ -120,15 +120,6 @@ class _DCE:
                 self.ctx.bump(f"{NAME}.lets_collapsed")
                 return e.body
             return e
-        if isinstance(e, ast.Iterate):  # pre-lowering robustness
-            for lv in e.loopvars:
-                lv.init = self._expr(lv.init, bound)
-            inner = bound | {lv.name for lv in e.loopvars}
-            e.cond = self._expr(e.cond, inner)
-            for lv in e.loopvars:
-                lv.update = self._expr(lv.update, inner)
-            e.result = self._expr(e.result, inner)
-            return e
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from ...graph.ir import GraphProgram, Node, NodeKind, Port, Template
 from ...runtime.operators import SELECT, OperatorRegistry, OperatorSpec, fused_name
 from ...runtime.values import NULL
+from ..analysis import ProgramAnalysis
 
 #: Operators whose numeric cost hint is at or below this many simulated
 #: ticks count as "cheap" for OP->OP fusion.  Chosen well above the
@@ -64,19 +65,19 @@ FUSE_COST_THRESHOLD = 100.0
 LABEL_FULL_OPS = 32
 
 
-def _cheap(spec: OperatorSpec, threshold: float) -> bool:
+def _cheap(spec: OperatorSpec) -> bool:
     """Cheap enough to fuse through: no hint (machine default, tiny) or a
-    numeric hint under the threshold.  Callable hints are conservatively
-    expensive — their value is unknown until run time."""
+    numeric hint at most :data:`FUSE_COST_THRESHOLD`.  Callable hints are
+    conservatively expensive — their value is unknown until run time."""
     if spec.cost is None:
         return True
     if callable(spec.cost):
         return False
-    return float(spec.cost) <= threshold
+    return float(spec.cost) <= FUSE_COST_THRESHOLD
 
 
 def _folds(
-    graph: GraphProgram, registry: OperatorRegistry, threshold: float
+    graph: GraphProgram, registry: OperatorRegistry
 ) -> dict[tuple[str, str], int]:
     """The operator count of every ``(then, else)`` arm pair an ``IF`` may
     fold: arms of nothing but captures, atomic constants and cheap,
@@ -90,7 +91,7 @@ def _folds(
             spec = registry.get(node.name) if node.name in registry else None
             if (
                 node.kind is NodeKind.OP and spec and not spec.modifies
-                and _cheap(spec, threshold) and all(p.node < i for p in node.inputs)
+                and _cheap(spec) and all(p.node < i for p in node.inputs)
             ):
                 count += 1
             elif node.kind is not NodeKind.CAPTURE and not (
@@ -137,7 +138,7 @@ def _reading_region(
 
 
 def _find_regions(
-    template: Template, registry: OperatorRegistry, threshold: float, folds: dict
+    template: Template, registry: OperatorRegistry, folds: dict
 ) -> list[_Region]:
     """One descending sweep: readers are placed before what they read, so
     "every reader is in region R" is decidable when a node is reached."""
@@ -159,7 +160,7 @@ def _find_regions(
             spec = registry.get(node.name)
             if spec.modifies:
                 continue
-            cheap = _cheap(spec, threshold)
+            cheap = _cheap(spec)
         else:
             continue
         region = _reading_region(template, n, region_of)
@@ -277,9 +278,7 @@ def _remove_nodes(template: Template, removed: set[int]) -> None:
 
 
 def run(
-    graph: GraphProgram,
-    registry: OperatorRegistry,
-    cost_threshold: float = FUSE_COST_THRESHOLD,
+    graph: GraphProgram, analysis: ProgramAnalysis, registry: OperatorRegistry
 ) -> dict[str, int]:
     """Fuse every template in ``graph`` in place; return pass statistics.
 
@@ -293,11 +292,11 @@ def run(
     ops_fused = 0
     untuples = 0
     nodes_removed = 0
-    folds = _folds(graph, registry, cost_threshold)
+    folds = _folds(graph, registry)
     arms = {arm for pair in folds for arm in pair}
     for name, template in graph.templates.items():
         regions = [] if name in arms else _find_regions(
-            template, registry, cost_threshold, folds
+            template, registry, folds
         )
         if not regions:
             continue

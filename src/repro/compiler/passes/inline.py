@@ -18,7 +18,7 @@ Safety conditions checked per call site:
 
 * the callee is statically known (top-level or local function in scope);
 * the callee is not part of a recursive cycle (``ProgramAnalysis``);
-* the callee's body size is at most ``threshold`` AST nodes;
+* the callee's body size is at most :data:`DEFAULT_THRESHOLD` AST nodes;
 * no *global* name the callee's body relies on (operator or top-level
   function) is shadowed by a local binding at the call site.
 """
@@ -38,9 +38,8 @@ DEFAULT_THRESHOLD = 40
 
 
 class _Inliner:
-    def __init__(self, ctx: PassContext, threshold: int) -> None:
+    def __init__(self, ctx: PassContext) -> None:
         self.ctx = ctx
-        self.threshold = threshold
         self.changed = False
         self.top_level = ctx.top_level
         self.current: str = ""
@@ -72,7 +71,7 @@ class _Inliner:
         # Measured here, not read from ``info.body_size``: a local callee
         # defined earlier in the current function has had its own calls
         # expanded by this very sweep.
-        if fundef.body.size() > self.threshold:
+        if fundef.body.size() > DEFAULT_THRESHOLD:
             return False
         # Global names the body relies on must not be shadowed at the site.
         globals_used = [
@@ -173,22 +172,11 @@ class _Inliner:
                     self.current = saved
             e.body = self._expr(e.body, inner_locals, inner_visible)
             return e
-        if isinstance(e, ast.Iterate):  # pre-lowering robustness
-            for lv in e.loopvars:
-                lv.init = self._expr(lv.init, locals_in_scope, visible)
-            inner_visible = visible | {lv.name for lv in e.loopvars}
-            e.cond = self._expr(e.cond, locals_in_scope, inner_visible)
-            for lv in e.loopvars:
-                lv.update = self._expr(lv.update, locals_in_scope, inner_visible)
-            e.result = self._expr(e.result, locals_in_scope, inner_visible)
-            return e
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 
-def run(
-    function: ast.FunDef, ctx: PassContext, threshold: int = DEFAULT_THRESHOLD
-) -> bool:
+def run(function: ast.FunDef, ctx: PassContext) -> bool:
     """Run inline expansion over one top-level function; True when changed."""
-    inliner = _Inliner(ctx, threshold)
+    inliner = _Inliner(ctx)
     inliner.function(function)
     return inliner.changed

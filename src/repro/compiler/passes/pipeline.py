@@ -1,6 +1,13 @@
-"""The optimization pass manager.
+"""The pass manager: the compiler's one pass table and the AST fixpoint.
 
-Runs the paper's four optimizations on each function to its fixpoint::
+:data:`PASSES` names every pass once, in execution order, with its AST
+half and its graph half.  :data:`PASS_ORDER`, :data:`GRAPH_PASS_ORDER` and
+:data:`FULL_PASS_ORDER` are read off it, :func:`optimize` runs the AST
+halves and ``compile_source`` runs the graph halves from it; no other
+module spells a pass name.
+
+:func:`optimize` runs the paper's four optimizations on each function to
+its fixpoint::
 
     inline -> constant propagation -> CSE -> DCE
 
@@ -34,7 +41,6 @@ functions stay where they were.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +48,7 @@ from ...lang import ast
 from ...runtime.operators import OperatorRegistry
 from ..analysis import strongly_connected_components
 from ..symtab import EnvAnalysis
-from . import constprop, cse, dce, inline
+from . import constprop, cse, dce, fuse, inline, splice
 from .common import PassContext
 
 
@@ -81,28 +87,34 @@ class OptimizationReport:
         )
 
 
-#: Canonical pass order (the AST-level fixpoint passes).
-PASS_ORDER = ("inline", "constprop", "cse", "dce")
+#: The compiler's passes, named once, in execution order: ``(name, AST
+#: half, graph half)``.  An AST half is ``run(function, ctx) -> changed``
+#: and runs in :func:`optimize`'s fixpoint loop, in this order; a graph
+#: half is ``run(graph, analysis, registry) -> stats`` and ``compile_source``
+#: runs it on the coordination graphs, after template generation, in this
+#: order.
+#: Enabling a name enables both its halves: ``inline`` copies small
+#: callees off every call-graph cycle on the AST and splices those on a
+#: cycle into their callers' graphs (:mod:`.splice`).  Both halves run on
+#: lowered programs: no ``iterate`` is left by then
+#: (:func:`~repro.compiler.lowering.lower_program`).
+PASSES = (
+    ("inline", inline.run, splice.run),
+    ("constprop", constprop.run, None),
+    ("cse", cse.run, None),
+    ("dce", dce.run, None),
+    ("fuse", None, fuse.run),
+)
 
-#: Graph-level passes, run by the driver *after* template generation (they
-#: rewrite coordination graphs, not ASTs, so they live outside the fixpoint
-#: loop).  Names share the same flat namespace as :data:`PASS_ORDER`.
-GRAPH_PASS_ORDER = ("fuse",)
+#: The passes with an AST half: the default optimization set.
+PASS_ORDER = tuple(name for name, ast_half, _ in PASSES if ast_half)
+
+#: The passes with a graph half only; off by default (the paper's graphs
+#: are unfused, and the figure tests pin them).
+GRAPH_PASS_ORDER = tuple(name for name, ast_half, _ in PASSES if not ast_half)
 
 #: Every pass name a caller may request, in execution order.
-FULL_PASS_ORDER = PASS_ORDER + GRAPH_PASS_ORDER
-
-
-def split_passes(
-    enabled: tuple[str, ...],
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Partition requested pass names into (AST passes, graph passes)."""
-    ast_passes = tuple(p for p in enabled if p not in GRAPH_PASS_ORDER)
-    graph_passes = tuple(p for p in enabled if p in GRAPH_PASS_ORDER)
-    return ast_passes, graph_passes
-
-#: Each pass module's ``run(function, ctx) -> changed``.
-_PASSES = {"inline": inline, "constprop": constprop, "cse": cse, "dce": dce}
+FULL_PASS_ORDER = tuple(name for name, _, _ in PASSES)
 
 #: Safety net: the most rounds one function may take (each pass only
 #: shrinks or canonicalizes, so a fixpoint comes long before).
@@ -124,7 +136,6 @@ def optimize(
     program: ast.Program,
     registry: OperatorRegistry | None = None,
     enabled: tuple[str, ...] = PASS_ORDER,
-    inline_threshold: int = inline.DEFAULT_THRESHOLD,
     entry: str | None = None,
 ) -> OptimizationReport:
     """Optimize ``program`` in place and return a report.
@@ -136,15 +147,13 @@ def optimize(
     in place (callers that zip the result back by position need that).
     """
     for name in enabled:
-        if name not in _PASSES:
+        if name not in PASS_ORDER:
             raise KeyError(f"unknown optimization pass {name!r}")
     report = OptimizationReport(enabled=tuple(enabled))
     spent = report.pass_seconds = dict.fromkeys(("context", *PASS_ORDER), 0.0)
-    runners = {name: _PASSES[name].run for name in PASS_ORDER if name in enabled}
-    if "inline" in runners:
-        runners["inline"] = functools.partial(
-            inline.run, threshold=inline_threshold
-        )
+    runners = {
+        name: run for name, run, _ in PASSES if run and name in enabled
+    }
     clock = time.perf_counter
     began = clock()
 

@@ -23,12 +23,15 @@ run-time error must survive), computed or capturing callees, breakers.
 Every node of a template fires exactly once and arms stay lazy, so a
 splice only removes work — the ``CALL`` firing and the activation — and
 single assignment makes the earlier firing of the copied nodes invisible
-in results.  The driver runs this whenever ``inline`` is enabled.
+in results.  This is the graph half of the ``inline`` pass
+(:data:`.pipeline.PASSES`): it runs, after template generation, exactly
+when ``inline`` is enabled, and its one stat is ``inline.spliced``.
 """
 
 from __future__ import annotations
 
 from ...graph.ir import GraphProgram, Node, NodeKind, Port, Template
+from ...runtime.operators import OperatorRegistry
 from ..analysis import ProgramAnalysis, strongly_connected_components
 
 #: Largest callee body (non-placeholder nodes of its own template; arm
@@ -147,11 +150,13 @@ def _splice(template: Template, callee: Template) -> int:
     return len(sites)
 
 
-def run(graph: GraphProgram, analysis: ProgramAnalysis) -> int:
+def run(
+    graph: GraphProgram, analysis: ProgramAnalysis, registry: OperatorRegistry
+) -> dict[str, int]:
     """Splice every spliceable cycle member into its callers, in place;
-    returns the number of call sites replaced."""
+    ``inline.spliced`` counts the call sites replaced."""
     if not analysis.cyclic_sccs:
-        return 0
+        return {}
     spliced = 0
     top_level = set(analysis.env.top_level)
     for scc_id in sorted(analysis.cyclic_sccs):
@@ -167,6 +172,7 @@ def run(graph: GraphProgram, analysis: ProgramAnalysis) -> int:
             ):
                 for template in graph.templates.values():
                     spliced += _splice(template, callee)
-    if spliced:
-        graph.prune_unreachable()
-    return spliced
+    if not spliced:
+        return {}
+    graph.prune_unreachable()
+    return {"inline.spliced": spliced}

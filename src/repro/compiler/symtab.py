@@ -4,11 +4,11 @@ This is the "Env Analysis" pass of Table 1 in the paper.  It walks every
 function, building lexical scopes, and
 
 * enforces **single assignment**: a name may not be rebound while an
-  existing binding for it is visible (params, let bindings, loop variables,
-  and function names all count);
-* resolves every name to one of *parameter*, *local binding*, *loop
-  variable*, *local function*, *top-level function*, or *operator* — and,
-  in strict mode, rejects names that resolve to none of these;
+  existing binding for it is visible (params, let bindings and function
+  names all count);
+* resolves every name to one of *parameter*, *local binding*, *local
+  function*, *top-level function*, or *operator* — and, in strict mode,
+  rejects names that resolve to none of these;
 * checks the arity of calls whose callee is a statically known Delirium
   function (operator arities are checked by the registry at run time, since
   operators are external code);
@@ -22,8 +22,12 @@ names and arities, so after an optimization pass rewrites one function
 :meth:`EnvAnalyzer.reanalyze` re-derives that function's facts (and its
 local functions') and keeps every other function's.
 
-Local functions are given qualified names (``outer.inner``); the compiler's
-generated loop functions later follow the same convention (``outer.loop$1``).
+It runs on lowered programs (:func:`~.lowering.lower_program`): an
+``iterate`` is a local function by then, so its loop variables are that
+function's parameters, and an error in one is reported where the lowered
+tree puts it.  Local functions are given qualified names
+(``outer.inner``), the generated loop functions included
+(``outer.loop$1``).
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ class EnvAnalyzer:
     def _expr(self, e: ast.Expr, scope: _Scope, info: FunctionInfo) -> None:
         # ``body_size`` is ``f.body.size()`` counted on the way: one per
         # expression here, one per node that does not come through here
-        # (a ``Var`` callee, bindings, nested ``FunDef``s, loop variables)
+        # (a ``Var`` callee, bindings, nested ``FunDef``s)
         # where the traversal steps over it.
         info.body_size += 1
         if isinstance(e, (ast.Literal, ast.Null)):
@@ -237,9 +241,6 @@ class EnvAnalyzer:
             return
         if isinstance(e, ast.Let):
             self._let(e, scope, info)
-            return
-        if isinstance(e, ast.Iterate):
-            self._iterate(e, scope, info)
             return
         raise TypeError(f"unexpected AST node {type(e).__name__}")
 
@@ -305,19 +306,6 @@ class EnvAnalyzer:
                 raise TypeError(f"unexpected binding {type(b).__name__}")
         self._expr(e.body, inner, info)
 
-    def _iterate(self, e: ast.Iterate, scope: _Scope, info: FunctionInfo) -> None:
-        info.body_size += len(e.loopvars)
-        # Init expressions see only the enclosing scope.
-        for lv in e.loopvars:
-            self._expr(lv.init, scope, info)
-        inner = _Scope(scope, info.qualname)
-        for lv in e.loopvars:
-            inner.bind(lv.name, "local", lv.name, lv)
-        self._expr(e.cond, inner, info)
-        for lv in e.loopvars:
-            self._expr(lv.update, inner, info)
-        self._expr(e.result, inner, info)
-
 
 def analyze(
     program: ast.Program,
@@ -329,9 +317,9 @@ def analyze(
     Parameters
     ----------
     program:
-        The parsed (and macro-expanded) program.  Iterate constructs may be
-        present (analysis happens before lowering) or absent (it is safe to
-        re-run afterwards, which the driver does to refresh the call graph).
+        The parsed, macro-expanded and lowered program (no ``iterate``
+        remains; see :func:`~.lowering.lower_program`).  Re-running it is
+        safe, which ``compile_source`` does to refresh the call graph.
     known_operators:
         Names of registered operators.  When given along with
         ``strict=True``, any unresolvable name raises

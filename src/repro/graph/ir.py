@@ -248,13 +248,6 @@ class Template:
         return self
 
     # ------------------------------------------------------------------
-    def fan_out(self, port: Port) -> int:
-        """Number of consumers of ``port`` (plus one if it is the result)."""
-        count = len(self.consumers[port.node][port.out])
-        if self.result == port:
-            count += 1
-        return count
-
     def describe(self) -> str:
         """A compact one-template dump used by tests and the CLI."""
         lines = [f"template {self.name}({', '.join(self.params)})"]

@@ -16,10 +16,13 @@ is ever needed: editing the source (or changing ``-D``/``--no-optimize``)
 simply computes a different key.  ``--no-cache`` bypasses both read and
 write.
 
-The active pass set is part of the key, and the CLI encodes ``--fuse`` as
-the extra pass name ``"fuse"`` in that tuple — so fused and unfused
-compilations of identical source occupy *different* cache entries and can
-never be served to each other (``tests/test_fuse.py`` pins this).  An
+The active pass set is part of the key: the names the CLI enables, read
+off the compiler's one pass table
+(:data:`~repro.compiler.passes.pipeline.PASSES`), with ``--fuse`` adding
+the graph-only passes.  Fused and unfused compilations of identical source
+therefore occupy *different* cache entries and can never be served to
+each other (``tests/test_fuse.py`` pins this).  Splicing has no name of
+its own: it is ``inline``'s graph half, so the key already covers it.  An
 entry holds no generated code: a fused node is stored as its recipe, and
 the loader makes the body from it.
 

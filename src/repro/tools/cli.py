@@ -26,6 +26,7 @@ import ast as python_ast
 import sys
 
 from ..compiler import compile_file
+from ..compiler.passes.pipeline import GRAPH_PASS_ORDER, PASS_ORDER
 from ..graph.validate import validate_program
 from ..graph.viz import ascii_framework, to_dot
 from ..machine import PRESETS, SimulatedExecutor
@@ -285,12 +286,12 @@ def _pass_tuple(args: argparse.Namespace) -> tuple[str, ...]:
     flag-set identity — a resume under different passes must fail the
     ``flags`` compatibility gate, not silently diverge.
     """
-    passes = () if args.no_optimize else ("inline", "constprop", "cse", "dce")
+    passes = () if args.no_optimize else PASS_ORDER
     if args.fuse:
         # Graph-pass flags are part of the pass tuple, so the compile
         # cache key (which hashes the pass set) can never serve a --fuse
         # graph to an invocation that disabled it, or vice versa.
-        passes = passes + ("fuse",)
+        passes = passes + GRAPH_PASS_ORDER
     return passes
 
 

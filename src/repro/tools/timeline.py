@@ -13,19 +13,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..runtime.tracing import NodeTiming, Tracer
-
-
-@dataclass(frozen=True)
-class TimelineCell:
-    """One rendered activity span."""
-
-    label: str
-    start: float
-    end: float
-    processor: int
 
 
 def _glyph_for(label: str, legend: dict[str, str]) -> str:

@@ -127,10 +127,14 @@ class TestFreeVariables:
         assert free_variables(e, {"add"}) == ["q"]
 
     def test_iterate_scoping(self):
-        e = parse_expression(
-            "iterate { i = start, step(i, k) } while c(i), result i"
-        )
-        assert free_variables(e, {"step", "c"}) == ["start", "k"]
+        # On the lowered tree: the loop variable is the loop function's
+        # parameter, and its body (read first) precedes the first call.
+        (main,) = lower_program(
+            parse_program(
+                "main() iterate { i = start, step(i, k) } while c(i), result i"
+            )
+        ).functions
+        assert free_variables(main.body, {"step", "c"}) == ["k", "start"]
 
 
 class TestFreshNames:

@@ -27,7 +27,6 @@ from repro import GraphError, compile_source, validate_program
 from repro.apps.montecarlo.coordination import compile_pi
 from repro.apps.retina import RetinaConfig, compile_retina
 from repro.compiler.passes.fuse import (
-    FUSE_COST_THRESHOLD,
     LABEL_FULL_OPS,
     _find_regions,
     _folds,
@@ -36,7 +35,7 @@ from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
     GRAPH_PASS_ORDER,
     PASS_ORDER,
-    split_passes,
+    PASSES,
 )
 from repro.errors import OperatorError
 from repro.graph.ir import NodeKind, Port
@@ -239,13 +238,13 @@ def unfused_regions(source, registry, **kwargs):
     graph = compile_source(
         source, registry=registry, optimize_passes=PASS_ORDER, **kwargs
     ).graph
-    folds = _folds(graph, registry, FUSE_COST_THRESHOLD)
+    folds = _folds(graph, registry)
     arms = {arm for pair in folds for arm in pair}
     return [
         (template, region)
         for name, template in graph.templates.items()
         if name not in arms
-        for region in _find_regions(template, registry, FUSE_COST_THRESHOLD, folds)
+        for region in _find_regions(template, registry, folds)
     ]
 
 
@@ -667,14 +666,12 @@ class TestPipelineOrdering:
         with pytest.raises(TypeError, match="'donate'"):
             build(config=TINY_RETINA, fuse=True, donate=True)
 
-    def test_split_passes_partitions(self):
-        ast_passes, graph_passes = split_passes(
-            ("inline", "fuse", "constprop")
-        )
-        assert ast_passes == ("inline", "constprop")
-        assert graph_passes == ("fuse",)
-        assert split_passes(()) == ((), ())
-        assert split_passes(("fuse",)) == ((), ("fuse",))
+    def test_the_pass_table_gives_every_order(self):
+        names = [name for name, _, _ in PASSES]
+        assert len(set(names)) == len(names)
+        assert PASS_ORDER == ("inline", "constprop", "cse", "dce")
+        assert GRAPH_PASS_ORDER == ("fuse",)
+        assert FULL_PASS_ORDER == PASS_ORDER + GRAPH_PASS_ORDER == tuple(names)
 
     def test_report_records_fuse(self):
         fused = _compile(CHAIN_SOURCE)

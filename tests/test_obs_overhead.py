@@ -5,8 +5,8 @@ or with a bus that has zero subscribers — executes the same hot path as an
 uninstrumented build.  Structurally, every instrumented component drops an
 inactive bus to ``None`` at construction/run time, so the per-task cost is
 a single ``is not None`` check.  This file asserts both the structural
-property and the measured wall-time consequence on the overhead
-benchmark's workload (``bench_overhead.py``: the retina model on a
+property (for a bare bus and for a run context's) and the measured
+wall-time consequence on the overhead benchmark's workload (``bench_overhead.py``: the retina model on a
 simulated 4-processor Cray Y-MP).
 """
 
@@ -19,8 +19,9 @@ import pytest
 from repro.apps.loganalytics import sequential_stats, stream_logs
 from repro.apps.retina import RetinaConfig, compile_retina
 from repro.machine import SimulatedExecutor, cray_ymp
-from repro.obs import BlockAllocated, CowCopy, EventBus, observe_blocks
-from repro.runtime import ExecutionState, blocks
+from repro.obs import BlockAllocated, CowCopy, EventBus, RunContext, observe_blocks
+from repro.runtime import ExecutionState, SequentialExecutor, blocks
+from repro.runtime.executors import resolve_bus
 
 from tests.conftest import recursive_payload_nbytes
 
@@ -49,6 +50,22 @@ def test_inactive_bus_is_dropped_at_construction():
         compiled.graph, compiled.registry, bus=EventBus()
     )
     assert es.bus is None  # no subscribers -> no bus on the hot path
+
+
+def test_zero_subscriber_run_context_is_dropped_too():
+    """A run context with every subscriber off hands the run a bus nobody
+    listens to, and ``resolve_bus`` drops it: the context plumbing reopens
+    no per-fire cost, and the run takes the bare run's path."""
+    ctx = RunContext(metrics=False, flight_recorder=False)
+    assert resolve_bus(None, False, ctx) == (None, None)
+    compiled = compile_retina(2, RetinaConfig())
+    bare = SequentialExecutor().run(compiled.graph, registry=compiled.registry)
+    monitored = SequentialExecutor(run_ctx=ctx).run(
+        compiled.graph, registry=compiled.registry
+    )
+    assert monitored.value.signature() == bare.value.signature()
+    for counter in ("tasks_fired", "expansions", "ops_executed", "cow_copies"):
+        assert getattr(monitored.stats, counter) == getattr(bare.stats, counter)
 
 
 def test_zero_subscriber_results_identical():

@@ -27,14 +27,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import compile_source, default_registry
+from repro import GraphError, compile_source, default_registry, validate_program
 from repro.apps import circuit, loganalytics, montecarlo, queens, raytracer, retina
 from repro.apps.compiler_app import generate_workload
 from repro.compiler import PASS_NAMES
 from repro.compiler.analysis import all_names
 from repro.compiler import symtab
 from repro.compiler.lowering import lower_program
-from repro.compiler.passes import constprop, cse, dce, inline
+from repro.compiler.passes import dce, pipeline
 from repro.compiler.passes.common import PassContext, count_reads
 from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
@@ -42,6 +42,7 @@ from repro.compiler.passes.pipeline import (
     optimize,
 )
 from repro.compiler.symtab import analyze
+from repro.errors import CompileError
 from repro.graph.serialize import dumps
 from repro.lang import ast, parse_program
 from repro.lang.ast import unparse
@@ -143,26 +144,27 @@ class TestTraversalOracle:
     @settings(max_examples=25, deadline=None)
     @given(sources)
     def test_body_size_counted_in_the_analyzer_is_the_walked_size(self, source):
-        for program in (parse_program(source), lowered(source)):
-            env = analyze(program, known_operators=REGISTRY.names(), strict=False)
-            pending = [(f.name, f) for f in program.functions]
-            checked = 0
-            while pending:
-                qualname, f = pending.pop()
-                assert env.functions[qualname].body_size == f.body.size()
-                checked += 1
-                pending.extend(
-                    (f"{qualname}.{b.func.name}", b.func)
-                    for b in local_functions(f.body)
-                )
-            assert checked == len(env.functions)
+        program = lowered(source)
+        env = analyze(program, known_operators=REGISTRY.names(), strict=False)
+        pending = [(f.name, f) for f in program.functions]
+        checked = 0
+        while pending:
+            qualname, f = pending.pop()
+            assert env.functions[qualname].body_size == f.body.size()
+            checked += 1
+            pending.extend(
+                (f"{qualname}.{b.func.name}", b.func)
+                for b in local_functions(f.body)
+            )
+        assert checked == len(env.functions)
 
 
 # ---------------------------------------------------------------------------
 # The fixpoint postcondition
 # ---------------------------------------------------------------------------
 
-PASSES = {"inline": inline, "constprop": constprop, "cse": cse, "dce": dce}
+#: The AST halves of the pass table, by name.
+AST_HALVES = {name: run for name, run, _ in pipeline.PASSES if run}
 
 
 def assert_fixpoint(source: str, enabled=PASS_ORDER) -> ast.Program:
@@ -177,7 +179,7 @@ def assert_fixpoint(source: str, enabled=PASS_ORDER) -> ast.Program:
     for f in program.functions:
         for name in PASS_ORDER:
             if name in enabled:
-                assert not PASSES[name].run(f, ctx), (name, f.name)
+                assert not AST_HALVES[name](f, ctx), (name, f.name)
     assert ctx.stats == {}
     assert [unparse(f) for f in program.functions] == before
     return program
@@ -370,6 +372,33 @@ class TestGoldenDigests:
 
 
 # ---------------------------------------------------------------------------
+# Checked passes: the contracts hold after every pass of the table
+# ---------------------------------------------------------------------------
+
+
+class TestCheckedPasses:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DLC_SHA256))
+    def test_every_prefix_of_the_pass_table_keeps_the_contracts(self, name):
+        """After each prefix of :data:`FULL_PASS_ORDER` the lowered program
+        holds no ``iterate`` and the graph validates; a failure names the
+        pass added last."""
+        kwargs = golden_compiles()[name]
+        for n in range(len(FULL_PASS_ORDER) + 1):
+            passes = FULL_PASS_ORDER[:n]
+            last = repr(passes[-1]) if passes else "lowering"
+            try:
+                compiled = compile_source(optimize_passes=passes, **kwargs)
+                validate_program(compiled.graph, compiled.registry)
+            except (CompileError, GraphError, TypeError) as err:
+                # TypeError: a stage met a node it need not handle, such as
+                # an iterate after lowering.
+                pytest.fail(f"{name}: the program is invalid after {last}: {err}")
+            assert not any(
+                isinstance(node, ast.Iterate) for node in compiled.source_ast.walk()
+            ), f"{name}: an iterate is left after {last}"
+
+
+# ---------------------------------------------------------------------------
 # Structural guards: counts, not seconds
 # ---------------------------------------------------------------------------
 
@@ -456,14 +485,22 @@ class TestStructuralGuards:
 
     def test_no_function_is_swept_once_dropped(self, monkeypatch):
         events: list[tuple[str, str]] = []
-        for name, module in PASSES.items():
-            real = module.run
 
-            def spying_run(f, ctx, *args, _real=real, **kwargs):
+        def spying(real):
+            def spying_run(f, ctx):
                 events.append(("sweep", f.name))
-                return _real(f, ctx, *args, **kwargs)
+                return real(f, ctx)
 
-            monkeypatch.setattr(module, "run", spying_run)
+            return spying_run
+
+        monkeypatch.setattr(
+            pipeline,
+            "PASSES",
+            tuple(
+                (name, ast_half and spying(ast_half), graph_half)
+                for name, ast_half, graph_half in pipeline.PASSES
+            ),
+        )
         real_drop = PassContext.drop
 
         def spying_drop(self, names):
@@ -479,6 +516,7 @@ class TestStructuralGuards:
         dropped = {n for kind, n in events if kind == "drop"}
         assert "orphan" in dropped
         assert report.stats["dce.functions_dropped"] == len(dropped) == 9
+        assert ("sweep", "main") in events
         assert ("sweep", "orphan") not in events
         for i, (kind, name) in enumerate(events):
             if kind == "drop":

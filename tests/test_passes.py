@@ -3,16 +3,17 @@
 import pytest
 
 from repro.compiler import compile_source, optimize
+from repro.compiler.passes import inline
 from repro.compiler.passes.pipeline import PASS_ORDER
-from repro.lang import ast, parse_program
+from repro.lang import ast, parse_expression, parse_program
 from repro.lang.ast import unparse
 from repro.runtime import default_registry
 
 
-def optimized(source: str, passes, registry=None, **kw):
+def optimized(source: str, passes, registry=None):
     program = parse_program(source)
     registry = registry or default_registry()
-    report = optimize(program, registry, enabled=tuple(passes), **kw)
+    report = optimize(program, registry, enabled=tuple(passes))
     return program, report
 
 
@@ -212,12 +213,11 @@ class TestInline:
         assert "inline.expanded" not in report.stats
 
     def test_large_function_not_inlined(self):
-        big_body = "add(x, add(x, add(x, add(x, x))))"
-        p, report = optimized(
-            f"main(n) f(n)\nf(x) {big_body}",
-            ["inline"],
-            inline_threshold=3,
-        )
+        big_body = "x"
+        for _ in range(14):
+            big_body = f"add(x, {big_body})"
+        assert parse_expression(big_body).size() > inline.DEFAULT_THRESHOLD
+        p, report = optimized(f"main(n) f(n)\nf(x) {big_body}", ["inline"])
         assert "inline.expanded" not in report.stats
 
     def test_local_function_inlined(self):

@@ -70,7 +70,8 @@ def agree(source, args=(), registry=REGISTRY):
 
 
 def before_the_pass(source, registry=REGISTRY):
-    """``(graph, analysis)`` as the driver holds them when it calls the pass."""
+    """``(graph, analysis)`` as ``compile_source`` holds them when it calls
+    the pass (which reads no registry)."""
     compiled = compile_source(source, registry=registry, optimize_passes=())
     env = analyze(compiled.source_ast, known_operators=registry.names())
     return compiled.graph, analyze_program(env, registry.pure_names())
@@ -204,7 +205,7 @@ class TestShapes:
         )
         value_use.inputs[1] = call.inputs[0]  # one closure node, two readers
         g.finalize()
-        assert splice.run(graph, analysis) == 1
+        assert splice.run(graph, analysis, REGISTRY) == {"inline.spliced": 1}
         validate_program(graph)
         shared = g.nodes[value_use.inputs[1].node]
         assert shared.kind is NodeKind.CLOSURE and shared.template == "f"
@@ -291,7 +292,7 @@ class TestLeftAlone:
             return str(info.value)
 
         graph, analysis = broken()
-        assert splice.run(graph, analysis) == 3
+        assert splice.run(graph, analysis, REGISTRY) == {"inline.spliced": 3}
         validate_program(graph)
         assert len(calls_of(graph.templates["do_it"], "try")) == 1
         assert failure(graph) == failure(broken()[0])
@@ -305,7 +306,7 @@ class TestLeftAlone:
             monkeypatch.setattr(
                 Template, "finalize", lambda t: finalized.append(t.name) or real(t)
             )
-            assert splice.run(graph, analysis) == 0
+            assert splice.run(graph, analysis, REGISTRY) == {}
             monkeypatch.setattr(Template, "finalize", real)
         assert finalized == []
 
@@ -320,9 +321,9 @@ class TestPass:
         graph, analysis = before_the_pass(
             queens.queens_source(5), queens.make_registry(5)
         )
-        assert splice.run(graph, analysis) == 5
+        assert splice.run(graph, analysis, REGISTRY) == {"inline.spliced": 5}
         once = dumps(graph)
-        assert splice.run(graph, analysis) == 0
+        assert splice.run(graph, analysis, REGISTRY) == {}
         assert dumps(graph) == once
 
     def test_serialize_round_trip(self):

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro import compile_source
+from repro.apps.montecarlo import compile_pi
+from repro.apps.retina import RetinaConfig, compile_retina
 from repro.errors import (
     OperatorError,
     PoolIrrecoverableError,
@@ -50,6 +52,7 @@ from repro.runtime.workers import (
     WorkerPool,
     _decode_exception,
     _encode_exception,
+    cleanup_arenas,
 )
 
 
@@ -405,6 +408,55 @@ class TestTimeouts:
             e.reason == "timeout" or "timed out" in str(e.reason)
             for e in log.of_type(FireRetried)
         )
+
+
+# ---------------------------------------------------------------------------
+# The case studies under a fault cocktail
+# ---------------------------------------------------------------------------
+#: Worker kills on 5% of operator calls, plus one 30-second stall on the
+#: first call the clause sees, forced past a 0.75 s per-call budget.
+CHAOS_SPEC = "kill:p=0.05,seed=7;delay:nth=1,seconds=30"
+CHAOS_POLICY = FaultPolicy(max_retries=6, timeout=0.75, backoff=0.0, max_respawns=64)
+
+
+def _fused_retina():
+    prog = compile_retina(
+        2, RetinaConfig(height=32, width=32, kernel_size=5, num_iter=2), fuse=True
+    )
+    return prog, ()
+
+
+def _montecarlo_pi():
+    return compile_pi(seed=2026, batch_size=512), (16,)
+
+
+class TestCaseStudiesUnderChaos:
+    """Retina (``modifies`` slab state, fused graph) and the Monte-Carlo
+    estimator (pure fan-out/reduce) finish bit-identical under random
+    kills and a forced timeout, and leave no segment or arena behind."""
+
+    @pytest.mark.parametrize("build", [_fused_retina, _montecarlo_pi])
+    def test_bit_identical_and_nothing_left(self, build):
+        prog, args = build()
+        want = SequentialExecutor().run(prog.graph, args, prog.registry).value
+        before = _shm_entries()
+        result = ProcessExecutor(
+            2,
+            cost_threshold=0.0,
+            shm_threshold=1024,
+            fault_policy=CHAOS_POLICY,
+            fault_spec=parse_fault_spec(CHAOS_SPEC),
+        ).run(prog.graph, args, prog.registry)
+        got = result.value
+        if hasattr(want, "signature"):
+            got, want = got.signature(), want.signature()
+        assert got == want
+        stats = result.stats
+        assert stats.worker_crashes >= 1, "the kill clause never fired"
+        assert stats.fires_timed_out >= 1, "the forced timeout never fired"
+        assert stats.fires_retried >= stats.worker_crashes
+        assert _shm_entries() <= before, "leaked shared-memory segments"
+        assert cleanup_arenas() == 0, "live arenas left for the atexit reaper"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import analyze
+from repro.compiler import analyze, lower_program
 from repro.errors import ArityError, SingleAssignmentError, UnboundNameError
 from repro.lang import parse_program
 
@@ -11,6 +11,10 @@ OPS = {"f", "g", "incr", "add"}
 
 def run(source: str, strict: bool = True, ops=OPS):
     return analyze(parse_program(source), known_operators=ops, strict=strict)
+
+
+def run_lowered(source: str, ops=OPS):
+    return analyze(lower_program(parse_program(source)), known_operators=ops)
 
 
 class TestSingleAssignment:
@@ -120,8 +124,12 @@ class TestFreeVariablesAndCalls:
 
 
 class TestIterateScoping:
+    """Analysis runs on lowered programs: a loop is a local function whose
+    parameters are the loop variables, and errors land where the lowered
+    tree puts them (what ``compile_source`` reports)."""
+
     def test_loop_vars_visible_in_cond_update_result(self):
-        run(
+        env = run_lowered(
             """
             main(n)
               iterate { i = 0, incr(i)  acc = 0, add(acc, i) }
@@ -129,17 +137,23 @@ class TestIterateScoping:
             """,
             ops={"incr", "add"},
         )
+        loop = env.functions["main.loop$1"]
+        assert loop.params == ["i", "acc"]
+        assert "n" in loop.free
+        assert not {"i", "acc"} & set(loop.free)
 
     def test_loop_var_not_visible_in_init(self):
         with pytest.raises(UnboundNameError):
-            run(
+            run_lowered(
                 "main() iterate { i = incr(i), incr(i) } while i, result i",
                 ops={"incr"},
             )
 
     def test_loop_var_conflicts_with_outer_binding(self):
-        with pytest.raises(SingleAssignmentError):
-            run(
+        with pytest.raises(SingleAssignmentError) as info:
+            run_lowered(
                 "main(i) iterate { i = 0, incr(i) } while i, result i",
                 ops={"incr"},
             )
+        # The lowered loop function binds it, at the iterate's position.
+        assert (info.value.line, info.value.column) == (1, 9)
