@@ -311,7 +311,19 @@ class SimulatedExecutor:
             now = finish
             if bus is not None:
                 bus.set_time(now)
-            ready.push_all(state.fire(task, home=processor))
+            fired = state.fire(task, home=processor)
+            if fired.__class__ is not list:
+                # A call of an operator value, or a purity-checked body:
+                # the engine suspends it, and it runs here, its failure
+                # wrapped as the engine's single pass wraps one.
+                try:
+                    raw = fired.spec.fn(*fired.args)
+                except Exception as exc:  # noqa: BLE001 - wrapped
+                    raw = state._body_failed(
+                        fired.spec, fired.args, fired.node_id, exc
+                    )
+                fired = state.complete_fire(fired, raw)
+            ready.push_all(fired)
             idle.add(processor)
             dispatch()
 

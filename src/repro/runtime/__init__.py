@@ -22,7 +22,6 @@ from .blocks import (
 from .engine import (
     EngineStats,
     ExecutionState,
-    FireOutcome,
     PendingOp,
     PurityViolationError,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "EngineStats",
     "ExecutionState",
     "FaultPolicy",
-    "FireOutcome",
     "JsonlSink",
     "LineSource",
     "MemorySink",

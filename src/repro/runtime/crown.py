@@ -350,7 +350,10 @@ class _Generator:
                     return None
                 carry = 1
             elif kind is NodeKind.OP:
-                dying += self._op(t, plan.nodes[i].op, i, ins, out, depth, val)
+                op = plan.nodes[i].op
+                dying += self._op(t, op, i, ins, out, depth, val, shares((i, 0)))
+                if not op[2]:  # the result was emitted with its shares
+                    carry = shares((i, 0))
             elif kind is NodeKind.UNTUPLE:
                 outs = [self.fresh() for _ in range(node.n_outputs)]
                 val.update({(i, o): (v, "v") for o, v in enumerate(outs)})
@@ -396,8 +399,9 @@ class _Generator:
                 (depth, f"elif {expr}.__class__ in RC: {fn}({expr}, {n})"),
             ]
 
-    def _op(self, t, op, i, ins, out, depth, val) -> list[str]:
-        """Emit one operator firing; returns the temporaries it bound."""
+    def _op(self, t, op, i, ins, out, depth, val, n) -> list[str]:
+        """Emit one operator firing; returns the temporaries it bound.  A
+        single result is emitted with its ``n`` shares taken."""
         spec, fn, untuple_n, _, _, codes, _ = op
         f, sp = self.const(fn), self.const(spec)
         bound, temps = [], []
@@ -436,14 +440,19 @@ class _Generator:
                         f"ST, r, ({_items(bound)}), {untuple_n}, "
                         f"{self.const(t.nodes[i].label)}, {self.const(t.name)})"))
         else:
-            # Atomic results circulate as they are (``wrap_payload``); a
-            # result that is a written argument's payload is its block,
-            # ``_result``'s identity rule tried first.
+            # Atomic results circulate as they are (``wrap_payload``) and
+            # are never counted, so only the other branch takes the
+            # result's shares; a result that is a written argument's
+            # payload is its block, ``_result``'s identity rule tried first.
             written = "".join(
                 f"{t} if {t}.__class__ is DB and r is {t}.payload else " for t in temps
             )
-            out.append((depth, f"{outs[0]} = r if r.__class__ in ATOMIC else "
-                        f"{written}RES(ST, r, ({_items(bound)}))"))
+            out += [
+                (depth, f"if r.__class__ in ATOMIC: {outs[0]} = r"),
+                (depth, "else:"),
+                (depth + 1, f"{outs[0]} = {written}RES(ST, r, ({_items(bound)}))"),
+            ]
+            self._adjust(out, depth + 1, outs[0], "v", n)
         return temps
 
     def _call(self, i, node, ins, closures, dying, held, out, depth, is_tail, val) -> bool:

@@ -5,23 +5,27 @@ execution — node firing rules, reference-counted copy-on-write, call-closure
 expansion, conditional-arm expansion and tail-call continuation
 inheritance.  It deliberately contains no *policy*: executors (sequential,
 threaded, simulated-machine) own the ready queue, the notion of time, and
-processor placement, and drive the state through two calls:
+processor placement, and drive the state through three calls:
 
 * :meth:`start` — build the root activation, returning the initially ready
   tasks;
-* :meth:`fire` — fire one ready task, returning the tasks it made ready.
+* :meth:`fire` — fire one ready task, returning the tasks it made ready,
+  or the :class:`PendingOp` of an operator body that must run elsewhere;
+* :meth:`complete_fire` — commit such a body's raw result, however and
+  wherever the executor computed it.
 
 An operator firing is written once, as two halves: *bind* (resolve the
 spec, take the node's inputs, make every in-place / copy-on-write
 decision — :meth:`ExecutionState._bind`) and *commit* (wrap and deliver
 the result, release the input references —
-:meth:`ExecutionState._commit`).  ``fire`` runs them back to
-back around the body.  For executors that overlap operator bodies
-(threads, worker processes) the same halves are split at the body into
-:meth:`begin_fire`, which returns a :class:`PendingOp`, and
-:meth:`complete_fire`, which takes the raw result however and wherever
-the executor computed it.  All engine bookkeeping stays in the calling
-thread; only the opaque sequential computation happens elsewhere.
+:meth:`ExecutionState._commit`).  ``fire`` runs them back to back around
+the body in one pass when it can; when the body must leave that pass
+(it goes to a worker, a lock is released around it, an injector or the
+purity check must see it, or the callee is an operator value) ``fire``
+stops at the body and ``complete_fire`` runs the commit.  All engine
+bookkeeping stays in the calling thread; only the opaque sequential
+computation happens elsewhere.  The engine itself runs a body only in
+the single pass and in a crown call (:mod:`repro.runtime.crown`).
 
 Each rule of the engine has one site: :meth:`ExecutionState._deliver_output`
 is the only code that writes an input slot, :func:`~repro.runtime.blocks.retain`
@@ -133,11 +137,6 @@ def _plans_for(program: GraphProgram, registry: OperatorRegistry) -> ProgramPlan
         plans = _PLAN_CACHES[id(program)] = ProgramPlans(program, registry)
     return plans
 
-#: Hook type: executors may intercept the raw operator call (to inject
-#: faults and retry, or to time it).  Receives the spec, the ready
-#: payloads and the node id.
-RunOp = Callable[[OperatorSpec, tuple[Any, ...], int], Any]
-
 #: Hook type: decide whether an operator body should run *remotely* (in a
 #: worker process) rather than in this interpreter.  Receives the spec and
 #: the raw argument payloads *before* any copy-on-write copies are made.
@@ -159,7 +158,7 @@ def _remote(spec: OperatorSpec, payloads: tuple[Any, ...]) -> bool:
 class PendingOp:
     """An operator firing suspended at the compute boundary.
 
-    Produced by :meth:`ExecutionState.begin_fire`; every copy-on-write
+    Returned by :meth:`ExecutionState.fire`; every copy-on-write
     decision has already been made and recorded.  The executor runs
     ``spec.fn(*args)`` (locally or in a worker) and passes the raw result
     to :meth:`ExecutionState.complete_fire`.
@@ -189,7 +188,7 @@ class PendingOp:
     home: int
     remote: bool
     op_began: float | None = None
-    #: Identity of the task this firing came from (``begin_fire`` stamps
+    #: Identity of the task this firing came from (``fire`` stamps
     #: them) so executor-emitted :class:`~repro.obs.events.TaskFired`
     #: spans for operator bodies carry the same (seq, priority) as their
     #: :class:`~repro.obs.events.TaskEnqueued` — the join key the
@@ -208,19 +207,6 @@ class PendingOp:
     #: proves the worker's cached copy and the master's block hold the
     #: same value.
     result_value: Any = None
-
-
-@dataclass(slots=True)
-class FireOutcome:
-    """Result of :meth:`ExecutionState.begin_fire`.
-
-    ``pending`` is ``None`` when the node completed entirely inside
-    ``begin_fire`` (constants, packages, expansions...); otherwise the
-    firing is suspended and must be finished with ``complete_fire``.
-    """
-
-    newly: list[Task]
-    pending: PendingOp | None = None
 
 
 class PurityViolationError(RuntimeFailure):
@@ -453,7 +439,7 @@ class ExecutionState:
 
     def call(self, crown: Any, args: tuple[Any, ...] = ()) -> None:
         """Run the whole program as one call of the entry's crown, in
-        place of :meth:`start` and a drain: one firing, the checks of
+        place of :meth:`start` and a loop: one firing, the checks of
         :meth:`start`, each argument handed over with one share."""
         self._entry(args)
         self.stats.tasks_fired += 1
@@ -462,43 +448,104 @@ class ExecutionState:
             retain(v, 1)
         self._final = self._call_crown(crown, values)
 
-    def fire(self, task: Task, run_op: RunOp | None = None, home: int = -1) -> list[Task]:
-        """Fire one ready task to completion; return the newly ready tasks.
+    def fire(
+        self,
+        task: Task,
+        home: int = -1,
+        classify: Classify | None = None,
+        suspend: bool = False,
+    ) -> list[Task] | PendingOp:
+        """Fire one ready task; return the newly ready tasks, or the
+        :class:`PendingOp` of an operator body that must leave the single
+        pass.
 
         A pure ``OP`` node takes the single pass of
-        :meth:`_fire_op_inline`.  Every other kind — and every operator
-        under ``run_op`` (fault injection, timing hooks: interception
-        must see each call) or ``check_purity`` — goes through the ladder
-        of :meth:`_fire_node`, with a suspended body run right here.
+        :meth:`_fire_op_inline` unless ``classify`` (see
+        :data:`Classify`; it sees the slot payloads *before* any
+        copy-on-write decision) sends the body to another process,
+        ``suspend`` asks for the body (a lock is released around it, or
+        an injector must see it) or the state checks purity.  A ``CALL``
+        of an operator value always suspends; every other kind completes
+        here.  A firing that suspends has delivered nothing yet, so
+        ready tasks and a pending op never come back together: the
+        executor runs the body and hands its raw result to
+        :meth:`complete_fire`.  ``CONST``, ``OPREF`` and ``CLOSURE`` nodes
+        get here only when they are not static (see
+        :class:`~repro.runtime.activation.TemplatePlan`).
         """
         act = task.activation
-        entry = act.plan.nodes[task.node_id]
-        if entry.kind is NodeKind.OP and run_op is None:
+        node_id = task.node_id
+        entry = act.plan.nodes[node_id]
+        kind = entry.kind
+        if kind is NodeKind.OP and not suspend:
             plan = entry.op or self._op_plan(entry)
             if plan[-1] and not self.check_purity:
-                return self._fire_op_inline(task, act, plan, home)
+                if classify is None or not classify(
+                    plan[0], tuple(map(_payload_of, act.slots[node_id]))
+                ):
+                    return self._fire_op_inline(task, act, plan, home)
+                classify = _remote
+        act.fired += 1
+        self.stats.tasks_fired += 1
+        node = entry.node
         newly: list[Task] = []
-        pending = self._fire_node(task, act, entry, newly, home, None)
-        if pending is None:
-            return newly
-        spec = pending.spec
-        try:
-            if run_op is not None:
-                raw_result = run_op(spec, pending.args, pending.node_id)
-            elif self.profile_ops:
-                t_body = _perf_counter()
-                raw_result = spec.fn(*pending.args)
-                self.stats.op_body_seconds += _perf_counter() - t_body
-            else:
-                raw_result = spec.fn(*pending.args)
-        except OperatorError:
-            raise  # already wrapped (e.g. by a retrying run_op)
-        except Exception as exc:  # noqa: BLE001 - retried or wrapped
-            raw_result = self._body_failed(
-                spec, pending.args, pending.node_id, exc
+        pending: PendingOp | None = None
+        if kind is NodeKind.IF:
+            self._fire_if(act, node_id, entry, newly)
+        elif kind is NodeKind.CALL:
+            pending = self._fire_call(act, node_id, entry, newly, home, classify)
+        elif kind is NodeKind.CONST:
+            self._deliver_output(act, node_id, 0, node.value, 0, newly)
+        elif kind is NodeKind.OP:
+            inputs = act.take_inputs(node_id)
+            pending = self._begin_operator(
+                act,
+                node_id,
+                entry.op or self._op_plan(entry),
+                inputs,
+                inputs,
+                home,
+                classify,
             )
-        newly.extend(self.complete_fire(pending, raw_result))
-        return newly
+        elif kind is NodeKind.OPREF:
+            self._deliver_output(act, node_id, 0, OperatorValue(node.name), 0, newly)
+        elif kind is NodeKind.TUPLE:
+            inputs = act.take_inputs(node_id)
+            mv = MultiValue(tuple(inputs))
+            self._deliver_output(act, node_id, 0, mv, 0, newly)
+            release(mv, 1)  # drop the input slots' shares
+        elif kind is NodeKind.UNTUPLE:
+            value = act.take_inputs(node_id)[0]
+            check_package(
+                value, MultiValue, node.n_outputs, f"node {node.label!r}",
+                act.template.name,
+            )
+            for i, element in enumerate(value.items):
+                self._deliver_output(act, node_id, i, element, 0, newly)
+            release(value, 1)
+        elif kind is NodeKind.CLOSURE:
+            cells = tuple(act.take_inputs(node_id))
+            template = self.program.template(node.template)
+            if len(cells) != len(template.captures):
+                raise GraphError(
+                    f"closure over {template.name!r}: {len(cells)} cell(s) "
+                    f"for {len(template.captures)} capture(s)"
+                )
+            closure = Closure(template, cells).tie_self()
+            # Cells keep the input slots' shares as permanent pins: a
+            # captured block is always treated as shared (conservative,
+            # documented in blocks.py).
+            self._deliver_output(act, node_id, 0, closure, 0, newly)
+        else:  # pragma: no cover - placeholders never reach the queue
+            raise GraphError(f"cannot fire node of kind {kind}")
+        if pending is None:
+            self._maybe_free(act)
+            return newly
+        # The task's identity rides on the firing so executor-emitted
+        # spans for its body join their TaskEnqueued on (seq, priority).
+        pending.seq = task.seq
+        pending.priority = task.priority
+        return pending
 
     def _op_plan(self, entry: NodePlan) -> tuple:
         """Compute the per-node constants of one ``OP`` node into its row
@@ -507,8 +554,8 @@ class ExecutionState:
         ``(spec, fn, untuple_n, n_source_ops, is_fused, arg_codes,
         single_pass)``.  ``arg_codes`` is what :meth:`_bind`
         reads; ``single_pass`` is False on a static arity mismatch (the
-        begin path raises the canonical error).  A purity-checking state
-        shares the plan and never takes the single pass: its
+        suspending path raises the canonical error).  A purity-checking
+        state shares the plan and never takes the single pass: its
         fingerprints live on the :class:`PendingOp`.
         """
         node = entry.node
@@ -541,8 +588,8 @@ class ExecutionState:
     ) -> list[Task]:
         """One pure ``OP`` firing in a single pass: bind, body, commit.
 
-        The same two halves :meth:`begin_fire` and :meth:`complete_fire`
-        run either side of a suspension, minus the :class:`PendingOp` a
+        The same two halves a suspended firing runs either side of its
+        body (:meth:`fire`, :meth:`complete_fire`), minus the :class:`PendingOp` a
         synchronous firing never needs.  ``OpStarted``/``OpFinished``
         bracket only the operator body, so generated fused frames
         attribute to ``operator_body`` in the critical-path profile,
@@ -608,130 +655,6 @@ class ExecutionState:
         """The spec an ``OP`` node fires (fused bodies composed once)."""
         return (entry.op or self._op_plan(entry))[0]
 
-    def fire_unless_remote(
-        self, task: Task, classify: Classify | None, home: int = -1
-    ) -> list[Task] | PendingOp:
-        """Fire one ``OP`` task, suspending it only when it goes remote.
-
-        ``classify`` sees the slot payloads *before* any copy-on-write
-        decision.  When it keeps the body here (or is ``None``) the fire
-        takes the same single-pass path as :meth:`fire` and the newly
-        ready tasks come back; otherwise — and for the nodes that path
-        does not admit (see :meth:`_op_plan`) — the result is the
-        :class:`PendingOp` of :meth:`begin_fire`.
-        """
-        act = task.activation
-        entry = act.plan.nodes[task.node_id]
-        plan = entry.op or self._op_plan(entry)
-        if plan[-1] and not self.check_purity:
-            if classify is None or not classify(
-                plan[0], tuple(map(_payload_of, act.slots[task.node_id]))
-            ):
-                return self._fire_op_inline(task, act, plan, home)
-            classify = _remote
-        return self.begin_fire(task, home, classify).pending
-
-    def begin_fire(
-        self, task: Task, home: int = -1, classify: Classify | None = None
-    ) -> FireOutcome:
-        """Fire one ready task up to (but not through) any operator body.
-
-        Non-operator nodes complete entirely here.  ``OP`` nodes (and
-        ``CALL`` nodes whose callee is an operator value) stop at the
-        compute boundary and come back as a :class:`PendingOp`; the
-        executor must finish them with :meth:`complete_fire`.  ``classify``
-        (see :data:`Classify`) marks a pending operator as *remote*, which
-        suppresses the physical copy-on-write copy (the process boundary
-        does the isolating).
-        """
-        act = task.activation
-        newly: list[Task] = []
-        pending = self._fire_node(
-            task, act, act.plan.nodes[task.node_id], newly, home, classify
-        )
-        return FireOutcome(newly, pending)
-
-    def _fire_node(
-        self,
-        task: Task,
-        act: Activation,
-        entry: NodePlan,
-        newly: list[Task],
-        home: int,
-        classify: Classify | None,
-    ) -> PendingOp | None:
-        """The kind ladder: fire the node of ``entry``, or suspend it at
-        its body.
-
-        Appends the tasks made ready to ``newly``; returns the
-        :class:`PendingOp` of a firing that stopped at the compute
-        boundary, ``None`` when the node completed here.  ``CONST``,
-        ``OPREF`` and ``CLOSURE`` nodes get here only when they are not
-        static (see :class:`~repro.runtime.activation.TemplatePlan`).
-        """
-        node_id = task.node_id
-        act.fired += 1
-        self.stats.tasks_fired += 1
-        node = entry.node
-        kind = entry.kind
-        pending: PendingOp | None = None
-        if kind is NodeKind.IF:
-            self._fire_if(act, node_id, entry, newly)
-        elif kind is NodeKind.CALL:
-            pending = self._fire_call(act, node_id, entry, newly, home, classify)
-        elif kind is NodeKind.CONST:
-            self._deliver_output(act, node_id, 0, node.value, 0, newly)
-        elif kind is NodeKind.OP:
-            inputs = act.take_inputs(node_id)
-            pending = self._begin_operator(
-                act,
-                node_id,
-                entry.op or self._op_plan(entry),
-                inputs,
-                inputs,
-                home,
-                classify,
-            )
-        elif kind is NodeKind.OPREF:
-            self._deliver_output(act, node_id, 0, OperatorValue(node.name), 0, newly)
-        elif kind is NodeKind.TUPLE:
-            inputs = act.take_inputs(node_id)
-            mv = MultiValue(tuple(inputs))
-            self._deliver_output(act, node_id, 0, mv, 0, newly)
-            release(mv, 1)  # drop the input slots' shares
-        elif kind is NodeKind.UNTUPLE:
-            value = act.take_inputs(node_id)[0]
-            check_package(
-                value, MultiValue, node.n_outputs, f"node {node.label!r}",
-                act.template.name,
-            )
-            for i, element in enumerate(value.items):
-                self._deliver_output(act, node_id, i, element, 0, newly)
-            release(value, 1)
-        elif kind is NodeKind.CLOSURE:
-            cells = tuple(act.take_inputs(node_id))
-            template = self.program.template(node.template)
-            if len(cells) != len(template.captures):
-                raise GraphError(
-                    f"closure over {template.name!r}: {len(cells)} cell(s) "
-                    f"for {len(template.captures)} capture(s)"
-                )
-            closure = Closure(template, cells).tie_self()
-            # Cells keep the input slots' shares as permanent pins: a
-            # captured block is always treated as shared (conservative,
-            # documented in blocks.py).
-            self._deliver_output(act, node_id, 0, closure, 0, newly)
-        else:  # pragma: no cover - placeholders never reach the queue
-            raise GraphError(f"cannot fire node of kind {kind}")
-        if pending is None:
-            self._maybe_free(act)
-        else:
-            # The task's identity rides on the firing so executor-emitted
-            # spans for its body join their TaskEnqueued on (seq, priority).
-            pending.seq = task.seq
-            pending.priority = task.priority
-        return pending
-
     def complete_fire(
         self,
         pending: PendingOp,
@@ -742,8 +665,9 @@ class ExecutionState:
 
         ``raw_result`` is whatever the operator function returned (in this
         process or another).  Exactly one ``complete_fire`` must follow
-        every pending ``begin_fire``; an abandoned pending op leaves its
-        activation pinned, which the stall report will point at.
+        every :class:`PendingOp` :meth:`fire` returns; an abandoned one
+        leaves its activation pinned, which the stall report will point
+        at.
 
         ``op_seconds``, when given, overrides the duration reported on the
         :class:`~repro.obs.events.OpFinished` event.  The process executor
@@ -1059,7 +983,7 @@ class ExecutionState:
         """Turn a firing's operator inputs into call arguments.
 
         The one place the in-place / copy-on-write decision is made, for
-        the single-pass fire and for :meth:`begin_fire` alike: a written
+        the single-pass fire and for a suspended one alike: a written
         argument whose block holds the sole reference (``rc == 1``) is
         written in place, any other is copied first (§2.1).
         ``codes`` (see :func:`_arg_codes`) says which arguments the body
@@ -1243,9 +1167,11 @@ class ExecutionState:
     def _run_nested(
         self, template: Template, params: tuple[Any, ...], cells: tuple[Any, ...]
     ) -> Any:
-        """Evaluate a call on the graph path, in a nested drain with
+        """Evaluate a call on the graph path, in a nested loop with
         clipping off: where a clipped call goes past its depth bound.
-        Returns the result carrying its one share, as a crown call does."""
+        Returns the result carrying its one share, as a crown call does.
+        A clipped closure holds only operators that take the single pass,
+        so every firing here comes back as its ready tasks."""
         clip, final = self.clip, self._final
         self.clip, self._final = None, _NO_RESULT
         try:
@@ -1258,13 +1184,14 @@ class ExecutionState:
                 self._deliver_values(act, len(params), cells, 0, newly)
             queue = ReadyQueue()
             queue.push_all(newly)
-            queue.drain(self.fire)
+            while queue:
+                queue.push_all(self.fire(queue.pop()))
             value = self._final
         finally:
             self.clip, self._final = clip, final
         if value is _NO_RESULT:
             raise RuntimeFailure(
-                "execution stalled in a nested drain\n" + self.stall_report()
+                "execution stalled in a nested run\n" + self.stall_report()
             )
         return value
 

@@ -2,11 +2,12 @@
 
 A run is a :class:`Run` — bus, engine state, ready queue, clock, run
 bracket, stall check — driving one loop (:meth:`Run.loop`): pop a ready
-task, look up its node's dispatch class, and either fire it whole or
-begin it and run its body *somewhere*.  The executors are that somewhere:
+task, look up its node's dispatch class, and fire it; a firing that comes
+back suspended (a :class:`~repro.runtime.engine.PendingOp`) has its body
+run *somewhere*.  The executors are that somewhere:
 
 * :class:`SequentialExecutor` — one logical processor; a suspended body
-  runs at once, where it was begun.  The reference executor and the
+  runs at once, where it was fired.  The reference executor and the
   debugging story of the paper ("we generally debug programs on a
   single-processor workstation").
 * :class:`ThreadedExecutor` — several threads drive the loop under one
@@ -34,6 +35,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -94,7 +96,7 @@ def batch_key(task: Task) -> tuple[int, int] | None:
     """Peer key for :meth:`ReadyQueue.take_peers`.
 
     Ready fires of the same ``(template, node)`` are peers: a ``_CALL``
-    head is begun together with them (:meth:`Run.loop`).  ``CALL`` and
+    head is fired together with them (:meth:`Run.loop`).  ``CALL`` and
     ``OP`` nodes qualify (under threads an ``OP`` head is a ``_CALL``
     head); everything else — ``IF`` expansions, plumbing — returns
     ``None`` and is never a peer.
@@ -127,7 +129,7 @@ class RunResult:
 
 
 class _Inline:
-    """The backend that takes nothing: every body runs where it was begun.
+    """The backend that takes nothing: every body runs where it was fired.
 
     A backend is where suspended bodies go, and its surface is the one
     :class:`~repro.runtime.supervise.Supervisor` already has —
@@ -147,7 +149,7 @@ class _Threads:
     """Backend of a run driven by several threads under one engine lock.
 
     Every thread runs :meth:`Run.loop` holding ``lock``; a suspended body
-    still runs where it was begun, but between :meth:`leave` and
+    still runs where it was fired, but between :meth:`leave` and
     :meth:`enter` — with the lock released, so kernels that drop the GIL
     overlap across threads.  ``in_flight`` counts the bodies out there,
     and :meth:`pump` is a thread with nothing to pop waiting for one of
@@ -268,16 +270,9 @@ class Run:
         # an event object per firing, which a bus carrying only coarse
         # subscribers (flight recorder, say) must not pay.
         self.wants_fired = bus is not None and bus.wants(TaskFired)
-        #: Nothing asks for per-fire detail: operator firings that need
-        #: not suspend take the engine's single pass.
-        self.plain = (
-            injector is None
-            and not executor.check_purity
-            and not self.wants_fired
-        )
-        #: Calls expand together with their ready peers (set by
-        #: :meth:`execute`).
-        self.batching = False
+        #: Calls expand together with their ready peers, and every
+        #: operator body suspends (both set by :meth:`execute`).
+        self.batching = self.suspend = False
         self.profile_ops = executor.profile_ops
         self.class_tokens = executor.class_tokens
         #: Marks the dispatch classes in the shared per-node tables
@@ -298,7 +293,12 @@ class Run:
         #: Calls may be clipped: nothing watches or perturbs single
         #: firings, pops are not shuffled and (see :meth:`execute`) one
         #: thread drives the loop.
-        self.clipping = self.plain and executor.seed is None
+        self.clipping = (
+            injector is None
+            and not executor.check_purity
+            and not self.wants_fired
+            and executor.seed is None
+        )
         if ctx is not None:
             ctx.add_snapshot_source("engine", state.snapshot_state)
             ctx.add_snapshot_source(
@@ -327,6 +327,9 @@ class Run:
         # injector switches it off.
         self.batching = dispatch_policy is not None and self.injector is None
         self.clipping = self.clipping and self.threads is None
+        # A thread releases the lock around every body, and an injector
+        # sees every body before it runs: neither may take the single pass.
+        self.suspend = self.injector is not None or self.threads is not None
         # Everything :meth:`_node_class` reads besides the node: runs of
         # one configuration share a token, so only the first of them
         # classifies.
@@ -350,11 +353,6 @@ class Run:
                 queue.push_all(state.start(args))
                 if self.threads is not None:
                     self.threads.drive(self)
-                elif self.plain and dispatch_policy is None:
-                    # Every head would take the loop's first branch: the
-                    # queue's own drain loop folds pop/fire/push into one
-                    # frame.
-                    queue.drain(state.fire)
                 else:
                     self.loop()
             if self.on_pump is not None:
@@ -378,29 +376,28 @@ class Run:
 
     # -- the loop ---------------------------------------------------------
     def loop(self) -> None:
-        """The firing loop: ``pop → class → fire | begin → local body |
-        submit``, then ``poll → commit``.
+        """The firing loop: ``pop → class → fire → local body | submit``,
+        then ``poll → commit``.
 
         Each node has one dispatch class, memoized in its row of the
         template's per-node table (:meth:`_node_class`) under the token
         of the run's configuration: the first run of a configuration
         classifies, the rest read.
-        A ``_FIRE`` head is fired whole.  An ``_OP`` head takes the
-        engine's single pass unless its payloads send it away.  A
-        ``_CALL`` head is begun; in a batching run (one with a dispatch
-        policy and no injector) whose queue holds a ready peer of its
-        node (:meth:`ReadyQueue.has_peer`) it expands together with its
-        peers, all begun before any body runs.
-        Whatever was begun and stays here runs in :meth:`_local`; the
-        rest goes to the backend and comes back through :meth:`_commit`.
+        A ``_FIRE`` or ``_CLIP`` head is fired with nothing to ask: its
+        body, if any, stays here.  An ``_OP`` or ``_CALL`` head is fired
+        with the dispatch policy's ``classify``, which may send its body
+        away.  In a batching run (one with a dispatch policy and no
+        injector) a ``_CALL`` head whose queue holds a ready peer of its
+        node (:meth:`ReadyQueue.has_peer`) expands together with its
+        peers, all fired before any body runs.
+        Whatever comes back suspended and stays here runs in
+        :meth:`_local`; the rest goes to the backend and comes back
+        through :meth:`_commit`.
         """
-        state, queue = self.state, self.queue
+        queue = self.queue
         token, node_class = self.token, self._node_class
-        plain, batching = self.plain, self.batching
-        fire, begin, local = state.fire, self._begin, self._local
-        # A run that wants per-fire detail begins what the single pass
-        # would have fired without it.
-        fire_op = self._fire_op if plain else begin
+        batching, classify = self.batching, self.classify
+        fire, place = self._fire, self._place
         backend = self.backend
         while True:
             while queue and not self.halted:
@@ -413,29 +410,21 @@ class Run:
                     cls = node_class(entry)
                     entry.memo = (token, cls)
                 if cls == _FIRE or cls == _CLIP:
-                    if plain:
-                        queue.push_all(fire(task))
-                    else:
-                        self._fire(task, entry.node)
-                    continue
-                if cls == _OP:
-                    pendings = [fire_op(task)]
-                elif batching and queue.has_peer(task):
+                    pending = fire(task, None)
+                elif cls == _CALL and batching and queue.has_peer(task):
                     # Expanded together, the peers' leaves meet in the
                     # queue.
                     peers = queue.take_peers(
                         task, batch_key(task), _GROUP_MAX - 1, batch_key
                     )
-                    pendings = [begin(t) for t in (task, *peers)]
+                    for pending in [fire(t, classify) for t in (task, *peers)]:
+                        if pending is not None:
+                            place(pending)
+                    continue
                 else:
-                    pendings = [begin(task)]
-                for pending in pendings:
-                    if pending is None:
-                        continue
-                    if pending.remote:
-                        backend.dispatch(pending)
-                    else:
-                        local(pending)
+                    pending = fire(task, classify)
+                if pending is not None:
+                    place(pending)
             if self.halted or not backend.in_flight:
                 return
             try:
@@ -445,6 +434,7 @@ class Run:
                     raise
                 self._degrade(str(exc))
                 backend, token = self.backend, self.token
+                classify = self.classify
                 continue
             for c in completions:
                 self._commit(c)
@@ -525,45 +515,39 @@ class Run:
             processor = self.threads.index() if self.threads is not None else 0
         self.bus.emit(TaskFired(start, *who, duration, processor))
 
-    def _fire(self, task: Task, node: Any) -> None:
-        """Fire a ``_FIRE`` head of a run that wants per-fire detail."""
-        # Only an injector has to see a body before it runs; a failure
-        # reaches the retry rule through the engine's recover_op.
-        run_op = self.retrying if self.injector is not None else None
+    def _fire(self, task: Task, classify: Any) -> PendingOp | None:
+        """Fire one task: push what it made ready, or return its suspended
+        body for :meth:`loop` to place.
+
+        A firing that completes here is spanned whole — master engine
+        spans: consts, expansions and result plumbing would otherwise
+        vanish from the stream, and with them the causal chain and the
+        master's share of the timeline.  A suspended one is spanned where
+        its body runs (:meth:`_local`, :meth:`_commit`), so every firing
+        emits one :class:`TaskFired`.
+        """
         if not self.wants_fired:
-            self.queue.push_all(self.state.fire(task, run_op))
-            return
+            fired = self.state.fire(task, -1, classify, self.suspend)
+            if fired.__class__ is list:
+                self.queue.push_all(fired)
+                return None
+            return fired
+        node = task.activation.template.nodes[task.node_id]
         who = self._who(task, node.label, node.kind.value)
         t0 = time.perf_counter()
-        self.queue.push_all(self.state.fire(task, run_op))
+        fired = self.state.fire(task, -1, classify, self.suspend)
+        if fired.__class__ is not list:
+            return fired
+        self.queue.push_all(fired)
         self.span(who, t0 - self.began, time.perf_counter() - t0)
+        return None
 
-    def _fire_op(self, task: Task) -> PendingOp | None:
-        fired = self.state.fire_unless_remote(task, self.classify)
-        if type(fired) is list:
-            self.queue.push_all(fired)
-            return None
-        return fired
-
-    def _begin(self, task: Task) -> PendingOp | None:
-        """Begin one fire; span it if it completed without suspending.
-
-        Master engine spans: fires that resolve without an operator body
-        (consts, expansions, result plumbing) otherwise vanish from the
-        stream, and with them the causal chain and the master's share of
-        the timeline.
-        """
-        if self.wants_fired:
-            node = task.activation.template.nodes[task.node_id]
-            who = self._who(task, node.label, node.kind.value)
-            t0 = time.perf_counter()
-            outcome = self.state.begin_fire(task, classify=self.classify)
-            if outcome.pending is None:
-                self.span(who, t0 - self.began, time.perf_counter() - t0)
+    def _place(self, pending: PendingOp) -> None:
+        """Ship a suspended body to the backend, or run it here."""
+        if pending.remote:
+            self.backend.dispatch(pending)
         else:
-            outcome = self.state.begin_fire(task, classify=self.classify)
-        self.queue.push_all(outcome.newly)
-        return outcome.pending
+            self._local(pending)
 
     def retrying(
         self,
@@ -576,8 +560,8 @@ class Run:
 
         The only caller of :func:`run_with_retries`, so the only place a
         local body's exception is wrapped — for :meth:`_local`, and for
-        the engine's ``run_op`` and ``recover_op`` hooks (``failed`` is
-        what the unwrapped first attempt raised).  A firing that ends in
+        the engine's ``recover_op`` hook (``failed`` is what the single
+        pass's unwrapped first attempt raised).  A firing that ends in
         success counts its retries and announces one
         :class:`FireRetried` each; one that exhausts its budget raises
         before either.
@@ -818,7 +802,7 @@ class ThreadedExecutor(_Executor):
     """Run a coordination graph on real OS threads.
 
     ``n_workers`` threads (the calling one included) drive the run's loop
-    under one engine lock.  Every operator body is begun — it surfaces as
+    under one engine lock.  Every operator body suspends — it surfaces as
     a :class:`~repro.runtime.engine.PendingOp` — and executes with the
     lock *released*: NumPy/SciPy kernels that drop the GIL then genuinely
     overlap across threads, while the commit (result delivery, reference
@@ -979,13 +963,17 @@ class ProcessExecutor(_Executor):
         self.max_ready = max_ready
         self.persistent = persistent
         self._pool: WorkerPool | None = None
-        self._pool_key: tuple[int, int] | None = None
+        #: The (program, registry) the warm pool was built for, held
+        #: weakly: an id alone would let a new program that lands at a
+        #: dead one's address reuse workers that carry the old fused
+        #: chains.
+        self._pool_for: tuple[weakref.ref, weakref.ref] | None = None
 
     def close(self) -> None:
         """Tear down the persistent worker pool, if one is warm."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
-            self._pool_key = None
+            self._pool_for = None
             pool.close()
 
     def _build_pool(
@@ -1012,8 +1000,10 @@ class ProcessExecutor(_Executor):
             if self.fault_policy is not None
             else FaultPolicy()
         )
-        key = (id(program), id(registry))
-        if self._pool is not None and self._pool_key != key:
+        built_for = self._pool_for
+        if self._pool is not None and (
+            built_for[0]() is not program or built_for[1]() is not registry
+        ):
             self.close()
         pool = self._pool
         if pool is None:
@@ -1029,7 +1019,8 @@ class ProcessExecutor(_Executor):
                 run.degraded("process", "threaded", repr(exc))
                 return run.execute(args, _Threads(self.n_workers))
             if self.persistent:
-                self._pool, self._pool_key = pool, key
+                self._pool = pool
+                self._pool_for = (weakref.ref(program), weakref.ref(registry))
         try:
             return self._run_supervised(pool, program, args, registry, policy)
         except BaseException:

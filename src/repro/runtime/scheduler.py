@@ -259,38 +259,6 @@ class ReadyQueue:
             self._sample_depth()
         return peers
 
-    def drain(self, fire: Any) -> None:
-        """Pop → ``fire`` → push-newly until the queue runs dry.
-
-        The sequential executors' hot loop, kept here so the per-task
-        pop/push method dispatch and size bookkeeping stay inside one
-        frame.  ``fire`` takes a :class:`Task` and returns the newly
-        ready tasks.  Falls back to the generic pop/push path whenever
-        sampling or seeded pops are active.
-        """
-        if not self._fast or self._watch:
-            while self._size:
-                newly = fire(self.pop())
-                for t in newly:
-                    self.push(t)
-            return
-        q0, q1, q2 = self._q0, self._q1, self._q2
-        queues = self._queues
-        use_priorities = self.use_priorities
-        while self._size:
-            task = (
-                q0.popleft() if q0 else q1.popleft() if q1 else q2.popleft()
-            )
-            self._size -= 1
-            newly = fire(task)
-            if newly:
-                if use_priorities:
-                    for t in newly:
-                        queues[t.priority].append(t)
-                else:
-                    q0.extend(newly)
-                self._size += len(newly)
-
     def __len__(self) -> int:
         return self._size
 

@@ -227,7 +227,7 @@ class TestSizes:
         strict=True,
         reason="an application object is sized as its shell "
         "(sys.getsizeof); walking its fields moves the memory-path "
-        "goldens and simulator tables — ROADMAP item 5",
+        "goldens and simulator tables — ROADMAP items 2(e) and 9(d)",
     )
     def test_payload_nbytes_sees_inside_an_application_object(self):
         from repro.apps.retina.model import Band

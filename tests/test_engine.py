@@ -9,12 +9,16 @@ from repro.errors import (
     RuntimeFailure,
     UnknownOperatorError,
 )
+from repro.graph.ir import NodeKind
 from repro.runtime import (
     NULL,
+    ExecutionState,
+    PendingOp,
     SequentialExecutor,
     default_registry,
 )
 from repro.runtime.engine import PurityViolationError
+from repro.runtime.values import OperatorValue
 
 from tests.conftest import FIB_SRC, HIGHER_ORDER_SRC
 
@@ -354,3 +358,65 @@ class TestStatistics:
         # §7's re-use: 101 loop rounds, never more than two activations
         # live at once.
         assert result.stats.activation_stats["peak_live"] <= 2
+
+
+def _keep(spec, payloads):
+    return False
+
+
+def _send(spec, payloads):
+    return True
+
+
+class TestFireContract:
+    """``fire`` returns the ready tasks wherever the single pass or a
+    non-operator node completes the firing, and the ``PendingOp`` of the
+    body in each case where it must leave the single pass: such a firing
+    has made nothing ready before its body runs."""
+
+    @pytest.mark.parametrize(
+        "source, args, kind, state_kw, fire_kw, returns",
+        [
+            ("main(n) incr(n)", (1,), NodeKind.OP, {}, {}, list),
+            ("main(n) incr(n)", (1,), NodeKind.OP, {}, {"classify": _keep}, list),
+            (
+                "main(n) if is_less(n, 2) then incr(n) else n", (1,),
+                NodeKind.IF, {}, {"suspend": True}, list,
+            ),
+            ("main(n) incr(n)", (1,), NodeKind.OP, {}, {"classify": _send}, PendingOp),
+            ("main(n) incr(n)", (1,), NodeKind.OP, {}, {"suspend": True}, PendingOp),
+            (
+                "main(n) incr(n)", (1,), NodeKind.OP, {"check_purity": True},
+                {}, PendingOp,
+            ),
+            (
+                "main(f, n) f(n)", (OperatorValue("incr"), 1), NodeKind.CALL,
+                {}, {}, PendingOp,
+            ),
+        ],
+        ids=[
+            "single-pass", "kept-here", "non-operator", "sent-away",
+            "suspend", "check-purity", "operator-value",
+        ],
+    )
+    def test_fire_returns_ready_tasks_or_a_pending_op(
+        self, source, args, kind, state_kw, fire_kw, returns
+    ):
+        graph = compile_source(source, optimize_passes=()).graph
+        state = ExecutionState(graph, default_registry(), **state_kw)
+        queue = list(state.start(args))
+        seen = []
+        while queue:
+            task = queue.pop(0)
+            target = task.activation.template.nodes[task.node_id].kind is kind
+            made = state._task_seq
+            fired = state.fire(task, **(fire_kw if target else {}))
+            if target:
+                seen.append(type(fired))
+            if isinstance(fired, PendingOp):
+                assert state._task_seq == made
+                assert fired.remote is (fire_kw.get("classify") is _send)
+                fired = state.complete_fire(fired, fired.spec.fn(*fired.args))
+            queue.extend(fired)
+        assert seen == [returns]
+        assert state.result() == 2

@@ -187,31 +187,32 @@ class TestCLIParity:
     """A CLI run is configured like the library executor it names."""
 
     @pytest.mark.parametrize("path", ["default", "graph"])
-    def test_default_run_takes_the_drain_loop(
+    def test_default_run_is_one_call_or_one_loop(
         self, path, tmp_path, monkeypatch, capsys, request
     ):
         """A plain CLI run is one call of the entry's crown; on the graph
-        path it is one drain of the ready queue.  Either way the library's
-        sequential executor takes the same path."""
-        from repro.runtime import ExecutionState, ReadyQueue
+        path it is one run of the executors' firing loop.  Either way the
+        library's sequential executor takes the same path."""
+        from repro.runtime import ExecutionState
+        from repro.runtime.executors import Run
         from repro.tools import cli
 
         if path == "graph":
             request.getfixturevalue("graph_path")
         taken = []
-        drain, call = ReadyQueue.drain, ExecutionState.call
+        loop, call = Run.loop, ExecutionState.call
 
-        def drains(self, fire):
-            taken.append("drain")
-            return drain(self, fire)
+        def loops(self):
+            taken.append("loop")
+            return loop(self)
 
         def calls(self, crown, args):
             taken.append("call")
             return call(self, crown, args)
 
-        monkeypatch.setattr(ReadyQueue, "drain", drains)
+        monkeypatch.setattr(Run, "loop", loops)
         monkeypatch.setattr(ExecutionState, "call", calls)
-        want = "call" if path == "default" else "drain"
+        want = "call" if path == "default" else "loop"
         source = tmp_path / "fib.dlm"
         source.write_text(FIB)
         assert cli.main(["run", str(source), "--arg", "10", "--no-cache"]) == 0

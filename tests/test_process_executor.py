@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import compile_source
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import OperatorError
 from repro.obs import (
     EventBus,
@@ -275,6 +276,33 @@ class TestParity:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ProcessExecutor(0)
+
+    def test_a_warm_pool_serves_only_the_program_it_was_built_for(
+        self, monkeypatch
+    ):
+        # Two live programs whose ids collide stand in for a new program
+        # landing at a dead one's address.  A pool keyed by ids alone
+        # served the second the first one's workers, which know only the
+        # first one's fused chain: UnknownOperatorError after 3 attempts.
+        monkeypatch.setattr(executors, "id", lambda obj: 0, raising=False)
+        registry = default_registry()
+        first, second = (
+            compile_source(
+                src, registry=registry, optimize_passes=FULL_PASS_ORDER
+            ).graph
+            for src in (
+                "main(a, b, c, d) sub(mul(add(a, b), c), d)",
+                "main(a, b, c, d) add(mul(sub(a, b), c), d)",
+            )
+        )
+        executor = ProcessExecutor(1, cost_threshold=0.0, persistent=True)
+        try:
+            assert executor.run(first, (1, 2, 3, 4), registry).value == 5
+            result = executor.run(second, (1, 2, 3, 4), registry)
+        finally:
+            executor.close()
+        assert result.value == 1
+        assert result.stats.dispatched_fires == 1
 
 
 # ---------------------------------------------------------------------------

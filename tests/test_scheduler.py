@@ -142,23 +142,6 @@ class TestMaxReadyWatermark:
         q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(3)])
         assert len(events) == 2
 
-    def test_drain_with_watermark_matches_plain(self):
-        def run(max_ready):
-            q = ReadyQueue(max_ready=max_ready)
-            q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(4)])
-            fired = []
-
-            def fire(task):
-                fired.append(task.seq)
-                if task.seq < 8:
-                    return [make_task(PRIORITY_NORMAL, task.seq + 10)]
-                return []
-
-            q.drain(fire)
-            return fired
-
-        assert run(max_ready=2) == run(max_ready=None)
-
     def test_unwatched_queue_has_no_saturation_state(self):
         q = ReadyQueue()
         q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(100)])

@@ -220,3 +220,37 @@ class TestDeterminismInSimulation:
         assert r.tracer is not None
         procs = {rec.processor for rec in r.tracer.op_records()}
         assert len(procs) > 1  # the fork really spread out
+
+
+class TestSuspendedBodies:
+    """The simulator runs and commits the bodies the engine suspends: a
+    call of an operator value and a purity-checked operator."""
+
+    def test_a_call_of_an_operator_value_runs_and_commits(self):
+        from repro.runtime.values import OperatorValue
+
+        graph = compile_source("main(f, n) f(n)", strict=False).graph
+        r = SimulatedExecutor(uniform(2)).run(graph, (OperatorValue("incr"), 4))
+        assert r.value == 5
+        assert r.stats.ops_executed == 1
+
+    def test_its_failure_is_an_operator_error_naming_it(self):
+        from repro.errors import OperatorError
+        from repro.runtime.values import OperatorValue
+
+        reg = default_registry()
+
+        @reg.register(name="boom")
+        def boom(x):
+            raise ValueError("no")
+
+        graph = compile_source("main(f, n) f(n)", registry=reg, strict=False).graph
+        with pytest.raises(OperatorError, match="boom"):
+            SimulatedExecutor(uniform(2)).run(
+                graph, (OperatorValue("boom"), 4), registry=reg
+            )
+
+    def test_a_purity_checked_body_runs_and_commits(self):
+        graph = compile_source("main(n) incr(n)").graph
+        r = SimulatedExecutor(uniform(2), check_purity=True).run(graph, (4,))
+        assert r.value == 5

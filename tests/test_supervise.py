@@ -707,16 +707,18 @@ class TestDoubleReleaseGuards:
             pool.release(act)
 
     def test_complete_fire_rejects_double_commit(self):
-        from repro.runtime import ExecutionState
+        from repro.runtime import ExecutionState, PendingOp
 
         compiled = compile_source("main(n) incr(n)")
         state = ExecutionState(compiled.graph, default_registry())
         tasks = list(state.start((1,)))
         pending = None
         while tasks and pending is None:
-            outcome = state.begin_fire(tasks.pop())
-            tasks.extend(outcome.newly)
-            pending = outcome.pending
+            fired = state.fire(tasks.pop(), suspend=True)
+            if isinstance(fired, PendingOp):
+                pending = fired
+            else:
+                tasks.extend(fired)
         assert pending is not None
         raw = pending.spec.fn(*pending.args)
         state.complete_fire(pending, raw)
