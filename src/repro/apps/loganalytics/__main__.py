@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--resume", metavar="CKPT", default=None)
     parser.add_argument("--inject-faults", metavar="SPEC", default=None)
-    parser.add_argument("--max-ready", type=int, default=None)
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the final row"
     )
@@ -74,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         fault_spec=fault_spec,
-        max_ready=args.max_ready,
     )
     if args.sink:
         sink = JsonlSink(args.sink, resume=args.resume is not None)

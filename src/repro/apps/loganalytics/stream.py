@@ -46,8 +46,8 @@ def make_stream_runner(
 
     ``main(agg, batch)`` matches carry mode's default argument order,
     so no ``make_args`` override is needed.  Extra keyword arguments
-    (``checkpoint_path``, ``fault_spec``, ``max_ready``, ...) pass
-    through to the runner.
+    (``checkpoint_path``, ``fault_spec``, ...) pass through to the
+    runner.
     """
     program = compiled or compile_log_program()
     return StreamRunner(

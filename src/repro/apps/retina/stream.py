@@ -101,8 +101,8 @@ def make_stream_runner(
 
     The carried scene is ``main``'s only argument, so ``make_args``
     drops the item (the frame index is implicit in the carry chain).
-    Extra keyword arguments (``checkpoint_path``, ``max_ready``,
-    ``fault_spec``, ...) pass through to the runner.
+    Extra keyword arguments (``checkpoint_path``, ``fault_spec``, ...)
+    pass through to the runner.
     """
     cfg = config or RetinaConfig()
     program = compiled or compile_retina_stream(cfg)

@@ -29,9 +29,9 @@ from ..graph.ir import GraphProgram, Node, NodeKind
 from ..obs.events import EventBus, TaskFired
 from ..runtime.affinity import AffinityPolicy, make_policy
 from ..runtime.blocks import DataBlock
-from ..runtime.engine import EngineStats, ExecutionState
+from ..runtime.engine import EngineStats, ExecutionState, _payload_of
 from ..runtime.executors import resolve_bus
-from ..runtime.operators import OperatorRegistry, builtin_registry, node_spec
+from ..runtime.operators import OperatorRegistry, builtin_registry
 from ..runtime.scheduler import ReadyQueue, Task
 from ..runtime.tracing import Tracer
 from ..runtime.values import Closure, MultiValue, OperatorValue
@@ -129,7 +129,6 @@ class SimulatedExecutor:
         self.check_purity = check_purity
         self.trace = trace
         self.bus = bus
-        self._fused_specs: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def _op_cost(self, name: str, spec: Any, args: tuple[Any, ...]) -> float:
@@ -141,34 +140,25 @@ class SimulatedExecutor:
             return hinted
         return self.machine.default_op_ticks
 
-    def _payloads(self, values: list[Any]) -> tuple[Any, ...]:
-        out = []
-        for v in values:
-            if isinstance(v, DataBlock):
-                out.append(v.payload)
-            elif isinstance(v, MultiValue):
-                out.append(tuple(self._payloads(list(v.items))))
-            else:
-                out.append(v)
-        return tuple(out)
-
     def _base_cost(
-        self, task: Task, registry: OperatorRegistry, graph: GraphProgram
+        self, task: Task, state: ExecutionState, graph: GraphProgram
     ) -> tuple[float, float]:
         """(compute ticks, template-fetch bytes) for a ready task."""
-        node: Node = task.activation.template.nodes[task.node_id]
+        act = task.activation
+        entry = act.plan.nodes[task.node_id]
+        node: Node = entry.node
         machine = self.machine
         fetch_bytes = 0.0
         if node.kind is NodeKind.OP:
-            spec = node_spec(registry, node, self._fused_specs)
-            args = self._payloads(task.activation.slots[task.node_id])
+            spec = state.op_spec(entry)
+            args = tuple(map(_payload_of, act.slots[task.node_id]))
             return self._op_cost(node.name, spec, args), 0.0
         if node.kind is NodeKind.CALL:
-            slots = task.activation.slots[task.node_id]
+            slots = act.slots[task.node_id]
             callee = slots[0]
             if isinstance(callee, OperatorValue):
-                spec = registry.get(callee.name)
-                args = self._payloads(slots[1:])
+                spec = state.registry.get(callee.name)
+                args = tuple(map(_payload_of, slots[1:]))
                 return self._op_cost(callee.name, spec, args), 0.0
             if not machine.replicate_templates and isinstance(callee, Closure):
                 fetch_bytes = float(template_bytes(callee.template))
@@ -222,8 +212,6 @@ class SimulatedExecutor:
         registry: OperatorRegistry | None = None,
     ) -> SimResult:
         registry = registry if registry is not None else builtin_registry()
-        # Per-run cache of composed fused-node specs (cost resolution).
-        self._fused_specs = {}
         machine = self.machine
         bus, tracer = resolve_bus(self.bus, self.trace)
         if bus is not None:
@@ -260,7 +248,7 @@ class SimulatedExecutor:
                     )
                 idle.discard(processor)
                 policy.notify(task, processor)
-                compute, fetch_bytes = self._base_cost(task, registry, program)
+                compute, fetch_bytes = self._base_cost(task, state, program)
                 latency, moved_bytes = self._memory_cost(task, processor, traffic)
                 if fetch_bytes:
                     traffic.charge_template(int(fetch_bytes))

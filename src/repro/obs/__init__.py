@@ -59,7 +59,6 @@ from .events import (
     OpStarted,
     OperatorsFused,
     QueueDepthSample,
-    QueueSaturated,
     ResultReceived,
     RunFinished,
     RunResumed,
@@ -127,7 +126,6 @@ __all__ = [
     "OpStarted",
     "OperatorsFused",
     "QueueDepthSample",
-    "QueueSaturated",
     "ResultReceived",
     "RunContext",
     "RunFinished",

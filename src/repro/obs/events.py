@@ -393,20 +393,6 @@ class QueueDepthSample(Event):
         return sum(self.depths)
 
 
-@dataclass(frozen=True, slots=True)
-class QueueSaturated(Event):
-    """The ready queue crossed its ``max_ready`` watermark.
-
-    Emitted once per upward crossing (re-armed when the depth falls back
-    under the watermark), so a saturated hot loop produces one event, not
-    one per push.  Streaming sources treat the saturated state as
-    backpressure and stop pulling input until it clears.
-    """
-
-    depth: int
-    max_ready: int
-
-
 # ----------------------------------------------------------------------
 # Streaming / checkpoint (runtime.stream, runtime.checkpoint)
 # ----------------------------------------------------------------------
@@ -472,7 +458,6 @@ ALL_EVENTS: tuple[type, ...] = (
     AffinityMiss,
     OperatorsFused,
     QueueDepthSample,
-    QueueSaturated,
     CheckpointWritten,
     RunResumed,
 )

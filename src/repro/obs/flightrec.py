@@ -53,7 +53,6 @@ from .events import (
     FireRetried,
     FireTimedOut,
     OperatorsFused,
-    QueueSaturated,
     ResultReceived,
     RunFinished,
     RunResumed,
@@ -86,7 +85,6 @@ DEFAULT_EVENTS: tuple[type, ...] = (
     FireTimedOut,
     ExecutorDegraded,
     ShmSegmentReclaimed,
-    QueueSaturated,
     CheckpointWritten,
     RunResumed,
 )

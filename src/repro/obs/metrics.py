@@ -23,7 +23,7 @@ and :meth:`MetricsRegistry.summary_table` renders the human view.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable
+from typing import Any
 
 from .events import (
     ActivationAllocated,
@@ -45,7 +45,6 @@ from .events import (
     OperatorsFused,
     OpStarted,
     QueueDepthSample,
-    QueueSaturated,
     ResultReceived,
     RunFinished,
     RunResumed,
@@ -312,7 +311,6 @@ def attach_metrics(
     runs_started = reg.counter("runs_started")
     runs_finished = reg.counter("runs_finished")
     runs_failed = reg.counter("runs_failed")
-    queue_saturations = reg.counter("queue_saturations")
     checkpoints_written = reg.counter("checkpoints_written")
     checkpoint_nbytes = reg.counter("checkpoint_nbytes")
     checkpoint_seconds = reg.counter("checkpoint_seconds")
@@ -385,9 +383,6 @@ def attach_metrics(
             ref_bytes_avoided.inc(e.nbytes, label=e.operator)
         elif isinstance(e, AffinityMiss):
             affinity_misses.inc(label=e.operator)
-        elif isinstance(e, QueueSaturated):
-            queue_saturations.inc()
-            reg.gauge("queue_saturated_depth").set(e.depth)
         elif isinstance(e, CheckpointWritten):
             checkpoints_written.inc()
             checkpoint_nbytes.inc(e.nbytes)
@@ -409,7 +404,3 @@ def attach_metrics(
 
     bus.subscribe(on_event)
     return reg
-
-
-#: Backwards-compatible alias: a subscriber is just ``attach_metrics``.
-MetricsSubscriber = Callable[[EventBus], MetricsRegistry]

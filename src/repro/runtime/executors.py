@@ -254,7 +254,6 @@ class Run:
             executor.use_priorities,
             executor.seed,
             bus=bus,
-            max_ready=executor.max_ready,
         )
         self.began = began = time.perf_counter()
         if bus is not None:
@@ -769,7 +768,6 @@ class SequentialExecutor(_Executor):
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
         profile_ops: bool = False,
-        max_ready: int | None = None,
     ) -> None:
         super().__init__()
         self.use_priorities = use_priorities
@@ -780,7 +778,6 @@ class SequentialExecutor(_Executor):
         self.fault_policy = fault_policy
         self.fault_spec = fault_spec
         self.run_ctx = run_ctx
-        self.max_ready = max_ready
         #: Accumulate operator-body wall seconds in
         #: ``stats.op_body_seconds`` via two bare clock reads per firing —
         #: the benchmark phase-split probe (far cheaper than subscribing
@@ -821,7 +818,6 @@ class ThreadedExecutor(_Executor):
         fault_policy: FaultPolicy | None = None,
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
-        max_ready: int | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -834,7 +830,6 @@ class ThreadedExecutor(_Executor):
         self.fault_policy = fault_policy
         self.fault_spec = fault_spec
         self.run_ctx = run_ctx
-        self.max_ready = max_ready
 
     def run(
         self,
@@ -936,7 +931,6 @@ class ProcessExecutor(_Executor):
         fault_spec: Any = None,
         run_ctx: RunContext | None = None,
         affinity: str = "data",
-        max_ready: int | None = None,
         persistent: bool = False,
     ) -> None:
         if n_workers < 1:
@@ -960,7 +954,6 @@ class ProcessExecutor(_Executor):
         self.fault_spec = fault_spec
         self.run_ctx = run_ctx
         self.affinity = affinity
-        self.max_ready = max_ready
         self.persistent = persistent
         self._pool: WorkerPool | None = None
         #: The (program, registry) the warm pool was built for, held

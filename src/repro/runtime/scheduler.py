@@ -31,7 +31,7 @@ from ..graph.ir import (  # noqa: F401 - canonical home; re-exported here
     PRIORITY_NORMAL,
     PRIORITY_RECURSIVE_CALL,
 )
-from ..obs.events import EventBus, QueueDepthSample, QueueSaturated
+from ..obs.events import EventBus, QueueDepthSample
 
 
 @dataclass(slots=True, eq=False)
@@ -68,14 +68,6 @@ class ReadyQueue:
         Optional event bus; when it has subscribers the queue emits a
         :class:`~repro.obs.events.QueueDepthSample` after every push and
         pop — the depth-over-time telemetry scaling PRs are judged by.
-    max_ready:
-        Optional saturation watermark.  The queue never refuses a push
-        (engine correctness requires every newly ready task to be
-        accepted), but crossing the watermark sets :attr:`saturated` and
-        emits one :class:`~repro.obs.events.QueueSaturated` per upward
-        crossing.  Streaming sources poll :attr:`saturated` as the
-        backpressure signal; ``None`` (the default) disables the check
-        entirely so non-streaming hot loops pay nothing.
     """
 
     def __init__(
@@ -83,10 +75,7 @@ class ReadyQueue:
         use_priorities: bool = True,
         seed: int | None = None,
         bus: EventBus | None = None,
-        max_ready: int | None = None,
     ) -> None:
-        if max_ready is not None and max_ready < 1:
-            raise ValueError(f"max_ready={max_ready} must be >= 1")
         self.use_priorities = use_priorities
         self._rng = random.Random(seed) if seed is not None else None
         # Three named, preallocated deques; ``_queues`` aliases them for
@@ -106,27 +95,6 @@ class ReadyQueue:
             QueueDepthSample
         )
         self._fast = self._rng is None and not self._sampling
-        self.max_ready = max_ready
-        self._watch = max_ready is not None
-        #: True while the depth sits at or above ``max_ready``; re-armed
-        #: (set back False) as soon as a pop takes the depth below it.
-        self.saturated = False
-        #: Total upward watermark crossings over the queue's lifetime.
-        self.saturations = 0
-        self._sat_emit = self._bus is not None and self._bus.wants(
-            QueueSaturated
-        )
-
-    def _check_high(self) -> None:
-        """Record an upward watermark crossing (``_watch`` is True)."""
-        if not self.saturated and self._size >= self.max_ready:
-            self.saturated = True
-            self.saturations += 1
-            if self._sat_emit:
-                bus = self._bus
-                bus.emit(
-                    QueueSaturated(bus.now(), self._size, self.max_ready)
-                )
 
     def depths(self) -> tuple[int, int, int]:
         """Current depth per priority class (flight-recorder snapshot)."""
@@ -141,8 +109,6 @@ class ReadyQueue:
         level = task.priority if self.use_priorities else 0
         self._queues[level].append(task)
         self._size += 1
-        if self._watch:
-            self._check_high()
         if self._sampling:
             self._sample_depth()
 
@@ -152,8 +118,6 @@ class ReadyQueue:
             for t in tasks:
                 q[t.priority].append(t)
             self._size += len(tasks)
-            if self._watch:
-                self._check_high()
             return
         for t in tasks:
             self.push(t)
@@ -163,8 +127,6 @@ class ReadyQueue:
             raise IndexError("pop from empty ready queue")
         if self._fast:
             self._size -= 1
-            if self.saturated and self._size < self.max_ready:
-                self.saturated = False
             q0 = self._q0
             if q0:
                 return q0.popleft()
@@ -175,8 +137,6 @@ class ReadyQueue:
         for q in self._queues:
             if q:
                 self._size -= 1
-                if self.saturated and self._size < self.max_ready:
-                    self.saturated = False
                 if self._rng is None or len(q) == 1:
                     task = q.popleft()
                 else:
@@ -253,8 +213,6 @@ class ReadyQueue:
         if kept:
             q.extendleft(reversed(kept))
         self._size -= len(peers)
-        if self.saturated and self._size < self.max_ready:
-            self.saturated = False
         if self._sampling:
             self._sample_depth()
         return peers

@@ -14,11 +14,6 @@ pull-based: the runner asks for the next item only after the previous
 item's entire firing frontier has drained and its result committed, so
 at any instant the master holds one item's activations plus the carried
 value — RSS stays flat over 10⁶ firings because nothing accumulates.
-Inside each item's run the :class:`~repro.runtime.scheduler.ReadyQueue`
-``max_ready`` watermark makes saturation *observable*
-(:class:`~repro.obs.events.QueueSaturated`), and the same watermark is
-the admission gate a future pipelined/server mode will block sources
-on.
 
 **Carry mode** is how state crosses items in a single-assignment world:
 ``main(carry, item)`` (or ``main(carry)``) receives the previous run's
@@ -56,7 +51,6 @@ from ..obs.events import CheckpointWritten, EventBus, RunResumed
 from .checkpoint import (
     Checkpoint,
     CheckpointCadence,
-    CheckpointError,
     program_fingerprint,
     read_checkpoint,
     registry_fingerprint,
@@ -405,9 +399,6 @@ class StreamRunner:
         :class:`SharedFaultSpec` so clause cursors span the whole
         stream and land in the checkpoint.  ``masterkill`` clauses are
         consulted at every item boundary.
-    max_ready:
-        Ready-queue saturation watermark passed through to the
-        executor (see :class:`~repro.runtime.scheduler.ReadyQueue`).
     flags:
         Extra identity entries for the checkpoint manifest (the CLI
         records its graph-pass tuple and compile-cache key here);
@@ -425,7 +416,6 @@ class StreamRunner:
         initial: Any = None,
         make_args: Callable[[Any, Any], tuple] | None = None,
         emit: Callable[[Any], Any] | None = None,
-        max_ready: int | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int | None = None,
         fault_policy: Any = None,
@@ -462,7 +452,6 @@ class StreamRunner:
         else:
             self.make_args = lambda item, carry: (item,)
         self.emit = emit if emit is not None else (lambda value: value)
-        self.max_ready = max_ready
         self.checkpoint_path = checkpoint_path
         self.fault_policy = fault_policy
         self.fault_spec = (
@@ -518,7 +507,6 @@ class StreamRunner:
             run_ctx=self.run_ctx,
             fault_policy=self.fault_policy,
             fault_spec=self.fault_spec,
-            max_ready=self.max_ready,
         )
         common.update(self.executor_options)
         if self.executor_name == "sequential":

@@ -579,43 +579,33 @@ def _decode_exception(enc: tuple[str, Any, str]) -> BaseException:
     that did not become :class:`RemoteOperatorFailure` carrying the repr
     (the outermost one also carries the worker traceback text).  The
     decoded root always exposes the worker's formatted traceback as
-    ``remote_traceback``.  The legacy two-variant format from before the
-    chain encoding is still accepted.
+    ``remote_traceback``.
     """
-    kind, payload, tb = enc
-    if kind == "chain":
-        links: list[BaseException] = []
-        for i, (lkind, lpayload) in enumerate(payload):
-            node: BaseException | None = None
-            if lkind == "pickle":
-                try:
-                    node = pickle.loads(lpayload)
-                except Exception:  # noqa: BLE001 - master lacks the type
-                    node = None
-                if node is not None and not isinstance(node, BaseException):
-                    node = None
-            if node is None:
-                text = lpayload if lkind == "text" else repr(lpayload)
-                if i == 0:
-                    text = f"{text}\n--- worker traceback ---\n{tb}"
-                node = RemoteOperatorFailure(text)
-            links.append(node)
-        for parent, cause in zip(links, links[1:]):
-            parent.__cause__ = cause
-        root = links[0] if links else RemoteOperatorFailure(tb)
-        try:
-            root.remote_traceback = tb
-        except (AttributeError, TypeError):  # pragma: no cover - slotted
-            pass
-        return root
-    if kind == "pickle":  # legacy format
-        try:
-            decoded = pickle.loads(payload)
-            if isinstance(decoded, BaseException):
-                return decoded
-        except Exception:  # noqa: BLE001
-            pass
-    return RemoteOperatorFailure(f"{payload}\n--- worker traceback ---\n{tb}")
+    _, payload, tb = enc
+    links: list[BaseException] = []
+    for i, (lkind, lpayload) in enumerate(payload):
+        node: BaseException | None = None
+        if lkind == "pickle":
+            try:
+                node = pickle.loads(lpayload)
+            except Exception:  # noqa: BLE001 - master lacks the type
+                node = None
+            if node is not None and not isinstance(node, BaseException):
+                node = None
+        if node is None:
+            text = lpayload if lkind == "text" else repr(lpayload)
+            if i == 0:
+                text = f"{text}\n--- worker traceback ---\n{tb}"
+            node = RemoteOperatorFailure(text)
+        links.append(node)
+    for parent, cause in zip(links, links[1:]):
+        parent.__cause__ = cause
+    root = links[0] if links else RemoteOperatorFailure(tb)
+    try:
+        root.remote_traceback = tb
+    except (AttributeError, TypeError):  # pragma: no cover - slotted
+        pass
+    return root
 
 
 #: Distinguishes "not resident" from any legitimately cached payload.

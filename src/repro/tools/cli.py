@@ -362,7 +362,6 @@ def _run_stream(ns: argparse.Namespace, compiled) -> int:
         initial=(
             _parse_value(ns.initial) if ns.initial is not None else None
         ),
-        max_ready=ns.max_ready,
         checkpoint_path=ns.checkpoint,
         checkpoint_every=ns.checkpoint_every,
         fault_policy=faults.get("fault_policy"),
@@ -531,15 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         "continues — output is bit-identical to an uninterrupted run. "
         "Refuses (naming the key) if the program, registry, or flag "
         "set differs from the checkpointed run",
-    )
-    p_run.add_argument(
-        "--max-ready",
-        type=int,
-        metavar="N",
-        default=None,
-        help="ready-queue saturation watermark: emits QueueSaturated "
-        "(and counts queue_saturations) when a run's ready set crosses "
-        "N — the backpressure signal",
     )
 
     p_viz = sub.add_parser("viz", help="render the coordination framework")

@@ -3,10 +3,10 @@
 The first half covers the policy objects and the simulator's use of
 them; the second half covers the real locality layer built on the same
 policies: the worker-resident block cache, by-reference argument
-shipping, the master-side residency tracker, and the property that none
-of it ever changes a result — affinity is bit-identical to legacy
-least-loaded dispatch under every executor knob, cache miss, in-place
-write, and worker crash.
+shipping, the master-side residency tracker, and that none of it
+changes a result under a cache miss, an in-place write or a worker
+crash.  That no policy changes what a generated program means is
+``tests/test_oracle.py``'s process matrix.
 """
 
 import functools
@@ -15,10 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
-from repro.compiler.passes.pipeline import PASS_ORDER
 from repro.faults import parse_fault_spec
 from repro.machine import SimulatedExecutor, butterfly, uniform
 from repro.obs import RunContext
@@ -41,8 +39,6 @@ from repro.runtime.blocks import wrap_payload
 from repro.runtime.supervise import ResidencyTracker
 from repro.runtime.values import MultiValue
 from repro.runtime.workers import _CACHE_MISS, BlockCache, WorkerPool
-
-from tests.test_properties import REGISTRY, _programs
 
 
 class TestPolicyFactory:
@@ -558,49 +554,3 @@ class TestLocalityDispatch:
         assert 'delirium_worker_cache{key="refs_shipped"}' in text
         # The event-driven counters ride the same registry.
         assert ctx.metrics.counters["blocks_ref_shipped"].value >= 1
-
-
-# ---------------------------------------------------------------------------
-# The property: affinity placement never changes an answer
-# ---------------------------------------------------------------------------
-class TestAffinityProperty:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        _programs(),
-        st.integers(-5, 5),
-        st.integers(1, 3),
-        st.booleans(),
-        st.sampled_from(["data", "operator"]),
-        st.booleans(),
-        st.integers(0, 100),
-    )
-    def test_affinity_equals_none(
-        self, source, n, workers, fuse, affinity, batch, seed
-    ):
-        # Every fire force-dispatched over generated programs that share
-        # mutable blocks across destructive bumps — placement policy,
-        # ref shipping, and result adoption must all be invisible in the
-        # answer under any worker count, seed, and optimization setting.
-        passes = PASS_ORDER + ("fuse",) if fuse else PASS_ORDER
-        compiled = compile_source(
-            source, registry=REGISTRY, optimize_passes=passes
-        )
-        reference = SequentialExecutor().run(
-            compiled.graph, args=(n,), registry=REGISTRY
-        ).value
-
-        def run(policy):
-            # ``batch`` off: every call expands alone.
-            group_max = executors._GROUP_MAX if batch else 1
-            with mock.patch.object(executors, "_GROUP_MAX", group_max):
-                return ProcessExecutor(
-                    workers,
-                    cost_threshold=0.0,
-                    shm_threshold=256,
-                    seed=seed,
-                    affinity=policy,
-                ).run(compiled.graph, args=(n,), registry=REGISTRY).value
-
-        base = run("none")
-        assert base == reference
-        assert run(affinity) == base

@@ -5,9 +5,10 @@ no fault injector (a process run), and that may only change *when* calls
 expand, never *what* the program computes: single-assignment semantics
 make results independent of pop order, so expanding same-node ready
 calls together must be bit-identical to expanding them one at a time
-(a peer-group cap of one, ``executors._GROUP_MAX = 1``).  These tests pin
-that down, plus the queue's ``pop_batch`` formation, the cap on a group,
-the one-call-per-message wire shape, the salvage of queued calls whose
+(a peer-group cap of one, ``executors._GROUP_MAX = 1``; every cap from
+1 to 32 is a cell of ``tests/test_oracle.py``'s process matrix).  These
+tests pin the queue's ``pop_batch`` formation, the cap on a group, the
+one-call-per-message wire shape, the salvage of queued calls whose
 worker dies, and critical-path reconciliation.
 """
 
@@ -16,9 +17,6 @@ import signal
 import time
 
 import pytest
-from unittest import mock
-
-from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
 from repro.apps import queens
@@ -487,27 +485,3 @@ class TestHitCounter:
         hits, samples = model.pi_batch(3, 0, 10_000)
         assert samples == 10_000
         assert 0 < hits < 10_000
-
-
-# ---------------------------------------------------------------------------
-# The property: batched == unbatched, everywhere
-# ---------------------------------------------------------------------------
-class TestBatchProperty:
-    @settings(max_examples=4, deadline=None)
-    @given(
-        n=st.integers(4, 12),
-        seed=st.integers(0, 9),
-    )
-    def test_process_batched_equals_unbatched(self, n, seed):
-        compiled = compile_pi(
-            seed=seed, batch_size=64, optimize_passes=PASS_ORDER + GRAPH_PASSES
-        )
-        costs = {"pi_batch": 0.004}
-        with mock.patch.object(executors, "_GROUP_MAX", 1):
-            plain = ProcessExecutor(2, measured_costs=costs).run(
-                compiled.graph, args=(n,), registry=compiled.registry
-            )
-        batched = ProcessExecutor(2, measured_costs=costs).run(
-            compiled.graph, args=(n,), registry=compiled.registry
-        )
-        assert batched.value == plain.value

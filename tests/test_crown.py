@@ -1,10 +1,11 @@
 """Crown clipping: a call whose whole subtree would fire here, one body at
 a time, runs as one generated Python function (``repro.runtime.crown``).
 
-A clipped run must mean what the graph path and the reference evaluator
-mean, keep the graph path's contract counters (``ops_executed`` and the
-write decisions ``cow_copies + in_place_writes``; never more copies),
-leave every block it allocated at ``rc`` 0 but the result's, survive
+A clipped run must mean what the reference evaluator means and keep the
+graph path's contract counters (``ops_executed`` and the write decisions
+``cow_copies + in_place_writes``; never more copies) — over generated
+programs, that is ``tests/test_oracle.py``'s sequential matrix — leave
+every block it allocated at ``rc`` 0 but the result's, survive
 recursion and loops the interpreter's stack could not hold, and fire a
 call only where nothing watches or perturbs single firings.
 """
@@ -27,7 +28,6 @@ from repro.apps import queens
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import GraphError, OperatorError, RuntimeFailure
 from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
-from repro.lang.reference import evaluate_source
 from repro.obs import EventBus, FireRetried, OpFinished, OpStarted, observe_blocks
 from repro.runtime import (
     FaultPolicy,
@@ -35,115 +35,12 @@ from repro.runtime import (
     SequentialExecutor,
     ThreadedExecutor,
     blocks,
-    executors,
 )
 from repro.runtime import crown as crown_module
-from repro.runtime.crown import _MAX_LINES, EntryRow
+from repro.runtime.crown import _MAX_LINES
 from repro.runtime import engine
 from repro.runtime.engine import _plans_for
-from repro.runtime.executors import Run
-
-REGISTRY = default_registry()
-
-
-@REGISTRY.register(name="mk", pure=True)
-def mk(n):
-    return [n]
-
-
-@REGISTRY.register(name="push", modifies=(0,))
-def push(xs, v):
-    xs.append(v)
-    return xs
-
-
-@REGISTRY.register(name="total", pure=True)
-def total(xs):
-    return sum(xs)
-
-
-#: Mutual tail recursion carrying a written block, non-tail recursion,
-#: non-tail recursion that reads and writes one block, and a package.
-LIBRARY = """
-down(k, xs)
-  if is_less(k, 1) then total(xs) else side(sub(k, 1), push(xs, k))
-
-side(k, xs)
-  if is_less(k, 1) then total(xs) else down(sub(k, 1), xs)
-
-tri(k)
-  if is_less(k, 1) then 0 else add(k, tri(sub(k, 1)))
-
-both(k, xs)
-  if is_less(k, 1) then total(xs)
-  else add(both(sub(k, 1), push(xs, k)), total(xs))
-
-twin(xs)
-  <total(xs), push(xs, 7)>
-"""
-
-
-def _stage(draw, i, src):
-    k = draw(st.integers(0, 4))
-    kind = draw(st.integers(0, 6))
-    if kind == 0:
-        return (
-            f"s{i} = iterate {{ i{i} = 0, incr(i{i})  a{i} = {src}, "
-            f"add(a{i}, i{i}) }} while is_less(i{i}, {k}), result a{i}"
-        )
-    if kind == 1:
-        return f"s{i} = {draw(st.sampled_from(['down', 'side']))}({k}, mk({src}))"
-    if kind == 2:
-        return f"s{i} = add(tri({k}), {src})"
-    if kind == 3:  # a block shared by a recursive writer and a reader
-        return f"y{i} = mk({src})\n      s{i} = add(both({k}, y{i}), total(y{i}))"
-    if kind == 4:
-        return f"<u{i}, w{i}> = twin(mk({src}))\n      s{i} = add(u{i}, total(w{i}))"
-    if kind == 5:  # foldable: a constant condition
-        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        return (
-            f"s{i} = if is_less({a}, {b}) then add({src}, 1) "
-            f"else down({k}, mk({src}))"
-        )
-    # A modifies operator applied to a value something else still reads.
-    return (
-        f"z{i} = mk({src})\n      w{i} = push(z{i}, {k})\n"
-        f"      s{i} = add(total(z{i}), total(w{i}))"
-    )
-
-
-@st.composite
-def oracle_programs(draw):
-    """Well-typed, terminating programs over :data:`LIBRARY`."""
-    names = ["n"]
-    stages = []
-    for i in range(draw(st.integers(1, 5))):
-        stages.append(_stage(draw, i, draw(st.sampled_from(names))))
-        names.append(f"s{i}")
-    result = names[-1]
-    for other in names[:-1]:
-        result = f"add({result}, {other})"
-    body = "\n      ".join(stages)
-    return f"main(n)\n  let {body}\n  in {result}\n" + LIBRARY
-
-
-def _graph_run(graph, args, registry, **options):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Run, "_clips", lambda self, entry: False)
-        return SequentialExecutor(**options).run(graph, args, registry)
-
-
-def _calls_run(graph, args, registry, **options):
-    """A run whose calls clip but whose entry starts on the graph."""
-
-    def no_entry_crown(state):
-        row = EntryRow(state.program.entry_template())
-        row.crown = None
-        return row
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(executors, "entry_row", no_entry_crown)
-        return SequentialExecutor(**options).run(graph, args, registry)
+from .programs import LIBRARY, REGISTRY, graph_run, programs
 
 
 class BlockCensus:
@@ -186,37 +83,14 @@ def _crown_sources(graph, registry):
 
 
 class TestOracle:
-    @settings(max_examples=40, deadline=None)
-    @given(oracle_programs(), st.integers(-3, 5), st.booleans())
-    def test_clipped_is_graph_is_reference(self, source, n, passes):
-        graph = compile_source(
-            source, registry=REGISTRY,
-            optimize_passes=FULL_PASS_ORDER if passes else (),
-        ).graph
-        entry = SequentialExecutor().run(graph, (n,), REGISTRY)
-        calls = _calls_run(graph, (n,), REGISTRY)
-        graph_path = _graph_run(graph, (n,), REGISTRY)
-        assert entry.value == calls.value == graph_path.value == evaluate_source(
-            source, (n,), REGISTRY
-        )
-        assert entry.stats.tasks_fired == 1 and entry.stats.expansions == 0
-        b = graph_path.stats
-        for a in (entry.stats, calls.stats):
-            assert (a.ops_executed, a.fused_fires) == (b.ops_executed, b.fused_fires)
-            assert (
-                a.cow_copies + a.in_place_writes
-                == b.cow_copies + b.in_place_writes
-            )
-            assert a.cow_copies <= b.cow_copies
-
     @settings(max_examples=15, deadline=None)
-    @given(oracle_programs(), st.integers(0, 4))
+    @given(programs(), st.integers(0, 4))
     def test_every_block_ends_at_rc_zero_on_both_paths(self, source, n):
         graph = compile_source(source, registry=REGISTRY, optimize_passes=()).graph
         # Every body dispatched: each commit arrives through complete_fire.
         remote = ProcessExecutor(1, cost_threshold=0.0)
         try:
-            for path in (SequentialExecutor().run, _graph_run, remote.run):
+            for path in (SequentialExecutor().run, graph_run, remote.run):
                 hook = BlockCensus()
                 previous = blocks.get_block_hook()
                 blocks.set_block_hook(hook)
@@ -237,7 +111,7 @@ class TestOracle:
         ).graph
         clipped = SequentialExecutor().run(graph, (), registry)
         census.assert_conserved(clipped.value)
-        graph_path = _graph_run(graph, (), registry)
+        graph_path = graph_run(graph, (), registry)
         assert clipped.value == graph_path.value
         assert clipped.stats.tasks_fired == 1  # the entry, as one call
         assert clipped.stats.expansions == 0
@@ -266,7 +140,7 @@ class TestDepth:
     def _same_as_graph(self, source, n, value):
         graph = compile_source(source).graph
         clipped = SequentialExecutor().run(graph, (n,), REGISTRY)
-        graph_path = _graph_run(graph, (n,), REGISTRY)
+        graph_path = graph_run(graph, (n,), REGISTRY)
         assert clipped.value == graph_path.value == value
         assert clipped.stats.ops_executed == graph_path.stats.ops_executed
         return clipped
@@ -347,7 +221,7 @@ class TestLifetimes:
         assert clipped.stats.expansions == 0
         clipped_live = live[:]
         live.clear()
-        graph_path = _graph_run(graph, (n,), registry)
+        graph_path = graph_run(graph, (n,), registry)
         assert graph_path.stats.expansions > 0
         return (clipped.value, clipped_live), (graph_path.value, live)
 
@@ -467,7 +341,7 @@ class TestFailures:
     def test_a_failing_body_raises_the_graph_paths_error(self):
         graph = self._graph()
         errors = []
-        for run in (SequentialExecutor().run, _graph_run):
+        for run in (SequentialExecutor().run, graph_run):
             with pytest.raises(OperatorError) as excinfo:
                 run(graph, (1,), self._registry(99))
             errors.append(excinfo.value)
@@ -483,7 +357,7 @@ class TestFailures:
         clipped = SequentialExecutor(fault_policy=policy).run(
             graph, (1,), self._registry(1)
         )
-        graph_path = _graph_run(
+        graph_path = graph_run(
             graph, (1,), self._registry(1), fault_policy=policy
         )
         assert clipped.value == graph_path.value == 3
@@ -503,7 +377,7 @@ class TestGeneratedSource:
         programs = [
             (queens.queens_source(5), (), queens.make_registry(5)),
             (LOOP, (7,), REGISTRY),
-            ("main(n) down(n, mk(n))\n" + LIBRARY, (7,), REGISTRY),
+            ("main(n) down(n, mkblock(n))\n" + LIBRARY, (7,), REGISTRY),
         ]
         for source, args, registry in programs:
             first = self._sources(source, args, registry)
@@ -562,7 +436,7 @@ class TestEntry:
         n = 5 * sys.getrecursionlimit()
         graph = compile_source(DEEP_ENTRY).graph
         clipped = SequentialExecutor().run(graph, (n,), REGISTRY)
-        graph_path = _graph_run(graph, (n,), REGISTRY)
+        graph_path = graph_run(graph, (n,), REGISTRY)
         assert clipped.value == graph_path.value == n * (n + 1) // 2
         assert clipped.stats.ops_executed == graph_path.stats.ops_executed
         # The bound handed the rest of the recursion to the graph.
@@ -572,7 +446,7 @@ class TestEntry:
     def test_a_wrong_argument_count_fails_as_on_the_graph(self, args):
         graph = compile_source(DEEP).graph
         errors = []
-        for run in (SequentialExecutor().run, _graph_run):
+        for run in (SequentialExecutor().run, graph_run):
             with pytest.raises(RuntimeFailure) as excinfo:
                 run(graph, args, REGISTRY)
             errors.append(str(excinfo.value))
@@ -639,7 +513,7 @@ class TestEntry:
             result = exc
         # Only the run that clipped its entry has made its crown.
         clipped = hasattr(_plans_for(graph, registry).entry.crown, "source")
-        assert clipped == (run is not _graph_run)
+        assert clipped == (run is not graph_run)
         return result, [dataclasses.astuple(e)[1:] for e in retried], registry
 
     @pytest.mark.parametrize("fail_times", [1, 2])
@@ -647,7 +521,7 @@ class TestEntry:
         source = "main(x) add(flaky(x), 1)"
         runs = [
             self._retried(source, fail_times, run)
-            for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), _graph_run)
+            for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), graph_run)
         ]
         (clipped, clipped_events, _), (graph_path, graph_events, _) = runs
         assert clipped.value == graph_path.value == 3
@@ -659,7 +533,7 @@ class TestEntry:
     def test_a_modifies_operator_is_never_retried(self):
         source = "main(x) grow(mklist(x))"
         errors = []
-        for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), _graph_run):
+        for run in (lambda *a, **k: SequentialExecutor(**k).run(*a), graph_run):
             error, events, registry = self._retried(source, 0, run)
             assert isinstance(error, OperatorError) and error.attempts == ()
             assert events == [] and registry.grown == 1
@@ -717,7 +591,7 @@ class TestInlineRules:
 
         monkeypatch.setattr(crown_module._Generator, "_adjust", one_more)
         graph = compile_source(
-            "main() total(mk(1))", registry=REGISTRY, optimize_passes=()
+            "main() blk_sum(mkblock(1))", registry=REGISTRY, optimize_passes=()
         ).graph
         bus = EventBus()
         with observe_blocks(bus) if watched else contextlib.nullcontext():
@@ -728,12 +602,12 @@ class TestInlineRules:
     def test_a_shared_write_copies_and_a_sole_one_does_not(self):
         graph = compile_source(
             # ``add`` reads ``z`` beside the ``push`` that writes it.
-            "main(n)\n  let z = mk(n)\n  in total(push(add(z, push(z, 2)), 3))",
+            "main(n)\n  let z = mkblock(n)\n  in blk_sum(push(add(z, push(z, 2)), 3))",
             registry=REGISTRY, optimize_passes=(),
         ).graph
         clipped = SequentialExecutor().run(graph, (1,), REGISTRY)
-        graph_path = _graph_run(graph, (1,), REGISTRY)
-        assert clipped.value == graph_path.value == 1 + 1 + 2 + 3
+        graph_path = graph_run(graph, (1,), REGISTRY)
+        assert clipped.value == graph_path.value == 6 + 6 + 2 + 3
         for counter in (
             "cow_copies", "in_place_writes", "copies_by_operator",
             "copy_bytes_by_operator",

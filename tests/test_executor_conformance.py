@@ -25,7 +25,7 @@ from repro import compile_source
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import OperatorError
 from repro.faults import FaultSpec
-from repro.obs import EventBus, ExecutorDegraded, QueueSaturated, TaskFired
+from repro.obs import EventBus, ExecutorDegraded, TaskFired
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -369,24 +369,21 @@ def test_failing_program_reports_the_same_error(
 
 
 def test_degraded_run_keeps_its_configuration(monkeypatch):
-    """The ladder swaps the backend of the same run: the ready-queue
-    watermark (and with it ``QueueSaturated``) survives a pool that could
-    not be built."""
+    """The ladder swaps the backend of the same run: its ``trace=True``
+    tracer survives a pool that could not be built and times every
+    firing of the degraded run."""
     monkeypatch.setattr(executors, "WorkerPool", _no_pool)
     bus = EventBus()
     seen = []
-    bus.subscribe(seen.append, (QueueSaturated, ExecutorDegraded))
+    bus.subscribe(seen.append, (ExecutorDegraded,))
     source, args, _, _ = PROGRAMS["call_of_operator"]
-    result = ProcessExecutor(2, max_ready=1, bus=bus).run(
+    result = ProcessExecutor(2, trace=True, bus=bus).run(
         _graph(source), args, REGISTRY
     )
     assert result.value == SequentialExecutor().run(
         _graph(source), args, REGISTRY
     ).value
     assert result.stats.executor_degraded == 1
-    kinds = [type(e) for e in seen]
-    assert kinds[0] is ExecutorDegraded and seen[0].to_executor == "threaded"
-    assert QueueSaturated in kinds
-    assert all(
-        e.max_ready == 1 for e in seen if isinstance(e, QueueSaturated)
-    )
+    assert [e.to_executor for e in seen] == ["threaded"]
+    assert result.tracer is not None
+    assert len(result.tracer.records) == result.stats.tasks_fired > 1

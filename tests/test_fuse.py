@@ -62,8 +62,8 @@ from repro.runtime.operators import SELECT, fused_name, fused_spec, generate_sou
 from repro.runtime.values import is_truthy
 
 from .test_optimizer_linear import golden_compiles, pythia_source
-from .test_properties import REGISTRY as PROPERTY_REGISTRY
-from .test_properties import _programs
+from .programs import REGISTRY as PROGRAM_REGISTRY
+from .programs import programs
 
 FUSED_PASSES = PASS_ORDER + ("fuse",)
 
@@ -588,7 +588,7 @@ class TestIfConversion:
             "      z = bump(x, 1)\n"
             "  in add(add(blk_sum(z), blk_sum(b)), y)"
         )
-        registry = PROPERTY_REGISTRY
+        registry = PROGRAM_REGISTRY
         plain = compile_source(src, registry=registry)
         fused = compile_source(src, registry=registry, optimize_passes=FUSED_PASSES)
         assert ["is_less", SELECT] in _recipes(fused.graph)
@@ -1182,50 +1182,14 @@ def unfused_work(plain, fused, args, registry):
     return result, work(result.stats) - sum(taken)
 
 
-@st.composite
-def _if_programs(draw):
-    """``main(n)`` binding values through ``IF``\\ s whose arms are trivial,
-    constant, one or two cheap operators, or not foldable (a ``modifies``
-    operator), read by cheap operators, by later conditions and arms, and
-    by the result."""
-    names = ["n"]
-    lines = []
-    for i in range(draw(st.integers(1, 5))):
-        a, b, c, d = (draw(st.sampled_from(names)) for _ in range(4))
-        k = draw(st.integers(-2, 3))
-        arms = [
-            a,
-            str(k),
-            f"incr({a})",
-            f"sub({b}, {k})",
-            f"add(incr({a}), {b})",
-            f"mul(decr({b}), 2)",
-            f"blk_sum(bump(mkblock({a}), 1))",
-        ]
-        cond = draw(st.sampled_from([f"is_less({c}, {d})", c, f"is_less({c}, 1)"]))
-        then, orelse = draw(st.sampled_from(arms)), draw(st.sampled_from(arms))
-        lines.append(f"v{i} = if {cond} then {then} else {orelse}")
-        names.append(f"v{i}")
-        if draw(st.booleans()):
-            lines.append(f"w{i} = add(v{i}, incr(v{i}))")
-            names.append(f"w{i}")
-    acc = names[0]
-    for other in names[1:]:
-        acc = f"add({acc}, {other})"
-    return "main(n)\n  let " + "\n      ".join(lines) + f"\n  in {acc}"
-
-
-PROGRAMS = st.one_of(_programs(), _if_programs())
-
-
 @pytest.mark.usefixtures("graph_path")
 class TestRegionProperty:
     @settings(max_examples=40, deadline=None)
-    @given(PROGRAMS, st.integers(-5, 5), st.integers(1, 4))
+    @given(programs(), st.integers(-5, 5), st.integers(1, 4))
     def test_regions_are_sound_and_fusing_conserves_fires(
         self, source, n, workers
     ):
-        registry = PROPERTY_REGISTRY
+        registry = PROGRAM_REGISTRY
         for template, region in unfused_regions(source, registry):
             assert_single_exit_and_convex(template, region)
             for m in region.members:
@@ -1251,11 +1215,11 @@ class TestRegionProperty:
             ).value == want.value
 
     @settings(max_examples=6, deadline=None)
-    @given(PROGRAMS, st.integers(-5, 5))
+    @given(programs(), st.integers(-5, 5))
     def test_one_worker_process_recomposes_region_recipes(self, source, n):
         # cost_threshold=0 ships every fire, so the worker composes each
         # region's DAG recipe against its own registry.
-        registry = PROPERTY_REGISTRY
+        registry = PROGRAM_REGISTRY
         plain = compile_source(source, registry=registry)
         fused = compile_source(
             source, registry=registry, optimize_passes=FUSED_PASSES

@@ -1,13 +1,15 @@
-"""Compiler fuzzing: random programs with loops, closures, conditionals.
+"""Compiler fuzzing over the generated programs of ``tests/programs.py``.
 
-A second random-program generator, richer than the one in
-``test_properties``: it emits ``iterate`` loops (exercising lowering and
-tail-call execution), nested local functions (closure conversion), and
-conditional chains — then checks the big equivalences:
+Loops (lowering and tail calls), closures (closure conversion),
+packages, blocks under ``modifies`` writers, recursion and conditionals,
+checked for the big equivalences:
 
-* optimized == unoptimized == each-single-pass,
+* optimized == unoptimized,
 * sequential == seeded == FIFO == simulated,
-* serialization round-trip executes identically.
+* serialization round-trip executes identically;
+
+and that every generated program validates, unparses to itself and runs
+in bounded activation space.
 """
 
 from __future__ import annotations
@@ -17,67 +19,21 @@ from hypothesis import given, settings, strategies as st
 from repro import compile_source
 from repro.graph.serialize import dumps, loads
 from repro.machine import SimulatedExecutor, uniform
-from repro.runtime import SequentialExecutor, default_registry
+from repro.runtime import SequentialExecutor
 
-REGISTRY = default_registry()
-
-
-@st.composite
-def _loop_programs(draw):
-    """Programs whose main is a pipeline of loops, closures, and ifs."""
-    lines: list[str] = []
-    names = ["n"]
-    n_stages = draw(st.integers(1, 4))
-    for i in range(n_stages):
-        kind = draw(st.integers(0, 3))
-        name = f"s{i}"
-        if kind == 0:
-            # A bounded counting loop accumulating over prior values.
-            bound = draw(st.integers(1, 6))
-            src = draw(st.sampled_from(names))
-            lines.append(
-                f"{name} = iterate {{ i{i} = 0, incr(i{i})  "
-                f"acc{i} = {src}, add(acc{i}, i{i}) }} "
-                f"while is_less(i{i}, {bound}), result acc{i}"
-            )
-        elif kind == 1:
-            # A local function used twice (closure conversion).
-            k = draw(st.sampled_from(names))
-            x = draw(st.sampled_from(names))
-            lines.append(f"f{i}(p{i}) add(mul(p{i}, 2), {k})")
-            lines.append(f"{name} = add(f{i}({x}), f{i}(incr({x})))")
-        elif kind == 2:
-            # A conditional over previous stages.
-            a = draw(st.sampled_from(names))
-            b = draw(st.sampled_from(names))
-            pivot = draw(st.integers(-2, 2))
-            lines.append(
-                f"{name} = if is_less({a}, {pivot}) "
-                f"then sub({b}, 1) else add({b}, 1)"
-            )
-        else:
-            # Plain arithmetic.
-            a = draw(st.sampled_from(names))
-            b = draw(st.sampled_from(names))
-            lines.append(f"{name} = add(mul({a}, 3), {b})")
-        names.append(name)
-    acc = names[-1]
-    for other in names[:-1]:
-        acc = f"add({acc}, {other})"
-    bindings = "\n      ".join(lines)
-    return f"main(n)\n  let {bindings}\n  in {acc}"
+from .programs import REGISTRY, graph_run, programs
 
 
 class TestFuzzCompiler:
     @settings(max_examples=30, deadline=None)
-    @given(_loop_programs(), st.integers(-4, 4))
+    @given(programs(), st.integers(-4, 4))
     def test_optimizer_equivalence(self, source, n):
         full = compile_source(source, registry=REGISTRY)
         bare = compile_source(source, registry=REGISTRY, optimize_passes=())
         assert full.run(args=(n,)).value == bare.run(args=(n,)).value
 
     @settings(max_examples=20, deadline=None)
-    @given(_loop_programs(), st.integers(-4, 4))
+    @given(programs(), st.integers(-4, 4))
     def test_executor_equivalence(self, source, n):
         compiled = compile_source(source, registry=REGISTRY)
         reference = SequentialExecutor().run(
@@ -94,7 +50,7 @@ class TestFuzzCompiler:
             )
 
     @settings(max_examples=15, deadline=None)
-    @given(_loop_programs(), st.integers(-4, 4))
+    @given(programs(), st.integers(-4, 4))
     def test_serialization_equivalence(self, source, n):
         compiled = compile_source(source, registry=REGISTRY)
         restored = loads(dumps(compiled.graph))
@@ -105,7 +61,7 @@ class TestFuzzCompiler:
         assert a == b
 
     @settings(max_examples=15, deadline=None)
-    @given(_loop_programs())
+    @given(programs())
     def test_generated_programs_validate_and_unparse(self, source):
         from repro import validate_program
         from repro.lang import parse_program
@@ -117,10 +73,11 @@ class TestFuzzCompiler:
         assert parse_program(unparse(program)) == program
 
     @settings(max_examples=10, deadline=None)
-    @given(_loop_programs(), st.integers(-4, 4))
+    @given(programs(), st.integers(-4, 4))
     def test_loops_run_in_bounded_activation_space(self, source, n):
         compiled = compile_source(source, registry=REGISTRY)
-        result = compiled.run(args=(n,))
-        # Straight-line pipelines of tail loops never accumulate
-        # activations: peak live stays small and flat.
-        assert result.stats.activation_stats["peak_live"] <= 12
+        result = graph_run(compiled.graph, (n,), REGISTRY)
+        # Every loop and recursion runs on a constant of at most four
+        # rounds and tail calls keep no caller: whatever ``n`` is, peak
+        # live stays small and flat on the graph path.
+        assert result.stats.activation_stats["peak_live"] <= 48

@@ -3,13 +3,14 @@
 Four kinds of evidence, none of them in seconds:
 
 * **oracles** — the recursive ``children``/``walk`` live on verbatim in
-  ``conftest.py``; over generated and fuzzed programs the new traversal
-  yields the same nodes in the same order;
+  ``conftest.py``; over the benchmark's generated workloads and the
+  programs of ``tests/programs.py`` the new traversal yields the same
+  nodes in the same order;
 * **a fixpoint postcondition** — after :func:`optimize`, one more sweep of
   every enabled pass over every surviving function changes nothing, and
   no surviving function is unreachable from the entry (what the programs
   *mean* is checked against the reference evaluator in
-  ``test_reference.py``);
+  ``test_oracle.py``);
 * **goldens** — ``.dlc`` digests of the case-study programs;
 * **structural guards** — counts of reflective calls, whole-body
   ``count_uses`` calls, node visits, whole-program analyses and sweeps of
@@ -48,7 +49,7 @@ from repro.lang import ast, parse_program
 from repro.lang.ast import unparse
 
 from .conftest import oracle_bound_names_in, recursive_children, recursive_walk
-from .test_fuzz_compiler import _loop_programs
+from .programs import programs
 
 REGISTRY = default_registry()
 
@@ -73,7 +74,7 @@ def pythia_source(n_functions: int, structure_seed: int, order_seed: int) -> str
 generated_sources = st.builds(
     pythia_source, st.integers(3, 12), st.integers(0, 10_000), st.integers(0, 10_000)
 )
-sources = st.one_of(generated_sources, _loop_programs())
+sources = st.one_of(generated_sources, programs())
 
 
 def lowered(source: str) -> ast.Program:
@@ -192,7 +193,7 @@ class TestFixpoint:
         assert_fixpoint(source)
 
     @settings(max_examples=40, deadline=None)
-    @given(_loop_programs())
+    @given(programs())
     def test_fuzzed_programs(self, source):
         assert_fixpoint(source)
 

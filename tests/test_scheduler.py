@@ -83,72 +83,6 @@ class TestQueueMechanics:
         assert sorted(seen) == list(range(10))  # nothing lost or duplicated
 
 
-class TestMaxReadyWatermark:
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            ReadyQueue(max_ready=0)
-        with pytest.raises(ValueError):
-            ReadyQueue(max_ready=-3)
-
-    def test_push_never_refused(self):
-        q = ReadyQueue(max_ready=2)
-        for i in range(10):
-            q.push(make_task(PRIORITY_NORMAL, i))
-        assert len(q) == 10  # watermark signals; it does not drop work
-
-    def test_saturated_flag_and_count(self):
-        q = ReadyQueue(max_ready=3)
-        q.push(make_task(PRIORITY_NORMAL, 1))
-        q.push(make_task(PRIORITY_NORMAL, 2))
-        assert not q.saturated
-        q.push(make_task(PRIORITY_NORMAL, 3))
-        assert q.saturated
-        q.push(make_task(PRIORITY_NORMAL, 4))
-        assert q.saturations == 1  # one upward crossing, not one per push
-
-    def test_rearms_below_watermark(self):
-        q = ReadyQueue(max_ready=2)
-        q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(3)])
-        assert q.saturated
-        q.pop()
-        assert q.saturated  # still at the watermark (2 >= 2)
-        q.pop()
-        assert not q.saturated
-        q.push(make_task(PRIORITY_NORMAL, 9))
-        q.push(make_task(PRIORITY_NORMAL, 10))
-        assert q.saturations == 2  # second crossing counts again
-
-    def test_pop_batch_rearms(self):
-        q = ReadyQueue(max_ready=2)
-        q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(4)])
-        assert q.saturated
-        batch = q.pop_batch(4, key=lambda task: "same-node")
-        assert len(batch) == 4
-        assert not q.saturated
-
-    def test_emits_event_once_per_crossing(self):
-        from repro.obs import EventBus, QueueSaturated
-
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append, events=(QueueSaturated,))
-        q = ReadyQueue(bus=bus, max_ready=2)
-        q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(5)])
-        assert len(events) == 1
-        assert events[0].depth >= 2
-        assert events[0].max_ready == 2
-        while q:
-            q.pop()
-        q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(3)])
-        assert len(events) == 2
-
-    def test_unwatched_queue_has_no_saturation_state(self):
-        q = ReadyQueue()
-        q.push_all([make_task(PRIORITY_NORMAL, i) for i in range(100)])
-        assert not q.saturated
-        assert q.saturations == 0
-
-
 class _Act:
     """Stand-in activation: a peer is told by its template's identity."""
 

@@ -35,6 +35,9 @@ from repro.runtime import (
     default_registry,
 )
 
+from .programs import REGISTRY as PROGRAM_REGISTRY
+from .programs import programs
+
 #: Every test here pins graph mechanics (expansions, tasks, activations):
 #: the graph path, with no call clipped.
 pytestmark = pytest.mark.usefixtures("graph_path")
@@ -361,73 +364,22 @@ class TestPass:
 
 
 # ---------------------------------------------------------------------------
-# Random mutually recursive programs
+# Random programs
 # ---------------------------------------------------------------------------
-#
-# Two kinds of function keep every program terminating: *guards* test
-# ``n`` first and call only from their else arm, with ``sub(n, 1)``;
-# *straights* call from their own template, pass ``n`` on unchanged, and
-# only reach guards or later straights — so every cycle runs through a
-# guard and ``n`` falls around it.
-
-
-def _expr(draw, callees, calls_left, n_arg):
-    """An integer expression over ``n``, ``x`` and at most ``calls_left``
-    calls; returns ``(text, calls used)``."""
-    choice = draw(st.integers(0, 4 if calls_left and callees else 3))
-    if choice == 0:
-        return draw(st.sampled_from(["x", "n"])), 0
-    if choice == 1:
-        return str(draw(st.integers(-2, 3))), 0
-    if choice == 2:
-        inner, used = _expr(draw, callees, calls_left, n_arg)
-        return f"incr({inner})", used
-    if choice == 3:
-        left, a = _expr(draw, callees, calls_left, n_arg)
-        right, b = _expr(draw, callees, calls_left - a, n_arg)
-        op = draw(st.sampled_from(["add", "sub", "max2"]))
-        return f"{op}({left}, {right})", a + b
-    return _call(draw, callees, calls_left, n_arg)
-
-
-def _call(draw, callees, calls_left, n_arg):
-    arg, used = _expr(draw, callees, calls_left - 1, n_arg)
-    return f"{draw(st.sampled_from(callees))}({n_arg}, {arg})", used + 1
-
-
-@st.composite
-def mutual_programs(draw):
-    guards = [f"g{i}" for i in range(draw(st.integers(2, 3)))]
-    straights = [f"s{i}" for i in range(draw(st.integers(0, 2)))]
-    lines = []
-    for name in guards:
-        base, _ = _expr(draw, [], 0, "")
-        # Every guard calls on: most programs then hold a cycle.
-        step, used = _call(draw, guards + straights, 2, "sub(n, 1)")
-        more, _ = _expr(draw, guards + straights, 2 - used, "sub(n, 1)")
-        lines.append(
-            f"{name}(n, x) if is_less(n, 1) then {base} else add({step}, {more})"
-        )
-    for i, name in enumerate(straights):
-        body, _ = _expr(draw, guards + straights[i + 1:], 2, "n")
-        lines.append(f"{name}(n, x) {body}")
-    entry = draw(st.sampled_from(guards + straights))
-    lines.append(f"main(n, x) {entry}(n, x)")
-    return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
 class TestRandomPrograms:
     @settings(max_examples=60, deadline=None)
-    @given(mutual_programs(), st.integers(0, 3), st.integers(-3, 3))
-    def test_spliced_is_unspliced(self, source, n, x):
-        plain, spliced = both(source)
-        want = plain.run((n, x))
-        got = spliced.run((n, x))
+    @given(programs(), st.integers(-5, 5))
+    def test_spliced_is_unspliced(self, source, n):
+        plain, spliced = both(source, PROGRAM_REGISTRY)
+        want = plain.run((n,))
+        got = spliced.run((n,))
         assert got.value == want.value
         assert got.stats.ops_executed <= want.stats.ops_executed
         assert got.stats.tasks_fired <= want.stats.tasks_fired
         assert got.stats.expansions <= want.stats.expansions
         if spliced_count(spliced):
             reloaded = loads(dumps(spliced.graph))
-            again = SequentialExecutor().run(reloaded, (n, x), REGISTRY)
+            again = SequentialExecutor().run(reloaded, (n,), PROGRAM_REGISTRY)
             assert again.value == want.value

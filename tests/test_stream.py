@@ -9,7 +9,6 @@ import resource
 import pytest
 
 from repro import compile_source
-from repro.obs import EventBus, QueueSaturated, attach_metrics
 from repro.runtime.stream import (
     END,
     CallableSource,
@@ -31,12 +30,6 @@ main(x)
 SUM_SRC = """
 main(acc, x)
   add(acc, mul(x, x))
-"""
-
-#: A four-wide fork so a tiny max_ready watermark must trip.
-FAN_SRC = """
-main(x)
-  add(add(mul(x, x), mul(x, x)), add(mul(x, x), incr(x)))
 """
 
 
@@ -247,18 +240,6 @@ class TestStreamRunner:
         assert sink.flushed == 3
         # The sink file, the checkpoint file, the checkpoint's directory.
         assert len(synced) == 3
-
-    def test_queue_saturation_observable(self):
-        fan = compile_source(FAN_SRC)
-        bus = EventBus()
-        metrics = attach_metrics(bus)
-        seen = []
-        bus.subscribe(seen.append, events=(QueueSaturated,))
-        runner = StreamRunner(fan, max_ready=1, bus=bus)
-        runner.run(count_source(3), MemorySink())
-        assert seen, "watermark of 1 on a fork must saturate"
-        assert all(e.max_ready == 1 for e in seen)
-        assert metrics.counter("queue_saturations").value >= len(seen)
 
     def test_flat_rss_over_long_stream(self, sum_program):
         """Backpressure tentpole: memory must not grow with stream length.

@@ -320,13 +320,6 @@ class TestExceptionCodec:
             "wire",
         )
 
-    def test_legacy_formats_accepted(self):
-        legacy = ("pickle", pickle.dumps(ValueError("old")), "tb text")
-        assert _decode_exception(legacy).args == ("old",)
-        text = _decode_exception(("text", "repr of exc", "tb text"))
-        assert isinstance(text, RemoteOperatorFailure)
-        assert "repr of exc" in str(text)
-
 
 # ---------------------------------------------------------------------------
 # Crash recovery
