@@ -96,21 +96,24 @@ class Crown:
     deterministic function of the graph and the operator plans; ``specs``
     are the operators it may fire, for the executor's dispatch check."""
 
-    __slots__ = ("name", "source", "specs", "_consts", "_factory")
+    __slots__ = ("name", "source", "specs", "_consts", "_factory", "_bound")
 
     def __init__(self, name: str, source: str, consts: list, specs: list):
         self.name, self.source, self.specs, self._consts = name, source, specs, consts
         namespace = dict(_GLOBALS)
         exec(compile(source, f"<delirium {name}>", "exec"), namespace)
         self._factory = namespace["_delirium_crown"]
+        self._bound: tuple = (None, None)
         _trim_heap()
 
-    def bind(self, state: Any) -> Any:
-        """The entry function, bound to one run's state and counters."""
-        return self._factory(
-            state, state.stats, sys.getrecursionlimit() // 4,
-            blocks._COUNT_HOOK is None, *self._consts,
-        )
+    def bind(self) -> Any:
+        """The entry function, called as ``fn(state, stats, *args, 0)``:
+        made once per depth bound and count-hook setting, not per run."""
+        key = (sys.getrecursionlimit() // 4, blocks._COUNT_HOOK is None)
+        bound = self._bound
+        if bound[0] != key:
+            bound = self._bound = (key, self._factory(*key, *self._consts))
+        return bound[1]
 
 
 class EntryRow:
@@ -204,9 +207,7 @@ class _Generator:
             lines += self._function(self.pending.pop(0))
             if len(lines) > _MAX_LINES:
                 raise _Ineligible
-        params = ", ".join(
-            ["ST", "S", "L", "H"] + [f"K{i}" for i in range(len(self.consts))]
-        )
+        params = ", ".join(["L", "H"] + [f"K{i}" for i in range(len(self.consts))])
         source = "\n".join(
             [f"# crown: {template.name}", f"def _delirium_crown({params}):"]
             + lines + [f"    return {entry}", ""]
@@ -226,7 +227,7 @@ class _Generator:
             t, [(v, "c" if i in ctx else "v") for i, v in enumerate(names)],
             [1] * n_params + [0] * len(t.captures), ctx, out, 0, True,
         )
-        lines = [f"    def {fname}({', '.join(names + ['d'])}):"]
+        lines = [f"    def {fname}({', '.join(['ST', 'S'] + names + ['d'])}):"]
         if self.looped:
             lines.append("        while True:")
         pad = 3 if self.looped else 2
@@ -470,7 +471,7 @@ class _Generator:
         cells = "()" if how == "static" else f"{ins[0][0]}.cells"
         star = "" if how == "static" else f"*{cells}, "
         call = (
-            f"{self.funcs[callee.name][0]}({args}{star}d + 1) if d < L "
+            f"{self.funcs[callee.name][0]}(ST, S, {args}{star}d + 1) if d < L "
             f"else ST._run_nested({self.const(callee)}, ({args}), {cells})"
         )
         if is_tail:

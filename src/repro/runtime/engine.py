@@ -60,7 +60,9 @@ from ..obs.events import (
     TaskEnqueued,
 )
 from .activation import Activation, ActivationPool, NodePlan, TemplatePlan
-from .blocks import DataBlock, is_truthy, release, retain, unwrap, wrap_payload
+from .blocks import (
+    _ATOMIC, DataBlock, is_truthy, release, retain, unwrap, wrap_payload,
+)
 from .operators import OperatorRegistry, OperatorSpec, fused_source_ops, node_spec
 from .scheduler import ReadyQueue, Task
 from .values import Closure, MultiValue, OperatorValue
@@ -344,6 +346,24 @@ class ExecutionState:
         hot path a single ``is not None`` check per emit site.
     """
 
+    # What only some runs use is a class default until a run first needs
+    # it: a run of a clipped entry (:meth:`call`) builds only the stats.
+    #: The run's activations, made with the first (:meth:`activations`).
+    pool: ActivationPool | None = None
+    #: The process executor's residency tracker: an in-place write of a
+    #: block with a ``bid`` invalidates its worker-resident copies first.
+    locality: Any = None
+    #: Retry hook for the single-pass ``OP`` path (see
+    #: :data:`RecoverOp`); ``None`` wraps a body exception at once.
+    #: An executor that installs one clears it when its run ends.
+    recover_op: RecoverOp | None = None
+    #: Set by a run whose configuration lets calls be clipped: maps a
+    #: ``CALL``'s row to the crown it fires as one operator-like
+    #: firing, or ``None`` (see :mod:`repro.runtime.crown`).
+    clip: Callable[[NodePlan], Any] | None = None
+    _final: Any = _NO_RESULT
+    _task_seq = 0
+
     def __init__(
         self,
         program: GraphProgram,
@@ -360,29 +380,8 @@ class ExecutionState:
         #: ``stats.op_body_seconds`` — the benchmark phase-split probe,
         #: orders of magnitude cheaper than per-firing event objects.
         self.profile_ops = profile_ops
-        self.bus = bus if (bus is not None and bus.active) else None
-        self.pool = ActivationPool(bus=self.bus)
-        #: Residency tracker installed by the supervised process executor
-        #: when an affinity policy is active; consulted (via ``block.bid``
-        #: guards, so the sequential hot path pays one attribute load)
-        #: before any in-place write so worker-resident copies of the
-        #: mutated block are invalidated before the payload changes.
-        self.locality: Any = None
-        #: Retry hook for the single-pass ``OP`` path (see
-        #: :data:`RecoverOp`); ``None`` wraps a body exception at once.
-        #: An executor that installs one clears it when its run ends.
-        self.recover_op: RecoverOp | None = None
-        #: Set by a run whose configuration lets calls be clipped: maps a
-        #: ``CALL``'s row to the crown it fires as one operator-like
-        #: firing, or ``None`` (see :mod:`repro.runtime.crown`).
-        self.clip: Callable[[NodePlan], Any] | None = None
+        self.bus = bus = bus if (bus is not None and bus.active) else None
         self.stats = EngineStats()
-        self._final: Any = _NO_RESULT
-        self._task_seq = 0
-        # Outstanding non-tail children and in-flight operator firings
-        # live directly on each activation (``pend_children`` /
-        # ``pend_ops``) — ``_maybe_free`` reads them after every firing,
-        # so they must be attribute loads, not dict probes.
         #: The load plans every activation is instantiated from, shared
         #: with every other state over the same (program, registry).
         self.plans = _plans_for(program, registry)
@@ -391,7 +390,6 @@ class ExecutionState:
         # is cheap but not free, and these are consulted for every task.
         # Subscribe before constructing the state, as every executor and
         # run context does.
-        bus = self.bus
         self._wants_enqueued = bus is not None and bus.wants(TaskEnqueued)
         self._wants_op_started = bus is not None and bus.wants(OpStarted)
         self._wants_op_finished = bus is not None and bus.wants(OpFinished)
@@ -400,6 +398,13 @@ class ExecutionState:
         self._wants_tail_expansion = bus is not None and bus.wants(
             TailExpansion
         )
+
+    def activations(self) -> ActivationPool:
+        """The run's activation pool, made with its first activation."""
+        pool = self.pool
+        if pool is None:
+            pool = self.pool = ActivationPool(bus=self.bus)
+        return pool
 
     # ------------------------------------------------------------------
     # Public interface
@@ -430,7 +435,7 @@ class ExecutionState:
         # The entry template is instantiated even when it is a shortcut:
         # there is no expanding node to deliver its result for it.
         plan = self.plans.load(self._entry(args))
-        root = self.pool.acquire(plan)
+        root = self.activations().acquire(plan)
         root.continuation = None
         newly: list[Task] = [self._task(root, nid) for nid in plan.ready]
         for i, a in enumerate(args):
@@ -443,9 +448,12 @@ class ExecutionState:
         :meth:`start`, each argument handed over with one share."""
         self._entry(args)
         self.stats.tasks_fired += 1
-        values = [wrap_payload(a) for a in args]
-        for v in values:
-            retain(v, 1)
+        values = []
+        for a in args:
+            if a.__class__ not in _ATOMIC:  # an atomic circulates as it is
+                a = wrap_payload(a)
+                retain(a, 1)
+            values.append(a)
         self._final = self._call_crown(crown, values)
 
     def fire(
@@ -618,18 +626,13 @@ class ExecutionState:
                 op_began = now()
             if self._wants_op_started:
                 bus.emit(OpStarted(op_began, spec.name, n_source_ops))
+        t_body = _perf_counter() if self.profile_ops else 0.0
+        try:
+            raw_result = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - retried or wrapped
+            raw_result = self._body_failed(spec, args, node_id, exc)
         if self.profile_ops:
-            t_body = _perf_counter()
-            try:
-                raw_result = fn(*args)
-            except Exception as exc:  # noqa: BLE001 - retried or wrapped
-                raw_result = self._body_failed(spec, args, node_id, exc)
             stats.op_body_seconds += _perf_counter() - t_body
-        else:
-            try:
-                raw_result = fn(*args)
-            except Exception as exc:  # noqa: BLE001 - retried or wrapped
-                raw_result = self._body_failed(spec, args, node_id, exc)
         if wants_finished:
             op_ended = now()
             bus.emit(OpFinished(op_ended, spec.name, op_ended - op_began))
@@ -770,20 +773,24 @@ class ExecutionState:
         return unwrap(self._final)
 
     def snapshot_stats(self) -> EngineStats:
-        self.stats.activation_stats = self.pool.stats()
+        pool = self.pool
+        self.stats.activation_stats = (
+            pool.stats() if pool is not None else {"created": 0, "peak_live": 0}
+        )
         return self.stats
 
     def snapshot_state(self) -> dict[str, Any]:
         """Point-in-time engine state for the flight recorder: cheap,
         JSON-ready, and safe to call mid-run (including from a fault
         path, when some invariants may already be broken)."""
+        pool = self.activations()
         return {
             "tasks_fired": self.stats.tasks_fired,
             "ops_executed": self.stats.ops_executed,
-            "live_activations": self.pool.live,
-            "in_flight_ops": sum(a.pend_ops for a in self.pool.live_set),
+            "live_activations": pool.live,
+            "in_flight_ops": sum(a.pend_ops for a in pool.live_set),
             "finished": self.finished,
-            "activation_stats": self.pool.stats(),
+            "activation_stats": pool.stats(),
         }
 
     def stall_report(self, limit: int = 8) -> str:
@@ -793,14 +800,15 @@ class ExecutionState:
         those nodes still await — the first thing to read when a
         hand-built graph (or an engine bug) deadlocks.
         """
-        in_flight = sum(a.pend_ops for a in self.pool.live_set)
+        pool = self.activations()
+        in_flight = sum(a.pend_ops for a in pool.live_set)
         lines: list[str] = [
-            f"{self.pool.live} live activation(s) at stall"
+            f"{pool.live} live activation(s) at stall"
             + (f" ({in_flight} operator firing(s) never completed)"
                if in_flight else "")
             + ":"
         ]
-        for act in sorted(self.pool.live_set, key=lambda a: a.aid)[:limit]:
+        for act in sorted(pool.live_set, key=lambda a: a.aid)[:limit]:
             lines.append(
                 f"  #{act.aid} {act.template.name}: fired "
                 f"{act.fired}/{act.fireable_nodes()}, "
@@ -816,8 +824,8 @@ class ExecutionState:
                         f"    node {node_id} ({node.label or node.kind.value})"
                         f" awaits {missing} input(s)"
                     )
-        if self.pool.live > limit:
-            lines.append(f"  ... and {self.pool.live - limit} more")
+        if pool.live > limit:
+            lines.append(f"  ... and {pool.live - limit} more")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -1102,7 +1110,11 @@ class ExecutionState:
         if self.clip is not None:
             crown = self.clip(entry)
             if crown is not None:
-                self._fire_clipped(act, node_id, crown, inputs, newly)
+                # The callee's whole subtree runs here as one operator-like
+                # firing; the parameters hand their shares on and the cells
+                # none, as an expansion does.
+                value = self._call_crown(crown, (*inputs[1:], *inputs[0].cells))
+                self._deliver_output(act, node_id, 0, value, 1, newly)
                 return None
         if entry.callee is not None:
             # The template created this closure itself: nothing to learn
@@ -1135,28 +1147,17 @@ class ExecutionState:
         self._expand(act, node_id, entry.node, plan, inputs[1:], 1, cells, 0, newly)
         return None
 
-    def _fire_clipped(
-        self, act: Activation, node_id: int, crown: Any, inputs: list[Any],
-        newly: list[Task],
-    ) -> None:
-        """Fire a clipped ``CALL``: the callee's whole subtree runs here as
-        the crown's generated function, one operator-like firing bracketed
-        by one ``OpStarted``/``OpFinished`` pair.  The parameters hand
-        their shares on and the cells none, as an expansion does."""
-        value = self._call_crown(crown, (*inputs[1:], *inputs[0].cells))
-        self._deliver_output(act, node_id, 0, value, 1, newly)
-
     def _call_crown(self, crown: Any, args: Any) -> Any:
         """Call ``crown`` on ``args`` as one operator-like body; returns
         the result carrying its one share."""
-        fn = crown.bind(self)
+        fn = crown.bind()
         bus = self.bus
         if bus is not None:
             began = bus.now()
             if self._wants_op_started:
                 bus.emit(OpStarted(began, crown.name, 1))
-        t_body = _perf_counter()
-        value = fn(*args, 0)
+        t_body = _perf_counter() if self.profile_ops else 0.0
+        value = fn(self, self.stats, *args, 0)
         if self.profile_ops:
             self.stats.op_body_seconds += _perf_counter() - t_body
         if self._wants_op_finished:
@@ -1176,7 +1177,7 @@ class ExecutionState:
         self.clip, self._final = None, _NO_RESULT
         try:
             plan = self.plans.load(template)
-            act = self.pool.acquire(plan)
+            act = self.activations().acquire(plan)
             newly = [self._task(act, nid) for nid in plan.ready]
             if params:
                 self._deliver_values(act, 0, params, 1, newly)

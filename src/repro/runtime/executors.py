@@ -118,7 +118,7 @@ _FIRE, _OP, _CALL, _CLIP = range(4)
 _GROUP_MAX = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     """Outcome of one program execution."""
 
@@ -126,23 +126,6 @@ class RunResult:
     stats: EngineStats
     tracer: Tracer | None
     wall_seconds: float
-
-
-class _Inline:
-    """The backend that takes nothing: every body runs where it was fired.
-
-    A backend is where suspended bodies go, and its surface is the one
-    :class:`~repro.runtime.supervise.Supervisor` already has —
-    ``dispatch(pending)``, ``pump(block) -> completions``,
-    ``in_flight``, ``take_completions()``, ``drain_in_flight()``.  With
-    no dispatch policy the loop never dispatches, so all it reads of this
-    one is an ``in_flight`` of zero.
-    """
-
-    in_flight = 0
-
-
-_INLINE = _Inline()
 
 
 class _Threads:
@@ -228,8 +211,29 @@ class Run:
     queue, clock, snapshot sources, the ``RunStarted``/``RunFinished``
     bracket, the stall check, the :class:`RunResult` — and the one firing
     loop (:meth:`loop`).  The executor that builds it supplies only the
-    configuration and, to :meth:`execute`, a backend.
+    configuration and, to :meth:`execute`, a backend.  A run whose entry
+    clips is one crown call and builds only the stats, the argument
+    shares and the result: the loop's state is a class default until
+    :meth:`_drive` sets it.
     """
+
+    queue: ReadyQueue | None = None
+    #: Where suspended bodies go, with the surface the
+    #: :class:`~repro.runtime.supervise.Supervisor` has: ``dispatch``,
+    #: ``pump``, ``in_flight``, ``take_completions``, ``drain_in_flight``.
+    #: ``None`` takes nothing: every body runs where it was fired.
+    backend: Any = None
+    threads: _Threads | None = None
+    #: Decides which suspended bodies go to the backend; ``None`` keeps
+    #: them all here.
+    dispatch_policy: DispatchPolicy | None = None
+    classify: Any = None
+    #: Calls expand together with their ready peers, and every operator
+    #: body suspends.
+    batching = suspend = False
+    #: Called after every pump and once when the run ends (the process
+    #: executor's live gauges).
+    on_pump: Any = None
 
     def __init__(
         self,
@@ -237,29 +241,21 @@ class Run:
         name: str,
         program: GraphProgram,
         registry: OperatorRegistry,
-        policy: FaultPolicy | None,
     ) -> None:
+        self.executor = executor
         self.name = name
         self.ctx = ctx = executor.run_ctx
         bus, self.tracer = resolve_bus(executor.bus, executor.trace, ctx)
         self.bus = bus
         self.state = state = ExecutionState(
-            program,
-            registry,
-            check_purity=executor.check_purity,
-            bus=bus,
-            profile_ops=executor.profile_ops,
-        )
-        self.queue = queue = ReadyQueue(
-            executor.use_priorities,
-            executor.seed,
-            bus=bus,
+            program, registry, executor.check_purity, bus, executor.profile_ops
         )
         self.began = began = time.perf_counter()
         if bus is not None:
             bus.set_clock(lambda: time.perf_counter() - began)
         spec = executor.fault_spec
         self.injector = injector = spec.build() if spec is not None else None
+        policy = executor.fault_policy
         if policy is None and injector is not None:
             policy = FaultPolicy()
         #: The retry rule of every local body; ``None`` wraps a failure
@@ -269,40 +265,22 @@ class Run:
         # an event object per firing, which a bus carrying only coarse
         # subscribers (flight recorder, say) must not pay.
         self.wants_fired = bus is not None and bus.wants(TaskFired)
-        #: Calls expand together with their ready peers, and every
-        #: operator body suspends (both set by :meth:`execute`).
-        self.batching = self.suspend = False
-        self.profile_ops = executor.profile_ops
-        self.class_tokens = executor.class_tokens
-        #: Marks the dispatch classes in the shared per-node tables
-        #: (``NodePlan.memo``) that were decided under this run's
-        #: configuration; :meth:`execute` picks it from the executor's.
-        self.token: Any = None
-        self.backend: Any = _INLINE
-        self.threads: _Threads | None = None
-        #: Decides which suspended bodies go to the backend; ``None``
-        #: keeps them all here.
-        self.dispatch_policy: DispatchPolicy | None = None
-        self.classify: Any = None
-        #: Called after every pump and once when the loop ends (the
-        #: process executor's live gauges).
-        self.on_pump: Any = None
         #: Set when a driving thread failed: the others stop popping.
         self.halted = False
         #: Calls may be clipped: nothing watches or perturbs single
-        #: firings, pops are not shuffled and (see :meth:`execute`) one
-        #: thread drives the loop.
+        #: firings, pops are not shuffled and one thread drives the loop.
         self.clipping = (
             injector is None
             and not executor.check_purity
             and not self.wants_fired
             and executor.seed is None
+            and name != "threaded"
         )
         if ctx is not None:
             ctx.add_snapshot_source("engine", state.snapshot_state)
-            ctx.add_snapshot_source(
-                "ready_queue", lambda: {"depths": queue.depths()}
-            )
+            ctx.add_snapshot_source("ready_queue", lambda: {
+                "depths": self.queue.depths() if self.queue is not None else (0, 0, 0)
+            })
 
     def execute(
         self,
@@ -310,33 +288,26 @@ class Run:
         backend: Any,
         dispatch_policy: DispatchPolicy | None = None,
     ) -> RunResult:
-        """Run the program to its result on ``backend``.
+        """Run the program to its result on ``backend``, or on what it
+        builds when it is a function and the entry does not clip.
 
         ``dispatch_policy`` decides which suspended bodies go to the
         backend; without one they all run here.
         """
-        self.backend = backend
-        self.threads = backend if isinstance(backend, _Threads) else None
-        self.dispatch_policy = dispatch_policy
-        if dispatch_policy is not None:
-            self.classify = dispatch_policy.should_dispatch
         # Peer expansion pays where expanded leaves meet in the queue to
         # be dispatched together, so it is on exactly when bodies may
         # leave the master; injection decisions are per firing, so an
         # injector switches it off.
-        self.batching = dispatch_policy is not None and self.injector is None
-        self.clipping = self.clipping and self.threads is None
-        # A thread releases the lock around every body, and an injector
-        # sees every body before it runs: neither may take the single pass.
-        self.suspend = self.injector is not None or self.threads is not None
+        batching = dispatch_policy is not None and self.injector is None
         # Everything :meth:`_node_class` reads besides the node: runs of
         # one configuration share a token, so only the first of them
-        # classifies.
-        key = (type(backend), self.batching, dispatch_policy, self.clipping)
-        self.token = self.class_tokens.setdefault(key, key)
-        if self.clipping:
-            self.state.clip = self._clip_of
-        state, queue, ctx, began = self.state, self.queue, self.ctx, self.began
+        # classifies.  The run's name stands for its backend's kind.
+        key = (self.name, batching, dispatch_policy, self.clipping)
+        self.token = self.executor.class_tokens.setdefault(key, key)
+        if dispatch_policy is not None:
+            self.dispatch_policy, self.batching = dispatch_policy, batching
+            self.classify = dispatch_policy.should_dispatch
+        state, ctx, began = self.state, self.ctx, self.began
         if ctx is not None:
             ctx.run_started(self.name)
         try:
@@ -349,11 +320,7 @@ class Run:
             if crown is not None:
                 state.call(crown, args)
             else:
-                queue.push_all(state.start(args))
-                if self.threads is not None:
-                    self.threads.drive(self)
-                else:
-                    self.loop()
+                self._drive(args, backend)
             if self.on_pump is not None:
                 self.on_pump()
             wall = time.perf_counter() - began
@@ -372,6 +339,25 @@ class Run:
         if ctx is not None:
             ctx.run_finished(wall)
         return RunResult(state.result(), state.snapshot_stats(), self.tracer, wall)
+
+    def _drive(self, args: tuple[Any, ...], backend: Any) -> None:
+        """Start the entry on the graph and drive the loop to exhaustion."""
+        if callable(backend):
+            backend = backend()
+        threads = backend if type(backend) is _Threads else None
+        self.backend, self.threads = backend, threads
+        # A thread releases the lock around every body, and an injector
+        # sees every body before it runs: neither may take the single pass.
+        self.suspend = self.injector is not None or threads is not None
+        ex = self.executor
+        self.queue = queue = ReadyQueue(ex.use_priorities, ex.seed, bus=self.bus)
+        state = self.state
+        state.clip = self._clip_of if self.clipping else None
+        queue.push_all(state.start(args))
+        if threads is not None:
+            threads.drive(self)
+        else:
+            self.loop()
 
     # -- the loop ---------------------------------------------------------
     def loop(self) -> None:
@@ -424,7 +410,7 @@ class Run:
                     pending = fire(task, classify)
                 if pending is not None:
                     place(pending)
-            if self.halted or not backend.in_flight:
+            if self.halted or backend is None or not backend.in_flight:
                 return
             try:
                 completions = backend.pump(block=True)
@@ -490,9 +476,8 @@ class Run:
         return entry.crown if memo[1] == _CLIP else None
 
     def _who(self, fired: Any, label: str, kind: str) -> tuple:
-        """The identity fields of a span, read while the firing's
-        activation is certainly still its own (a commit may recycle it).
-        ``fired`` is a :class:`Task` or a :class:`PendingOp`."""
+        """The identity fields of a span (``fired`` is a :class:`Task` or
+        a :class:`PendingOp`)."""
         act = fired.activation
         return (
             label, kind, fired.priority, act.template.name, act.aid,
@@ -630,7 +615,7 @@ class Run:
             seconds = time.perf_counter() - t0
             if threads is not None:
                 threads.enter()
-        if self.profile_ops:
+        if state.profile_ops:
             state.stats.op_body_seconds += seconds
         self.queue.push_all(state.complete_fire(pending, raw, seconds))
         if who is not None:
@@ -687,8 +672,8 @@ class Run:
     def _degrade(self, reason: str) -> None:
         """The pool is irrecoverable mid-run: finish in-process.
 
-        Commits everything the pool already produced, swaps the inline
-        backend in — the rest of the run fires here (restarting on
+        Commits everything the pool already produced, drops the backend
+        — the rest of the run fires here (restarting on
         threads is impossible mid-run, the engine state is already live
         in this one) — and re-executes the abandoned in-flight firings
         on isolated argument copies.
@@ -697,7 +682,7 @@ class Run:
         self.degraded("process", "sequential", reason)
         for c in supervisor.take_completions():
             self._commit(c)
-        self.backend, self.dispatch_policy, self.classify = _INLINE, None, None
+        self.backend = self.dispatch_policy = self.classify = None
         # What is classified from here on is not the executor's
         # configuration: keep it out of the classes later runs read.
         self.token = object()
@@ -712,7 +697,23 @@ class _Executor:
     seed: int | None = None
     profile_ops = False
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        use_priorities: bool,
+        check_purity: bool,
+        trace: bool,
+        bus: EventBus | None,
+        fault_policy: FaultPolicy | None,
+        fault_spec: Any,
+        run_ctx: RunContext | None,
+    ) -> None:
+        self.use_priorities = use_priorities
+        self.check_purity = check_purity
+        self.trace = trace
+        self.bus = bus
+        self.fault_policy = fault_policy
+        self.fault_spec = fault_spec
+        self.run_ctx = run_ctx
         #: One token per configuration a dispatch class depends on
         #: (backend kind, batching, dispatch policy), kept as long as the
         #: executor: the classes its first run memoized in a program's
@@ -769,15 +770,11 @@ class SequentialExecutor(_Executor):
         run_ctx: RunContext | None = None,
         profile_ops: bool = False,
     ) -> None:
-        super().__init__()
-        self.use_priorities = use_priorities
+        super().__init__(
+            use_priorities, check_purity, trace, bus, fault_policy, fault_spec,
+            run_ctx,
+        )
         self.seed = seed
-        self.check_purity = check_purity
-        self.trace = trace
-        self.bus = bus
-        self.fault_policy = fault_policy
-        self.fault_spec = fault_spec
-        self.run_ctx = run_ctx
         #: Accumulate operator-body wall seconds in
         #: ``stats.op_body_seconds`` via two bare clock reads per firing —
         #: the benchmark phase-split probe (far cheaper than subscribing
@@ -791,8 +788,8 @@ class SequentialExecutor(_Executor):
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else builtin_registry()
-        run = Run(self, "sequential", program, registry, self.fault_policy)
-        return run.execute(args, _INLINE)
+        run = Run(self, "sequential", program, registry)
+        return run.execute(args, None)
 
 
 class ThreadedExecutor(_Executor):
@@ -821,15 +818,11 @@ class ThreadedExecutor(_Executor):
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        super().__init__()
+        super().__init__(
+            use_priorities, check_purity, trace, bus, fault_policy, fault_spec,
+            run_ctx,
+        )
         self.n_workers = n_workers
-        self.use_priorities = use_priorities
-        self.check_purity = check_purity
-        self.trace = trace
-        self.bus = bus
-        self.fault_policy = fault_policy
-        self.fault_spec = fault_spec
-        self.run_ctx = run_ctx
 
     def run(
         self,
@@ -838,7 +831,7 @@ class ThreadedExecutor(_Executor):
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else builtin_registry()
-        run = Run(self, "threaded", program, registry, self.fault_policy)
+        run = Run(self, "threaded", program, registry)
         return run.execute(args, _Threads(self.n_workers))
 
 
@@ -935,7 +928,12 @@ class ProcessExecutor(_Executor):
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        super().__init__()
+        if fault_policy is None:
+            fault_policy = FaultPolicy()
+        super().__init__(
+            use_priorities, check_purity, trace, bus, fault_policy, fault_spec,
+            run_ctx,
+        )
         self.n_workers = n_workers
         self.policy = DispatchPolicy(
             cost_threshold=cost_threshold,
@@ -944,15 +942,8 @@ class ProcessExecutor(_Executor):
             min_dispatch_seconds=min_dispatch_seconds,
         )
         self.shm_threshold = shm_threshold
-        self.use_priorities = use_priorities
         self.seed = seed
-        self.check_purity = check_purity
-        self.trace = trace
-        self.bus = bus
         self.registry_ref = registry_ref
-        self.fault_policy = fault_policy
-        self.fault_spec = fault_spec
-        self.run_ctx = run_ctx
         self.affinity = affinity
         self.persistent = persistent
         self._pool: WorkerPool | None = None
@@ -969,18 +960,6 @@ class ProcessExecutor(_Executor):
             self._pool_for = None
             pool.close()
 
-    def _build_pool(
-        self, program: GraphProgram, registry: OperatorRegistry
-    ) -> WorkerPool:
-        return WorkerPool(
-            self.n_workers,
-            registry=registry,
-            registry_ref=self.registry_ref,
-            shm_threshold=self.shm_threshold,
-            fused_chains=collect_fused_chains(program),
-            fault_spec=self.fault_spec,
-        )
-
     def run(
         self,
         program: GraphProgram,
@@ -988,11 +967,6 @@ class ProcessExecutor(_Executor):
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else builtin_registry()
-        policy = (
-            self.fault_policy
-            if self.fault_policy is not None
-            else FaultPolicy()
-        )
         built_for = self._pool_for
         if self._pool is not None and (
             built_for[0]() is not program or built_for[1]() is not registry
@@ -1001,21 +975,28 @@ class ProcessExecutor(_Executor):
         pool = self._pool
         if pool is None:
             try:
-                pool = self._build_pool(program, registry)
+                pool = WorkerPool(
+                    self.n_workers,
+                    registry=registry,
+                    registry_ref=self.registry_ref,
+                    shm_threshold=self.shm_threshold,
+                    fused_chains=collect_fused_chains(program),
+                    fault_spec=self.fault_spec,
+                )
             except Exception as exc:
-                if policy.degrade != "ladder":
+                if self.fault_policy.degrade != "ladder":
                     raise
                 # The ladder handles *machinery* failures: the same run,
                 # configuration and fault contract, on the thread backend
                 # (bodies still overlap where kernels release the GIL).
-                run = Run(self, "threaded", program, registry, policy)
+                run = Run(self, "threaded", program, registry)
                 run.degraded("process", "threaded", repr(exc))
                 return run.execute(args, _Threads(self.n_workers))
             if self.persistent:
                 self._pool = pool
                 self._pool_for = (weakref.ref(program), weakref.ref(registry))
         try:
-            return self._run_supervised(pool, program, args, registry, policy)
+            return self._run_supervised(pool, program, args, registry)
         except BaseException:
             # A run that errored may leave the pool in an unknown state
             # (mid-respawn, poisoned pipes); don't reuse it.
@@ -1031,36 +1012,39 @@ class ProcessExecutor(_Executor):
         program: GraphProgram,
         args: tuple[Any, ...],
         registry: OperatorRegistry,
-        policy: FaultPolicy,
     ) -> RunResult:
         """One run on the supervised pool: the :class:`Supervisor` is the
-        backend, the dispatch policy decides what it gets."""
-        run = Run(self, "process", program, registry, policy)
+        backend, made where the run first needs one, and the dispatch
+        policy decides what it gets."""
+        run = Run(self, "process", program, registry)
         if run.injector is not None:
             pool.arena.fail_hook = run.injector.on_arena_acquire
-        supervisor = Supervisor(
-            pool,
-            policy,
-            shm_threshold=self.shm_threshold,
-            bus=run.bus,
-            stats=run.state.stats,
-            affinity=self.affinity,
-        )
-        # The engine's in-place-write paths must invalidate worker
-        # residency before mutating a block (see ExecutionState.locality).
-        run.state.locality = supervisor.residency
-        ctx = self.run_ctx
+        state, ctx = run.state, self.run_ctx
+        # The pool's residency tracker (see ExecutionState.locality).
+        state.locality = pool.residency
 
-        def export_memory_gauges() -> None:
-            metrics = ctx.metrics if ctx is not None else None
-            if metrics is None:
-                return
-            for key, value in pool.arena.stats().items():
-                metrics.gauge(f"shm_arena/{key}").set(float(value))
-            for key, value in supervisor.locality_stats().items():
-                metrics.gauge(f"worker_cache/{key}").set(float(value))
+        def supervise() -> Supervisor:
+            supervisor = Supervisor(
+                pool,
+                run.policy,
+                shm_threshold=self.shm_threshold,
+                bus=run.bus,
+                stats=state.stats,
+                affinity=self.affinity,
+            )
+            state.locality = supervisor.residency
+            if ctx is None:
+                return supervisor
 
-        if ctx is not None:
+            def export_memory_gauges() -> None:
+                metrics = ctx.metrics
+                if metrics is None:
+                    return
+                for key, value in pool.arena.stats().items():
+                    metrics.gauge(f"shm_arena/{key}").set(float(value))
+                for key, value in supervisor.locality_stats().items():
+                    metrics.gauge(f"worker_cache/{key}").set(float(value))
+
             ctx.add_snapshot_source("supervisor", supervisor.snapshot)
             ctx.add_snapshot_source(
                 "workers",
@@ -1070,5 +1054,8 @@ class ProcessExecutor(_Executor):
                     "locality": supervisor.locality_stats(),
                 },
             )
-        run.on_pump = export_memory_gauges
-        return run.execute(args, supervisor, self.policy)
+            run.on_pump = export_memory_gauges
+            return supervisor
+
+        # A clipped entry never builds the supervisor.
+        return run.execute(args, supervise, self.policy)

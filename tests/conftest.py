@@ -29,14 +29,15 @@ def shm_leak_gate():
 
 
 @pytest.fixture
-def graph_path(monkeypatch):
+def graph_path():
     """Run on the graph path: no call is clipped (crown clipping,
     ``repro.runtime.crown``).  For tests that pin graph mechanics —
     activations, expansions, per-node fires — and for the clipped-vs-graph
     properties."""
-    from repro.runtime.executors import Run
+    from tests.programs import on_graph_path
 
-    monkeypatch.setattr(Run, "_clips", lambda self, entry: False)
+    with on_graph_path():
+        yield
 
 
 def recursive_payload_nbytes(payload):

@@ -25,10 +25,13 @@ bounded by a handful of rounds, never on ``n``.
 
 :func:`graph_run` and :func:`calls_run` are the two sequential paths a
 plain run does not take by itself (crown clipping,
-``repro.runtime.crown``).
+``repro.runtime.crown``); :func:`on_graph_path` is the one switch every
+test that needs the graph path uses.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 from hypothesis import strategies as st
@@ -268,10 +271,20 @@ def programs(draw):
 # ---------------------------------------------------------------------------
 
 
-def graph_run(graph, args, registry, **options):
-    """A sequential run on the graph path: no call clipped."""
+@contextlib.contextmanager
+def on_graph_path():
+    """Runs made inside take the graph path: no call, the entry's
+    included, is clipped.  Each executor decides a node's class once, so
+    a run on an executor that already ran the program outside keeps the
+    classes it memoized there."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Run, "_clips", lambda self, entry: False)
+        yield
+
+
+def graph_run(graph, args, registry, **options):
+    """A sequential run on the graph path: no call clipped."""
+    with on_graph_path():
         return SequentialExecutor(**options).run(graph, args, registry)
 
 

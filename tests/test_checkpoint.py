@@ -46,6 +46,8 @@ from repro.runtime.stream import (
 )
 from repro.runtime.supervise import FaultPolicy
 
+from .programs import on_graph_path
+
 SUM_SRC = """
 main(acc, x)
   add(acc, mul(x, x))
@@ -713,15 +715,11 @@ class TestCadenceCountsOperatorCalls:
         result = runner.run(count_source(12), MemorySink())
         return result, [(e.items, e.fires) for e in written]
 
-    def test_checkpoints_fall_on_the_same_items_on_every_path(
-        self, tmp_path, monkeypatch
-    ):
+    def test_checkpoints_fall_on_the_same_items_on_every_path(self, tmp_path):
         clipped, at = self._checkpoints(tmp_path, "clipped")
         assert clipped.stats["tasks_fired"] == clipped.items == 12
-        from repro.runtime.executors import Run
-
-        monkeypatch.setattr(Run, "_clips", lambda self, entry: False)
-        graph, graph_at = self._checkpoints(tmp_path, "graph")
+        with on_graph_path():
+            graph, graph_at = self._checkpoints(tmp_path, "graph")
         assert graph.stats["tasks_fired"] > 12
         assert at == graph_at and len(at) > 2  # the last is the final one
         assert clipped.fires == graph.fires == clipped.stats["ops_executed"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -28,19 +29,30 @@ from repro.apps import queens
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import GraphError, OperatorError, RuntimeFailure
 from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
-from repro.obs import EventBus, FireRetried, OpFinished, OpStarted, observe_blocks
+from repro.lang.reference import evaluate_source
+from repro.obs import (
+    EventBus,
+    FireRetried,
+    OpFinished,
+    OpStarted,
+    RunContext,
+    observe_blocks,
+)
 from repro.runtime import (
+    CallableSource,
     FaultPolicy,
+    MemorySink,
     ProcessExecutor,
     SequentialExecutor,
+    StreamRunner,
     ThreadedExecutor,
     blocks,
 )
 from repro.runtime import crown as crown_module
 from repro.runtime.crown import _MAX_LINES
-from repro.runtime import engine
+from repro.runtime import engine, executors
 from repro.runtime.engine import _plans_for
-from .programs import LIBRARY, REGISTRY, graph_run, programs
+from .programs import LIBRARY, REGISTRY, graph_run, on_graph_path, programs
 
 
 class BlockCensus:
@@ -539,6 +551,215 @@ class TestEntry:
             assert events == [] and registry.grown == 1
             errors.append(str(error))
         assert errors[0] == errors[1] and "grow boom" in errors[0]
+
+
+WRITES = """
+main(n)
+  let b = mkblock(n)
+      c = bump(b, 1)
+      e = push(b, blk_sum(c))
+  in add(blk_sum(c), blk_sum(e))
+"""
+
+
+class Spy:
+    """Counts the constructions of the classes it replaces."""
+
+    def __init__(self, monkeypatch, *where) -> None:
+        self.made: list[str] = []
+        for module, name in where:
+            cls = getattr(module, name)
+            monkeypatch.setattr(module, name, self._counting(cls))
+
+    def _counting(self, cls):
+        made = self.made
+
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                made.append(cls.__name__)
+                super().__init__(*args, **kwargs)
+
+        return Counted
+
+
+def _warm(executor, graph, args, registry):
+    """Run once so the plans and the entry's crown exist, and return a
+    second run of the same executor."""
+    executor.run(graph, args, registry)
+    return lambda: executor.run(graph, args, registry)
+
+
+class TestLeanRun:
+    """A run whose entry clips builds what the crown call uses — the
+    stats, the argument shares, the result — and the graph path's
+    apparatus only on first need: a call past the depth bound, an entry
+    that does not clip, a snapshot that reads the activations."""
+
+    def test_a_clipped_run_builds_no_queue_and_no_pool(self, monkeypatch):
+        graph = compile_source(DEEP).graph
+        run = _warm(SequentialExecutor(), graph, (10,), REGISTRY)
+        spy = Spy(
+            monkeypatch, (executors, "ReadyQueue"), (engine, "ReadyQueue"),
+            (engine, "ActivationPool"),
+        )
+        assert run().value == 55
+        assert spy.made == []
+
+    def test_a_clipped_process_run_builds_no_supervisor(self, monkeypatch):
+        graph = compile_source(DEEP).graph
+        executor = ProcessExecutor(1, persistent=True)
+        try:
+            run = _warm(executor, graph, (10,), REGISTRY)
+            spy = Spy(monkeypatch, (executors, "Supervisor"))
+            result = run()
+        finally:
+            executor.close()
+        assert result.value == 55 and result.stats.tasks_fired == 1
+        assert spy.made == []
+
+    def test_its_stats_are_the_graph_paths_contract_field_by_field(self):
+        graph = compile_source(WRITES, registry=REGISTRY).graph
+        result = _warm(SequentialExecutor(), graph, (4,), REGISTRY)()
+        assert result.value == evaluate_source(WRITES, (4,), REGISTRY) == 51
+        expected = dataclasses.asdict(engine.EngineStats())
+        expected.update(
+            tasks_fired=1, ops_executed=7, cow_copies=1, in_place_writes=1,
+            activation_stats={"created": 0, "peak_live": 0},
+            copies_by_operator={"bump": 1},
+            copy_bytes_by_operator={
+                "bump": blocks.payload_nbytes(REGISTRY.get("mkblock").fn(4))
+            },
+        )
+        assert dataclasses.asdict(result.stats) == expected
+
+    def test_past_the_depth_bound_it_builds_what_the_graph_needs(
+        self, monkeypatch
+    ):
+        n = sys.getrecursionlimit() // 4 + 50
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20 * n)  # the evaluator recurses per call
+        try:
+            expected = evaluate_source(DEEP_ENTRY, (n,), REGISTRY)
+        finally:
+            sys.setrecursionlimit(limit)
+        graph = compile_source(DEEP_ENTRY).graph
+        run = _warm(SequentialExecutor(), graph, (n,), REGISTRY)
+        spy = Spy(
+            monkeypatch, (executors, "ReadyQueue"), (engine, "ReadyQueue"),
+            (engine, "ActivationPool"),
+        )
+        result = run()
+        assert result.value == expected == n * (n + 1) // 2
+        assert result.stats.expansions > 0
+        assert result.stats.activation_stats["created"] > 0
+        # One pool for the run; a nested loop's queue, none of Run's.
+        assert spy.made.count("ActivationPool") == 1
+        assert "ReadyQueue" in spy.made
+        assert result.stats.tasks_fired > 1
+
+    def test_a_run_context_brackets_it_and_dumps_before_any_pool(
+        self, tmp_path, monkeypatch
+    ):
+        ctx = RunContext("lean", metrics=False, flightrec_dir=str(tmp_path))
+        registry = default_registry()
+        seen = []
+
+        @registry.register(name="probe", pure=True)
+        def probe(x):
+            seen.append(list(spy.made))
+            seen.append(ctx.flightrec.dump(reason="mid-run"))
+            return x + 1
+
+        graph = compile_source("main(x) add(probe(x), 1)", registry=registry).graph
+        spy = Spy(monkeypatch, (engine, "ActivationPool"))
+        result = SequentialExecutor(run_ctx=ctx).run(graph, (1,), registry)
+        assert result.value == 3 and result.stats.tasks_fired == 1
+        pools_before_dump, path = seen
+        assert pools_before_dump == []
+        with open(path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)["snapshot"]["engine"]
+        assert snapshot["live_activations"] == snapshot["in_flight_ops"] == 0
+        assert snapshot["finished"] is False
+        assert snapshot["activation_stats"] == {"created": 0, "peak_live": 0}
+        with open(ctx.flightrec.dump(reason="end"), encoding="utf-8") as fh:
+            kinds = [e["type"] for e in json.load(fh)["events"]]
+        assert kinds.count("RunStarted") == kinds.count("RunFinished") == 1
+        assert kinds.index("RunStarted") < kinds.index("RunFinished")
+
+    def test_the_bracket_makes_few_python_calls(self):
+        """A warm one-operator run makes at most 21 Python-level calls,
+        counted with ``sys.setprofile``; it made 28 when every run built
+        the ready queue, the activation pool and a fresh closure set of
+        its crown.  A deterministic stand-in for a wall-clock bound."""
+        compiled = compile_source("main(a) add(a, 1)")
+        graph, registry = compiled.graph, compiled.registry
+        executor = SequentialExecutor()
+        executor.run(graph, (3,), registry)
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            result = executor.run(graph, (3,), registry)
+        finally:
+            sys.setprofile(None)
+        assert result.value == 4
+        assert len(calls) <= 21, calls
+
+    def test_stream_items_take_the_lean_path(self, monkeypatch):
+        from repro.apps import loganalytics
+
+        registry = loganalytics.make_registry()
+        compiled = compile_source(loganalytics.LOG_PROGRAM, registry=registry)
+        batches = [loganalytics.make_batch(7, i, 16) for i in range(6)]
+
+        def stream():
+            return StreamRunner(
+                compiled, carry=True, initial=loganalytics.empty_stats(),
+                emit=loganalytics.stats_row,
+            ).run(CallableSource(batches.__getitem__, 6), MemorySink())
+
+        reference = stream()
+        spy = Spy(monkeypatch, (executors, "ReadyQueue"), (engine, "ActivationPool"))
+        result = stream()
+        assert result.value == reference.value and result.items == 6
+        assert result.stats["tasks_fired"] == 6  # one call per item
+        assert spy.made == []
+
+
+class TestGraphPathSwitch:
+    """The tests' one switch to the graph path (``on_graph_path``) runs a
+    multi-operator entry on the graph: were a run to decide it clips
+    without asking ``Run._clips``, the graph-path tests would pass on
+    the crown and test nothing."""
+
+    SOURCE = """
+main(n) add(tri(n), tri(incr(n)))
+
+tri(k)
+  if is_less(k, 1) then 0 else add(k, tri(sub(k, 1)))
+"""
+
+    def test_the_switch_forces_the_graph(self):
+        graph = compile_source(self.SOURCE, optimize_passes=()).graph
+        clipped = SequentialExecutor().run(graph, (4,), REGISTRY)
+        with on_graph_path():
+            forced = SequentialExecutor().run(graph, (4,), REGISTRY)
+        helper = graph_run(graph, (4,), REGISTRY)
+        assert clipped.value == forced.value == helper.value == 10 + 15
+        assert clipped.stats.tasks_fired == 1
+        for result in (forced, helper):
+            assert result.stats.tasks_fired > 1
+            assert result.stats.expansions > 0
+            assert result.stats.activation_stats["created"] > 1
+
+    def test_the_fixture_forces_the_graph(self, graph_path):
+        graph = compile_source(self.SOURCE, optimize_passes=()).graph
+        result = SequentialExecutor().run(graph, (4,), REGISTRY)
+        assert result.stats.tasks_fired > 1 and result.stats.expansions > 0
 
 
 class TestPlansWithoutARegistry:

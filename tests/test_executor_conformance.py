@@ -34,6 +34,8 @@ from repro.runtime import (
     default_registry,
 )
 
+from .programs import on_graph_path
+
 #: Dispatched in process mode (the default threshold is 2e6 ticks).  Every
 #: program fires one such operator twice: the mid-run degradation kills
 #: the worker at an operator's second call.
@@ -285,8 +287,7 @@ CONTRACT = ("ops_executed", "cow_copies", "in_place_writes", "fused_fires")
 @pytest.fixture(scope="module")
 def references():
     out = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(executors.Run, "_clips", lambda self, entry: False)
+    with on_graph_path():
         for name, (source, args, exercised, passes) in PROGRAMS.items():
             out[name] = _reference(source, args, exercised, passes)
     return out
