@@ -1,10 +1,11 @@
 """Critical-path profiler: causal time attribution over one run's events.
 
 The paper's timing dump (§5.2) sums time per operator; that view found
-``post_up`` but cannot answer the question ROADMAP item 2 asks: *which
-sequence of firings determined the makespan, and where does the master's
-overhead fraction actually live?*  This module reconstructs the causal
-DAG of one run from its event stream and answers both.
+``post_up`` but cannot answer the question behind the paper's overhead
+figure: *which sequence of firings determined the makespan, and where
+does the master's overhead fraction actually live?*  This module
+reconstructs the causal DAG of one run from its event stream and
+answers both.
 
 Causality reconstruction
 ------------------------
@@ -139,7 +140,8 @@ class CriticalPathReport:
 
     @property
     def master_overhead_fraction(self) -> float:
-        """Engine overhead over wall — ROADMAP item 2's number."""
+        """Engine overhead over wall: the master's overhead fraction, the
+        figure the paper reports as its runtime overhead."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.attribution.get("engine_overhead", 0.0) / self.wall_seconds

@@ -1,9 +1,9 @@
 """Run-scoped observability contexts.
 
-ROADMAP item 1 (Delirium-as-a-service) needs one process to host many
-concurrent runs whose events and metrics never mix.  The substrate PR 1
-built is already *capable* of that — an :class:`~repro.obs.events.EventBus`
-is plain per-run state — but nothing owned the wiring: callers built a
+Serving Delirium programs means one process hosting many concurrent
+runs whose events and metrics never mix.  The event substrate is already
+*capable* of that — an :class:`~repro.obs.events.EventBus` is plain
+per-run state — but nothing owned the wiring: callers built a
 bus, attached subscribers, picked file names, and threaded everything
 through executor constructors by hand, so every run in a process shared
 whatever bus happened to be global-ish.

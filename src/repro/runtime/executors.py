@@ -19,8 +19,9 @@ run *somewhere*.  The executors are that somewhere:
   :class:`~repro.runtime.supervise.Supervisor` is the backend): true
   multi-core execution, with large NumPy payloads traveling through
   shared memory and cheap glue operators kept in-process (see
-  :mod:`repro.runtime.workers`).  A pool that cannot be built, or dies,
-  is swapped for one of the other two backends on the same run.
+  :mod:`repro.runtime.workers`).  The pool is built by the first run
+  that leaves its entry's crown; one that cannot be built, or dies, is
+  swapped for one of the other two backends on the same run.
 
 Which path a firing takes is selected by what the run observes — a
 ``TaskFired`` subscriber, a fault injector, ``check_purity``, a cost
@@ -139,8 +140,8 @@ class _Threads:
     them to come back with new work.
     """
 
-    def __init__(self, n_threads: int) -> None:
-        self.n_threads = n_threads
+    def __init__(self, run: "Run") -> None:
+        self.n_threads = run.executor.n_workers
         self.lock = threading.Condition()
         self.in_flight = 0
         self.errors: list[BaseException] = []
@@ -211,10 +212,10 @@ class Run:
     queue, clock, snapshot sources, the ``RunStarted``/``RunFinished``
     bracket, the stall check, the :class:`RunResult` — and the one firing
     loop (:meth:`loop`).  The executor that builds it supplies only the
-    configuration and, to :meth:`execute`, a backend.  A run whose entry
-    clips is one crown call and builds only the stats, the argument
-    shares and the result: the loop's state is a class default until
-    :meth:`_drive` sets it.
+    configuration and, to :meth:`execute`, the function that makes its
+    backend.  A run whose entry clips is one crown call and builds only
+    the stats, the argument shares and the result: the loop's state is a
+    class default until :meth:`_drive` sets it.
     """
 
     queue: ReadyQueue | None = None
@@ -285,11 +286,13 @@ class Run:
     def execute(
         self,
         args: tuple[Any, ...],
-        backend: Any,
+        make_backend: Any = None,
         dispatch_policy: DispatchPolicy | None = None,
     ) -> RunResult:
-        """Run the program to its result on ``backend``, or on what it
-        builds when it is a function and the entry does not clip.
+        """Run the program to its result: an entry that clips as one call
+        of its crown, any other on the backend ``make_backend(self)``
+        makes then (``None``: every body runs here; a made ``None``: the
+        backend could not be built, and the run goes on on threads).
 
         ``dispatch_policy`` decides which suspended bodies go to the
         backend; without one they all run here.
@@ -320,7 +323,7 @@ class Run:
             if crown is not None:
                 state.call(crown, args)
             else:
-                self._drive(args, backend)
+                self._drive(args, make_backend)
             if self.on_pump is not None:
                 self.on_pump()
             wall = time.perf_counter() - began
@@ -340,18 +343,21 @@ class Run:
             ctx.run_finished(wall)
         return RunResult(state.result(), state.snapshot_stats(), self.tracer, wall)
 
-    def _drive(self, args: tuple[Any, ...], backend: Any) -> None:
-        """Start the entry on the graph and drive the loop to exhaustion."""
-        if callable(backend):
-            backend = backend()
-        threads = backend if type(backend) is _Threads else None
-        self.backend, self.threads = backend, threads
-        # A thread releases the lock around every body, and an injector
-        # sees every body before it runs: neither may take the single pass.
-        self.suspend = self.injector is not None or threads is not None
-        ex = self.executor
+    def _drive(self, args: tuple[Any, ...], make_backend: Any) -> None:
+        """Make the backend, start the entry on the graph and drive the
+        loop to exhaustion."""
+        backend = make_backend(self) if make_backend is not None else None
+        if backend is None and make_backend is not None:
+            # The ladder's first rung: the backend could not be built.
+            self._step_down(_Threads(self))
+        else:
+            self.backend = backend
+            self.threads = backend if type(backend) is _Threads else None
+            # A thread releases the lock around every body, and an injector
+            # sees every body before it runs: neither may take the single pass.
+            self.suspend = self.injector is not None or self.threads is not None
+        ex, threads, state = self.executor, self.threads, self.state
         self.queue = queue = ReadyQueue(ex.use_priorities, ex.seed, bus=self.bus)
-        state = self.state
         state.clip = self._clip_of if self.clipping else None
         queue.push_all(state.start(args))
         if threads is not None:
@@ -419,7 +425,7 @@ class Run:
                     raise
                 self._degrade(str(exc))
                 backend, token = self.backend, self.token
-                classify = self.classify
+                batching, classify = self.batching, self.classify
                 continue
             for c in completions:
                 self._commit(c)
@@ -669,23 +675,27 @@ class Run:
                 ExecutorDegraded(bus.now(), from_executor, to_executor, reason)
             )
 
-    def _degrade(self, reason: str) -> None:
-        """The pool is irrecoverable mid-run: finish in-process.
+    def _step_down(self, threads: _Threads | None) -> None:
+        """Go on without the pool, on ``threads`` or (``None``) this thread:
+        nothing is dispatched, batched or clipped, and every body suspends."""
+        self.backend = self.threads = threads
+        self.dispatch_policy = self.classify = self.state.clip = None
+        self.batching = self.clipping = False
+        self.suspend = True
+        # What is classified from here on is not the executor's
+        # configuration: keep it out of the classes later runs read.
+        self.token = object()
 
-        Commits everything the pool already produced, drops the backend
-        — the rest of the run fires here (restarting on
-        threads is impossible mid-run, the engine state is already live
-        in this one) — and re-executes the abandoned in-flight firings
-        on isolated argument copies.
-        """
+    def _degrade(self, reason: str) -> None:
+        """The pool is irrecoverable mid-run: commit what it produced, step
+        down to this thread (the engine state is live in it, so threads
+        cannot take over) and re-run the abandoned in-flight firings on
+        isolated argument copies."""
         supervisor = self.backend
         self.degraded("process", "sequential", reason)
         for c in supervisor.take_completions():
             self._commit(c)
-        self.backend = self.dispatch_policy = self.classify = None
-        # What is classified from here on is not the executor's
-        # configuration: keep it out of the classes later runs read.
-        self.token = object()
+        self._step_down(None)
         for pending in supervisor.drain_in_flight():
             self._local(pending, isolate=True)
 
@@ -788,8 +798,7 @@ class SequentialExecutor(_Executor):
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else builtin_registry()
-        run = Run(self, "sequential", program, registry)
-        return run.execute(args, None)
+        return Run(self, "sequential", program, registry).execute(args)
 
 
 class ThreadedExecutor(_Executor):
@@ -831,8 +840,7 @@ class ThreadedExecutor(_Executor):
         registry: OperatorRegistry | None = None,
     ) -> RunResult:
         registry = registry if registry is not None else builtin_registry()
-        run = Run(self, "threaded", program, registry)
-        return run.execute(args, _Threads(self.n_workers))
+        return Run(self, "threaded", program, registry).execute(args, _Threads)
 
 
 class ProcessExecutor(_Executor):
@@ -895,8 +903,11 @@ class ProcessExecutor(_Executor):
         Keep the worker pool alive across :meth:`run` calls (streaming
         and server-style use: repeated runs of the *same* program and
         registry skip pool startup and registry/fused-chain shipping).
-        The pool is rebuilt automatically when a different program or
-        registry arrives, and torn down by :meth:`close`.
+        Either way the pool is built by the first run that leaves its
+        entry's crown (a run that clips forks nothing), rebuilt when a
+        different program or registry arrives, and torn down by
+        :meth:`close`; without ``persistent``, or when the run failed or
+        degraded, when the run ends.
         Worker block caches persist across runs too, and so does the
         one residency tracker that records what they hold
         (``WorkerPool.residency``).  That is safe because block ids are
@@ -954,7 +965,7 @@ class ProcessExecutor(_Executor):
         self._pool_for: tuple[weakref.ref, weakref.ref] | None = None
 
     def close(self) -> None:
-        """Tear down the persistent worker pool, if one is warm."""
+        """Tear down the worker pool, if one is warm."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             self._pool_for = None
@@ -972,15 +983,34 @@ class ProcessExecutor(_Executor):
             built_for[0]() is not program or built_for[1]() is not registry
         ):
             self.close()
-        pool = self._pool
+        run = Run(self, "process", program, registry)
+        if self._pool is not None:
+            # The warm workers may hold blocks this run writes in place.
+            run.state.locality = self._pool.residency
+        keep = False
+        try:
+            result = run.execute(args, self._supervise, self.policy)
+            keep = self.persistent and not result.stats.executor_degraded
+        finally:
+            # A run that errored may leave the pool in an unknown state
+            # (mid-respawn, poisoned pipes), one that degraded lost it.
+            if not keep:
+                self.close()
+        return result
+
+    def _supervise(self, run: Run) -> Supervisor | None:
+        """The backend of a run that leaves its entry's crown: a
+        :class:`Supervisor` over the warm pool or one built now; ``None``
+        (the step down recorded) when none can be built."""
+        state, ctx, pool = run.state, self.run_ctx, self._pool
         if pool is None:
             try:
                 pool = WorkerPool(
                     self.n_workers,
-                    registry=registry,
+                    registry=state.registry,
                     registry_ref=self.registry_ref,
                     shm_threshold=self.shm_threshold,
-                    fused_chains=collect_fused_chains(program),
+                    fused_chains=collect_fused_chains(state.program),
                     fault_spec=self.fault_spec,
                 )
             except Exception as exc:
@@ -989,73 +1019,41 @@ class ProcessExecutor(_Executor):
                 # The ladder handles *machinery* failures: the same run,
                 # configuration and fault contract, on the thread backend
                 # (bodies still overlap where kernels release the GIL).
-                run = Run(self, "threaded", program, registry)
                 run.degraded("process", "threaded", repr(exc))
-                return run.execute(args, _Threads(self.n_workers))
-            if self.persistent:
-                self._pool = pool
-                self._pool_for = (weakref.ref(program), weakref.ref(registry))
-        try:
-            return self._run_supervised(pool, program, args, registry)
-        except BaseException:
-            # A run that errored may leave the pool in an unknown state
-            # (mid-respawn, poisoned pipes); don't reuse it.
-            self.close()
-            raise
-        finally:
-            if not self.persistent:
-                pool.close()
-
-    def _run_supervised(
-        self,
-        pool: WorkerPool,
-        program: GraphProgram,
-        args: tuple[Any, ...],
-        registry: OperatorRegistry,
-    ) -> RunResult:
-        """One run on the supervised pool: the :class:`Supervisor` is the
-        backend, made where the run first needs one, and the dispatch
-        policy decides what it gets."""
-        run = Run(self, "process", program, registry)
+                return None
+            self._pool = pool
+            self._pool_for = (weakref.ref(state.program), weakref.ref(state.registry))
         if run.injector is not None:
             pool.arena.fail_hook = run.injector.on_arena_acquire
-        state, ctx = run.state, self.run_ctx
-        # The pool's residency tracker (see ExecutionState.locality).
-        state.locality = pool.residency
-
-        def supervise() -> Supervisor:
-            supervisor = Supervisor(
-                pool,
-                run.policy,
-                shm_threshold=self.shm_threshold,
-                bus=run.bus,
-                stats=state.stats,
-                affinity=self.affinity,
-            )
-            state.locality = supervisor.residency
-            if ctx is None:
-                return supervisor
-
-            def export_memory_gauges() -> None:
-                metrics = ctx.metrics
-                if metrics is None:
-                    return
-                for key, value in pool.arena.stats().items():
-                    metrics.gauge(f"shm_arena/{key}").set(float(value))
-                for key, value in supervisor.locality_stats().items():
-                    metrics.gauge(f"worker_cache/{key}").set(float(value))
-
-            ctx.add_snapshot_source("supervisor", supervisor.snapshot)
-            ctx.add_snapshot_source(
-                "workers",
-                lambda: {
-                    "respawns": pool.respawns,
-                    "arena": pool.arena.stats(),
-                    "locality": supervisor.locality_stats(),
-                },
-            )
-            run.on_pump = export_memory_gauges
+        supervisor = Supervisor(
+            pool,
+            run.policy,
+            shm_threshold=self.shm_threshold,
+            bus=run.bus,
+            stats=state.stats,
+            affinity=self.affinity,
+        )
+        state.locality = supervisor.residency
+        if ctx is None:
             return supervisor
 
-        # A clipped entry never builds the supervisor.
-        return run.execute(args, supervise, self.policy)
+        def export_memory_gauges() -> None:
+            metrics = ctx.metrics
+            if metrics is None:
+                return
+            for key, value in pool.arena.stats().items():
+                metrics.gauge(f"shm_arena/{key}").set(float(value))
+            for key, value in supervisor.locality_stats().items():
+                metrics.gauge(f"worker_cache/{key}").set(float(value))
+
+        ctx.add_snapshot_source("supervisor", supervisor.snapshot)
+        ctx.add_snapshot_source(
+            "workers",
+            lambda: {
+                "respawns": pool.respawns,
+                "arena": pool.arena.stats(),
+                "locality": supervisor.locality_stats(),
+            },
+        )
+        run.on_pump = export_memory_gauges
+        return supervisor

@@ -617,6 +617,57 @@ class TestLeanRun:
         assert result.value == 55 and result.stats.tasks_fired == 1
         assert spy.made == []
 
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_a_clipped_run_on_a_cold_process_executor_forks_nothing(
+        self, persistent, monkeypatch
+    ):
+        graph = compile_source(DEEP).graph
+        spy = Spy(monkeypatch, (executors, "WorkerPool"), (executors, "Supervisor"))
+        executor = ProcessExecutor(1, persistent=persistent)
+        try:
+            result = executor.run(graph, (10,), REGISTRY)
+        finally:
+            executor.close()
+        assert result.value == 55 and result.stats.tasks_fired == 1
+        assert spy.made == []
+
+    def test_a_clipped_run_needs_no_buildable_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes today")
+
+        monkeypatch.setattr(executors, "WorkerPool", no_pool)
+        result = ProcessExecutor(1).run(compile_source(DEEP).graph, (10,), REGISTRY)
+        assert result.value == 55 and result.stats.tasks_fired == 1
+        assert result.stats.executor_degraded == 0
+
+    def test_a_persistent_executor_builds_one_pool_when_a_run_needs_it(
+        self, monkeypatch
+    ):
+        registry = default_registry()
+
+        @registry.register(name="heavy", pure=True, cost=10_000_000.0)
+        def heavy(x):
+            return x + 1
+
+        clipped = compile_source(DEEP, registry=registry).graph
+        dispatching = compile_source(
+            "main(n) add(heavy(n), heavy(incr(n)))", registry=registry
+        ).graph
+        spy = Spy(monkeypatch, (executors, "WorkerPool"))
+        executor = ProcessExecutor(1, persistent=True)
+        try:
+            assert executor.run(clipped, (10,), registry).value == 55
+            assert spy.made == []
+            results = [executor.run(dispatching, (3,), registry) for _ in range(2)]
+            pool = executor._pool
+        finally:
+            executor.close()
+        assert [r.value for r in results] == [9, 9]
+        assert all(r.stats.dispatched_fires == 2 for r in results)
+        assert spy.made == ["WorkerPool"]
+        assert executor._pool is None
+        assert not any(p.is_alive() for p in pool.processes)
+
     def test_its_stats_are_the_graph_paths_contract_field_by_field(self):
         graph = compile_source(WRITES, registry=REGISTRY).graph
         result = _warm(SequentialExecutor(), graph, (4,), REGISTRY)()

@@ -25,7 +25,14 @@ from repro import compile_source
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.errors import OperatorError
 from repro.faults import FaultSpec
-from repro.obs import EventBus, ExecutorDegraded, TaskFired
+from repro.obs import (
+    EventBus,
+    ExecutorDegraded,
+    RunContext,
+    RunFinished,
+    RunStarted,
+    TaskFired,
+)
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -369,22 +376,50 @@ def test_failing_program_reports_the_same_error(
     assert isinstance(error.__cause__, ValueError)
 
 
-def test_degraded_run_keeps_its_configuration(monkeypatch):
-    """The ladder swaps the backend of the same run: its ``trace=True``
-    tracer survives a pool that could not be built and times every
-    firing of the degraded run."""
+def test_degraded_run_keeps_its_configuration(monkeypatch, tmp_path):
+    """The ladder swaps the backend of the same run: one bracket and one
+    recorded step, and its ``trace=True`` tracer survives a pool that
+    could not be built and times every firing of the degraded run."""
     monkeypatch.setattr(executors, "WorkerPool", _no_pool)
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append, (ExecutorDegraded,))
+    ctx = RunContext(
+        "degraded", metrics=False, flightrec_dir=str(tmp_path),
+        record_events=True,
+    )
     source, args, _, _ = PROGRAMS["call_of_operator"]
-    result = ProcessExecutor(2, trace=True, bus=bus).run(
+    result = ProcessExecutor(2, trace=True, run_ctx=ctx).run(
         _graph(source), args, REGISTRY
     )
     assert result.value == SequentialExecutor().run(
         _graph(source), args, REGISTRY
     ).value
     assert result.stats.executor_degraded == 1
-    assert [e.to_executor for e in seen] == ["threaded"]
+    bracket = ctx.log.of_type(RunStarted, ExecutorDegraded, RunFinished)
+    assert [type(e) for e in bracket] == [
+        RunStarted, ExecutorDegraded, RunFinished
+    ]
+    _, step, finished = bracket
+    assert (step.from_executor, step.to_executor) == ("process", "threaded")
+    assert finished.ok
+    assert ctx.flightrec.dumps == 1  # for the step, none for a failure
     assert result.tracer is not None
     assert len(result.tracer.records) == result.stats.tasks_fired > 1
+
+
+def test_a_pool_build_error_ends_the_run_bracket(monkeypatch, tmp_path):
+    """Without the ladder the error a pool build raises leaves the run:
+    after a failed ``RunFinished`` and a flight-recorder dump."""
+    monkeypatch.setattr(executors, "WorkerPool", _no_pool)
+    ctx = RunContext(
+        "no-ladder", metrics=False, flightrec_dir=str(tmp_path),
+        record_events=True,
+    )
+    source, args, _, _ = PROGRAMS["call_of_operator"]
+    executor = ProcessExecutor(
+        2, run_ctx=ctx, fault_policy=FaultPolicy(degrade="off")
+    )
+    with pytest.raises(OSError, match="no processes today"):
+        executor.run(_graph(source), args, REGISTRY)
+    bracket = ctx.log.of_type(RunStarted, ExecutorDegraded, RunFinished)
+    assert [type(e) for e in bracket] == [RunStarted, RunFinished]
+    assert not bracket[1].ok
+    assert ctx.flightrec.dumps == 1

@@ -1629,18 +1629,19 @@ class TestGeneratedOncePerProcess:
         _once_each(generated(), pythia, {os.getpid()})
 
     def test_a_worker_and_its_respawn(self, pythia, generated):
-        """The worker forks before the master has compiled anything, so it
-        generates every recipe it is sent itself, once.  A respawn forks
-        later and inherits what the master compiled by then."""
+        """The pool forks where the run first needs it, after the master
+        compiled its plans, so the worker inherits every recipe and
+        generates none.  A worker forked from a master whose code cache
+        was emptied generates what it is sent itself, once; a respawn
+        forks later and inherits what the master compiled by then."""
         from repro.faults import FaultSpec
 
         plain = compile_source(pythia_source(10, 1990, 1990)).graph
         want = SequentialExecutor().run(plain, args=self.ARGS).value
         got = ProcessExecutor(1, cost_threshold=0.0).run(pythia, args=self.ARGS)
-        assert got.value == want
+        assert got.value == want and got.stats.dispatched_fires > 0
         rows = generated()
-        (worker,) = {p for p, _, _ in rows} - {os.getpid()}
-        _once_each(rows, pythia, {worker})
+        assert {p for p, _, _ in rows} == {os.getpid()}
         _once_each(rows, pythia, {os.getpid()})
 
         operators._CODE_CACHE.clear()

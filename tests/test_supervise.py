@@ -11,6 +11,7 @@ saving.  Poison fires surface as structured
 
 import os
 import pickle
+import signal
 import time
 from types import SimpleNamespace
 
@@ -621,6 +622,34 @@ class TestDegradation:
                 ),
             )
         assert "respawn budget" in str(excinfo.value)
+
+    def test_a_persistent_pool_lost_mid_run_is_not_kept(self):
+        # The run that lost its pool closes it, so the next run forks a
+        # new one instead of degrading on the dead one again.
+        compiled = compile_source(SRC, registry=REGISTRY)
+        executor = ProcessExecutor(
+            1, cost_threshold=0.0, persistent=True,
+            fault_policy=FaultPolicy(max_respawns=0, backoff=0.0),
+        )
+
+        def run():
+            return executor.run(compiled.graph, args=(24,), registry=REGISTRY)
+
+        try:
+            assert run().stats.executor_degraded == 0
+            worker = executor._pool.processes[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            lost = run()
+            assert executor._pool is None
+            again = run()
+        finally:
+            executor.close()
+        assert lost.value == again.value == _reference()
+        assert lost.stats.executor_degraded == 1
+        assert again.stats.executor_degraded == 0
+        assert again.stats.dispatched_fires > 0
 
     def test_pool_construction_failure_falls_to_threaded(self, monkeypatch):
         import repro.runtime.executors as executors
