@@ -35,7 +35,7 @@ from ..lang.parser import Parser
 from ..lang.preprocessor import preprocess
 from ..runtime.executors import RunResult, SequentialExecutor
 from ..runtime.operators import OperatorRegistry, default_registry
-from .analysis import analyze_program
+from .analysis import FreshNames, all_names, analyze_program
 from .graphgen import generate_graphs
 from .lowering import lower_program
 from .passes.pipeline import (
@@ -45,7 +45,7 @@ from .passes.pipeline import (
     OptimizationReport,
     optimize,
 )
-from .symtab import analyze
+from .symtab import EnvAnalyzer
 
 #: Table 1 pass names, in the paper's order.
 PASS_NAMES = (
@@ -141,11 +141,14 @@ def compile_source(
 
     # Lower iterate first: every later stage relies on none being left.
     t_lower0 = time.perf_counter()
-    lower_program(program)
+    fresh = FreshNames(all_names(program))
+    lower_program(program, fresh)
     lowering_seconds = time.perf_counter() - t_lower0
 
+    # The one environment analysis: the optimizer keeps it current.
     t0 = time.perf_counter()
-    analyze(program, known_operators=registry.names(), strict=strict)
+    analyzer = EnvAnalyzer(program, registry.names(), strict)
+    env = analyzer.run()
     seconds["Env Analysis"] = time.perf_counter() - t0
 
     enabled = tuple(optimize_passes or ())
@@ -153,11 +156,10 @@ def compile_source(
     t0 = time.perf_counter()
     report: OptimizationReport | None = None
     if ast_passes:
-        report = optimize(program, registry, enabled=ast_passes, entry=entry)
+        report = optimize(program, registry, ast_passes, entry, analyzer, fresh)
     seconds["Optimization"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    env = analyze(program, known_operators=registry.names(), strict=strict)
     prog_analysis = analyze_program(env, pure_operators=registry.pure_names())
     graph = generate_graphs(program, env, prog_analysis, registry, strict)
     graph.entry = entry

@@ -102,8 +102,9 @@ def _lower(e: ast.Expr, fresh: FreshNames) -> ast.Expr:
     raise TypeError(f"unexpected AST node {type(e).__name__}")
 
 
-def lower_program(program: ast.Program) -> ast.Program:
-    """Lower every iterate in ``program`` (in place; returns the program).
+def lower_program(program: ast.Program, fresh: FreshNames | None = None) -> ast.Program:
+    """Lower every iterate in ``program`` (in place; returns the program),
+    naming loops from ``fresh`` (it must have seen every name in ``program``).
 
     The contract every later stage relies on, and the only place it is
     stated:
@@ -120,7 +121,7 @@ def lower_program(program: ast.Program) -> ast.Program:
 
     Idempotent: a program with no iterates is returned unchanged.
     """
-    fresh = FreshNames(all_names(program))
+    fresh = fresh or FreshNames(all_names(program))
     for f in program.functions:
         f.body = _lower(f.body, fresh)
     return program

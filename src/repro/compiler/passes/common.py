@@ -38,8 +38,8 @@ class PassContext:
     one: constant propagation, CSE and DCE move or delete reads of names
     but never introduce a function name a function did not read.  So a
     function whose facts record no call and no read of a Delirium
-    function keeps none, and neither the inliner nor a refresh need look
-    at it again (:meth:`uses_functions`).
+    function keeps none, and the inliner need not look at it again
+    (:meth:`uses_functions`).
     """
 
     registry: OperatorRegistry | None
@@ -61,16 +61,20 @@ class PassContext:
         program: ast.Program,
         registry: OperatorRegistry | None,
         stats: dict[str, int],
+        analyzer: EnvAnalyzer | None = None,
+        fresh: FreshNames | None = None,
     ) -> "PassContext":
-        """The context of ``program``: its one whole-program analysis."""
-        known = registry.names() if registry is not None else None
-        analyzer = EnvAnalyzer(program, known, strict=False)
-        env = analyzer.run()
+        """The context of ``program``: its one whole-program analysis and
+        name generator, or the caller's (run on it, and seen all its names)."""
+        if analyzer is None:
+            known = registry.names() if registry is not None else None
+            analyzer = EnvAnalyzer(program, known, strict=False)
+            analyzer.run()
         ctx = cls(
             registry=registry,
             analyzer=analyzer,
-            analysis=ProgramAnalysis(env=env),
-            fresh=FreshNames(all_names(program)),
+            analysis=ProgramAnalysis(env=analyzer.result),
+            fresh=fresh or FreshNames(all_names(program)),
             top_level={f.name: f for f in program.functions},
             stats=stats,
         )
@@ -81,13 +85,13 @@ class PassContext:
     def env(self) -> EnvAnalysis:
         return self.analyzer.result
 
-    def refresh(self) -> None:
-        """Bring ``env`` and ``analysis`` up to date with the stale functions."""
-        stale = [name for name in self.stale if self.uses_functions(name)]
-        self.stale.clear()
-        if stale:
-            for name in stale:
+    def refresh(self, everything: bool = False) -> None:
+        """Re-derive the stale functions that use functions, or ``everything``."""
+        names = {n for n in self.stale if everything or self.uses_functions(n)}
+        if names:
+            for name in names:
                 self.analyzer.reanalyze(self.top_level[name])
+            self.stale -= names
             self._derive()
 
     def uses_functions(self, name: str) -> bool:

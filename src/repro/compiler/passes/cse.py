@@ -4,8 +4,8 @@ Two let bindings with syntactically identical, *pure* right-hand sides
 compute the same value (purity plus single assignment guarantee it), so
 the later one can reuse the earlier one's name.  Availability respects
 lexical scope: an expression bound inside one conditional arm is not
-available in the other.  The canonical key for an expression is its
-unparse — cheap, and exact for a language this small.
+available in the other.  An expression's key is built in the walk that
+decides its purity: nested tuples, with the unparse text of a nested let.
 
 Example::
 
@@ -26,6 +26,29 @@ from .common import PassContext, expr_is_pure
 NAME = "cse"
 
 
+def _key(e: ast.Expr, ctx: PassContext, bound: set[str]) -> tuple | None:
+    """The key of ``e`` when :func:`expr_is_pure` holds of it, else ``None``."""
+    if isinstance(e, ast.Var):
+        return ("var", e.name)
+    if isinstance(e, ast.Literal):
+        return ("lit", repr(e.value))
+    if isinstance(e, ast.TupleExpr):
+        key, parts = ["tuple"], e.items
+    elif isinstance(e, ast.If):
+        key, parts = ["if"], [e.cond, e.then, e.orelse]
+    elif isinstance(e, ast.Apply) and isinstance(e.callee, ast.Var):
+        if e.callee.name in bound or not ctx.operator_is_pure(e.callee.name):
+            return None
+        key, parts = ["apply", e.callee.name], e.args
+    else:
+        return ("text", unparse(e)) if expr_is_pure(e, ctx, bound) else None
+    for part in parts:
+        key.append(_key(part, ctx, bound))
+        if key[-1] is None:
+            return None
+    return tuple(key)
+
+
 class _CSE:
     def __init__(self, ctx: PassContext) -> None:
         self.ctx = ctx
@@ -35,23 +58,18 @@ class _CSE:
         self._expr(f.body, {}, set(f.params))
 
     # ------------------------------------------------------------------
-    def _expr(self, e: ast.Expr, available: dict[str, str], bound: set[str]) -> None:
+    def _expr(self, e: ast.Expr, available: dict[tuple, str], bound: set[str]) -> None:
         """Walk ``e`` with the table of available expressions.
 
-        ``available`` maps unparse keys to the bound name that already
+        ``available`` maps keys to the bound name that already
         holds the value; child scopes extend a *copy* so availability
         cannot leak across arms.
         """
         if isinstance(e, (ast.Literal, ast.Null, ast.Var)):
             return
-        if isinstance(e, ast.TupleExpr):
-            for item in e.items:
-                self._expr(item, available, bound)
-            return
-        if isinstance(e, ast.Apply):
-            self._expr(e.callee, available, bound)
-            for a in e.args:
-                self._expr(a, available, bound)
+        if isinstance(e, (ast.TupleExpr, ast.Apply)):
+            for child in e.children():
+                self._expr(child, available, bound)
             return
         if isinstance(e, ast.If):
             self._expr(e.cond, available, bound)
@@ -65,19 +83,16 @@ class _CSE:
                 if isinstance(b, ast.SimpleBinding):
                     self._expr(b.expr, inner, inner_bound)
                     if not isinstance(b.expr, (ast.Var, ast.Literal, ast.Null)):
-                        if expr_is_pure(b.expr, self.ctx, inner_bound):
-                            key = unparse(b.expr)
-                            existing = inner.get(key)
-                            if existing is not None:
-                                b.expr = ast.Var(
-                                    name=existing,
-                                    line=b.expr.line,
-                                    column=b.expr.column,
-                                )
-                                self.changed = True
-                                self.ctx.bump(f"{NAME}.eliminated")
-                            else:
-                                inner[key] = b.name
+                        key = _key(b.expr, self.ctx, inner_bound)
+                        existing = inner.get(key)
+                        if existing is not None:
+                            b.expr = ast.Var(
+                                name=existing, line=b.expr.line, column=b.expr.column
+                            )
+                            self.changed = True
+                            self.ctx.bump(f"{NAME}.eliminated")
+                        elif key is not None:
+                            inner[key] = b.name
                     inner_bound.add(b.name)
                 elif isinstance(b, ast.TupleBinding):
                     self._expr(b.expr, inner, inner_bound)

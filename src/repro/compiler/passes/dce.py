@@ -10,14 +10,18 @@ top-level function — exact, because single assignment makes names unique
 within a function.  The counts live in one name -> reads table per
 function, built in a single walk and kept equal to the live tree: when a
 let drops bindings, their reads are subtracted, so judging a binding is a
-lookup minus the reads in its own right-hand side and a sweep is linear
-in the function's size.  Function bindings never execute anything by
-themselves, so an unused function binding is always removable.  Lets that
-lose all their bindings collapse into their bodies.
+lookup and a sweep is linear in the function's size.  A right-hand side
+cannot read the names its binding binds (a read there resolves before the
+binding exists, to something else); only a local function reads its own
+name, when it recurses, and judging it subtracts those reads.  Function
+bindings never execute anything by themselves, so an unused function
+binding is always removable.  Lets that lose all their bindings collapse
+into their bodies.
 
-Removing one binding can kill the uses that kept another alive, so a
-function is swept again after every sweep that removed something: ``run``
-stops at its fixpoint, when a sweep removes nothing.
+Removing one binding can kill the uses that kept another alive: when a
+subtraction leaves a binding kept earlier in the sweep with no reads but
+its own, the function is swept again.  ``run`` stops at its fixpoint,
+without a last sweep that could only remove nothing.
 
 Whole top-level functions are the pipeline's concern: once no live
 function reaches one from the entry, :func:`dead_functions` names it and
@@ -43,27 +47,19 @@ class _DCE:
         self.reads: dict[str, int] = {}
 
     def run(self) -> bool:
-        """Sweep until a sweep removes nothing; True when any removed."""
+        """Sweep to the fixpoint; True when anything changed."""
         self.reads = count_reads(self.function.body)
         removed = False
         while True:
-            self.changed = False
+            self.changed = self.again = False
+            #: name of a binding this sweep kept -> its reads of its own name.
+            self.kept: dict[str, int] = {}
             self.function.body = self._expr(
                 self.function.body, set(self.function.params)
             )
-            if not self.changed:
+            removed = removed or self.changed
+            if not self.again:
                 return removed
-            removed = True
-
-    def _unread_outside(self, name: str, rhs: ast.Node) -> bool:
-        """No read of ``name`` in the function outside ``rhs``.
-
-        ``rhs`` is the judged binding's own right-hand side: a binding may
-        not reference itself (single assignment), but reads inside the
-        very binding being judged disappear together with it.
-        """
-        reads = self.reads.get(name, 0)
-        return reads == 0 or reads == count_uses(rhs, name)
 
     # ------------------------------------------------------------------
     def _expr(self, e: ast.Expr, bound: set[str]) -> ast.Expr:
@@ -86,27 +82,28 @@ class _DCE:
             kept: list[ast.Binding] = []
             dropped: list[ast.Binding] = []
             for b in e.bindings:
-                removable = False
-                if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
-                    if all(
-                        self._unread_outside(n, b.expr)
-                        for n in b.bound_names()
-                    ) and expr_is_pure(b.expr, self.ctx, inner):
-                        removable = True
-                elif isinstance(b, ast.FunBinding):
-                    if self._unread_outside(b.func.name, b.func.body):
-                        removable = True
+                if isinstance(b, ast.FunBinding):
+                    name = b.func.name
+                    reads = self.reads.get(name, 0)
+                    own = {name: reads and count_uses(b.func.body, name)}
+                    removable = reads == own[name]
+                else:
+                    own = dict.fromkeys(b.bound_names(), 0)
+                    removable = not any(
+                        self.reads.get(n) for n in own
+                    ) and expr_is_pure(b.expr, self.ctx, inner)
                 if removable:
                     self.changed = True
                     self.ctx.bump(f"{NAME}.removed")
                     dropped.append(b)
                     continue
-                if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
-                    b.expr = self._expr(b.expr, inner)
-                elif isinstance(b, ast.FunBinding):
+                self.kept.update(own)
+                if isinstance(b, ast.FunBinding):
                     fn_bound = inner | {b.func.name} | set(b.func.params)
                     b.func.body = self._expr(b.func.body, fn_bound)
-                inner.update(b.bound_names())
+                else:
+                    b.expr = self._expr(b.expr, inner)
+                inner.update(own)
                 kept.append(b)
             # Dropped bindings stay in the tree (and in the counts) until
             # here, so later bindings of this let were judged against them.
@@ -114,6 +111,8 @@ class _DCE:
             for b in dropped:
                 for name, n in count_reads(b).items():
                     self.reads[name] -= n
+                    if self.reads[name] <= self.kept.get(name, -1):
+                        self.again = True
             e.body = self._expr(e.body, inner)
             if not e.bindings:
                 self.changed = True

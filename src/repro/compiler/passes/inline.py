@@ -8,7 +8,8 @@ let that binds fresh copies of the parameters and the alpha-renamed body::
 
 Benefits mirror the paper's: every inlined call is one fewer call-closure
 expansion (template activation) at run time, and the exposed body becomes
-visible to constant propagation / CSE / DCE.  The definition itself is left
+visible to constant propagation / CSE / DCE.  The copy is a structural
+:meth:`~repro.lang.ast.Node.clone`, renamed in place.  The definition is left
 alone; once no function the entry reaches calls or reads it any more,
 the pipeline drops it (:func:`.dce.dead_functions`).  The pipeline
 optimizes callees before their callers, so a call site receives the
@@ -25,7 +26,7 @@ Safety conditions checked per call site:
 
 from __future__ import annotations
 
-import copy
+from itertools import islice
 
 from ...lang import ast
 from ..analysis import free_variables
@@ -70,8 +71,8 @@ class _Inliner:
             return False
         # Measured here, not read from ``info.body_size``: a local callee
         # defined earlier in the current function has had its own calls
-        # expanded by this very sweep.
-        if fundef.body.size() > DEFAULT_THRESHOLD:
+        # expanded by this very sweep.  Counting stops past the threshold.
+        if next(islice(fundef.body.walk(), DEFAULT_THRESHOLD, None), None):
             return False
         # Global names the body relies on must not be shadowed at the site.
         globals_used = [
@@ -89,7 +90,7 @@ class _Inliner:
     def _inline_call(
         self, call: ast.Apply, fundef: ast.FunDef
     ) -> ast.Expr:
-        body = copy.deepcopy(fundef.body)
+        body = fundef.body.clone()
         mapping = {
             name: self.ctx.fresh.fresh(name)
             for name in (set(fundef.params) | bound_names_in(body))

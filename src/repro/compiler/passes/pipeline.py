@@ -28,9 +28,11 @@ final tree and changed nothing.  DCE iterates to its own fixpoint, so it
 never needs a second look at a tree it left.
 
 Only the inliner consults the call graph.  The context is built once per
-:func:`optimize`; a pass that changes a function marks it stale, and the
-inliner's next sweep first re-derives the stale functions' facts and the
-SCCs and purity from the per-function facts (:class:`.common.PassContext`).
+:func:`optimize` (or seeded with the caller's analysis and name generator);
+a pass that changes a function marks it stale, the inliner's next sweep
+first re-derives the facts of the stale functions that use functions, the
+end those of every stale function, and each then the SCCs and purity from
+the per-function facts (:class:`.common.PassContext`).
 
 Given the program's ``entry``, a top-level function that no live function
 reaches from it is dropped from the program: before anything is swept,
@@ -46,8 +48,8 @@ from dataclasses import dataclass, field
 
 from ...lang import ast
 from ...runtime.operators import OperatorRegistry
-from ..analysis import strongly_connected_components
-from ..symtab import EnvAnalysis
+from ..analysis import FreshNames, strongly_connected_components
+from ..symtab import EnvAnalysis, EnvAnalyzer
 from . import constprop, cse, dce, fuse, inline, splice
 from .common import PassContext
 
@@ -137,6 +139,8 @@ def optimize(
     registry: OperatorRegistry | None = None,
     enabled: tuple[str, ...] = PASS_ORDER,
     entry: str | None = None,
+    analyzer: EnvAnalyzer | None = None,
+    fresh: FreshNames | None = None,
 ) -> OptimizationReport:
     """Optimize ``program`` in place and return a report.
 
@@ -145,6 +149,8 @@ def optimize(
     ``entry`` names the function the program runs from; top-level
     functions it cannot reach are dropped.  ``None`` keeps every function
     in place (callers that zip the result back by position need that).
+    ``analyzer`` (run on ``program``) and ``fresh`` (seen all its names)
+    seed the context; ``analyzer`` returns with the optimized facts.
     """
     for name in enabled:
         if name not in PASS_ORDER:
@@ -157,7 +163,7 @@ def optimize(
     clock = time.perf_counter
     began = clock()
 
-    ctx = PassContext.build(program, registry, report.stats)
+    ctx = PassContext.build(program, registry, report.stats, analyzer, fresh)
 
     def drop_dead() -> None:
         ctx.refresh()
@@ -216,9 +222,10 @@ def optimize(
                 changed = fixpoint(ctx.top_level[name]) or changed
             changed = changed and len(group) > 1
 
+    t0 = clock()
     if entry is not None:
-        t0 = clock()
         drop_dead()
-        spent["context"] += clock() - t0
+    ctx.refresh(everything=True)
+    spent["context"] += clock() - t0
     report.seconds = clock() - began
     return report

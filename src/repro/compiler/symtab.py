@@ -318,8 +318,7 @@ def analyze(
     ----------
     program:
         The parsed, macro-expanded and lowered program (no ``iterate``
-        remains; see :func:`~.lowering.lower_program`).  Re-running it is
-        safe, which ``compile_source`` does to refresh the call graph.
+        remains; see :func:`~.lowering.lower_program`).  Re-running it is safe.
     known_operators:
         Names of registered operators.  When given along with
         ``strict=True``, any unresolvable name raises

@@ -71,11 +71,23 @@ class Node:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children()))
+            stack += node.children()[::-1]
 
     def size(self) -> int:
         """Number of nodes in this subtree (the paper's subtree 'weight')."""
         return sum(1 for _ in self.walk())
+
+    def clone(self) -> "Node":
+        """A copy of this subtree, positions included, sharing no node or
+        list with it (``copy.deepcopy`` of a tree, without the memo)."""
+        new = object.__new__(type(self))
+        new.__dict__ = state = self.__dict__.copy()
+        for name, v in state.items():
+            if type(v) is list:
+                state[name] = [x.clone() if isinstance(x, Node) else x for x in v]
+            elif isinstance(v, Node):
+                state[name] = v.clone()
+        return new
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,27 @@ Four kinds of evidence, none of them in seconds:
   *mean* is checked against the reference evaluator in
   ``test_oracle.py``);
 * **goldens** — ``.dlc`` digests of the case-study programs;
-* **structural guards** — counts of reflective calls, whole-body
-  ``count_uses`` calls, node visits, whole-program analyses and sweeps of
-  dropped functions, so the quadratic and rebuild-everything shapes
-  cannot come back unnoticed.
+* **structural guards** — counts of reflective calls, ``deepcopy``
+  calls, ``count_uses`` calls (only ever over a local function's body),
+  node visits, whole-program analyses and ``all_names`` walks (one of each
+  per compile), and sweeps of dropped functions, so the quadratic,
+  copy-everything and rebuild-everything shapes cannot come back
+  unnoticed.
+
+Beside them: the inliner's structural clone is checked against
+``copy.deepcopy`` (equal trees, equal positions, no shared node or list),
+and the one shared analysis against a fresh one of the optimized program,
+which still refuses an unbound name.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,10 +41,10 @@ from repro import GraphError, compile_source, default_registry, validate_program
 from repro.apps import circuit, loganalytics, montecarlo, queens, raytracer, retina
 from repro.apps.compiler_app import generate_workload
 from repro.compiler import PASS_NAMES
-from repro.compiler.analysis import all_names
-from repro.compiler import symtab
+from repro.compiler import analysis, symtab
+from repro.compiler.analysis import FreshNames, all_names
 from repro.compiler.lowering import lower_program
-from repro.compiler.passes import dce, pipeline
+from repro.compiler.passes import cse, dce, pipeline
 from repro.compiler.passes.common import PassContext, count_reads
 from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
@@ -43,7 +52,7 @@ from repro.compiler.passes.pipeline import (
     optimize,
 )
 from repro.compiler.symtab import analyze
-from repro.errors import CompileError
+from repro.errors import CompileError, UnboundNameError
 from repro.graph.serialize import dumps
 from repro.lang import ast, parse_program
 from repro.lang.ast import unparse
@@ -484,6 +493,92 @@ class TestStructuralGuards:
         optimize(lowered(pythia_source(10, 1990, 1990)), REGISTRY, entry="main")
         assert len(runs) == 1
 
+    def test_optimize_never_deep_copies(self, monkeypatch):
+        calls = []
+        real_deepcopy = copy.deepcopy
+
+        def spying_deepcopy(x, *args, **kwargs):
+            calls.append(type(x).__name__)
+            return real_deepcopy(x, *args, **kwargs)
+
+        monkeypatch.setattr(copy, "deepcopy", spying_deepcopy)
+        report = optimize(
+            lowered(pythia_source(10, 1990, 1990)), REGISTRY, entry="main"
+        )
+        assert report.stats["inline.expanded"] == 8
+        assert calls == []
+
+    def test_one_analysis_and_one_name_walk_per_compile(self, monkeypatch):
+        runs, walks = [], []
+        real_run = symtab.EnvAnalyzer.run
+
+        def counting_run(self):
+            runs.append(self)
+            return real_run(self)
+
+        real_all_names = analysis.all_names
+
+        def counting_all_names(program):
+            walks.append(program)
+            return real_all_names(program)
+
+        monkeypatch.setattr(symtab.EnvAnalyzer, "run", counting_run)
+        # Every module that imported the walk by name, wherever it sits.
+        for module in list(sys.modules.values()):
+            if getattr(module, "all_names", None) is real_all_names:
+                monkeypatch.setattr(module, "all_names", counting_all_names)
+        compiled = compile_source(
+            pythia_source(10, 1990, 1990), optimize_passes=FULL_PASS_ORDER
+        )
+        assert compiled.optimization.stats["inline.expanded"] == 8
+        assert len(runs) == 1
+        assert len(walks) == 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(sources)
+    def test_dce_counts_uses_only_over_a_local_functions_body(self, source):
+        self._assert_count_uses_only_over_function_bodies(lowered(source))
+
+    def test_dce_counts_a_recursive_local_functions_own_reads(self):
+        program = parse_program(
+            "main(n)\n"
+            "  let x = incr(n)\n"
+            "      d = incr(x)\n"
+            "      <a, b> = <x, n>\n"
+            "      <c, e> = <d, n>\n"
+            "      down(k) if is_less(k, 1) then a else down(decr(k))\n"
+            "      dead(k) if is_less(k, 1) then k else dead(decr(k))\n"
+            "  in down(b)\n"
+        )
+        judged = self._assert_count_uses_only_over_function_bodies(program)
+        # ``down`` is read from outside itself, in both sweeps; ``dead``
+        # only from inside, so it goes.  ``<c, e>`` and then ``d`` (whose
+        # last reader that was) go without a count.
+        assert judged == ["down", "dead", "down"]
+        assert unparse(program.functions[0]).count("=") == 2
+
+    @staticmethod
+    def _assert_count_uses_only_over_function_bodies(program) -> list[str]:
+        judged = []
+        real_count_uses = dce.count_uses
+
+        def spying_count_uses(e, name):
+            bodies = {
+                id(node.func.body): node.func.name
+                for node in program.walk()
+                if isinstance(node, ast.FunBinding)
+            }
+            assert bodies.get(id(e)) == name, (unparse(e), name)
+            judged.append(name)
+            return real_count_uses(e, name)
+
+        dce.count_uses = spying_count_uses
+        try:
+            optimize(program, REGISTRY)
+        finally:
+            dce.count_uses = real_count_uses
+        return judged
+
     def test_no_function_is_swept_once_dropped(self, monkeypatch):
         events: list[tuple[str, str]] = []
 
@@ -523,6 +618,118 @@ class TestStructuralGuards:
             if kind == "drop":
                 assert ("sweep", name) not in events[i:]
         assert {f.name for f in program.functions}.isdisjoint(dropped)
+
+
+# ---------------------------------------------------------------------------
+# The inliner's copy and the shared analysis
+# ---------------------------------------------------------------------------
+
+
+def nodes_and_lists(node: ast.Node) -> tuple[list[ast.Node], list[list]]:
+    nodes = list(node.walk())
+    lists = [v for n in nodes for v in vars(n).values() if isinstance(v, list)]
+    return nodes, lists
+
+
+class TestClone:
+    @settings(max_examples=40, deadline=None)
+    @given(sources)
+    def test_clone_is_deepcopy_without_sharing(self, source):
+        for program in (parse_program(source), lowered(source)):
+            for f in program.functions:
+                copied, cloned = copy.deepcopy(f), f.clone()
+                assert cloned == copied == f
+                # ``==`` skips positions (``compare=False``): check each.
+                pairs = zip(cloned.walk(), f.walk(), strict=True)
+                for got, want in pairs:
+                    assert type(got) is type(want)
+                    assert (got.line, got.column) == (want.line, want.column)
+                nodes, lists = nodes_and_lists(f)
+                clone_nodes, clone_lists = nodes_and_lists(cloned)
+                assert {id(n) for n in nodes}.isdisjoint(map(id, clone_nodes))
+                assert {id(v) for v in lists}.isdisjoint(map(id, clone_lists))
+
+    def test_an_inlined_body_is_a_renamed_clone(self):
+        program = parse_program(
+            "main(n) double(incr(n))\n\n"
+            "double(x)\n  let y = add(x, x)\n  in <y, y>\n"
+        )
+        callee = program.function("double")
+        before = unparse(callee)
+        optimize(program, REGISTRY, enabled=("inline",))
+        assert unparse(callee) == before
+        body = program.function("main").body
+        assert unparse(body).split() == [
+            "let", "x$1", "=", "incr(n)",
+            "in", "let", "y$1", "=", "add(x$1,", "x$1)", "in", "<y$1,", "y$1>",
+        ]
+        assert {id(n) for n in callee.walk()}.isdisjoint(map(id, body.walk()))
+
+
+def leave_unbound(function_name: str):
+    """A ``cse`` that also wraps ``function_name``'s body in a read of a
+    name bound nowhere, once, and says it changed the function."""
+    real = dict((name, run) for name, run, _ in pipeline.PASSES)["cse"]
+    done = []
+
+    def run(f, ctx):
+        changed = real(f, ctx)
+        if f.name != function_name or done:
+            return changed
+        done.append(f.name)
+        f.body = ast.Apply(
+            callee=ast.Var(name="add"), args=[f.body, ast.Var(name="nowhere")]
+        )
+        return True
+
+    return run
+
+
+class TestSharedAnalysis:
+    @settings(max_examples=20, deadline=None)
+    @given(sources)
+    def test_the_seeded_analysis_describes_the_optimized_program(self, source):
+        program = lowered(source)
+        analyzer = symtab.EnvAnalyzer(program, REGISTRY.names(), strict=False)
+        analyzer.run()
+        optimize(
+            program,
+            REGISTRY,
+            entry="main",
+            analyzer=analyzer,
+            fresh=FreshNames(all_names(program)),
+        )
+        fresh = analyze(program, known_operators=REGISTRY.names(), strict=False)
+        assert analyzer.result == fresh
+        assert list(analyzer.result.functions) == list(fresh.functions)
+
+    @pytest.mark.parametrize(
+        "source, function_name",
+        [
+            # Functions that use no function are re-derived only at the end
+            # of ``optimize``: this ``main``, and ``fn2`` (too big to inline).
+            ("main(n) incr(n)\n", "main"),
+            (pythia_source(10, 1990, 1990), "fn2"),
+            # ``main`` calls every function and is re-derived before its
+            # next inline sweep; ``fn4`` is inlined into it, read and all.
+            (pythia_source(10, 1990, 1990), "main"),
+            (pythia_source(10, 1990, 1990), "fn4"),
+        ],
+    )
+    def test_an_unbound_name_left_by_a_pass_is_refused(
+        self, monkeypatch, source, function_name
+    ):
+        monkeypatch.setattr(
+            pipeline,
+            "PASSES",
+            tuple(
+                (name, leave_unbound(function_name) if name == "cse" else ast_half, g)
+                for name, ast_half, g in pipeline.PASSES
+            ),
+        )
+        with pytest.raises(UnboundNameError, match="nowhere") as caught:
+            compile_source(source, optimize_passes=FULL_PASS_ORDER)
+        assert isinstance(caught.value, CompileError)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ class TestCSE:
         outer_binding = p.function("main").body.bindings[1]
         assert isinstance(outer_binding.expr, ast.Apply)
 
+    def test_a_folded_literal_is_not_a_variable_of_the_same_text(self):
+        # ``mul`` folds to the float ``inf``, whose text is the name
+        # ``inf``: keyed on unparse text, ``b`` became ``a``.
+        source = """
+            main(n)
+              let inf = incr(n)
+                  a = add(mul(1e308, 10.0), n)
+                  b = add(inf, n)
+              in <a, b>
+            """
+        p, report = optimized(source, PASS_ORDER)
+        assert "cse.eliminated" not in report.stats
+        assert compile_source(source).run(args=(1,)).value == (float("inf"), 3)
+
 
 class TestDCE:
     def test_unused_pure_binding_removed(self):
