@@ -132,39 +132,49 @@ class PassContext:
         return self.registry.get(name).foldable
 
 
-def expr_is_pure(e: ast.Expr, ctx: PassContext, bound: set[str]) -> bool:
-    """Conservatively decide whether evaluating ``e`` has no effects.
+def pure_key(e: ast.Expr, ctx: PassContext, bound: set[str]) -> tuple | None:
+    """The structural key of ``e`` when evaluating it has no effect, else
+    ``None``: CSE's availability key and DCE's purity test.
 
-    ``bound`` holds names bound in enclosing scopes — an applied name that
-    is bound is a first-class function value whose purity we cannot see, so
-    the application is treated as impure.
+    Conservative: ``bound`` holds names bound in enclosing scopes, and an
+    applied bound name is a function value whose purity cannot be seen.  A
+    nested let is keyed on each binding's form, names and right-hand side,
+    then its body, with the names it bound so far; a local function, which
+    runs nothing until called, is keyed on its identity (the passes make
+    no function while they hold keys, so no two keyed functions share one).
     """
-    if isinstance(e, (ast.Literal, ast.Null, ast.Var)):
-        return True
-    if isinstance(e, ast.TupleExpr):
-        return all(expr_is_pure(i, ctx, bound) for i in e.items)
-    if isinstance(e, ast.Apply):
-        if not isinstance(e.callee, ast.Var):
-            return False
-        name = e.callee.name
-        if name in bound or not ctx.operator_is_pure(name):
-            return False
-        return all(expr_is_pure(a, ctx, bound) for a in e.args)
-    if isinstance(e, ast.If):
-        return (
-            expr_is_pure(e.cond, ctx, bound)
-            and expr_is_pure(e.then, ctx, bound)
-            and expr_is_pure(e.orelse, ctx, bound)
-        )
+    if isinstance(e, ast.Var):
+        return ("var", e.name)
+    if isinstance(e, ast.Literal):
+        return ("lit", repr(e.value))
+    if isinstance(e, ast.Null):
+        return ("null",)
     if isinstance(e, ast.Let):
-        inner = set(bound)
+        key, parts, bound = ["let"], [e.body], set(bound)
         for b in e.bindings:
-            if isinstance(b, (ast.SimpleBinding, ast.TupleBinding)):
-                if not expr_is_pure(b.expr, ctx, inner):
-                    return False
-            inner.update(b.bound_names())
-        return expr_is_pure(e.body, ctx, inner)
-    return False
+            if isinstance(b, ast.FunBinding):
+                key.append(("fun", id(b)))
+            else:
+                part = pure_key(b.expr, ctx, bound)
+                if part is None:
+                    return None
+                key.append((type(b).__name__, *b.bound_names(), part))
+            bound.update(b.bound_names())
+    elif isinstance(e, ast.TupleExpr):
+        key, parts = ["tuple"], e.items
+    elif isinstance(e, ast.If):
+        key, parts = ["if"], [e.cond, e.then, e.orelse]
+    elif isinstance(e, ast.Apply) and isinstance(e.callee, ast.Var):
+        if e.callee.name in bound or not ctx.operator_is_pure(e.callee.name):
+            return None
+        key, parts = ["apply", e.callee.name], e.args
+    else:
+        return None
+    for part in parts:
+        key.append(pure_key(part, ctx, bound))
+        if key[-1] is None:
+            return None
+    return tuple(key)
 
 
 def count_uses(e: ast.Node, name: str) -> int:

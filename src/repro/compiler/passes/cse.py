@@ -4,8 +4,9 @@ Two let bindings with syntactically identical, *pure* right-hand sides
 compute the same value (purity plus single assignment guarantee it), so
 the later one can reuse the earlier one's name.  Availability respects
 lexical scope: an expression bound inside one conditional arm is not
-available in the other.  An expression's key is built in the walk that
-decides its purity: nested tuples, with the unparse text of a nested let.
+available in the other.  An expression's key (:func:`~.common.pure_key`)
+is built in the walk that decides its purity: its structure, never its
+text.
 
 Example::
 
@@ -20,33 +21,9 @@ removes the leftover binding.
 from __future__ import annotations
 
 from ...lang import ast
-from ...lang.ast import unparse
-from .common import PassContext, expr_is_pure
+from .common import PassContext, pure_key
 
 NAME = "cse"
-
-
-def _key(e: ast.Expr, ctx: PassContext, bound: set[str]) -> tuple | None:
-    """The key of ``e`` when :func:`expr_is_pure` holds of it, else ``None``."""
-    if isinstance(e, ast.Var):
-        return ("var", e.name)
-    if isinstance(e, ast.Literal):
-        return ("lit", repr(e.value))
-    if isinstance(e, ast.TupleExpr):
-        key, parts = ["tuple"], e.items
-    elif isinstance(e, ast.If):
-        key, parts = ["if"], [e.cond, e.then, e.orelse]
-    elif isinstance(e, ast.Apply) and isinstance(e.callee, ast.Var):
-        if e.callee.name in bound or not ctx.operator_is_pure(e.callee.name):
-            return None
-        key, parts = ["apply", e.callee.name], e.args
-    else:
-        return ("text", unparse(e)) if expr_is_pure(e, ctx, bound) else None
-    for part in parts:
-        key.append(_key(part, ctx, bound))
-        if key[-1] is None:
-            return None
-    return tuple(key)
 
 
 class _CSE:
@@ -83,7 +60,7 @@ class _CSE:
                 if isinstance(b, ast.SimpleBinding):
                     self._expr(b.expr, inner, inner_bound)
                     if not isinstance(b.expr, (ast.Var, ast.Literal, ast.Null)):
-                        key = _key(b.expr, self.ctx, inner_bound)
+                        key = pure_key(b.expr, self.ctx, inner_bound)
                         existing = inner.get(key)
                         if existing is not None:
                             b.expr = ast.Var(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ...lang import ast
 from ..symtab import EnvAnalysis
-from .common import PassContext, count_reads, count_uses, expr_is_pure
+from .common import PassContext, count_reads, count_uses, pure_key
 
 NAME = "dce"
 
@@ -91,7 +91,7 @@ class _DCE:
                     own = dict.fromkeys(b.bound_names(), 0)
                     removable = not any(
                         self.reads.get(n) for n in own
-                    ) and expr_is_pure(b.expr, self.ctx, inner)
+                    ) and pure_key(b.expr, self.ctx, inner) is not None
                 if removable:
                     self.changed = True
                     self.ctx.bump(f"{NAME}.removed")

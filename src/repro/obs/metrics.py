@@ -4,10 +4,11 @@ The standard subscriber (:func:`attach_metrics`) turns the event stream
 into the quantities every scaling PR must report against:
 
 * counters — ``tasks_fired``, ``ops_executed``, ``cow_copies``,
-  ``cow_bytes`` (attributed by operator), ``expansions`` /
-  ``tail_expansions``, activation and block-reference traffic; these
-  mirror :class:`~repro.runtime.engine.EngineStats` exactly, which the
-  test suite asserts;
+  ``cow_bytes`` (attributed by operator: the per-operator copy view, which
+  no stat keeps), ``expansions`` / ``tail_expansions``, activation and
+  block-reference traffic; the totals mirror
+  :class:`~repro.runtime.engine.EngineStats` exactly, which the test
+  suite asserts;
 * gauges — live activations (with high-water mark), per-priority ready-
   queue depth (high-water);
 * histograms — op latency by label, in the executor's time unit (wall

@@ -263,12 +263,6 @@ class EngineStats:
     #: ``perf_counter`` reads per firing, no event objects).
     op_body_seconds: float = 0.0
     activation_stats: dict[str, int] = field(default_factory=dict)
-    #: Copy-on-write copies attributed to the operator that forced them —
-    #: the profiling view a Delirium programmer uses to find the large
-    #: structure that should have been split (section 2.1's advice).
-    copies_by_operator: dict[str, int] = field(default_factory=dict)
-    #: Bytes copied by COW, by operator (same attribution).
-    copy_bytes_by_operator: dict[str, int] = field(default_factory=dict)
 
 
 def _payload_of(value: Any) -> Any:
@@ -1050,19 +1044,14 @@ class ExecutionState:
 
     def _cow(self, name: str, v: DataBlock, home: int, remote: bool) -> Any:
         """The copy-on-write of a shared block ``v`` that operator ``name``
-        writes: counted, sized, announced, and (unless ``remote``) made.
-        The one place a copy-on-write copy is made, for :meth:`_write` and
-        for a crown's inlined write (:mod:`repro.runtime.crown`)."""
-        stats = self.stats
-        stats.cow_copies += 1
-        nbytes = v.nbytes
-        by_op = stats.copies_by_operator
-        by_op[name] = by_op.get(name, 0) + 1
-        by_op = stats.copy_bytes_by_operator
-        by_op[name] = by_op.get(name, 0) + nbytes
+        writes: counted, announced (so sized only then), and (unless
+        ``remote``) made.  The one place a copy-on-write copy is made, for
+        :meth:`_write` and for a crown's inlined write
+        (:mod:`repro.runtime.crown`)."""
+        self.stats.cow_copies += 1
         if self._wants_cow:
             bus = self.bus
-            bus.emit(CowCopy(bus.now(), name, nbytes))
+            bus.emit(CowCopy(bus.now(), name, v.nbytes))
         if not remote:
             v = v.copy(home)
         return v

@@ -26,7 +26,8 @@ bounded by a handful of rounds, never on ``n``.
 :func:`graph_run` and :func:`calls_run` are the two sequential paths a
 plain run does not take by itself (crown clipping,
 ``repro.runtime.crown``); :func:`on_graph_path` is the one switch every
-test that needs the graph path uses.
+test that needs the graph path uses.  :class:`CopyView` is the
+per-operator copy view a test reads: the metrics fold over ``CowCopy``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import contextlib
 import pytest
 from hypothesis import strategies as st
 
+from repro.obs import CowCopy, EventBus, attach_metrics
 from repro.runtime import SequentialExecutor, default_registry, executors
 from repro.runtime.crown import EntryRow
 from repro.runtime.executors import Run
@@ -300,3 +302,32 @@ def calls_run(graph, args, registry, **options):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executors, "entry_row", no_entry_crown)
         return SequentialExecutor(**options).run(graph, args, registry)
+
+
+# ---------------------------------------------------------------------------
+# The per-operator copy view
+# ---------------------------------------------------------------------------
+
+
+class CopyView:
+    """Which operator forced which copies in the runs on ``bus``: the
+    metrics registry's ``cow_copies`` and ``cow_bytes`` counters, labelled
+    by operator, folded from the ``CowCopy`` events alone.  (The standard
+    pipeline on the run's own bus subscribes every event, and a
+    ``TaskFired`` subscriber takes a run off the clipped path.)"""
+
+    def __init__(self, bus: EventBus | None = None) -> None:
+        self.bus = bus if bus is not None else EventBus()
+        folded = EventBus()
+        self.metrics = attach_metrics(folded)
+        self.bus.subscribe(folded.emit, events=(CowCopy,))
+
+    def take(self) -> tuple[dict[str, int], dict[str, int]]:
+        """``({operator: copies}, {operator: bytes copied})`` since the
+        last take; the fold starts afresh."""
+        maps = []
+        for name in ("cow_copies", "cow_bytes"):
+            by_label = self.metrics.counter(name).by_label
+            maps.append({op: int(n) for op, n in by_label.items()})
+            by_label.clear()
+        return maps[0], maps[1]

@@ -40,6 +40,8 @@ from repro.runtime.supervise import ResidencyTracker
 from repro.runtime.values import MultiValue
 from repro.runtime.workers import _CACHE_MISS, BlockCache, WorkerPool
 
+from .programs import CopyView
+
 
 class TestPolicyFactory:
     def test_names(self):
@@ -392,13 +394,16 @@ main(seed)
 MUTATE = compile_source(MUTATE_SRC, registry=AFFINITY_REGISTRY)
 
 
-def _run_fanout(affinity, workers=1, fault_spec=None, fault_policy=None):
+def _run_fanout(
+    affinity, workers=1, fault_spec=None, fault_policy=None, bus=None
+):
     return ProcessExecutor(
         workers,
         cost_threshold=0.0,
         affinity=affinity,
         fault_spec=fault_spec,
         fault_policy=fault_policy,
+        bus=bus,
     ).run(FANOUT.graph, args=(7,), registry=AFFINITY_REGISTRY)
 
 
@@ -424,10 +429,12 @@ class TestLocalityDispatch:
     def test_one_worker_fanout_avoids_exactly_the_block_six_times(self):
         # Golden from the last commit that sized blocks at construction:
         # the adopted 32 KB result is ref-shipped to all six readers.
-        stats = _run_fanout("data").stats
+        view = CopyView()
+        stats = _run_fanout("data", bus=view.bus).stats
         assert stats.blocks_ref_shipped == 6
         assert stats.encode_bytes_avoided == 196608
-        assert stats.copy_bytes_by_operator == {}
+        assert stats.cow_copies == 0
+        assert view.take() == ({}, {})
 
     def test_block_ids_do_not_restart_under_a_warm_pool(self):
         # Each run builds a supervisor, the persistent pool's caches

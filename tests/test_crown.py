@@ -52,7 +52,9 @@ from repro.runtime import crown as crown_module
 from repro.runtime.crown import _MAX_LINES
 from repro.runtime import engine, executors
 from repro.runtime.engine import _plans_for
-from .programs import LIBRARY, REGISTRY, graph_run, on_graph_path, programs
+from .programs import (
+    LIBRARY, REGISTRY, CopyView, graph_run, on_graph_path, programs,
+)
 
 
 class BlockCensus:
@@ -121,18 +123,21 @@ class TestOracle:
             queens.queens_source(n), registry=registry,
             optimize_passes=FULL_PASS_ORDER,
         ).graph
-        clipped = SequentialExecutor().run(graph, (), registry)
+        clipped_view, graph_view = CopyView(), CopyView()
+        clipped = SequentialExecutor(bus=clipped_view.bus).run(
+            graph, (), registry
+        )
         census.assert_conserved(clipped.value)
-        graph_path = graph_run(graph, (), registry)
+        graph_path = graph_run(graph, (), registry, bus=graph_view.bus)
         assert clipped.value == graph_path.value
         assert clipped.stats.tasks_fired == 1  # the entry, as one call
         assert clipped.stats.expansions == 0
-        for counter in (
-            "ops_executed", "cow_copies", "in_place_writes",
-            "copies_by_operator", "copy_bytes_by_operator",
-        ):
+        for counter in ("ops_executed", "cow_copies", "in_place_writes"):
             got = getattr(clipped.stats, counter)
             assert got == getattr(graph_path.stats, counter), counter
+        view = clipped_view.take()
+        assert view == graph_view.take()
+        assert sum(view[0].values()) == clipped.stats.cow_copies
 
 
 DEEP = """
@@ -676,12 +681,15 @@ class TestLeanRun:
         expected.update(
             tasks_fired=1, ops_executed=7, cow_copies=1, in_place_writes=1,
             activation_stats={"created": 0, "peak_live": 0},
-            copies_by_operator={"bump": 1},
-            copy_bytes_by_operator={
-                "bump": blocks.payload_nbytes(REGISTRY.get("mkblock").fn(4))
-            },
         )
         assert dataclasses.asdict(result.stats) == expected
+        # Which operator forced the copy, and its size, is the copy view.
+        view = CopyView()
+        SequentialExecutor(bus=view.bus).run(graph, (4,), REGISTRY)
+        assert view.take() == (
+            {"bump": 1},
+            {"bump": blocks.payload_nbytes(REGISTRY.get("mkblock").fn(4))},
+        )
 
     def test_past_the_depth_bound_it_builds_what_the_graph_needs(
         self, monkeypatch
@@ -877,14 +885,17 @@ class TestInlineRules:
             "main(n)\n  let z = mkblock(n)\n  in blk_sum(push(add(z, push(z, 2)), 3))",
             registry=REGISTRY, optimize_passes=(),
         ).graph
-        clipped = SequentialExecutor().run(graph, (1,), REGISTRY)
-        graph_path = graph_run(graph, (1,), REGISTRY)
+        clipped_view, graph_view = CopyView(), CopyView()
+        clipped = SequentialExecutor(bus=clipped_view.bus).run(
+            graph, (1,), REGISTRY
+        )
+        graph_path = graph_run(graph, (1,), REGISTRY, bus=graph_view.bus)
         assert clipped.value == graph_path.value == 6 + 6 + 2 + 3
-        for counter in (
-            "cow_copies", "in_place_writes", "copies_by_operator",
-            "copy_bytes_by_operator",
-        ):
+        for counter in ("cow_copies", "in_place_writes"):
             assert getattr(clipped.stats, counter) == getattr(
                 graph_path.stats, counter
             ), counter
+        view = clipped_view.take()
+        assert view == graph_view.take()
+        assert sum(view[0].values()) == clipped.stats.cow_copies
         assert (clipped.stats.cow_copies, clipped.stats.in_place_writes) == (1, 1)

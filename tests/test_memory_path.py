@@ -45,6 +45,8 @@ from repro.runtime.workers import (
     encode_value,
 )
 
+from .programs import CopyView
+
 
 class TestShmArena:
     def test_acquire_release_reuses_segment(self):
@@ -245,17 +247,18 @@ class TestTheCopyRule:
     @pytest.mark.parametrize("version, in_place", [(1, 80), (2, 144)])
     def test_retina_writes_every_block_in_place(self, version, in_place, kind):
         compiled = compile_retina(version, RetinaConfig(), fuse=True)
-        stats = EXECUTORS[kind]().run(
+        view = CopyView()
+        stats = EXECUTORS[kind](bus=view.bus).run(
             compiled.graph, registry=compiled.registry
         ).stats
         assert (stats.in_place_writes, stats.cow_copies) == (in_place, 0)
-        assert stats.copy_bytes_by_operator == {}
+        assert view.take() == ({}, {})
 
 
 class TestBlockSizeFollowsThePayload:
     """``DataBlock.nbytes`` measures the *current* payload: an in-place
-    write drops the memo, so a later COW copy is booked at its real size
-    (it used to be frozen at construction: 172 bytes here)."""
+    write drops the memo, so a later COW copy's ``CowCopy`` carries its
+    real size (it used to be frozen at construction: 172 bytes here)."""
 
     SRC = """
     main()
@@ -293,15 +296,18 @@ class TestBlockSizeFollowsThePayload:
     ):
         reg = self._registry()
         compiled = compile_source(self.SRC, registry=reg)
-        result = SequentialExecutor(check_purity=check_purity).run(
-            compiled.graph, registry=reg
-        )
+        view = CopyView()
+        result = SequentialExecutor(
+            check_purity=check_purity, bus=view.bus
+        ).run(compiled.graph, registry=reg)
         b, c = result.value
         assert (len(b), b[0], c[0]) == (100_003, 0, 1)
         stats = result.stats
         assert (stats.in_place_writes, stats.cow_copies) == (1, 1)
-        assert stats.copy_bytes_by_operator == {"touch": payload_nbytes(b)}
-        assert stats.copy_bytes_by_operator["touch"] > 800_000
+        copies, nbytes = view.take()
+        assert copies == {"touch": 1}
+        assert nbytes == {"touch": payload_nbytes(b)}
+        assert nbytes["touch"] > 800_000
 
     def test_size_is_lazy_memoised_and_droppable(self, monkeypatch):
         calls = []

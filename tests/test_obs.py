@@ -31,6 +31,7 @@ from repro.obs import (
     observe_blocks,
 )
 from repro.runtime import SequentialExecutor, ThreadedExecutor, Tracer
+from repro.runtime.blocks import payload_nbytes
 
 from tests.conftest import FIB_SRC, FORK_JOIN_SRC, fork_join_registry
 
@@ -172,10 +173,15 @@ class TestMetricsMatchEngineStats:
         )
         assert metrics.counter("tasks_fired").value == stats.tasks_fired
         assert stats.cow_copies > 0, "program must exercise COW"
-        assert (
-            metrics.counter("cow_bytes").by_label
-            == stats.copy_bytes_by_operator
-        )
+        # The per-operator copy view: each copy is of the shared list
+        # ``make_list(5)``, forced by ``bump``, sized as it was when copied.
+        shared = reg.get("make_list").fn(5)
+        assert metrics.counter("cow_copies").by_label == {
+            "bump": stats.cow_copies
+        }
+        assert metrics.counter("cow_bytes").by_label == {
+            "bump": stats.cow_copies * payload_nbytes(shared)
+        }
 
     def test_activation_metrics_match_pool(self):
         compiled = compile_source(FIB_SRC)

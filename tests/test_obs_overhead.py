@@ -10,17 +10,21 @@ wall-time consequence on the overhead benchmark's workload (``bench_overhead.py`
 simulated 4-processor Cray Y-MP).
 """
 
+import dataclasses
 import gc
 import time
 from contextlib import nullcontext
 
 import pytest
 
+from repro import compile_source
+from repro.apps import queens
 from repro.apps.loganalytics import sequential_stats, stream_logs
 from repro.apps.retina import RetinaConfig, compile_retina
 from repro.machine import SimulatedExecutor, cray_ymp
 from repro.obs import BlockAllocated, CowCopy, EventBus, RunContext, observe_blocks
 from repro.runtime import ExecutionState, SequentialExecutor, blocks
+from repro.runtime.engine import EngineStats
 from repro.runtime.executors import resolve_bus
 
 from tests.conftest import recursive_payload_nbytes
@@ -151,6 +155,41 @@ def test_unobserved_stream_never_sizes_a_block(monkeypatch, hooked):
     assert calls == []
     # The probe is live: one read of one block's size is one call.
     assert blocks.DataBlock([1]).nbytes > 0 and len(calls) == 1
+
+
+def test_unobserved_copies_never_size_a_block(monkeypatch):
+    """Which operator forced which copies, and how many bytes, is the
+    ``CowCopy`` fold: a run nobody observes counts its copies and makes
+    them, and sizes none of the blocks it copies."""
+    calls = []
+    real = blocks.payload_nbytes
+    monkeypatch.setattr(
+        blocks, "payload_nbytes", lambda p: calls.append(1) or real(p)
+    )
+    registry = queens.make_registry(5)
+    graph = compile_source(queens.queens_source(5), registry=registry).graph
+    result = SequentialExecutor().run(graph, (), registry)
+    assert result.stats.cow_copies > 0
+    assert calls == []
+    # The probe is live: a ``CowCopy`` subscriber sizes each copied block
+    # (once: the size is memoised, and one board may be copied twice).
+    bus = EventBus()
+    sizes = []
+    bus.subscribe(lambda e: sizes.append(e.nbytes), events=(CowCopy,))
+    observed = SequentialExecutor(bus=bus).run(graph, (), registry)
+    assert observed.value == result.value
+    assert len(sizes) == observed.stats.cow_copies == result.stats.cow_copies
+    assert 0 < len(calls) <= len(sizes)
+
+
+def test_engine_stats_keeps_no_per_operator_map():
+    """Counters only: ``activation_stats`` is the one map a run's stats
+    build, so an ``EngineStats()`` costs no per-operator dicts."""
+    maps = [
+        f.name for f in dataclasses.fields(EngineStats)
+        if f.default_factory is not dataclasses.MISSING
+    ]
+    assert maps == ["activation_stats"]
 
 
 def test_block_allocated_reports_the_construction_time_size():

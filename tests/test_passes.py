@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler import compile_source, optimize
 from repro.compiler.passes import inline
-from repro.compiler.passes.pipeline import PASS_ORDER
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER, PASS_ORDER
 from repro.lang import ast, parse_expression, parse_program
 from repro.lang.ast import unparse
 from repro.runtime import default_registry
@@ -147,6 +147,50 @@ class TestCSE:
         p, report = optimized(source, PASS_ORDER)
         assert "cse.eliminated" not in report.stats
         assert compile_source(source).run(args=(1,)).value == (float("inf"), 3)
+
+    def test_equal_nested_lets_share_one_binding(self):
+        p, report = optimized(
+            """
+            main(n)
+              let a = let x = incr(n)  <y, z> = <x, n> in add(y, z)
+                  b = let x = incr(n)  <y, z> = <x, n> in add(y, z)
+                  c = let x = incr(n)  <z, y> = <x, n> in add(y, z)
+              in <a, b, c>
+            """,
+            ["cse"],
+        )
+        a, b, c = p.function("main").body.bindings
+        assert b.expr == ast.Var(name="a")
+        assert isinstance(c.expr, ast.Let)  # binds its names the other way
+        assert report.stats["cse.eliminated"] == 1
+
+    # The nested form: a let on a right-hand side is keyed on its
+    # structure.  Keyed on its unparse text, ``let x = add(inf, n) in x``
+    # with the folded float was the one reading the variable ``inf``, so
+    # ``b`` became ``a``; the same held for ``nan``.
+    NESTED = """
+        main(n)
+          let {name} = incr(n)
+              a = let x = add({fold}, n) in x
+              b = let x = add({name}, n) in x
+          in <a, b>
+        """
+
+    @pytest.mark.parametrize("passes", [None, FULL_PASS_ORDER, ()])
+    @pytest.mark.parametrize(
+        "name, fold",
+        [
+            ("inf", "mul(1e308, 10.0)"),
+            ("nan", "sub(mul(1e308, 10.0), mul(1e308, 10.0))"),
+        ],
+    )
+    def test_a_folded_literal_in_a_nested_let_is_not_a_variable(
+        self, name, fold, passes
+    ):
+        source = self.NESTED.format(name=name, fold=fold)
+        options = {} if passes is None else {"optimize_passes": passes}
+        a, b = compile_source(source, **options).run(args=(1,)).value
+        assert repr(a) == name and b == 3
 
 
 class TestDCE:

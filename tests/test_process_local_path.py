@@ -6,7 +6,8 @@ suspends (a ``PendingOp`` exists) only when it goes remote or a call
 head's callee turns out to be an operator.  This file pins what must not move while that happens:
 
 * results bit-identical to ``SequentialExecutor`` and every contract
-  ``EngineStats`` counter equal to the goldens recorded at the commit
+  ``EngineStats`` counter, and the per-operator copy view folded from
+  ``CowCopy``, equal to the goldens recorded at the commit
   before the class table existed (``golden_process_stats.json``; the
   scheduling consequences — fires, expansions, activations — are not
   kept);
@@ -55,6 +56,8 @@ from repro.runtime import (
 )
 from repro.runtime.blocks import payload_nbytes
 from repro.runtime.operators import OperatorSpec
+
+from .programs import CopyView
 
 GOLDENS_PATH = os.path.join(
     os.path.dirname(__file__), "golden_process_stats.json"
@@ -174,11 +177,20 @@ CONFIGS = [
 ]
 
 
-def stats_dict(stats):
+def stats_dict(stats, view=None):
     """The exact counters of a run: every non-default ``EngineStats``
-    field but the timing probe."""
+    field but the timing probe, and, given the run's :class:`CopyView`,
+    its per-operator copy view under the goldens' keys
+    ``copies_by_operator`` and ``copy_bytes_by_operator``."""
     out = {k: v for k, v in dataclasses.asdict(stats).items() if v}
     out.pop("op_body_seconds", None)
+    if view is not None:
+        copies, nbytes = view.take()
+        for key, by_op in (
+            ("copies_by_operator", copies), ("copy_bytes_by_operator", nbytes)
+        ):
+            if by_op:
+                out[key] = by_op
     return out
 
 
@@ -186,21 +198,21 @@ def run_case(name, workers, batch, affinity):
     """All argument tuples of one case on a warm process executor;
     returns ``(values, per-run stats dicts)``."""
     graph, registry, arg_tuples, options = CASES[name]()
+    view = CopyView()
     executor = ProcessExecutor(
-        workers, persistent=True, affinity=affinity, **options
+        workers, persistent=True, affinity=affinity, bus=view.bus, **options
     )
     group_max = executors._GROUP_MAX if batch else 1
+    values, stats = [], []
     try:
         with mock.patch.object(executors, "_GROUP_MAX", group_max):
-            results = [
-                executor.run(graph, args, registry) for args in arg_tuples
-            ]
+            for args in arg_tuples:
+                result = executor.run(graph, args, registry)
+                values.append(result.value)
+                stats.append(stats_dict(result.stats, view))
     finally:
         executor.close()
-    return (
-        [r.value for r in results],
-        [stats_dict(r.stats) for r in results],
-    )
+    return values, stats
 
 
 def config_key(name, workers, batch, affinity):
@@ -241,7 +253,8 @@ CONSEQUENCES = {"tasks_fired", "expansions", "tail_expansions", "activation_stat
 
 #: ``sys.getsizeof`` of a list follows its allocation: a board copied by
 #: ``list.copy`` is exactly sized where ``deepcopy``'s append loop
-#: over-allocated, so the byte totals over copied boards moved with
+#: over-allocated, so the byte totals of the ``cow_bytes`` fold (the
+#: ``CowCopy`` sizes, by operator) over copied boards moved with
 #: ``copy_payload``.  Every count is exact.
 ALLOCATION_DEPENDENT = {"copy_bytes_by_operator"}
 

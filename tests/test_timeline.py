@@ -5,6 +5,8 @@ from repro.machine import SimulatedExecutor, cray_2
 from repro.runtime.tracing import Tracer
 from repro.tools import gantt, utilization_per_processor
 
+from .programs import CopyView
+
 
 def synthetic_trace() -> Tracer:
     t = Tracer()
@@ -89,9 +91,12 @@ class TestCopyAttribution:
             """,
             registry=reg,
         )
-        result = SequentialExecutor().run(compiled.graph, registry=reg)
+        view = CopyView()
+        result = SequentialExecutor(bus=view.bus).run(
+            compiled.graph, registry=reg
+        )
         assert result.value == (1, 2, 3)
-        stats = result.stats
-        assert sum(stats.copies_by_operator.values()) == stats.cow_copies
-        assert set(stats.copies_by_operator) == {"wr"}
-        assert stats.copy_bytes_by_operator["wr"] > 0
+        copies, nbytes = view.take()
+        assert copies == {"wr": result.stats.cow_copies}
+        assert result.stats.cow_copies > 0
+        assert nbytes["wr"] > 0
