@@ -7,15 +7,18 @@ Three rewrites, iterated to each function's fixpoint by the pipeline:
 2. **folding** — applying a *foldable* registered operator to all-literal
    arguments is evaluated at compile time (failures leave the expression
    untouched: a division by zero must still happen at run time, on the
-   machine, deterministically);
+   machine, deterministically; so must a value with no literal spelling);
 3. **branch folding** — ``if <literal> then a else b`` becomes the taken
    arm (``NULL`` counts as false, like the runtime's truthiness).
 
 Because single assignment forbids shadowing within a function, one flat
-name→value table per top-level function is sound.
+name→value table per top-level function is sound, once a binding drops
+what a sibling scope bound its name to.
 """
 
 from __future__ import annotations
+
+import math
 
 from ...lang import ast
 from ...runtime.blocks import is_truthy
@@ -31,6 +34,14 @@ def _literal_value(e: ast.Expr) -> tuple[bool, object]:
     if isinstance(e, ast.Null):
         return True, NULL
     return False, None
+
+
+def _spelled(value: object) -> bool:
+    """Whether ``value`` prints as a literal that re-parses to itself
+    (``inf``, ``nan`` and ``True`` read as names; ``-inf`` does not lex)."""
+    return value is NULL or type(value) in (int, str) or (
+        type(value) is float and math.isfinite(value)
+    )
 
 
 def _as_literal_expr(value: object, like: ast.Expr) -> ast.Expr:
@@ -50,8 +61,14 @@ class _Folder:
 
     # ------------------------------------------------------------------
     def function(self, f: ast.FunDef) -> None:
-        self.bound.update(f.params)
+        self.bind(f.params)
         f.body = self.expr(f.body)
+
+    def bind(self, names: list[str]) -> None:
+        """Bind ``names``, dropping what a sibling scope bound them to."""
+        for name in names:
+            self.bound.add(name)
+            self.table.pop(name, None)
 
     # ------------------------------------------------------------------
     def expr(self, e: ast.Expr) -> ast.Expr:
@@ -90,16 +107,15 @@ class _Folder:
             for b in e.bindings:
                 if isinstance(b, ast.SimpleBinding):
                     b.expr = self.expr(b.expr)
-                    self.bound.add(b.name)
+                    self.bind([b.name])
                     is_lit, _ = _literal_value(b.expr)
                     if is_lit or isinstance(b.expr, ast.Var):
                         self.table[b.name] = b.expr
                 elif isinstance(b, ast.TupleBinding):
                     b.expr = self.expr(b.expr)
-                    self.bound.update(b.names)
+                    self.bind(b.names)
                 elif isinstance(b, ast.FunBinding):
-                    self.bound.add(b.func.name)
-                    self.bound.update(b.func.params)
+                    self.bind([b.func.name, *b.func.params])
                     b.func.body = self.expr(b.func.body)
             e.body = self.expr(e.body)
             return e
@@ -128,7 +144,7 @@ class _Folder:
             folded = spec.fn(*values)
         except Exception:  # noqa: BLE001 - must fail at run time instead
             return e
-        if not isinstance(folded, (int, float, str, bool)) and folded is not NULL:
+        if not _spelled(folded):
             return e
         self.changed = True
         self.ctx.bump(f"{NAME}.folded")

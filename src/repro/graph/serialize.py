@@ -37,7 +37,9 @@ GUARDED_FORMAT_VERSION = 2
 #: fused node no longer carries generated source (it is made from the
 #: recipe at load).  6: an operator node no longer carries static last-use
 #: edges (the engine's sole-reference check is the only copy decision).
-COMPILER_REVISION = 6
+#: 7: CSE keys a nested ``let`` on its structure, not its text, and
+#: ``constprop`` folds only a value the language can spell.
+COMPILER_REVISION = 7
 
 _NULL_MARKER = {"$delirium": "null"}
 _SELF_MARKER = {"$delirium": "self"}

@@ -114,6 +114,14 @@ class OpStarted(Event):
     name: str
     fused_ops: int = 1
 
+    @property
+    def fused(self) -> int:  # 1 for a fused super-node's firing
+        return int(self.fused_ops > 1)
+
+    @property
+    def ops_saved(self) -> int:  # the source-graph firings it saved
+        return self.fused_ops - 1
+
 
 @dataclass(frozen=True, slots=True)
 class OpFinished(Event):
@@ -428,38 +436,11 @@ class RunResumed(Event):
     fires: int
 
 
-#: Every concrete event type, for subscribers that want the full stream.
-ALL_EVENTS: tuple[type, ...] = (
-    RunStarted,
-    RunFinished,
-    TaskEnqueued,
-    TaskFired,
-    OpStarted,
-    OpFinished,
-    ActivationAllocated,
-    ActivationRecycled,
-    BlockAllocated,
-    BlockRetained,
-    BlockReleased,
-    CowCopy,
-    Expansion,
-    TailExpansion,
-    TaskDispatched,
-    ResultReceived,
-    ShmBlockCreated,
-    WorkerCrashed,
-    WorkerRespawned,
-    FireRetried,
-    FireTimedOut,
-    ExecutorDegraded,
-    ShmSegmentReclaimed,
-    BlockCached,
-    BlockRefShipped,
-    AffinityMiss,
-    OperatorsFused,
-    QueueDepthSample,
-    CheckpointWritten,
-    RunResumed,
+#: Every concrete event type, in the order defined above, for subscribers
+#: that want the full stream.
+ALL_EVENTS: tuple[type, ...] = tuple(
+    t for t in globals().values()
+    if isinstance(t, type) and issubclass(t, Event) and t is not Event
 )
 
 

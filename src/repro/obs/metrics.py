@@ -1,20 +1,25 @@
 """Metrics registry: counters, gauges, histograms, and time series.
 
-The standard subscriber (:func:`attach_metrics`) turns the event stream
+The standard subscriber (:func:`attach_metrics`) folds the event stream
 into the quantities every scaling PR must report against:
 
-* counters — ``tasks_fired``, ``ops_executed``, ``cow_copies``,
-  ``cow_bytes`` (attributed by operator: the per-operator copy view, which
-  no stat keeps), ``expansions`` / ``tail_expansions``, activation and
-  block-reference traffic; the totals mirror
-  :class:`~repro.runtime.engine.EngineStats` exactly, which the test
-  suite asserts;
+* counters — one table, :data:`COUNTS` (event type → counter, amount,
+  label).  The contract counters (``tasks_fired``, ``ops_executed``,
+  ``cow_copies``, ``expansions``, ...) are also on every run's
+  :class:`~repro.runtime.engine.EngineStats`, with equal totals (the
+  tests assert it); the rest (the per-operator copy view,
+  ``tail_expansions``, ``worker_crashes``, ``worker_respawns``,
+  ``fires_timed_out``, ``shm_segments_reclaimed``, bytes and block
+  traffic) are folds kept only here, which an unobserved run never pays;
 * gauges — live activations (with high-water mark), per-priority ready-
   queue depth (high-water);
 * histograms — op latency by label, in the executor's time unit (wall
   seconds or ticks): the §5.2 bottleneck view as a distribution;
 * series — per-priority ready-queue depth over time, decimated to a
   bounded sample count so long runs stay cheap.
+
+:func:`attach_metrics` subscribes only the event types it reads, so the
+engine builds no event for it to drop (``OpFinished``, for one).
 
 Everything is plain data: :meth:`MetricsRegistry.snapshot` returns a
 JSON-serializable dict (``delirium profile --json`` / ``trace --json``),
@@ -24,7 +29,7 @@ and :meth:`MetricsRegistry.summary_table` renders the human view.
 from __future__ import annotations
 
 import bisect
-from typing import Any
+from typing import Any, Callable
 
 from .events import (
     ActivationAllocated,
@@ -269,139 +274,141 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
+#: The counters: each event type's rows are ``(counter, amount, label)``,
+#: ``amount`` and ``label`` naming an attribute of the event (``None``: add
+#: 1, no label).  Dispatch is on the exact type: a subclass has its own rows.
+COUNTS: dict[type, tuple[tuple[str, str | None, str | None], ...]] = {
+    TaskEnqueued: (("tasks_enqueued", None, None),),
+    TaskFired: (("tasks_fired", None, None),),
+    OpStarted: (
+        ("ops_executed", None, "name"),
+        ("fused_fires", "fused", None),
+        ("fused_ops_saved", "ops_saved", None),
+    ),
+    CowCopy: (
+        ("cow_copies", None, "operator"),
+        ("cow_bytes", "nbytes", "operator"),
+    ),
+    Expansion: (("expansions", None, None),),
+    TailExpansion: (
+        ("expansions", None, None),
+        ("tail_expansions", None, None),
+    ),
+    ActivationAllocated: (("activations_allocated", None, "template"),),
+    BlockRetained: (("block_retains", "n", None),),
+    BlockReleased: (("block_releases", "n", None),),
+    TaskDispatched: (
+        ("ops_dispatched", None, "operator"),
+        ("dispatch_nbytes", "nbytes", "operator"),
+    ),
+    ResultReceived: (("result_nbytes", "nbytes", "operator"),),
+    ShmBlockCreated: (
+        ("shm_blocks_created", None, None),
+        ("shm_nbytes", "nbytes", None),
+    ),
+    BlockAllocated: (
+        ("blocks_allocated", None, None),
+        ("blocks_allocated_bytes", "nbytes", None),
+    ),
+    WorkerCrashed: (("worker_crashes", None, None),),
+    WorkerRespawned: (("worker_respawns", None, None),),
+    FireRetried: (("fires_retried", None, "operator"),),
+    FireTimedOut: (("fires_timed_out", None, "operator"),),
+    ExecutorDegraded: (("executor_degraded", None, "to_executor"),),
+    ShmSegmentReclaimed: (
+        ("shm_segments_reclaimed", None, None),
+        ("shm_reclaimed_bytes", "nbytes", None),
+    ),
+    BlockCached: (
+        ("blocks_cached", None, "kind"),
+        ("blocks_cached_bytes", "nbytes", "kind"),
+    ),
+    BlockRefShipped: (
+        ("blocks_ref_shipped", None, "operator"),
+        ("ref_bytes_avoided", "nbytes", "operator"),
+    ),
+    AffinityMiss: (("affinity_misses", None, "operator"),),
+    RunStarted: (("runs_started", None, "executor"),),
+    CheckpointWritten: (
+        ("checkpoints_written", None, None),
+        ("checkpoint_nbytes", "nbytes", None),
+        ("checkpoint_seconds", "seconds", None),
+    ),
+    RunResumed: (("runs_resumed", None, None),),
+}
+
+
+def _op_ticks(reg: MetricsRegistry, e: TaskFired) -> None:
+    if e.kind == "op":
+        reg.histogram(f"op_ticks/{e.label}").observe(e.duration)
+
+
+def _queue_depths(reg: MetricsRegistry, e: QueueDepthSample) -> None:
+    for level, depth in enumerate(e.depths):
+        reg.gauge(f"queue_depth/p{level}").set(depth)
+        reg.time_series(f"queue_depth/p{level}").append(e.ts, depth)
+
+
+def _run_finished(reg: MetricsRegistry, e: RunFinished) -> None:
+    outcome = "runs_finished" if e.ok else "runs_failed"
+    reg.counters[outcome].inc(label=e.executor)
+    reg.gauge("run_wall_seconds").set(e.wall_seconds)
+
+
+def _live(reg: MetricsRegistry, e: Any) -> None:
+    reg.gauges["activations_live"].set(e.live)
+
+
+def _fused(reg: MetricsRegistry, e: OperatorsFused) -> None:
+    reg.gauge("fused_nodes").set(e.fused_nodes)
+    reg.gauge("fused_ops_absorbed").set(e.ops_absorbed)
+
+
+#: What is not a counter: gauges, histograms and series, and the run
+#: outcome, which picks its counter.
+OBSERVE: dict[type, Callable[[MetricsRegistry, Any], None]] = {
+    TaskFired: _op_ticks,
+    QueueDepthSample: _queue_depths,
+    ActivationAllocated: _live,
+    ActivationRecycled: _live,
+    ResultReceived: lambda reg, e: reg.histogram(
+        f"worker_seconds/{e.operator}"
+    ).observe(e.duration),
+    CheckpointWritten: lambda reg, e: reg.histogram(
+        "checkpoint_seconds_each"
+    ).observe(e.seconds),
+    OperatorsFused: _fused,
+    RunFinished: _run_finished,
+}
+
+
 def attach_metrics(
     bus: EventBus, registry: MetricsRegistry | None = None
 ) -> MetricsRegistry:
-    """Subscribe the standard metrics pipeline to ``bus``.
+    """Subscribe the standard metrics pipeline to ``bus``: the events
+    :data:`COUNTS` and :data:`OBSERVE` read, and no other.
 
-    Returns the registry (created if not supplied) that the run will fill.
+    Returns the registry (created if not supplied) that the run will fill;
+    every counter of the table is in it from the start, zeros included.
     """
     reg = registry if registry is not None else MetricsRegistry()
-
-    tasks_enqueued = reg.counter("tasks_enqueued")
-    tasks_fired = reg.counter("tasks_fired")
-    ops_executed = reg.counter("ops_executed")
-    cow_copies = reg.counter("cow_copies")
-    cow_bytes = reg.counter("cow_bytes")
-    expansions = reg.counter("expansions")
-    tail_expansions = reg.counter("tail_expansions")
-    act_allocated = reg.counter("activations_allocated")
-    block_retains = reg.counter("block_retains")
-    block_releases = reg.counter("block_releases")
-    ops_dispatched = reg.counter("ops_dispatched")
-    dispatch_nbytes = reg.counter("dispatch_nbytes")
-    result_nbytes = reg.counter("result_nbytes")
-    shm_blocks = reg.counter("shm_blocks_created")
-    shm_nbytes = reg.counter("shm_nbytes")
-    fused_fires = reg.counter("fused_fires")
-    fused_ops_saved = reg.counter("fused_ops_saved")
-    blocks_allocated = reg.counter("blocks_allocated")
-    blocks_alloc_bytes = reg.counter("blocks_allocated_bytes")
-    worker_crashes = reg.counter("worker_crashes")
-    worker_respawns = reg.counter("worker_respawns")
-    fires_retried = reg.counter("fires_retried")
-    fires_timed_out = reg.counter("fires_timed_out")
-    executor_degraded = reg.counter("executor_degraded")
-    shm_reclaimed = reg.counter("shm_segments_reclaimed")
-    shm_reclaimed_bytes = reg.counter("shm_reclaimed_bytes")
-    blocks_cached = reg.counter("blocks_cached")
-    blocks_cached_bytes = reg.counter("blocks_cached_bytes")
-    blocks_ref_shipped = reg.counter("blocks_ref_shipped")
-    ref_bytes_avoided = reg.counter("ref_bytes_avoided")
-    affinity_misses = reg.counter("affinity_misses")
-    runs_started = reg.counter("runs_started")
-    runs_finished = reg.counter("runs_finished")
-    runs_failed = reg.counter("runs_failed")
-    checkpoints_written = reg.counter("checkpoints_written")
-    checkpoint_nbytes = reg.counter("checkpoint_nbytes")
-    checkpoint_seconds = reg.counter("checkpoint_seconds")
-    runs_resumed = reg.counter("runs_resumed")
-    act_live = reg.gauge("activations_live")
+    rows = {
+        t: [(reg.counter(name), amount, label) for name, amount, label in spec]
+        for t, spec in COUNTS.items()
+    }
+    reg.counter("runs_finished")
+    reg.counter("runs_failed")
+    reg.gauge("activations_live")
 
     def on_event(e: Event) -> None:
-        if isinstance(e, TaskFired):
-            tasks_fired.inc()
-            if e.kind == "op":
-                reg.histogram(f"op_ticks/{e.label}").observe(e.duration)
-        elif isinstance(e, TaskEnqueued):
-            tasks_enqueued.inc()
-        elif isinstance(e, OpStarted):
-            ops_executed.inc(label=e.name)
-            if e.fused_ops > 1:
-                fused_fires.inc()
-                fused_ops_saved.inc(e.fused_ops - 1)
-        elif isinstance(e, QueueDepthSample):
-            for level, depth in enumerate(e.depths):
-                reg.gauge(f"queue_depth/p{level}").set(depth)
-                reg.time_series(f"queue_depth/p{level}").append(e.ts, depth)
-        elif isinstance(e, CowCopy):
-            cow_copies.inc(label=e.operator)
-            cow_bytes.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, BlockAllocated):
-            blocks_allocated.inc()
-            blocks_alloc_bytes.inc(e.nbytes)
-        elif isinstance(e, TailExpansion):
-            expansions.inc()
-            tail_expansions.inc()
-        elif isinstance(e, Expansion):
-            expansions.inc()
-        elif isinstance(e, ActivationAllocated):
-            act_allocated.inc(label=e.template)
-            act_live.set(e.live)
-        elif isinstance(e, ActivationRecycled):
-            act_live.set(e.live)
-        elif isinstance(e, BlockRetained):
-            block_retains.inc(e.n)
-        elif isinstance(e, BlockReleased):
-            block_releases.inc(e.n)
-        elif isinstance(e, TaskDispatched):
-            ops_dispatched.inc(label=e.operator)
-            dispatch_nbytes.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, ResultReceived):
-            result_nbytes.inc(e.nbytes, label=e.operator)
-            reg.histogram(f"worker_seconds/{e.operator}").observe(e.duration)
-        elif isinstance(e, ShmBlockCreated):
-            shm_blocks.inc()
-            shm_nbytes.inc(e.nbytes)
-        elif isinstance(e, WorkerCrashed):
-            worker_crashes.inc()
-        elif isinstance(e, WorkerRespawned):
-            worker_respawns.inc()
-        elif isinstance(e, FireRetried):
-            fires_retried.inc(label=e.operator)
-        elif isinstance(e, FireTimedOut):
-            fires_timed_out.inc(label=e.operator)
-        elif isinstance(e, ExecutorDegraded):
-            executor_degraded.inc(label=e.to_executor)
-        elif isinstance(e, ShmSegmentReclaimed):
-            shm_reclaimed.inc()
-            shm_reclaimed_bytes.inc(e.nbytes)
-        elif isinstance(e, BlockCached):
-            blocks_cached.inc(label=e.kind)
-            blocks_cached_bytes.inc(e.nbytes, label=e.kind)
-        elif isinstance(e, BlockRefShipped):
-            blocks_ref_shipped.inc(label=e.operator)
-            ref_bytes_avoided.inc(e.nbytes, label=e.operator)
-        elif isinstance(e, AffinityMiss):
-            affinity_misses.inc(label=e.operator)
-        elif isinstance(e, CheckpointWritten):
-            checkpoints_written.inc()
-            checkpoint_nbytes.inc(e.nbytes)
-            checkpoint_seconds.inc(e.seconds)
-            reg.histogram("checkpoint_seconds_each").observe(e.seconds)
-        elif isinstance(e, RunResumed):
-            runs_resumed.inc()
-        elif isinstance(e, OperatorsFused):
-            reg.gauge("fused_nodes").set(e.fused_nodes)
-            reg.gauge("fused_ops_absorbed").set(e.ops_absorbed)
-        elif isinstance(e, RunStarted):
-            runs_started.inc(label=e.executor)
-        elif isinstance(e, RunFinished):
-            if e.ok:
-                runs_finished.inc(label=e.executor)
-            else:
-                runs_failed.inc(label=e.executor)
-            reg.gauge("run_wall_seconds").set(e.wall_seconds)
+        for counter, amount, label in rows.get(type(e), ()):
+            counter.inc(
+                1 if amount is None else getattr(e, amount),
+                None if label is None else getattr(e, label),
+            )
+        observe = OBSERVE.get(type(e))
+        if observe is not None:
+            observe(reg, e)
 
-    bus.subscribe(on_event)
+    bus.subscribe(on_event, events=(*COUNTS, *OBSERVE))
     return reg

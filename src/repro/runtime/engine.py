@@ -228,15 +228,11 @@ class EngineStats:
     cow_copies: int = 0
     in_place_writes: int = 0
     expansions: int = 0
-    tail_expansions: int = 0
     #: Fault-tolerance counters (supervised executors; see
-    #: :mod:`repro.runtime.supervise`).
-    worker_crashes: int = 0
-    worker_respawns: int = 0
+    #: :mod:`repro.runtime.supervise`).  Crashes, respawns, timeouts and
+    #: reclaimed segments are folds of their events, not stats.
     fires_retried: int = 0
-    fires_timed_out: int = 0
     executor_degraded: int = 0
-    shm_segments_reclaimed: int = 0
     #: Dispatch counters (see :mod:`repro.runtime.supervise`): how many
     #: firings were dispatched to workers, and the raw IPC message
     #: traffic (both directions) — ``ipc_messages_sent +
@@ -1266,7 +1262,6 @@ class ExecutionState:
         child = self.pool.acquire(plan)
         bus = self.bus
         if node.tail:
-            self.stats.tail_expansions += 1
             if self._wants_tail_expansion:
                 bus.emit(TailExpansion(bus.now(), template.name, child.aid))
             child.continuation = parent.continuation

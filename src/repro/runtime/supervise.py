@@ -31,8 +31,9 @@ into a fault-tolerance layer:
 
 Every fault surfaces as a typed event on the bus (``WorkerCrashed``,
 ``WorkerRespawned``, ``FireRetried``, ``FireTimedOut``,
-``ShmSegmentReclaimed``, ``ExecutorDegraded``) and as counters on
-:class:`~repro.runtime.engine.EngineStats` / the metrics registry.
+``ShmSegmentReclaimed``, ``ExecutorDegraded``) for the metrics registry
+to count; only retries and degradations are also
+:class:`~repro.runtime.engine.EngineStats` counters.
 
 The supervisor is also where the paper's §9.3 locality story meets the
 real dispatch path.  With an affinity policy active it keeps a
@@ -679,7 +680,6 @@ class Supervisor:
         if crashed:
             reclaimed = self.pool.arena.reclaim(record.pooled)
             if reclaimed:
-                self.stats.shm_segments_reclaimed += len(reclaimed)
                 bus = self.bus
                 if bus is not None and bus.wants(ShmSegmentReclaimed):
                     now = bus.now()
@@ -1057,7 +1057,6 @@ class Supervisor:
             for cid in sorted(self._worker_calls[worker])
             if cid in self._assigned
         ]
-        self.stats.worker_crashes += 1
         bus = self.bus
         if bus is not None and bus.wants(WorkerCrashed):
             # Emitted while the lost calls are still in ``_assigned``: a
@@ -1086,7 +1085,6 @@ class Supervisor:
                 respawns=self.pool.respawns,
             )
         self.pool.respawn(worker)
-        self.stats.worker_respawns += 1
         if bus is not None and bus.wants(WorkerRespawned):
             bus.emit(
                 WorkerRespawned(
@@ -1112,7 +1110,6 @@ class Supervisor:
                 hung.setdefault(record.worker, []).append(record)
         bus = self.bus
         for worker, records in hung.items():
-            self.stats.fires_timed_out += len(records)
             if bus is not None and bus.wants(FireTimedOut):
                 for record in records:
                     bus.emit(

@@ -18,7 +18,13 @@ block it made, so nothing is dead.  The stage kinds:
 * self- and mutually-recursive writers (:data:`LIBRARY`) and a drawn
   group of mutually recursive integer functions, the shape ``inline``
   splices;
-* ``IF``\\ s on a constant condition, which ``constprop`` folds.
+* ``IF``\\ s on a constant condition, which ``constprop`` folds;
+* float products that may overflow to ``inf`` (a value with no literal
+  spelling), each under a nested ``let`` on a right-hand side, beside a
+  ``let`` of the same text over a name spelled like a value (``inf``,
+  ``nan``, ``True``), whose value is an integer.  A product joins the
+  final sum as ``is_less(v, 1e308)`` (whether it is finite), so the sum
+  stays an integer and ``inf`` in place of a finite value still shows.
 
 Every program terminates: loops and recursions run on drawn constants
 bounded by a handful of rounds, never on ``n``.
@@ -26,8 +32,10 @@ bounded by a handful of rounds, never on ``n``.
 :func:`graph_run` and :func:`calls_run` are the two sequential paths a
 plain run does not take by itself (crown clipping,
 ``repro.runtime.crown``); :func:`on_graph_path` is the one switch every
-test that needs the graph path uses.  :class:`CopyView` is the
-per-operator copy view a test reads: the metrics fold over ``CowCopy``.
+test that needs the graph path uses.  :class:`Fold` is how a test reads
+a counter that is not a stat (a metrics fold over chosen events), and
+:class:`CopyView` the per-operator copy view: the fold over ``CowCopy``.
+:func:`same` is how a run's value is compared with the evaluator's.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from repro.obs import CowCopy, EventBus, attach_metrics
 from repro.runtime import SequentialExecutor, default_registry, executors
 from repro.runtime.crown import EntryRow
 from repro.runtime.executors import Run
+from repro.runtime.values import MultiValue
 
 
 def _registry():
@@ -96,6 +105,13 @@ twin(xs)
 
 _PURE_OPS = [("incr", 1), ("decr", 1), ("add", 2), ("mul", 2), ("sub", 2),
              ("is_less", 2), ("max2", 2)]
+
+#: The ``float`` stage's literals: ``1e308`` overflows under ``mul`` by
+#: itself or by ``10.0``.
+_FLOATS = ("1e308", "10.0", "0.5", "2.5")
+
+#: How the printer spells a float or bool it has no literal for.
+_SPELLINGS = ("inf", "nan", "True")
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +175,14 @@ def _group(draw, i):
 #: group of mutually recursive integer functions).
 KINDS = (
     "arith", "if", "closure", "iterate", "package", "block", "recursion",
-    "group", "constant_if",
+    "group", "constant_if", "float",
 )
 
 
-def _stage(draw, i, ints, blocks, functions):
+def _stage(draw, i, ints, blocks, floats, functions):
     """The bindings of stage ``i``; the names it binds join ``ints`` (integer
-    values) or ``blocks`` (mutable blocks), its top-level functions join
+    values), ``blocks`` (mutable blocks) or ``floats`` (read only by the
+    final sum, as whether each is finite), its top-level functions join
     ``functions``."""
     def pick(names):
         return draw(st.sampled_from(names))
@@ -242,22 +259,36 @@ def _stage(draw, i, ints, blocks, functions):
         functions.extend(lines)
         ints.append(name)
         return [f"{name} = {entry}({min(k, 2)}, {a})"]
-    # constant_if: a condition constprop folds.
-    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    ints.append(name)
-    return [f"{name} = if is_less({x}, {y}) then add({a}, 1) "
-            f"else down({k}, mkblock({a}))"]
+    if kind == "constant_if":  # a condition constprop folds
+        x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        ints.append(name)
+        return [f"{name} = if is_less({x}, {y}) then add({a}, 1) "
+                f"else down({k}, mkblock({a}))"]
+    # float: were ``mul`` folded to ``inf``, the two ``let``\ s would
+    # print alike whenever the twin is named ``inf``; with a constant
+    # addend the first ``x`` is a constant, and the second is not.
+    x, y = draw(st.sampled_from(_FLOATS)), draw(st.sampled_from(_FLOATS))
+    addend = draw(st.sampled_from([b, str(k)]))
+    free = [w for w in _SPELLINGS if w not in ints]
+    twin = draw(st.sampled_from(free)) if free else f"v{i}"
+    ints.extend([twin, f"{name}b"])
+    floats.append(name)
+    return [f"{twin} = incr({a})",
+            f"{name} = let x = add(mul({x}, {y}), {addend}) in x",
+            f"{name}b = let x = add({twin}, {b}) in x"]
 
 
 @st.composite
 def programs(draw):
     """A well-formed, terminating ``main(n)`` over :data:`REGISTRY`."""
-    ints, blocks, functions, lines = ["n"], [], [], []
+    ints, blocks, floats, functions, lines = ["n"], [], [], [], []
     for i in range(draw(st.integers(1, 5))):
-        lines.extend(_stage(draw, i, ints, blocks, functions))
+        lines.extend(_stage(draw, i, ints, blocks, floats, functions))
     acc = ints[0]
     for other in ints[1:]:
         acc = f"add({acc}, {other})"
+    for value in floats:
+        acc = f"add({acc}, is_less({value}, 1e308))"
     for block in blocks:
         acc = f"add({acc}, blk_sum({block}))"
     bindings = "\n      ".join(lines)
@@ -304,23 +335,46 @@ def calls_run(graph, args, registry, **options):
         return SequentialExecutor(**options).run(graph, args, registry)
 
 
+def same(got, want):
+    """Equal values, ``nan`` equal to ``nan``; the evaluator's package
+    equals the tuple a run returns for it."""
+    if isinstance(want, MultiValue):
+        want = want.items
+    if isinstance(got, tuple) and isinstance(want, tuple):
+        return len(got) == len(want) and all(map(same, got, want))
+    return got == want or (got != got and want != want)
+
+
 # ---------------------------------------------------------------------------
-# The per-operator copy view
+# Folds: the counters no stat keeps
 # ---------------------------------------------------------------------------
 
 
-class CopyView:
-    """Which operator forced which copies in the runs on ``bus``: the
-    metrics registry's ``cow_copies`` and ``cow_bytes`` counters, labelled
-    by operator, folded from the ``CowCopy`` events alone.  (The standard
-    pipeline on the run's own bus subscribes every event, and a
-    ``TaskFired`` subscriber takes a run off the clipped path.)"""
+class Fold:
+    """The metrics registry's counters, folded from ``event_types`` alone
+    on ``bus`` (a fresh one when ``None``; pass it to the executor).  What
+    a run's stats do not keep — crashes, respawns, timeouts, reclaimed
+    segments, tail expansions, the per-operator copy view — a test reads
+    here.  (The standard pipeline on the run's own bus would subscribe
+    ``TaskFired`` too, which takes a run off the clipped path.)"""
 
-    def __init__(self, bus: EventBus | None = None) -> None:
+    def __init__(self, bus: EventBus | None, *event_types: type) -> None:
         self.bus = bus if bus is not None else EventBus()
         folded = EventBus()
         self.metrics = attach_metrics(folded)
-        self.bus.subscribe(folded.emit, events=(CowCopy,))
+        self.bus.subscribe(folded.emit, events=event_types)
+
+    def __getitem__(self, counter: str) -> int:
+        return int(self.metrics.counter(counter).value)
+
+
+class CopyView(Fold):
+    """Which operator forced which copies: the ``cow_copies`` and
+    ``cow_bytes`` counters, labelled by operator, folded from
+    ``CowCopy``."""
+
+    def __init__(self, bus: EventBus | None = None) -> None:
+        super().__init__(bus, CowCopy)
 
     def take(self) -> tuple[dict[str, int], dict[str, int]]:
         """``({operator: copies}, {operator: bytes copied})`` since the

@@ -19,7 +19,7 @@ import pytest
 from repro import compile_source
 from repro.faults import parse_fault_spec
 from repro.machine import SimulatedExecutor, butterfly, uniform
-from repro.obs import RunContext
+from repro.obs import RunContext, WorkerCrashed
 from repro.obs.expo import render_prometheus
 from repro.runtime import (
     FaultPolicy,
@@ -40,7 +40,7 @@ from repro.runtime.supervise import ResidencyTracker
 from repro.runtime.values import MultiValue
 from repro.runtime.workers import _CACHE_MISS, BlockCache, WorkerPool
 
-from .programs import CopyView
+from .programs import CopyView, Fold
 
 
 class TestPolicyFactory:
@@ -536,15 +536,17 @@ class TestLocalityDispatch:
         # went resident.  The retried fire must not ref the dead (then
         # respawned, hence empty) cache.
         none = _run_fanout("none")
+        crashes = Fold(None, WorkerCrashed)
         crashy = _run_fanout(
             "data",
             fault_spec=parse_fault_spec("kill:op=af_stage,nth=1"),
             fault_policy=FaultPolicy(
                 max_retries=5, backoff=0.0, max_respawns=4
             ),
+            bus=crashes.bus,
         )
         assert crashy.value == none.value
-        assert crashy.stats.worker_crashes >= 1
+        assert crashes["worker_crashes"] >= 1
 
     def test_memory_gauges_reach_prometheus(self):
         ctx = RunContext("affinity-expo", flight_recorder=False)

@@ -21,7 +21,9 @@ import pytest
 from repro import compile_source
 from repro.apps import queens
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER, PASS_ORDER
-from repro.obs import EventBus, TaskFired, attach_metrics
+from repro.obs import (
+    EventBus, TaskFired, WorkerCrashed, WorkerRespawned, attach_metrics,
+)
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -37,6 +39,8 @@ from repro.runtime.supervise import Supervisor
 from repro.runtime.workers import WorkerPool
 
 from repro.apps.montecarlo.coordination import compile_pi
+
+from .programs import Fold
 
 GRAPH_PASSES = ("fuse",)
 
@@ -426,7 +430,7 @@ def _salvage_registry(ledger):
     return reg.merged_with(local)
 
 
-def _salvage_run(tmp_path):
+def _salvage_run(tmp_path, bus=None):
     ledger = str(tmp_path / "ledger")
     reg = _salvage_registry(ledger)
     compiled = compile_source(
@@ -439,6 +443,7 @@ def _salvage_run(tmp_path):
         1,
         measured_costs={"work": 0.01, "combine": 1e-7},
         fault_policy=FaultPolicy(max_retries=3, backoff=0.0, max_respawns=8),
+        bus=bus,
     ).run(compiled.graph, args=(SALVAGE_N,), registry=reg)
     with open(ledger) as fh:
         ran = [int(line) for line in fh]
@@ -447,11 +452,11 @@ def _salvage_run(tmp_path):
 
 class TestQueuedCallsCrashSalvage:
     def test_call_lost_to_sigkill_is_refired(self, tmp_path):
-        got, _ = _salvage_run(tmp_path)
+        faults = Fold(None, WorkerCrashed, WorkerRespawned)
+        got, _ = _salvage_run(tmp_path, faults.bus)
         squares = sum(i * i for i in range(SALVAGE_N))
         assert got.value == (squares, SALVAGE_N)
-        assert got.stats.worker_crashes == 1
-        assert got.stats.worker_respawns == 1
+        assert faults["worker_crashes"] == faults["worker_respawns"] == 1
         assert got.stats.fires_retried >= 1
 
     def test_calls_that_replied_before_the_crash_are_not_rerun(

@@ -10,6 +10,7 @@ from repro.errors import (
     UnknownOperatorError,
 )
 from repro.graph.ir import NodeKind
+from repro.obs import TailExpansion
 from repro.runtime import (
     NULL,
     ExecutionState,
@@ -21,6 +22,8 @@ from repro.runtime.engine import PurityViolationError
 from repro.runtime.values import OperatorValue
 
 from tests.conftest import FIB_SRC, HIGHER_ORDER_SRC
+
+from .programs import Fold
 
 
 def run(source, args=(), registry=None, **executor_kw):
@@ -154,8 +157,9 @@ class TestRecursionAndTailCalls:
         main(n) count(0, n)
         count(i, n) if is_less(i, n) then count(incr(i), n) else i
         """
-        result = run(src, args=(50,))
-        assert result.stats.tail_expansions > 0
+        tails = Fold(None, TailExpansion)
+        assert run(src, args=(50,), bus=tails.bus).value == 50
+        assert tails["tail_expansions"] > 0
 
 
 class TestCopyOnWrite:

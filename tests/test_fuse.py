@@ -48,6 +48,7 @@ from repro.obs import (
     Expansion,
     OperatorsFused,
     OpStarted,
+    WorkerRespawned,
     attach_metrics,
 )
 from repro.runtime import (
@@ -63,7 +64,7 @@ from repro.runtime.values import is_truthy
 
 from .test_optimizer_linear import golden_compiles, pythia_source
 from .programs import REGISTRY as PROGRAM_REGISTRY
-from .programs import programs
+from .programs import Fold, programs
 
 FUSED_PASSES = PASS_ORDER + ("fuse",)
 
@@ -1645,11 +1646,15 @@ class TestGeneratedOncePerProcess:
         _once_each(rows, pythia, {os.getpid()})
 
         operators._CODE_CACHE.clear()
+        respawns = Fold(None, WorkerRespawned)
         executor = ProcessExecutor(
-            1, cost_threshold=0.0, fault_spec=FaultSpec.parse("kill:nth=1")
+            1,
+            cost_threshold=0.0,
+            fault_spec=FaultSpec.parse("kill:nth=1"),
+            bus=respawns.bus,
         )
         got = executor.run(pythia, args=self.ARGS)
-        assert got.value == want and got.stats.worker_respawns == 1
+        assert got.value == want and respawns["worker_respawns"] == 1
         rows = generated()[len(rows):]
         for pid in {p for p, _, _ in rows}:
             for what in ("generate", "compile"):

@@ -9,19 +9,24 @@ checked for the big equivalences:
 * serialization round-trip executes identically;
 
 and that every generated program validates, unparses to itself and runs
-in bounded activation space.
+in bounded activation space, and that every body the optimizer emits
+prints as text that parses back to it.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import compile_source
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.graph.serialize import dumps, loads
+from repro.lang import parse_expression
+from repro.lang.ast import unparse
+from repro.lang.reference import evaluate_source
 from repro.machine import SimulatedExecutor, uniform
 from repro.runtime import SequentialExecutor
 
-from .programs import REGISTRY, graph_run, programs
+from .programs import REGISTRY, graph_run, programs, same
 
 
 class TestFuzzCompiler:
@@ -81,3 +86,24 @@ class TestFuzzCompiler:
         # rounds and tail calls keep no caller: whatever ``n`` is, peak
         # live stays small and flat on the graph path.
         assert result.stats.activation_stats["peak_live"] <= 48
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @example("main(n) let a = neg(mul(1e308, 10.0)) in <a, n>")
+    @example("main(n) add(mul(1e308, 10.0), n)")
+    @example("main(n) let a = let x = 5 in x  b = let x = add(n, 1) in x in <a, b>")
+    @given(programs())
+    def test_optimized_bodies_reparse(self, source):
+        """A value with no literal spelling (``inf``, ``-inf``) is never
+        folded into the text, so each body re-parses to an equal AST; and
+        it means what the source means (a constant bound to a name in one
+        ``let`` is not propagated into a sibling that binds it again)."""
+        compiled = compile_source(
+            source, registry=REGISTRY, optimize_passes=FULL_PASS_ORDER
+        )
+        for function in compiled.source_ast.functions:
+            body = function.body
+            assert parse_expression(unparse(body)) == body, function.name
+        want = evaluate_source(source, (1,), REGISTRY)
+        assert same(compiled.run(args=(1,)).value, want)

@@ -44,7 +44,9 @@ from repro.runtime import (
 from repro.runtime import crown
 from repro.runtime.engine import _plans_for
 
-from .programs import KINDS, LIBRARY, REGISTRY, calls_run, graph_run, programs
+from .programs import (
+    KINDS, LIBRARY, REGISTRY, calls_run, graph_run, programs, same,
+)
 from .test_optimizer_linear import generated_sources
 
 #: No pass, each pass with an AST half alone, the default set, the
@@ -172,7 +174,7 @@ def check(source, n, cell):
         source, registry=REGISTRY, optimize_passes=cell.passes
     ).graph
     result = cell.run(graph, (n,))
-    assert result.value == evaluate_source(source, (n,), REGISTRY), cell
+    assert same(result.value, evaluate_source(source, (n,), REGISTRY)), cell
     return graph, result
 
 
@@ -273,6 +275,10 @@ STAGES = {
     "constant_if": "main(n) let s = if is_less(1, 2) then add(n, 1)"
                    " else down(3, mkblock(n)) t = if is_less(3, 0)"
                    " then add(n, 1) else down(3, mkblock(n)) in add(s, t)",
+    "float": "main(n) let inf = incr(n) nan = decr(n)"
+             " a = let x = add(mul(1e308, 10.0), n) in x b = let x = add(inf, n) in x"
+             " c = let x = sub(mul(1e308, 10.0), mul(1e308, 1e308)) in x"
+             " d = let x = sub(nan, nan) in x in <a, b, c, d>",
 }
 
 #: One cell per family (and the sequential graph path), each far from

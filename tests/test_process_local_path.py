@@ -249,7 +249,7 @@ ARRIVAL_DEPENDENT = {
 
 #: How a run was scheduled, not what it computed: a clipped call fires
 #: once, so these are deleted from the goldens and never compared.
-CONSEQUENCES = {"tasks_fired", "expansions", "tail_expansions", "activation_stats"}
+CONSEQUENCES = {"tasks_fired", "expansions", "activation_stats"}
 
 #: ``sys.getsizeof`` of a list follows its allocation: a board copied by
 #: ``list.copy`` is exactly sized where ``deepcopy``'s append loop

@@ -37,7 +37,9 @@ from repro import compile_source
 from repro.apps import retina
 from repro.compiler.passes.pipeline import FULL_PASS_ORDER
 from repro.faults import parse_fault_spec
-from repro.obs import RunContext
+from repro.obs import (
+    FireTimedOut, RunContext, ShmSegmentReclaimed, WorkerCrashed,
+)
 from repro.runtime import (
     FaultPolicy,
     ProcessExecutor,
@@ -55,6 +57,8 @@ from repro.runtime.workers import (
     pick_context,
     unlink_segments_of,
 )
+
+from .programs import Fold
 
 #: Every array in this file is far above it, every scalar far below.
 THRESHOLD = 1024
@@ -570,9 +574,10 @@ class TestChaos:
         ],
     )
     def test_faults_change_nothing_and_leak_nothing(self, spec_text):
-        results, _ = _chaos_run(spec_text)
+        crashes = Fold(None, WorkerCrashed)
+        _chaos_run(spec_text, bus=crashes.bus)
         if "kill:op" in spec_text:
-            assert sum(r.stats.worker_crashes for r in results) >= 1
+            assert crashes["worker_crashes"] >= 1
 
     def test_sigkill_with_replies_in_flight(self, monkeypatch):
         """Kill the worker from outside while it still holds queued
@@ -595,12 +600,14 @@ class TestChaos:
                 os.kill(process.pid, signal.SIGKILL)
                 killed.append(process.pid)
 
+        crashes = Fold(None, WorkerCrashed)
         executor = ProcessExecutor(
             1,
             persistent=True,
             cost_threshold=0.0,
             shm_threshold=THRESHOLD,
             fault_policy=FaultPolicy(max_retries=4, backoff=0.0),
+            bus=crashes.bus,
         )
         try:
             monkeypatch.setattr(Supervisor, "_absorb", kill_with_calls_queued)
@@ -609,7 +616,7 @@ class TestChaos:
         finally:
             executor.close()
         assert killed and result.value == want
-        assert result.stats.worker_crashes == 1
+        assert crashes["worker_crashes"] == 1
         assert arena["lent"] == 0
         assert _shm_entries() == before
 
@@ -619,7 +626,8 @@ class TestChaos:
         before = _shm_entries()
         policy = FaultPolicy(max_retries=1, timeout=0.2, backoff=0.0)
         with WorkerPool(1, registry=REGISTRY, shm_threshold=THRESHOLD) as p:
-            sup = Supervisor(p, policy, stats=EngineStats())
+            timeouts = Fold(None, FireTimedOut)
+            sup = Supervisor(p, policy, bus=timeouts.bus)
             sup.dispatch(_nap_pending())
             hung = p.processes[0]
             alive_at_reclaim = []
@@ -634,14 +642,15 @@ class TestChaos:
             while not alive_at_reclaim and time.monotonic() < deadline:
                 sup.pump(block=True)
             assert alive_at_reclaim == [False]
-            assert sup.stats.fires_timed_out == 1
+            assert timeouts["fires_timed_out"] == 1
             sup.drain_in_flight()  # the retry, napping in the new worker
         assert _shm_entries() == before
 
     def test_drain_in_flight_kills_busy_workers_before_reclaiming(self):
         before = _shm_entries()
         with WorkerPool(1, registry=REGISTRY, shm_threshold=THRESHOLD) as p:
-            sup = Supervisor(p, FaultPolicy(), stats=EngineStats())
+            reclaimed = Fold(None, ShmSegmentReclaimed)
+            sup = Supervisor(p, FaultPolicy(), bus=reclaimed.bus)
             pending = _nap_pending()
             sup.dispatch(pending)
             sup.flush()
@@ -650,7 +659,7 @@ class TestChaos:
             assert sup.drain_in_flight() == [pending]
             assert not worker.is_alive()
             assert p.arena.stats()["lent"] == 0
-            assert sup.stats.shm_segments_reclaimed == 1
+            assert reclaimed["shm_segments_reclaimed"] == 1
         assert _shm_entries() == before
 
 
