@@ -180,22 +180,14 @@ def pure_key(e: ast.Expr, ctx: PassContext, bound: set[str]) -> tuple | None:
 def count_uses(e: ast.Node, name: str) -> int:
     """Number of reads of ``name`` inside subtree ``e``.
 
-    Within one top-level function names are globally unique (the single
-    assignment rule forbids shadowing), so a plain occurrence count is a
-    correct use count.
+    A correct use count of a binder of ``name`` whose scope covers all of
+    ``e``: the single assignment rule forbids shadowing, so no binder
+    inside ``e`` rebinds the name.  (Sibling scopes may each bind it, so a
+    count over a wider subtree is not: see DCE's ``scoped_reads``.)
     """
     return sum(
         1 for n in e.walk() if isinstance(n, ast.Var) and n.name == name
     )
-
-
-def count_reads(e: ast.Node) -> dict[str, int]:
-    """Reads of every name inside subtree ``e``, in one walk."""
-    out: dict[str, int] = {}
-    for n in e.walk():
-        if isinstance(n, ast.Var):
-            out[n.name] = out.get(n.name, 0) + 1
-    return out
 
 
 def bound_names_in(e: ast.Node) -> set[str]:

@@ -353,6 +353,8 @@ class ExecutionState:
     clip: Callable[[NodePlan], Any] | None = None
     _final: Any = _NO_RESULT
     _task_seq = 0
+    #: The program's fused nodes were announced (once per state).
+    _announced = False
 
     def __init__(
         self,
@@ -400,8 +402,11 @@ class ExecutionState:
     # Public interface
     # ------------------------------------------------------------------
     def _entry(self, args: tuple[Any, ...]) -> Template:
-        """The entry template, checked against ``args``; announces the
-        program's fused nodes."""
+        """The entry template, checked against ``args``; drops the
+        previous entry call's result (a run may make several, a stream
+        one per item) and, on the first, announces the program's fused
+        nodes."""
+        self._final = _NO_RESULT
         template = self.program.entry_template()
         if template.captures:
             raise GraphError(
@@ -414,7 +419,8 @@ class ExecutionState:
                 f"argument(s), got {len(args)}"
             )
         bus = self.bus
-        if bus is not None:
+        if bus is not None and not self._announced:
+            self._announced = True
             fused_nodes, ops_absorbed = self.plans.fused_counts()
             if fused_nodes:
                 bus.emit(OperatorsFused(bus.now(), fused_nodes, ops_absorbed))
@@ -432,10 +438,11 @@ class ExecutionState:
             self._deliver_output(root, i, 0, wrap_payload(a), 0, newly)
         return newly
 
-    def call(self, crown: Any, args: tuple[Any, ...] = ()) -> None:
+    def call(self, crown: Any, args: tuple[Any, ...] = ()) -> Any:
         """Run the whole program as one call of the entry's crown, in
         place of :meth:`start` and a loop: one firing, the checks of
-        :meth:`start`, each argument handed over with one share."""
+        :meth:`start`, each argument handed over with one share.
+        Returns the result, unwrapped."""
         self._entry(args)
         self.stats.tasks_fired += 1
         values = []
@@ -444,7 +451,8 @@ class ExecutionState:
                 a = wrap_payload(a)
                 retain(a, 1)
             values.append(a)
-        self._final = self._call_crown(crown, values)
+        self._final = final = self._call_crown(crown, values)
+        return unwrap(final)
 
     def fire(
         self,
@@ -757,9 +765,14 @@ class ExecutionState:
         return self._final is not _NO_RESULT
 
     def result(self) -> Any:
-        """The program result, unwrapped for the API boundary."""
+        """The program result, unwrapped for the API boundary; a
+        :class:`RuntimeFailure` with the stall report when the entry call
+        drained its ready tasks without producing one."""
         if self._final is _NO_RESULT:
-            raise RuntimeFailure("program has not produced a result")
+            raise RuntimeFailure(
+                "execution stalled: ready queue drained without "
+                "producing a result (ill-formed graph?)\n" + self.stall_report()
+            )
         return unwrap(self._final)
 
     def snapshot_stats(self) -> EngineStats:

@@ -19,9 +19,9 @@ run *somewhere*.  The executors are that somewhere:
   :class:`~repro.runtime.supervise.Supervisor` is the backend): true
   multi-core execution, with large NumPy payloads traveling through
   shared memory and cheap glue operators kept in-process (see
-  :mod:`repro.runtime.workers`).  The pool is built by the first run
-  that leaves its entry's crown; one that cannot be built, or dies, is
-  swapped for one of the other two backends on the same run.
+  :mod:`repro.runtime.workers`).  The pool is built by a run's first
+  entry call that leaves the entry's crown; one that cannot be built, or
+  dies, is swapped for one of the other two backends on the same run.
 
 Which path a firing takes is selected by what the run observes — a
 ``TaskFired`` subscriber, a fault injector, ``check_purity``, a cost
@@ -40,7 +40,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import PoolIrrecoverableError, RuntimeFailure
+from ..errors import PoolIrrecoverableError
 from ..graph.ir import GraphProgram, NodeKind
 from ..obs.events import (
     BlockCached,
@@ -206,16 +206,21 @@ class _Threads:
 
 
 class Run:
-    """One execution of a program: the skeleton every executor shares.
+    """One run of a program: the skeleton every executor shares.
 
-    Owns what a run is made of — bus and tracer, engine state, ready
-    queue, clock, snapshot sources, the ``RunStarted``/``RunFinished``
-    bracket, the stall check, the :class:`RunResult` — and the one firing
-    loop (:meth:`loop`).  The executor that builds it supplies only the
-    configuration and, to :meth:`execute`, the function that makes its
-    backend.  A run whose entry clips is one crown call and builds only
-    the stats, the argument shares and the result: the loop's state is a
-    class default until :meth:`_drive` sets it.
+    Owns what a run is made of — bus and tracer, engine state, fault
+    injector, ready queue, backend, clock, snapshot sources, the
+    ``RunStarted``/``RunFinished`` bracket (opened as the run is built,
+    closed by :meth:`close`) — and the one firing loop (:meth:`loop`).
+    Between the two it makes entry calls (:meth:`call`):
+    :meth:`_Executor.run` makes one, a
+    :class:`~repro.runtime.stream.StreamRunner` one per item, so every
+    counter, the injector's cursors and the backend span them all.  The
+    executor that opens it supplies only the configuration, read off it
+    here: ``name``, ``make_backend`` and ``dispatch_policy``.  A call
+    whose entry clips is one crown call and builds nothing more: the
+    loop's state is a class default until the first call that leaves the
+    crown makes it (:meth:`_open_backend`).
     """
 
     queue: ReadyQueue | None = None
@@ -237,14 +242,10 @@ class Run:
     on_pump: Any = None
 
     def __init__(
-        self,
-        executor: Any,
-        name: str,
-        program: GraphProgram,
-        registry: OperatorRegistry,
+        self, executor: Any, program: GraphProgram, registry: OperatorRegistry
     ) -> None:
         self.executor = executor
-        self.name = name
+        self.name = name = executor.name
         self.ctx = ctx = executor.run_ctx
         bus, self.tracer = resolve_bus(executor.bus, executor.trace, ctx)
         self.bus = bus
@@ -277,75 +278,75 @@ class Run:
             and executor.seed is None
             and name != "threaded"
         )
+        # Peer expansion pays where expanded leaves meet in the queue to
+        # be dispatched together, so it is on exactly when bodies may
+        # leave the master; injection decisions are per firing, so an
+        # injector switches it off.
+        dispatch_policy = executor.dispatch_policy
+        batching = dispatch_policy is not None and injector is None
+        # Everything :meth:`_node_class` reads besides the node: runs of
+        # one configuration share a token, so only the first of them
+        # classifies.  The run's name stands for its backend's kind.
+        key = (name, batching, dispatch_policy, self.clipping)
+        self.token = executor.class_tokens.setdefault(key, key)
+        if dispatch_policy is not None:
+            self.dispatch_policy, self.batching = dispatch_policy, batching
+            self.classify = dispatch_policy.should_dispatch
         if ctx is not None:
             ctx.add_snapshot_source("engine", state.snapshot_state)
             ctx.add_snapshot_source("ready_queue", lambda: {
                 "depths": self.queue.depths() if self.queue is not None else (0, 0, 0)
             })
+            ctx.run_started(name)
+        # A body the single pass called unwrapped joins the retry rule
+        # from its first failure.
+        if policy is not None:
+            state.recover_op = self.retrying
 
-    def execute(
-        self,
-        args: tuple[Any, ...],
-        make_backend: Any = None,
-        dispatch_policy: DispatchPolicy | None = None,
-    ) -> RunResult:
-        """Run the program to its result: an entry that clips as one call
-        of its crown, any other on the backend ``make_backend(self)``
-        makes then (``None``: every body runs here; a made ``None``: the
-        backend could not be built, and the run goes on on threads).
-
-        ``dispatch_policy`` decides which suspended bodies go to the
-        backend; without one they all run here.
-        """
-        # Peer expansion pays where expanded leaves meet in the queue to
-        # be dispatched together, so it is on exactly when bodies may
-        # leave the master; injection decisions are per firing, so an
-        # injector switches it off.
-        batching = dispatch_policy is not None and self.injector is None
-        # Everything :meth:`_node_class` reads besides the node: runs of
-        # one configuration share a token, so only the first of them
-        # classifies.  The run's name stands for its backend's kind.
-        key = (self.name, batching, dispatch_policy, self.clipping)
-        self.token = self.executor.class_tokens.setdefault(key, key)
-        if dispatch_policy is not None:
-            self.dispatch_policy, self.batching = dispatch_policy, batching
-            self.classify = dispatch_policy.should_dispatch
-        state, ctx, began = self.state, self.ctx, self.began
-        if ctx is not None:
-            ctx.run_started(self.name)
+    def close(self, exc: BaseException | None = None) -> None:
+        """Close the bracket — a failed one, with a flight-recorder dump,
+        when ``exc`` ended the run — and hand the backend, if a call made
+        one, back to the executor."""
+        state, ctx = self.state, self.ctx
+        state.recover_op = state.clip = None
         try:
-            # A body the single pass called unwrapped joins the retry
-            # rule from its first failure.
-            if self.policy is not None:
-                state.recover_op = self.retrying
-            # A run is a call: an entry that clips runs as its crown.
-            crown = self._clip_of(entry_row(state)) if self.clipping else None
-            if crown is not None:
-                state.call(crown, args)
-            else:
-                self._drive(args, make_backend)
-            if self.on_pump is not None:
+            if exc is None and self.on_pump is not None:
                 self.on_pump()
-            wall = time.perf_counter() - began
-            if not state.finished:
-                raise RuntimeFailure(
-                    "execution stalled: ready queue drained without "
-                    "producing a result (ill-formed graph?)\n"
-                    + state.stall_report()
-                )
-        except BaseException as exc:
+            self.wall = wall = time.perf_counter() - self.began
             if ctx is not None:
-                ctx.run_failed(exc, time.perf_counter() - began)
-            raise
+                if exc is None:
+                    ctx.run_finished(wall)
+                else:
+                    ctx.run_failed(exc, wall)
         finally:
-            state.recover_op = state.clip = None
-        if ctx is not None:
-            ctx.run_finished(wall)
-        return RunResult(state.result(), state.snapshot_stats(), self.tracer, wall)
+            if self.queue is not None:
+                self.executor.release(self, exc is None)
 
-    def _drive(self, args: tuple[Any, ...], make_backend: Any) -> None:
-        """Make the backend, start the entry on the graph and drive the
-        loop to exhaustion."""
+    def call(self, args: tuple[Any, ...]) -> Any:
+        """One entry call: the program's value on ``args``.
+
+        An entry that clips runs as one call of its crown; any other is
+        started on the graph and the loop driven to exhaustion, on the
+        backend the first such call made.
+        """
+        state = self.state
+        crown = self._clip_of(entry_row(state)) if self.clipping else None
+        if crown is not None:
+            return state.call(crown, args)
+        if self.queue is None:
+            self._open_backend()
+        self.queue.push_all(state.start(args))
+        if self.threads is not None:
+            self.threads.drive(self)
+        else:
+            self.loop()
+        return state.result()
+
+    def _open_backend(self) -> None:
+        """Make the backend (``None`` from the executor's
+        ``make_backend``: it could not be built, and the run goes on on
+        threads) and the ready queue."""
+        make_backend = self.executor.make_backend
         backend = make_backend(self) if make_backend is not None else None
         if backend is None and make_backend is not None:
             # The ladder's first rung: the backend could not be built.
@@ -356,14 +357,9 @@ class Run:
             # A thread releases the lock around every body, and an injector
             # sees every body before it runs: neither may take the single pass.
             self.suspend = self.injector is not None or self.threads is not None
-        ex, threads, state = self.executor, self.threads, self.state
-        self.queue = queue = ReadyQueue(ex.use_priorities, ex.seed, bus=self.bus)
-        state.clip = self._clip_of if self.clipping else None
-        queue.push_all(state.start(args))
-        if threads is not None:
-            threads.drive(self)
-        else:
-            self.loop()
+        ex = self.executor
+        self.queue = ReadyQueue(ex.use_priorities, ex.seed, bus=self.bus)
+        self.state.clip = self._clip_of if self.clipping else None
 
     # -- the loop ---------------------------------------------------------
     def loop(self) -> None:
@@ -689,8 +685,10 @@ class Run:
     def _degrade(self, reason: str) -> None:
         """The pool is irrecoverable mid-run: commit what it produced, step
         down to this thread (the engine state is live in it, so threads
-        cannot take over) and re-run the abandoned in-flight firings on
-        isolated argument copies."""
+        cannot take over), re-run the abandoned in-flight firings on
+        isolated argument copies, and close the pool — its surviving
+        workers would otherwise idle through the rest of the run (a
+        stream's later items)."""
         supervisor = self.backend
         self.degraded("process", "sequential", reason)
         for c in supervisor.take_completions():
@@ -698,12 +696,19 @@ class Run:
         self._step_down(None)
         for pending in supervisor.drain_in_flight():
             self._local(pending, isolate=True)
+        self.executor.close()
 
 
 class _Executor:
-    """A :class:`Run` reads its configuration off the executor that builds
+    """A :class:`Run` reads its configuration off the executor that opens
     it; a parameter one of the three lacks reads as its default here."""
 
+    #: The run's name, which stands for its backend's kind.
+    name = "sequential"
+    #: Makes the backend of a run, on its first entry call that leaves
+    #: the crown (:meth:`Run._open_backend`); ``None``: bodies run here.
+    make_backend: Any = None
+    dispatch_policy: DispatchPolicy | None = None
     seed: int | None = None
     profile_ops = False
 
@@ -729,6 +734,35 @@ class _Executor:
         #: executor: the classes its first run memoized in a program's
         #: plans are read, not decided again, by every later run.
         self.class_tokens: dict[tuple, tuple] = {}
+
+    def open(
+        self, program: GraphProgram, registry: OperatorRegistry | None = None
+    ) -> Run:
+        """A run of ``program`` (operators from ``registry``, by default
+        the builtins), its bracket open: make each entry call with
+        :meth:`Run.call`, then :meth:`Run.close` it."""
+        registry = registry if registry is not None else builtin_registry()
+        return Run(self, program, registry)
+
+    def release(self, run: Run, ok: bool) -> None:
+        """``run``, which made a backend, closed (``ok``: without an
+        error); nothing to give back."""
+
+    def run(
+        self,
+        program: GraphProgram,
+        args: tuple[Any, ...] = (),
+        registry: OperatorRegistry | None = None,
+    ) -> RunResult:
+        """Run ``program`` on ``args``: one entry call on a run of its own."""
+        run = self.open(program, registry)
+        try:
+            value = run.call(args)
+        except BaseException as exc:
+            run.close(exc)
+            raise
+        run.close()
+        return RunResult(value, run.state.snapshot_stats(), run.tracer, run.wall)
 
 
 class SequentialExecutor(_Executor):
@@ -791,15 +825,6 @@ class SequentialExecutor(_Executor):
         #: to ``OpStarted``/``OpFinished`` events).
         self.profile_ops = profile_ops
 
-    def run(
-        self,
-        program: GraphProgram,
-        args: tuple[Any, ...] = (),
-        registry: OperatorRegistry | None = None,
-    ) -> RunResult:
-        registry = registry if registry is not None else builtin_registry()
-        return Run(self, "sequential", program, registry).execute(args)
-
 
 class ThreadedExecutor(_Executor):
     """Run a coordination graph on real OS threads.
@@ -813,6 +838,9 @@ class ThreadedExecutor(_Executor):
     executor — the coordination model guarantees it, and the tests
     verify it.
     """
+
+    name = "threaded"
+    make_backend = _Threads
 
     def __init__(
         self,
@@ -832,15 +860,6 @@ class ThreadedExecutor(_Executor):
             run_ctx,
         )
         self.n_workers = n_workers
-
-    def run(
-        self,
-        program: GraphProgram,
-        args: tuple[Any, ...] = (),
-        registry: OperatorRegistry | None = None,
-    ) -> RunResult:
-        registry = registry if registry is not None else builtin_registry()
-        return Run(self, "threaded", program, registry).execute(args, _Threads)
 
 
 class ProcessExecutor(_Executor):
@@ -900,14 +919,15 @@ class ProcessExecutor(_Executor):
         :mod:`repro.runtime.supervise`.  Results are bit-identical
         across all three settings.
     persistent:
-        Keep the worker pool alive across :meth:`run` calls (streaming
-        and server-style use: repeated runs of the *same* program and
-        registry skip pool startup and registry/fused-chain shipping).
-        Either way the pool is built by the first run that leaves its
-        entry's crown (a run that clips forks nothing), rebuilt when a
-        different program or registry arrives, and torn down by
+        Keep the worker pool alive across runs (server-style use:
+        repeated runs of the *same* program and registry skip pool
+        startup and registry/fused-chain shipping; a stream's items are
+        calls on one run, which keeps its pool anyway).  Either way the
+        pool is built by the first entry call that leaves its entry's
+        crown (a run whose entry clips forks nothing), rebuilt when a run
+        of a different program or registry opens, and torn down by
         :meth:`close`; without ``persistent``, or when the run failed or
-        degraded, when the run ends.
+        degraded, when the run closes.
         Worker block caches persist across runs too, and so does the
         one residency tracker that records what they hold
         (``WorkerPool.residency``).  That is safe because block ids are
@@ -917,6 +937,8 @@ class ProcessExecutor(_Executor):
         first one, at the latest) before any call in it runs; a stale
         entry can waste cache budget, but it is never served.
     """
+
+    name = "process"
 
     def __init__(
         self,
@@ -946,7 +968,7 @@ class ProcessExecutor(_Executor):
             run_ctx,
         )
         self.n_workers = n_workers
-        self.policy = DispatchPolicy(
+        self.dispatch_policy = DispatchPolicy(
             cost_threshold=cost_threshold,
             nbytes_threshold=shm_threshold,
             measured_seconds=measured_costs,
@@ -971,37 +993,31 @@ class ProcessExecutor(_Executor):
             self._pool_for = None
             pool.close()
 
-    def run(
-        self,
-        program: GraphProgram,
-        args: tuple[Any, ...] = (),
-        registry: OperatorRegistry | None = None,
-    ) -> RunResult:
+    def open(
+        self, program: GraphProgram, registry: OperatorRegistry | None = None
+    ) -> Run:
         registry = registry if registry is not None else builtin_registry()
         built_for = self._pool_for
         if self._pool is not None and (
             built_for[0]() is not program or built_for[1]() is not registry
         ):
             self.close()
-        run = Run(self, "process", program, registry)
+        run = Run(self, program, registry)
         if self._pool is not None:
             # The warm workers may hold blocks this run writes in place.
             run.state.locality = self._pool.residency
-        keep = False
-        try:
-            result = run.execute(args, self._supervise, self.policy)
-            keep = self.persistent and not result.stats.executor_degraded
-        finally:
-            # A run that errored may leave the pool in an unknown state
-            # (mid-respawn, poisoned pipes), one that degraded lost it.
-            if not keep:
-                self.close()
-        return result
+        return run
 
-    def _supervise(self, run: Run) -> Supervisor | None:
-        """The backend of a run that leaves its entry's crown: a
-        :class:`Supervisor` over the warm pool or one built now; ``None``
-        (the step down recorded) when none can be built."""
+    def release(self, run: Run, ok: bool) -> None:
+        # A run that errored may leave the pool in an unknown state
+        # (mid-respawn, poisoned pipes), one that degraded lost it.
+        if not (ok and self.persistent and not run.state.stats.executor_degraded):
+            self.close()
+
+    def make_backend(self, run: Run) -> Supervisor | None:
+        """The backend of a run, made on its first entry call that leaves
+        the crown: a :class:`Supervisor` over the warm pool or one built
+        now; ``None`` (the step down recorded) when none can be built."""
         state, ctx, pool = run.state, self.run_ctx, self._pool
         if pool is None:
             try:

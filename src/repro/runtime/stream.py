@@ -4,10 +4,15 @@ Delirium programs are finite graphs, but the workloads the runtime must
 serve are not: a retina watching a camera, a log pipeline, a market
 feed.  This module opens that scenario class without touching the
 engine's semantics.  A :class:`StreamRunner` drives one compiled
-program over an unbounded sequence of items, one item per program run —
-cheap, because the engine's cross-run plan cache makes repeated runs of
-the same program pay only activation setup, and (for the process
-executor) the worker pool stays warm across items.
+program over an unbounded sequence of items as **one run**: one engine
+state and set of counters, one fault injector, one backend (the thread
+set, or the supervised worker pool), one ``RunStarted``/``RunFinished``
+bracket and one clock, from the start of the stream.  Each item is one
+entry call on that run — one call of the entry's crown where the entry
+clips, else the entry started on the graph and the loop driven to
+exhaustion — so an item costs its own work and no run set-up.  A pool
+the run loses past its respawn budget is not rebuilt for the next item:
+the stream finishes on the rung the run stepped down to.
 
 **Backpressure is the design, not a feature flag.**  Sources are
 pull-based: the runner asks for the next item only after the previous
@@ -16,7 +21,7 @@ at any instant the master holds one item's activations plus the carried
 value — RSS stays flat over 10⁶ firings because nothing accumulates.
 
 **Carry mode** is how state crosses items in a single-assignment world:
-``main(carry, item)`` (or ``main(carry)``) receives the previous run's
+``main(carry, item)`` (or ``main(carry)``) receives the previous item's
 result as its first argument.  The carried value is an ordinary
 Delirium value — which is exactly why checkpointing it (a pickle) is
 consistent: at an item boundary it is the *only* live state.
@@ -25,9 +30,9 @@ consistent: at an item boundary it is the *only* live state.
 runner a checkpoint path and a cadence (every N operator calls, and/or
 every S wall seconds via ``FaultPolicy(checkpoint=S)``) and it
 periodically flushes the sink and snapshots the frontier atomically.
-``resume=`` rebuilds the run from the snapshot: seek the source,
+``resume=`` rebuilds the stream from the snapshot: seek the source,
 truncate the sink to its durable prefix (verified by rolling digest),
-restore the carry and the fault-injection cursors, and continue —
+restore the carry and the run's injector cursors, and continue —
 committed items are never re-fired (single-assignment makes them
 final), and the sink output is bit-identical to an uninterrupted run.
 Property-tested in ``tests/test_checkpoint.py``; the real ``kill -9``
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import DeliriumError
-from ..faults.spec import FaultSpec, _in_worker_process
+from ..faults.spec import FaultSpec
 from ..obs.events import CheckpointWritten, EventBus, RunResumed
 from .checkpoint import (
     Checkpoint,
@@ -305,46 +310,6 @@ class JsonlSink:
 
 
 # ----------------------------------------------------------------------
-# Fault-spec sharing across per-item runs
-# ----------------------------------------------------------------------
-class SharedFaultSpec:
-    """One master-side injector shared by every per-item executor run.
-
-    Executors call ``fault_spec.build()`` at the start of each run; with
-    a plain :class:`~repro.faults.FaultSpec` that would reset the
-    injection counters every item, making ``nth=`` clauses fire once
-    *per item* instead of once per stream.  This wrapper pins a single
-    master injector (whose cursors the checkpoint snapshots) while
-    worker processes — which receive the wrapper by pickle and build at
-    respawn salts — still get fresh per-incarnation injectors.
-    """
-
-    def __init__(self, spec: FaultSpec) -> None:
-        self.spec = spec
-        self.injector = spec.build()
-
-    @property
-    def clauses(self):  # noqa: ANN201 - mirrors FaultSpec
-        return self.spec.clauses
-
-    def build(self, salt: int = 0):  # noqa: ANN201 - mirrors FaultSpec
-        if salt == 0 and not _in_worker_process():
-            return self.injector
-        return self.spec.build(salt)
-
-    def describe(self) -> str:
-        return self.spec.describe()
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Workers must not inherit the master's cursors: ship the spec,
-        # rebuild a pinned injector on the far side.
-        return {"spec": self.spec}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__(state["spec"])
-
-
-# ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
 @dataclass
@@ -364,14 +329,15 @@ class StreamResult:
 
 
 class StreamRunner:
-    """Drive one compiled program over a stream, one item per run.
+    """Drive one compiled program over a stream: each :meth:`run` call is
+    one run of the program, and each item one entry call on it.
 
     Parameters
     ----------
     program / registry:
         The compiled graph and its operators, identical for every item
-        (that is what makes the cross-run plan cache and the warm
-        worker pool pay off).
+        (that is what lets one run, and its one worker pool, serve them
+        all).
     executor:
         ``"sequential"`` | ``"threaded"`` | ``"process"``.  The choice
         does not affect sink output (bit-identity across executors is
@@ -380,13 +346,13 @@ class StreamRunner:
         executor may resume under another.
     carry:
         When True the previous item's result is threaded into the next
-        run.  ``make_args`` builds each run's argument tuple from
+        item's call.  ``make_args`` builds each call's argument tuple from
         ``(item, carry)``; its default is ``(carry, item)`` in carry
         mode and ``(item,)`` otherwise.
     initial:
         The first carry value (carry mode only).
     emit:
-        Reduces each run's result to the JSON-representable item
+        Reduces each item's result to the JSON-representable item
         appended to the sink (default: identity).
     checkpoint_path / checkpoint_every / fault_policy.checkpoint:
         Enable periodic snapshots: every ``checkpoint_every`` operator
@@ -395,10 +361,10 @@ class StreamRunner:
         seconds.  A final snapshot is always written on normal
         completion when a path is configured.
     fault_spec:
-        A :class:`~repro.faults.FaultSpec`; wrapped in
-        :class:`SharedFaultSpec` so clause cursors span the whole
-        stream and land in the checkpoint.  ``masterkill`` clauses are
-        consulted at every item boundary.
+        A :class:`~repro.faults.FaultSpec`.  The stream's run builds its
+        one injector, so clause cursors span the whole stream and land
+        in the checkpoint.  ``masterkill`` clauses are consulted at every
+        item boundary.
     flags:
         Extra identity entries for the checkpoint manifest (the CLI
         records its graph-pass tuple and compile-cache key here);
@@ -454,9 +420,7 @@ class StreamRunner:
         self.emit = emit if emit is not None else (lambda value: value)
         self.checkpoint_path = checkpoint_path
         self.fault_policy = fault_policy
-        self.fault_spec = (
-            SharedFaultSpec(fault_spec) if fault_spec is not None else None
-        )
+        self.fault_spec = fault_spec
         self.flags = dict(flags or {})
         self.flags.setdefault("carry", bool(carry))
         self.bus = bus
@@ -487,14 +451,6 @@ class StreamRunner:
         return self._program_fp, self._registry_fp
 
     # -- executor -------------------------------------------------------
-    def _resolve_bus(self) -> EventBus | None:
-        bus = self.bus
-        if bus is None and self.run_ctx is not None:
-            bus = self.run_ctx.bus
-        if bus is not None and not bus.active:
-            bus = None
-        return bus
-
     def _build_executor(self) -> Any:
         from .executors import (
             ProcessExecutor,
@@ -524,7 +480,8 @@ class StreamRunner:
         return self._executor
 
     def close(self) -> None:
-        """Release the warm worker pool (process executor)."""
+        """Release the worker pool a persistent process executor keeps
+        between :meth:`run` calls."""
         if self._executor is not None:
             close = getattr(self._executor, "close", None)
             if close is not None:
@@ -534,15 +491,17 @@ class StreamRunner:
     # -- checkpointing --------------------------------------------------
     def _snapshot(
         self,
+        run: Any,
         source: Any,
         sink: Any,
         carry: Any,
         items: int,
         fires: int,
         seq: int,
-        stats: dict[str, float],
-    ) -> int:
-        """Flush the sink, then write one atomic snapshot.  Returns size."""
+        base: dict[str, float],
+    ) -> None:
+        """Flush the sink, write one atomic snapshot and announce it."""
+        t0 = time.perf_counter()
         sink.flush()
         program_fp, registry_fp = self.fingerprints()
         manifest = {
@@ -556,17 +515,22 @@ class StreamRunner:
             "flags": self.flags,
             "created": time.time(),
         }
-        injector_state = (
-            self.fault_spec.injector.state_dict()
-            if self.fault_spec is not None
-            else None
-        )
+        injector = run.injector
         payload = {
             "carry": carry,
-            "injector": injector_state,
-            "stats": stats,
+            "injector": injector.state_dict() if injector is not None else None,
+            "stats": _totals(base, run.state.stats),
         }
-        return write_checkpoint(self.checkpoint_path, manifest, payload)
+        nbytes = write_checkpoint(self.checkpoint_path, manifest, payload)
+        self.cadence.mark(fires)
+        bus = run.bus
+        if bus is not None and bus.wants(CheckpointWritten):
+            bus.emit(
+                CheckpointWritten(
+                    bus.now(), self.checkpoint_path, seq, items, fires, nbytes,
+                    time.perf_counter() - t0,
+                )
+            )
 
     # -- the loop -------------------------------------------------------
     def run(
@@ -580,22 +544,20 @@ class StreamRunner:
     ) -> StreamResult:
         """Drain ``source`` into ``sink``; optionally resume a snapshot.
 
-        ``limit`` bounds how many items this call processes (``None`` =
-        until the source ends).  ``stop_after_items`` abandons the run
-        after N items *without* a final flush or checkpoint — the
-        in-process stand-in for a master crash that the property tests
-        use (the real SIGKILL path is the ``masterkill`` fault kind).
+        The call is one run of the program (one ``RunStarted`` /
+        ``RunFinished`` bracket, one clock, one set of counters), and
+        each item one entry call on it.  ``limit`` bounds how many items
+        this call processes (``None`` = until the source ends).
+        ``stop_after_items`` abandons the stream after N items *without*
+        a final flush or checkpoint — the in-process stand-in for a
+        master crash that the property tests use (the real SIGKILL path
+        is the ``masterkill`` fault kind).
         """
         began = time.perf_counter()
-        bus = self._resolve_bus()
-        stats: dict[str, float] = {}
-        items = 0
-        fires = 0
-        seq = 0
-        checkpoints = 0
-        resumed_from: str | None = None
+        base: dict[str, float] = {}
+        items = fires = seq = 0
+        ckpt: Checkpoint | None = None
         carry = self.initial
-
         if resume is not None:
             ckpt = (
                 resume
@@ -612,119 +574,72 @@ class StreamRunner:
             source.seek(ckpt.source_offset)
             sink.restore(ckpt.sink_state)
             carry = ckpt.payload.get("carry")
-            stats = dict(ckpt.payload.get("stats") or {})
-            if (
-                self.fault_spec is not None
-                and ckpt.payload.get("injector") is not None
-            ):
-                self.fault_spec.injector.load_state(
-                    ckpt.payload["injector"]
-                )
-            items = ckpt.items
-            fires = ckpt.fires
-            seq = ckpt.seq
-            resumed_from = ckpt.path
-            self.cadence.mark(fires)
-            if bus is not None and bus.wants(RunResumed):
-                bus.emit(RunResumed(bus.now(), ckpt.path, items, fires))
-        else:
-            self.cadence.mark(0)
-
-        injector = (
-            self.fault_spec.injector if self.fault_spec is not None else None
-        )
-        executor = self.executor
-        done = 0
-        while limit is None or done < limit:
-            item = source.next()
-            if item is END:
-                break
-            args = self.make_args(item, carry)
-            result = executor.run(self.program, args, self.registry)
-            value = result.value
-            if self.carry:
-                carry = value
-            sink.append(self.emit(value))
-            items += 1
-            done += 1
-            fires += result.stats.ops_executed
-            _accumulate(stats, result.stats)
-            if injector is not None:
-                # May SIGKILL this process (masterkill) — everything
-                # after this line must be redoable from the last
-                # checkpoint, and is.
-                injector.on_master_boundary()
-            if (
-                stop_after_items is not None
-                and done >= stop_after_items
-            ):
-                # Simulated crash: no flush, no snapshot, just stop.
-                return StreamResult(
-                    items=items,
-                    fires=fires,
-                    wall_seconds=time.perf_counter() - began,
-                    stats=stats,
-                    checkpoints_written=checkpoints,
-                    resumed_from=resumed_from,
-                    sink_digest=sink.digest,
-                    value=carry if self.carry else None,
-                )
-            if self.checkpoint_path is not None and (
-                self.cadence.enabled and self.cadence.due(fires)
-            ):
-                t0 = time.perf_counter()
+            base = dict(ckpt.payload.get("stats") or {})
+            items, fires, seq = ckpt.items, ckpt.fires, ckpt.seq
+        self.cadence.mark(fires)
+        fires0, seq0 = fires, seq
+        crashed = False
+        run = self.executor.open(self.program, self.registry)
+        try:
+            bus, injector, stats = run.bus, run.injector, run.state.stats
+            if ckpt is not None:
+                if injector is not None and ckpt.payload.get("injector") is not None:
+                    injector.load_state(ckpt.payload["injector"])
+                if bus is not None and bus.wants(RunResumed):
+                    bus.emit(RunResumed(bus.now(), ckpt.path, items, fires))
+            done = 0
+            while limit is None or done < limit:
+                item = source.next()
+                if item is END:
+                    break
+                value = run.call(self.make_args(item, carry))
+                if self.carry:
+                    carry = value
+                sink.append(self.emit(value))
+                items += 1
+                done += 1
+                fires = fires0 + stats.ops_executed
+                if injector is not None:
+                    # May SIGKILL this process (masterkill) — everything
+                    # after this line must be redoable from the last
+                    # checkpoint, and is.
+                    injector.on_master_boundary()
+                if stop_after_items is not None and done >= stop_after_items:
+                    # Simulated crash: no flush, no snapshot, just stop.
+                    crashed = True
+                    break
+                if self.checkpoint_path is not None and (
+                    self.cadence.enabled and self.cadence.due(fires)
+                ):
+                    seq += 1
+                    self._snapshot(
+                        run, source, sink, carry, items, fires, seq, base
+                    )
+            if crashed:
+                pass  # no final flush or snapshot either
+            elif self.checkpoint_path is None:
+                sink.flush()
+            else:
+                # The final snapshot flushes the sink itself.
                 seq += 1
-                nbytes = self._snapshot(
-                    source, sink, carry, items, fires, seq, stats
-                )
-                self.cadence.mark(fires)
-                checkpoints += 1
-                if bus is not None and bus.wants(CheckpointWritten):
-                    bus.emit(
-                        CheckpointWritten(
-                            bus.now(),
-                            self.checkpoint_path,
-                            seq,
-                            items,
-                            fires,
-                            nbytes,
-                            time.perf_counter() - t0,
-                        )
-                    )
-
-        if self.checkpoint_path is None:
-            sink.flush()
-        else:
-            # The final snapshot flushes the sink itself.
-            t0 = time.perf_counter()
-            seq += 1
-            nbytes = self._snapshot(
-                source, sink, carry, items, fires, seq, stats
-            )
-            self.cadence.mark(fires)
-            checkpoints += 1
-            if bus is not None and bus.wants(CheckpointWritten):
-                bus.emit(
-                    CheckpointWritten(
-                        bus.now(),
-                        self.checkpoint_path,
-                        seq,
-                        items,
-                        fires,
-                        nbytes,
-                        time.perf_counter() - t0,
-                    )
-                )
-        last = self.emit_last(sink)
+                self._snapshot(run, source, sink, carry, items, fires, seq, base)
+        except BaseException as exc:
+            run.close(exc)
+            raise
+        run.close()
         return StreamResult(
             items=items,
             fires=fires,
             wall_seconds=time.perf_counter() - began,
-            stats=stats,
-            checkpoints_written=checkpoints,
-            resumed_from=resumed_from,
+            stats=_totals(base, stats),
+            checkpoints_written=seq - seq0,
+            resumed_from=ckpt.path if ckpt is not None else None,
             sink_digest=sink.digest,
-            value=carry if self.carry else last,
+            value=(
+                carry if self.carry
+                else None if crashed
+                else self.emit_last(sink)
+            ),
         )
 
     @staticmethod
@@ -736,8 +651,7 @@ class StreamRunner:
 
 
 #: The numeric :class:`EngineStats` counters (the dict-valued fields are
-#: per-run snapshots and attributions, not summable), worked out once —
-#: ``_accumulate`` runs per stream item.
+#: per-run snapshots, not summable).
 _NUMERIC_STATS = tuple(
     f.name
     for f in dataclasses.fields(EngineStats)
@@ -745,7 +659,10 @@ _NUMERIC_STATS = tuple(
 )
 
 
-def _accumulate(into: dict[str, float], stats: EngineStats) -> None:
-    """Sum one run's numeric counters into the stream-wide totals."""
+def _totals(base: dict[str, float], stats: EngineStats) -> dict[str, float]:
+    """The stream's counters: the run's, plus those of the stream it
+    resumed (``base``, from the checkpoint)."""
+    totals = dict(base)
     for name in _NUMERIC_STATS:
-        into[name] = into.get(name, 0) + getattr(stats, name)
+        totals[name] = base.get(name, 0) + getattr(stats, name)
+    return totals

@@ -1087,10 +1087,10 @@ class DispatchPolicy:
     """When does an operator body cross the process boundary?
 
     Immutable, and equal only to itself: an executor memoizes what
-    :meth:`static_dispatch` answered under the policy's *identity*
-    (:meth:`~repro.runtime.executors.Run.execute`), so nothing the
-    answers depend on may change under it — ``measured_seconds`` is
-    copied at construction.
+    :meth:`static_dispatch` answered under the policy's *identity* (in
+    the class token a :class:`~repro.runtime.executors.Run` picks), so
+    nothing the answers depend on may change under it —
+    ``measured_seconds`` is copied at construction.
 
     The best evidence is *measured* wall time: when ``measured_seconds``
     (from :func:`repro.machine.calibrate.calibrate_dispatch`) knows an

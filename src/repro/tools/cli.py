@@ -327,8 +327,9 @@ def _parse_stream_spec(spec: str):
 
 
 def _run_stream(ns: argparse.Namespace, compiled) -> int:
-    """The ``delirium run --stream`` path: one run per item, with
-    optional durable sink, checkpoints, and resume."""
+    """The ``delirium run --stream`` path: one run for the stream, one
+    entry call per item, with optional durable sink, checkpoints, and
+    resume."""
     import json as json_mod
 
     from ..runtime.checkpoint import CheckpointMismatchError

@@ -11,6 +11,7 @@ observable effect, so frontier + carry + offsets is a consistent cut.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,6 +38,7 @@ from repro.runtime.checkpoint import (
     verify_compatible,
     write_checkpoint,
 )
+from repro.runtime.engine import EngineStats
 from repro.runtime.operators import default_registry
 from repro.runtime.stream import (
     JsonlSink,
@@ -155,6 +157,36 @@ class TestFileFormat:
         with pytest.raises(CheckpointMismatchError) as err:
             read_checkpoint(path)
         assert err.value.key == "version"
+
+
+class TestPayloadFormat:
+    """The payload a stream's snapshot carries is what resume reads back:
+    the carry, the run's injector cursors and the stream's counters."""
+
+    def test_payload_holds_the_carry_cursors_and_every_counter(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        spec = parse_fault_spec("raise:op=mul,nth=2")
+        runner = StreamRunner(
+            compile_source(SUM_SRC), carry=True, initial=0,
+            checkpoint_path=path, checkpoint_every=2, fault_spec=spec,
+            fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
+        )
+        result = runner.run(count_source(5), MemorySink())
+        payload = read_checkpoint(path).payload
+        assert set(payload) == {"carry", "injector", "stats"}
+        assert payload["carry"] == result.value == 30
+        numeric = {
+            name
+            for name, value in dataclasses.asdict(EngineStats()).items()
+            if isinstance(value, (int, float))
+        }
+        assert set(payload["stats"]) == numeric
+        assert payload["stats"] == result.stats
+        assert payload["stats"]["fires_retried"] == 1
+        injector = spec.build()
+        injector.load_state(payload["injector"])
+        assert injector.state_dict() == payload["injector"]
+        assert injector.injected == 1
 
 
 class TestCompatibilityGates:

@@ -45,7 +45,7 @@ from repro.compiler import analysis, symtab
 from repro.compiler.analysis import FreshNames, all_names
 from repro.compiler.lowering import lower_program
 from repro.compiler.passes import cse, dce, pipeline
-from repro.compiler.passes.common import PassContext, count_reads
+from repro.compiler.passes.common import PassContext
 from repro.compiler.passes.pipeline import (
     FULL_PASS_ORDER,
     PASS_ORDER,
@@ -275,7 +275,7 @@ class TestDCE:
             sweep = dce._DCE(ctx, f)
             sweep.run()
             live = {k: v for k, v in sweep.reads.items() if v}
-            assert live == count_reads(f.body)
+            assert live == dce.scoped_reads(f.body, dict.fromkeys(f.params))
 
 
 # ---------------------------------------------------------------------------

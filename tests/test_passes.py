@@ -193,6 +193,62 @@ class TestCSE:
         assert repr(a) == name and b == 3
 
 
+#: Sibling scopes binding one name: single assignment forbids shadowing,
+#: not this.  ``a``'s ``x`` is dead once constprop folds its read, and
+#: ``b``'s ``x`` is read.
+SIBLINGS = """
+    main(n)
+      let a = let x = 5 in x
+          b = let x = add(n, 1) in x
+      in <a, b>
+    """
+
+
+class TestSiblingScopes:
+    def test_a_binding_is_judged_by_the_reads_in_its_own_scope(self):
+        p, report = optimized(SIBLINGS, PASS_ORDER)
+        want = parse_expression("let b = let x = add(n, 1) in x in <5, b>")
+        assert unparse(p.function("main").body) == unparse(want)
+        assert report.stats["dce.removed"] == 2
+
+    def test_dce_alone_keeps_only_the_read_binding(self):
+        p, report = optimized(
+            "main(n) let a = let x = 5 in 7  b = let x = add(n, 1) in x in <a, b>",
+            ["dce"],
+        )
+        a, b = p.function("main").body.bindings
+        assert a.expr == ast.Literal(value=7)
+        assert isinstance(b.expr, ast.Let)
+        assert report.stats["dce.removed"] == 1
+
+    def test_cse_does_not_reuse_a_siblings_binding(self):
+        # Equal right-hand sides, but ``a``'s ``x`` is out of scope in ``b``.
+        p, report = optimized(
+            """
+            main(n)
+              let a = let x = add(n, 1) in mul(x, 2)
+                  b = let x = add(n, 1) in x
+              in <a, b>
+            """,
+            ["cse"],
+        )
+        assert "cse.eliminated" not in report.stats
+
+    @pytest.mark.parametrize(
+        "passes", [("cse",), ("constprop", "cse"), PASS_ORDER, FULL_PASS_ORDER]
+    )
+    @pytest.mark.parametrize(
+        "source, want",
+        [
+            (SIBLINGS, (5, 2)),
+            (SIBLINGS.replace("let x = 5 in x", "let x = add(n, 1) in mul(x, 2)"), (4, 2)),
+        ],
+    )
+    def test_the_sibling_draw_keeps_its_value(self, passes, source, want):
+        compiled = compile_source(source, optimize_passes=passes)
+        assert compiled.run(args=(1,)).value == want
+
+
 class TestDCE:
     def test_unused_pure_binding_removed(self):
         p, report = optimized(

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import resource
 
 import pytest
 
 from repro import compile_source
+from repro.faults import parse_fault_spec
+from repro.compiler.passes.pipeline import PASS_ORDER
+from repro.obs import CheckpointWritten, OperatorsFused, RunFinished, RunStarted
+from repro.obs.runctx import RunContext
+from repro.runtime import engine, executors
+from repro.runtime.operators import default_registry
 from repro.runtime.stream import (
     END,
     CallableSource,
@@ -19,6 +26,7 @@ from repro.runtime.stream import (
     StreamRunner,
     count_source,
 )
+from repro.runtime.supervise import FaultPolicy
 
 #: main(x) -> x*x + 1, builtins only.
 MAP_SRC = """
@@ -30,6 +38,22 @@ main(x)
 SUM_SRC = """
 main(acc, x)
   add(acc, mul(x, x))
+"""
+
+
+#: ``work`` is priced to cross the process boundary under the default
+#: dispatch policy, so a process stream of WORK_SRC builds its pool.
+WORK_REGISTRY = default_registry()
+
+
+@WORK_REGISTRY.register(pure=True, cost=2e6)
+def work(x):
+    return x * x + 1
+
+
+WORK_SRC = """
+main(acc, x)
+  add(acc, work(x))
 """
 
 
@@ -257,6 +281,105 @@ class TestStreamRunner:
         runner.run(count_source(2000), sink)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert after - before < 16 * 1024  # KiB on Linux
+
+
+class TestOneRunPerStream:
+    """A :meth:`StreamRunner.run` call is one run of the program, each
+    item one entry call on it."""
+
+    def test_one_bracket_on_the_streams_clock(self, tmp_path):
+        ctx = RunContext(record_events=True, flight_recorder=False)
+        fused = compile_source(SUM_SRC, optimize_passes=PASS_ORDER + ("fuse",))
+        runner = StreamRunner(
+            fused, carry=True, initial=0, run_ctx=ctx,
+            checkpoint_path=str(tmp_path / "s.ckpt"), checkpoint_every=1,
+        )
+        result = runner.run(count_source(5), MemorySink())
+        assert len(ctx.log.of_type(OperatorsFused)) == 1  # once per run
+        bracket = ctx.log.of_type(RunStarted, CheckpointWritten, RunFinished)
+        kinds = [type(e) for e in bracket]
+        assert kinds == [RunStarted] + [CheckpointWritten] * 6 + [RunFinished]
+        assert result.checkpoints_written == 6  # one per item, and the last
+        # One clock from the start of the stream: each snapshot is
+        # stamped later than the one before it.
+        stamps = [e.ts for e in bracket]
+        assert stamps == sorted(stamps) and len(set(stamps[1:])) == 7
+        assert bracket[-1].ok and bracket[-1].wall_seconds >= stamps[-2]
+
+    def test_one_engine_state_and_one_supervisor(self, monkeypatch):
+        stats_made, supervisors = [], []
+
+        class CountedStats(engine.EngineStats):
+            def __init__(self, *args, **kwargs):
+                stats_made.append(self)
+                super().__init__(*args, **kwargs)
+
+        class CountedSupervisor(executors.Supervisor):
+            def __init__(self, *args, **kwargs):
+                supervisors.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "EngineStats", CountedStats)
+        monkeypatch.setattr(executors, "Supervisor", CountedSupervisor)
+        compiled = compile_source(WORK_SRC, registry=WORK_REGISTRY)
+        runner = StreamRunner(
+            compiled, carry=True, initial=0, executor="process", n_workers=1
+        )
+        try:
+            result = runner.run(count_source(4), MemorySink())
+        finally:
+            runner.close()
+        assert result.value == sum(x * x + 1 for x in range(4))
+        assert result.stats["dispatched_fires"] == 4
+        assert len(stats_made) == 1 and len(supervisors) == 1
+
+    @pytest.mark.parametrize("executor", ["sequential", "threaded", "process"])
+    def test_an_nth_clause_counts_across_the_stream(self, sum_program, executor):
+        # ``mul`` runs once per item: its third call is the third item's.
+        runner = StreamRunner(
+            sum_program, carry=True, initial=0, executor=executor, n_workers=2,
+            fault_spec=parse_fault_spec("raise:op=mul,nth=3"),
+            fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
+        )
+        try:
+            result = runner.run(count_source(6), MemorySink())
+        finally:
+            runner.close()
+        assert result.value == sum(x * x for x in range(6))
+        assert result.stats["fires_retried"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pool_lost_mid_stream_is_not_rebuilt(self, workers):
+        """Past its respawn budget the run steps down once, and the rest
+        of the stream runs on that rung: no item forks a fresh pool, and
+        no worker of the lost one idles on."""
+        compiled = compile_source(WORK_SRC, registry=WORK_REGISTRY)
+        reference = StreamRunner(compiled, carry=True, initial=0).run(
+            count_source(6), MemorySink()
+        )
+        alive = []
+
+        def emit(value):
+            alive.append(len(multiprocessing.active_children()))
+            return value
+
+        runner = StreamRunner(
+            compiled, carry=True, initial=0, executor="process",
+            n_workers=workers, emit=emit,
+            fault_spec=parse_fault_spec("kill:op=work,nth=2"),
+            fault_policy=FaultPolicy(max_respawns=0, backoff=0.0),
+        )
+        try:
+            result = runner.run(count_source(6), MemorySink())
+        finally:
+            runner.close()
+        assert result.sink_digest == reference.sink_digest
+        assert result.value == reference.value
+        assert result.stats["executor_degraded"] == 1
+        # From the item that lost the pool on, nothing is dispatched.
+        lost = alive.index(0)
+        assert alive[0] == workers and alive[lost:] == [0] * (6 - lost)
+        assert result.stats["dispatched_fires"] == lost + 1
 
 
 class TestRetinaStream:
